@@ -18,16 +18,6 @@ type ClusterCoordinator = cluster.Coordinator
 // ClusterCoordinatorConfig parameterizes NewClusterCoordinator.
 type ClusterCoordinatorConfig = cluster.Config
 
-// ClusterWorker is one shard node of a cluster: a streaming server for
-// the users the ring assigns to it, the coordinator-facing close/commit
-// RPCs, and an optional background segment shipper. Its window closes
-// are driven by the coordinator. A Node becomes a worker with
-// WithClusterWorker; NewClusterWorker builds one directly.
-type ClusterWorker = cluster.Worker
-
-// ClusterWorkerConfig parameterizes NewClusterWorker.
-type ClusterWorkerConfig = cluster.WorkerConfig
-
 // ClusterRing is the consistent hash ring assigning user IDs to
 // workers: a pure function of the worker set, so coordinators agree
 // across restarts and each user's privacy ledger stays on one worker.
@@ -63,11 +53,6 @@ var ErrWorkerUnavailable = crowd.ErrWorkerUnavailable
 // with ErrWorkerUnavailable when a worker cannot be reached.
 func NewClusterCoordinator(cfg ClusterCoordinatorConfig) (*ClusterCoordinator, error) {
 	return cluster.NewCoordinator(cfg)
-}
-
-// NewClusterWorker builds a cluster worker node.
-func NewClusterWorker(cfg ClusterWorkerConfig) (*ClusterWorker, error) {
-	return cluster.NewWorker(cfg)
 }
 
 // ClusterFollowerOptions tunes a follower's ingress limits: the

@@ -51,7 +51,7 @@ func run(args []string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	client, err := pptd.NewCampaignClient(*server)
+	client, err := pptd.NewClient(*server)
 	if err != nil {
 		return err
 	}

@@ -97,38 +97,9 @@ var (
 
 // CampaignServer is the untrusted aggregation server of the crowd sensing
 // system: it publishes micro-tasks plus lambda2, collects perturbed
-// submissions over HTTP/JSON, and aggregates with truth discovery.
+// submissions over HTTP/JSON, and aggregates with truth discovery. A
+// Node hosts one with WithBatchCampaign (Node.Batch).
 type CampaignServer = crowd.Server
-
-// CampaignServerConfig parameterizes NewCampaignServer.
-type CampaignServerConfig = crowd.ServerConfig
-
-// NewCampaignServer returns a campaign server.
-//
-// Deprecated: build a node instead — NewNode(WithBatchCampaign(n),
-// WithLambda2(l2), ...) hosts the same server behind the unified front
-// door with validated options.
-func NewCampaignServer(cfg CampaignServerConfig) (*CampaignServer, error) {
-	return crowd.NewServer(cfg)
-}
-
-// CampaignClient talks to a campaign server.
-//
-// Deprecated: use Client, the same type under the unified name.
-type CampaignClient = crowd.Client
-
-// CampaignClientOption configures NewCampaignClient.
-//
-// Deprecated: use ClientOption, the same type under the unified name.
-type CampaignClientOption = crowd.ClientOption
-
-// NewCampaignClient returns a client for the server at baseURL.
-//
-// Deprecated: use NewClient, which is the same call under the unified
-// name.
-func NewCampaignClient(baseURL string, opts ...CampaignClientOption) (*CampaignClient, error) {
-	return crowd.NewClient(baseURL, opts...)
-}
 
 // CampaignInfo describes a sensing campaign.
 type CampaignInfo = crowd.CampaignInfo

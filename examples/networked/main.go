@@ -32,26 +32,23 @@ func main() {
 }
 
 func run(fleetSize, numObjects int) error {
-	// Campaign server with auto-aggregation at fleetSize submissions.
-	method, err := pptd.NewCRH()
+	// Campaign node with auto-aggregation (CRH by default) at fleetSize
+	// submissions.
+	node, err := pptd.NewNode(
+		pptd.WithName("networked-demo"),
+		pptd.WithBatchCampaign(numObjects),
+		pptd.WithLambda2(lambda2),
+		pptd.WithExpectedUsers(fleetSize),
+	)
 	if err != nil {
 		return err
 	}
-	srv, err := pptd.NewCampaignServer(pptd.CampaignServerConfig{
-		Name:          "networked-demo",
-		NumObjects:    numObjects,
-		Lambda2:       lambda2,
-		ExpectedUsers: fleetSize,
-		Method:        method,
-	})
-	if err != nil {
-		return err
-	}
+	defer func() { _ = node.Close() }()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	httpSrv := &http.Server{Handler: node.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if serveErr := httpSrv.Serve(ln); serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
 			log.Print("server: ", serveErr)
@@ -72,7 +69,7 @@ func run(fleetSize, numObjects int) error {
 		groundTruth[n] = 10 * rng.Float64()
 	}
 
-	client, err := pptd.NewCampaignClient(baseURL)
+	client, err := pptd.NewClient(baseURL)
 	if err != nil {
 		return err
 	}

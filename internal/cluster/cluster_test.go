@@ -52,13 +52,46 @@ type testWorker struct {
 	dir     string
 	shipDir string
 
-	worker *Worker
+	worker *testShard
 	store  *streamstore.Store
 	srv    *http.Server
 }
 
+// testShard is what NewNode(WithClusterWorker(), WithSegmentShipping(..))
+// assembles, built by hand so these tests stay inside the package: a
+// stream server with the cluster RPCs mounted next to the shared front
+// door, plus a shipper the tests drive explicitly via SyncOnce.
+type testShard struct {
+	srv     *crowd.StreamServer
+	shipper *Shipper // nil without a sink
+}
+
+func newTestShard(t *testing.T, name string, cfg stream.Config, store *streamstore.Store, sink Sink) *testShard {
+	t.Helper()
+	srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{Name: name, Engine: cfg, Persistence: store})
+	if err != nil {
+		t.Fatalf("start worker %s: %v", name, err)
+	}
+	sh := &testShard{srv: srv}
+	if sink != nil {
+		if sh.shipper, err = NewShipper(store, sink, 0, nil); err != nil {
+			t.Fatalf("shipper for %s: %v", name, err)
+		}
+	}
+	return sh
+}
+
+func (sh *testShard) Handler() http.Handler {
+	mux := http.NewServeMux()
+	crowd.RegisterStream(mux, sh.srv, 0)
+	sh.srv.RegisterCluster(mux)
+	return mux
+}
+
+func (sh *testShard) Close() error { return sh.srv.Close() }
+
 // startWorker boots a durable worker with segment shipping to a local
-// archive. The shipping interval is effectively manual (SyncOnce).
+// archive, driven manually (SyncOnce).
 func startWorker(t *testing.T, cfg stream.Config, name string) *testWorker {
 	t.Helper()
 	tw := &testWorker{dir: t.TempDir(), shipDir: t.TempDir()}
@@ -70,17 +103,7 @@ func startWorker(t *testing.T, cfg stream.Config, name string) *testWorker {
 	if err != nil {
 		t.Fatalf("dir sink: %v", err)
 	}
-	w, err := NewWorker(WorkerConfig{
-		Name:         name,
-		Engine:       cfg,
-		Persistence:  store,
-		ShipTo:       sink,
-		ShipInterval: time.Hour, // tests ship explicitly via SyncOnce
-	})
-	if err != nil {
-		t.Fatalf("start worker: %v", err)
-	}
-	tw.worker, tw.store = w, store
+	tw.worker, tw.store = newTestShard(t, name, cfg, store, sink), store
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -162,11 +185,7 @@ func userID(u int) string { return fmt.Sprintf("user-%03d", u) }
 func submits(u, window int) bool { return (u+window)%5 != 0 }
 
 func toSubmission(id string, claims []stream.Claim) crowd.Submission {
-	cc := make([]crowd.Claim, len(claims))
-	for i, c := range claims {
-		cc[i] = crowd.Claim{Object: c.Object, Value: c.Value}
-	}
-	return crowd.Submission{ClientID: id, Claims: cc}
+	return crowd.Submission{ClientID: id, Claims: claims}
 }
 
 // requireEquivalent asserts the cluster's merged window result matches
@@ -320,7 +339,7 @@ func TestClusterEquivalence(t *testing.T) {
 					// on the same address.
 					victim := byURL[coord.Ring().Owner(userID(0))]
 					for _, w := range workers {
-						if err := w.worker.Shipper().SyncOnce(); err != nil {
+						if err := w.worker.shipper.SyncOnce(); err != nil {
 							t.Fatalf("ship: %v", err)
 						}
 					}
@@ -332,19 +351,12 @@ func TestClusterEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("open shipped archive: %v", err)
 					}
-					recoveredWorker, err := NewWorker(WorkerConfig{
-						Name:        "recovered",
-						Engine:      workerCfg,
-						Persistence: store,
-					})
-					if err != nil {
-						t.Fatalf("recover worker from shipped archive: %v", err)
-					}
+					recoveredWorker := newTestShard(t, "recovered", workerCfg, store, nil)
 					t.Cleanup(func() {
 						_ = recoveredWorker.Close()
 						_ = store.Close()
 					})
-					if got, want := recoveredWorker.Server().Engine().Window(), window; got != want {
+					if got, want := recoveredWorker.srv.Engine().Window(), window; got != want {
 						t.Fatalf("recovered worker at %d closed windows, want %d", got, want)
 					}
 					victim.worker = recoveredWorker
@@ -435,7 +447,7 @@ func TestClusterExhaustedUserSurvivesRecovery(t *testing.T) {
 			victim = w
 		}
 	}
-	if err := victim.worker.Shipper().SyncOnce(); err != nil {
+	if err := victim.worker.shipper.SyncOnce(); err != nil {
 		t.Fatalf("ship: %v", err)
 	}
 	victim.stopListening(t)
@@ -443,10 +455,7 @@ func TestClusterExhaustedUserSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open shipped archive: %v", err)
 	}
-	recoveredWorker, err := NewWorker(WorkerConfig{Name: "recovered", Engine: workerCfg, Persistence: store})
-	if err != nil {
-		t.Fatalf("recover worker: %v", err)
-	}
+	recoveredWorker := newTestShard(t, "recovered", workerCfg, store, nil)
 	t.Cleanup(func() {
 		_ = recoveredWorker.Close()
 		_ = store.Close()
@@ -499,7 +508,7 @@ func TestClusterEmptyWindow(t *testing.T) {
 		t.Fatalf("window advanced to %d on an empty close", coord.Window())
 	}
 	for _, w := range workers {
-		if got := w.worker.Server().Engine().Window(); got != 0 {
+		if got := w.worker.srv.Engine().Window(); got != 0 {
 			t.Fatalf("worker advanced to %d closed windows on an empty cluster close", got)
 		}
 	}
@@ -519,7 +528,7 @@ func TestClusterEmptyWindow(t *testing.T) {
 		t.Fatalf("closed window = %d (coordinator at %d), want 1", info.Window, coord.Window())
 	}
 	for _, w := range workers {
-		if got := w.worker.Server().Engine().Window(); got != 1 {
+		if got := w.worker.srv.Engine().Window(); got != 1 {
 			t.Fatalf("worker at %d closed windows after forced close, want 1", got)
 		}
 	}

@@ -52,11 +52,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +116,7 @@ type Coordinator struct {
 	ring      *Ring
 	clients   map[string]*crowd.Client
 	retries   int
-	maxBytes  int64 // front-door request-body cap
+	maxBytes  int64 // front-door request-body cap (0 = crowd's default)
 
 	// windowMu serializes cluster window closes (manual and ticker).
 	windowMu sync.Mutex
@@ -159,10 +157,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxRequestBytes < 0 {
 		return nil, fmt.Errorf("%w: MaxRequestBytes = %d", ErrBadConfig, cfg.MaxRequestBytes)
-	}
-	maxBytes := cfg.MaxRequestBytes
-	if maxBytes == 0 {
-		maxBytes = crowd.DefaultMaxRequestBytes
 	}
 	retries := cfg.CloseRetries
 	if retries == 0 {
@@ -210,7 +204,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ring:      ring,
 		clients:   clients,
 		retries:   retries,
-		maxBytes:  maxBytes,
+		maxBytes:  cfg.MaxRequestBytes,
 		histCap:   histCap,
 	}
 	if cfg.Metrics != nil {
@@ -430,15 +424,24 @@ func (c *Coordinator) Campaign() crowd.StreamCampaignInfo {
 }
 
 // Submit routes one claim batch to the worker owning the submitting
-// user. The worker's answer — receipt or typed rejection (duplicate
-// window, exhausted budget) — passes through unchanged except that the
+// user — a view onto SubmitFrame for callers holding a Submission.
+func (c *Coordinator) Submit(ctx context.Context, sub crowd.Submission) (crowd.StreamReceipt, error) {
+	return c.SubmitFrame(ctx, crowd.FrameOf(sub))
+}
+
+// SubmitFrame routes one decoded claim batch to the worker owning the
+// submitting user over that worker's client (the zero-allocation ingest
+// path lives on the workers; the coordinator is a proxy either way).
+// The worker's answer — receipt or typed rejection (duplicate window,
+// exhausted budget) — passes through unchanged except that the
 // receipt's TotalClaims becomes the cluster-wide count. A transport
 // failure maps to crowd.ErrWorkerUnavailable naming the worker; the
 // claim was not ingested anywhere.
-func (c *Coordinator) Submit(ctx context.Context, sub crowd.Submission) (crowd.StreamReceipt, error) {
-	if sub.ClientID == "" {
+func (c *Coordinator) SubmitFrame(ctx context.Context, f *crowd.ClaimFrame) (crowd.StreamReceipt, error) {
+	if len(f.ClientID) == 0 {
 		return crowd.StreamReceipt{}, fmt.Errorf("%w: empty clientId", crowd.ErrBadSubmission)
 	}
+	sub := crowd.Submission{ClientID: string(f.ClientID), Claims: f.Claims}
 	owner := c.ring.Owner(sub.ClientID)
 	receipt, err := c.clients[owner].StreamSubmit(ctx, sub)
 	if err != nil {
@@ -640,25 +643,18 @@ func (c *Coordinator) fanOut(workers []string, f func(i int, worker string) erro
 
 // Truths returns the latest merged window estimate, or crowd.ErrNotReady
 // before the first cluster-wide close.
-func (c *Coordinator) Truths() (crowd.StreamWindowInfo, error) {
-	c.histMu.RLock()
-	defer c.histMu.RUnlock()
-	if len(c.history) == 0 {
-		return crowd.StreamWindowInfo{}, crowd.ErrNotReady
-	}
-	return c.history[len(c.history)-1], nil
-}
+func (c *Coordinator) Truths() (crowd.StreamWindowInfo, error) { return c.TruthsAt(0) }
 
 // TruthsAt returns one retained merged window (1-based; 0 = latest),
 // mirroring the single-node history contract.
 func (c *Coordinator) TruthsAt(window int) (crowd.StreamWindowInfo, error) {
-	if window == 0 {
-		return c.Truths()
-	}
 	c.histMu.RLock()
 	defer c.histMu.RUnlock()
 	if len(c.history) == 0 {
 		return crowd.StreamWindowInfo{}, crowd.ErrNotReady
+	}
+	if window == 0 {
+		return c.history[len(c.history)-1], nil
 	}
 	for _, info := range c.history {
 		if info.Window == window {
@@ -669,8 +665,10 @@ func (c *Coordinator) TruthsAt(window int) (crowd.StreamWindowInfo, error) {
 		crowd.ErrUnknownWindow, window, c.histCap)
 }
 
-// Stats returns the coordinator's headline counters.
-func (c *Coordinator) Stats() crowd.StreamStatsInfo {
+// ReadStats returns the coordinator's headline counters. It keeps no
+// windowed counters of its own (the stores live on the workers), so
+// reset has nothing to restart.
+func (c *Coordinator) ReadStats(bool) crowd.StreamStatsInfo {
 	info := crowd.StreamStatsInfo{
 		Name:           c.name,
 		Estimator:      c.estimator,
@@ -686,109 +684,7 @@ func (c *Coordinator) Stats() crowd.StreamStatsInfo {
 	return info
 }
 
-// Handler returns an http.Handler serving the cluster front door.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	c.Register(mux)
-	return mux
-}
-
-// Register mounts the coordinator's routes — the standard streaming
-// wire paths, speaking the exact contract a single node does — on a
-// shared mux.
-func (c *Coordinator) Register(mux *http.ServeMux) {
-	mux.HandleFunc(crowd.PathStreamCampaign, crowd.EchoRequestID(c.handleCampaign))
-	mux.HandleFunc(crowd.PathStreamClaims, crowd.EchoRequestID(c.handleClaims))
-	mux.HandleFunc(crowd.PathStreamTruths, crowd.EchoRequestID(c.handleTruths))
-	mux.HandleFunc(crowd.PathStreamWindow, crowd.EchoRequestID(c.handleWindow))
-	mux.HandleFunc(crowd.PathStreamStats, crowd.EchoRequestID(c.handleStats))
-}
-
-func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		crowd.WriteError(w, http.StatusMethodNotAllowed, crowd.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, c.Campaign())
-}
-
-func (c *Coordinator) handleClaims(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		crowd.WriteError(w, http.StatusMethodNotAllowed, crowd.CodeMethodNotAllowed, "POST only")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, c.maxBytes)
-	var sub crowd.Submission
-	if crowd.IsClaimFrameRequest(r) {
-		// The coordinator accepts the binary frame like a single node
-		// does, then routes the decoded batch to the owning worker over
-		// its regular client (the hot zero-allocation path lives on the
-		// workers; the coordinator is a proxy either way).
-		f := crowd.GetClaimFrame()
-		defer crowd.PutClaimFrame(f)
-		if err := crowd.DecodeClaimFrame(r.Body, f); err != nil {
-			crowd.WriteDecodeError(w, "decode claim frame", err)
-			return
-		}
-		sub.ClientID = string(f.ClientID)
-		sub.Claims = make([]crowd.Claim, len(f.Claims))
-		for i, cl := range f.Claims {
-			sub.Claims[i] = crowd.Claim{Object: cl.Object, Value: cl.Value}
-		}
-	} else if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		crowd.WriteDecodeError(w, "decode submission", err)
-		return
-	}
-	receipt, err := c.Submit(r.Context(), sub)
-	if err != nil {
-		// A worker's own envelope (duplicate window, exhausted budget,
-		// bad claim) passes through with its original status and code.
-		crowd.WriteWireError(w, err)
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, receipt)
-}
-
-func (c *Coordinator) handleTruths(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		crowd.WriteError(w, http.StatusMethodNotAllowed, crowd.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	window := 0
-	if raw := r.URL.Query().Get("window"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			crowd.WriteError(w, http.StatusBadRequest, crowd.CodeBadRequest,
-				fmt.Sprintf("bad window parameter %q: want a non-negative integer", raw))
-			return
-		}
-		window = n
-	}
-	info, err := c.TruthsAt(window)
-	if err != nil {
-		crowd.WriteWireError(w, err)
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, info)
-}
-
-func (c *Coordinator) handleWindow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		crowd.WriteError(w, http.StatusMethodNotAllowed, crowd.CodeMethodNotAllowed, "POST only")
-		return
-	}
-	info, err := c.CloseWindow()
-	if err != nil {
-		crowd.WriteWireError(w, err)
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, info)
-}
-
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		crowd.WriteError(w, http.StatusMethodNotAllowed, crowd.CodeMethodNotAllowed, "GET only")
-		return
-	}
-	crowd.WriteJSON(w, http.StatusOK, c.Stats())
-}
+// Handler returns an http.Handler serving the cluster front door: the
+// same handler set a single node mounts (crowd.RegisterStream), over
+// this coordinator.
+func (c *Coordinator) Handler() http.Handler { return crowd.StreamHandler(c, c.maxBytes) }

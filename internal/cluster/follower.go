@@ -123,7 +123,7 @@ func (f *Follower) handleManifest(w http.ResponseWriter, r *http.Request) {
 	}
 	have, err := f.sink.Have()
 	if err != nil {
-		crowd.WriteWireError(w, err)
+		crowd.WriteAPIError(w, err)
 		return
 	}
 	crowd.WriteJSON(w, http.StatusOK, have)
@@ -155,7 +155,7 @@ func (f *Follower) handleFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := f.sink.Put(name, data); err != nil {
-		crowd.WriteWireError(w, err)
+		crowd.WriteAPIError(w, err)
 		return
 	}
 	crowd.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "size": len(data)})

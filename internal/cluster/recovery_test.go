@@ -77,7 +77,7 @@ func TestWorkerCrashMidCloseServesRetriedClose(t *testing.T) {
 	// Crash the victim: ship its durable state (snapshot, segments, AND
 	// the cluster-close record), drop its listener, leak its engine, and
 	// recover a fresh worker from the shipped archive on the same address.
-	if err := victim.worker.Shipper().SyncOnce(); err != nil {
+	if err := victim.worker.shipper.SyncOnce(); err != nil {
 		t.Fatalf("ship victim state: %v", err)
 	}
 	victim.stopListening(t)
@@ -85,10 +85,7 @@ func TestWorkerCrashMidCloseServesRetriedClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open shipped archive: %v", err)
 	}
-	recovered, err := NewWorker(WorkerConfig{Name: "recovered", Engine: workerCfg, Persistence: store})
-	if err != nil {
-		t.Fatalf("recover worker from shipped archive: %v", err)
-	}
+	recovered := newTestShard(t, "recovered", workerCfg, store, nil)
 	t.Cleanup(func() {
 		_ = recovered.Close()
 		_ = store.Close()

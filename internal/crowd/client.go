@@ -41,7 +41,8 @@ type Client struct {
 	baseURL string
 	httpc   *http.Client
 	// requestID, when non-empty, is sent as the X-Request-ID of every
-	// request; otherwise each request gets a fresh random ID.
+	// request; otherwise each request carries its context's ID
+	// (obs.RequestID) or, failing that, a fresh random one.
 	requestID string
 	// claimWire selects the StreamSubmit encoding: WireJSON (default) or
 	// WireBinary.
@@ -66,7 +67,8 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 // WithRequestID pins the X-Request-ID header sent on every request this
 // client issues — useful for correlating one logical operation (a CLI
 // invocation, a batch driver run) across the server's request logs. By
-// default each request carries a fresh random ID. The ID must satisfy
+// default each request carries the ID of the request its context is
+// serving (obs.RequestID), or a fresh random one. The ID must satisfy
 // obs.ValidRequestID (printable ASCII, at most 128 bytes) or NewClient
 // fails.
 func WithRequestID(id string) ClientOption {
@@ -296,16 +298,18 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
+	// The ID is the pinned one, else the one the context already carries
+	// (a request the node's middleware is serving — so a claim the
+	// coordinator routes reaches the worker under the front door's ID),
+	// else fresh.
 	id := c.requestID
+	if id == "" {
+		id = obs.RequestID(ctx)
+	}
 	if id == "" {
 		id = obs.NewRequestID()
 	}
 	req.Header.Set(HeaderRequestID, id)
-	// Advertise the envelope versions this client can decode, so a
-	// future server can emit a newer envelope only to clients that
-	// understand it (the server echoes its pick in
-	// HeaderEnvelopeVersion).
-	req.Header.Set(HeaderAcceptEnvelope, strconv.Itoa(ErrorEnvelopeVersion))
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return fmt.Errorf("crowd: %s %s: %w", method, path, err)
@@ -334,14 +338,10 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 				}
 			}
 		}
-		msg := eb.Message
-		if msg == "" {
-			msg = eb.Error // pre-envelope server: {"error": ...} only
-		}
 		httpErr := &HTTPError{
 			StatusCode:        resp.StatusCode,
 			Code:              eb.Code,
-			Message:           msg,
+			Message:           eb.Message,
 			RetryAfterWindows: eb.RetryAfterWindows,
 			RequestID:         resp.Header.Get(HeaderRequestID),
 		}

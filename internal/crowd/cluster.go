@@ -3,7 +3,6 @@ package crowd
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -242,16 +241,12 @@ func (s *StreamServer) ClusterStatus() ClusterStatusReply {
 // streaming API. Only cluster workers mount these; a standalone node
 // never does, so its window closes stay purely local.
 func (s *StreamServer) RegisterCluster(mux *http.ServeMux) {
-	mux.HandleFunc(PathClusterClose, echoRequestID(s.handleClusterClose))
-	mux.HandleFunc(PathClusterCommit, echoRequestID(s.handleClusterCommit))
-	mux.HandleFunc(PathClusterStatus, echoRequestID(s.handleClusterStatus))
+	mux.HandleFunc(PathClusterClose, route(http.MethodPost, s.handleClusterClose))
+	mux.HandleFunc(PathClusterCommit, route(http.MethodPost, s.handleClusterCommit))
+	mux.HandleFunc(PathClusterStatus, route(http.MethodGet, s.handleClusterStatus))
 }
 
 func (s *StreamServer) handleClusterClose(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes)
 	var req ClusterCloseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -260,17 +255,13 @@ func (s *StreamServer) handleClusterClose(w http.ResponseWriter, r *http.Request
 	}
 	reply, err := s.ClusterClose(req)
 	if err != nil {
-		writeAPIError(w, err)
+		WriteAPIError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	WriteJSON(w, http.StatusOK, reply)
 }
 
 func (s *StreamServer) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes)
 	var req ClusterCommitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -279,18 +270,14 @@ func (s *StreamServer) handleClusterCommit(w http.ResponseWriter, r *http.Reques
 	}
 	reply, err := s.ClusterCommit(req)
 	if err != nil {
-		writeAPIError(w, err)
+		WriteAPIError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	WriteJSON(w, http.StatusOK, reply)
 }
 
-func (s *StreamServer) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.ClusterStatus())
+func (s *StreamServer) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, s.ClusterStatus())
 }
 
 // ClusterClose invokes the worker-side close RPC (coordinator use).
@@ -314,49 +301,3 @@ func (c *Client) ClusterStatus(ctx context.Context) (ClusterStatusReply, error) 
 	err := c.do(ctx, http.MethodGet, PathClusterStatus, nil, &reply)
 	return reply, err
 }
-
-// WindowInfo converts one engine window result to its wire form —
-// exported for the cluster coordinator, which estimates on a merged
-// engine and serves the result through the same JSON shape as a
-// standalone stream server.
-func WindowInfo(res *stream.WindowResult) StreamWindowInfo { return windowInfo(res) }
-
-// WriteJSON writes one JSON response — exported for the cluster
-// coordinator's HTTP front end, which speaks the exact wire contract of
-// a standalone node.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// WriteWireError answers one failed request with the versioned error
-// envelope. An *HTTPError in err's chain — a worker's own envelope,
-// decoded by the coordinator's Client while proxying — is re-emitted
-// with the worker's status, code, and retry hint, so a budget-exhausted
-// user sees the same 429 through the coordinator as against the worker
-// directly. Anything else goes through the regular error taxonomy.
-func WriteWireError(w http.ResponseWriter, err error) {
-	var httpErr *HTTPError
-	if errors.As(err, &httpErr) && httpErr.Code != "" {
-		writeEnvelope(w, httpErr.StatusCode, httpErr.Code, httpErr.Message, httpErr.RetryAfterWindows)
-		return
-	}
-	writeAPIError(w, err)
-}
-
-// WriteError emits the envelope for handler-level failures that carry
-// no taxonomy error — exported alongside WriteWireError for the cluster
-// coordinator's method and decode checks.
-func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	writeError(w, status, code, msg)
-}
-
-// WriteDecodeError answers a failed request-body decode with the same
-// contract every crowd POST handler uses — 413 payload_too_large for a
-// body-cap hit, 400 otherwise. Exported for the cluster coordinator's
-// front door.
-func WriteDecodeError(w http.ResponseWriter, what string, err error) {
-	writeDecodeError(w, what, err)
-}
-
-// EchoRequestID wraps one route handler with the request-correlation
-// and envelope-negotiation contract every crowd route carries —
-// exported so the cluster coordinator's routes behave identically.
-func EchoRequestID(h http.HandlerFunc) http.HandlerFunc { return echoRequestID(h) }

@@ -89,13 +89,13 @@ func TestSubmissionValidation(t *testing.T) {
 		sub     Submission
 		wantErr error
 	}{
-		{name: "empty id", sub: Submission{Claims: []Claim{{0, 1}}}, wantErr: ErrBadSubmission},
+		{name: "empty id", sub: Submission{Claims: []Claim{{Object: 0, Value: 1}}}, wantErr: ErrBadSubmission},
 		{name: "no claims", sub: Submission{ClientID: "u"}, wantErr: ErrBadSubmission},
-		{name: "bad object", sub: Submission{ClientID: "u", Claims: []Claim{{5, 1}}}, wantErr: ErrBadSubmission},
-		{name: "nan value", sub: Submission{ClientID: "u", Claims: []Claim{{0, math.NaN()}}}, wantErr: ErrBadSubmission},
+		{name: "bad object", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 5, Value: 1}}}, wantErr: ErrBadSubmission},
+		{name: "nan value", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: math.NaN()}}}, wantErr: ErrBadSubmission},
 		{
 			name:    "duplicate object",
-			sub:     Submission{ClientID: "u", Claims: []Claim{{0, 1}, {0, 2}}},
+			sub:     Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: 1}, {Object: 0, Value: 2}}},
 			wantErr: ErrBadSubmission,
 		},
 	}
@@ -110,7 +110,7 @@ func TestSubmissionValidation(t *testing.T) {
 
 func TestDuplicateClientRejected(t *testing.T) {
 	srv, _ := newTestServer(t, ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
-	sub := Submission{ClientID: "phone-1", Claims: []Claim{{0, 1}}}
+	sub := Submission{ClientID: "phone-1", Claims: []Claim{{Object: 0, Value: 1}}}
 	if _, err := srv.Submit(sub); err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,14 @@ func TestAutoAggregationAtExpectedUsers(t *testing.T) {
 		Method:        testMethod(t),
 	})
 	ctx := context.Background()
-	r1, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{0, 1}, {1, 5}}})
+	r1, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Aggregated {
 		t.Fatal("aggregated after first of two users")
 	}
-	r2, err := client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{0, 3}, {1, 7}}})
+	r2, err := client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{Object: 0, Value: 3}, {Object: 1, Value: 7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAutoAggregationAtExpectedUsers(t *testing.T) {
 		t.Fatalf("weights = %v", res.Weights)
 	}
 	// Campaign now closed.
-	if _, err := srv.Submit(Submission{ClientID: "c", Claims: []Claim{{0, 1}, {1, 1}}}); !errors.Is(err, ErrCampaignClosed) {
+	if _, err := srv.Submit(Submission{ClientID: "c", Claims: []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 1}}}); !errors.Is(err, ErrCampaignClosed) {
 		t.Fatalf("late submission error = %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestExplicitAggregate(t *testing.T) {
 	if _, err := client.Aggregate(ctx); err == nil {
 		t.Fatal("aggregate with zero submissions should fail")
 	}
-	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{0, 2}}}); err != nil {
+	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := client.Aggregate(ctx)
@@ -204,7 +204,7 @@ func TestUserParticipatePerturbsLocally(t *testing.T) {
 		Lambda2:    1000000, // tiny noise, so values stay near originals
 		Method:     testMethod(t),
 	})
-	readings := []Claim{{0, 1}, {1, 2}, {2, 3}}
+	readings := []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 2}, {Object: 2, Value: 3}}
 	u, err := NewUser("phone-7", readings, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
@@ -222,13 +222,13 @@ func TestUserParticipatePerturbsLocally(t *testing.T) {
 
 func TestNewUserValidation(t *testing.T) {
 	rng := randx.New(1)
-	if _, err := NewUser("", []Claim{{0, 1}}, rng); !errors.Is(err, ErrBadClient) {
+	if _, err := NewUser("", []Claim{{Object: 0, Value: 1}}, rng); !errors.Is(err, ErrBadClient) {
 		t.Error("empty id accepted")
 	}
 	if _, err := NewUser("u", nil, rng); !errors.Is(err, ErrBadClient) {
 		t.Error("no readings accepted")
 	}
-	if _, err := NewUser("u", []Claim{{0, 1}}, nil); !errors.Is(err, ErrBadClient) {
+	if _, err := NewUser("u", []Claim{{Object: 0, Value: 1}}, nil); !errors.Is(err, ErrBadClient) {
 		t.Error("nil rng accepted")
 	}
 }
@@ -388,7 +388,7 @@ func TestHTTPMalformedSubmissionBody(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatal(err)
 	}
-	if eb.Error == "" {
+	if eb.Message == "" {
 		t.Error("error body empty")
 	}
 }
@@ -405,10 +405,10 @@ func TestHTTPLateSubmissionGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{0, 1}}}); err != nil {
+	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{0, 2}}})
+	_, err = client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{Object: 0, Value: 2}}})
 	var httpErr *HTTPError
 	if !errors.As(err, &httpErr) || httpErr.StatusCode != http.StatusGone {
 		t.Fatalf("late submission error = %v, want 410", err)

@@ -3,113 +3,12 @@ package crowd
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"pptd/internal/stream"
 )
-
-var updateEnvelopeGolden = flag.Bool("update", false, "rewrite testdata/envelope_negotiation.golden")
-
-// TestEnvelopeNegotiationGolden pins the Accept-header negotiation: for
-// each client advertisement, the X-PPTD-Envelope-Version the server
-// answers — on a success response and on an error envelope alike. The
-// table is rendered to a golden file so any change to the negotiation
-// (a new envelope version, a changed default) shows up as a reviewed
-// diff, not a silent protocol shift.
-func TestEnvelopeNegotiationGolden(t *testing.T) {
-	srv, err := NewStreamServer(StreamServerConfig{
-		Name:   "negotiate",
-		Engine: stream.Config{NumObjects: 2},
-	})
-	if err != nil {
-		t.Fatalf("stream server: %v", err)
-	}
-	defer func() {
-		_ = srv.Close()
-	}()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	cases := []struct {
-		label  string
-		accept string // HeaderAcceptEnvelope value; "-" means header absent
-	}{
-		{"absent", "-"},
-		{"current", "1"},
-		{"future-only", "2"},
-		{"mixed-list", "2, 1"},
-		{"spaced-list", " 1 , 3 "},
-		{"zero", "0"},
-		{"negative", "-1"},
-		{"garbage", "latest"},
-		{"garbage-then-valid", "latest, 1"},
-		{"empty-value", ""},
-	}
-
-	var b strings.Builder
-	b.WriteString("# Envelope version negotiation: X-PPTD-Accept-Envelope -> X-PPTD-Envelope-Version.\n")
-	b.WriteString("# \"-\" means the request carried no Accept header.\n")
-	b.WriteString("# Regenerate: go test ./internal/crowd -run TestEnvelopeNegotiationGolden -update\n")
-	for _, tc := range cases {
-		for _, route := range []struct {
-			name, path string
-			wantStatus int
-		}{
-			// A success path and an error path: the negotiated version
-			// must be answered on both.
-			{"ok", PathStreamCampaign, http.StatusOK},
-			{"error", PathStreamTruths + "?window=999", http.StatusNotFound},
-		} {
-			req, err := http.NewRequest(http.MethodGet, ts.URL+route.path, nil)
-			if err != nil {
-				t.Fatalf("build request: %v", err)
-			}
-			if tc.accept != "-" {
-				req.Header.Set(HeaderAcceptEnvelope, tc.accept)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.label, err)
-			}
-			_ = resp.Body.Close()
-			if resp.StatusCode != route.wantStatus {
-				t.Fatalf("%s %s: status %d, want %d", tc.label, route.path, resp.StatusCode, route.wantStatus)
-			}
-			got := resp.Header.Get(HeaderEnvelopeVersion)
-			if got == "" {
-				t.Fatalf("%s %s: no %s header on response", tc.label, route.path, HeaderEnvelopeVersion)
-			}
-			fmt.Fprintf(&b, "accept=%-12q route=%-5s -> version=%s\n", tc.accept, route.name, got)
-		}
-	}
-
-	goldenPath := filepath.Join("testdata", "envelope_negotiation.golden")
-	if *updateEnvelopeGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", goldenPath)
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if b.String() != string(want) {
-		t.Fatalf("negotiation drifted from golden.\n--- golden ---\n%s--- now ---\n%s"+
-			"Regenerate with -update if the change is intentional.", want, b.String())
-	}
-}
 
 // TestEnvelopeDecodeError pins what the client reports when a non-2xx
 // response carries a body that is not the versioned error envelope — a

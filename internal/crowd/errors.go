@@ -143,16 +143,25 @@ var sentinelByCode = map[string]error{
 	CodeWorkerUnavailable: ErrWorkerUnavailable,
 }
 
-// writeAPIError answers one failed request with the versioned envelope,
-// deriving status, code, and retry hint from the error taxonomy.
-func writeAPIError(w http.ResponseWriter, err error) {
+// WriteAPIError answers one failed request with the versioned envelope,
+// deriving status, code, and retry hint from the error taxonomy. An
+// *HTTPError in err's chain — a worker's own envelope, decoded by the
+// coordinator's Client while proxying — is re-emitted with the worker's
+// status, code, and retry hint, so a budget-exhausted user sees the same
+// 429 through the coordinator as against the worker directly.
+func WriteAPIError(w http.ResponseWriter, err error) {
+	var httpErr *HTTPError
+	if errors.As(err, &httpErr) && httpErr.Code != "" {
+		writeEnvelope(w, httpErr.StatusCode, httpErr.Code, httpErr.Message, httpErr.RetryAfterWindows)
+		return
+	}
 	status, code, retry := errorStatus(err)
 	writeEnvelope(w, status, code, err.Error(), retry)
 }
 
-// writeError emits the envelope for handler-level failures that carry no
+// WriteError emits the envelope for handler-level failures that carry no
 // taxonomy error (method mismatches, undecodable bodies).
-func writeError(w http.ResponseWriter, status int, code, msg string) {
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	writeEnvelope(w, status, code, msg, 0)
 }
 
@@ -164,11 +173,11 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 func writeDecodeError(w http.ResponseWriter, what string, err error) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
-		writeError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
 			fmt.Sprintf("%s: request body exceeds the %d-byte route cap", what, maxErr.Limit))
 		return
 	}
-	writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("%s: %v", what, err))
+	WriteError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("%s: %v", what, err))
 }
 
 func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retry int) {
@@ -176,12 +185,11 @@ func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retry in
 	// clients (and the node's metrics middleware, which counts envelope
 	// emissions per code) can read it without parsing the body.
 	w.Header().Set(HeaderErrorCode, code)
-	writeJSON(w, status, ErrorBody{
+	WriteJSON(w, status, ErrorBody{
 		V:                 ErrorEnvelopeVersion,
 		Code:              code,
 		Message:           msg,
 		RetryAfterWindows: retry,
-		Error:             msg,
 	})
 }
 
@@ -191,20 +199,14 @@ func writeEnvelope(w http.ResponseWriter, status int, code, msg string, retry in
 // non-JSON endpoints mounted next to the API — the node's /metrics
 // exposition, debug handlers — on the same error contract.
 func GetOnly(h http.Handler) http.Handler {
-	return http.HandlerFunc(echoRequestID(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-			return
-		}
-		h.ServeHTTP(w, r)
-	}))
+	return route(http.MethodGet, h.ServeHTTP)
 }
 
 // NotFoundHandler serves the JSON error envelope for paths no route is
 // mounted at, so even a miss against the unified front door speaks the
 // same wire contract as every real endpoint.
 func NotFoundHandler() http.Handler {
-	return http.HandlerFunc(echoRequestID(func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound, CodeNotFound, "no route for "+r.URL.Path)
-	}))
+	return EchoRequestID(func(w http.ResponseWriter, r *http.Request) {
+		WriteError(w, http.StatusNotFound, CodeNotFound, "no route for "+r.URL.Path)
+	})
 }

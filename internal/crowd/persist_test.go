@@ -50,8 +50,8 @@ func TestBatchCampaignPersistenceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sub := range []Submission{
-		{ClientID: "alice", Claims: []Claim{{0, 1.0}, {1, 2.0}}},
-		{ClientID: "bob", Claims: []Claim{{0, 1.2}, {1, 1.8}}},
+		{ClientID: "alice", Claims: []Claim{{Object: 0, Value: 1.0}, {Object: 1, Value: 2.0}}},
+		{ClientID: "bob", Claims: []Claim{{Object: 0, Value: 1.2}, {Object: 1, Value: 1.8}}},
 	} {
 		if _, err := client1.Submit(ctx, sub); err != nil {
 			t.Fatal(err)
@@ -72,10 +72,10 @@ func TestBatchCampaignPersistenceRecovery(t *testing.T) {
 	if info := srv2.Campaign(); info.SubmittedUsers != 2 || info.Aggregated {
 		t.Fatalf("recovered campaign = %+v, want 2 submitted users, open", info)
 	}
-	if _, err := srv2.Submit(Submission{ClientID: "alice", Claims: []Claim{{0, 9}}}); !errors.Is(err, ErrDuplicateClient) {
+	if _, err := srv2.Submit(Submission{ClientID: "alice", Claims: []Claim{{Object: 0, Value: 9}}}); !errors.Is(err, ErrDuplicateClient) {
 		t.Fatalf("resubmission after restart = %v, want ErrDuplicateClient", err)
 	}
-	if _, err := srv2.Submit(Submission{ClientID: "carol", Claims: []Claim{{0, 0.8}, {1, 2.2}}}); err != nil {
+	if _, err := srv2.Submit(Submission{ClientID: "carol", Claims: []Claim{{Object: 0, Value: 0.8}, {Object: 1, Value: 2.2}}}); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := srv2.Aggregate()
@@ -114,7 +114,7 @@ func TestBatchCampaignPersistenceRecovery(t *testing.T) {
 			t.Fatalf("recovered weight[%s] = %v, want %v", id, res3.Weights[id], w)
 		}
 	}
-	if _, err := srv3.Submit(Submission{ClientID: "dave", Claims: []Claim{{0, 1}}}); !errors.Is(err, ErrCampaignClosed) {
+	if _, err := srv3.Submit(Submission{ClientID: "dave", Claims: []Claim{{Object: 0, Value: 1}}}); !errors.Is(err, ErrCampaignClosed) {
 		t.Fatalf("submission after recovered result = %v, want ErrCampaignClosed", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestBatchPersistFailureRejectsSubmission(t *testing.T) {
 	if err := store.Close(); err != nil { // every append now fails
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(Submission{ClientID: "u", Claims: []Claim{{0, 1}}}); err == nil {
+	if _, err := srv.Submit(Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: 1}}}); err == nil {
 		t.Fatal("submission acknowledged without durability")
 	}
 	if info := srv.Campaign(); info.SubmittedUsers != 0 {
@@ -212,7 +212,7 @@ func TestStreamStatsResetKeepsResidentGauge(t *testing.T) {
 	}
 
 	for _, id := range []string{"u-0", "u-1", "u-2"} {
-		if _, err := client.StreamSubmit(ctx, Submission{ClientID: id, Claims: []Claim{{0, 1}}}); err != nil {
+		if _, err := client.StreamSubmit(ctx, Submission{ClientID: id, Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestStreamStatsResetKeepsResidentGauge(t *testing.T) {
 	}
 
 	// An evicted user is transparently re-admitted on its next claim.
-	if _, err := client.StreamSubmit(ctx, Submission{ClientID: "u-0", Claims: []Claim{{1, 2}}}); err != nil {
+	if _, err := client.StreamSubmit(ctx, Submission{ClientID: "u-0", Claims: []Claim{{Object: 1, Value: 2}}}); err != nil {
 		t.Fatalf("evicted user not re-admitted: %v", err)
 	}
 	readmit := statsAt(false)

@@ -217,20 +217,6 @@ const (
 	HeaderErrorCode = obs.HeaderErrorCode
 )
 
-// Envelope version negotiation headers. A client advertises the error
-// envelope versions it can decode in HeaderAcceptEnvelope (a
-// comma-separated list of integers, e.g. "1" or "1,2"); every response
-// carries HeaderEnvelopeVersion with the version the server selected —
-// the highest advertised version the server supports, or the server's
-// current version (ErrorEnvelopeVersion) when the request carried no
-// intelligible advertisement. Version 1 is the floor: a future "v": 2
-// envelope will only be emitted to clients that advertised 2, so old
-// clients keep decoding v1 envelopes unchanged.
-const (
-	HeaderAcceptEnvelope  = "X-PPTD-Accept-Envelope"
-	HeaderEnvelopeVersion = "X-PPTD-Envelope-Version"
-)
-
 // CampaignInfo is the public description of a sensing campaign.
 type CampaignInfo struct {
 	// Name labels the campaign.
@@ -249,11 +235,9 @@ type CampaignInfo struct {
 }
 
 // Claim is a single (object, value) report inside a submission. Values
-// must already be perturbed by the client.
-type Claim struct {
-	Object int     `json:"object"`
-	Value  float64 `json:"value"`
-}
+// must already be perturbed by the client. It is the stream engine's
+// claim type, so a decoded batch reaches the engine without conversion.
+type Claim = stream.Claim
 
 // Submission is the body of POST /v1/submissions.
 type Submission struct {
@@ -408,11 +392,6 @@ type ErrorBody struct {
 	// client should wait before retrying (1 on duplicate_window: the
 	// charge blocking the user expires when the open window closes).
 	RetryAfterWindows int `json:"retry_after_windows,omitempty"`
-	// Error duplicates Message for pre-envelope clients that decoded
-	// {"error": ...}.
-	//
-	// Deprecated: read Message (and branch on Code) instead.
-	Error string `json:"error,omitempty"`
 }
 
 // HTTPError reports a non-2xx response from the campaign server. The

@@ -2,26 +2,20 @@ package crowd
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
 
 	"pptd/internal/obs"
 )
 
-// echoRequestID wraps one route handler so its response always carries
+// EchoRequestID wraps one route handler so its response always carries
 // an X-Request-ID header: the client's, when the request supplied a
 // valid one, otherwise a freshly generated ID. Registered on every
-// route, it makes the echo contract hold even for a bare Server or
-// StreamServer handler mounted without the node's obs middleware; under
-// the middleware (which installs the header before the mux runs) the
-// wrapper sees the header already set and leaves it alone, so the ID
-// the middleware logged is the one the client receives.
-//
-// The wrapper also records the envelope version negotiation on every
-// response (see negotiateEnvelope): the route layer is the one place
-// every endpoint funnels through, so the negotiated version is
-// answered even on requests that never reach an error path.
-func echoRequestID(h http.HandlerFunc) http.HandlerFunc {
+// route (the cluster follower's included), it makes the echo contract
+// hold even for a bare Server or StreamServer handler mounted without
+// the node's obs middleware; under the middleware (which installs the
+// header before the mux runs) the wrapper sees the header already set
+// and leaves it alone, so the ID the middleware logged is the one the
+// client receives.
+func EchoRequestID(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if w.Header().Get(HeaderRequestID) == "" {
 			id := r.Header.Get(HeaderRequestID)
@@ -30,37 +24,19 @@ func echoRequestID(h http.HandlerFunc) http.HandlerFunc {
 			}
 			w.Header().Set(HeaderRequestID, id)
 		}
-		if w.Header().Get(HeaderEnvelopeVersion) == "" {
-			v := negotiateEnvelope(r.Header.Get(HeaderAcceptEnvelope))
-			w.Header().Set(HeaderEnvelopeVersion, strconv.Itoa(v))
-		}
 		h(w, r)
 	}
 }
 
-// negotiateEnvelope selects the error-envelope version for one request
-// from the client's HeaderAcceptEnvelope advertisement: the highest
-// advertised version this server supports. With no advertisement (or
-// nothing intelligible in it) the server's current version is assumed —
-// today that is also the only supported one, so negotiation is pure
-// bookkeeping, but it is the hook that lets a "v": 2 envelope roll out
-// without breaking clients that only speak v1.
-func negotiateEnvelope(accept string) int {
-	if accept == "" {
-		return ErrorEnvelopeVersion
-	}
-	best := 0
-	for _, part := range strings.Split(accept, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			continue
+// route is the contract every single-method crowd route carries: the
+// request-ID echo, then the 405 method_not_allowed envelope for any
+// other method.
+func route(method string, h http.HandlerFunc) http.HandlerFunc {
+	return EchoRequestID(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, method+" only")
+			return
 		}
-		if v <= ErrorEnvelopeVersion && v > best {
-			best = v
-		}
-	}
-	if best == 0 {
-		return ErrorEnvelopeVersion
-	}
-	return best
+		h(w, r)
+	})
 }

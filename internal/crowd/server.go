@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sync"
 
-	"pptd/internal/stream"
 	"pptd/internal/streamstore"
 	"pptd/internal/truth"
 )
@@ -120,11 +119,7 @@ func (s *Server) recover() error {
 		if _, dup := s.claims[sub.ClientID]; dup {
 			continue // a crash between WAL append and ack can duplicate
 		}
-		claims := make([]Claim, len(sub.Claims))
-		for i, c := range sub.Claims {
-			claims[i] = Claim{Object: c.Object, Value: c.Value}
-		}
-		s.claims[sub.ClientID] = claims
+		s.claims[sub.ClientID] = sub.Claims
 		s.order = append(s.order, sub.ClientID)
 	}
 	body, err := s.cfg.Persistence.LoadBatchResult()
@@ -152,10 +147,10 @@ func (s *Server) Handler() http.Handler {
 // (a pptd Node) can serve the batch and streaming APIs together.
 // Every route echoes the request-correlation header (see HeaderRequestID).
 func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc(PathCampaign, echoRequestID(s.handleCampaign))
-	mux.HandleFunc(PathSubmissions, echoRequestID(s.handleSubmissions))
-	mux.HandleFunc(PathResult, echoRequestID(s.handleResult))
-	mux.HandleFunc(PathAggregate, echoRequestID(s.handleAggregate))
+	mux.HandleFunc(PathCampaign, route(http.MethodGet, s.handleCampaign))
+	mux.HandleFunc(PathSubmissions, route(http.MethodPost, s.handleSubmissions))
+	mux.HandleFunc(PathResult, route(http.MethodGet, s.handleResult))
+	mux.HandleFunc(PathAggregate, route(http.MethodPost, s.handleAggregate))
 }
 
 // Campaign returns a snapshot of the campaign state.
@@ -208,13 +203,7 @@ func (s *Server) Submit(sub Submission) (SubmissionReceipt, error) {
 		// Durable before acknowledged: the WAL append fsyncs under s.mu,
 		// so WAL order is acknowledgement order and a crash at any point
 		// loses only submissions that were never acked.
-		rec := streamstore.BatchSubmission{
-			ClientID: sub.ClientID,
-			Claims:   make([]stream.Claim, len(sub.Claims)),
-		}
-		for i, c := range sub.Claims {
-			rec.Claims[i] = stream.Claim{Object: c.Object, Value: c.Value}
-		}
+		rec := streamstore.BatchSubmission{ClientID: sub.ClientID, Claims: sub.Claims}
 		if err := s.cfg.Persistence.AppendBatchSubmission(rec); err != nil {
 			return SubmissionReceipt{}, fmt.Errorf("crowd: persist submission: %w", err)
 		}
@@ -309,19 +298,11 @@ func (s *Server) aggregateLocked() error {
 	return nil
 }
 
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Campaign())
+func (s *Server) handleCampaign(w http.ResponseWriter, _ *http.Request) {
+	WriteJSON(w, http.StatusOK, s.Campaign())
 }
 
 func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, effectiveMaxRequestBytes(s.cfg.MaxRequestBytes))
 	var sub Submission
 	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
@@ -330,48 +311,41 @@ func (s *Server) handleSubmissions(w http.ResponseWriter, r *http.Request) {
 	}
 	receipt, err := s.Submit(sub)
 	if err != nil {
-		writeAPIError(w, err)
+		WriteAPIError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, receipt)
+	WriteJSON(w, http.StatusOK, receipt)
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request) {
 	res, err := s.Result()
 	if err != nil {
 		// ErrNotReady maps to 404 not_ready: a pending result is a missing
 		// resource, not a conflict with the request (cf. the stream
 		// server's truths endpoint).
-		writeAPIError(w, err)
+		WriteAPIError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) handleAggregate(w http.ResponseWriter, _ *http.Request) {
 	res, err := s.Aggregate()
 	if errors.Is(err, ErrNotReady) {
 		// Aggregating an empty campaign stays 409: here the request itself
 		// conflicts with campaign state, unlike a pending GET /v1/result.
-		writeError(w, http.StatusConflict, CodeEmptyCampaign, err.Error())
+		WriteError(w, http.StatusConflict, CodeEmptyCampaign, err.Error())
 		return
 	}
 	if err != nil {
-		writeAPIError(w, err)
+		WriteAPIError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes one JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	// Encoding of our own wire structs cannot fail; ignore the writer

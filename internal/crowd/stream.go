@@ -1,11 +1,10 @@
 package crowd
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -214,23 +213,9 @@ func (s *StreamServer) Close() error {
 	return errors.Join(snapErr, s.TickError())
 }
 
-// Handler returns the HTTP handler serving the streaming campaign API.
-func (s *StreamServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Register(mux)
-	return mux
-}
-
-// Register mounts the streaming routes on a shared mux, so one front
-// door (a pptd Node) can serve the batch and streaming APIs together.
-// Every route echoes the request-correlation header (see HeaderRequestID).
-func (s *StreamServer) Register(mux *http.ServeMux) {
-	mux.HandleFunc(PathStreamCampaign, echoRequestID(s.handleCampaign))
-	mux.HandleFunc(PathStreamClaims, echoRequestID(s.handleClaims))
-	mux.HandleFunc(PathStreamTruths, echoRequestID(s.handleTruths))
-	mux.HandleFunc(PathStreamWindow, echoRequestID(s.handleWindow))
-	mux.HandleFunc(PathStreamStats, echoRequestID(s.handleStats))
-}
+// Handler returns the HTTP handler serving the streaming campaign API:
+// the shared front door (RegisterStream) over this server.
+func (s *StreamServer) Handler() http.Handler { return StreamHandler(s, s.maxBytes) }
 
 // Campaign returns the streaming campaign metadata.
 func (s *StreamServer) Campaign() StreamCampaignInfo {
@@ -248,13 +233,19 @@ func (s *StreamServer) Campaign() StreamCampaignInfo {
 	}
 }
 
-// Submit ingests one perturbed claim batch into the current window.
+// Submit ingests one perturbed claim batch into the current window — a
+// view onto SubmitFrame for callers holding a Submission.
 func (s *StreamServer) Submit(sub Submission) (StreamReceipt, error) {
-	claims := make([]stream.Claim, len(sub.Claims))
-	for i, c := range sub.Claims {
-		claims[i] = stream.Claim{Object: c.Object, Value: c.Value}
-	}
-	accepted, window, err := s.engine.Ingest(sub.ClientID, claims)
+	return s.SubmitFrame(context.TODO(), FrameOf(sub))
+}
+
+// SubmitFrame ingests one decoded claim batch into the current window
+// straight from the frame's buffers: the client ID only materializes as
+// a string the first time a user is seen, so a pooled frame makes the
+// path allocation-free per claim. It never blocks on the network, so
+// the context goes unused.
+func (s *StreamServer) SubmitFrame(_ context.Context, f *ClaimFrame) (StreamReceipt, error) {
+	accepted, window, err := s.engine.IngestBytes(f.ClientID, f.Claims)
 	if err != nil {
 		return StreamReceipt{}, err
 	}
@@ -291,7 +282,7 @@ func (s *StreamServer) CloseWindow() (StreamWindowInfo, error) {
 			return StreamWindowInfo{}, fmt.Errorf("crowd: write stream snapshot: %w", err)
 		}
 	}
-	return windowInfo(res), nil
+	return WindowInfo(res), nil
 }
 
 // Truths returns the latest closed window's estimate, or ErrNotReady if
@@ -301,7 +292,7 @@ func (s *StreamServer) Truths() (StreamWindowInfo, error) {
 	if res == nil {
 		return StreamWindowInfo{}, ErrNotReady
 	}
-	return windowInfo(res), nil
+	return WindowInfo(res), nil
 }
 
 // TruthsAt returns the retained estimate of one specific closed window
@@ -321,22 +312,22 @@ func (s *StreamServer) TruthsAt(window int) (StreamWindowInfo, error) {
 		return StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
 			ErrUnknownWindow, window, s.engine.HistoryWindows())
 	}
-	return windowInfo(res), nil
+	return WindowInfo(res), nil
 }
 
 // Stats returns the server's observability counters: the engine's
 // headline numbers, the result-history bounds behind ?window= reads,
 // and — on a durable server — the store's journal and group-commit
 // histograms.
-func (s *StreamServer) Stats() StreamStatsInfo { return s.stats(false) }
+func (s *StreamServer) Stats() StreamStatsInfo { return s.ReadStats(false) }
 
-// stats backs Stats and GET /v1/stream/stats. With reset true the
+// ReadStats backs Stats and GET /v1/stream/stats. With reset true the
 // store's windowed counters and histograms restart from this read
 // (matching streamstore.Store.Stats semantics: gauges and the
 // flush-latency Max high-water mark survive, and the /metrics series
 // backed by the same fields stay monotone — only this JSON view is
 // windowed).
-func (s *StreamServer) stats(reset bool) StreamStatsInfo {
+func (s *StreamServer) ReadStats(reset bool) StreamStatsInfo {
 	info := StreamStatsInfo{
 		Name:           s.name,
 		Estimator:      s.engine.Estimator(),
@@ -359,10 +350,11 @@ func (s *StreamServer) stats(reset bool) StreamStatsInfo {
 	return info
 }
 
-// windowInfo converts an engine result to its wire form; uncovered
+// WindowInfo converts an engine result to its wire form; uncovered
 // truths (NaN, which JSON cannot carry) are zeroed and flagged by the
-// Covered mask instead.
-func windowInfo(res *stream.WindowResult) StreamWindowInfo {
+// Covered mask instead. The cluster coordinator publishes its merged
+// estimate through the same conversion.
+func WindowInfo(res *stream.WindowResult) StreamWindowInfo {
 	truths := make([]float64, len(res.Truths))
 	for i, v := range res.Truths {
 		if res.Covered[i] {
@@ -382,117 +374,4 @@ func windowInfo(res *stream.WindowResult) StreamWindowInfo {
 		TotalClaims:  res.TotalClaims,
 		Privacy:      res.Privacy,
 	}
-}
-
-func (s *StreamServer) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Campaign())
-}
-
-func (s *StreamServer) handleClaims(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBytes)
-	if isClaimFrameContentType(r.Header.Get("Content-Type")) {
-		s.handleClaimsBinary(w, r)
-		return
-	}
-	var sub Submission
-	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
-		writeDecodeError(w, "decode submission", err)
-		return
-	}
-	receipt, err := s.Submit(sub)
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, receipt)
-}
-
-// handleClaimsBinary is the pooled hot path behind the binary claim
-// frame (Content-Type application/x-pptd-claims): the frame decodes
-// into pooled buffers, the engine ingests straight from them (the
-// client ID only materializes as a string the first time a user is
-// seen), and the buffers go back to the pool — zero per-claim heap
-// allocations in steady state.
-func (s *StreamServer) handleClaimsBinary(w http.ResponseWriter, r *http.Request) {
-	f := GetClaimFrame()
-	defer PutClaimFrame(f)
-	if err := DecodeClaimFrame(r.Body, f); err != nil {
-		writeDecodeError(w, "decode claim frame", err)
-		return
-	}
-	accepted, window, err := s.engine.IngestBytes(f.ClientID, f.Claims)
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, StreamReceipt{
-		Accepted:    accepted,
-		Window:      window,
-		TotalClaims: s.engine.TotalClaims(),
-	})
-}
-
-func (s *StreamServer) handleTruths(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	window := 0
-	if raw := r.URL.Query().Get("window"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("bad window parameter %q: want a non-negative integer", raw))
-			return
-		}
-		window = n
-	}
-	info, err := s.TruthsAt(window)
-	if err != nil {
-		// not_ready / unknown_window map to 404: a missing estimate is a
-		// missing resource, while 409 stays reserved for real conflicts
-		// (duplicate submission in a window, closing an empty window).
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *StreamServer) handleWindow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST only")
-		return
-	}
-	info, err := s.CloseWindow()
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
-func (s *StreamServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only")
-		return
-	}
-	reset := false
-	if raw := r.URL.Query().Get("reset"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("bad reset parameter %q: want a boolean", raw))
-			return
-		}
-		reset = v
-	}
-	writeJSON(w, http.StatusOK, s.stats(reset))
 }

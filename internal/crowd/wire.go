@@ -2,12 +2,12 @@ package crowd
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"net/http"
 	"strings"
 	"sync"
 
@@ -68,7 +68,8 @@ const (
 	claimFrameMinClaim = 9
 )
 
-// ClaimFrame is one decoded binary submission. ClientID aliases the
+// ClaimFrame is one decoded submission, whichever wire it arrived on
+// (see decodeSubmission in frontdoor.go). ClientID aliases the
 // frame's internal read buffer and Claims reuses its previous capacity,
 // so a frame obtained from GetClaimFrame and decoded in a loop reaches
 // a steady state with no per-claim heap allocations. Neither field is
@@ -96,6 +97,33 @@ func PutClaimFrame(f *ClaimFrame) {
 	f.ClientID = nil
 	f.Claims = f.Claims[:0]
 	claimFramePool.Put(f)
+}
+
+// FrameOf views a submission as a decoded frame without copying its
+// claims — how the Submit(Submission) conveniences join the one frame
+// path the HTTP front door uses. The frame is not pooled: do not hand
+// it to PutClaimFrame.
+func FrameOf(sub Submission) *ClaimFrame {
+	return &ClaimFrame{ClientID: []byte(sub.ClientID), Claims: sub.Claims}
+}
+
+// decodeJSON reads one JSON submission body ({"clientId", "claims"})
+// from r into f: the claims decode straight into f's reusable slice and
+// the client ID lands in its read buffer, so past that point a JSON
+// batch is indistinguishable from a binary one. Read failures stay in
+// the chain like DecodeClaimFrame's.
+func (f *ClaimFrame) decodeJSON(r io.Reader) error {
+	// encoding/json decodes into the slice's existing elements, so a claim
+	// omitting a field would inherit whatever the previous request left
+	// there; zero the whole reusable capacity first.
+	clear(f.Claims[:cap(f.Claims)])
+	sub := Submission{Claims: f.Claims[:0]}
+	if err := json.NewDecoder(r).Decode(&sub); err != nil {
+		return err
+	}
+	f.buf = append(f.buf[:0], sub.ClientID...)
+	f.ClientID, f.Claims = f.buf, sub.Claims
+	return nil
 }
 
 // DecodeClaimFrame reads one binary claim frame from r into f, reusing
@@ -241,14 +269,6 @@ func AppendClaimFrame(dst []byte, clientID string, claims []Claim) []byte {
 // allowed).
 func isClaimFrameContentType(ct string) bool {
 	return ct == ContentTypeClaims || strings.HasPrefix(ct, ContentTypeClaims+";")
-}
-
-// IsClaimFrameRequest reports whether a request negotiated the binary
-// claim frame via its Content-Type — exported for the cluster
-// coordinator's front door, which accepts both wire formats like a
-// single node.
-func IsClaimFrameRequest(r *http.Request) bool {
-	return isClaimFrameContentType(r.Header.Get("Content-Type"))
 }
 
 // effectiveMaxRequestBytes resolves a configured body cap: zero means

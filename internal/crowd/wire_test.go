@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pptd/internal/stream"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/frame_*.bin")
 
 // goldenFrames are the pinned wire encodings: any byte-level drift in
 // the encoder is a protocol break, caught by comparing against
@@ -31,7 +35,7 @@ func TestClaimFrameGolden(t *testing.T) {
 	for _, g := range goldenFrames {
 		path := filepath.Join("testdata", g.name)
 		got := AppendClaimFrame(nil, g.clientID, g.claims)
-		if *updateEnvelopeGolden { // the package-wide -update flag (see envelope_test.go)
+		if *updateGolden {
 			if err := os.WriteFile(path, got, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -280,5 +284,34 @@ func TestBinaryIngestZeroAlloc(t *testing.T) {
 	if allocs := res.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("pooled binary ingest allocates %d times per op, want 0\n%s %s",
 			allocs, res.String(), res.MemString())
+	}
+}
+
+// TestDecodeJSONIntoReusedFrame: the JSON wire decodes into the pooled
+// frame's reused buffers. A claim omitting a field must read zero, not
+// what an earlier request left in that slot of the claim slice, and the
+// client ID must be the new request's.
+func TestDecodeJSONIntoReusedFrame(t *testing.T) {
+	f := GetClaimFrame()
+	defer PutClaimFrame(f)
+	if err := f.decodeJSON(strings.NewReader(`{"clientId":"first-user","claims":[{"object":3,"value":40},{"object":4,"value":41}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	assertFrameEquals(t, "first", f, "first-user", []Claim{{Object: 3, Value: 40}, {Object: 4, Value: 41}})
+	first := &f.Claims[0]
+	if err := f.decodeJSON(strings.NewReader(`{"clientId":"b","claims":[{"object":1},{"value":2}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	assertFrameEquals(t, "second", f, "b", []Claim{{Object: 1, Value: 0}, {Object: 0, Value: 2}})
+	if first != &f.Claims[0] {
+		t.Error("second decode did not reuse the frame's claim slice")
+	}
+	// The binary decoder takes the same frame back without trouble.
+	if _, err := DecodeClaimFrameBytes(AppendClaimFrame(nil, "c", []Claim{{Object: 7, Value: 7}}), f); err != nil {
+		t.Fatal(err)
+	}
+	assertFrameEquals(t, "third", f, "c", []Claim{{Object: 7, Value: 7}})
+	if err := f.decodeJSON(strings.NewReader(`{nope`)); err == nil {
+		t.Error("undecodable JSON decoded")
 	}
 }

@@ -99,10 +99,10 @@ func TestRestoreHistoryMergesSortsAndTrims(t *testing.T) {
 	if snap := e.Snapshot(); snap.Window != 4 {
 		t.Fatalf("Snapshot window = %d", snap.Window)
 	}
-	// RestoreLastResult layers on top without losing the rest.
-	e.RestoreLastResult(mk(5))
+	// A later one-element restore layers on top without losing the rest.
+	e.RestoreHistory([]*WindowResult{mk(5)})
 	if got := windowsOf(e.History()); got[0] != 3 || got[2] != 5 {
-		t.Fatalf("after RestoreLastResult: %v, want [3 4 5]", got)
+		t.Fatalf("after a one-element RestoreHistory: %v, want [3 4 5]", got)
 	}
 }
 

@@ -278,7 +278,7 @@ func (e *Engine) exportStateLocked() (*EngineState, error) {
 //
 // The last closed window's published result is not part of the state:
 // Snapshot returns nil after a restore until the next window closes,
-// unless the caller seeds a persisted result with RestoreLastResult.
+// unless the caller seeds persisted results with RestoreHistory.
 func (e *Engine) Restore(st *EngineState) error {
 	if st == nil {
 		return fmt.Errorf("%w: nil state", ErrBadState)

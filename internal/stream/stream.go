@@ -714,19 +714,6 @@ func (e *Engine) RestoreHistory(results []*WindowResult) {
 	e.history = merged
 }
 
-// RestoreLastResult seeds the published-result ring with one persisted
-// WindowResult after a Restore.
-//
-// Deprecated: use RestoreHistory, which seeds the whole retained ring;
-// RestoreLastResult keeps working and is equivalent to a one-element
-// RestoreHistory.
-func (e *Engine) RestoreLastResult(res *WindowResult) {
-	if res == nil {
-		return
-	}
-	e.RestoreHistory([]*WindowResult{res})
-}
-
 // Window returns the number of closed windows so far.
 func (e *Engine) Window() int {
 	e.mu.RLock()

@@ -271,25 +271,6 @@ func TestReplayJournalValidation(t *testing.T) {
 	}
 }
 
-// TestRestoreLastResult seeds a persisted result into a fresh engine:
-// Snapshot must serve it verbatim, and a nil seed must stay a no-op.
-func TestRestoreLastResult(t *testing.T) {
-	e, err := New(Config{NumObjects: 1, NumShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Close() }()
-	e.RestoreLastResult(nil)
-	if e.Snapshot() != nil {
-		t.Fatal("nil seed produced a snapshot")
-	}
-	res := &WindowResult{Window: 4, Truths: []float64{2.5}, Covered: []bool{true}}
-	e.RestoreLastResult(res)
-	if got := e.Snapshot(); got != res {
-		t.Fatalf("Snapshot = %+v, want the seeded result", got)
-	}
-}
-
 // TestReplayedUserKeepsReleaseContract: a user whose charge was only in
 // the journal must still be refused a duplicate submission into the
 // re-opened window after replay.

@@ -23,9 +23,10 @@ import (
 // recovery using the snapshot's JournalPos marker.
 //
 // Legacy layout: before segmentation the journal was one rewrite-on-
-// compact file, ledger.journal. Open migrates it by renaming it to the
-// first segment — the record format is unchanged — so a pre-segmentation
-// state directory recovers cleanly and a second Open sees only segments.
+// compact file, ledger.journal. No deployment ever ran that layout, so
+// Open does not read it — but it does not ignore it either: a directory
+// holding one fails with ErrLegacyJournal, because opening around the
+// file would hand every user in it their spent epsilon back.
 
 // segmentInfo is the store's bookkeeping for one sealed segment.
 type segmentInfo struct {
@@ -100,15 +101,18 @@ func (s *Store) journalBytesLocked() int64 {
 }
 
 // openJournalLocked brings the segmented journal up at Open time: it
-// migrates a legacy single-file journal into segment 1, scans the
+// refuses a directory holding a legacy single-file journal, scans the
 // directory for segments, opens the highest sequence as the active
 // segment (creating segment 1 on a fresh directory), and repairs any
 // torn tail a crash mid-append left in it. Sealed segments are never
 // touched — a roll only happens after a successful fsync, so a torn
 // tail can only live in the last segment.
 func (s *Store) openJournalLocked() error {
-	if err := s.migrateLegacyJournalLocked(); err != nil {
-		return err
+	legacy := filepath.Join(s.dir, legacyJournalName)
+	if _, err := s.fs.Stat(legacy); err == nil {
+		return fmt.Errorf("%w: %s", ErrLegacyJournal, legacy)
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("streamstore: stat legacy journal: %w", err)
 	}
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -151,47 +155,6 @@ func (s *Store) openJournalLocked() error {
 		_ = f.Close()
 		s.active = nil
 		return err
-	}
-	return nil
-}
-
-// migrateLegacyJournalLocked renames a pre-segmentation ledger.journal
-// into the first free segment slot. The rename is atomic and the record
-// format unchanged, so a crash before, during, or after migration
-// leaves a directory that the next Open handles identically.
-func (s *Store) migrateLegacyJournalLocked() error {
-	legacy := filepath.Join(s.dir, legacyJournalName)
-	if _, err := s.fs.Stat(legacy); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("streamstore: stat legacy journal: %w", err)
-	}
-	// Our own migration is a single atomic rename, so segments can never
-	// coexist with ledger.journal from any crash of ours; seeing both
-	// means outside interference, and there is no way to know whether
-	// the legacy records predate or postdate the segments'. Refuse
-	// loudly — misordered replay could mischarge users.
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("streamstore: scan state dir before migration: %w", err)
-	}
-	for _, e := range entries {
-		if _, ok := parseSegmentName(e.Name()); ok {
-			return fmt.Errorf("streamstore: legacy journal %s coexists with segment %s: refusing to guess record order",
-				legacyJournalName, e.Name())
-		}
-	}
-	if err := s.fs.Rename(legacy, s.segmentPath(1)); err != nil {
-		return fmt.Errorf("streamstore: migrate legacy journal: %w", err)
-	}
-	// A pre-segmentation binary that crashed mid-compaction can leave
-	// ledger.journal.tmp behind; nothing will ever touch it again, and a
-	// stale file full of journal-looking records invites operator
-	// confusion. Best-effort: it holds no acknowledged state.
-	_ = s.fs.Remove(legacy + ".tmp")
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("streamstore: sync state dir: %w", err)
 	}
 	return nil
 }

@@ -59,9 +59,8 @@
 // away; a corrupt snapshot is an error, since the atomic rename means
 // it can only arise from disk damage, not a crash.
 //
-// Pre-segmentation state directories (a single ledger.journal) are
-// migrated on Open: the file becomes segment 1 by atomic rename — the
-// record format is unchanged — and every later Open sees only segments.
+// A pre-segmentation state directory (a single ledger.journal) is
+// refused on Open with ErrLegacyJournal rather than read or ignored.
 //
 // All file I/O goes through a storefs.FS (Options.FS; the real
 // filesystem by default), so crash points inside group commit, segment
@@ -134,6 +133,12 @@ var (
 	// this means on-disk damage; deleting result.json clears it at the
 	// cost of serving no estimate until the next window close.
 	ErrCorruptResult = errors.New("streamstore: corrupt result")
+	// ErrLegacyJournal reports a state directory holding a
+	// pre-segmentation ledger.journal. This version does not read that
+	// layout, and opening around the file would silently drop every
+	// charge it records; the error names the file so an operator can
+	// decide what to do with it.
+	ErrLegacyJournal = errors.New("streamstore: pre-segmentation ledger.journal present, refusing to ignore its privacy charges")
 )
 
 // Options tunes a store's durability/throughput trade-offs. The zero
@@ -298,9 +303,9 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenWith creates (or reopens) the state directory and prepares the
-// segmented ledger journal for appending: a legacy single-file journal
-// is migrated to segment 1, the highest-sequence segment becomes the
-// active one, and any torn tail left by a crash mid-append is truncated
+// segmented ledger journal for appending: a directory holding a legacy
+// single-file journal is refused (ErrLegacyJournal), the
+// highest-sequence segment becomes the active one, and any torn tail left by a crash mid-append is truncated
 // away. The directory is guarded by an advisory lock (LOCK file, flock
 // on unix, released automatically if the process dies): two processes
 // sharing one state directory would silently overwrite each other's

@@ -1094,14 +1094,15 @@ func NewNode(opts ...Option) (*Node, error) {
 	if n.batch != nil {
 		n.batch.Register(mux)
 	}
+	// One front door whatever sits behind it: the local stream server or
+	// the cluster coordinator (validate rules out both at once).
 	if n.stream != nil {
-		n.stream.Register(mux)
+		crowd.RegisterStream(mux, n.stream, cfg.maxRequestBytes)
 		if cfg.clusterWorker {
 			n.stream.RegisterCluster(mux)
 		}
-	}
-	if n.coord != nil {
-		n.coord.Register(mux)
+	} else if n.coord != nil {
+		crowd.RegisterStream(mux, n.coord, cfg.maxRequestBytes)
 	}
 	mux.Handle(crowd.PathMetrics, crowd.GetOnly(n.metrics.Handler()))
 	if cfg.debug {

@@ -90,7 +90,7 @@
 // engine recovered from a snapshot continues within the same bound —
 // snapshots record which estimator wrote them, and restoring under a
 // different one fails with ErrStreamEstimatorMismatch. The same engine
-// backs the HTTP streaming campaign (NewStreamCampaignServer, POST
+// backs the HTTP streaming campaign (NewNode(WithStreamEngine(n)), POST
 // /v1/stream/claims, GET /v1/stream/truths); cmd/pptdstream drives a
 // simulated fleet against it and reports throughput, accuracy, and the
 // cumulative budget per window. Privacy reports carry aggregates only by

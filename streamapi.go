@@ -93,30 +93,11 @@ var (
 	// integrity check; deleting result.json clears it at the cost of
 	// serving no estimate until the next window close.
 	ErrCorruptResult = streamstore.ErrCorruptResult
-)
-
-// Deprecated aliases of the sentinels above, kept so pre-Node code
-// compiles unchanged. Each matches errors.Is identically to its
-// replacement (they are the same value).
-var (
-	// Deprecated: use ErrBudgetExhausted.
-	ErrStreamBudgetExhausted = stream.ErrBudgetExhausted
-	// Deprecated: use ErrDuplicateWindow.
-	ErrStreamDuplicateWindow = stream.ErrDuplicateWindow
-	// Deprecated: use ErrEmptyWindow.
-	ErrStreamEmptyWindow = stream.ErrEmptyWindow
-	// Deprecated: use ErrSameWindow.
-	ErrStreamSameWindow = crowd.ErrSameWindow
-	// Deprecated: use ErrNotReady.
-	ErrStreamNotReady = crowd.ErrNotReady
-	// Deprecated: use ErrLedger.
-	ErrStreamLedger = stream.ErrLedger
-	// Deprecated: use ErrBadState.
-	ErrStreamBadState = stream.ErrBadState
-	// Deprecated: use ErrCorruptSnapshot.
-	ErrStreamCorruptSnapshot = streamstore.ErrCorruptSnapshot
-	// Deprecated: use ErrCorruptResult.
-	ErrStreamCorruptResult = streamstore.ErrCorruptResult
+	// ErrLegacyJournal reports a state directory holding a
+	// pre-segmentation ledger.journal, which this version does not read:
+	// ignoring the file would silently hand every user their spent
+	// epsilon back, so the store refuses.
+	ErrLegacyJournal = streamstore.ErrLegacyJournal
 )
 
 // StreamEngineState is a point-in-time export of a streaming engine —
@@ -139,10 +120,10 @@ type StreamLedger = stream.Ledger
 // concurrent appends, plus atomically-replaced, checksummed engine
 // snapshots and the last published window result. Snapshots compact the
 // journal by deleting fully-covered sealed segments — O(segments), no
-// rewrite. It implements StreamLedger and plugs into
-// StreamCampaignServerConfig.Persistence; StreamStore.Recover rebuilds
-// a fresh engine from everything persisted. Pre-segmentation state
-// directories (a single ledger.journal) migrate automatically on open.
+// rewrite. It implements StreamLedger (StreamConfig.Ledger), a Node
+// opens one with WithPersistence, and StreamStore.Recover rebuilds a
+// fresh engine from everything persisted. A pre-segmentation state
+// directory (a single ledger.journal) is refused with ErrLegacyJournal.
 type StreamStore = streamstore.Store
 
 // StreamStoreOptions tunes a stream store's durability/throughput
@@ -172,41 +153,24 @@ type StreamStoreStats = streamstore.StoreStats
 type StreamHistogram = streamstore.Histogram
 
 // OpenStreamStore creates or reopens a streaming state directory with
-// default options, repairing any torn journal tail left by a crash.
-// Close it after the server using it has been closed.
-//
-// Deprecated: build a node instead — NewNode(WithStreamEngine(n),
-// WithPersistence(dir)) opens and owns the store for you; keep
-// OpenStreamStore for embedding a store without a node.
+// default options, repairing any torn journal tail left by a crash —
+// the way to persist a bare NewStreamEngine (set it as the engine's
+// StreamConfig.Ledger, then StreamStore.Recover). A Node opens and owns
+// its store itself (WithPersistence). Close the store after the engine
+// using it.
 func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open(dir) }
 
 // OpenStreamStoreWith is OpenStreamStore with explicit
 // StreamStoreOptions.
-//
-// Deprecated: build a node instead — NewNode(WithStreamEngine(n),
-// WithPersistence(dir, WithGroupCommit(...), WithSnapshotEvery(...)))
-// carries the same knobs as validated options.
 func OpenStreamStoreWith(dir string, opts StreamStoreOptions) (*StreamStore, error) {
 	return streamstore.OpenWith(dir, opts)
 }
 
 // StreamCampaignServer serves a streaming sensing campaign over HTTP:
 // batched perturbed claims in, live per-window truth snapshots out, with
-// per-user cumulative privacy budgets tracked and enforced.
+// per-user cumulative privacy budgets tracked and enforced. A Node hosts
+// one with WithStreamEngine or WithStreamConfig (Node.Stream).
 type StreamCampaignServer = crowd.StreamServer
-
-// StreamCampaignServerConfig parameterizes NewStreamCampaignServer.
-type StreamCampaignServerConfig = crowd.StreamServerConfig
-
-// NewStreamCampaignServer returns a streaming campaign server; Close it
-// to stop the engine's shard workers.
-//
-// Deprecated: build a node instead — NewNode(WithStreamEngine(n), ...)
-// hosts the same server behind the unified front door with validated
-// options, and Node.Stream() exposes it for embedding.
-func NewStreamCampaignServer(cfg StreamCampaignServerConfig) (*StreamCampaignServer, error) {
-	return crowd.NewStreamServer(cfg)
-}
 
 // StreamStatsInfo is the GET /v1/stream/stats response: engine totals,
 // result-history bounds, and the store's StreamStoreStats on a durable
