@@ -281,6 +281,12 @@ func TestBinaryIngestZeroAlloc(t *testing.T) {
 			op()
 		}
 	})
+	if raceEnabled {
+		// sync.Pool drops a share of its Puts under the race detector, so
+		// the pooled path allocates there; the loop above still ran.
+		t.Log("race detector on: skipping the 0 allocs/op pin")
+		return
+	}
 	if allocs := res.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("pooled binary ingest allocates %d times per op, want 0\n%s %s",
 			allocs, res.String(), res.MemString())

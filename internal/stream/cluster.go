@@ -228,16 +228,10 @@ func MergeStates(parts []*EngineState) (*EngineState, error) {
 			seen[u.ID] = struct{}{}
 		}
 		merged.Users = append(merged.Users, p.Users...)
-		merged.Stats = append(merged.Stats, p.Stats...)
 		merged.WindowClaims += p.WindowClaims
 		merged.TotalClaims += p.TotalClaims
 	}
-	sort.Slice(merged.Stats, func(i, j int) bool {
-		if merged.Stats[i].Object != merged.Stats[j].Object {
-			return merged.Stats[i].Object < merged.Stats[j].Object
-		}
-		return merged.Stats[i].User < merged.Stats[j].User
-	})
+	merged.Stats = mergeStats(parts)
 	if est == EstimatorGTM {
 		raw, err := mergeGTMStates(parts)
 		if err != nil {
@@ -246,6 +240,52 @@ func MergeStates(parts []*EngineState) (*EngineState, error) {
 		merged.EstimatorState = raw
 	}
 	return merged, nil
+}
+
+// statBefore is the canonical (object, user ID) order of an export.
+func statBefore(a, b *StatSnapshot) bool {
+	if a.Object != b.Object {
+		return a.Object < b.Object
+	}
+	return a.User < b.User
+}
+
+// mergeStats merges the parts' statistics into one canonically ordered
+// list. Exports arrive already in that order, so this is a k-way merge —
+// about one string comparison per statistic per extra part — rather than
+// a sort of the concatenation; a part that is not in order (nothing this
+// program writes) is sorted first, on a copy.
+func mergeStats(parts []*EngineState) []StatSnapshot {
+	heads := make([][]StatSnapshot, 0, len(parts))
+	total := 0
+	for _, p := range parts {
+		stats := p.Stats
+		if !sort.SliceIsSorted(stats, func(i, j int) bool { return statBefore(&stats[i], &stats[j]) }) {
+			stats = append([]StatSnapshot(nil), stats...)
+			sort.Slice(stats, func(i, j int) bool { return statBefore(&stats[i], &stats[j]) })
+		}
+		if len(stats) > 0 {
+			heads = append(heads, stats)
+			total += len(stats)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]StatSnapshot, 0, total)
+	for len(heads) > 1 {
+		least := 0
+		for i := 1; i < len(heads); i++ {
+			if statBefore(&heads[i][0], &heads[least][0]) {
+				least = i
+			}
+		}
+		out = append(out, heads[least][0])
+		if heads[least] = heads[least][1:]; len(heads[least]) == 0 {
+			heads = append(heads[:least], heads[least+1:]...)
+		}
+	}
+	return append(out, heads[0]...)
 }
 
 // mergeGTMStates unions the per-worker GTM variance maps; the user

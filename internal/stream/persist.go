@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // ErrBadState reports an EngineState that cannot be restored: it is
@@ -245,25 +246,81 @@ func (e *Engine) exportStateLocked() (*EngineState, error) {
 		return nil, err
 	}
 	st.EstimatorState = estState
+	st.Stats = e.exportStatsLocked(ids)
+	return st, nil
+}
+
+// exportStatsLocked copies every live statistic out in the canonical
+// (object, user ID) order without comparing a string per statistic. The
+// resident IDs are ranked once (the only string sort); the statistics
+// are then bucketed by their user's rank and dealt, in rank order, into
+// their object's segment of the output — a two-pass counting sort,
+// linear in statistics + users + objects however sparse the coverage.
+// ids is the slot-indexed ID table (free slots are "", which no live
+// statistic references). Same preconditions as exportStateLocked.
+func (e *Engine) exportStatsLocked(ids []string) []StatSnapshot {
+	var objects []int
+	total := 0
 	for _, s := range e.shards {
 		for obj, users := range s.stats {
-			for user, stat := range users {
-				st.Stats = append(st.Stats, StatSnapshot{
-					Object: obj,
-					User:   ids[user],
-					Sum:    stat.sum,
-					Mass:   stat.mass,
-				})
-			}
+			objects = append(objects, obj)
+			total += len(users)
 		}
 	}
-	sort.Slice(st.Stats, func(i, j int) bool {
-		if st.Stats[i].Object != st.Stats[j].Object {
-			return st.Stats[i].Object < st.Stats[j].Object
+	if total == 0 {
+		return nil
+	}
+	slices.Sort(objects)
+
+	type cell struct {
+		object int32 // index into objects
+		user   int32 // slot
+		stat   *stat
+	}
+	rank := rankIDs(ids)
+	// rankPos[r+1] first counts the cells of rank r; after the prefix sum
+	// rankPos[r] is where the next cell of rank r lands in byRank.
+	rankPos := make([]int, len(ids)+1)
+	// next[i] is where object i's next statistic lands in out.
+	next := make([]int, len(objects))
+	cells := make([]cell, 0, total)
+	for i, obj := range objects {
+		next[i] = len(cells)
+		for user, stat := range e.shards[obj%len(e.shards)].stats[obj] {
+			cells = append(cells, cell{object: int32(i), user: int32(user), stat: stat})
+			rankPos[rank[user]+1]++
 		}
-		return st.Stats[i].User < st.Stats[j].User
-	})
-	return st, nil
+	}
+	for r := 1; r < len(rankPos); r++ {
+		rankPos[r] += rankPos[r-1]
+	}
+	byRank := make([]cell, total)
+	for _, c := range cells {
+		r := rank[c.user]
+		byRank[rankPos[r]] = c
+		rankPos[r]++
+	}
+	out := make([]StatSnapshot, total)
+	for _, c := range byRank {
+		out[next[c.object]] = StatSnapshot{Object: objects[c.object], User: ids[c.user], Sum: c.stat.sum, Mass: c.stat.mass}
+		next[c.object]++
+	}
+	return out
+}
+
+// rankIDs returns, per slot, the position of the slot's ID among all
+// the IDs in ascending order.
+func rankIDs(ids []string) []int32 {
+	order := make([]int32, len(ids))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
+	rank := make([]int32, len(ids))
+	for r, slot := range order {
+		rank[slot] = int32(r)
+	}
+	return rank
 }
 
 // Restore loads an exported state into a freshly constructed engine

@@ -216,7 +216,7 @@ func (s *Store) SaveBatchResult(payload []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.writeEnvelopeLocked("batch result", batchResultName, batchResultTmpName, payload, nil); err != nil {
+	if err := s.writeEnvelopeLocked("batch result", batchResultName, batchResultTmpName, payload); err != nil {
 		return err
 	}
 	s.resultsSaved++
@@ -233,6 +233,5 @@ func (s *Store) LoadBatchResult() ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	body, _, err := readEnvelope(s.fs, filepath.Join(s.dir, batchResultName), ErrCorruptResult)
-	return body, err
+	return readEnvelope(s.fs, filepath.Join(s.dir, batchResultName))
 }

@@ -1,7 +1,6 @@
 package streamstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -14,7 +13,8 @@ import (
 // retried close RPC for a window its engine already advanced past —
 // across a crash, not just within one process lifetime. The worker
 // therefore persists its per-window export alongside the engine
-// snapshot (cluster-close.json, atomically replaced like the snapshot),
+// snapshot (cluster-close.json, framed and atomically replaced like the
+// snapshot; statefile.go has the byte layout),
 // and flips the record's Committed flag once the coordinator's merged
 // carries were applied and snapshotted. On recovery the file restores
 // the export cache, and its Committed flag is how a rebooting
@@ -64,7 +64,11 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 	if cs == nil || cs.State == nil {
 		return errors.New("streamstore: nil cluster close state")
 	}
-	body, err := json.Marshal(cs)
+	var committed int64
+	if cs.Committed {
+		committed = 1
+	}
+	file, err := encodeStateFile(clusterCloseMagic, int64(cs.Window), committed, cs.State)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode cluster close: %w", err)
 	}
@@ -73,7 +77,7 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.writeEnvelopeLocked("cluster close", clusterCloseName, clusterCloseTmpName, body, nil)
+	return s.writeAtomicLocked("cluster close", clusterCloseName, clusterCloseTmpName, file)
 }
 
 // LoadClusterClose returns the persisted cluster-close record, or nil
@@ -84,13 +88,16 @@ func (s *Store) LoadClusterClose() (*ClusterCloseState, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	body, _, err := readEnvelope(s.fs, filepath.Join(s.dir, clusterCloseName), ErrCorruptClusterClose)
-	if body == nil || err != nil {
+	file, err := readFileIfExists(s.fs, filepath.Join(s.dir, clusterCloseName))
+	if file == nil || err != nil {
 		return nil, err
 	}
-	cs := new(ClusterCloseState)
-	if err := json.Unmarshal(body, cs); err != nil {
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorruptClusterClose, err)
+	window, committed, st, err := decodeStateFile(file, clusterCloseMagic)
+	if err == nil && committed != 0 && committed != 1 {
+		err = fmt.Errorf("committed flag %d", committed)
 	}
-	return cs, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptClusterClose, err)
+	}
+	return &ClusterCloseState{Window: int(window), Committed: committed == 1, State: st}, nil
 }

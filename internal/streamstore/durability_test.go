@@ -1,7 +1,6 @@
 package streamstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,7 +10,6 @@ import (
 
 	"pptd/internal/randx"
 	"pptd/internal/stream"
-	"pptd/internal/streamstore/storefs"
 )
 
 func mustEngine(t *testing.T, cfg stream.Config) *stream.Engine {
@@ -92,8 +90,8 @@ func TestSnapshotCadenceSizeTrigger(t *testing.T) {
 }
 
 // TestRetainedSnapshotGenerations: with RetainSnapshots 2 the previous
-// two snapshots survive as .1 (newest) and .2, each a valid envelope,
-// and the live snapshot is never disturbed.
+// two snapshots survive as .1 (newest) and .2, each a valid snapshot
+// file, and the live snapshot is never disturbed.
 func TestRetainedSnapshotGenerations(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenWith(dir, Options{RetainSnapshots: 2})
@@ -108,12 +106,12 @@ func TestRetainedSnapshotGenerations(t *testing.T) {
 	}
 	wantWindow := func(path string, want int) {
 		t.Helper()
-		body, _, err := readEnvelope(storefs.OS{}, path, ErrCorruptSnapshot)
-		if err != nil || body == nil {
+		file, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		var st stream.EngineState
-		if err := json.Unmarshal(body, &st); err != nil {
+		_, _, st, err := decodeStateFile(file, snapshotMagic)
+		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if st.Window != want {

@@ -1,6 +1,7 @@
 package streamstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,13 +13,15 @@ import (
 	"pptd/internal/stream"
 )
 
-// TestSnapshotVersionGuardsDowngrade: snapshots carrying a covered
-// JournalPos are written as envelope version 2, so a rolled-back
-// pre-segmentation binary — which accepts only version 1 and knows
-// nothing of journal-*.wal — fails loudly ("unsupported version")
-// instead of restoring the snapshot while silently dropping every
-// charge journaled after it. Results stay version 1: old binaries can
-// still read them, and this binary reads both.
+// TestSnapshotVersionGuardsDowngrade: the snapshot keeps its file name
+// across format changes, so a binary from the other side of one must
+// fail loudly rather than start fresh and hand users their spent epsilon
+// back. Backwards: the file is not JSON, so a rolled-back JSON-era
+// binary dies on its first byte ("invalid character") instead of
+// restoring nothing while ignoring the journal. Forwards: this binary
+// refuses a format version it does not know even when the file's
+// checksum verifies. Results stay JSON envelope version 1: every
+// version reads them.
 func TestSnapshotVersionGuardsDowngrade(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -29,23 +32,34 @@ func TestSnapshotVersionGuardsDowngrade(t *testing.T) {
 	if err := s.SaveResult(mkResult(1, 2.5)); err != nil {
 		t.Fatal(err)
 	}
-	versionOf := func(name string) int {
+	readEnv := func(name string) ([]byte, envelope, error) {
 		t.Helper()
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var env envelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		return env.Version
+		return data, env, json.Unmarshal(data, &env)
 	}
-	if v := versionOf(snapshotName); v != segmentedSnapshotVersion {
-		t.Errorf("snapshot envelope version = %d, want %d (downgrade guard)", v, segmentedSnapshotVersion)
+	snap, _, err := readEnv(snapshotName)
+	if err == nil {
+		t.Error("snapshot parses as a JSON envelope: a JSON-era binary would not refuse it")
 	}
-	if v := versionOf(resultName); v != envelopeVersion {
-		t.Errorf("result envelope version = %d, want %d (old binaries keep reading results)", v, envelopeVersion)
+	if string(snap[:4]) != snapshotMagic || snap[4] != stateFileVersion {
+		t.Errorf("snapshot header = %q version %d, want %q version %d", snap[:4], snap[4], snapshotMagic, stateFileVersion)
+	}
+	if _, env, err := readEnv(resultName); err != nil || env.Version != envelopeVersion {
+		t.Errorf("result envelope version = %d (%v), want %d (old binaries keep reading results)", env.Version, err, envelopeVersion)
+	}
+
+	// A snapshot from a newer format, intact by its own checksum.
+	snap[4] = stateFileVersion + 1
+	binary.LittleEndian.PutUint32(snap[stateCRCOffset:], stateFileCRC(snap))
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadState(); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "version") {
+		t.Errorf("LoadState on a version-%d snapshot = %v, want ErrCorruptSnapshot naming the version", stateFileVersion+1, err)
 	}
 }
 

@@ -102,7 +102,8 @@ func (s *Store) journalBytesLocked() int64 {
 
 // openJournalLocked brings the segmented journal up at Open time: it
 // refuses a directory holding a legacy single-file journal, scans the
-// directory for segments, opens the highest sequence as the active
+// directory for segments (refusing a JSON-era snapshot or cluster-close
+// record it meets on the way — ErrLegacySnapshot), opens the highest sequence as the active
 // segment (creating segment 1 on a fresh directory), and repairs any
 // torn tail a crash mid-append left in it. Sealed segments are never
 // touched — a roll only happens after a successful fsync, so a torn
@@ -120,6 +121,12 @@ func (s *Store) openJournalLocked() error {
 	}
 	var segs []segmentInfo
 	for _, e := range entries {
+		if name := e.Name(); name == snapshotName || name == clusterCloseName {
+			if err := s.refuseLegacyStateFileLocked(name); err != nil {
+				return err
+			}
+			continue
+		}
 		seq, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue

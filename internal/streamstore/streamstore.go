@@ -16,18 +16,20 @@
 //     truth between snapshots: a crash never loses an acknowledged
 //     charge, nor (with the claim WAL) the statistics it paid for.
 //
-//   - a periodic engine snapshot (snapshot.json): the full
+//   - a periodic engine snapshot (snapshot.json — the name is the
+//     shipper's and follower's key and predates the format): the full
 //     stream.EngineState (window counter, per-user carry weights and
-//     budgets, decayed sufficient statistics) written with a
-//     write-temp / fsync / atomic-rename / fsync-dir sequence and an
-//     embedded CRC-32, per the Options cadence (every Nth window close
-//     and/or once the journal outgrows a size bound; see
-//     MaybeSnapshotEngine). The snapshot embeds the JournalPos its
-//     export covers; compaction then deletes the sealed segments that
-//     position subsumes — O(segments), no surviving byte rewritten —
-//     and recovery skips the covered prefix of the one boundary
-//     segment. Previous generations can be retained as operator
-//     artifacts (Options.RetainSnapshots).
+//     budgets, decayed sufficient statistics) in the engine's compact
+//     binary encoding behind a fixed header (magic, format version, the
+//     JournalPos the export covers, payload length, and a CRC-32 over
+//     header and payload; see statefile.go), written with a
+//     write-temp / fsync / atomic-rename / fsync-dir sequence per the
+//     Options cadence (every Nth window close and/or once the journal
+//     outgrows a size bound; see MaybeSnapshotEngine). Compaction then
+//     deletes the sealed segments the covered position subsumes —
+//     O(segments), no surviving byte rewritten — and recovery skips the
+//     covered prefix of the one boundary segment. Previous generations
+//     can be retained as operator artifacts (Options.RetainSnapshots).
 //
 //   - the last published window result (result.json): the estimate the
 //     last window close produced, written atomically like the snapshot,
@@ -60,7 +62,9 @@
 // it can only arise from disk damage, not a crash.
 //
 // A pre-segmentation state directory (a single ledger.journal) is
-// refused on Open with ErrLegacyJournal rather than read or ignored.
+// refused on Open with ErrLegacyJournal rather than read or ignored, and
+// so is one whose snapshot or cluster-close record is still the JSON
+// form earlier versions wrote (ErrLegacySnapshot).
 //
 // All file I/O goes through a storefs.FS (Options.FS; the real
 // filesystem by default), so crash points inside group commit, segment
@@ -95,16 +99,10 @@ const (
 	legacyJournalName = "ledger.journal"
 	lockName          = "LOCK"
 
-	// envelopeVersion marks results and pre-segmentation snapshots;
-	// segmentedSnapshotVersion marks snapshots that carry a covered
-	// JournalPos. The bump is the downgrade guard: a pre-segmentation
-	// binary pointed at a segmented state dir rejects the version-2
-	// snapshot loudly ("unsupported version") instead of accepting the
-	// state while silently ignoring the journal-*.wal segments — which
-	// would erase every charge journaled after the snapshot. This
-	// binary reads both versions.
-	envelopeVersion          = 1
-	segmentedSnapshotVersion = 2
+	// envelopeVersion marks the JSON envelope around persisted window
+	// results (the only files still enveloped; see statefile.go for the
+	// snapshot's binary header).
+	envelopeVersion = 1
 
 	// defaultMaxBatch bounds a group-commit batch when Options.MaxBatch
 	// is zero: large enough that the disk, not the bound, paces ingest.
@@ -123,10 +121,10 @@ var (
 	// ErrLocked reports a state directory already held by another live
 	// store (usually another process).
 	ErrLocked = errors.New("streamstore: state directory locked")
-	// ErrCorruptSnapshot reports a snapshot whose checksum or envelope
-	// does not verify. Snapshots are written atomically, so this means
-	// on-disk damage rather than an interrupted write; recovery should
-	// not silently continue from it.
+	// ErrCorruptSnapshot reports a snapshot whose header, checksum or
+	// payload does not verify. Snapshots are written atomically, so this
+	// means on-disk damage rather than an interrupted write; recovery
+	// should not silently continue from it.
 	ErrCorruptSnapshot = errors.New("streamstore: corrupt snapshot")
 	// ErrCorruptResult reports a persisted window result that fails its
 	// integrity check. Like the snapshot it is written atomically, so
@@ -304,9 +302,10 @@ func Open(dir string) (*Store, error) {
 
 // OpenWith creates (or reopens) the state directory and prepares the
 // segmented ledger journal for appending: a directory holding a legacy
-// single-file journal is refused (ErrLegacyJournal), the
-// highest-sequence segment becomes the active one, and any torn tail left by a crash mid-append is truncated
-// away. The directory is guarded by an advisory lock (LOCK file, flock
+// single-file journal or a JSON-era snapshot is refused
+// (ErrLegacyJournal, ErrLegacySnapshot), the highest-sequence segment
+// becomes the active one, and any torn tail left by a crash mid-append
+// is truncated away. The directory is guarded by an advisory lock (LOCK file, flock
 // on unix, released automatically if the process dies): two processes
 // sharing one state directory would silently overwrite each other's
 // journal records, so a second concurrent Open fails with ErrLocked
@@ -380,15 +379,11 @@ func (s *Store) AppendCharge(rec stream.ChargeRecord) error {
 	return s.commit(line)
 }
 
-// envelope wraps a serialized payload (engine state or window result)
-// with an integrity check: CRC32 is the IEEE checksum of the raw State
-// bytes. Snapshot envelopes additionally carry the JournalPos their
-// state covers (absent in pre-segmentation snapshots, which cover
-// nothing the journal does not re-prove — replay is idempotent).
+// envelope wraps a serialized window or batch result with an integrity
+// check: CRC32 is the IEEE checksum of the raw State bytes.
 type envelope struct {
 	Version int             `json:"version"`
 	CRC32   string          `json:"crc32"`
-	Covered *JournalPos     `json:"covered,omitempty"`
 	State   json.RawMessage `json:"state"`
 }
 
@@ -449,9 +444,9 @@ func (s *Store) MaybeSnapshotEngine(e *stream.Engine) (bool, error) {
 }
 
 // WriteSnapshot atomically replaces the on-disk snapshot with the given
-// engine state: the envelope — carrying covered, the journal position
-// captured before st was exported (see JournalPos; SnapshotEngine does
-// the whole dance) — is written to a temporary file, fsync'd, renamed
+// engine state: the file — its header carrying covered, the journal
+// position captured before st was exported (see JournalPos;
+// SnapshotEngine does the whole dance) — is written to a temporary file, fsync'd, renamed
 // over the snapshot name, and the directory is fsync'd, so a crash at
 // any point leaves either the old snapshot or the new one — never a
 // partial file. When Options.RetainSnapshots is set, the previous
@@ -466,7 +461,7 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if st == nil {
 		return errors.New("streamstore: nil engine state")
 	}
-	body, err := json.Marshal(st)
+	file, err := encodeStateFile(snapshotMagic, covered.Seq, covered.Off, st)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode snapshot: %w", err)
 	}
@@ -478,7 +473,7 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if s.opts.RetainSnapshots > 0 {
 		s.rotateSnapshotsLocked()
 	}
-	if err := s.writeEnvelopeLocked("snapshot", snapshotName, snapshotTmpName, body, &covered); err != nil {
+	if err := s.writeAtomicLocked("snapshot", snapshotName, snapshotTmpName, file); err != nil {
 		return err
 	}
 	s.snapshots++
@@ -517,12 +512,12 @@ func (s *Store) SaveResult(res *stream.WindowResult) error {
 	}
 	if s.opts.ResultHistory > 1 {
 		name := resultHistoryName(res.Window)
-		if err := s.writeEnvelopeLocked("result history", name, name+".tmp", body, nil); err != nil {
+		if err := s.writeEnvelopeLocked("result history", name, name+".tmp", body); err != nil {
 			return err
 		}
 		s.pruneResultHistoryLocked(res.Window)
 	}
-	if err := s.writeEnvelopeLocked("result", resultName, resultTmpName, body, nil); err != nil {
+	if err := s.writeEnvelopeLocked("result", resultName, resultTmpName, body); err != nil {
 		return err
 	}
 	s.resultsSaved++
@@ -544,7 +539,7 @@ func (s *Store) LoadResult() (*stream.WindowResult, error) {
 // loadResultFileLocked reads, verifies, and decodes one persisted result
 // file, restoring NaN for uncovered truths. Callers must hold s.mu.
 func (s *Store) loadResultFileLocked(path string) (*stream.WindowResult, error) {
-	body, _, err := readEnvelope(s.fs, path, ErrCorruptResult)
+	body, err := readEnvelope(s.fs, path)
 	if body == nil || err != nil {
 		return nil, err
 	}
@@ -635,30 +630,30 @@ func (s *Store) LoadResultHistory() ([]*stream.WindowResult, error) {
 	return out, nil
 }
 
-// writeEnvelopeLocked writes payload under a checksummed envelope with
-// the atomic temp/fsync/rename/dir-fsync sequence. covered, when
-// non-nil, records the journal position a snapshot subsumes. Callers
-// must hold s.mu.
-func (s *Store) writeEnvelopeLocked(what, name, tmpName string, payload []byte, covered *JournalPos) error {
-	version := envelopeVersion
-	if covered != nil {
-		version = segmentedSnapshotVersion
-	}
+// writeEnvelopeLocked writes a result payload under its checksummed JSON
+// envelope (writeAtomicLocked). Callers must hold s.mu.
+func (s *Store) writeEnvelopeLocked(what, name, tmpName string, payload []byte) error {
 	env, err := json.Marshal(envelope{
-		Version: version,
+		Version: envelopeVersion,
 		CRC32:   fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)),
-		Covered: covered,
 		State:   payload,
 	})
 	if err != nil {
 		return fmt.Errorf("streamstore: encode %s envelope: %w", what, err)
 	}
+	return s.writeAtomicLocked(what, name, tmpName, env)
+}
+
+// writeAtomicLocked replaces name with data through the atomic
+// temp/fsync/rename/dir-fsync sequence, so a crash at any point leaves
+// the old file or the new one. Callers must hold s.mu.
+func (s *Store) writeAtomicLocked(what, name, tmpName string, data []byte) error {
 	tmp := filepath.Join(s.dir, tmpName)
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("streamstore: create %s temp: %w", what, err)
 	}
-	if _, err := f.Write(env); err != nil {
+	if _, err := f.Write(data); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("streamstore: write %s: %w", what, err)
 	}
@@ -799,50 +794,56 @@ func (s *Store) LoadState() (*stream.EngineState, error) {
 }
 
 // loadSnapshotLocked reads and verifies the snapshot file, returning
-// the engine state plus the journal position the snapshot covers (zero
-// for pre-segmentation snapshots: replay then sees every record, which
-// idempotence makes correct). A nil state means no snapshot exists.
-// Callers must hold s.mu.
+// the engine state plus the journal position the snapshot covers. A nil
+// state means no snapshot exists. Callers must hold s.mu.
 func (s *Store) loadSnapshotLocked() (*stream.EngineState, JournalPos, error) {
-	body, covered, err := readEnvelope(s.fs, filepath.Join(s.dir, snapshotName), ErrCorruptSnapshot)
-	if body == nil || err != nil {
+	file, err := readFileIfExists(s.fs, filepath.Join(s.dir, snapshotName))
+	if file == nil || err != nil {
 		return nil, JournalPos{}, err
 	}
-	st := new(stream.EngineState)
-	if err := json.Unmarshal(body, st); err != nil {
-		return nil, JournalPos{}, fmt.Errorf("%w: decode state: %v", ErrCorruptSnapshot, err)
+	seq, off, st, err := decodeStateFile(file, snapshotMagic)
+	if err != nil {
+		return nil, JournalPos{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
-	return st, covered, nil
+	return st, JournalPos{Seq: seq, Off: off}, nil
 }
 
-// readEnvelope reads and integrity-checks one enveloped file, returning
-// (nil, zero, nil) when the file does not exist and wrapping
-// verification failures in corruptErr. The returned JournalPos is the
-// envelope's covered marker (zero when absent — results and legacy
-// snapshots).
-func readEnvelope(fsys storefs.FS, path string, corruptErr error) ([]byte, JournalPos, error) {
+// readFileIfExists reads a whole file, returning nil bytes (and no
+// error) only when it does not exist.
+func readFileIfExists(fsys storefs.FS, path string) ([]byte, error) {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, JournalPos{}, nil
+		return nil, nil
 	}
 	if err != nil {
-		return nil, JournalPos{}, fmt.Errorf("streamstore: read %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("streamstore: read %s: %w", filepath.Base(path), err)
+	}
+	if data == nil {
+		data = []byte{} // an empty file is damage, not absence
+	}
+	return data, nil
+}
+
+// readEnvelope reads and integrity-checks one enveloped result file
+// (window or batch),
+// returning (nil, nil) when the file does not exist and wrapping
+// verification failures in ErrCorruptResult.
+func readEnvelope(fsys storefs.FS, path string) ([]byte, error) {
+	data, err := readFileIfExists(fsys, path)
+	if data == nil || err != nil {
+		return nil, err
 	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, JournalPos{}, fmt.Errorf("%w: %v", corruptErr, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorruptResult, err)
 	}
-	if env.Version < envelopeVersion || env.Version > segmentedSnapshotVersion {
-		return nil, JournalPos{}, fmt.Errorf("%w: unsupported version %d", corruptErr, env.Version)
+	if env.Version != envelopeVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptResult, env.Version)
 	}
 	if got := fmt.Sprintf("%08x", crc32.ChecksumIEEE(env.State)); got != env.CRC32 {
-		return nil, JournalPos{}, fmt.Errorf("%w: checksum %s, want %s", corruptErr, got, env.CRC32)
+		return nil, fmt.Errorf("%w: checksum %s, want %s", ErrCorruptResult, got, env.CRC32)
 	}
-	covered := JournalPos{}
-	if env.Covered != nil {
-		covered = *env.Covered
-	}
-	return env.State, covered, nil
+	return env.State, nil
 }
 
 // Close releases the journal handle and the directory lock. Appends and

@@ -98,6 +98,12 @@ var (
 	// ignoring the file would silently hand every user their spent
 	// epsilon back, so the store refuses.
 	ErrLegacyJournal = streamstore.ErrLegacyJournal
+	// ErrLegacySnapshot reports a state directory whose snapshot.json or
+	// cluster-close.json is still the JSON form earlier versions wrote,
+	// which this version does not read: booting over it as if the
+	// directory were empty would hand every user it records their spent
+	// epsilon back, so the store refuses and names the file.
+	ErrLegacySnapshot = streamstore.ErrLegacySnapshot
 )
 
 // StreamEngineState is a point-in-time export of a streaming engine —
@@ -123,7 +129,8 @@ type StreamLedger = stream.Ledger
 // rewrite. It implements StreamLedger (StreamConfig.Ledger), a Node
 // opens one with WithPersistence, and StreamStore.Recover rebuilds a
 // fresh engine from everything persisted. A pre-segmentation state
-// directory (a single ledger.journal) is refused with ErrLegacyJournal.
+// directory (a single ledger.journal) is refused with ErrLegacyJournal,
+// a JSON-era snapshot with ErrLegacySnapshot.
 type StreamStore = streamstore.Store
 
 // StreamStoreOptions tunes a stream store's durability/throughput
