@@ -115,15 +115,13 @@ func run(args []string) error {
 		return errors.New("-max-resident-users needs -stream and -state-dir: evicted users spill their budget and estimator state to the store")
 	}
 	if *stream {
-		opts = append(opts, pptd.WithStreamEngine(*objects))
+		opts = append(opts, pptd.WithStreamConfig(pptd.StreamConfig{
+			NumObjects:       *objects,
+			Decay:            *decay,
+			MaxResidentUsers: *maxRes,
+		}))
 		if *interval > 0 {
 			opts = append(opts, pptd.WithWindowInterval(*interval))
-		}
-		if *decay != 1 {
-			opts = append(opts, pptd.WithDecay(*decay))
-		}
-		if *maxRes > 0 {
-			opts = append(opts, pptd.WithMaxResidentUsers(*maxRes))
 		}
 	}
 	if *stateDir != "" {

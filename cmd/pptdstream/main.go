@@ -85,7 +85,6 @@ func run(args []string, out io.Writer) error {
 		segBytes    = fs.Int64("segment-bytes", 0, "size cap per journal segment file; compaction deletes covered segments whole (0 = default 4 MiB)")
 		snapEvery   = fs.Int("snapshot-every", 1, "write an engine snapshot every Nth window close (with -state-dir)")
 		snapBytes   = fs.Int64("snapshot-bytes", 0, "force a snapshot once the journal exceeds this many bytes (0 = no size trigger)")
-		snapRetain  = fs.Int("retain-snapshots", 0, "previous snapshot generations to keep as manual-recovery artifacts")
 		commitWait  = fs.Duration("commit-interval", 0, "how long a group-commit leader lingers for more appends before fsyncing (0 = no added latency)")
 		commitBatch = fs.Int("commit-batch", 0, "max journal records per group-commit fsync (0 = default 256, 1 = fsync per append)")
 		maxResident = fs.Int("max-resident-users", 0, "cap on users kept resident in memory; idle users (no live sufficient statistics — needs -decay < 1 to ever happen) spill to -state-dir at window close and re-admit on their next claim (0 = unbounded)")
@@ -107,9 +106,9 @@ func run(args []string, out io.Writer) error {
 	if *addr != "" && (*stateDir != "" || *interval != 0) {
 		return errors.New("-state-dir and -window-interval configure the in-process server; they cannot apply to an external -addr")
 	}
-	if *snapEvery < 0 || *snapBytes < 0 || *snapRetain < 0 || *segBytes < 0 {
-		return fmt.Errorf("negative persistence flags (-snapshot-every %d, -snapshot-bytes %d, -retain-snapshots %d, -segment-bytes %d)",
-			*snapEvery, *snapBytes, *snapRetain, *segBytes)
+	if *snapEvery < 0 || *snapBytes < 0 || *segBytes < 0 {
+		return fmt.Errorf("negative persistence flags (-snapshot-every %d, -snapshot-bytes %d, -segment-bytes %d)",
+			*snapEvery, *snapBytes, *segBytes)
 	}
 	if (*maxResident > 0 || *resBytes > 0) && *stateDir == "" {
 		return errors.New("-max-resident-users and -resident-bytes need -state-dir: evicted users spill their budget and estimator state to the store")
@@ -134,10 +133,8 @@ func run(args []string, out io.Writer) error {
 
 	baseURL := *addr
 	if baseURL == "" {
-		// One front door: the in-process server is a pptd node built from
-		// functional options. The explicit (lambda1, lambda2, delta) flags
-		// map onto the WithStreamConfig escape hatch; everything else is a
-		// dedicated option.
+		// One front door: the in-process server is a pptd node. The engine
+		// flags map onto StreamConfig fields; the rest are node options.
 		nodeOpts := []pptd.Option{
 			pptd.WithName("pptdstream"),
 			pptd.WithMethod(estimator),
@@ -174,9 +171,6 @@ func run(args []string, out io.Writer) error {
 			}
 			if *segBytes > 0 {
 				popts = append(popts, pptd.WithSegmentBytes(*segBytes))
-			}
-			if *snapRetain > 0 {
-				popts = append(popts, pptd.WithRetainSnapshots(*snapRetain))
 			}
 			if !*claimWAL {
 				popts = append(popts, pptd.WithoutClaimWAL())

@@ -233,7 +233,7 @@ func TestRunDurabilityFlags(t *testing.T) {
 	args := []string{
 		"-users", "6", "-objects", "4", "-windows", "3", "-seed", "5",
 		"-state-dir", dir,
-		"-snapshot-every", "2", "-retain-snapshots", "1",
+		"-snapshot-every", "2",
 		"-commit-interval", "1ms", "-commit-batch", "8",
 	}
 	var first bytes.Buffer

@@ -16,8 +16,7 @@ import (
 func ExampleNewNode() {
 	node, err := pptd.NewNode(
 		pptd.WithName("demo"),
-		pptd.WithStreamEngine(1),
-		pptd.WithWindowHistory(4),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 4}),
 	)
 	if err != nil {
 		fmt.Println("build:", err)
@@ -54,8 +53,8 @@ func ExampleNewNode() {
 // half-configured node with a typed error instead of a silent default.
 func ExampleNewNode_validation() {
 	_, err := pptd.NewNode(
-		pptd.WithStreamEngine(10),
-		pptd.WithEpsilonBudget(5), // budget without any accounting
+		// A budget without any accounting.
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 10, EpsilonBudget: 5}),
 	)
 	fmt.Println(errors.Is(err, pptd.ErrNodeConfig))
 	// Output:

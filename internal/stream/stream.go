@@ -105,8 +105,10 @@ type Config struct {
 	// claims exponentially. Statistics whose decayed mass drops below an
 	// internal floor are evicted to bound memory.
 	Decay float64
-	// Distance selects the claim-to-truth distance of the weight update
-	// (default truth.NormalizedSquaredDistance, matching truth.CRH).
+	// Distance selects the claim-to-truth distance of the CRH weight
+	// update (default truth.NormalizedSquaredDistance, matching
+	// truth.CRH). It parameterizes CRH only: setting it under another
+	// Estimator is a config error.
 	Distance truth.Distance
 	// Tolerance and MaxIterations control the per-window estimation loop
 	// (defaults truth.DefaultTolerance, truth.DefaultMaxIterations).
@@ -191,7 +193,14 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-func (c *Config) validate() error {
+// Validate checks every field rule and fills the zero-value defaults in,
+// so a validated config reads as the engine will run it and validating
+// it again changes nothing. It is the one owner of those rules: New runs
+// it, and a host (pptd.NewNode) runs it on the config it resolved before
+// opening anything. What it cannot see is whether the storage a field
+// needs has been attached yet — the host wires Ledger and UserStore in
+// after validating — so those two checks live in New.
+func (c *Config) Validate() error {
 	switch {
 	case c.NumObjects <= 0:
 		return fmt.Errorf("%w: NumObjects = %d", ErrBadConfig, c.NumObjects)
@@ -201,7 +210,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: QueueDepth = %d", ErrBadConfig, c.QueueDepth)
 	case c.Decay < 0 || c.Decay > 1 || math.IsNaN(c.Decay):
 		return fmt.Errorf("%w: Decay = %v", ErrBadConfig, c.Decay)
-	case c.Tolerance < 0 || math.IsNaN(c.Tolerance):
+	case c.Tolerance < 0 || math.IsNaN(c.Tolerance) || math.IsInf(c.Tolerance, 0):
 		return fmt.Errorf("%w: Tolerance = %v", ErrBadConfig, c.Tolerance)
 	case c.MaxIterations < 0:
 		return fmt.Errorf("%w: MaxIterations = %d", ErrBadConfig, c.MaxIterations)
@@ -213,11 +222,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("%w: MaxResidentUsers = %d", ErrBadConfig, c.MaxResidentUsers)
 	case c.ResidentBytes < 0:
 		return fmt.Errorf("%w: ResidentBytes = %d", ErrBadConfig, c.ResidentBytes)
-	}
-	if (c.MaxResidentUsers > 0 || c.ResidentBytes > 0) && c.UserStore == nil {
-		// Evicting without a durable spill store would hand evicted users
-		// their privacy budget back on their next claim.
-		return fmt.Errorf("%w: residency cap without a UserStore", ErrBadConfig)
 	}
 	if c.HistoryWindows == 0 {
 		c.HistoryWindows = DefaultHistoryWindows
@@ -240,12 +244,22 @@ func (c *Config) validate() error {
 	if !KnownEstimator(c.Estimator) {
 		return fmt.Errorf("%w: unknown estimator %q (have %v)", ErrBadConfig, c.Estimator, EstimatorNames)
 	}
-	switch c.Distance {
-	case 0:
-		c.Distance = truth.NormalizedSquaredDistance
-	case truth.SquaredDistance, truth.AbsoluteDistance, truth.NormalizedSquaredDistance:
-	default:
-		return fmt.Errorf("%w: unknown distance %v", ErrBadConfig, c.Distance)
+	// Distance parameterizes the CRH weight update and nothing else, so
+	// under another estimator it is refused rather than ignored — and
+	// never defaulted, or validating a defaulted config would refuse it.
+	if c.Estimator != EstimatorCRH {
+		if c.Distance != 0 {
+			return fmt.Errorf("%w: Distance = %v parameterizes the CRH estimator, but Estimator is %q",
+				ErrBadConfig, c.Distance, c.Estimator)
+		}
+	} else {
+		switch c.Distance {
+		case 0:
+			c.Distance = truth.NormalizedSquaredDistance
+		case truth.SquaredDistance, truth.AbsoluteDistance, truth.NormalizedSquaredDistance:
+		default:
+			return fmt.Errorf("%w: unknown distance %v", ErrBadConfig, c.Distance)
+		}
 	}
 	if c.Tolerance == 0 {
 		c.Tolerance = truth.DefaultTolerance
@@ -282,9 +296,6 @@ func (c *Config) validate() error {
 		if c.Ledger != nil {
 			return fmt.Errorf("%w: Ledger without Lambda1 accounting", ErrBadConfig)
 		}
-	}
-	if c.ClaimWAL && c.Ledger == nil {
-		return fmt.Errorf("%w: ClaimWAL without a Ledger", ErrBadConfig)
 	}
 	return nil
 }
@@ -358,8 +369,16 @@ type Engine struct {
 // New starts an engine with the given configuration. Callers must
 // eventually Close it to stop the shard workers.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if (cfg.MaxResidentUsers > 0 || cfg.ResidentBytes > 0) && cfg.UserStore == nil {
+		// Evicting without a durable spill store would hand evicted users
+		// their privacy budget back on their next claim.
+		return nil, fmt.Errorf("%w: residency cap without a UserStore", ErrBadConfig)
+	}
+	if cfg.ClaimWAL && cfg.Ledger == nil {
+		return nil, fmt.Errorf("%w: ClaimWAL without a Ledger", ErrBadConfig)
 	}
 	e := &Engine{
 		cfg:   cfg,

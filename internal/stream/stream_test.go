@@ -37,12 +37,28 @@ func TestConfigValidation(t *testing.T) {
 		{NumObjects: 5, Delta: math.NaN()},           // NaN delta without accounting
 		{NumObjects: 5, PerUserReport: true},         // per-user report without accounting
 		{NumObjects: 5, Ledger: nopLedger{}},         // ledger without accounting
+		{NumObjects: 5, Tolerance: math.Inf(1)},
+		{NumObjects: 5, Estimator: EstimatorGTM, Distance: truth.SquaredDistance},   // distance is CRH's
+		{NumObjects: 5, Estimator: EstimatorCATD, Distance: truth.AbsoluteDistance}, // distance is CRH's
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: config %+v accepted, want error", i, cfg)
 		} else if !errors.Is(err, ErrBadConfig) {
 			t.Errorf("case %d: error %v does not wrap ErrBadConfig", i, err)
+		}
+	}
+	// A validated config is a fixed point: validating an engine's own
+	// defaulted config again (a host validates, then New does) neither
+	// fails nor changes it, whichever estimator it names.
+	for _, est := range EstimatorNames {
+		cfg := Config{NumObjects: 5, Estimator: est}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", est, err)
+		}
+		again := cfg
+		if err := again.Validate(); err != nil || again != cfg {
+			t.Errorf("%s: re-validating the defaulted config: err = %v, changed = %v", est, err, again != cfg)
 		}
 	}
 }

@@ -89,43 +89,6 @@ func TestSnapshotCadenceSizeTrigger(t *testing.T) {
 	}
 }
 
-// TestRetainedSnapshotGenerations: with RetainSnapshots 2 the previous
-// two snapshots survive as .1 (newest) and .2, each a valid snapshot
-// file, and the live snapshot is never disturbed.
-func TestRetainedSnapshotGenerations(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{RetainSnapshots: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	for w := 1; w <= 4; w++ {
-		if err := s.WriteSnapshot(&stream.EngineState{Window: w}, s.JournalPos()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantWindow := func(path string, want int) {
-		t.Helper()
-		file, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		_, _, st, err := decodeStateFile(file, snapshotMagic)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if st.Window != want {
-			t.Errorf("%s holds window %d, want %d", filepath.Base(path), st.Window, want)
-		}
-	}
-	wantWindow(filepath.Join(dir, snapshotName), 4)
-	wantWindow(filepath.Join(dir, snapshotName+".1"), 3)
-	wantWindow(filepath.Join(dir, snapshotName+".2"), 2)
-	if _, err := os.Stat(filepath.Join(dir, snapshotName+".3")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("generation .3 retained past the bound: %v", err)
-	}
-}
-
 // TestResultRoundTrip persists a window result — including an uncovered
 // object, whose NaN truth JSON cannot carry — and loads it back across
 // a store reopen.

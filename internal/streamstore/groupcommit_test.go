@@ -146,7 +146,6 @@ func TestOpenWithRejectsBadOptions(t *testing.T) {
 		{SegmentBytes: -1},
 		{SnapshotEvery: -2},
 		{SnapshotBytes: -1},
-		{RetainSnapshots: -1},
 	} {
 		if _, err := OpenWith(t.TempDir(), opts); err == nil {
 			t.Errorf("OpenWith(%+v) succeeded", opts)

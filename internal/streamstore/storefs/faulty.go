@@ -32,7 +32,6 @@ const (
 	OpRemove   OpKind = "remove"
 	OpReadDir  OpKind = "readdir"
 	OpStat     OpKind = "stat"
-	OpLink     OpKind = "link"
 	OpTruncate OpKind = "truncate"
 	OpRead     OpKind = "read"
 	OpReadFile OpKind = "readfile"
@@ -242,14 +241,6 @@ func (fy *Faulty) Stat(name string) (fs.FileInfo, error) {
 	return fy.inner.Stat(name)
 }
 
-// Link implements FS.
-func (fy *Faulty) Link(oldname, newname string) error {
-	if _, err := fy.begin(OpLink, oldname+" -> "+newname, 0, 0); err != nil {
-		return err
-	}
-	return fy.inner.Link(oldname, newname)
-}
-
 // SyncDir implements FS.
 func (fy *Faulty) SyncDir(dir string) error {
 	if _, err := fy.begin(OpSyncDir, dir, 0, 0); err != nil {
@@ -273,14 +264,6 @@ func (fy *Faulty) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return fy.inner.ReadFile(name)
-}
-
-// WriteFile implements FS.
-func (fy *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	if _, err := fy.begin(OpWrite, name, 0, len(data)); err != nil {
-		return err
-	}
-	return fy.inner.WriteFile(name, data, perm)
 }
 
 // faultyFile routes every file operation through the owning Faulty's

@@ -55,9 +55,6 @@ type FS interface {
 	ReadDir(dir string) ([]fs.DirEntry, error)
 	// Stat stats a path like os.Stat.
 	Stat(name string) (fs.FileInfo, error)
-	// Link creates newname as a hard link to oldname (used for retained
-	// snapshot generations; may fail on filesystems without links).
-	Link(oldname, newname string) error
 	// SyncDir fsyncs a directory, making just-created or just-renamed
 	// names durable.
 	SyncDir(dir string) error
@@ -65,9 +62,6 @@ type FS interface {
 	MkdirAll(dir string, perm fs.FileMode) error
 	// ReadFile reads a whole file like os.ReadFile.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile writes a whole file like os.WriteFile (used only for
-	// best-effort artifacts, never for durability-critical state).
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 }
 
 // OS is the production FS: every method delegates to package os.
@@ -96,9 +90,6 @@ func (OS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 // Stat implements FS.
 func (OS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 
-// Link implements FS.
-func (OS) Link(oldname, newname string) error { return os.Link(oldname, newname) }
-
 // SyncDir implements FS.
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -114,8 +105,3 @@ func (OS) MkdirAll(dir string, perm fs.FileMode) error { return os.MkdirAll(dir,
 
 // ReadFile implements FS.
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-// WriteFile implements FS.
-func (OS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}

@@ -28,8 +28,7 @@
 //     outgrows a size bound; see MaybeSnapshotEngine). Compaction then
 //     deletes the sealed segments the covered position subsumes —
 //     O(segments), no surviving byte rewritten — and recovery skips the
-//     covered prefix of the one boundary segment. Previous generations
-//     can be retained as operator artifacts (Options.RetainSnapshots).
+//     covered prefix of the one boundary segment.
 //
 //   - the last published window result (result.json): the estimate the
 //     last window close produced, written atomically like the snapshot,
@@ -175,13 +174,6 @@ type Options struct {
 	// regardless of cadence, bounding both recovery replay time and
 	// disk growth. Zero disables the size trigger.
 	SnapshotBytes int64
-	// RetainSnapshots keeps the previous N snapshot generations
-	// (snapshot.json.1 is the most recent previous) as manual-recovery
-	// artifacts for operators. Recovery never reads them: an older
-	// snapshot combined with a journal compacted against a newer one is
-	// missing charges, and silently falling back would hand users their
-	// spent epsilon back. Zero retains none.
-	RetainSnapshots int
 	// ResultHistory persists the last N published window results (one
 	// result-<window>.json per close, atomically written like result.json
 	// and pruned past the bound), so GET /v1/stream/truths?window=N keeps
@@ -215,8 +207,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("streamstore: SnapshotEvery = %d", o.SnapshotEvery)
 	case o.SnapshotBytes < 0:
 		return fmt.Errorf("streamstore: SnapshotBytes = %d", o.SnapshotBytes)
-	case o.RetainSnapshots < 0:
-		return fmt.Errorf("streamstore: RetainSnapshots = %d", o.RetainSnapshots)
 	case o.ResultHistory < 0:
 		return fmt.Errorf("streamstore: ResultHistory = %d", o.ResultHistory)
 	}
@@ -449,10 +439,7 @@ func (s *Store) MaybeSnapshotEngine(e *stream.Engine) (bool, error) {
 // SnapshotEngine does the whole dance) — is written to a temporary file, fsync'd, renamed
 // over the snapshot name, and the directory is fsync'd, so a crash at
 // any point leaves either the old snapshot or the new one — never a
-// partial file. When Options.RetainSnapshots is set, the previous
-// snapshot is first filed as generation .1 (older generations shift up)
-// without ever touching the live file. After the snapshot is durable
-// the journal is compacted: sealed segments at or before covered are
+// partial file. After the snapshot is durable the journal is compacted: sealed segments at or before covered are
 // deleted whole, records past it — which may postdate the export — are
 // preserved untouched. If compaction is interrupted, replaying stale
 // records is harmless because recovery replay is idempotent and skips
@@ -469,9 +456,6 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
-	}
-	if s.opts.RetainSnapshots > 0 {
-		s.rotateSnapshotsLocked()
 	}
 	if err := s.writeAtomicLocked("snapshot", snapshotName, snapshotTmpName, file); err != nil {
 		return err
@@ -671,32 +655,6 @@ func (s *Store) writeAtomicLocked(what, name, tmpName string, data []byte) error
 		return fmt.Errorf("streamstore: sync state dir: %w", err)
 	}
 	return nil
-}
-
-// rotateSnapshotsLocked files the current snapshot as generation .1,
-// shifting older generations up and dropping the one past
-// RetainSnapshots. Every step leaves snapshot.json itself untouched —
-// the current generation is hard-linked, not moved — so a crash
-// mid-rotation can cost at most a retained copy, never the live
-// snapshot. Failures are ignored for the same reason: generations are
-// operator artifacts, never read by recovery. Callers must hold s.mu.
-func (s *Store) rotateSnapshotsLocked() {
-	cur := filepath.Join(s.dir, snapshotName)
-	if _, err := s.fs.Stat(cur); err != nil {
-		return // nothing to retain yet
-	}
-	gen := func(k int) string { return fmt.Sprintf("%s.%d", cur, k) }
-	for k := s.opts.RetainSnapshots - 1; k >= 1; k-- {
-		_ = s.fs.Rename(gen(k), gen(k+1))
-	}
-	_ = s.fs.Remove(gen(1))
-	if err := s.fs.Link(cur, gen(1)); err != nil {
-		// Hard links can be unsupported (some network filesystems); fall
-		// back to a plain copy of the current bytes.
-		if data, rerr := s.fs.ReadFile(cur); rerr == nil {
-			_ = s.fs.WriteFile(gen(1), data, 0o644)
-		}
-	}
 }
 
 // Recover restores everything the store persists into a freshly

@@ -18,9 +18,9 @@ import (
 )
 
 // ErrNodeConfig reports an invalid NewNode option set: a bad argument, a
-// half-configured feature, or two options that contradict each other.
-// Every configuration error wraps it, so errors.Is(err, ErrNodeConfig)
-// catches them all.
+// half-configured feature, two options that contradict each other, or a
+// StreamConfig its own validation refuses. Every configuration error
+// wraps it, so errors.Is(err, ErrNodeConfig) catches them all.
 var ErrNodeConfig = errors.New("pptd: invalid node configuration")
 
 // Option configures NewNode. Options carry their own validation; cross-
@@ -32,11 +32,14 @@ type Option func(*nodeConfig) error
 // nodeConfig accumulates the option set before validation. The *Set
 // flags distinguish "explicitly configured" from zero values, which is
 // what lets validation reject half-configured feature combinations
-// instead of silently defaulting them.
+// instead of silently defaulting them. The streaming engine has one
+// field here: StreamConfig is its configuration, and the node adds to
+// it only what its own options own (see resolveEngine).
 type nodeConfig struct {
-	name string
+	name            string
+	maxRequestBytes int64
 
-	lambda2    float64
+	lambda2    float64 // the published rate once resolveLambda2 ran
 	lambda2Set bool
 
 	targetEps   float64
@@ -46,43 +49,15 @@ type nodeConfig struct {
 	lambda1    float64
 	lambda1Set bool
 
-	budget    float64
-	budgetSet bool
-	perUser   bool
-
 	batchObjects int
 	batchSet     bool
 	expected     int
 	expectedSet  bool
 	method       Method
 
-	streamObjects  int
-	streamSet      bool
-	streamBase     *StreamConfig
-	shards         int
-	shardsSet      bool
-	decay          float64
-	decaySet       bool
-	history        int
-	historySet     bool
+	stream         *StreamConfig // resolved and validated by resolveEngine
 	windowInterval time.Duration
 	intervalSet    bool
-	distance       Distance
-	distanceSet    bool
-	tolerance      float64
-	toleranceSet   bool
-	maxIter        int
-	maxIterSet     bool
-	queueDepth     int
-	queueSet       bool
-	noCarryover    bool
-
-	maxRequestBytes int64
-
-	maxResident      int
-	maxResidentSet   bool
-	residentBytes    int64
-	residentBytesSet bool
 
 	stateDir    string
 	persistSet  bool
@@ -113,43 +88,13 @@ func WithName(name string) Option {
 	}
 }
 
-// WithBatchCampaign hosts the one-shot batch campaign (Algorithm 2's
-// collect-then-aggregate flow) over numObjects micro-tasks. The
-// truth-discovery method defaults to CRH (WithMethod overrides) and
-// aggregation is manual unless WithExpectedUsers sets a trigger.
-func WithBatchCampaign(numObjects int) Option {
-	return func(c *nodeConfig) error {
-		if numObjects <= 0 {
-			return optErr("WithBatchCampaign: numObjects = %d", numObjects)
-		}
-		if c.batchSet {
-			return optErr("WithBatchCampaign configured twice")
-		}
-		c.batchObjects = numObjects
-		c.batchSet = true
-		return nil
-	}
-}
-
-// WithExpectedUsers auto-aggregates the batch campaign once n users have
-// submitted. Requires WithBatchCampaign.
-func WithExpectedUsers(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithExpectedUsers: n = %d", n)
-		}
-		c.expected = n
-		c.expectedSet = true
-		return nil
-	}
-}
-
 // WithMethod selects the truth-discovery method (default CRH). It
 // applies to every campaign the node hosts: the batch campaign runs the
 // method as given, and the streaming engine runs its incremental
 // counterpart (so the streaming estimators are CRH, GTM, and CATD —
 // configuring a stream engine with a batch-only method like the mean or
-// median baseline fails validation). On a durable node the method is
+// median baseline fails validation, and so does a StreamConfig that
+// names an Estimator of its own). On a durable node the method is
 // also cross-checked against the recovered snapshot: restoring state
 // written by a different estimator fails with ErrStreamEstimatorMismatch
 // instead of silently reinterpreting it. Requires WithBatchCampaign or a
@@ -164,236 +109,48 @@ func WithMethod(m Method) Option {
 	}
 }
 
-// WithStreamEngine hosts the streaming engine over numObjects objects:
-// perturbed claims ingest continuously into sharded workers and every
-// window close publishes an incremental estimate. Defaults: automatic
-// shard count, no decay, no privacy accounting (see WithPrivacyTarget),
-// DefaultStreamHistoryWindows retained results.
-func WithStreamEngine(numObjects int) Option {
-	return func(c *nodeConfig) error {
-		if numObjects <= 0 {
-			return optErr("WithStreamEngine: numObjects = %d", numObjects)
-		}
-		if c.streamSet {
-			return optErr("WithStreamEngine configured twice")
-		}
-		if c.streamBase != nil {
-			return optErr("WithStreamEngine conflicts with WithStreamConfig: the engine config already carries the object count")
-		}
-		c.streamObjects = numObjects
-		c.streamSet = true
-		return nil
+// validate checks the rules that span subsystems, after every option
+// applied: which campaigns the node hosts, and how persistence, the
+// cluster roles and shipping combine. Half-configured or contradictory
+// sets fail with a typed error (wrapped ErrNodeConfig) naming the
+// options involved — never a silent default. The privacy options and
+// the engine configuration are checked by the steps that resolve them
+// (resolveLambda2, resolveEngine).
+func (c *nodeConfig) validate() error {
+	streaming := c.stream != nil
+	switch {
+	case !c.batchSet && !streaming:
+		return optErr("configure at least one of WithBatchCampaign and WithStreamEngine")
+	case c.expectedSet && !c.batchSet:
+		return optErr("WithExpectedUsers requires WithBatchCampaign")
+	case c.intervalSet && !streaming:
+		return optErr("WithWindowInterval requires a stream engine (WithStreamEngine or WithStreamConfig)")
+	case c.clusterWorker && !streaming:
+		return optErr("WithClusterWorker requires a stream engine (WithStreamEngine or WithStreamConfig)")
+	case c.clusterWorker && c.intervalSet:
+		return optErr("WithClusterWorker conflicts with WithWindowInterval: the coordinator drives window closes")
+	case c.clusterSet && !streaming:
+		return optErr("WithClusterCoordinator requires a stream engine config (WithStreamEngine or WithStreamConfig)")
+	case c.shipSet && !c.persistSet:
+		return optErr("WithSegmentShipping requires WithPersistence: shipping replicates the state directory")
+	case c.shipIntervalSet && !c.shipSet:
+		return optErr("WithShippingInterval requires WithSegmentShipping")
 	}
-}
-
-// WithStreamConfig hosts the streaming engine from a full StreamConfig —
-// the advanced escape hatch for knobs without a dedicated option
-// (explicit lambda1/lambda2/delta accounting, claim WAL, metrics
-// registry). Fine-grained stream options that would contradict it
-// (WithStreamEngine, and WithPrivacyTarget when the config enables its
-// own accounting) are rejected at validation.
-func WithStreamConfig(cfg StreamConfig) Option {
-	return func(c *nodeConfig) error {
-		if c.streamSet {
-			return optErr("WithStreamConfig conflicts with WithStreamEngine: the engine config already carries the object count")
+	if c.clusterSet {
+		for opt, set := range map[string]bool{
+			"WithClusterWorker":             c.clusterWorker,
+			"WithPersistence":               c.persistSet,
+			"WithSegmentShipping":           c.shipSet,
+			"WithBatchCampaign":             c.batchSet,
+			"StreamConfig.MaxResidentUsers": c.stream.MaxResidentUsers > 0,
+			"StreamConfig.ResidentBytes":    c.stream.ResidentBytes > 0,
+		} {
+			if set {
+				return optErr("WithClusterCoordinator conflicts with %s: the coordinator holds no engine or durable state of its own", opt)
+			}
 		}
-		if c.streamBase != nil {
-			return optErr("WithStreamConfig configured twice")
-		}
-		base := cfg
-		c.streamBase = &base
-		return nil
 	}
-}
-
-// WithShards overrides the streaming engine's ingestion shard count
-// (default: one per core, capped at 8). Requires a stream engine.
-func WithShards(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithShards: n = %d", n)
-		}
-		c.shards = n
-		c.shardsSet = true
-		return nil
-	}
-}
-
-// WithDecay sets the streaming engine's per-window retention factor in
-// (0, 1]: 1 keeps all history, smaller values forget old claims
-// exponentially. Requires a stream engine.
-func WithDecay(d float64) Option {
-	return func(c *nodeConfig) error {
-		if d <= 0 || d > 1 || math.IsNaN(d) {
-			return optErr("WithDecay: d = %v (want (0, 1])", d)
-		}
-		c.decay = d
-		c.decaySet = true
-		return nil
-	}
-}
-
-// WithWindowInterval closes streaming windows automatically on a ticker,
-// so the deployment does not depend on an external POST
-// /v1/stream/window driver. Requires a stream engine.
-func WithWindowInterval(d time.Duration) Option {
-	return func(c *nodeConfig) error {
-		if d <= 0 {
-			return optErr("WithWindowInterval: d = %v", d)
-		}
-		c.windowInterval = d
-		c.intervalSet = true
-		return nil
-	}
-}
-
-// WithWindowHistory retains the last k published window results for
-// GET /v1/stream/truths?window=N reads (default
-// DefaultStreamHistoryWindows). On a durable node the same k recent
-// results are persisted, so history reads survive a kill-and-recover.
-// Requires a stream engine.
-func WithWindowHistory(k int) Option {
-	return func(c *nodeConfig) error {
-		if k <= 0 {
-			return optErr("WithWindowHistory: k = %d", k)
-		}
-		c.history = k
-		c.historySet = true
-		return nil
-	}
-}
-
-// WithStreamDistance selects the claim-to-truth distance of the
-// streaming CRH weight update (default NormalizedSquaredDistance,
-// matching batch CRH). It parameterizes the CRH estimator only, so it
-// conflicts with WithMethod selecting GTM or CATD. Requires a stream
-// engine.
-func WithStreamDistance(d Distance) Option {
-	return func(c *nodeConfig) error {
-		switch d {
-		case SquaredDistance, AbsoluteDistance, NormalizedSquaredDistance:
-		default:
-			return optErr("WithStreamDistance: unknown distance %v", d)
-		}
-		c.distance = d
-		c.distanceSet = true
-		return nil
-	}
-}
-
-// WithStreamTolerance sets the convergence tolerance of the streaming
-// estimation loop: a window's iteration stops once no truth moved by
-// more than tol (default truth.DefaultTolerance). Requires a stream
-// engine.
-func WithStreamTolerance(tol float64) Option {
-	return func(c *nodeConfig) error {
-		if tol <= 0 || math.IsNaN(tol) || math.IsInf(tol, 0) {
-			return optErr("WithStreamTolerance: tol = %v", tol)
-		}
-		c.tolerance = tol
-		c.toleranceSet = true
-		return nil
-	}
-}
-
-// WithStreamMaxIterations caps the streaming estimation loop's
-// iterations per window close (default truth.DefaultMaxIterations).
-// Requires a stream engine.
-func WithStreamMaxIterations(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithStreamMaxIterations: n = %d", n)
-		}
-		c.maxIter = n
-		c.maxIterSet = true
-		return nil
-	}
-}
-
-// WithQueueDepth sets the per-shard ingestion channel buffer (default
-// 64): deeper queues absorb burstier submission traffic before Ingest
-// blocks, at the cost of memory. Requires a stream engine.
-func WithQueueDepth(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithQueueDepth: n = %d", n)
-		}
-		c.queueDepth = n
-		c.queueSet = true
-		return nil
-	}
-}
-
-// WithMaxRequestBytes caps the request body of every POST route the
-// node serves — stream claims, batch submissions, and (on cluster
-// workers and coordinators) the cluster close/commit RPCs. An oversized
-// body is refused with the 413 payload_too_large envelope before it is
-// buffered, so one client cannot exhaust the node's memory with a
-// single giant request. The default is 16 MiB (see the API docs);
-// raise it for deployments whose legitimate batches are larger, or
-// lower it to tighten the ingest surface.
-func WithMaxRequestBytes(n int64) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithMaxRequestBytes: n = %d", n)
-		}
-		c.maxRequestBytes = n
-		return nil
-	}
-}
-
-// WithMaxResidentUsers caps how many distinct users the streaming
-// engine holds in memory: at each window close, idle users past the cap
-// are evicted LRU-first, their budget and estimator state spilled
-// durably to the persistence store, and re-admitted transparently on
-// their next claim. Published estimates are unchanged — only fully
-// decayed (statistics-free) users are eligible — and privacy accounting
-// never forgets a charge: an exhausted user stays rejected across
-// eviction, re-admission, and restart. Requires a stream engine and
-// WithPersistence (the spill store).
-func WithMaxResidentUsers(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithMaxResidentUsers: n = %d", n)
-		}
-		if c.maxResidentSet {
-			return optErr("WithMaxResidentUsers configured twice")
-		}
-		c.maxResident = n
-		c.maxResidentSet = true
-		return nil
-	}
-}
-
-// WithResidentBytes caps the streaming engine's estimated in-memory
-// user footprint in bytes instead of (or in addition to) a head count;
-// eviction behaves exactly as under WithMaxResidentUsers. Requires a
-// stream engine and WithPersistence (the spill store).
-func WithResidentBytes(n int64) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithResidentBytes: n = %d", n)
-		}
-		if c.residentBytesSet {
-			return optErr("WithResidentBytes configured twice")
-		}
-		c.residentBytes = n
-		c.residentBytesSet = true
-		return nil
-	}
-}
-
-// WithoutWeightCarryover makes every streaming window's estimation
-// restart from uniform weights instead of warm-starting from the
-// previous window's estimates (and, under GTM, resets the learned
-// per-user variances each window). The published estimates are
-// identical either way once converged; carryover only saves iterations.
-// Requires a stream engine.
-func WithoutWeightCarryover() Option {
-	return func(c *nodeConfig) error {
-		c.noCarryover = true
-		return nil
-	}
+	return nil
 }
 
 // WithLambda2 publishes an explicit perturbation rate lambda2 to users
@@ -416,8 +173,9 @@ func WithLambda2(lambda2 float64) Option {
 // the node derives the lambda2 to publish from the target via the
 // paper's accountant (Theorem 4.8) and meters every streaming user's
 // cumulative spending, both eps and delta composing linearly across
-// their windows. Requires WithDataQuality (the accountant's assumed
-// error-variance rate); conflicts with WithLambda2.
+// their windows (StreamConfig.EpsilonBudget caps the total). Requires
+// WithDataQuality (the accountant's assumed error-variance rate);
+// conflicts with WithLambda2.
 func WithPrivacyTarget(eps, delta float64) Option {
 	return func(c *nodeConfig) error {
 		if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
@@ -447,132 +205,138 @@ func WithDataQuality(lambda1 float64) Option {
 	}
 }
 
-// WithEpsilonBudget caps each streaming user's cumulative epsilon:
-// submissions that would start a window past the cap are rejected
-// (budget_exhausted on the wire). Requires privacy accounting
-// (WithPrivacyTarget, or WithStreamConfig with Lambda1 set).
-func WithEpsilonBudget(budget float64) Option {
-	return func(c *nodeConfig) error {
-		if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
-			return optErr("WithEpsilonBudget: budget = %v", budget)
+// resolveLambda2 checks the privacy options against each other and
+// settles the perturbation rate the node publishes: the explicit
+// WithLambda2, the rate the accountant derives from WithPrivacyTarget,
+// or the one StreamConfig.Lambda2 carries.
+func (c *nodeConfig) resolveLambda2() error {
+	switch {
+	case c.lambda2Set && c.targetSet:
+		return optErr("WithLambda2 conflicts with WithPrivacyTarget: the target derives lambda2")
+	case c.targetSet && !c.lambda1Set:
+		return optErr("WithPrivacyTarget requires WithDataQuality (the accountant's error-variance rate)")
+	case c.lambda1Set && !c.targetSet:
+		return optErr("WithDataQuality requires WithPrivacyTarget (nothing to account without a target)")
+	}
+	if c.targetSet {
+		acct, err := NewAccountant(c.lambda1)
+		if err != nil {
+			return fmt.Errorf("%w: %w", ErrNodeConfig, err)
 		}
-		c.budget = budget
-		c.budgetSet = true
+		mech, err := acct.MechanismForEpsilon(c.targetEps, c.targetDelta)
+		if err != nil {
+			return fmt.Errorf("%w: WithPrivacyTarget(%v, %v): %w",
+				ErrNodeConfig, c.targetEps, c.targetDelta, err)
+		}
+		c.lambda2 = mech.Lambda2()
+	}
+	if c.lambda2 == 0 && c.stream != nil {
+		c.lambda2 = c.stream.Lambda2
+	}
+	if c.batchSet && c.lambda2 <= 0 {
+		return optErr("WithBatchCampaign requires a perturbation rate (WithLambda2 or WithPrivacyTarget)")
+	}
+	return nil
+}
+
+// WithStreamEngine hosts the streaming engine over numObjects objects
+// with every default: shorthand for
+// WithStreamConfig(StreamConfig{NumObjects: numObjects}).
+func WithStreamEngine(numObjects int) Option {
+	return WithStreamConfig(StreamConfig{NumObjects: numObjects})
+}
+
+// WithStreamConfig hosts the streaming engine: perturbed claims ingest
+// continuously into sharded workers and every window close publishes an
+// incremental estimate. StreamConfig is the engine's whole
+// configuration — shard count, decay, estimator parameters, result
+// history, per-user budget, residency caps; only NumObjects is required
+// — and its own validation (StreamConfig.Validate) owns every field
+// rule: NewNode runs it before anything is opened and wraps what it
+// reports in ErrNodeConfig. The node fills in the fields its other
+// options own, and refuses to overwrite one the config already set:
+// Estimator (WithMethod), Lambda1/Delta/Lambda2 (WithPrivacyTarget,
+// WithLambda2), ClaimWAL (on by default on an accounted node with
+// WithPersistence; see WithoutClaimWAL), and — when left nil — Ledger,
+// UserStore and Metrics from the node's own store and registry.
+func WithStreamConfig(cfg StreamConfig) Option {
+	return func(c *nodeConfig) error {
+		if c.stream != nil {
+			return optErr("WithStreamConfig configured twice (WithStreamEngine is shorthand for it)")
+		}
+		c.stream = &cfg
 		return nil
 	}
 }
 
-// WithPerUserReport opts the full per-user cumulative-epsilon map into
-// privacy reports (default: aggregates only — the map is the complete
-// historical client-ID roster). Requires privacy accounting.
-func WithPerUserReport() Option {
-	return func(c *nodeConfig) error {
-		c.perUser = true
-		return nil
-	}
-}
-
-// WithClusterWorker exposes the node's streaming engine as a cluster
-// shard worker: the coordinator-facing close/commit RPCs are mounted
-// next to the streaming API, so a ClusterCoordinator can route this
-// node's share of users here and drive its window closes. Because the
-// coordinator owns the close schedule, it conflicts with
-// WithWindowInterval. Requires a stream engine.
-func WithClusterWorker() Option {
-	return func(c *nodeConfig) error {
-		c.clusterWorker = true
-		return nil
-	}
-}
-
-// WithClusterCoordinator makes the node the ingest coordinator of a
-// sharded cluster over the given worker base URLs: instead of hosting a
-// local engine, the node routes each user's claims to the worker owning
-// them on the hash ring and runs the merge-estimate close protocol, so
-// GET /v1/stream/truths serves cluster-wide estimates identical to a
-// single node's. The stream options (WithStreamEngine or
-// WithStreamConfig, WithMethod, WithDecay, privacy options, ...)
-// describe the engine configuration shared with the workers, which is
-// cross-checked against each worker at startup; WithWindowInterval
-// drives cluster-wide closes. The coordinator holds no durable state —
-// durability lives on the workers — so it conflicts with
-// WithPersistence, residency caps, segment shipping, WithClusterWorker,
-// and WithBatchCampaign.
-func WithClusterCoordinator(workers ...string) Option {
-	return func(c *nodeConfig) error {
-		if len(workers) == 0 {
-			return optErr("WithClusterCoordinator: no workers")
-		}
-		if c.clusterSet {
-			return optErr("WithClusterCoordinator configured twice")
-		}
-		c.clusterWorkers = append([]string(nil), workers...)
-		c.clusterSet = true
-		return nil
-	}
-}
-
-// WithSegmentShipping replicates the node's durable state to dest in
-// the background: sealed journal segments ship once, the active
-// segment's durable prefix, snapshots, results, and the spill file
-// follow on every pass. dest is a local archive directory, or — with an
-// http:// or https:// scheme — the base URL of a ClusterFollower; a
-// fresh node pointed at the replica recovers to the shipped state
-// (warm standby, point-in-time restore, read replica). Requires
-// WithPersistence.
-func WithSegmentShipping(dest string) Option {
-	return func(c *nodeConfig) error {
-		if dest == "" {
-			return optErr("WithSegmentShipping: empty destination")
-		}
-		if c.shipSet {
-			return optErr("WithSegmentShipping configured twice")
-		}
-		c.shipDest = dest
-		c.shipSet = true
-		return nil
-	}
-}
-
-// WithShippingInterval sets the segment-shipping cadence (default 5s).
-// Requires WithSegmentShipping.
-func WithShippingInterval(d time.Duration) Option {
+// WithWindowInterval closes streaming windows automatically on a ticker,
+// so the deployment does not depend on an external POST
+// /v1/stream/window driver. Requires a stream engine.
+func WithWindowInterval(d time.Duration) Option {
 	return func(c *nodeConfig) error {
 		if d <= 0 {
-			return optErr("WithShippingInterval: d = %v", d)
+			return optErr("WithWindowInterval: d = %v", d)
 		}
-		c.shipInterval = d
-		c.shipIntervalSet = true
+		c.windowInterval = d
+		c.intervalSet = true
 		return nil
 	}
 }
 
-// WithLogger emits one structured log line per HTTP request through the
-// given slog logger: request_id, method, route pattern, path, status,
-// duration, bytes, and the error-envelope code on failures (5xx at
-// error level, everything else at info). The request_id is the
-// X-Request-ID the response echoed, so a client-reported failure joins
-// against the log stream directly. Without this option the node logs
-// nothing; request metrics are collected either way.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *nodeConfig) error {
-		if l == nil {
-			return optErr("WithLogger: nil logger")
+// resolveEngine turns the WithStreamConfig value into the configuration
+// the engine (on a coordinator, the merge engine) runs. The node adds
+// only what its other options own — the estimator, the privacy rates,
+// the claim-WAL default — checks those against what the config already
+// carries, and leaves every field rule to the config's own validation.
+func (c *nodeConfig) resolveEngine() error {
+	eng := c.stream
+	if eng == nil {
+		return nil
+	}
+	if c.method != nil {
+		if eng.Estimator != "" {
+			return optErr("WithMethod conflicts with WithStreamConfig.Estimator")
 		}
-		c.logger = l
-		return nil
+		if !stream.KnownEstimator(c.method.Name()) {
+			return optErr("WithMethod: %q is batch-only; streaming estimators are %v",
+				c.method.Name(), stream.EstimatorNames)
+		}
+		eng.Estimator = c.method.Name()
 	}
-}
-
-// WithDebugHandlers mounts net/http/pprof's profiling endpoints under
-// /debug/pprof/ on the node's mux. Opt-in: the profiles expose
-// operational internals (goroutine stacks, heap contents) that do not
-// belong on an unguarded public listener.
-func WithDebugHandlers() Option {
-	return func(c *nodeConfig) error {
-		c.debug = true
-		return nil
+	if c.targetSet {
+		if eng.Lambda1 > 0 {
+			return optErr("WithPrivacyTarget conflicts with WithStreamConfig accounting (Lambda1 set)")
+		}
+		eng.Lambda1, eng.Delta = c.lambda1, c.targetDelta
 	}
+	if c.lambda2Set && eng.Lambda2 > 0 {
+		return optErr("WithLambda2 conflicts with WithStreamConfig.Lambda2")
+	}
+	eng.Lambda2 = c.lambda2
+	if (eng.MaxResidentUsers > 0 || eng.ResidentBytes > 0) && !c.persistSet && eng.UserStore == nil {
+		return optErr("residency caps (StreamConfig.MaxResidentUsers / ResidentBytes) require WithPersistence: evicted users spill to the store")
+	}
+	if eng.ClaimWAL {
+		// An explicit ClaimWAL must stay loud, never silently defaulted
+		// away: it conflicts with WithoutClaimWAL, it is meaningless
+		// without accounting (claims ride the charge journal), and it
+		// needs a durable journal to ride.
+		switch {
+		case c.claimWALOff:
+			return optErr("WithoutClaimWAL conflicts with WithStreamConfig.ClaimWAL")
+		case eng.Lambda1 <= 0:
+			return optErr("WithStreamConfig.ClaimWAL requires accounting (Lambda1 > 0): claims ride the charge journal")
+		case !c.persistSet && eng.Ledger == nil:
+			return optErr("WithStreamConfig.ClaimWAL requires WithPersistence (or an explicit Ledger) to journal into")
+		}
+	} else if c.persistSet && !c.claimWALOff && eng.Lambda1 > 0 {
+		// Default the claim WAL on for accounted durable nodes.
+		eng.ClaimWAL = true
+	}
+	if err := eng.Validate(); err != nil {
+		return fmt.Errorf("%w: WithStreamConfig: %w", ErrNodeConfig, err)
+	}
+	return nil
 }
 
 // PersistenceOption tunes WithPersistence.
@@ -584,11 +348,12 @@ type PersistenceOption func(*nodeConfig) error
 // with an fsync before the submission is acknowledged, each window
 // close persists its published result (the retained history, so
 // ?window= reads survive restarts), the engine is snapshotted per the
-// configured cadence, and residency-cap evictions (WithMaxResidentUsers
-// / WithResidentBytes) spill user state to the same store. On the batch
-// side, every accepted submission is WAL'd before its receipt and the
-// aggregated result persists before it is first published. The node
-// owns the store: NewNode opens it and Node.Close closes it.
+// configured cadence, and residency-cap evictions
+// (StreamConfig.MaxResidentUsers / ResidentBytes) spill user state to
+// the same store. On the batch side, every accepted submission is WAL'd
+// before its receipt and the aggregated result persists before it is
+// first published. The node owns the store: NewNode opens it and
+// Node.Close closes it.
 func WithPersistence(dir string, opts ...PersistenceOption) Option {
 	return func(c *nodeConfig) error {
 		if dir == "" {
@@ -650,18 +415,6 @@ func WithSegmentBytes(n int64) PersistenceOption {
 	}
 }
 
-// WithRetainSnapshots keeps the previous n snapshot generations as
-// manual-recovery artifacts (recovery never reads them).
-func WithRetainSnapshots(n int) PersistenceOption {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithRetainSnapshots: n = %d", n)
-		}
-		c.store.RetainSnapshots = n
-		return nil
-	}
-}
-
 // WithGroupCommit tunes journal group commit: how long a batch leader
 // lingers for more concurrent appends before fsyncing (0 = no added
 // latency) and the records one batch may carry (0 = default 256, 1 =
@@ -692,165 +445,330 @@ func WithoutClaimWAL() PersistenceOption {
 	}
 }
 
-// validate checks cross-option consistency after every option applied.
-// Half-configured or contradictory sets fail with a typed error (wrapped
-// ErrNodeConfig) naming the options involved — never a silent default.
-func (c *nodeConfig) validate() error {
-	streaming := c.streamSet || c.streamBase != nil
-	if !c.batchSet && !streaming {
-		return optErr("configure at least one of WithBatchCampaign and WithStreamEngine")
+// openStore opens the WithPersistence state directory. The store serves
+// whichever campaigns the node hosts — the batch WAL needs no stream
+// engine.
+func (n *Node) openStore(c *nodeConfig) error {
+	if !c.persistSet {
+		return nil
 	}
-	if c.expectedSet && !c.batchSet {
-		return optErr("WithExpectedUsers requires WithBatchCampaign")
+	if c.stream != nil {
+		// Persist as many recent results as the engine retains, so
+		// ?window= reads answer the same span across a restart.
+		c.store.ResultHistory = c.stream.HistoryWindows
 	}
-	if c.method != nil && streaming && !stream.KnownEstimator(c.method.Name()) {
-		return optErr("WithMethod: %q is batch-only; streaming estimators are %v",
-			c.method.Name(), stream.EstimatorNames)
+	c.store.Metrics = n.metrics
+	store, err := streamstore.OpenWith(c.stateDir, c.store)
+	if err != nil {
+		return err
 	}
-	if c.distanceSet && c.method != nil && c.method.Name() != stream.EstimatorCRH {
-		return optErr("WithStreamDistance parameterizes the CRH estimator, but WithMethod selected %q", c.method.Name())
+	n.store = store
+	return nil
+}
+
+// WithClusterWorker exposes the node's streaming engine as a cluster
+// shard worker: the coordinator-facing close/commit RPCs are mounted
+// next to the streaming API, so a ClusterCoordinator can route this
+// node's share of users here and drive its window closes. Because the
+// coordinator owns the close schedule, it conflicts with
+// WithWindowInterval. Requires a stream engine.
+func WithClusterWorker() Option {
+	return func(c *nodeConfig) error {
+		c.clusterWorker = true
+		return nil
 	}
-	for opt, set := range map[string]bool{
-		"WithShards":              c.shardsSet,
-		"WithDecay":               c.decaySet,
-		"WithWindowInterval":      c.intervalSet,
-		"WithWindowHistory":       c.historySet,
-		"WithEpsilonBudget":       c.budgetSet,
-		"WithPerUserReport":       c.perUser,
-		"WithStreamDistance":      c.distanceSet,
-		"WithStreamTolerance":     c.toleranceSet,
-		"WithStreamMaxIterations": c.maxIterSet,
-		"WithQueueDepth":          c.queueSet,
-		"WithoutWeightCarryover":  c.noCarryover,
-		"WithMaxResidentUsers":    c.maxResidentSet,
-		"WithResidentBytes":       c.residentBytesSet,
-	} {
-		if set && !streaming {
-			return optErr("%s requires a stream engine (WithStreamEngine or WithStreamConfig)", opt)
+}
+
+// WithClusterCoordinator makes the node the ingest coordinator of a
+// sharded cluster over the given worker base URLs: instead of hosting a
+// local engine, the node routes each user's claims to the worker owning
+// them on the hash ring and runs the merge-estimate close protocol, so
+// GET /v1/stream/truths serves cluster-wide estimates identical to a
+// single node's. The engine configuration (WithStreamEngine or
+// WithStreamConfig, plus WithMethod and the privacy options) is the one
+// shared with the workers, which is cross-checked against each worker
+// at startup; WithWindowInterval drives cluster-wide closes. The
+// coordinator holds no durable state — durability lives on the workers
+// — so it conflicts with WithPersistence, residency caps, segment
+// shipping, WithClusterWorker, and WithBatchCampaign.
+func WithClusterCoordinator(workers ...string) Option {
+	return func(c *nodeConfig) error {
+		if len(workers) == 0 {
+			return optErr("WithClusterCoordinator: no workers")
 		}
+		if c.clusterSet {
+			return optErr("WithClusterCoordinator configured twice")
+		}
+		c.clusterWorkers = append([]string(nil), workers...)
+		c.clusterSet = true
+		return nil
 	}
-	// WithPersistence serves either campaign (the batch WAL needs no
-	// stream engine), but never neither — validated above.
-	if (c.maxResidentSet || c.residentBytesSet) && !c.persistSet &&
-		(c.streamBase == nil || c.streamBase.UserStore == nil) {
-		return optErr("residency caps (WithMaxResidentUsers / WithResidentBytes) require WithPersistence: evicted users spill to the store")
+}
+
+// startStream starts what sits behind the streaming API: the local
+// stream server over the node's store, or — in coordinator mode, where
+// the engine config describes the cluster's shared engine and no local
+// engine runs — the cluster coordinator.
+func (n *Node) startStream(c *nodeConfig) error {
+	if c.stream == nil {
+		return nil
 	}
-	if c.clusterWorker && !streaming {
-		return optErr("WithClusterWorker requires a stream engine (WithStreamEngine or WithStreamConfig)")
-	}
-	if c.clusterWorker && c.intervalSet {
-		return optErr("WithClusterWorker conflicts with WithWindowInterval: the coordinator drives window closes")
+	if c.stream.Metrics == nil {
+		c.stream.Metrics = n.metrics
 	}
 	if c.clusterSet {
-		if !streaming {
-			return optErr("WithClusterCoordinator requires a stream engine config (WithStreamEngine or WithStreamConfig)")
+		coord, err := cluster.NewCoordinator(cluster.Config{
+			Name:            c.name,
+			Engine:          *c.stream,
+			Workers:         c.clusterWorkers,
+			WindowInterval:  c.windowInterval,
+			MaxRequestBytes: c.maxRequestBytes,
+			Metrics:         n.metrics,
+		})
+		if err != nil {
+			return err
 		}
-		for opt, set := range map[string]bool{
-			"WithClusterWorker":    c.clusterWorker,
-			"WithPersistence":      c.persistSet,
-			"WithSegmentShipping":  c.shipSet,
-			"WithBatchCampaign":    c.batchSet,
-			"WithMaxResidentUsers": c.maxResidentSet,
-			"WithResidentBytes":    c.residentBytesSet,
-		} {
-			if set {
-				return optErr("WithClusterCoordinator conflicts with %s: the coordinator holds no engine or durable state of its own", opt)
-			}
-		}
+		n.coord = coord
+		return nil
 	}
-	if c.shipSet && !c.persistSet {
-		return optErr("WithSegmentShipping requires WithPersistence: shipping replicates the state directory")
+	srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{
+		Name:            c.name,
+		Engine:          *c.stream,
+		Persistence:     n.store,
+		WindowInterval:  c.windowInterval,
+		MaxRequestBytes: c.maxRequestBytes,
+	})
+	if err != nil {
+		return err
 	}
-	if c.shipIntervalSet && !c.shipSet {
-		return optErr("WithShippingInterval requires WithSegmentShipping")
-	}
-	if c.lambda2Set && c.targetSet {
-		return optErr("WithLambda2 conflicts with WithPrivacyTarget: the target derives lambda2")
-	}
-	if c.targetSet && !c.lambda1Set {
-		return optErr("WithPrivacyTarget requires WithDataQuality (the accountant's error-variance rate)")
-	}
-	if c.lambda1Set && !c.targetSet {
-		return optErr("WithDataQuality requires WithPrivacyTarget (nothing to account without a target)")
-	}
-	if c.streamBase != nil {
-		if c.targetSet && c.streamBase.Lambda1 > 0 {
-			return optErr("WithPrivacyTarget conflicts with WithStreamConfig accounting (Lambda1 set)")
-		}
-		if c.lambda2Set && c.streamBase.Lambda2 > 0 {
-			return optErr("WithLambda2 conflicts with WithStreamConfig.Lambda2")
-		}
-		if c.historySet && c.streamBase.HistoryWindows != 0 {
-			return optErr("WithWindowHistory conflicts with WithStreamConfig.HistoryWindows")
-		}
-		if c.shardsSet && c.streamBase.NumShards != 0 {
-			return optErr("WithShards conflicts with WithStreamConfig.NumShards")
-		}
-		if c.decaySet && c.streamBase.Decay != 0 {
-			return optErr("WithDecay conflicts with WithStreamConfig.Decay")
-		}
-		if c.method != nil && c.streamBase.Estimator != "" {
-			return optErr("WithMethod conflicts with WithStreamConfig.Estimator")
-		}
-		if c.distanceSet {
-			if c.streamBase.Distance != 0 {
-				return optErr("WithStreamDistance conflicts with WithStreamConfig.Distance")
-			}
-			if est := c.streamBase.Estimator; est != "" && est != stream.EstimatorCRH {
-				return optErr("WithStreamDistance parameterizes the CRH estimator, but WithStreamConfig.Estimator is %q", est)
-			}
-		}
-		if c.toleranceSet && c.streamBase.Tolerance != 0 {
-			return optErr("WithStreamTolerance conflicts with WithStreamConfig.Tolerance")
-		}
-		if c.maxIterSet && c.streamBase.MaxIterations != 0 {
-			return optErr("WithStreamMaxIterations conflicts with WithStreamConfig.MaxIterations")
-		}
-		if c.queueSet && c.streamBase.QueueDepth != 0 {
-			return optErr("WithQueueDepth conflicts with WithStreamConfig.QueueDepth")
-		}
-		if c.noCarryover && c.streamBase.DisableCarryover {
-			return optErr("WithoutWeightCarryover conflicts with WithStreamConfig.DisableCarryover")
-		}
-		if c.budgetSet && c.streamBase.EpsilonBudget != 0 {
-			return optErr("WithEpsilonBudget conflicts with WithStreamConfig.EpsilonBudget")
-		}
-		if c.perUser && c.streamBase.PerUserReport {
-			return optErr("WithPerUserReport conflicts with WithStreamConfig.PerUserReport")
-		}
-		if c.maxResidentSet && c.streamBase.MaxResidentUsers != 0 {
-			return optErr("WithMaxResidentUsers conflicts with WithStreamConfig.MaxResidentUsers")
-		}
-		if c.residentBytesSet && c.streamBase.ResidentBytes != 0 {
-			return optErr("WithResidentBytes conflicts with WithStreamConfig.ResidentBytes")
-		}
-		// An explicit ClaimWAL in the escape hatch must stay loud, never
-		// silently defaulted away: it conflicts with WithoutClaimWAL, it
-		// is meaningless without accounting (claims ride the charge
-		// journal), and it needs a durable journal to ride.
-		if c.streamBase.ClaimWAL {
-			if c.claimWALOff {
-				return optErr("WithoutClaimWAL conflicts with WithStreamConfig.ClaimWAL")
-			}
-			if c.streamBase.Lambda1 <= 0 {
-				return optErr("WithStreamConfig.ClaimWAL requires accounting (Lambda1 > 0): claims ride the charge journal")
-			}
-			if !c.persistSet && c.streamBase.Ledger == nil {
-				return optErr("WithStreamConfig.ClaimWAL requires WithPersistence (or an explicit Ledger) to journal into")
-			}
-		}
-	}
-	accounting := c.targetSet || (c.streamBase != nil && c.streamBase.Lambda1 > 0)
-	if c.budgetSet && !accounting {
-		return optErr("WithEpsilonBudget requires privacy accounting (WithPrivacyTarget or WithStreamConfig.Lambda1)")
-	}
-	if c.perUser && !accounting {
-		return optErr("WithPerUserReport requires privacy accounting (WithPrivacyTarget or WithStreamConfig.Lambda1)")
-	}
-	if c.batchSet && !c.lambda2Set && !c.targetSet && (c.streamBase == nil || c.streamBase.Lambda2 <= 0) {
-		return optErr("WithBatchCampaign requires a perturbation rate (WithLambda2 or WithPrivacyTarget)")
-	}
+	n.stream = srv
 	return nil
+}
+
+// WithSegmentShipping replicates the node's durable state to dest in
+// the background: sealed journal segments ship once, the active
+// segment's durable prefix, snapshots, results, and the spill file
+// follow on every pass. dest is a local archive directory, or — with an
+// http:// or https:// scheme — the base URL of a ClusterFollower; a
+// fresh node pointed at the replica recovers to the shipped state
+// (warm standby, point-in-time restore, read replica). Requires
+// WithPersistence.
+func WithSegmentShipping(dest string) Option {
+	return func(c *nodeConfig) error {
+		if dest == "" {
+			return optErr("WithSegmentShipping: empty destination")
+		}
+		if c.shipSet {
+			return optErr("WithSegmentShipping configured twice")
+		}
+		c.shipDest = dest
+		c.shipSet = true
+		return nil
+	}
+}
+
+// WithShippingInterval sets the segment-shipping cadence (default 5s).
+// Requires WithSegmentShipping.
+func WithShippingInterval(d time.Duration) Option {
+	return func(c *nodeConfig) error {
+		if d <= 0 {
+			return optErr("WithShippingInterval: d = %v", d)
+		}
+		c.shipInterval = d
+		c.shipIntervalSet = true
+		return nil
+	}
+}
+
+// startShipper starts the WithSegmentShipping loop over the node's store.
+func (n *Node) startShipper(c *nodeConfig) error {
+	if !c.shipSet {
+		return nil
+	}
+	var sink cluster.Sink
+	var err error
+	if strings.HasPrefix(c.shipDest, "http://") || strings.HasPrefix(c.shipDest, "https://") {
+		sink, err = cluster.NewHTTPSink(c.shipDest, nil)
+	} else {
+		sink, err = cluster.NewDirSink(c.shipDest)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: WithSegmentShipping(%q): %w", ErrNodeConfig, c.shipDest, err)
+	}
+	interval := c.shipInterval
+	if interval <= 0 {
+		interval = 5 * time.Second
+	}
+	shipper, err := cluster.NewShipper(n.store, sink, interval, n.metrics)
+	if err != nil {
+		return err
+	}
+	n.shipper = shipper
+	shipper.Start()
+	return nil
+}
+
+// WithBatchCampaign hosts the one-shot batch campaign (Algorithm 2's
+// collect-then-aggregate flow) over numObjects micro-tasks. The
+// truth-discovery method defaults to CRH (WithMethod overrides) and
+// aggregation is manual unless WithExpectedUsers sets a trigger.
+func WithBatchCampaign(numObjects int) Option {
+	return func(c *nodeConfig) error {
+		if numObjects <= 0 {
+			return optErr("WithBatchCampaign: numObjects = %d", numObjects)
+		}
+		if c.batchSet {
+			return optErr("WithBatchCampaign configured twice")
+		}
+		c.batchObjects = numObjects
+		c.batchSet = true
+		return nil
+	}
+}
+
+// WithExpectedUsers auto-aggregates the batch campaign once n users have
+// submitted. Requires WithBatchCampaign.
+func WithExpectedUsers(n int) Option {
+	return func(c *nodeConfig) error {
+		if n <= 0 {
+			return optErr("WithExpectedUsers: n = %d", n)
+		}
+		c.expected = n
+		c.expectedSet = true
+		return nil
+	}
+}
+
+// startBatch starts the WithBatchCampaign server, durable when the node
+// has a store.
+func (n *Node) startBatch(c *nodeConfig) error {
+	if !c.batchSet {
+		return nil
+	}
+	method := c.method
+	if method == nil {
+		m, err := NewCRH()
+		if err != nil {
+			return err
+		}
+		method = m
+	}
+	srv, err := crowd.NewServer(crowd.ServerConfig{
+		Name:            c.name,
+		NumObjects:      c.batchObjects,
+		Lambda2:         c.lambda2,
+		ExpectedUsers:   c.expected,
+		Method:          method,
+		Persistence:     n.store,
+		MaxRequestBytes: c.maxRequestBytes,
+	})
+	if err != nil {
+		return err
+	}
+	n.batch = srv
+	return nil
+}
+
+// WithMaxRequestBytes caps the request body of every POST route the
+// node serves — stream claims, batch submissions, and (on cluster
+// workers and coordinators) the cluster close/commit RPCs. An oversized
+// body is refused with the 413 payload_too_large envelope before it is
+// buffered, so one client cannot exhaust the node's memory with a
+// single giant request. The default is 16 MiB (see the API docs);
+// raise it for deployments whose legitimate batches are larger, or
+// lower it to tighten the ingest surface.
+func WithMaxRequestBytes(n int64) Option {
+	return func(c *nodeConfig) error {
+		if n <= 0 {
+			return optErr("WithMaxRequestBytes: n = %d", n)
+		}
+		c.maxRequestBytes = n
+		return nil
+	}
+}
+
+// WithLogger emits one structured log line per HTTP request through the
+// given slog logger: request_id, method, route pattern, path, status,
+// duration, bytes, and the error-envelope code on failures (5xx at
+// error level, everything else at info). The request_id is the
+// X-Request-ID the response echoed, so a client-reported failure joins
+// against the log stream directly. Without this option the node logs
+// nothing; request metrics are collected either way.
+func WithLogger(l *slog.Logger) Option {
+	return func(c *nodeConfig) error {
+		if l == nil {
+			return optErr("WithLogger: nil logger")
+		}
+		c.logger = l
+		return nil
+	}
+}
+
+// WithDebugHandlers mounts net/http/pprof's profiling endpoints under
+// /debug/pprof/ on the node's mux. Opt-in: the profiles expose
+// operational internals (goroutine stacks, heap contents) that do not
+// belong on an unguarded public listener.
+func WithDebugHandlers() Option {
+	return func(c *nodeConfig) error {
+		c.debug = true
+		return nil
+	}
+}
+
+// mount builds the front door: every started subsystem on one mux,
+// behind the telemetry middleware.
+func (n *Node) mount(c *nodeConfig) {
+	mux := http.NewServeMux()
+	if n.batch != nil {
+		n.batch.Register(mux)
+	}
+	// One front door whatever sits behind it: the local stream server or
+	// the cluster coordinator (startStream starts one or the other).
+	if n.stream != nil {
+		crowd.RegisterStream(mux, n.stream, c.maxRequestBytes)
+		if c.clusterWorker {
+			n.stream.RegisterCluster(mux)
+		}
+	} else if n.coord != nil {
+		crowd.RegisterStream(mux, n.coord, c.maxRequestBytes)
+	}
+	mux.Handle(crowd.PathMetrics, crowd.GetOnly(n.metrics.Handler()))
+	if c.debug {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	// The telemetry middleware wraps the whole front door — every route,
+	// the not-found envelope, /metrics itself — labeling each request
+	// with its mux pattern so metric cardinality stays bounded no matter
+	// what paths are probed.
+	n.handler = obs.Middleware(obs.MiddlewareConfig{
+		Registry: n.metrics,
+		Logger:   c.logger,
+		Route: func(r *http.Request) string {
+			if _, pattern := mux.Handler(r); pattern != "" {
+				return pattern
+			}
+			return "unmatched"
+		},
+	})(withEnvelopeNotFound(mux))
+}
+
+// withEnvelopeNotFound keeps the front door's contract total: paths no
+// route is mounted at get the JSON error envelope (code "not_found"),
+// not net/http's plain-text 404.
+func withEnvelopeNotFound(mux *http.ServeMux) http.Handler {
+	notFound := crowd.NotFoundHandler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, pattern := mux.Handler(r)
+		if pattern == "" {
+			notFound.ServeHTTP(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // Node is the unified front door to a privacy-preserving truth-discovery
@@ -874,8 +792,9 @@ type Node struct {
 // NewNode builds a node from functional options. At least one of
 // WithBatchCampaign and WithStreamEngine (or WithStreamConfig) must be
 // given; every option carries its defaults, and half-configured or
-// conflicting option sets fail with an error wrapping ErrNodeConfig
-// before anything is started. The returned node owns its resources —
+// conflicting option sets — and a StreamConfig its own validation
+// refuses — fail with an error wrapping ErrNodeConfig before anything
+// is opened or started. The returned node owns its resources —
 // including the WithPersistence store — and must be Closed.
 func NewNode(opts ...Option) (*Node, error) {
 	var cfg nodeConfig
@@ -887,262 +806,30 @@ func NewNode(opts ...Option) (*Node, error) {
 			return nil, err
 		}
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-
-	// Resolve the perturbation rate: explicit, derived from the privacy
-	// target via the accountant, or carried by the escape-hatch config.
-	lambda2 := cfg.lambda2
-	if cfg.targetSet {
-		acct, err := NewAccountant(cfg.lambda1)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrNodeConfig, err)
+	// Everything that can be wrong with the option set is found here,
+	// from the options alone.
+	for _, check := range []func() error{cfg.validate, cfg.resolveLambda2, cfg.resolveEngine} {
+		if err := check(); err != nil {
+			return nil, err
 		}
-		mech, err := acct.MechanismForEpsilon(cfg.targetEps, cfg.targetDelta)
-		if err != nil {
-			return nil, fmt.Errorf("%w: WithPrivacyTarget(%v, %v): %w",
-				ErrNodeConfig, cfg.targetEps, cfg.targetDelta, err)
-		}
-		lambda2 = mech.Lambda2()
 	}
-	if lambda2 == 0 && cfg.streamBase != nil {
-		lambda2 = cfg.streamBase.Lambda2
-	}
-
 	// Every node carries a metrics registry: the engine, the store, and
 	// the HTTP middleware all publish into it, and GET /metrics serves
 	// the text exposition. Registration is cheap enough that there is no
 	// opt-out — the scrape endpoint simply goes unscraped.
 	n := &Node{name: cfg.name, metrics: obs.NewRegistry()}
-	ok := false
-	defer func() {
-		if !ok {
+	// One build step per subsystem, in dependency order, each a no-op
+	// when its options are absent; Close releases whatever was started.
+	for _, start := range []func(*nodeConfig) error{
+		n.openStore, n.startStream, n.startShipper, n.startBatch,
+	} {
+		if err := start(&cfg); err != nil {
 			_ = n.Close()
-		}
-	}()
-
-	if cfg.streamSet || cfg.streamBase != nil {
-		engineCfg := StreamConfig{}
-		if cfg.streamBase != nil {
-			engineCfg = *cfg.streamBase
-		} else {
-			engineCfg.NumObjects = cfg.streamObjects
-		}
-		if cfg.shardsSet {
-			engineCfg.NumShards = cfg.shards
-		}
-		if cfg.decaySet {
-			engineCfg.Decay = cfg.decay
-		}
-		if cfg.historySet {
-			engineCfg.HistoryWindows = cfg.history
-		}
-		if cfg.method != nil {
-			engineCfg.Estimator = cfg.method.Name()
-		}
-		if cfg.distanceSet {
-			engineCfg.Distance = cfg.distance
-		}
-		if cfg.toleranceSet {
-			engineCfg.Tolerance = cfg.tolerance
-		}
-		if cfg.maxIterSet {
-			engineCfg.MaxIterations = cfg.maxIter
-		}
-		if cfg.queueSet {
-			engineCfg.QueueDepth = cfg.queueDepth
-		}
-		if cfg.noCarryover {
-			engineCfg.DisableCarryover = true
-		}
-		if cfg.targetSet {
-			engineCfg.Lambda1 = cfg.lambda1
-			engineCfg.Delta = cfg.targetDelta
-		}
-		if lambda2 > 0 {
-			engineCfg.Lambda2 = lambda2
-		}
-		if cfg.budgetSet {
-			engineCfg.EpsilonBudget = cfg.budget
-		}
-		if cfg.perUser {
-			engineCfg.PerUserReport = true
-		}
-		if cfg.maxResidentSet {
-			engineCfg.MaxResidentUsers = cfg.maxResident
-		}
-		if cfg.residentBytesSet {
-			engineCfg.ResidentBytes = cfg.residentBytes
-		}
-		if engineCfg.Metrics == nil {
-			engineCfg.Metrics = n.metrics
-		}
-		if cfg.clusterSet {
-			// Coordinator mode: the stream options describe the cluster's
-			// shared engine configuration; no local engine runs here.
-			coord, err := cluster.NewCoordinator(cluster.Config{
-				Name:            cfg.name,
-				Engine:          engineCfg,
-				Workers:         cfg.clusterWorkers,
-				WindowInterval:  cfg.windowInterval,
-				MaxRequestBytes: cfg.maxRequestBytes,
-				Metrics:         n.metrics,
-			})
-			if err != nil {
-				return nil, err
-			}
-			n.coord = coord
-		}
-		if !cfg.clusterSet && cfg.persistSet {
-			// Persist as many recent results as the engine retains, so
-			// ?window= reads answer the same span across a restart.
-			history := engineCfg.HistoryWindows
-			if history == 0 {
-				history = DefaultStreamHistoryWindows
-			}
-			cfg.store.ResultHistory = history
-			cfg.store.Metrics = n.metrics
-			store, err := streamstore.OpenWith(cfg.stateDir, cfg.store)
-			if err != nil {
-				return nil, err
-			}
-			n.store = store
-			// Default the claim WAL on for accounted durable nodes; an
-			// explicit WithStreamConfig.ClaimWAL passed validation above
-			// and is preserved either way.
-			if !cfg.claimWALOff && engineCfg.Lambda1 > 0 {
-				engineCfg.ClaimWAL = true
-			}
-		}
-		if !cfg.clusterSet {
-			srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{
-				Name:            cfg.name,
-				Engine:          engineCfg,
-				Persistence:     n.store,
-				WindowInterval:  cfg.windowInterval,
-				MaxRequestBytes: cfg.maxRequestBytes,
-			})
-			if err != nil {
-				return nil, err
-			}
-			n.stream = srv
-		}
-	}
-
-	// A batch-only durable node still gets the store: the streaming
-	// branch above opens it when both campaigns (or just streaming) are
-	// configured, so this only fires when WithPersistence rides alone
-	// with WithBatchCampaign.
-	if cfg.persistSet && n.store == nil {
-		cfg.store.Metrics = n.metrics
-		store, err := streamstore.OpenWith(cfg.stateDir, cfg.store)
-		if err != nil {
 			return nil, err
 		}
-		n.store = store
 	}
-
-	if cfg.shipSet {
-		var sink cluster.Sink
-		var err error
-		if strings.HasPrefix(cfg.shipDest, "http://") || strings.HasPrefix(cfg.shipDest, "https://") {
-			sink, err = cluster.NewHTTPSink(cfg.shipDest, nil)
-		} else {
-			sink, err = cluster.NewDirSink(cfg.shipDest)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: WithSegmentShipping(%q): %w", ErrNodeConfig, cfg.shipDest, err)
-		}
-		interval := cfg.shipInterval
-		if interval <= 0 {
-			interval = 5 * time.Second
-		}
-		shipper, err := cluster.NewShipper(n.store, sink, interval, n.metrics)
-		if err != nil {
-			return nil, err
-		}
-		n.shipper = shipper
-		shipper.Start()
-	}
-
-	if cfg.batchSet {
-		method := cfg.method
-		if method == nil {
-			m, err := NewCRH()
-			if err != nil {
-				return nil, err
-			}
-			method = m
-		}
-		srv, err := crowd.NewServer(crowd.ServerConfig{
-			Name:            cfg.name,
-			NumObjects:      cfg.batchObjects,
-			Lambda2:         lambda2,
-			ExpectedUsers:   cfg.expected,
-			Method:          method,
-			Persistence:     n.store,
-			MaxRequestBytes: cfg.maxRequestBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		n.batch = srv
-	}
-
-	mux := http.NewServeMux()
-	if n.batch != nil {
-		n.batch.Register(mux)
-	}
-	// One front door whatever sits behind it: the local stream server or
-	// the cluster coordinator (validate rules out both at once).
-	if n.stream != nil {
-		crowd.RegisterStream(mux, n.stream, cfg.maxRequestBytes)
-		if cfg.clusterWorker {
-			n.stream.RegisterCluster(mux)
-		}
-	} else if n.coord != nil {
-		crowd.RegisterStream(mux, n.coord, cfg.maxRequestBytes)
-	}
-	mux.Handle(crowd.PathMetrics, crowd.GetOnly(n.metrics.Handler()))
-	if cfg.debug {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	// The telemetry middleware wraps the whole front door — every route,
-	// the not-found envelope, /metrics itself — labeling each request
-	// with its mux pattern so metric cardinality stays bounded no matter
-	// what paths are probed.
-	n.handler = obs.Middleware(obs.MiddlewareConfig{
-		Registry: n.metrics,
-		Logger:   cfg.logger,
-		Route: func(r *http.Request) string {
-			if _, pattern := mux.Handler(r); pattern != "" {
-				return pattern
-			}
-			return "unmatched"
-		},
-	})(withEnvelopeNotFound(mux))
-	ok = true
+	n.mount(&cfg)
 	return n, nil
-}
-
-// withEnvelopeNotFound keeps the front door's contract total: paths no
-// route is mounted at get the JSON error envelope (code "not_found"),
-// not net/http's plain-text 404.
-func withEnvelopeNotFound(mux *http.ServeMux) http.Handler {
-	notFound := crowd.NotFoundHandler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h, pattern := mux.Handler(r)
-		if pattern == "" {
-			notFound.ServeHTTP(w, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }
 
 // Name returns the label the node's campaigns carry.

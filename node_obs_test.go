@@ -27,9 +27,7 @@ func newObsNode(t *testing.T) *httptest.Server {
 	n, err := pptd.NewNode(
 		pptd.WithName("obs"),
 		pptd.WithBatchCampaign(3),
-		pptd.WithStreamEngine(4),
-		pptd.WithShards(2),
-		pptd.WithWindowHistory(4),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 4, NumShards: 2, HistoryWindows: 4}),
 		pptd.WithDataQuality(1),
 		pptd.WithPrivacyTarget(1, 1e-5),
 		pptd.WithPersistence(t.TempDir()),

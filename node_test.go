@@ -8,17 +8,20 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"pptd"
+	"pptd/internal/stream"
 )
 
 // TestNodeOptionValidation drives the option matrix: conflicting and
 // half-configured sets must fail with a typed error wrapping
-// ErrNodeConfig that names the offending option — never a silent
-// default, never a panic.
+// ErrNodeConfig that names the offending option or StreamConfig field —
+// never a silent default, never a panic.
 func TestNodeOptionValidation(t *testing.T) {
 	crh, err := pptd.NewCRH()
 	if err != nil {
@@ -28,6 +31,10 @@ func TestNodeOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The engine-owned rules are asserted through NewNode: each is one
+	// StreamConfig field.
+	type sc = pptd.StreamConfig
+	cfg := pptd.WithStreamConfig
 	cases := []struct {
 		name string
 		opts []pptd.Option
@@ -44,76 +51,34 @@ func TestNodeOptionValidation(t *testing.T) {
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithMethod(pptd.MeanBaseline())},
 			"batch-only"},
 		{"method conflicts with config estimator",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Estimator: "gtm"}), pptd.WithMethod(crh)},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Estimator: "gtm"}), pptd.WithMethod(crh)},
 			"WithMethod conflicts with WithStreamConfig.Estimator"},
 		{"stream distance under gtm",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithMethod(gtm), pptd.WithStreamDistance(pptd.SquaredDistance)},
-			"WithStreamDistance parameterizes the CRH estimator"},
-		{"stream distance without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithStreamDistance(pptd.SquaredDistance)},
-			"WithStreamDistance requires a stream engine"},
-		{"stream tolerance without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithStreamTolerance(1e-7)},
-			"WithStreamTolerance requires a stream engine"},
-		{"stream max iterations without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithStreamMaxIterations(50)},
-			"WithStreamMaxIterations requires a stream engine"},
-		{"queue depth without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithQueueDepth(16)},
-			"WithQueueDepth requires a stream engine"},
-		{"carryover off without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithoutWeightCarryover()},
-			"WithoutWeightCarryover requires a stream engine"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Distance: pptd.SquaredDistance}), pptd.WithMethod(gtm)},
+			"Distance = squared parameterizes the CRH estimator"},
 		{"bad stream distance",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamDistance(0)},
-			"WithStreamDistance: unknown distance"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Distance: pptd.Distance(9)})},
+			"unknown distance"},
 		{"bad stream tolerance",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamTolerance(-1)},
-			"WithStreamTolerance: tol = -1"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Tolerance: -1})},
+			"Tolerance = -1"},
 		{"bad stream max iterations",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamMaxIterations(0)},
-			"WithStreamMaxIterations: n = 0"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, MaxIterations: -1})},
+			"MaxIterations = -1"},
 		{"bad queue depth",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithQueueDepth(-2)},
-			"WithQueueDepth: n = -2"},
-		{"tolerance conflicts with config",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Tolerance: 1e-6}), pptd.WithStreamTolerance(1e-7)},
-			"WithStreamTolerance conflicts with WithStreamConfig.Tolerance"},
-		{"max iterations conflicts with config",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, MaxIterations: 20}), pptd.WithStreamMaxIterations(50)},
-			"WithStreamMaxIterations conflicts with WithStreamConfig.MaxIterations"},
-		{"queue depth conflicts with config",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, QueueDepth: 8}), pptd.WithQueueDepth(16)},
-			"WithQueueDepth conflicts with WithStreamConfig.QueueDepth"},
-		{"distance conflicts with config",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Distance: pptd.AbsoluteDistance}), pptd.WithStreamDistance(pptd.SquaredDistance)},
-			"WithStreamDistance conflicts with WithStreamConfig.Distance"},
-		{"carryover conflicts with config",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, DisableCarryover: true}), pptd.WithoutWeightCarryover()},
-			"WithoutWeightCarryover conflicts with WithStreamConfig.DisableCarryover"},
-		{"shards without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithShards(4)},
-			"WithShards requires a stream engine"},
-		{"decay without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithDecay(0.5)},
-			"WithDecay requires a stream engine"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, QueueDepth: -2})},
+			"QueueDepth = -2"},
 		{"window interval without stream",
 			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithWindowInterval(time.Second)},
 			"WithWindowInterval requires a stream engine"},
-		{"window history without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithWindowHistory(4)},
-			"WithWindowHistory requires a stream engine"},
 		{"persistence without any campaign",
 			[]pptd.Option{pptd.WithLambda2(2), pptd.WithPersistence(t.TempDir())},
 			"configure at least one of"},
-		{"resident cap without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithMaxResidentUsers(8)},
-			"WithMaxResidentUsers requires a stream engine"},
-		{"resident bytes without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithResidentBytes(1 << 20)},
-			"WithResidentBytes requires a stream engine"},
 		{"resident cap without persistence",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(2), pptd.WithMaxResidentUsers(8)},
+			[]pptd.Option{cfg(sc{NumObjects: 5, MaxResidentUsers: 8}), pptd.WithLambda2(2)},
+			"require WithPersistence"},
+		{"resident bytes without persistence",
+			[]pptd.Option{cfg(sc{NumObjects: 5, ResidentBytes: 1 << 20})},
 			"require WithPersistence"},
 		{"lambda2 conflicts with target",
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(2),
@@ -126,51 +91,36 @@ func TestNodeOptionValidation(t *testing.T) {
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithDataQuality(1)},
 			"WithDataQuality requires WithPrivacyTarget"},
 		{"budget without accounting",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithEpsilonBudget(10)},
-			"WithEpsilonBudget requires privacy accounting"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, EpsilonBudget: 10})},
+			"EpsilonBudget without Lambda1 accounting"},
 		{"per-user report without accounting",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithPerUserReport()},
-			"WithPerUserReport requires privacy accounting"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, PerUserReport: true})},
+			"PerUserReport without Lambda1 accounting"},
 		{"batch without a perturbation rate",
 			[]pptd.Option{pptd.WithBatchCampaign(5)},
 			"requires a perturbation rate"},
 		{"stream engine conflicts with stream config",
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5})},
-			"WithStreamConfig conflicts with WithStreamEngine"},
+			"WithStreamConfig configured twice"},
 		{"target conflicts with stream config accounting",
 			[]pptd.Option{
-				pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3}),
+				cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3}),
 				pptd.WithDataQuality(1), pptd.WithPrivacyTarget(0.5, 0.3)},
 			"WithPrivacyTarget conflicts with WithStreamConfig"},
 		{"lambda2 conflicts with stream config lambda2",
 			[]pptd.Option{
-				pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Lambda2: 2}),
+				cfg(sc{NumObjects: 5, Lambda2: 2}),
 				pptd.WithLambda2(3)},
 			"WithLambda2 conflicts with WithStreamConfig.Lambda2"},
-		{"budget conflicts with stream config budget",
-			[]pptd.Option{
-				pptd.WithStreamConfig(pptd.StreamConfig{
-					NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, EpsilonBudget: 3}),
-				pptd.WithEpsilonBudget(5)},
-			"WithEpsilonBudget conflicts with WithStreamConfig.EpsilonBudget"},
-		{"per-user report conflicts with stream config",
-			[]pptd.Option{
-				pptd.WithStreamConfig(pptd.StreamConfig{
-					NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, PerUserReport: true}),
-				pptd.WithPerUserReport()},
-			"WithPerUserReport conflicts with WithStreamConfig.PerUserReport"},
 		{"explicit claim WAL without persistence",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true})},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true})},
 			"ClaimWAL requires WithPersistence"},
 		{"explicit claim WAL without accounting",
-			[]pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 5, Lambda2: 2, ClaimWAL: true})},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda2: 2, ClaimWAL: true})},
 			"ClaimWAL requires accounting"},
 		{"explicit claim WAL against WithoutClaimWAL",
 			[]pptd.Option{
-				pptd.WithStreamConfig(pptd.StreamConfig{
-					NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true}),
+				cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true}),
 				pptd.WithPersistence(t.TempDir(), pptd.WithoutClaimWAL())},
 			"WithoutClaimWAL conflicts with WithStreamConfig.ClaimWAL"},
 		{"double batch", []pptd.Option{pptd.WithBatchCampaign(5), pptd.WithBatchCampaign(5)},
@@ -178,10 +128,10 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"double stream", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamEngine(5)},
 			"configured twice"},
 		{"bad batch objects", []pptd.Option{pptd.WithBatchCampaign(0)}, "numObjects = 0"},
-		{"bad stream objects", []pptd.Option{pptd.WithStreamEngine(-1)}, "numObjects = -1"},
-		{"bad decay", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithDecay(1.5)}, "WithDecay"},
-		{"bad shards", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithShards(0)}, "WithShards"},
-		{"bad history", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithWindowHistory(0)}, "WithWindowHistory"},
+		{"bad stream objects", []pptd.Option{pptd.WithStreamEngine(-1)}, "NumObjects = -1"},
+		{"bad decay", []pptd.Option{cfg(sc{NumObjects: 5, Decay: 1.5})}, "Decay = 1.5"},
+		{"bad shards", []pptd.Option{cfg(sc{NumObjects: 5, NumShards: -1})}, "NumShards = -1"},
+		{"bad history", []pptd.Option{cfg(sc{NumObjects: 5, HistoryWindows: -1})}, "HistoryWindows = -1"},
 		{"bad lambda2", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(math.NaN())}, "WithLambda2"},
 		{"bad target eps", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(-1, 0.3)}, "eps = -1"},
 		{"bad target delta", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(0.5, 1)}, "delta = 1"},
@@ -216,9 +166,56 @@ func TestNodeOptionValidation(t *testing.T) {
 	}
 }
 
+// TestNodeRefusesBadStreamConfigBeforeOpening pins the contract for the
+// path every deployment configures its engine through: a StreamConfig
+// the engine's own validation refuses fails NewNode with an error that
+// is both ErrNodeConfig and the engine's ErrBadConfig, names the field,
+// and comes before the state directory is created — on a durable node
+// and on a cluster coordinator (whose worker is never contacted) alike.
+func TestNodeRefusesBadStreamConfigBeforeOpening(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   pptd.StreamConfig
+		field string
+	}{
+		{"decay out of range", pptd.StreamConfig{NumObjects: 5, Decay: 1.5}, "Decay"},
+		{"negative shards", pptd.StreamConfig{NumObjects: 5, NumShards: -1}, "NumShards"},
+		{"no objects", pptd.StreamConfig{}, "NumObjects"},
+		{"unknown estimator", pptd.StreamConfig{NumObjects: 5, Estimator: "bogus"}, `estimator "bogus"`},
+		{"accounting without delta", pptd.StreamConfig{NumObjects: 5, Lambda1: 1, Lambda2: 2}, "Delta"},
+		{"distance under gtm",
+			pptd.StreamConfig{NumObjects: 5, Estimator: pptd.StreamEstimatorGTM, Distance: pptd.SquaredDistance},
+			"Distance"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "state")
+			for role, opt := range map[string]pptd.Option{
+				"durable node": pptd.WithPersistence(dir),
+				"coordinator":  pptd.WithClusterCoordinator("http://127.0.0.1:1"),
+			} {
+				n, err := pptd.NewNode(pptd.WithStreamConfig(tc.cfg), opt)
+				if err == nil {
+					_ = n.Close()
+					t.Fatalf("%s: NewNode accepted %+v", role, tc.cfg)
+				}
+				if !errors.Is(err, pptd.ErrNodeConfig) || !errors.Is(err, stream.ErrBadConfig) {
+					t.Errorf("%s: error %v: want both ErrNodeConfig and stream.ErrBadConfig", role, err)
+				}
+				if !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s: error %q does not name %s", role, err, tc.field)
+				}
+			}
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("state directory touched before the config was refused: stat err = %v", err)
+			}
+		})
+	}
+}
+
 // TestNodeBuildsEveryOldConfiguration checks that the options path can
 // express what the config structs could: batch with method + trigger,
-// stream with shards/decay/accounting/budget, and the full escape hatch.
+// stream with shards/decay/accounting/budget, and explicit rates.
 func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 	gtm, err := pptd.NewGTM()
 	if err != nil {
@@ -232,12 +229,13 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 			pptd.WithName("b"), pptd.WithBatchCampaign(7), pptd.WithLambda2(2),
 			pptd.WithMethod(gtm), pptd.WithExpectedUsers(3)}},
 		{"stream only", []pptd.Option{
-			pptd.WithStreamEngine(7), pptd.WithShards(2), pptd.WithDecay(0.8),
-			pptd.WithLambda2(2), pptd.WithWindowHistory(4)}},
+			pptd.WithStreamConfig(pptd.StreamConfig{
+				NumObjects: 7, NumShards: 2, Decay: 0.8, HistoryWindows: 4}),
+			pptd.WithLambda2(2)}},
 		{"stream with target accounting", []pptd.Option{
-			pptd.WithStreamEngine(7), pptd.WithDataQuality(1.5),
-			pptd.WithPrivacyTarget(0.5, 0.3), pptd.WithEpsilonBudget(2),
-			pptd.WithPerUserReport()}},
+			pptd.WithStreamConfig(pptd.StreamConfig{
+				NumObjects: 7, EpsilonBudget: 2, PerUserReport: true}),
+			pptd.WithDataQuality(1.5), pptd.WithPrivacyTarget(0.5, 0.3)}},
 		{"escape hatch with explicit rates", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, Lambda1: 1.5, Lambda2: 2, Delta: 0.3,
@@ -379,8 +377,7 @@ func TestNodeFrontDoor(t *testing.T) {
 // windows answer, evicted and future windows fail with ErrUnknownWindow.
 func TestNodeWindowHistory(t *testing.T) {
 	n, err := pptd.NewNode(
-		pptd.WithStreamEngine(1),
-		pptd.WithWindowHistory(3),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 3}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -437,8 +434,7 @@ func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	open := func() *pptd.Node {
 		t.Helper()
 		n, err := pptd.NewNode(
-			pptd.WithStreamEngine(1),
-			pptd.WithWindowHistory(4),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 4}),
 			pptd.WithPersistence(dir),
 		)
 		if err != nil {

@@ -38,10 +38,12 @@
 //
 //	node, _ := pptd.NewNode(
 //		pptd.WithName("air-quality"),
-//		pptd.WithStreamEngine(30),
+//		pptd.WithStreamConfig(pptd.StreamConfig{
+//			NumObjects:    30,
+//			EpsilonBudget: 5, // cumulative per-user cap
+//		}),
 //		pptd.WithDataQuality(1.5),            // lambda1 the accountant assumes
 //		pptd.WithPrivacyTarget(0.5, 0.3),     // (eps, delta) per window; derives lambda2
-//		pptd.WithEpsilonBudget(5),            // cumulative per-user cap
 //		pptd.WithWindowInterval(time.Minute), // ticker-driven window closes
 //		pptd.WithPersistence("/var/lib/pptd"),
 //	)
@@ -52,13 +54,15 @@
 //	info, err := client.StreamTruthsAt(ctx, 7) // a recent window by number
 //	if errors.Is(err, pptd.ErrUnknownWindow) { ... } // typed, decoded from the envelope
 //
-// Conflicting or half-configured options fail NewNode with a typed
-// error wrapping ErrNodeConfig (for example WithLambda2 together with
-// WithPrivacyTarget, or WithEpsilonBudget without accounting) — nothing
-// is silently defaulted. docs/API.md carries the endpoint table, the
-// error-code table, the options reference, and the migration guide from
-// the older config-struct constructors, which remain as deprecated
-// wrappers.
+// StreamConfig is the streaming engine's configuration — the one way to
+// set anything about it — and the node adds only what its other options
+// own (the estimator from WithMethod, the privacy rates, the claim-WAL
+// default). Conflicting or half-configured options fail NewNode with a
+// typed error wrapping ErrNodeConfig (for example WithLambda2 together
+// with WithPrivacyTarget, or an EpsilonBudget without accounting) before
+// anything is opened — nothing is silently defaulted. docs/API.md
+// carries the endpoint table, the error-code table, the options
+// reference, and the StreamConfig field table.
 //
 // # Streaming quick start
 //

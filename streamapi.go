@@ -135,11 +135,9 @@ type StreamStore = streamstore.Store
 
 // StreamStoreOptions tunes a stream store's durability/throughput
 // trade-offs: group-commit batching (FlushInterval, MaxBatch), journal
-// segment size (SegmentBytes), snapshot cadence (SnapshotEvery,
-// SnapshotBytes), and retained snapshot generations (RetainSnapshots).
-// The zero value is the default: group commit with no added latency,
-// 4 MiB segments, a snapshot at every window close, no retained
-// generations.
+// segment size (SegmentBytes), and snapshot cadence (SnapshotEvery,
+// SnapshotBytes). The zero value is the default: group commit with no
+// added latency, 4 MiB segments, a snapshot at every window close.
 type StreamStoreOptions = streamstore.Options
 
 // StreamJournalPos identifies a point in a stream store's segmented
