@@ -278,18 +278,15 @@ func (r *registry) removeLocked(st *userState) {
 }
 
 // evictable returns the resident users eligible for eviction — the ones
-// no live sufficient statistic references (pinned holds the slot indices
-// that do) — in LRU order: least-recently-seen first, ties by slot index
-// so the order is deterministic.
-func (r *registry) evictable(pinned map[int]struct{}) []*userState {
+// no live sufficient statistic references (pinned reports the slot
+// indices that do) — in LRU order: least-recently-seen first, ties by
+// slot index so the order is deterministic.
+func (r *registry) evictable(pinned func(slot int) bool) []*userState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]*userState, 0, r.live)
 	for _, st := range r.states {
-		if st == nil {
-			continue
-		}
-		if _, ok := pinned[st.idx]; ok {
+		if st == nil || pinned(st.idx) {
 			continue
 		}
 		out = append(out, st)

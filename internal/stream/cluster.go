@@ -55,7 +55,7 @@ func (e *Engine) HasLiveStats() bool {
 	release := e.pauseShards()
 	defer close(release)
 	for _, s := range e.shards {
-		if len(s.stats) > 0 {
+		if s.live > 0 {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -115,47 +116,37 @@ func TestMergeStatesCanonicalOrderAndCounters(t *testing.T) {
 	}
 }
 
-// TestReplayJournalParallelEquivalence: the shard-parallel replay path
-// (replayWindowsParallel, the default) recovers bit-identical state to
-// the sequential baseline over a multi-window journal with interleaved
-// closes.
-func TestReplayJournalParallelEquivalence(t *testing.T) {
-	recs := replayBenchJournal(40, 6, 8)
-	run := func(parallel bool) *EngineState {
-		orig := replayWindowsParallel
-		replayWindowsParallel = parallel
-		defer func() { replayWindowsParallel = orig }()
-		// Several shards even on a small box, so the partitioned path is
-		// exercised for real.
-		e, err := New(Config{NumObjects: 8, NumShards: 4, Lambda1: 0.5, Lambda2: 1.0, Delta: 1e-5, Decay: 0.9, ClaimWAL: true, Ledger: nopLedger{}})
-		if err != nil {
-			t.Fatalf("engine: %v", err)
-		}
-		defer func() { _ = e.Close() }()
-		if _, err := e.ReplayJournal(recs); err != nil {
-			t.Fatalf("replay (parallel=%v): %v", parallel, err)
-		}
-		st, err := e.ExportState()
-		if err != nil {
-			t.Fatalf("export: %v", err)
-		}
-		return st
+// TestMergedDuplicateStatRefusedByRestore: a worker's close response is
+// JSON from another process, so a part may list one (object, user)
+// statistic twice. MergeStates carries both through; Restore must refuse
+// the merged state naming the pair, before anything mutates, instead of
+// keeping whichever came last.
+func TestMergedDuplicateStatRefusedByRestore(t *testing.T) {
+	bad := mergeTestState(EstimatorCRH, 1, 3, "a")
+	bad.Stats = append(bad.Stats, StatSnapshot{Object: 0, User: "a", Sum: 5, Mass: 1})
+	merged, err := MergeStates([]*EngineState{bad, mergeTestState(EstimatorCRH, 1, 3, "b")})
+	if err != nil {
+		t.Fatalf("merge: %v", err)
 	}
-	seq, par := run(false), run(true)
-	if seq.Window != par.Window || len(seq.Stats) != len(par.Stats) || len(seq.Users) != len(par.Users) {
-		t.Fatalf("shape mismatch: seq %d windows/%d stats/%d users, par %d/%d/%d",
-			seq.Window, len(seq.Stats), len(seq.Users), par.Window, len(par.Stats), len(par.Users))
+	e, err := New(Config{NumObjects: 3, NumShards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range seq.Stats {
-		s, p := seq.Stats[i], par.Stats[i]
-		if s != p {
-			t.Fatalf("stat %d differs: sequential %+v, parallel %+v", i, s, p)
-		}
+	defer func() { _ = e.Close() }()
+	err = e.Restore(merged)
+	if !errors.Is(err, ErrBadState) || !strings.Contains(err.Error(), `(0, "a")`) {
+		t.Fatalf("Restore of a merged state with a repeated statistic = %v, want ErrBadState naming (0, \"a\")", err)
 	}
-	for i := range seq.Users {
-		if seq.Users[i] != par.Users[i] {
-			t.Fatalf("user %d differs: sequential %+v, parallel %+v", i, seq.Users[i], par.Users[i])
-		}
+	// The refusal left the engine fresh: the honest merge still restores.
+	good, err := MergeStates([]*EngineState{mergeTestState(EstimatorCRH, 1, 3, "a"), mergeTestState(EstimatorCRH, 1, 3, "b")})
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	if err := e.Restore(good); err != nil {
+		t.Fatalf("Restore after a refused one: %v", err)
+	}
+	if st, err := e.ExportState(); err != nil || len(st.Stats) != 2 {
+		t.Fatalf("export after restore = %+v, %v; want the two merged statistics", st, err)
 	}
 }
 
@@ -184,33 +175,22 @@ func replayBenchJournal(users, windows, numObjects int) []ChargeRecord {
 }
 
 // BenchmarkReplayJournal measures crash-recovery replay of a long
-// journal, sequential baseline vs the shard-parallel default — the
-// before/after of the parallel-replay change.
+// journal: ten windows of claims with the closes between them re-run.
 func BenchmarkReplayJournal(b *testing.B) {
 	recs := replayBenchJournal(400, 10, 64)
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"sequential", false}, {"parallel", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			orig := replayWindowsParallel
-			replayWindowsParallel = mode.parallel
-			defer func() { replayWindowsParallel = orig }()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e, err := New(Config{NumObjects: 64, NumShards: 4, Lambda1: 0.5, Lambda2: 1.0, Delta: 1e-5, Decay: 0.9, ClaimWAL: true, Ledger: nopLedger{}})
-				if err != nil {
-					b.Fatalf("engine: %v", err)
-				}
-				b.StartTimer()
-				if _, err := e.ReplayJournal(recs); err != nil {
-					b.Fatalf("replay: %v", err)
-				}
-				b.StopTimer()
-				_ = e.Close()
-				b.StartTimer()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := New(Config{NumObjects: 64, NumShards: 4, Lambda1: 0.5, Lambda2: 1.0, Delta: 1e-5, Decay: 0.9, ClaimWAL: true, Ledger: nopLedger{}})
+		if err != nil {
+			b.Fatalf("engine: %v", err)
+		}
+		b.StartTimer()
+		if _, err := e.ReplayJournal(recs); err != nil {
+			b.Fatalf("replay: %v", err)
+		}
+		b.StopTimer()
+		_ = e.Close()
+		b.StartTimer()
 	}
 }

@@ -70,14 +70,17 @@ func (e *Engine) estimateLocked() (*WindowResult, error) {
 		Iterations: iters,
 		Converged:  converged,
 	}
-	res.Weights = make(map[string]float64)
+	for _, n := range w.claimCount {
+		if n > 0 {
+			res.ActiveUsers++
+		}
+	}
+	res.Weights = make(map[string]float64, res.ActiveUsers)
 	ids := e.users.ids()
 	for u, n := range w.claimCount {
-		if n == 0 {
-			continue
+		if n > 0 {
+			res.Weights[ids[u]] = w.weights[u]
 		}
-		res.Weights[ids[u]] = w.weights[u]
-		res.ActiveUsers++
 	}
 	e.users.updateCarry(w.weights, w.claimCount)
 	return res, nil

@@ -107,13 +107,13 @@ func (e *Engine) evictIdleLocked() {
 	if !over() {
 		return
 	}
-	pinned := make(map[int]struct{})
-	for _, s := range e.shards {
-		for _, users := range s.stats {
-			for u := range users {
-				pinned[u] = struct{}{}
+	pinned := func(slot int) bool {
+		for _, s := range e.shards {
+			if len(s.row(slot)) > 0 {
+				return true
 			}
 		}
+		return false
 	}
 	var victims []*userState
 	for _, st := range e.users.evictable(pinned) {

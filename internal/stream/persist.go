@@ -252,75 +252,51 @@ func (e *Engine) exportStateLocked() (*EngineState, error) {
 
 // exportStatsLocked copies every live statistic out in the canonical
 // (object, user ID) order without comparing a string per statistic. The
-// resident IDs are ranked once (the only string sort); the statistics
-// are then bucketed by their user's rank and dealt, in rank order, into
-// their object's segment of the output — a two-pass counting sort,
-// linear in statistics + users + objects however sparse the coverage.
-// ids is the slot-indexed ID table (free slots are "", which no live
-// statistic references). Same preconditions as exportStateLocked.
+// resident slots are sorted by ID once (the only string sort); one pass
+// over the rows counts each object's statistics, which fixes where the
+// object's segment of the output starts, and a second pass, taking the
+// slots in ID order, writes every cell straight into its object's
+// segment — linear in statistics + slots + objects however sparse the
+// coverage. ids is the slot-indexed ID table (free slots are "", and
+// their rows are empty). Same preconditions as exportStateLocked.
 func (e *Engine) exportStatsLocked(ids []string) []StatSnapshot {
-	var objects []int
-	total := 0
+	// next[obj] is where object obj's next statistic lands in out.
+	next := make([]int, e.cfg.NumObjects)
 	for _, s := range e.shards {
-		for obj, users := range s.stats {
-			objects = append(objects, obj)
-			total += len(users)
+		for _, row := range s.rows {
+			for i := range row {
+				next[row[i].object]++
+			}
 		}
+	}
+	total := 0
+	for obj, n := range next {
+		next[obj] = total
+		total += n
 	}
 	if total == 0 {
 		return nil
 	}
-	slices.Sort(objects)
-
-	type cell struct {
-		object int32 // index into objects
-		user   int32 // slot
-		stat   *stat
-	}
-	rank := rankIDs(ids)
-	// rankPos[r+1] first counts the cells of rank r; after the prefix sum
-	// rankPos[r] is where the next cell of rank r lands in byRank.
-	rankPos := make([]int, len(ids)+1)
-	// next[i] is where object i's next statistic lands in out.
-	next := make([]int, len(objects))
-	cells := make([]cell, 0, total)
-	for i, obj := range objects {
-		next[i] = len(cells)
-		for user, stat := range e.shards[obj%len(e.shards)].stats[obj] {
-			cells = append(cells, cell{object: int32(i), user: int32(user), stat: stat})
-			rankPos[rank[user]+1]++
-		}
-	}
-	for r := 1; r < len(rankPos); r++ {
-		rankPos[r] += rankPos[r-1]
-	}
-	byRank := make([]cell, total)
-	for _, c := range cells {
-		r := rank[c.user]
-		byRank[rankPos[r]] = c
-		rankPos[r]++
-	}
 	out := make([]StatSnapshot, total)
-	for _, c := range byRank {
-		out[next[c.object]] = StatSnapshot{Object: objects[c.object], User: ids[c.user], Sum: c.stat.sum, Mass: c.stat.mass}
-		next[c.object]++
+	for _, slot := range slotsByID(ids) {
+		for _, s := range e.shards {
+			for _, c := range s.row(slot) {
+				out[next[c.object]] = StatSnapshot{Object: c.object, User: ids[slot], Sum: c.sum, Mass: c.mass}
+				next[c.object]++
+			}
+		}
 	}
 	return out
 }
 
-// rankIDs returns, per slot, the position of the slot's ID among all
-// the IDs in ascending order.
-func rankIDs(ids []string) []int32 {
-	order := make([]int32, len(ids))
+// slotsByID returns the slot indices in ascending order of their IDs.
+func slotsByID(ids []string) []int {
+	order := make([]int, len(ids))
 	for i := range order {
-		order[i] = int32(i)
+		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(ids[a], ids[b]) })
-	rank := make([]int32, len(ids))
-	for r, slot := range order {
-		rank[slot] = int32(r)
-	}
-	return rank
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(ids[a], ids[b]) })
+	return order
 }
 
 // Restore loads an exported state into a freshly constructed engine
@@ -379,14 +355,8 @@ func (e *Engine) Restore(st *EngineState) error {
 	release := e.pauseShards()
 	defer close(release)
 	for _, sn := range st.Stats {
-		idx := byID[sn.User] // validated above
-		s := e.shards[sn.Object%len(e.shards)]
-		users := s.stats[sn.Object]
-		if users == nil {
-			users = make(map[int]*stat)
-			s.stats[sn.Object] = users
-		}
-		users[idx] = &stat{sum: sn.Sum, mass: sn.Mass}
+		// The user is known and the pair unique: validated above.
+		e.shards[sn.Object%len(e.shards)].put(byID[sn.User], cell{object: sn.Object, sum: sn.Sum, mass: sn.Mass})
 	}
 
 	// Resume at the exported open window, or past it if journal replay
@@ -421,16 +391,6 @@ func (e *Engine) Restore(st *EngineState) error {
 // being replayed are already durable. It returns the number of records
 // applied. A record whose claims no longer fit the engine (out-of-range
 // object, non-finite value) fails with ErrBadState.
-//
-// Within one replayed window the claim folds run shard-parallel: the
-// records' claims are partitioned by owning shard (preserving journal
-// order inside each shard) and applied concurrently, one goroutine per
-// shard, before the window's close re-runs. Each (object, user)
-// statistic lives on exactly one shard and per-shard order is the
-// journal order, so the folded statistics are bitwise identical to the
-// sequential replay — only the wall-clock of recovering a long journal
-// (a coarse SnapshotEvery) changes. Window closes stay sequential
-// barriers: decay must see the whole window folded.
 func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -439,25 +399,6 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 	}
 	release := e.pauseShards()
 	defer close(release)
-
-	// Per-shard batches accumulated for the window being replayed,
-	// flushed shard-parallel at every window boundary.
-	type replayBatch struct {
-		user   int
-		claims []Claim
-	}
-	pending := make([][]replayBatch, len(e.shards))
-	flush := func() {
-		if !replayWindowsParallel {
-			return
-		}
-		e.eachShardParallelIndexed(func(i int, s *shard) {
-			for _, b := range pending[i] {
-				s.apply(b.user, b.claims)
-			}
-			pending[i] = pending[i][:0]
-		})
-	}
 
 	applied := 0
 	perShard := make([][]Claim, len(e.shards))
@@ -468,12 +409,10 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 		}
 		for _, c := range rec.Claims {
 			if c.Object < 0 || c.Object >= e.cfg.NumObjects {
-				flush()
 				return applied, fmt.Errorf("%w: journal record %d: object %d of %d",
 					ErrBadState, i, c.Object, e.cfg.NumObjects)
 			}
 			if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
-				flush()
 				return applied, fmt.Errorf("%w: journal record %d: non-finite value for object %d",
 					ErrBadState, i, c.Object)
 			}
@@ -484,19 +423,17 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 		// record, and recreating them bare would reset their budget.
 		st, _, err := e.admit(rec.User)
 		if err != nil {
-			flush()
 			return applied, err
 		}
 		if !e.users.replayCharge(st, rec.Window, rec.Epsilon) {
 			continue // already accounted by the snapshot or an earlier record
 		}
 		for rec.Window > e.window {
-			flush() // the close's estimation and decay need the full window
 			e.replayCloseLocked()
 		}
 		if len(rec.Claims) > 0 {
-			// Partition by owning shard as Ingest does; the shards are
-			// paused, so applying directly is safe.
+			// Partition by owning shard as Ingest does and fold straight
+			// into the rows: the shards are paused.
 			for i := range perShard {
 				perShard[i] = perShard[i][:0]
 			}
@@ -505,12 +442,7 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 				perShard[idx] = append(perShard[idx], c)
 			}
 			for i, part := range perShard {
-				if len(part) == 0 {
-					continue
-				}
-				if replayWindowsParallel {
-					pending[i] = append(pending[i], replayBatch{user: st.idx, claims: append([]Claim(nil), part...)})
-				} else {
+				if len(part) > 0 {
 					e.shards[i].apply(st.idx, part)
 				}
 			}
@@ -519,15 +451,8 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 		}
 		applied++
 	}
-	flush()
 	return applied, nil
 }
-
-// replayWindowsParallel gates the shard-parallel window replay inside
-// ReplayJournal. On by default; the sequential path is kept only as the
-// baseline of BenchmarkReplayJournal (before/after recovery time) and as
-// a bisection aid, not as a supported mode.
-var replayWindowsParallel = true
 
 // ReplayClosesTo re-runs window closes until the engine has target
 // closed windows, exactly as replay does between journal records. It is
@@ -601,7 +526,9 @@ func validateState(st *EngineState, numObjects int) error {
 		}
 		seen[u.ID] = struct{}{}
 	}
-	for _, sn := range st.Stats {
+	canonical := true
+	for i := range st.Stats {
+		sn := &st.Stats[i]
 		switch {
 		case sn.Object < 0 || sn.Object >= numObjects:
 			return fmt.Errorf("%w: stat object %d of %d", ErrBadState, sn.Object, numObjects)
@@ -610,6 +537,27 @@ func validateState(st *EngineState, numObjects int) error {
 		}
 		if _, ok := seen[sn.User]; !ok {
 			return fmt.Errorf("%w: stat for unknown user %q", ErrBadState, sn.User)
+		}
+		if i > 0 && !statBefore(&st.Stats[i-1], sn) {
+			canonical = false
+		}
+	}
+	// An (object, user) pair listed twice has no one statistic to restore
+	// to, and shard.put relies on each arriving once. In the canonical
+	// order every export is written in, strictly ascending neighbours have
+	// just ruled that out; any other order needs a set.
+	if !canonical {
+		type pair struct {
+			object int
+			user   string
+		}
+		pairs := make(map[pair]struct{}, len(st.Stats))
+		for _, sn := range st.Stats {
+			p := pair{sn.Object, sn.User}
+			if _, dup := pairs[p]; dup {
+				return fmt.Errorf("%w: duplicate stat (%d, %q)", ErrBadState, sn.Object, sn.User)
+			}
+			pairs[p] = struct{}{}
 		}
 	}
 	return nil

@@ -502,6 +502,14 @@ func TestRestoreValidation(t *testing.T) {
 			Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: -1}},
 			Stats: []StatSnapshot{{Object: 0, User: "a", Sum: 1, Mass: 0}},
 		}},
+		{"duplicate stat", &EngineState{
+			Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: -1}},
+			Stats: []StatSnapshot{{Object: 0, User: "a", Sum: 1, Mass: 1}, {Object: 0, User: "a", Sum: 5, Mass: 1}},
+		}},
+		{"duplicate stat, apart and out of order", &EngineState{
+			Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: -1}},
+			Stats: []StatSnapshot{{Object: 2, User: "a", Sum: 1, Mass: 1}, {Object: 0, User: "a", Sum: 1, Mass: 1}, {Object: 2, User: "a", Sum: 5, Mass: 1}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

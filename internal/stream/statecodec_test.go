@@ -64,9 +64,9 @@ func referenceStats(e *Engine) []StatSnapshot {
 	ids := e.users.ids()
 	var out []StatSnapshot
 	for _, s := range e.shards {
-		for obj, users := range s.stats {
-			for user, stat := range users {
-				out = append(out, StatSnapshot{Object: obj, User: ids[user], Sum: stat.sum, Mass: stat.mass})
+		for slot, row := range s.rows {
+			for _, c := range row {
+				out = append(out, StatSnapshot{Object: c.object, User: ids[slot], Sum: c.sum, Mass: c.mass})
 			}
 		}
 	}

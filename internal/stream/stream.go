@@ -403,7 +403,7 @@ func New(cfg Config) (*Engine, error) {
 	e.scratch = newIngestScratchPool(cfg.NumShards)
 	e.shards = make([]*shard, cfg.NumShards)
 	for i := range e.shards {
-		e.shards[i] = newShard(cfg.QueueDepth)
+		e.shards[i] = newShard(cfg.QueueDepth, i, cfg.NumShards, cfg.NumObjects)
 		e.wg.Add(1)
 		go func(s *shard) {
 			defer e.wg.Done()
