@@ -124,8 +124,10 @@ type Coordinator struct {
 
 	totalClaims atomic.Int64
 
+	// history entries hold no per-user weights; weights is the latest's.
 	histMu  sync.RWMutex
 	history []crowd.StreamWindowInfo
+	weights map[string]float64
 	histCap int
 
 	stop     chan struct{}
@@ -569,11 +571,14 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, repl
 		c.windowCloses.Inc()
 	}
 	info := crowd.WindowInfo(res)
+	kept := info
+	kept.Weights = nil
 	c.histMu.Lock()
-	c.history = append(c.history, info)
+	c.history = append(c.history, kept)
 	if len(c.history) > c.histCap {
 		c.history = c.history[len(c.history)-c.histCap:]
 	}
+	c.weights = info.Weights
 	c.histMu.Unlock()
 	return info, nil
 }
@@ -641,25 +646,31 @@ func (c *Coordinator) fanOut(workers []string, f func(i int, worker string) erro
 	return errors.Join(errs...)
 }
 
-// Truths returns the latest merged window estimate, or crowd.ErrNotReady
-// before the first cluster-wide close.
-func (c *Coordinator) Truths() (crowd.StreamWindowInfo, error) { return c.TruthsAt(0) }
-
-// TruthsAt returns one retained merged window (1-based; 0 = latest),
-// mirroring the single-node history contract.
-func (c *Coordinator) TruthsAt(window int) (crowd.StreamWindowInfo, error) {
+// TruthsAt returns one retained merged window (1-based; 0 = latest, or
+// crowd.ErrNotReady before the first cluster-wide close), mirroring the
+// single-node contract, per-user weights included.
+func (c *Coordinator) TruthsAt(window int, weights bool) (crowd.StreamWindowInfo, error) {
 	c.histMu.RLock()
 	defer c.histMu.RUnlock()
 	if len(c.history) == 0 {
 		return crowd.StreamWindowInfo{}, crowd.ErrNotReady
 	}
+	latest := c.history[len(c.history)-1].Window
 	if window == 0 {
-		return c.history[len(c.history)-1], nil
+		window = latest
 	}
 	for _, info := range c.history {
-		if info.Window == window {
-			return info, nil
+		if info.Window != window {
+			continue
 		}
+		if weights {
+			if window != latest {
+				return crowd.StreamWindowInfo{}, fmt.Errorf("%w: weights of window %d (kept for the latest window only)",
+					crowd.ErrUnknownWindow, window)
+			}
+			info.Weights = c.weights
+		}
+		return info, nil
 	}
 	return crowd.StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
 		crowd.ErrUnknownWindow, window, c.histCap)

@@ -155,7 +155,7 @@ func TestWorkerDownAtClose(t *testing.T) {
 	if coord.Window() != 0 {
 		t.Fatalf("coordinator advanced to window %d despite failed close", coord.Window())
 	}
-	if _, err := coord.Truths(); !errors.Is(err, crowd.ErrNotReady) {
+	if _, err := coord.TruthsAt(0, false); !errors.Is(err, crowd.ErrNotReady) {
 		t.Fatalf("truths after failed close: err = %v, want ErrNotReady", err)
 	}
 

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,15 +140,74 @@ func TestFrontDoorParity(t *testing.T) {
 		refuse("close", http.MethodPost, crowd.PathStreamWindow, http.StatusOK, ""),
 		refuse("unknown window", http.MethodGet, crowd.PathStreamTruths+"?window=99", s404, crowd.CodeUnknownWindow),
 		refuse("good reset", http.MethodGet, crowd.PathStreamStats+"?reset=1", http.StatusOK, ""),
+		refuse("latest weights", http.MethodGet, crowd.PathStreamTruths+"?weights=1", http.StatusOK, ""),
+		refuse("latest weights by number", http.MethodGet, crowd.PathStreamTruths+"?window=1&weights=true", http.StatusOK, ""),
+		refuse("bad weights", http.MethodGet, crowd.PathStreamTruths+"?weights=maybe", s400, crowd.CodeBadRequest),
+		// A second window: the first stays readable by number, its
+		// per-user weights do not.
+		post("accepted into window 2", binaryWire, crowd.AppendClaimFrame(nil, "u2", claim), http.StatusOK, ""),
+		refuse("close 2", http.MethodPost, crowd.PathStreamWindow, http.StatusOK, ""),
+		refuse("older window", http.MethodGet, crowd.PathStreamTruths+"?window=1", http.StatusOK, ""),
+		refuse("older window's weights", http.MethodGet, crowd.PathStreamTruths+"?window=1&weights=1", s404, crowd.CodeUnknownWindow),
 	}
 	for i, row := range rows {
-		id := "parity-" + string(rune('a'+i))
+		id := fmt.Sprintf("parity-%02d", i)
 		want := frontDoorAnswer{status: row.wantStatus, code: row.wantCode, header: row.wantCode, requestID: id}
 		if got := fire(t, node, row, id); got != want {
 			t.Errorf("%s: standalone answered %+v, want %+v", row.name, got, want)
 		}
 		if got := fire(t, cluster, row, id); got != want {
 			t.Errorf("%s: coordinator answered %+v, want %+v", row.name, got, want)
+		}
+	}
+
+	// The weights contract, bodies and all, through both doors: the close
+	// reply carries the map, ?weights=1 returns exactly that map, the
+	// default read returns none, and an older window's weights are refused
+	// with the same envelope, message included.
+	for name, h := range map[string]http.Handler{"standalone": node, "coordinator": cluster} {
+		do := func(method, path string, body []byte, out any) int {
+			t.Helper()
+			req := httptest.NewRequest(method, path, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+				t.Fatalf("%s: %s %s: %v (%s)", name, method, path, err, rec.Body)
+			}
+			return rec.Code
+		}
+		var receipt crowd.StreamReceipt
+		for _, id := range []string{"u0", "u1", "u3"} {
+			body := []byte(`{"clientId":"` + id + `","claims":[{"object":0,"value":` + id[1:] + `},{"object":1,"value":2}]}`)
+			if code := do(http.MethodPost, crowd.PathStreamClaims, body, &receipt); code != http.StatusOK {
+				t.Fatalf("%s: submit %s = %d", name, id, code)
+			}
+		}
+		var closed, latest, plain crowd.StreamWindowInfo
+		if code := do(http.MethodPost, crowd.PathStreamWindow, nil, &closed); code != http.StatusOK || closed.Window != 3 {
+			t.Fatalf("%s: close = %d, window %d", name, code, closed.Window)
+		}
+		if len(closed.Weights) != 4 || closed.ActiveUsers != 4 {
+			t.Errorf("%s: close reply carries %d weights for %d active users, want 4", name, len(closed.Weights), closed.ActiveUsers)
+		}
+		if closed.EffectiveUsers <= 0 || closed.EffectiveUsers > 4 || closed.MaxWeightShare < 0.25 || closed.MaxWeightShare > 1 {
+			t.Errorf("%s: effectiveUsers %v, maxWeightShare %v for 4 users", name, closed.EffectiveUsers, closed.MaxWeightShare)
+		}
+		do(http.MethodGet, crowd.PathStreamTruths+"?weights=1", nil, &latest)
+		if !reflect.DeepEqual(latest, closed) {
+			t.Errorf("%s: ?weights=1 = %+v\nclose replied   %+v", name, latest, closed)
+		}
+		do(http.MethodGet, crowd.PathStreamTruths, nil, &plain)
+		closed.Weights = nil
+		if !reflect.DeepEqual(plain, closed) {
+			t.Errorf("%s: default read = %+v\nwant the close reply minus weights %+v", name, plain, closed)
+		}
+		var refusal crowd.ErrorBody
+		code := do(http.MethodGet, crowd.PathStreamTruths+"?window=2&weights=1", nil, &refusal)
+		want := crowd.ErrorBody{V: crowd.ErrorEnvelopeVersion, Code: crowd.CodeUnknownWindow,
+			Message: "crowd: window not in retained history: weights of window 2 (kept for the latest window only)"}
+		if code != s404 || refusal != want {
+			t.Errorf("%s: ?window=2&weights=1 = %d %+v, want 404 %+v", name, code, refusal, want)
 		}
 	}
 }

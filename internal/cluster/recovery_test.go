@@ -194,7 +194,9 @@ func TestCoordinatorRestartRedrivesUncommittedClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reference close: %v", err)
 	}
-	got, err := coord.Truths()
+	// The re-driven round's close reply went to nobody, so its per-user
+	// weights are read the way a late reader would: ?weights=1.
+	got, err := coord.TruthsAt(0, true)
 	if err != nil {
 		t.Fatalf("truths after re-drive: %v", err)
 	}

@@ -167,9 +167,13 @@ func (c *Client) StreamSubmit(ctx context.Context, sub Submission) (StreamReceip
 // window closed the server answers 404 and the returned error matches
 // both errors.Is(err, ErrNotReady) and errors.As(err, **HTTPError).
 func (c *Client) StreamTruths(ctx context.Context) (StreamWindowInfo, error) {
-	var info StreamWindowInfo
-	err := c.do(ctx, http.MethodGet, PathStreamTruths, nil, &info)
-	return info, notReadyErr(err)
+	return c.streamTruths(ctx, "")
+}
+
+// StreamWeights is StreamTruths with the latest window's per-user
+// weights (?weights=1), which the default reply leaves out.
+func (c *Client) StreamWeights(ctx context.Context) (StreamWindowInfo, error) {
+	return c.streamTruths(ctx, "?weights=1")
 }
 
 // StreamTruthsAt fetches the retained estimate of one specific closed
@@ -181,19 +185,15 @@ func (c *Client) StreamTruthsAt(ctx context.Context, window int) (StreamWindowIn
 	if window < 0 {
 		return StreamWindowInfo{}, fmt.Errorf("%w: window %d", ErrBadClient, window)
 	}
-	path := PathStreamTruths
-	if window > 0 {
-		path += "?window=" + strconv.Itoa(window)
+	if window == 0 {
+		return c.streamTruths(ctx, "")
 	}
+	return c.streamTruths(ctx, "?window="+strconv.Itoa(window))
+}
+
+func (c *Client) streamTruths(ctx context.Context, query string) (StreamWindowInfo, error) {
 	var info StreamWindowInfo
-	err := c.do(ctx, http.MethodGet, path, nil, &info)
-	if err == nil && window > 0 && info.Window != window {
-		// A history-unaware (pre-?window=) server ignores the query and
-		// answers with the latest window; surface that as a typed miss
-		// rather than silently handing back the wrong window's truths.
-		return StreamWindowInfo{}, fmt.Errorf("%w: server answered window %d for ?window=%d (history-unaware server?)",
-			ErrUnknownWindow, info.Window, window)
-	}
+	err := c.do(ctx, http.MethodGet, PathStreamTruths+query, nil, &info)
 	return info, notReadyErr(err)
 }
 

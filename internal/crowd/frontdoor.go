@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 )
 
@@ -23,8 +24,9 @@ type StreamBackend interface {
 	SubmitFrame(ctx context.Context, f *ClaimFrame) (StreamReceipt, error)
 	// CloseWindow closes the open window and returns its estimate.
 	CloseWindow() (StreamWindowInfo, error)
-	// TruthsAt returns one retained closed window (1-based; 0 = latest).
-	TruthsAt(window int) (StreamWindowInfo, error)
+	// TruthsAt returns one retained closed window (1-based; 0 = latest);
+	// weights adds its per-user weights, which only the latest can answer.
+	TruthsAt(window int, weights bool) (StreamWindowInfo, error)
 	// ReadStats returns the observability counters; with reset true the
 	// windowed ones restart from this read.
 	ReadStats(reset bool) StreamStatsInfo
@@ -89,8 +91,8 @@ func (d frontDoor) handleClaims(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d frontDoor) handleTruths(w http.ResponseWriter, r *http.Request) {
-	window := 0
-	if raw := r.URL.Query().Get("window"); raw != "" {
+	q, window := r.URL.Query(), 0
+	if raw := q.Get("window"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 0 {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest,
@@ -99,7 +101,11 @@ func (d frontDoor) handleTruths(w http.ResponseWriter, r *http.Request) {
 		}
 		window = n
 	}
-	info, err := d.b.TruthsAt(window)
+	weights, err := boolParam(w, q, "weights")
+	if err != nil {
+		return
+	}
+	info, err := d.b.TruthsAt(window, weights)
 	if err != nil {
 		// not_ready / unknown_window map to 404: a missing estimate is a
 		// missing resource, while 409 stays reserved for real conflicts
@@ -120,15 +126,24 @@ func (d frontDoor) handleWindow(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d frontDoor) handleStats(w http.ResponseWriter, r *http.Request) {
-	reset := false
-	if raw := r.URL.Query().Get("reset"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("bad reset parameter %q: want a boolean", raw))
-			return
-		}
-		reset = v
+	reset, err := boolParam(w, r.URL.Query(), "reset")
+	if err != nil {
+		return
 	}
 	WriteJSON(w, http.StatusOK, d.b.ReadStats(reset))
+}
+
+// boolParam reads an optional boolean query parameter (absent = false);
+// a malformed one has been answered with the 400 envelope when it errs.
+func boolParam(w http.ResponseWriter, q url.Values, name string) (bool, error) {
+	raw := q.Get(name)
+	if raw == "" {
+		return false, nil
+	}
+	v, err := strconv.ParseBool(raw)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Sprintf("bad %s parameter %q: want a boolean", name, raw))
+	}
+	return v, err
 }

@@ -320,9 +320,14 @@ type StreamWindowInfo struct {
 	// Covered marks objects with at least one live statistic.
 	Covered []bool `json:"covered"`
 	// Weights holds the estimated weight per active user, keyed by
-	// client ID. As in the batch campaign, weights reveal only aggregate
-	// reliability on perturbed data.
-	Weights map[string]float64 `json:"weights"`
+	// client ID. The close reply carries it; GET /v1/stream/truths only on
+	// ?weights=1 and only for the latest window — it is O(users) per poll
+	// and a participation side channel, so readers get aggregates instead:
+	// EffectiveUsers, (Σw)²/Σw² over those weights, and MaxWeightShare,
+	// max w/Σw.
+	Weights        map[string]float64 `json:"weights,omitempty"`
+	EffectiveUsers float64            `json:"effectiveUsers"`
+	MaxWeightShare float64            `json:"maxWeightShare"`
 	// Estimator names the estimator that produced this window's estimate
 	// ("" on results persisted before estimators were recorded = CRH).
 	Estimator string `json:"estimator,omitempty"`

@@ -285,34 +285,42 @@ func (s *StreamServer) CloseWindow() (StreamWindowInfo, error) {
 	return WindowInfo(res), nil
 }
 
-// Truths returns the latest closed window's estimate, or ErrNotReady if
-// no window has closed yet.
-func (s *StreamServer) Truths() (StreamWindowInfo, error) {
-	res := s.engine.Snapshot()
-	if res == nil {
-		return StreamWindowInfo{}, ErrNotReady
-	}
-	return WindowInfo(res), nil
-}
+// Truths returns the latest closed window's estimate, without per-user
+// weights, or ErrNotReady if no window has closed yet.
+func (s *StreamServer) Truths() (StreamWindowInfo, error) { return s.TruthsAt(0, false) }
 
 // TruthsAt returns the retained estimate of one specific closed window
 // (1-based), serving late readers from the engine's bounded result
 // history. Window 0 means the latest. A window that never closed or was
 // evicted from the ring fails with ErrUnknownWindow (ErrNotReady when
-// nothing has ever closed, matching Truths).
-func (s *StreamServer) TruthsAt(window int) (StreamWindowInfo, error) {
-	if window == 0 {
-		return s.Truths()
+// nothing has ever closed). weights adds the per-user weights, which the
+// engine keeps for the latest window only: an older one fails the same.
+func (s *StreamServer) TruthsAt(window int, weights bool) (StreamWindowInfo, error) {
+	if weights {
+		// No close may land between the two engine reads below.
+		s.windowMu.Lock()
+		defer s.windowMu.Unlock()
 	}
-	res, ok := s.engine.ResultAt(window)
-	if !ok {
-		if s.engine.Snapshot() == nil {
-			return StreamWindowInfo{}, ErrNotReady
+	res := s.engine.Snapshot()
+	if res == nil {
+		return StreamWindowInfo{}, ErrNotReady
+	}
+	if window != 0 && window != res.Window {
+		var ok bool
+		if res, ok = s.engine.ResultAt(window); !ok {
+			return StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
+				ErrUnknownWindow, window, s.engine.HistoryWindows())
 		}
-		return StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
-			ErrUnknownWindow, window, s.engine.HistoryWindows())
 	}
-	return WindowInfo(res), nil
+	info := WindowInfo(res)
+	if weights {
+		var ok bool
+		if info.Weights, ok = s.engine.WeightsAt(res.Window); !ok {
+			return StreamWindowInfo{}, fmt.Errorf("%w: weights of window %d (kept for the latest window only)",
+				ErrUnknownWindow, res.Window)
+		}
+	}
+	return info, nil
 }
 
 // Stats returns the server's observability counters: the engine's
@@ -362,16 +370,18 @@ func WindowInfo(res *stream.WindowResult) StreamWindowInfo {
 		}
 	}
 	return StreamWindowInfo{
-		Window:       res.Window,
-		Truths:       truths,
-		Covered:      res.Covered,
-		Weights:      res.Weights,
-		Estimator:    res.Estimator,
-		Iterations:   res.Iterations,
-		Converged:    res.Converged,
-		ActiveUsers:  res.ActiveUsers,
-		WindowClaims: res.WindowClaims,
-		TotalClaims:  res.TotalClaims,
-		Privacy:      res.Privacy,
+		Window:         res.Window,
+		Truths:         truths,
+		Covered:        res.Covered,
+		Weights:        res.Weights,
+		EffectiveUsers: res.EffectiveUsers,
+		MaxWeightShare: res.MaxWeightShare,
+		Estimator:      res.Estimator,
+		Iterations:     res.Iterations,
+		Converged:      res.Converged,
+		ActiveUsers:    res.ActiveUsers,
+		WindowClaims:   res.WindowClaims,
+		TotalClaims:    res.TotalClaims,
+		Privacy:        res.Privacy,
 	}
 }

@@ -242,6 +242,52 @@ func FuzzDecodeClaimFrame(f *testing.F) {
 	})
 }
 
+// FuzzDecodeClaimsJSON fuzzes the JSON claims decoder for the one thing
+// pooling can break: a frame that has held another request must decode a
+// body to exactly what a fresh frame decodes it to — same verdict, same
+// client ID, same claims bit for bit — however many more claims, and
+// whatever field values, its previous occupant left behind.
+//
+// Run as a CI smoke with: go test -fuzz FuzzDecodeClaimsJSON -fuzztime 10s
+func FuzzDecodeClaimsJSON(f *testing.F) {
+	const occupant = `{"clientId":"the-previous-occupant","claims":[` +
+		`{"object":9,"value":9.5},{"object":8,"value":-8.5},{"object":7,"value":7.5},{"object":6,"value":6.5}]}`
+	f.Add([]byte(`{"clientId":"a","claims":[{"object":1,"value":2.5}]}`))
+	f.Add([]byte(`{"clientId":"a","claims":[{"object":1},{"value":3},{}]}`)) // omitted fields must read as zero
+	f.Add([]byte(`{"claims":[{"object":1,"value":2}],"claims":[{}]}`))       // a key twice
+	f.Add([]byte(`{"clientId":"a","claims":null}`))
+	f.Add([]byte(`{"clientId":"a","claims":[{"object":1,"value":2}]} trailing`))
+	f.Add([]byte(`{"clientId":"a","claims":[{"object":1,"value":1e999}]}`))
+	f.Add([]byte(occupant))
+	f.Add([]byte("{nope"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh := new(ClaimFrame)
+		errFresh := fresh.decodeJSON(bytes.NewReader(data))
+		reused := new(ClaimFrame)
+		if err := reused.decodeJSON(bytes.NewReader([]byte(occupant))); err != nil || len(reused.Claims) != 4 {
+			t.Fatalf("seeding the reused frame: %v (%d claims)", err, len(reused.Claims))
+		}
+		errReused := reused.decodeJSON(bytes.NewReader(data))
+		if (errFresh == nil) != (errReused == nil) {
+			t.Fatalf("verdicts differ: fresh %v, reused %v", errFresh, errReused)
+		}
+		if errFresh != nil {
+			return
+		}
+		if string(fresh.ClientID) != string(reused.ClientID) || len(fresh.Claims) != len(reused.Claims) {
+			t.Fatalf("fresh frame decoded %q/%d claims, reused %q/%d",
+				fresh.ClientID, len(fresh.Claims), reused.ClientID, len(reused.Claims))
+		}
+		for i, c := range fresh.Claims {
+			r := reused.Claims[i]
+			if c.Object != r.Object || math.Float64bits(c.Value) != math.Float64bits(r.Value) {
+				t.Fatalf("claim %d: fresh %+v, reused %+v", i, c, r)
+			}
+		}
+	})
+}
+
 // TestBinaryIngestZeroAlloc is the hot-path contract the pooled decode
 // exists for: in steady state, decoding a frame and ingesting its
 // claims performs zero heap allocations per operation — the frame, the

@@ -12,6 +12,7 @@ type userState struct {
 	idx        int
 	id         string
 	carry      float64
+	estimated  int // closed window (1-based) whose estimate set carry; 0 = none yet
 	cumEps     float64
 	lastWindow int // last window index this user was charged for
 	windows    int // number of windows participated in
@@ -362,17 +363,32 @@ func (r *registry) carryWeights(disableCarryover bool) []float64 {
 	return ws
 }
 
-// updateCarry stores the window's final weights for users that were
-// active (had live statistics); inactive users keep their carried value
-// for when their statistics come back.
-func (r *registry) updateCarry(weights []float64, claimCount []int) {
+// updateCarry stores closed window window's final weights for users that
+// were active (had live statistics); inactive users keep their carried
+// value for when their statistics come back.
+func (r *registry) updateCarry(weights []float64, claimCount []int, window int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, st := range r.states {
 		if st != nil && claimCount[i] > 0 {
 			st.carry = weights[i]
+			st.estimated = window
 		}
 	}
+}
+
+// weightsAt returns, by client ID, the carry of every resident user that
+// closed window window estimated.
+func (r *registry) weightsAt(window int) map[string]float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]float64, r.live)
+	for _, st := range r.states {
+		if st != nil && st.estimated == window {
+			out[st.id] = st.carry
+		}
+	}
+	return out
 }
 
 // ids returns the client ID per slot; free slots are "".

@@ -77,12 +77,21 @@ func (e *Engine) estimateLocked() (*WindowResult, error) {
 	}
 	res.Weights = make(map[string]float64, res.ActiveUsers)
 	ids := e.users.ids()
+	var sum, sumSq, maxW float64
 	for u, n := range w.claimCount {
 		if n > 0 {
-			res.Weights[ids[u]] = w.weights[u]
+			wt := w.weights[u]
+			res.Weights[ids[u]] = wt
+			sum += wt
+			sumSq += wt * wt
+			maxW = math.Max(maxW, wt)
 		}
 	}
-	e.users.updateCarry(w.weights, w.claimCount)
+	if sumSq > 0 {
+		res.EffectiveUsers = sum * sum / sumSq
+		res.MaxWeightShare = maxW / sum
+	}
+	e.users.updateCarry(w.weights, w.claimCount, e.window+1)
 	return res, nil
 }
 

@@ -94,6 +94,15 @@ func registerEngineGauges(reg *obs.Registry, e *Engine) {
 		"Distinct client IDs the engine accounts for: resident plus "+
 			"evicted-to-store (privacy accounting never forgets a charge).",
 		func() float64 { return float64(e.users.tracked()) })
+	reg.GaugeFunc("pptd_stream_effective_users",
+		"Effective number of users behind the latest closed window's estimate, "+
+			"(sum w)^2 / sum w^2 over the active users' weights; 0 before the first close.",
+		func() float64 {
+			if res := e.Snapshot(); res != nil {
+				return res.EffectiveUsers
+			}
+			return 0
+		})
 	reg.GaugeFunc("pptd_stream_resident_users",
 		"Users held resident in memory; bounded by the configured residency "+
 			"caps (MaxResidentUsers / ResidentBytes), equal to tracked users "+

@@ -354,9 +354,11 @@ func (e *Engine) Restore(st *EngineState) error {
 
 	release := e.pauseShards()
 	defer close(release)
+	statCount := make([]int, len(st.Users)) // by slot, which restore made the index in st.Users
 	for _, sn := range st.Stats {
 		// The user is known and the pair unique: validated above.
 		e.shards[sn.Object%len(e.shards)].put(byID[sn.User], cell{object: sn.Object, sum: sn.Sum, mass: sn.Mass})
+		statCount[byID[sn.User]]++
 	}
 
 	// Resume at the exported open window, or past it if journal replay
@@ -371,6 +373,9 @@ func (e *Engine) Restore(st *EngineState) error {
 	}
 	e.windowClaims.Store(st.WindowClaims)
 	e.totalClaims.Store(st.TotalClaims)
+	// The users the state holds statistics for are the ones the last close
+	// estimated: stamp their carries so WeightsAt answers for that window.
+	e.users.updateCarry(e.users.carryWeights(false), statCount, e.window)
 	return nil
 }
 

@@ -314,8 +314,15 @@ type WindowResult struct {
 	// Covered marks objects that had at least one live statistic.
 	Covered []bool
 	// Weights holds the estimated weight per user active in this
-	// estimate, keyed by client ID.
-	Weights map[string]float64
+	// estimate, keyed by client ID. Only the result CloseWindow returns
+	// carries it: the history ring and the persisted result drop the
+	// O(users) map, and WeightsAt serves the latest window's from the carry.
+	Weights map[string]float64 `json:"-"`
+	// EffectiveUsers is (Σw)²/Σw² over the active users' weights — how many
+	// equally weighted users the estimate amounts to — and MaxWeightShare
+	// is max w/Σw. Both are 0 when every weight is.
+	EffectiveUsers float64
+	MaxWeightShare float64
 	// Iterations and Converged mirror truth.Result for the estimation
 	// loop of this window.
 	Iterations int
@@ -609,8 +616,8 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 
 // CloseWindow drains all pending ingestion, re-estimates truths and
 // weights from the live sufficient statistics, applies the per-window
-// decay, and advances the window counter. The returned result is also
-// retained for Snapshot.
+// decay, and advances the window counter. The returned result, without
+// its Weights, is also retained for Snapshot.
 func (e *Engine) CloseWindow() (*WindowResult, error) {
 	start := time.Now()
 	e.mu.Lock()
@@ -647,13 +654,15 @@ func (e *Engine) CloseWindow() (*WindowResult, error) {
 	return res, nil
 }
 
-// pushResult appends one published result to the bounded history ring,
-// evicting the oldest entry past capacity. Results arrive in ascending
-// window order (CloseWindow serializes on e.mu).
+// pushResult appends one published result, minus its weights, to the
+// bounded history ring, evicting the oldest entry past capacity. Results
+// arrive in ascending window order (CloseWindow serializes on e.mu).
 func (e *Engine) pushResult(res *WindowResult) {
+	kept := *res
+	kept.Weights = nil
 	e.histMu.Lock()
 	defer e.histMu.Unlock()
-	e.history = append(e.history, res)
+	e.history = append(e.history, &kept)
 	if n := len(e.history) - e.cfg.HistoryWindows; n > 0 {
 		e.history = append(e.history[:0], e.history[n:]...)
 	}
@@ -686,6 +695,20 @@ func (e *Engine) ResultAt(window int) (*WindowResult, bool) {
 		}
 	}
 	return nil, false
+}
+
+// WeightsAt returns the per-user weights of closed window window, and
+// false unless it is the latest: the engine holds each user's weight
+// once — the carry, stamped with the window that estimated it — not a
+// map per retained window. Like PrivacyReport.PerUser it covers resident
+// users only.
+func (e *Engine) WeightsAt(window int) (map[string]float64, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if window == 0 || window != e.window {
+		return nil, false
+	}
+	return e.users.weightsAt(window), true
 }
 
 // History returns the retained published results in ascending window

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -41,31 +40,12 @@ type BatchSubmission struct {
 	Claims   []stream.Claim `json:"claims"`
 }
 
-// encodeBatchLine renders one submission in the shared CRC line format.
-func encodeBatchLine(sub BatchSubmission) ([]byte, error) {
-	payload, err := json.Marshal(sub)
-	if err != nil {
-		return nil, fmt.Errorf("streamstore: encode batch submission: %w", err)
-	}
-	return []byte(fmt.Sprintf("%0*x %s\n", journalCRCLen, crc32.ChecksumIEEE(payload), payload)), nil
-}
-
 // parseBatchLine decodes one WAL line (without its newline), reporting
 // false on any damage.
 func parseBatchLine(line []byte) (BatchSubmission, bool) {
 	var sub BatchSubmission
-	if len(line) < journalCRCLen+2 || line[journalCRCLen] != ' ' {
-		return sub, false
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:journalCRCLen]), "%08x", &want); err != nil {
-		return sub, false
-	}
-	payload := line[journalCRCLen+1:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return sub, false
-	}
-	if err := json.Unmarshal(payload, &sub); err != nil || sub.ClientID == "" {
+	payload, ok := splitCRCLine(line)
+	if !ok || json.Unmarshal(payload, &sub) != nil || sub.ClientID == "" {
 		return sub, false
 	}
 	return sub, true
@@ -134,10 +114,11 @@ func (s *Store) AppendBatchSubmission(sub BatchSubmission) error {
 	if sub.ClientID == "" {
 		return fmt.Errorf("streamstore: batch submission with empty client id")
 	}
-	line, err := encodeBatchLine(sub)
+	payload, err := json.Marshal(sub)
 	if err != nil {
-		return err
+		return fmt.Errorf("streamstore: encode batch submission: %w", err)
 	}
+	line := appendCRCLine(nil, payload) // the charge journal's line format
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
 	if s.batchClosed {

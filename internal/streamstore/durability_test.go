@@ -1,6 +1,7 @@
 package streamstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -127,8 +128,61 @@ func TestResultRoundTrip(t *testing.T) {
 		!got.Covered[0] || got.Covered[1] {
 		t.Errorf("result = %+v", got)
 	}
-	if got.Weights["alice"] != 2.25 || got.Privacy == nil || got.Privacy.MaxCumulative != 1.5 {
+	if got.Privacy == nil || got.Privacy.MaxCumulative != 1.5 {
 		t.Errorf("result detail = %+v privacy %+v", got, got.Privacy)
+	}
+	// Per-user weights are not persisted: the file is O(objects).
+	if got.Weights != nil {
+		t.Errorf("persisted result carried weights %v", got.Weights)
+	}
+}
+
+// TestResultWrittenWithWeightsStillLoads: testdata/result-with-weights.json
+// is a result.json the last commit that persisted per-user weights wrote.
+// It loads with the same truths and counts — the Weights key is simply
+// unknown now — and saving it again writes the O(objects) shape.
+func TestResultWrittenWithWeightsStillLoads(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "result-with-weights.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, resultName)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir)
+	defer func() { _ = s.Close() }()
+	check := func(label string) *stream.WindowResult {
+		t.Helper()
+		got, err := s.LoadResult()
+		if err != nil || got == nil {
+			t.Fatalf("%s: LoadResult = %+v, %v", label, got, err)
+		}
+		if got.Window != 7 || got.Estimator != "crh" || got.ActiveUsers != 3 || got.TotalClaims != 63 ||
+			got.Privacy == nil || got.Privacy.MaxCumulative != 3.5 {
+			t.Errorf("%s: result = %+v privacy %+v", label, got, got.Privacy)
+		}
+		want := []float64{1.5, math.NaN(), -0.25, 1e-3}
+		for i, w := range want {
+			if got.Truths[i] != w && !(math.IsNaN(w) && math.IsNaN(got.Truths[i])) {
+				t.Errorf("%s: truth[%d] = %v, want %v", label, i, got.Truths[i], w)
+			}
+		}
+		if got.Weights != nil {
+			t.Errorf("%s: loaded weights %v", label, got.Weights)
+		}
+		return got
+	}
+	if !bytes.Contains(old, []byte(`"Weights":{"alice"`)) {
+		t.Fatal("testdata no longer holds the old shape")
+	}
+	if err := s.SaveResult(check("old shape")); err != nil {
+		t.Fatal(err)
+	}
+	check("rewritten")
+	if now, err := os.ReadFile(path); err != nil || bytes.Contains(now, []byte("Weights")) {
+		t.Errorf("rewritten result.json = %s, %v", now, err)
 	}
 }
 

@@ -2,6 +2,8 @@ package streamstore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -88,4 +90,26 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCRCLineFormat pins the line codec to the bytes the journal has
+// always held — crc32 as eight lower-case hex digits, a space, the
+// payload, a newline — and splitCRCLine to exactly those lines.
+func TestCRCLineFormat(t *testing.T) {
+	for _, payload := range []string{`{}`, `{"user":"alice","window":0,"epsilon":0.5}`, "\x00\xff", ""} {
+		want := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+		got := appendCRCLine([]byte("kept:"), []byte(payload))
+		if string(got) != "kept:"+want {
+			t.Errorf("appendCRCLine(%q) = %q, want %q after the prefix", payload, got, want)
+		}
+		back, ok := splitCRCLine([]byte(want[:len(want)-1]))
+		if ok != (payload != "") || (ok && string(back) != payload) {
+			t.Errorf("splitCRCLine(%q) = %q, %v", want, back, ok)
+		}
+	}
+	for _, bad := range []string{"", "0000000 {}", "zzzzzzzz {}", "00000000{}", "00000000 {}", "+1234567 {}"} {
+		if _, ok := splitCRCLine([]byte(bad)); ok {
+			t.Errorf("splitCRCLine(%q) accepted a damaged line", bad)
+		}
+	}
 }

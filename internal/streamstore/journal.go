@@ -2,10 +2,13 @@ package streamstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"time"
 
 	"pptd/internal/stream"
@@ -19,10 +22,33 @@ import (
 // where crc32hex is the IEEE CRC-32 of the payload in fixed-width lower
 // hex. The checksum plus the trailing newline make torn tails
 // unambiguous: a crashed append leaves either a complete valid line or a
-// detectable partial one, never a silently-wrong record. The format is
-// identical across the segmented layout and the legacy single-file
-// journal, which is what makes migration a pure rename.
+// detectable partial one, never a silently-wrong record. The batch WAL
+// (batch.go) shares the format and this pair of functions.
 const journalCRCLen = 8
+
+// appendCRCLine appends payload to dst as one line of that format.
+func appendCRCLine(dst, payload []byte) []byte {
+	n := len(dst)
+	dst = append(slices.Grow(dst, journalCRCLen+2+len(payload)), "00000000 "...)
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
+	hex.Encode(dst[n:], sum[:])
+	return append(append(dst, payload...), '\n')
+}
+
+// splitCRCLine returns the payload of one line (without its newline),
+// and false when the checksum field is malformed or does not match.
+func splitCRCLine(line []byte) ([]byte, bool) {
+	if len(line) < journalCRCLen+2 || line[journalCRCLen] != ' ' {
+		return nil, false
+	}
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:journalCRCLen]); err != nil {
+		return nil, false
+	}
+	payload := line[journalCRCLen+1:]
+	return payload, crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(sum[:])
+}
 
 // encodeChargeLine renders one charge record in the journal line
 // format. Shared by AppendCharge and the fuzz seed corpus.
@@ -31,7 +57,7 @@ func encodeChargeLine(rec stream.ChargeRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamstore: encode charge: %w", err)
 	}
-	return []byte(fmt.Sprintf("%0*x %s\n", journalCRCLen, crc32.ChecksumIEEE(payload), payload)), nil
+	return appendCRCLine(nil, payload), nil
 }
 
 // commitBatch is one group-commit unit: the concatenated journal lines
@@ -260,18 +286,8 @@ func scanJournalFile(f storefs.File, size, skip int64, emit func(stream.ChargeRe
 
 func parseJournalLine(line []byte) (stream.ChargeRecord, bool) {
 	var rec stream.ChargeRecord
-	if len(line) < journalCRCLen+2 || line[journalCRCLen] != ' ' {
-		return rec, false
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:journalCRCLen]), "%08x", &want); err != nil {
-		return rec, false
-	}
-	payload := line[journalCRCLen+1:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return rec, false
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	payload, ok := splitCRCLine(line)
+	if !ok || json.Unmarshal(payload, &rec) != nil {
 		return rec, false
 	}
 	return rec, true

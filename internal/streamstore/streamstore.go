@@ -473,7 +473,8 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 // than the history bound are pruned, so recent windows stay answerable
 // by number across a restart. Truths of uncovered objects are NaN in the
 // engine, which JSON cannot carry; they are stored as zeros and restored
-// from the Covered mask on load.
+// from the Covered mask on load. The file is O(objects): per-user weights
+// are not part of it (stream.WindowResult.Weights).
 func (s *Store) SaveResult(res *stream.WindowResult) error {
 	if res == nil {
 		return errors.New("streamstore: nil window result")
