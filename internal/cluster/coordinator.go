@@ -12,13 +12,15 @@
 //
 //  1. Close-export. The coordinator asks every worker to close window W
 //     (POST /v1/cluster/close). Workers quiesce ingest and export their
-//     raw pre-close statistics WITHOUT estimating; the first round
-//     probes with force=false, and if every worker reports an empty
-//     window the close fails with ErrEmptyWindow exactly like a single
-//     node — nothing advances anywhere. Otherwise a second round forces
+//     raw pre-close statistics WITHOUT estimating, replying with the
+//     binary engine-state encoding, which the coordinator decodes
+//     (bounded, fuzzed) and checks is the state before W. The first
+//     round probes with force=false, and if every worker answers 204 —
+//     empty — the close fails with ErrEmptyWindow exactly like a single
+//     node: nothing advances anywhere. Otherwise a second round forces
 //     the empty minority closed (their users still decay, as they would
 //     on one node). A worker retried after a partial close answers from
-//     its per-window export cache, returning identical state.
+//     its per-window export cache, resending identical bytes.
 //  2. Merge-estimate. The per-worker exports cover disjoint user sets,
 //     so stream.MergeStates unions them losslessly; the coordinator
 //     loads the union into an ephemeral engine and runs the one true
@@ -43,7 +45,8 @@
 // that window are applied exactly once-or-again, never skipped.
 //
 // Ingest never crosses shards: POST /v1/stream/claims is forwarded to
-// the user's owning worker, whose local (epsilon, delta) ledger decides
+// the user's owning worker as a binary claim frame, whichever wire it
+// arrived on, and the worker's local (epsilon, delta) ledger decides
 // duplicate-window and budget-exhaustion exactly as a single node
 // would. A worker that cannot be reached fails the claim with the typed
 // worker_unavailable envelope naming the worker; nothing was ingested,
@@ -55,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,7 +188,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	httpc := cfg.HTTPClient
 	clients := make(map[string]*crowd.Client, len(ring.Workers()))
 	for _, w := range ring.Workers() {
-		var opts []crowd.ClientOption
+		// Routed claims travel as the binary claim frame.
+		opts := []crowd.ClientOption{crowd.WithClaimWire(crowd.WireBinary)}
 		if httpc != nil {
 			opts = append(opts, crowd.WithHTTPClient(httpc))
 		}
@@ -327,15 +332,15 @@ func (c *Coordinator) redriveClose(ctx context.Context, window int) error {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
 	workers := c.ring.Workers()
-	replies := make([]crowd.ClusterCloseReply, len(workers))
+	states := make([]*stream.EngineState, len(workers))
 	if err := c.fanOut(workers, func(i int, w string) error {
-		reply, err := c.closeWorker(ctx, w, window, true)
-		replies[i] = reply
+		st, err := c.closeWorker(ctx, w, window, true)
+		states[i] = st
 		return err
 	}); err != nil {
 		return fmt.Errorf("cluster: re-drive close of window %d: %w", window, err)
 	}
-	if _, err := c.mergeAndCommitLocked(ctx, window, replies); err != nil {
+	if _, err := c.mergeAndCommitLocked(ctx, window, states); err != nil {
 		return fmt.Errorf("cluster: re-drive close of window %d: %w", window, err)
 	}
 	return nil
@@ -477,41 +482,34 @@ func (c *Coordinator) CloseWindow() (crowd.StreamWindowInfo, error) {
 	ctx := context.Background()
 
 	// Round 1: probe-close every worker. Workers holding live statistics
-	// close and export; empty workers report Empty without closing.
-	replies := make([]crowd.ClusterCloseReply, len(workers))
+	// close and export; empty workers report empty (nil) without closing.
+	states := make([]*stream.EngineState, len(workers))
 	err := c.fanOut(workers, func(i int, w string) error {
-		reply, err := c.closeWorker(ctx, w, window, false)
-		replies[i] = reply
+		st, err := c.closeWorker(ctx, w, window, false)
+		states[i] = st
 		return err
 	})
 	if err != nil {
 		return crowd.StreamWindowInfo{}, err
 	}
-	allEmpty := true
-	for _, r := range replies {
-		if !r.Empty {
-			allEmpty = false
-			break
-		}
-	}
-	if allEmpty {
+	if !slices.ContainsFunc(states, func(st *stream.EngineState) bool { return st != nil }) {
 		return crowd.StreamWindowInfo{}, fmt.Errorf("%w: window %d empty on all %d workers",
 			stream.ErrEmptyWindow, window, len(workers))
 	}
 	// Round 2: force-close the empty minority so every worker advances
 	// together (their users still decay, exactly as on a single node).
 	if err := c.fanOut(workers, func(i int, w string) error {
-		if !replies[i].Empty {
+		if states[i] != nil {
 			return nil
 		}
-		reply, err := c.closeWorker(ctx, w, window, true)
-		replies[i] = reply
+		st, err := c.closeWorker(ctx, w, window, true)
+		states[i] = st
 		return err
 	}); err != nil {
 		return crowd.StreamWindowInfo{}, err
 	}
 
-	return c.mergeAndCommitLocked(ctx, window, replies)
+	return c.mergeAndCommitLocked(ctx, window, states)
 }
 
 // mergeAndCommitLocked is the second half of a coordinated close —
@@ -519,12 +517,8 @@ func (c *Coordinator) CloseWindow() (crowd.StreamWindowInfo, error) {
 // commit the merged carries back, then (and only then) advance and
 // publish. Shared by CloseWindow and the boot-time re-drive. Callers
 // must hold windowMu.
-func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, replies []crowd.ClusterCloseReply) (crowd.StreamWindowInfo, error) {
+func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, states []*stream.EngineState) (crowd.StreamWindowInfo, error) {
 	workers := c.ring.Workers()
-	states := make([]*stream.EngineState, len(replies))
-	for i, r := range replies {
-		states[i] = r.State
-	}
 	merged, err := stream.MergeStates(states)
 	if err != nil {
 		return crowd.StreamWindowInfo{}, fmt.Errorf("cluster: merge window %d: %w", window, err)
@@ -583,30 +577,35 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, repl
 	return info, nil
 }
 
-// closeWorker invokes one worker's close RPC with retries.
-func (c *Coordinator) closeWorker(ctx context.Context, worker string, window int, force bool) (crowd.ClusterCloseReply, error) {
+// closeWorker invokes one worker's close RPC with retries and returns
+// the worker's decoded export — nil only when a probe (force false)
+// found the worker empty. An export that is not the state before window
+// is refused, withholding the round.
+func (c *Coordinator) closeWorker(ctx context.Context, worker string, window int, force bool) (*stream.EngineState, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
 		if attempt > 0 && c.closeRetries != nil {
 			c.closeRetries.Inc()
 		}
-		reply, err := c.clients[worker].ClusterClose(ctx, crowd.ClusterCloseRequest{Window: window, Force: force})
-		if err == nil {
-			if !reply.Empty && reply.State == nil {
-				return crowd.ClusterCloseReply{}, fmt.Errorf("cluster: worker %s returned neither state nor empty for window %d",
-					worker, window)
-			}
-			return reply, nil
+		st, err := c.clients[worker].ClusterClose(ctx, crowd.ClusterCloseRequest{Window: window, Force: force})
+		switch {
+		case err == nil && st == nil && force:
+			return nil, fmt.Errorf("%w: worker %s answered the forced close of window %d as empty", stream.ErrBadState, worker, window)
+		case err == nil && st != nil && st.Window != window-1:
+			return nil, fmt.Errorf("%w: worker %s exported its state after %d windows for the close of window %d",
+				stream.ErrBadState, worker, st.Window, window)
+		case err == nil:
+			return st, nil
 		}
 		var httpErr *crowd.HTTPError
-		if errors.As(err, &httpErr) {
+		if errors.As(err, &httpErr) || errors.Is(err, stream.ErrBadStateEncoding) {
 			// The worker answered: retrying the same request will not
-			// change its mind. Surface its typed error as-is.
-			return crowd.ClusterCloseReply{}, err
+			// change its mind.
+			return nil, fmt.Errorf("cluster: worker %s closing window %d: %w", worker, window, err)
 		}
 		lastErr = err
 	}
-	return crowd.ClusterCloseReply{}, fmt.Errorf("%w: %s closing window %d: %v",
+	return nil, fmt.Errorf("%w: %s closing window %d: %v",
 		crowd.ErrWorkerUnavailable, worker, window, lastErr)
 }
 

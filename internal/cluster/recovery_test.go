@@ -276,9 +276,11 @@ func TestShipperSkipsUnchangedMutableFiles(t *testing.T) {
 	if err := store.SnapshotEngine(eng); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	if err := store.SaveClusterClose(&streamstore.ClusterCloseState{
-		Window: 1, State: &stream.EngineState{NumObjects: cfg.NumObjects},
-	}); err != nil {
+	export, err := stream.AppendEngineState(nil, &stream.EngineState{NumObjects: cfg.NumObjects})
+	if err != nil {
+		t.Fatalf("encode export: %v", err)
+	}
+	if err := store.SaveClusterClose(&streamstore.ClusterCloseState{Window: 1, State: export}); err != nil {
 		t.Fatalf("save cluster close: %v", err)
 	}
 

@@ -14,6 +14,7 @@ import (
 	"pptd/internal/core"
 	"pptd/internal/obs"
 	"pptd/internal/randx"
+	"pptd/internal/stream"
 )
 
 // ErrBadClient reports an invalid client configuration or argument.
@@ -353,7 +354,19 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 		}
 		return httpErr
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *[]byte: // a cluster worker's close export; a 204 leaves it nil
+		if resp.StatusCode == http.StatusNoContent {
+			return nil
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != ContentTypeEngineState {
+			return fmt.Errorf("%w: reply is %q, want %q", stream.ErrBadStateEncoding, ct, ContentTypeEngineState)
+		}
+		if *out, err = io.ReadAll(resp.Body); err != nil {
+			return fmt.Errorf("crowd: read response: %w", err)
+		}
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -20,22 +21,24 @@ import (
 //     and the window advance still happen locally). The coordinator
 //     merges the disjoint per-worker exports and runs the one true
 //     estimation over the union, so an N-worker cluster publishes
-//     exactly the estimate a single node would have.
+//     exactly the estimate a single node would have. The reply is the
+//     encoded export (ContentTypeEngineState), or 204 for an empty probe.
 //  2. POST /v1/cluster/commit — write the merged per-user carry
 //     weights and estimator state back onto the worker that owns each
 //     user, then run the deferred idle-user eviction so spill records
 //     carry the merged post-estimate state.
 //
 // Both RPCs are idempotent so the coordinator can retry a partially
-// failed cluster close: close caches its export per window (a retry
-// returns the identical state instead of closing a second window), and
-// commit re-applies the same values. Each RPC snapshots the engine when
-// the worker is durable — a worker must never replay its journal across
-// a cluster close boundary, because local replay would re-estimate with
-// only this shard's users and diverge from the merged truth.
+// failed cluster close: close caches its export per window, encoded
+// once (a retry resends the identical bytes instead of closing a second
+// window), and commit re-applies the same values. Each RPC snapshots the
+// engine when the worker is durable — a worker must never replay its
+// journal across a cluster close boundary, because local replay would
+// re-estimate with only this shard's users and diverge from the merged
+// truth.
 //
-// On a durable worker the export cache is persisted too
-// (streamstore.ClusterCloseState, written BEFORE the post-close
+// On a durable worker the same bytes are the payload of the persisted
+// record (streamstore.ClusterCloseState, written BEFORE the post-close
 // snapshot and restored on boot), so the idempotence holds across a
 // crash at any point of the round: a worker killed between its close
 // and the coordinator's commit comes back still able to serve the
@@ -45,6 +48,11 @@ import (
 // records say "closed but not committed" re-drives the merge/commit
 // from these cached exports before serving (see
 // cluster.Coordinator and ClusterStatus).
+
+// ContentTypeEngineState is the Content-Type of a worker's 200 reply to
+// POST /v1/cluster/close: one engine state in stream.AppendEngineState's
+// encoding (docs/WIRE.md), the payload layout of cluster-close.json.
+const ContentTypeEngineState = "application/x-pptd-engine-state"
 
 // ClusterCloseRequest asks a worker to close one window and export its
 // sufficient statistics.
@@ -65,11 +73,12 @@ type ClusterCloseRequest struct {
 type ClusterCloseReply struct {
 	// Empty reports a non-forced close against a worker with no live
 	// statistics: the window was NOT closed and State is nil.
-	Empty bool `json:"empty,omitempty"`
+	Empty bool
 	// State is the worker's exported pre-close engine state (its Window
 	// field is the closed-window count before this close, i.e.
-	// request.Window-1).
-	State *stream.EngineState `json:"state,omitempty"`
+	// request.Window-1), encoded by stream.AppendEngineState. It is the
+	// worker's export cache itself: read-only.
+	State []byte
 }
 
 // ClusterCommitRequest writes the merged post-estimate carry weights
@@ -109,10 +118,10 @@ type ClusterStatusReply struct {
 
 // ClusterClose serves one coordinator-driven window close: it verifies
 // the worker is at the expected window, quiesces ingest, and exports
-// the open window's raw sufficient statistics without estimating. The
-// call is idempotent per window — a retried close returns the cached
-// export of the first. A non-forced close of a worker with no live
-// statistics replies Empty without closing anything.
+// the open window's raw sufficient statistics without estimating,
+// encoded once. The call is idempotent per window — a retried close
+// returns the very bytes of the first. A non-forced close of a worker
+// with no live statistics replies Empty without closing anything.
 func (s *StreamServer) ClusterClose(req ClusterCloseRequest) (ClusterCloseReply, error) {
 	s.windowMu.Lock()
 	defer s.windowMu.Unlock()
@@ -147,13 +156,19 @@ func (s *StreamServer) ClusterClose(req ClusterCloseRequest) (ClusterCloseReply,
 	if err != nil {
 		return ClusterCloseReply{}, err
 	}
+	buf, err := stream.AppendEngineState(nil, st)
+	if err != nil {
+		return ClusterCloseReply{}, err
+	}
+	// Held until the next close: drop the encoder's size-estimate slack.
+	export := append(make([]byte, 0, len(buf)), buf...)
 	// Cache before any durable step: even if persistence fails, a
 	// retried close must return this exact export rather than erroring
 	// on the already-advanced window — the retry re-runs the durable
 	// steps through the cache path above.
-	s.clusterExport, s.clusterExportWindow = st, req.Window
+	s.clusterExport, s.clusterExportWindow = export, req.Window
 	s.clusterExportDurable = false
-	return ClusterCloseReply{State: st}, s.persistClusterCloseLocked()
+	return ClusterCloseReply{State: export}, s.persistClusterCloseLocked()
 }
 
 // persistClusterCloseLocked makes the cached export durable — the
@@ -200,6 +215,10 @@ func (s *StreamServer) ClusterCommit(req ClusterCommitRequest) (ClusterCommitRep
 			ErrBadSubmission, req.Window, got)
 	}
 	if err := s.engine.CommitCarry(req.Carries); err != nil {
+		if errors.Is(err, stream.ErrBadState) {
+			// A carry the engine refuses is a bad request, not a worker fault.
+			err = fmt.Errorf("%w: %w", ErrBadSubmission, err)
+		}
 		return ClusterCommitReply{}, err
 	}
 	if s.store != nil {
@@ -258,7 +277,12 @@ func (s *StreamServer) handleClusterClose(w http.ResponseWriter, r *http.Request
 		WriteAPIError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, reply)
+	if reply.Empty {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	w.Header().Set("Content-Type", ContentTypeEngineState)
+	_, _ = w.Write(reply.State)
 }
 
 func (s *StreamServer) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
@@ -280,11 +304,17 @@ func (s *StreamServer) handleClusterStatus(w http.ResponseWriter, _ *http.Reques
 	WriteJSON(w, http.StatusOK, s.ClusterStatus())
 }
 
-// ClusterClose invokes the worker-side close RPC (coordinator use).
-func (c *Client) ClusterClose(ctx context.Context, req ClusterCloseRequest) (ClusterCloseReply, error) {
-	var reply ClusterCloseReply
-	err := c.do(ctx, http.MethodPost, PathClusterClose, req, &reply)
-	return reply, err
+// ClusterClose invokes the worker-side close RPC (coordinator use) and
+// decodes the worker's export. A nil state and nil error is a probe's
+// 204: the worker was empty and closed nothing. A reply in another
+// content type (a worker predating the binary reply) or bytes that do not
+// decode fail with stream.ErrBadStateEncoding.
+func (c *Client) ClusterClose(ctx context.Context, req ClusterCloseRequest) (*stream.EngineState, error) {
+	var raw []byte
+	if err := c.do(ctx, http.MethodPost, PathClusterClose, req, &raw); err != nil || raw == nil {
+		return nil, err
+	}
+	return stream.DecodeEngineState(raw)
 }
 
 // ClusterCommit invokes the worker-side commit RPC (coordinator use).

@@ -66,16 +66,16 @@ type StreamServer struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// clusterExport caches the last ClusterClose export (keyed by the
-	// 1-based window it closed) under windowMu, making the close RPC
-	// idempotent: a coordinator retrying after a partial cluster close
-	// gets the identical state back instead of closing a second window.
-	// On a durable server the cache is persisted (and restored on boot)
+	// clusterExport caches the last ClusterClose export as encoded bytes
+	// (keyed by the 1-based window it closed) under windowMu, making the
+	// close RPC idempotent: a coordinator retrying after a partial cluster
+	// close gets the identical bytes back instead of closing a second
+	// window. On a durable server they are the persisted record's payload
 	// so the idempotence survives a worker crash mid-round;
 	// clusterExportDurable tracks whether the current cache entry made
 	// it to disk, and clusterCommitted is the last window whose merged
 	// carries were applied (see ClusterCommit / ClusterStatus).
-	clusterExport        *stream.EngineState
+	clusterExport        []byte
 	clusterExportWindow  int
 	clusterExportDurable bool
 	clusterCommitted     int

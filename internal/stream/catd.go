@@ -75,6 +75,8 @@ func (*catdEstimator) restoreState(data json.RawMessage, _ map[string]int) error
 // per-user state to spill.
 func (*catdEstimator) exportUser(int) (json.RawMessage, error) { return nil, nil }
 
-func (*catdEstimator) seedUser(_ int, data json.RawMessage) error {
-	return restoreNoState(EstimatorCATD, data)
+func (*catdEstimator) decodeUser(data json.RawMessage) (userSeed, error) {
+	return userSeed{}, restoreNoState(EstimatorCATD, data)
 }
+
+func (*catdEstimator) seedUser(int, userSeed) {}

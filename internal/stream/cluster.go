@@ -139,23 +139,29 @@ func (e *Engine) ExportCarry() ([]UserCarry, error) {
 // protocol round every carry finds its user). After the carries are
 // applied the residency caps are enforced, exactly where CloseWindow
 // would have evicted — so spill records written here carry the merged,
-// not the stale, state.
+// not the stale, state. The commit is all-or-nothing: every carry is
+// validated and its estimator state decoded before any is applied, so a
+// refused commit leaves the engine as it found it.
 func (e *Engine) CommitCarry(carries []UserCarry) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrEngineClosed
 	}
-	for _, c := range carries {
+	seeds := make([]userSeed, len(carries))
+	for i, c := range carries {
 		if c.ID == "" || !finite(c.Carry) || c.Carry < 0 {
 			return fmt.Errorf("%w: carry for user %q = %v", ErrBadState, c.ID, c.Carry)
 		}
-		idx, ok := e.users.setCarry(c.ID, c.Carry)
-		if !ok {
-			continue
+		seed, err := e.est.decodeUser(c.EstimatorState)
+		if err != nil {
+			return fmt.Errorf("carry for user %q: %w", c.ID, err)
 		}
-		if err := e.est.seedUser(idx, c.EstimatorState); err != nil {
-			return err
+		seeds[i] = seed
+	}
+	for i, c := range carries {
+		if idx, ok := e.users.setCarry(c.ID, c.Carry); ok {
+			e.est.seedUser(idx, seeds[i])
 		}
 	}
 	release := e.pauseShards()

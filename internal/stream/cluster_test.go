@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -116,9 +118,9 @@ func TestMergeStatesCanonicalOrderAndCounters(t *testing.T) {
 	}
 }
 
-// TestMergedDuplicateStatRefusedByRestore: a worker's close response is
-// JSON from another process, so a part may list one (object, user)
-// statistic twice. MergeStates carries both through; Restore must refuse
+// TestMergedDuplicateStatRefusedByRestore: a worker's close response
+// comes from another process, and its encoding does not forbid listing
+// one (object, user) statistic twice. MergeStates carries both through; Restore must refuse
 // the merged state naming the pair, before anything mutates, instead of
 // keeping whichever came last.
 func TestMergedDuplicateStatRefusedByRestore(t *testing.T) {
@@ -147,6 +149,65 @@ func TestMergedDuplicateStatRefusedByRestore(t *testing.T) {
 	}
 	if st, err := e.ExportState(); err != nil || len(st.Stats) != 2 {
 		t.Fatalf("export after restore = %+v, %v; want the two merged statistics", st, err)
+	}
+}
+
+// TestCommitCarryAllOrNothing: a commit refused at its k-th carry — a
+// negative or NaN carry, an empty ID, estimator state that does not
+// decode — leaves the engine exactly as it found it: the carries before
+// k are not applied, and the user at k keeps their GTM variance.
+func TestCommitCarryAllOrNothing(t *testing.T) {
+	for _, est := range []string{EstimatorCRH, EstimatorGTM} {
+		t.Run(est, func(t *testing.T) {
+			e, err := New(Config{NumObjects: 3, NumShards: 2, Estimator: est})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			for u := 0; u < 4; u++ {
+				claims := []Claim{{Object: u % 3, Value: float64(u)}, {Object: (u + 1) % 3, Value: 1}}
+				if _, _, err := e.Ingest(fmt.Sprintf("u%d", u), claims); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := e.CloseWindow(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := e.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			good := func(id string) UserCarry {
+				c := UserCarry{ID: id, Carry: 7.5}
+				if est == EstimatorGTM {
+					c.EstimatorState = json.RawMessage(`{"variance":0.125}`)
+				}
+				return c
+			}
+			bad := map[string]UserCarry{
+				"negative carry":              {ID: "u2", Carry: -1},
+				"NaN carry":                   {ID: "u2", Carry: math.NaN()},
+				"empty ID":                    {ID: "", Carry: 1},
+				"undecodable estimator state": {ID: "u2", Carry: 1, EstimatorState: json.RawMessage(`{"variance":"x"}`)},
+				"non-positive variance":       {ID: "u2", Carry: 1, EstimatorState: json.RawMessage(`{"variance":-2}`)},
+			}
+			for name, carry := range bad {
+				err := e.CommitCarry([]UserCarry{good("u0"), good("u1"), carry, good("u3")})
+				if !errors.Is(err, ErrBadState) {
+					t.Fatalf("%s: CommitCarry = %v, want ErrBadState", name, err)
+				}
+				if after, err := e.ExportState(); err != nil || !reflect.DeepEqual(after, before) {
+					t.Fatalf("%s: refused commit changed the engine:\n got %+v, %v\nwant %+v", name, after, err, before)
+				}
+			}
+			// The same carries, all good, do change it.
+			if err := e.CommitCarry([]UserCarry{good("u0"), good("u1"), good("u2"), good("u3")}); err != nil {
+				t.Fatal(err)
+			}
+			if after, err := e.ExportState(); err != nil || reflect.DeepEqual(after, before) {
+				t.Fatalf("accepted commit left the engine unchanged: %v", err)
+			}
+		})
 	}
 }
 

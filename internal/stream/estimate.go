@@ -141,9 +141,11 @@ func (crhEstimator) restoreState(data json.RawMessage, _ map[string]int) error {
 // rides the spill record itself.
 func (crhEstimator) exportUser(int) (json.RawMessage, error) { return nil, nil }
 
-func (crhEstimator) seedUser(_ int, data json.RawMessage) error {
-	return restoreNoState(EstimatorCRH, data)
+func (crhEstimator) decodeUser(data json.RawMessage) (userSeed, error) {
+	return userSeed{}, restoreNoState(EstimatorCRH, data)
 }
+
+func (crhEstimator) seedUser(int, userSeed) {}
 
 // updateWeights evaluates Eq. (3): per-user mean distance between the
 // effective claims and the current truths, then w = -log(d/total),

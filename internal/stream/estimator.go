@@ -68,13 +68,18 @@ type Estimator interface {
 	// record (UserSpill.EstimatorState). Nil means none worth spilling —
 	// re-admission with a nil payload must reproduce the slot exactly.
 	exportUser(idx int) (json.RawMessage, error)
-	// seedUser prepares the slot of a freshly admitted user: a nil (or
-	// empty) payload resets it to the initial per-user state — slots are
-	// recycled across evictions, so stale values must not leak into the
-	// new occupant — and a payload from exportUser restores the spilled
-	// state.
-	seedUser(idx int, data json.RawMessage) error
+	// decodeUser parses a payload from exportUser (nil or empty: the
+	// initial per-user state) without touching any slot, so a caller can
+	// refuse a batch of payloads before applying any.
+	decodeUser(data json.RawMessage) (userSeed, error)
+	// seedUser prepares the slot of a freshly admitted user: the initial
+	// state resets it — slots are recycled across evictions, so stale
+	// values must not leak into the new occupant — a spilled one restores.
+	seedUser(idx int, seed userSeed)
 }
+
+// userSeed is one user's decoded private estimator state (GTM's variance).
+type userSeed struct{ variance float64 }
 
 // windowData is the frozen view of one window handed to an estimator:
 // per-shard statistic views plus pre-allocated output and scratch slices.

@@ -48,21 +48,22 @@ func (e *Engine) admit(id string) (*userState, bool, error) {
 				ErrEstimatorMismatch, id, written, e.cfg.Estimator)
 		}
 	}
-	st := e.users.getOrCreate(id, e.window)
 	var raw json.RawMessage
 	if found {
-		e.users.readmitSpill(st, sp, e.epsWindow, e.cfg.EpsilonBudget)
 		raw = sp.EstimatorState
+	}
+	seed, err := e.est.decodeUser(raw)
+	if err != nil {
+		return nil, false, err
+	}
+	st := e.users.getOrCreate(id, e.window)
+	if found {
+		e.users.readmitSpill(st, sp, e.epsWindow, e.cfg.EpsilonBudget)
+		e.metrics.readmitted(1)
 	}
 	// The slot may be recycled from an evicted user; seeding resets it to
 	// the initial per-user state or restores the spilled one.
-	if err := e.est.seedUser(st.idx, raw); err != nil {
-		e.users.dropIfIdle(st, e.window, e.epsWindow, e.cfg.EpsilonBudget)
-		return nil, false, err
-	}
-	if found {
-		e.metrics.readmitted(1)
-	}
+	e.est.seedUser(st.idx, seed)
 	return st, true, nil
 }
 

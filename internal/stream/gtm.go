@@ -173,23 +173,25 @@ func (g *gtmEstimator) exportUser(idx int) (json.RawMessage, error) {
 	return data, nil
 }
 
-func (g *gtmEstimator) seedUser(idx int, data json.RawMessage) error {
-	for len(g.variances) <= idx {
-		g.variances = append(g.variances, g.initVariance)
-	}
-	g.variances[idx] = g.initVariance
+func (g *gtmEstimator) decodeUser(data json.RawMessage) (userSeed, error) {
 	if len(data) == 0 || string(data) == "null" {
-		return nil
+		return userSeed{variance: g.initVariance}, nil
 	}
 	var st gtmUserState
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("%w: decode gtm user state: %v", ErrBadState, err)
+		return userSeed{}, fmt.Errorf("%w: decode gtm user state: %v", ErrBadState, err)
 	}
 	if !finite(st.Variance) || st.Variance <= 0 {
-		return fmt.Errorf("%w: spilled gtm variance = %v", ErrBadState, st.Variance)
+		return userSeed{}, fmt.Errorf("%w: spilled gtm variance = %v", ErrBadState, st.Variance)
 	}
-	g.variances[idx] = st.Variance
-	return nil
+	return userSeed{variance: st.Variance}, nil
+}
+
+func (g *gtmEstimator) seedUser(idx int, seed userSeed) {
+	for len(g.variances) <= idx {
+		g.variances = append(g.variances, g.initVariance)
+	}
+	g.variances[idx] = seed.variance
 }
 
 func (g *gtmEstimator) restoreState(data json.RawMessage, byID map[string]int) error {

@@ -9,8 +9,9 @@ import (
 )
 
 // Binary engine-state encoding: the one serialized form of an
-// EngineState on disk (internal/streamstore frames, checksums and
-// writes it; the cluster RPCs still carry the JSON tags). It follows
+// EngineState, on disk and on the wire (internal/streamstore frames,
+// checksums and writes it; a cluster worker's close reply carries it
+// bare, and the coordinator decodes it with DecodeEngineState). It follows
 // the claim frame's idiom (internal/crowd/wire.go): the user table is
 // written once, every statistic references its user by table index, and
 // floats are fixed little-endian IEEE-754 bits, so they — and the

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-
-	"pptd/internal/stream"
 )
 
 // Cluster-close durability: a worker participating in a coordinated
@@ -45,14 +43,15 @@ var ErrCorruptClusterClose = errors.New("streamstore: corrupt cluster close reco
 // coordinated cluster window close.
 type ClusterCloseState struct {
 	// Window is the 1-based window the export belongs to.
-	Window int `json:"window"`
+	Window int
 	// Committed reports whether the coordinator's merged carries for
 	// Window were applied (and snapshotted) on this worker. False means
 	// the close round is still in flight: a coordinator booting against
 	// this worker must finish the merge/commit before serving.
-	Committed bool `json:"committed"`
-	// State is the pre-close export served to close retries.
-	State *stream.EngineState `json:"state"`
+	Committed bool
+	// State is the pre-close export served to close retries, encoded by
+	// stream.AppendEngineState: the record's payload, byte for byte.
+	State []byte
 }
 
 // SaveClusterClose atomically persists the worker's cluster-close
@@ -68,10 +67,7 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 	if cs.Committed {
 		committed = 1
 	}
-	file, err := encodeStateFile(clusterCloseMagic, int64(cs.Window), committed, cs.State)
-	if err != nil {
-		return fmt.Errorf("streamstore: encode cluster close: %w", err)
-	}
+	file := sealStateFile(append(stateFileHeader(clusterCloseMagic, int64(cs.Window), committed, len(cs.State)), cs.State...))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -81,7 +77,8 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 }
 
 // LoadClusterClose returns the persisted cluster-close record, or nil
-// when this worker never served a coordinated close.
+// when this worker never served a coordinated close. State comes back
+// checksum-verified but unparsed: the coordinator decodes it.
 func (s *Store) LoadClusterClose() (*ClusterCloseState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,12 +89,12 @@ func (s *Store) LoadClusterClose() (*ClusterCloseState, error) {
 	if file == nil || err != nil {
 		return nil, err
 	}
-	window, committed, st, err := decodeStateFile(file, clusterCloseMagic)
+	window, committed, payload, err := verifyStateFile(file, clusterCloseMagic)
 	if err == nil && committed != 0 && committed != 1 {
 		err = fmt.Errorf("committed flag %d", committed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptClusterClose, err)
 	}
-	return &ClusterCloseState{Window: int(window), Committed: committed == 1, State: st}, nil
+	return &ClusterCloseState{Window: int(window), Committed: committed == 1, State: payload}, nil
 }

@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"pptd/internal/stream"
 )
 
 // State-file framing: the snapshot and the cluster-close record are one
@@ -45,22 +43,22 @@ const (
 // operator can decide what to do with it.
 var ErrLegacySnapshot = errors.New("streamstore: JSON-era engine state file present, refusing to ignore its privacy charges")
 
-// encodeStateFile frames st: header with the two file-specific words,
-// then the payload, encoded once straight into the file buffer, then the
-// length and checksum backfilled.
-func encodeStateFile(magic string, a, b int64, st *stream.EngineState) ([]byte, error) {
-	hdr := make([]byte, stateHeaderLen)
+// stateFileHeader starts a framed file with room for a payload of the
+// given size; append the payload, then sealStateFile.
+func stateFileHeader(magic string, a, b int64, payload int) []byte {
+	hdr := make([]byte, stateHeaderLen, stateHeaderLen+payload)
 	copy(hdr, magic)
 	hdr[4] = stateFileVersion
 	binary.LittleEndian.PutUint64(hdr[5:], uint64(a))
 	binary.LittleEndian.PutUint64(hdr[13:], uint64(b))
-	buf, err := stream.AppendEngineState(hdr, st)
-	if err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint64(buf[21:], uint64(len(buf)-stateHeaderLen))
-	binary.LittleEndian.PutUint32(buf[stateCRCOffset:], stateFileCRC(buf))
-	return buf, nil
+	return hdr
+}
+
+// sealStateFile backfills a framed file's payload length and checksum.
+func sealStateFile(file []byte) []byte {
+	binary.LittleEndian.PutUint64(file[21:], uint64(len(file)-stateHeaderLen))
+	binary.LittleEndian.PutUint32(file[stateCRCOffset:], stateFileCRC(file))
+	return file
 }
 
 // stateFileCRC checksums a framed file's header (up to the CRC field)
@@ -69,29 +67,27 @@ func stateFileCRC(file []byte) uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(file[:stateCRCOffset]), crc32.IEEETable, file[stateHeaderLen:])
 }
 
-// decodeStateFile verifies a framed file — magic, version, length,
-// checksum, in that order, all before the payload is parsed — and
-// returns its two header words and the decoded state. Errors are bare;
-// callers wrap them in the file's own corruption sentinel.
-func decodeStateFile(file []byte, magic string) (a, b int64, st *stream.EngineState, err error) {
-	switch payload := len(file) - stateHeaderLen; {
-	case payload < 0:
+// verifyStateFile checks a framed file — magic, version, length,
+// checksum, in that order — and returns its two header words and its
+// payload, unparsed (with no spare capacity). Errors are bare; callers
+// wrap them in the file's own corruption sentinel.
+func verifyStateFile(file []byte, magic string) (a, b int64, payload []byte, err error) {
+	switch n := len(file) - stateHeaderLen; {
+	case n < 0:
 		err = fmt.Errorf("short header: %d of %d bytes", len(file), stateHeaderLen)
 	case string(file[:4]) != magic:
 		err = fmt.Errorf("bad magic %q, want %q", file[:4], magic)
 	case file[4] != stateFileVersion:
 		err = fmt.Errorf("unsupported format version %d (want %d)", file[4], stateFileVersion)
-	case binary.LittleEndian.Uint64(file[21:]) != uint64(payload):
-		err = fmt.Errorf("payload length %d, file holds %d", binary.LittleEndian.Uint64(file[21:]), payload)
+	case binary.LittleEndian.Uint64(file[21:]) != uint64(n):
+		err = fmt.Errorf("payload length %d, file holds %d", binary.LittleEndian.Uint64(file[21:]), n)
 	case stateFileCRC(file) != binary.LittleEndian.Uint32(file[stateCRCOffset:]):
 		err = fmt.Errorf("checksum %08x, header says %08x", stateFileCRC(file), binary.LittleEndian.Uint32(file[stateCRCOffset:]))
-	default:
-		st, err = stream.DecodeEngineState(file[stateHeaderLen:])
 	}
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	return int64(binary.LittleEndian.Uint64(file[5:])), int64(binary.LittleEndian.Uint64(file[13:])), st, nil
+	return int64(binary.LittleEndian.Uint64(file[5:])), int64(binary.LittleEndian.Uint64(file[13:])), file[stateHeaderLen:len(file):len(file)], nil
 }
 
 // refuseLegacyStateFileLocked fails Open with ErrLegacySnapshot when the

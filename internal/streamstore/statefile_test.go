@@ -42,6 +42,17 @@ func goldenState() *stream.EngineState {
 	}
 }
 
+// goldenPayload is goldenState in the engine-state encoding: the
+// cluster-close record's payload.
+func goldenPayload(t *testing.T) []byte {
+	t.Helper()
+	payload, err := stream.AppendEngineState(nil, goldenState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 // TestStateFilesGolden pins the snapshot and the cluster-close record
 // byte for byte, written through the public path. Drift here means a
 // deployed state directory no longer loads: bump the format version and
@@ -55,7 +66,7 @@ func TestStateFilesGolden(t *testing.T) {
 	if err := s.WriteSnapshot(goldenState(), covered); err != nil {
 		t.Fatal(err)
 	}
-	record := &ClusterCloseState{Window: 7, Committed: true, State: goldenState()}
+	record := &ClusterCloseState{Window: 7, Committed: true, State: goldenPayload(t)}
 	if err := s.SaveClusterClose(record); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +103,12 @@ func TestStateFilesGolden(t *testing.T) {
 	if err != nil || pos != covered || !reflect.DeepEqual(st, goldenState()) {
 		t.Errorf("golden snapshot loads as %+v at %+v, %v", st, pos, err)
 	}
-	if cs, err := s.LoadClusterClose(); err != nil || !reflect.DeepEqual(cs, record) {
-		t.Errorf("golden cluster-close record loads as %+v, %v", cs, err)
+	cs, err := s.LoadClusterClose()
+	if err != nil || !reflect.DeepEqual(cs, record) {
+		t.Fatalf("golden cluster-close record loads as %+v, %v", cs, err)
+	}
+	if st, err := stream.DecodeEngineState(cs.State); err != nil || !reflect.DeepEqual(st, goldenState()) {
+		t.Errorf("golden cluster-close payload decodes as %+v, %v", st, err)
 	}
 }
 
@@ -111,7 +126,7 @@ func TestStateFilesRejectEveryBitFlip(t *testing.T) {
 	if err := s.WriteSnapshot(goldenState(), JournalPos{Seq: 3, Off: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveClusterClose(&ClusterCloseState{Window: 7, State: goldenState()}); err != nil {
+	if err := s.SaveClusterClose(&ClusterCloseState{Window: 7, State: goldenPayload(t)}); err != nil {
 		t.Fatal(err)
 	}
 	files := []struct {

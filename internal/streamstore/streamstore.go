@@ -448,7 +448,8 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if st == nil {
 		return errors.New("streamstore: nil engine state")
 	}
-	file, err := encodeStateFile(snapshotMagic, covered.Seq, covered.Off, st)
+	// The payload is encoded once, straight into the file buffer.
+	file, err := stream.AppendEngineState(stateFileHeader(snapshotMagic, covered.Seq, covered.Off, 0), st)
 	if err != nil {
 		return fmt.Errorf("streamstore: encode snapshot: %w", err)
 	}
@@ -457,7 +458,7 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.writeAtomicLocked("snapshot", snapshotName, snapshotTmpName, file); err != nil {
+	if err := s.writeAtomicLocked("snapshot", snapshotName, snapshotTmpName, sealStateFile(file)); err != nil {
 		return err
 	}
 	s.snapshots++
@@ -760,7 +761,11 @@ func (s *Store) loadSnapshotLocked() (*stream.EngineState, JournalPos, error) {
 	if file == nil || err != nil {
 		return nil, JournalPos{}, err
 	}
-	seq, off, st, err := decodeStateFile(file, snapshotMagic)
+	seq, off, payload, err := verifyStateFile(file, snapshotMagic)
+	var st *stream.EngineState
+	if err == nil {
+		st, err = stream.DecodeEngineState(payload)
+	}
 	if err != nil {
 		return nil, JournalPos{}, fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
 	}
