@@ -11,13 +11,13 @@
 //	pptdstream -objects 20 -users 50 -windows 5 -shards 4 \
 //	    -lambda1 1.5 -lambda2 2 -delta 0.3 -budget 0 -decay 1 -drift 0.2 \
 //	    -state-dir /var/lib/pptd -window-interval 0 \
-//	    -claim-wal -snapshot-every 1 -segment-bytes 0 -commit-interval 0
+//	    -claim-wal -snapshot-every 1 -segment-bytes 0 -commit-batch 0
 //
 // With -budget > 0 users are cut off once their cumulative epsilon would
 // exceed the cap; the driver reports how many submissions were refused.
 // With -state-dir the in-process server journals every privacy charge
 // (fsync'd before the submission is acknowledged; concurrent submissions
-// share group-commit batches — tune with -commit-interval/-commit-batch)
+// share group-commit batches — cap them with -commit-batch)
 // and, via -claim-wal (on by default), the submission's claims in the
 // same record, persists each window's published result, and snapshots
 // the engine per -snapshot-every/-snapshot-bytes, so re-running against
@@ -85,7 +85,6 @@ func run(args []string, out io.Writer) error {
 		segBytes    = fs.Int64("segment-bytes", 0, "size cap per journal segment file; compaction deletes covered segments whole (0 = default 4 MiB)")
 		snapEvery   = fs.Int("snapshot-every", 1, "write an engine snapshot every Nth window close (with -state-dir)")
 		snapBytes   = fs.Int64("snapshot-bytes", 0, "force a snapshot once the journal exceeds this many bytes (0 = no size trigger)")
-		commitWait  = fs.Duration("commit-interval", 0, "how long a group-commit leader lingers for more appends before fsyncing (0 = no added latency)")
 		commitBatch = fs.Int("commit-batch", 0, "max journal records per group-commit fsync (0 = default 256, 1 = fsync per append)")
 		maxResident = fs.Int("max-resident-users", 0, "cap on users kept resident in memory; idle users (no live sufficient statistics — needs -decay < 1 to ever happen) spill to -state-dir at window close and re-admit on their next claim (0 = unbounded)")
 		resBytes    = fs.Int64("resident-bytes", 0, "approximate byte budget for resident per-user state, an alternative cap to -max-resident-users (0 = unbounded)")
@@ -161,7 +160,7 @@ func run(args []string, out io.Writer) error {
 		}
 		if *stateDir != "" {
 			popts := []pptd.PersistenceOption{
-				pptd.WithGroupCommit(*commitWait, *commitBatch),
+				pptd.WithGroupCommit(*commitBatch),
 			}
 			if *snapEvery > 0 {
 				popts = append(popts, pptd.WithSnapshotEvery(*snapEvery))
@@ -387,8 +386,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// Group-commit observability: on a durable server the stats endpoint
 	// reports how well concurrent submissions amortized their fsyncs and
-	// what each flush cost — the tuning data for -commit-interval and
-	// -commit-batch.
+	// what each flush cost — the tuning data for -commit-batch.
 	if stats, err := client.StreamStats(ctx); err == nil && stats.Durable && stats.Store != nil {
 		st := stats.Store
 		ratio := float64(st.JournalAppends)

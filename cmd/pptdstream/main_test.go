@@ -234,7 +234,7 @@ func TestRunDurabilityFlags(t *testing.T) {
 		"-users", "6", "-objects", "4", "-windows", "3", "-seed", "5",
 		"-state-dir", dir,
 		"-snapshot-every", "2",
-		"-commit-interval", "1ms", "-commit-batch", "8",
+		"-commit-batch", "8",
 	}
 	var first bytes.Buffer
 	if err := run(args, &first); err != nil {

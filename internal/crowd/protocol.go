@@ -347,9 +347,8 @@ type StreamWindowInfo struct {
 
 // StreamStatsInfo is the response of GET /v1/stream/stats: the engine's
 // headline counters plus, on a durable server, the store's journal and
-// group-commit observability (batch-size and flush-latency histograms —
-// the data for tuning streamstore.Options.FlushInterval / MaxBatch
-// against observed load).
+// group-commit observability (batch-size and flush-latency histograms:
+// how many acks each fsync carried, and what each one cost).
 type StreamStatsInfo struct {
 	// Name labels the campaign.
 	Name string `json:"name"`

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pptd/internal/stream"
@@ -220,6 +221,23 @@ func serverDumpOpLog(t *testing.T, fy *storefs.Faulty, label string) {
 	t.Logf("op log written to %s", path)
 }
 
+// serverSweepDisk builds the disk of one crash case: the filesystem the
+// server runs on, and a func returning the one the restarted process
+// finds after the crash — the real filesystem (a crash-stop), or a
+// storefs.Model that also drops, keeps or tears what was not synced.
+type serverSweepDisk func() (run storefs.FS, afterCrash func() storefs.FS)
+
+func serverOSDisk() (storefs.FS, func() storefs.FS) {
+	return storefs.OS{}, func() storefs.FS { return storefs.OS{} }
+}
+
+func serverModelDisk(mode storefs.CrashMode) serverSweepDisk {
+	return func() (storefs.FS, func() storefs.FS) {
+		m := storefs.NewModel()
+		return m, func() storefs.FS { m.Crash(mode); return m }
+	}
+}
+
 // TestStreamServerCrashPointSweep enumerates every filesystem operation
 // the durable server's workload performs, crashes at each in turn (and
 // again with writes torn in half), and asserts that a fresh
@@ -228,10 +246,23 @@ func serverDumpOpLog(t *testing.T, fy *storefs.Faulty, label string) {
 // to an uninterrupted server that processed either the completed
 // prefix, or that prefix plus the step in flight.
 func TestStreamServerCrashPointSweep(t *testing.T) {
+	runServerCrashPointSweep(t, serverOSDisk)
+}
+
+// TestStreamServerCrashPointSweepModel is the same sweep on the lying
+// disk, once per storefs crash mode.
+func TestStreamServerCrashPointSweepModel(t *testing.T) {
+	for _, mode := range storefs.CrashModes {
+		t.Run(mode.String(), func(t *testing.T) { runServerCrashPointSweep(t, serverModelDisk(mode)) })
+	}
+}
+
+func runServerCrashPointSweep(t *testing.T, disk serverSweepDisk) {
 	const tol = 1e-9
 	steps := serverSweepSteps()
 
-	pilot := storefs.NewFaulty(storefs.OS{})
+	run, _ := disk()
+	pilot := storefs.NewFaulty(run)
 	if _, _, err := runServerSweepCycle(pilot, t.TempDir()); err != nil {
 		t.Fatalf("pilot cycle: %v", err)
 	}
@@ -245,42 +276,30 @@ func TestStreamServerCrashPointSweep(t *testing.T) {
 		oracles[n] = serverOracleProbe(t, n)
 	}
 
-	type crashCase struct {
-		op   int
-		tear int
-	}
-	var cases []crashCase
-	for _, op := range pilotOps {
-		cases = append(cases, crashCase{op: op.N})
-		if op.Kind == storefs.OpWrite && op.Len > 1 {
-			cases = append(cases, crashCase{op: op.N, tear: op.Len / 2})
-		}
-	}
-
-	for _, tc := range cases {
+	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
-		label := fmt.Sprintf("op%03d", tc.op)
-		if tc.tear > 0 {
-			label += fmt.Sprintf("-torn%d", tc.tear)
-		}
-		t.Run(label, func(t *testing.T) {
+		t.Run(tc.Label, func(t *testing.T) {
+			label := strings.ReplaceAll(t.Name(), "/", "-")
 			dir := t.TempDir()
-			fy := storefs.NewFaulty(storefs.OS{})
-			fy.CrashAt(tc.op, tc.tear)
+			run, afterCrash := disk()
+			fy := storefs.NewFaulty(run)
+			fy.CrashAt(tc.Op, tc.Tear)
 			completed, acked, err := runServerSweepCycle(fy, dir)
 			if err == nil {
 				// The crash landed in Close's tail, after the last workload
 				// step already completed.
 				if !fy.Crashed() {
-					t.Fatalf("crash at op %d never fired", tc.op)
+					t.Fatalf("crash at op %d never fired", tc.Op)
 				}
 				completed = len(steps)
 			}
 
-			// Recover on the real filesystem, exactly as a restarted
-			// process would: open the store, then NewStreamServer (which
-			// runs snapshot + journal-replay recovery itself).
-			store, err := streamstore.OpenWith(dir, serverSweepOptions())
+			// Recover exactly as a restarted process would: open the store,
+			// then NewStreamServer (which runs snapshot + journal-replay
+			// recovery itself).
+			opts := serverSweepOptions()
+			opts.FS = afterCrash()
+			store, err := streamstore.OpenWith(dir, opts)
 			if err != nil {
 				serverDumpOpLog(t, fy, label)
 				t.Fatalf("recovery open: %v", err)
@@ -295,7 +314,7 @@ func TestStreamServerCrashPointSweep(t *testing.T) {
 			})
 			if err != nil {
 				serverDumpOpLog(t, fy, label)
-				t.Fatalf("recover after crash at op %d: %v", tc.op, err)
+				t.Fatalf("recover after crash at op %d: %v", tc.Op, err)
 			}
 			defer func() { _ = srv.Close() }()
 
@@ -325,7 +344,7 @@ func TestStreamServerCrashPointSweep(t *testing.T) {
 			if !serverResultsEquivalent(got, withL, tol) && !serverResultsEquivalent(got, withL1, tol) {
 				serverDumpOpLog(t, fy, label)
 				t.Errorf("crash at op %d (step %d): recovered probe matches neither oracle(%d) nor oracle(%d)\n got: window %d claims %d truths %v",
-					tc.op, completed, completed, completed+1, got.Window, got.TotalClaims, got.Truths)
+					tc.Op, completed, completed, completed+1, got.Window, got.TotalClaims, got.Truths)
 			}
 		})
 	}

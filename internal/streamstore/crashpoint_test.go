@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pptd/internal/stream"
@@ -262,16 +263,51 @@ func dumpOpLog(t *testing.T, fy *storefs.Faulty, label string) {
 	t.Logf("op log written to %s", path)
 }
 
+// sweepDisk builds the disk of one crash case: the filesystem the
+// workload runs on, and a func returning the one the restarted process
+// finds after the crash.
+type sweepDisk func() (run storefs.FS, afterCrash func() storefs.FS)
+
+// osDisk is the real filesystem: a crash is a crash-stop, everything
+// written before it stays.
+func osDisk() (storefs.FS, func() storefs.FS) {
+	return storefs.OS{}, func() storefs.FS { return storefs.OS{} }
+}
+
+// modelDisk is the lying disk: after the crash-stop, the power cut keeps
+// what mode says of everything not yet synced.
+func modelDisk(mode storefs.CrashMode) sweepDisk {
+	return func() (storefs.FS, func() storefs.FS) {
+		m := storefs.NewModel()
+		return m, func() storefs.FS { m.Crash(mode); return m }
+	}
+}
+
 // TestCrashPointSweep enumerates the cycle's filesystem operations with
 // a pilot run, then crashes at each in turn (and again with the write
 // torn in half, when the op is a write) and asserts the recovery
 // contract.
 func TestCrashPointSweep(t *testing.T) {
+	runCrashPointSweep(t, osDisk)
+}
+
+// TestCrashPointSweepModel is the same sweep on storefs.Model, once per
+// crash mode: a crash also loses (or tears) every write, size change and
+// namespace change not yet made durable by its sync, so a missing fsync
+// or directory sync on the path to an ack shows up as a lost charge.
+func TestCrashPointSweepModel(t *testing.T) {
+	for _, mode := range storefs.CrashModes {
+		t.Run(mode.String(), func(t *testing.T) { runCrashPointSweep(t, modelDisk(mode)) })
+	}
+}
+
+func runCrashPointSweep(t *testing.T, disk sweepDisk) {
 	const tol = 1e-9
 	steps := sweepSteps()
 
 	// Pilot: no faults, just the op enumeration.
-	pilot := storefs.NewFaulty(storefs.OS{})
+	run, _ := disk()
+	pilot := storefs.NewFaulty(run)
 	if _, _, err := runSweepCycle(pilot, t.TempDir()); err != nil {
 		t.Fatalf("pilot cycle: %v", err)
 	}
@@ -286,40 +322,28 @@ func TestCrashPointSweep(t *testing.T) {
 		oracles[n] = oracleProbe(t, n)
 	}
 
-	type crashCase struct {
-		op   int
-		tear int
-	}
-	var cases []crashCase
-	for _, op := range pilotOps {
-		cases = append(cases, crashCase{op: op.N})
-		if op.Kind == storefs.OpWrite && op.Len > 1 {
-			cases = append(cases, crashCase{op: op.N, tear: op.Len / 2})
-		}
-	}
-
-	for _, tc := range cases {
+	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
-		label := fmt.Sprintf("op%03d", tc.op)
-		if tc.tear > 0 {
-			label += fmt.Sprintf("-torn%d", tc.tear)
-		}
-		t.Run(label, func(t *testing.T) {
+		t.Run(tc.Label, func(t *testing.T) {
+			label := strings.ReplaceAll(t.Name(), "/", "-")
 			dir := t.TempDir()
-			fy := storefs.NewFaulty(storefs.OS{})
-			fy.CrashAt(tc.op, tc.tear)
+			run, afterCrash := disk()
+			fy := storefs.NewFaulty(run)
+			fy.CrashAt(tc.Op, tc.Tear)
 			completed, acked, err := runSweepCycle(fy, dir)
 			if err == nil {
 				// The crash point landed after the workload's last op (the
 				// pilot's tail belongs to Close); nothing to recover against.
 				if !fy.Crashed() {
-					t.Fatalf("crash at op %d never fired", tc.op)
+					t.Fatalf("crash at op %d never fired", tc.Op)
 				}
 				completed = len(steps)
 			}
 
-			// Recover on the real filesystem, as a restarted process would.
-			store, err := OpenWith(dir, sweepOptions())
+			// Recover as a restarted process would.
+			opts := sweepOptions()
+			opts.FS = afterCrash()
+			store, err := OpenWith(dir, opts)
 			if err != nil {
 				dumpOpLog(t, fy, label)
 				t.Fatalf("recovery open: %v", err)
@@ -329,7 +353,7 @@ func TestCrashPointSweep(t *testing.T) {
 			defer func() { _ = rec.Close() }()
 			if _, err := store.Recover(rec); err != nil {
 				dumpOpLog(t, fy, label)
-				t.Fatalf("recover after crash at op %d: %v", tc.op, err)
+				t.Fatalf("recover after crash at op %d: %v", tc.Op, err)
 			}
 
 			// Invariant 2: every acknowledged charge survived.
@@ -359,7 +383,7 @@ func TestCrashPointSweep(t *testing.T) {
 			if !resultsEquivalent(got, withL, tol) && !resultsEquivalent(got, withL1, tol) {
 				dumpOpLog(t, fy, label)
 				t.Errorf("crash at op %d (step %d): recovered probe matches neither oracle(%d) nor oracle(%d)\n got: window %d claims %d truths %v",
-					tc.op, completed, completed, completed+1, got.Window, got.TotalClaims, got.Truths)
+					tc.Op, completed, completed, completed+1, got.Window, got.TotalClaims, got.Truths)
 			}
 		})
 	}

@@ -69,21 +69,20 @@ func encodeChargeLine(rec stream.ChargeRecord) ([]byte, error) {
 type commitBatch struct {
 	buf  []byte
 	n    int
-	full chan struct{} // closed by the append that fills the batch
 	done chan struct{} // closed by the leader after the sync (or failure)
 	err  error
 }
 
 // commit hands one encoded journal line to the group-commit machinery
 // and returns once it is durable (or failed). The first appender to
-// find no pending batch becomes the leader: it opens a batch, optionally
-// lingers (Options.FlushInterval), and — crucially — keeps the batch
-// open while it waits its turn at the disk behind an in-flight sync,
-// snapshot, or compaction. Appends arriving in that window join as
-// followers and ride the leader's single write+fsync, which is what
-// makes durable ingest throughput scale with concurrency instead of
-// paying one serialized fsync per submission. A batch that reaches
-// Options.MaxBatch seals itself and the next append starts a new one.
+// find no pending batch becomes the leader: it opens a batch and —
+// crucially — keeps it open while it waits its turn at the disk behind
+// an in-flight sync, snapshot, or compaction. Appends arriving in that
+// window join as followers and ride the leader's single write+fsync,
+// which is what makes durable ingest throughput scale with concurrency
+// instead of paying one serialized fsync per submission. A batch that
+// reaches Options.MaxBatch seals itself and the next append starts a
+// new one.
 func (s *Store) commit(line []byte) error {
 	maxBatch := s.opts.MaxBatch
 	if maxBatch <= 0 {
@@ -97,13 +96,12 @@ func (s *Store) commit(line []byte) error {
 		b.n++
 		if b.n >= maxBatch {
 			s.pending = nil
-			close(b.full) // wake a lingering leader: the batch is full
 		}
 		s.commitMu.Unlock()
 		<-b.done
 		return b.err
 	}
-	b := &commitBatch{full: make(chan struct{}), done: make(chan struct{})}
+	b := &commitBatch{done: make(chan struct{})}
 	b.buf = append(b.buf, line...)
 	b.n = 1
 	shared := b.n < maxBatch // MaxBatch 1: solo batch, plain per-append fsync
@@ -113,25 +111,16 @@ func (s *Store) commit(line []byte) error {
 	s.commitMu.Unlock()
 
 	if shared {
-		if s.opts.FlushInterval > 0 {
-			t := time.NewTimer(s.opts.FlushInterval)
-			select {
-			case <-t.C:
-			case <-b.full:
-			}
-			t.Stop()
-		} else {
-			// Give every appender already in flight one scheduling
-			// quantum to join the open batch. Waiting on s.mu below
-			// achieves the same thing while an earlier sync holds the
-			// disk, but not reliably on a single-P runtime: a goroutine
-			// blocked in fsync(2) only releases its P when sysmon
-			// notices, so without this yield concurrent appenders may
-			// never run mid-sync and every batch degenerates to one
-			// record. A yield costs well under a microsecond; the fsync
-			// it amortizes costs tens to hundreds.
-			runtime.Gosched()
-		}
+		// Give every appender already in flight one scheduling quantum
+		// to join the open batch. Waiting on s.mu below achieves the
+		// same thing while an earlier sync holds the disk, but not
+		// reliably on a single-P runtime: a goroutine blocked in
+		// fsync(2) only releases its P when sysmon notices, so without
+		// this yield concurrent appenders may never run mid-sync and
+		// every batch degenerates to one record. A yield costs well
+		// under a microsecond; the fsync it amortizes costs tens to
+		// hundreds.
+		runtime.Gosched()
 	}
 	s.mu.Lock()
 	if shared {
@@ -167,6 +156,7 @@ func (s *Store) commit(line []byte) error {
 // rollSegmentLocked). Callers must hold s.mu.
 func (s *Store) flushLocked(buf []byte, n int) error {
 	start := time.Now()
+	s.preallocateLocked(s.activeSize + int64(len(buf)))
 	if _, err := s.active.WriteAt(buf, s.activeSize); err != nil {
 		s.rewindJournalLocked()
 		return fmt.Errorf("streamstore: append charge batch: %w", err)
@@ -188,10 +178,41 @@ func (s *Store) flushLocked(buf []byte, n int) error {
 	return nil
 }
 
+// journalAllocChunk is how far ahead of its records the active segment
+// is allocated, capped at the segment size cap. A write inside already
+// allocated space leaves the file's size alone, so its fsync commits
+// the filesystem's own journal only when the write first touches a new
+// block, instead of on every append that grows the file. The cost is
+// that a segment's tail reads as zeros until records fill it: every
+// reader stops at the first NUL, which no record line contains (the
+// checksum is hex, the payload JSON).
+const journalAllocChunk = 1 << 20
+
+// preallocateLocked extends the active segment so that a flush ending
+// at end writes into allocated space: one more journalAllocChunk, never
+// past the segment cap unless the flush itself crosses it. Allocation
+// is lazy — a segment that is never flushed to is never extended — and
+// best-effort: its fsync is the flush's own, and on the first failure
+// (a platform or filesystem without fallocate, or any error) the store
+// goes on with plain appends. Callers must hold s.mu.
+func (s *Store) preallocateLocked(end int64) {
+	if end <= s.allocEnd || s.allocFailed {
+		return
+	}
+	target := max(end, min(s.allocEnd+journalAllocChunk, s.segmentBytesLocked()))
+	if err := storefs.Allocate(s.active, s.allocEnd, target-s.allocEnd); err != nil {
+		s.allocFailed = true
+		return
+	}
+	s.allocEnd = target
+}
+
 // rewindJournalLocked best-effort truncates the active segment back to
-// the last durable size after a failed append.
+// the last durable size after a failed append; the preallocated tail
+// goes with the partial batch, and the next flush allocates again.
 func (s *Store) rewindJournalLocked() {
 	_ = s.active.Truncate(s.activeSize)
+	s.allocEnd = s.activeSize
 }
 
 // parseJournal decodes the longest valid prefix of one segment's bytes,
@@ -239,12 +260,14 @@ const journalScanChunk = 256 << 10
 // scanJournalFile is parseJournalAfter over a file instead of a byte
 // slice: it scans the first size bytes of f in journalScanChunk reads,
 // carrying only the current incomplete line between reads, and stops at
-// the first invalid or torn line. Memory is O(chunk + longest record),
-// not O(segment) — the active segment of a long-lived store can dwarf
-// RAM and recovery must still come up. Records whose line ends past
-// skip are passed to emit (which may be nil when only the valid length
-// matters, e.g. torn-tail repair); the returned length counts every
-// valid line, skipped or not, exactly as parseJournalAfter does.
+// the first invalid or torn line, or at the first NUL — the start of a
+// preallocated tail (journalAllocChunk), which is never read further or
+// carried. Memory is O(chunk + longest record), not O(segment) — the
+// active segment of a long-lived store can dwarf RAM and recovery must
+// still come up. Records whose line ends past skip are passed to emit
+// (which may be nil when only the valid length matters, e.g. torn-tail
+// repair); the returned length counts every valid line, skipped or not,
+// exactly as parseJournalAfter does.
 func scanJournalFile(f storefs.File, size, skip int64, emit func(stream.ChargeRecord)) (int64, error) {
 	var (
 		carry   []byte
@@ -264,6 +287,9 @@ func scanJournalFile(f storefs.File, size, skip int64, emit func(stream.ChargeRe
 				return valid, fmt.Errorf("streamstore: read journal segment: %w", err)
 			}
 			fileOff += int64(m)
+			if z := bytes.IndexByte(chunk[:m], 0); z >= 0 {
+				m, size = z, fileOff
+			}
 			carry = append(carry, chunk[:m]...)
 			nl = bytes.IndexByte(carry, '\n')
 		}

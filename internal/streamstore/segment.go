@@ -168,7 +168,8 @@ func (s *Store) openJournalLocked() error {
 
 // repairActiveLocked scans the active segment for its longest valid
 // prefix and truncates anything after it (a torn tail from a crashed
-// append), so subsequent appends land on a record boundary. The scan
+// append, and the zeros of a preallocated tail with it), so subsequent
+// appends land on a record boundary and allocate afresh. The scan
 // streams the segment in chunks — a store whose active segment grew
 // huge (say, a raised SegmentBytes or a roll that kept failing) must
 // not need segment-sized memory just to boot. Callers must hold s.mu.
@@ -189,7 +190,7 @@ func (s *Store) repairActiveLocked() error {
 			return fmt.Errorf("streamstore: sync repaired journal: %w", err)
 		}
 	}
-	s.activeSize = valid
+	s.activeSize, s.allocEnd = valid, valid
 	return nil
 }
 
@@ -217,7 +218,14 @@ func (s *Store) readSegmentLocked(f storefs.File) ([]byte, error) {
 // disk; the next flush simply retries), while compaction propagates
 // them so a state directory that can no longer create files surfaces
 // as a snapshot error instead of unbounded silent journal growth.
-// Callers must hold s.mu.
+//
+// The sealed size is the records' end, never the file's: a size-cap
+// roll comes only once the records reach the cap, and preallocation
+// stops at the cap (or at the end of the flush that crosses it), so
+// that file has no zero tail to trim; a compaction roll's file keeps
+// its zeros, but the same pass deletes it, and if a crash keeps it
+// anyway replay stops at the first NUL. Either way sealing costs no
+// truncate and no fsync. Callers must hold s.mu.
 func (s *Store) rollSegmentLocked() error {
 	next := s.activeSeq + 1
 	f, err := s.fs.OpenFile(s.segmentPath(next), os.O_CREATE|os.O_RDWR, 0o644)
@@ -233,7 +241,7 @@ func (s *Store) rollSegmentLocked() error {
 	s.sealed = append(s.sealed, segmentInfo{seq: s.activeSeq, size: s.activeSize})
 	s.active = f
 	s.activeSeq = next
-	s.activeSize = 0
+	s.activeSize, s.allocEnd = 0, 0
 	s.segmentsSealed++
 	_ = old.Close()
 	return nil

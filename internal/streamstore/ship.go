@@ -2,6 +2,7 @@ package streamstore
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -125,27 +126,31 @@ func shippableName(name string) bool {
 }
 
 // ReadShippable reads one file from the state directory as enumerated
-// by Shippable. For journal segments the read is capped at size — the
-// durable prefix the listing promised, even if the active segment has
-// grown since — and a segment shorter than size (compacted away and
-// the name reused is impossible; truncation is not) is an error. Other
-// files ship whole at their current content, size notwithstanding:
-// they are atomically replaced, so the current content is always a
-// consistent, newer-or-equal version.
+// by Shippable. For journal segments only the first size bytes are read
+// — the durable prefix the listing promised, even if the active segment
+// has grown since, and never its preallocated zeros — and a segment
+// shorter than size (compacted away and the name reused is impossible;
+// truncation is not) is an error. Other files ship whole at their
+// current content, size notwithstanding: they are atomically replaced,
+// so the current content is always a consistent, newer-or-equal
+// version.
 func (s *Store) ReadShippable(name string, size int64) ([]byte, error) {
 	if !shippableName(name) {
 		return nil, fmt.Errorf("streamstore: %q is not a shippable file", name)
 	}
-	data, err := s.fs.ReadFile(filepath.Join(s.dir, name))
+	path := filepath.Join(s.dir, name)
+	if _, isSegment := parseSegmentName(name); !isSegment {
+		return s.fs.ReadFile(path)
+	}
+	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, isSegment := parseSegmentName(name); isSegment {
-		if int64(len(data)) < size {
-			return nil, fmt.Errorf("streamstore: segment %s is %d bytes, want durable prefix of %d",
-				name, len(data), size)
-		}
-		data = data[:size]
+	defer func() { _ = f.Close() }()
+	data := make([]byte, size)
+	if n, err := f.ReadAt(data, 0); n < len(data) {
+		return nil, fmt.Errorf("streamstore: segment %s holds %d bytes, want durable prefix of %d: %v",
+			name, n, size, err)
 	}
 	return data, nil
 }

@@ -208,45 +208,32 @@ func TestSpillCrashPointSweep(t *testing.T) {
 		t.Fatal("workload never triggered a spill compaction — the sweep is not covering it")
 	}
 
-	type crashCase struct{ op, tear int }
-	var cases []crashCase
-	for _, op := range pilotOps {
-		cases = append(cases, crashCase{op: op.N})
-		if op.Kind == storefs.OpWrite && op.Len > 1 {
-			cases = append(cases, crashCase{op: op.N, tear: op.Len / 2})
-		}
-	}
-
-	for _, tc := range cases {
+	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
-		label := fmt.Sprintf("op%03d", tc.op)
-		if tc.tear > 0 {
-			label += fmt.Sprintf("-torn%d", tc.tear)
-		}
-		t.Run(label, func(t *testing.T) {
+		t.Run(tc.Label, func(t *testing.T) {
 			dir := t.TempDir()
 			fy := storefs.NewFaulty(storefs.OS{})
-			fy.CrashAt(tc.op, tc.tear)
+			fy.CrashAt(tc.Op, tc.Tear)
 			acked, _ := runSpillCycle(fy, dir)
 
 			re, err := OpenWith(dir, Options{})
 			if err != nil {
-				dumpOpLog(t, fy, "spill-"+label)
+				dumpOpLog(t, fy, "spill-"+tc.Label)
 				t.Fatalf("recovery open: %v", err)
 			}
 			defer func() { _ = re.Close() }()
 			for id, wantEps := range acked {
 				sp, found, err := re.LoadUser(id)
 				if err != nil {
-					dumpOpLog(t, fy, "spill-"+label)
+					dumpOpLog(t, fy, "spill-"+tc.Label)
 					t.Fatalf("LoadUser(%s) after crash: %v", id, err)
 				}
 				if !found {
-					dumpOpLog(t, fy, "spill-"+label)
+					dumpOpLog(t, fy, "spill-"+tc.Label)
 					t.Fatalf("acknowledged spill for %s lost", id)
 				}
 				if sp.CumulativeEpsilon < wantEps-1e-12 {
-					dumpOpLog(t, fy, "spill-"+label)
+					dumpOpLog(t, fy, "spill-"+tc.Label)
 					t.Errorf("%s recovered epsilon %v < acknowledged %v: budget state lost",
 						id, sp.CumulativeEpsilon, wantEps)
 				}
@@ -381,48 +368,35 @@ func TestBatchCrashPointSweep(t *testing.T) {
 		t.Fatalf("pilot enumerated only %d ops", len(pilotOps))
 	}
 
-	type crashCase struct{ op, tear int }
-	var cases []crashCase
-	for _, op := range pilotOps {
-		cases = append(cases, crashCase{op: op.N})
-		if op.Kind == storefs.OpWrite && op.Len > 1 {
-			cases = append(cases, crashCase{op: op.N, tear: op.Len / 2})
-		}
-	}
-
-	for _, tc := range cases {
+	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
-		label := fmt.Sprintf("op%03d", tc.op)
-		if tc.tear > 0 {
-			label += fmt.Sprintf("-torn%d", tc.tear)
-		}
-		t.Run(label, func(t *testing.T) {
+		t.Run(tc.Label, func(t *testing.T) {
 			dir := t.TempDir()
 			fy := storefs.NewFaulty(storefs.OS{})
-			fy.CrashAt(tc.op, tc.tear)
+			fy.CrashAt(tc.Op, tc.Tear)
 			ackedSubs, ackedResults, _ := runBatchCycle(fy, dir)
 
 			re, err := OpenWith(dir, Options{})
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+label)
+				dumpOpLog(t, fy, "batch-"+tc.Label)
 				t.Fatalf("recovery open: %v", err)
 			}
 			defer func() { _ = re.Close() }()
 
 			subs, err := re.LoadBatchSubmissions()
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+label)
+				dumpOpLog(t, fy, "batch-"+tc.Label)
 				t.Fatalf("LoadBatchSubmissions: %v", err)
 			}
 			if len(subs) < ackedSubs || len(subs) > ackedSubs+1 {
-				dumpOpLog(t, fy, "batch-"+label)
+				dumpOpLog(t, fy, "batch-"+tc.Label)
 				t.Fatalf("recovered %d submissions, acknowledged %d (at most one in-flight may appear)",
 					len(subs), ackedSubs)
 			}
 			for i, sub := range subs {
 				want := batchSub(i)
 				if sub.ClientID != want.ClientID {
-					dumpOpLog(t, fy, "batch-"+label)
+					dumpOpLog(t, fy, "batch-"+tc.Label)
 					t.Fatalf("submission %d = %q, want %q: ack order broken", i, sub.ClientID, want.ClientID)
 				}
 				for c := range sub.Claims {
@@ -434,7 +408,7 @@ func TestBatchCrashPointSweep(t *testing.T) {
 
 			res, err := re.LoadBatchResult()
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+label)
+				dumpOpLog(t, fy, "batch-"+tc.Label)
 				t.Fatalf("LoadBatchResult: %v", err)
 			}
 			if res != nil {
@@ -451,11 +425,11 @@ func TestBatchCrashPointSweep(t *testing.T) {
 					ok = true
 				}
 				if !ok {
-					dumpOpLog(t, fy, "batch-"+label)
+					dumpOpLog(t, fy, "batch-"+tc.Label)
 					t.Fatalf("recovered result %q is torn", res)
 				}
 			} else if len(ackedResults) > 0 {
-				dumpOpLog(t, fy, "batch-"+label)
+				dumpOpLog(t, fy, "batch-"+tc.Label)
 				t.Fatalf("acknowledged result lost (had %d saves)", len(ackedResults))
 			}
 		})

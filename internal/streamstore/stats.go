@@ -24,11 +24,10 @@ var (
 
 // StoreStats is a point-in-time snapshot of the store's observability
 // counters (GET /v1/stream/stats on a durable streaming server). The
-// append/sync ratio and the two histograms are the data for tuning
-// Options.FlushInterval and Options.MaxBatch against observed load:
-// batches pinned at 1 under concurrency mean group commit is not
-// engaging; flush latencies near FlushInterval mean the linger, not the
-// disk, paces ingest.
+// append/sync ratio and the two histograms show how group commit meets
+// the observed load: batches pinned at 1 under concurrency mean appends
+// are not overlapping a sync (or Options.MaxBatch is 1), and the flush
+// latency is what each ack waits for.
 type StoreStats struct {
 	// JournalAppends counts accepted AppendCharge calls; JournalSyncs
 	// counts the fsyncs that made them durable. Appends/Syncs is the

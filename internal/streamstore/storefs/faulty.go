@@ -33,6 +33,7 @@ const (
 	OpReadDir  OpKind = "readdir"
 	OpStat     OpKind = "stat"
 	OpTruncate OpKind = "truncate"
+	OpAllocate OpKind = "allocate"
 	OpRead     OpKind = "read"
 	OpReadFile OpKind = "readfile"
 	OpClose    OpKind = "close"
@@ -45,7 +46,8 @@ type Op struct {
 	N    int
 	Kind OpKind
 	Path string
-	// Off and Len describe writes (and truncates, Off = size).
+	// Off and Len describe writes and allocations (and truncates, Off =
+	// size).
 	Off int64
 	Len int
 	// Err is the outcome when the op failed ("" on success).
@@ -54,7 +56,7 @@ type Op struct {
 
 func (o Op) String() string {
 	s := fmt.Sprintf("#%03d %-8s %s", o.N, o.Kind, o.Path)
-	if o.Kind == OpWrite {
+	if o.Kind == OpWrite || o.Kind == OpAllocate {
 		s += fmt.Sprintf(" off=%d len=%d", o.Off, o.Len)
 	}
 	if o.Kind == OpTruncate {
@@ -158,6 +160,37 @@ func (fy *Faulty) OpLogString() string {
 	var b strings.Builder
 	_ = fy.WriteOpLog(&b)
 	return b.String()
+}
+
+// CrashPoint is one case of a crash-point sweep: crash at op Op, with a
+// write torn after Tear bytes (0: not torn).
+type CrashPoint struct {
+	Op    int
+	Tear  int
+	Label string
+}
+
+// CrashPoints lists a sweep's cases from a pilot run's op log: a crash
+// at every op, plus every multi-byte write torn in half. Labels number
+// the ops other than allocations (opNNN, opNNN-tornLEN) and name a crash
+// at an allocation after the write it extends (opNNN-alloc), so a change
+// in where the store preallocates never renumbers the other crash points.
+func CrashPoints(ops []Op) []CrashPoint {
+	var out []CrashPoint
+	n := 0
+	for _, op := range ops {
+		if op.Kind == OpAllocate {
+			out = append(out, CrashPoint{Op: op.N, Label: fmt.Sprintf("op%03d-alloc", n+1)})
+			continue
+		}
+		n++
+		label := fmt.Sprintf("op%03d", n)
+		out = append(out, CrashPoint{Op: op.N, Label: label})
+		if op.Kind == OpWrite && op.Len > 1 {
+			out = append(out, CrashPoint{Op: op.N, Tear: op.Len / 2, Label: fmt.Sprintf("%s-torn%d", label, op.Len/2)})
+		}
+	}
+	return out
 }
 
 // begin numbers one operation and decides its fate: nil to proceed,
@@ -315,6 +348,15 @@ func (f *faultyFile) Truncate(size int64) error {
 		return err
 	}
 	return f.inner.Truncate(size)
+}
+
+// Allocate is a numbered op of its own, forwarded through the optional
+// Allocate of the inner file.
+func (f *faultyFile) Allocate(off, n int64) error {
+	if _, err := f.fy.begin(OpAllocate, f.path, off, int(n)); err != nil {
+		return err
+	}
+	return Allocate(f.inner, off, n)
 }
 
 func (f *faultyFile) Stat() (fs.FileInfo, error) {

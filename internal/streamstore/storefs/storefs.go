@@ -1,12 +1,15 @@
 // Package storefs abstracts the filesystem operations the stream store
 // performs — open/create, rename, remove, directory listing and sync,
-// and per-file write/sync — behind a small interface with two
-// implementations:
+// and per-file write/sync/allocate — behind a small interface with
+// three implementations:
 //
-//   - OS, the real thing, delegating straight to package os; and
+//   - OS, the real thing, delegating straight to package os;
 //   - Faulty, a deterministic fault injector that wraps another FS,
 //     numbers every operation, and can fail the Nth sync, tear a write
-//     after K bytes, or crash-stop the "process" at operation N.
+//     after K bytes, or crash-stop the "process" at operation N; and
+//   - Model, an in-memory disk that lies: nothing reaches it durably
+//     before the matching Sync or SyncDir, and Crash keeps none, all or
+//     a torn prefix of what was not synced.
 //
 // The point of the split is that crash-recovery contracts become
 // enumerable: instead of reaching a torn write inside compaction or a
@@ -22,6 +25,7 @@
 package storefs
 
 import (
+	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -39,6 +43,23 @@ type File interface {
 	Truncate(size int64) error
 	Stat() (fs.FileInfo, error)
 	Name() string
+}
+
+// Allocate reserves [off, off+n) of f ahead of the writes that will fill
+// it: the file's size grows to cover the range, and bytes never written
+// read back as zeros. It is optional. A File with an Allocate(off, n
+// int64) error method provides it (Faulty's and Model's files do), an
+// *os.File gets fallocate(2) on Linux, and anything else reports
+// errors.ErrUnsupported. Callers must treat any error as "keep growing
+// the file by plain writes".
+func Allocate(f File, off, n int64) error {
+	switch a := f.(type) {
+	case interface{ Allocate(off, n int64) error }:
+		return a.Allocate(off, n)
+	case *os.File:
+		return allocateOS(a, off, n)
+	}
+	return errors.ErrUnsupported
 }
 
 // FS is the filesystem surface the store needs. All paths are plain

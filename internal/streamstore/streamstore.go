@@ -83,7 +83,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"pptd/internal/obs"
 	"pptd/internal/stream"
@@ -143,16 +142,10 @@ var (
 // 4 MiB journal segments, a snapshot at every window close, no retained
 // generations.
 type Options struct {
-	// FlushInterval is the longest a group-commit leader lingers to let
-	// more concurrent appends join its batch before syncing. Zero adds
-	// no latency: batching then comes only from appends arriving while
-	// an earlier sync (or a snapshot) holds the disk, which is already
-	// enough to make durable ingest scale with concurrency. Positive
-	// values trade per-append latency for larger batches — fewer fsyncs
-	// — under load that arrives faster than it syncs.
-	FlushInterval time.Duration
-	// MaxBatch caps the records one group-commit batch may carry; a
-	// full batch stops waiting and syncs immediately. Zero means 256.
+	// MaxBatch caps the records one group-commit batch may carry; later
+	// appends start the next batch. Zero means 256. Batching needs no
+	// linger: appends arriving while an earlier sync (or a snapshot)
+	// holds the disk join the open batch.
 	// MaxBatch 1 disables group commit entirely — every append pays its
 	// own fsync (kept for benchmarking the trade-off and for strict
 	// one-record-per-sync deployments).
@@ -197,8 +190,6 @@ type Options struct {
 
 func (o Options) validate() error {
 	switch {
-	case o.FlushInterval < 0:
-		return fmt.Errorf("streamstore: FlushInterval = %v", o.FlushInterval)
 	case o.MaxBatch < 0:
 		return fmt.Errorf("streamstore: MaxBatch = %d", o.MaxBatch)
 	case o.SegmentBytes < 0:
@@ -231,11 +222,15 @@ type Store struct {
 	lock *os.File
 
 	// Segmented journal state: sealed (immutable, ascending seq) plus
-	// the active segment appends go to.
-	sealed     []segmentInfo
-	active     storefs.File
-	activeSeq  int64
-	activeSize int64
+	// the active segment appends go to. The active segment's records
+	// end at activeSize; allocEnd is where its allocated space ends, the
+	// bytes between read as zeros (see journalAllocChunk).
+	sealed      []segmentInfo
+	active      storefs.File
+	activeSeq   int64
+	activeSize  int64
+	allocEnd    int64
+	allocFailed bool
 
 	// User-spill state (users.spill; see spill.go). spillMu is its own
 	// lock so spills and loads never contend with group commit; lock

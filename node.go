@@ -415,19 +415,15 @@ func WithSegmentBytes(n int64) PersistenceOption {
 	}
 }
 
-// WithGroupCommit tunes journal group commit: how long a batch leader
-// lingers for more concurrent appends before fsyncing (0 = no added
-// latency) and the records one batch may carry (0 = default 256, 1 =
-// one fsync per append).
-func WithGroupCommit(flushInterval time.Duration, maxBatch int) PersistenceOption {
+// WithGroupCommit caps the records one journal group-commit batch may
+// carry (0 = default 256, 1 = one fsync per append). Batches need no
+// linger: appends that arrive while an earlier fsync holds the disk
+// join the open batch.
+func WithGroupCommit(maxBatch int) PersistenceOption {
 	return func(c *nodeConfig) error {
-		if flushInterval < 0 {
-			return optErr("WithGroupCommit: flushInterval = %v", flushInterval)
-		}
 		if maxBatch < 0 {
 			return optErr("WithGroupCommit: maxBatch = %d", maxBatch)
 		}
-		c.store.FlushInterval = flushInterval
 		c.store.MaxBatch = maxBatch
 		return nil
 	}

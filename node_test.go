@@ -138,7 +138,7 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"empty persistence dir", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPersistence("")}, "empty state directory"},
 		{"bad group commit",
 			[]pptd.Option{pptd.WithStreamEngine(5),
-				pptd.WithPersistence(t.TempDir(), pptd.WithGroupCommit(-time.Second, 0))},
+				pptd.WithPersistence(t.TempDir(), pptd.WithGroupCommit(-1))},
 			"WithGroupCommit"},
 		{"bad snapshot cadence",
 			[]pptd.Option{pptd.WithStreamEngine(5),

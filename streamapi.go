@@ -134,7 +134,7 @@ type StreamLedger = stream.Ledger
 type StreamStore = streamstore.Store
 
 // StreamStoreOptions tunes a stream store's durability/throughput
-// trade-offs: group-commit batching (FlushInterval, MaxBatch), journal
+// trade-offs: the group-commit batch cap (MaxBatch), journal
 // segment size (SegmentBytes), and snapshot cadence (SnapshotEvery,
 // SnapshotBytes). The zero value is the default: group commit with no
 // added latency, 4 MiB segments, a snapshot at every window close.
