@@ -9,14 +9,8 @@
 package pptd_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pptd"
 )
@@ -216,305 +210,6 @@ func sizeLabel(n int) string {
 	return "objects-" + strconv.Itoa(n)
 }
 
-// --- Streaming benchmarks --------------------------------------------
-
-// streamShardCounts are the shard layouts the ingest benchmark sweeps:
-// serial, small, and one shard per available core.
-func streamShardCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// BenchmarkStreamIngest measures claim ingestion throughput of the
-// streaming engine at 1, 4 and GOMAXPROCS shards: concurrent submitters
-// hand batches of 30 claims to the sharded workers.
-func BenchmarkStreamIngest(b *testing.B) {
-	const claimsPerBatch = 30
-	for _, shards := range streamShardCounts() {
-		b.Run("shards-"+strconv.Itoa(shards), func(b *testing.B) {
-			eng, err := pptd.NewStreamEngine(pptd.StreamConfig{
-				NumObjects: claimsPerBatch,
-				NumShards:  shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := eng.Close(); err != nil {
-					b.Error(err)
-				}
-			}()
-			var nextUser atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				seq := nextUser.Add(1)
-				id := "bench-user-" + strconv.FormatInt(seq, 10)
-				rng := pptd.NewRNG(uint64(seq))
-				claims := make([]pptd.StreamClaim, claimsPerBatch)
-				for pb.Next() {
-					for n := range claims {
-						claims[n] = pptd.StreamClaim{Object: n, Value: rng.Norm()}
-					}
-					if _, _, err := eng.Ingest(id, claims); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			elapsed := b.Elapsed().Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N)*claimsPerBatch/elapsed, "claims/s")
-			}
-		})
-	}
-}
-
-// BenchmarkStreamCloseWindow measures per-window re-estimation latency
-// on paper-sized statistics (150 users x 30 objects), cold-started each
-// window so every iteration does the full estimation.
-func BenchmarkStreamCloseWindow(b *testing.B) {
-	for _, shards := range streamShardCounts() {
-		b.Run("shards-"+strconv.Itoa(shards), func(b *testing.B) {
-			eng, err := pptd.NewStreamEngine(pptd.StreamConfig{
-				NumObjects:       30,
-				NumShards:        shards,
-				DisableCarryover: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := eng.Close(); err != nil {
-					b.Error(err)
-				}
-			}()
-			rng := pptd.NewRNG(8)
-			claims := make([]pptd.StreamClaim, 30)
-			for s := 0; s < 150; s++ {
-				for n := range claims {
-					claims[n] = pptd.StreamClaim{Object: n, Value: 5*float64(n%7) + rng.Norm()}
-				}
-				if _, _, err := eng.Ingest("user-"+strconv.Itoa(s), claims); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.CloseWindow(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkChurnIngest measures ingest under unbounded ID churn with a
-// bounded resident set: every submission arrives from a brand-new user,
-// windows close periodically, and the residency cap forces idle users
-// out to the spill store at each close. The benchmark asserts the
-// memory-bound contract — after every window close the engine's
-// resident-users gauge is at or under the cap, no matter how many
-// distinct IDs have streamed past. Set BENCH_CHURN_OUT=<path> to emit a
-// BENCH_churn.json artifact alongside pptdstream's
-// BENCH_stream_ingest.json.
-func BenchmarkChurnIngest(b *testing.B) {
-	const (
-		claimsPerBatch = 10
-		residentCap    = 64
-		windowEvery    = 256
-	)
-	store, err := pptd.OpenStreamStoreWith(b.TempDir(), pptd.StreamStoreOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := store.Close(); err != nil {
-			b.Error(err)
-		}
-	}()
-	eng, err := pptd.NewStreamEngine(pptd.StreamConfig{
-		NumObjects: claimsPerBatch,
-		NumShards:  4,
-		Lambda1:    1.5,
-		Lambda2:    2,
-		Delta:      0.3,
-		// One decay pass erases a departed user's sufficient statistics,
-		// so every user is evictable at the close after its last claim —
-		// the steady state of a true churn workload.
-		Decay:            1e-12,
-		Ledger:           store,
-		UserStore:        store,
-		MaxResidentUsers: residentCap,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := eng.Close(); err != nil {
-			b.Error(err)
-		}
-	}()
-
-	rng := pptd.NewRNG(1)
-	claims := make([]pptd.StreamClaim, claimsPerBatch)
-	var windows, maxResident int
-	open := 0
-	closeNow := func() {
-		if _, err := eng.CloseWindow(); err != nil {
-			b.Fatal(err)
-		}
-		windows++
-		open = 0
-		if got := eng.ResidentUsers(); got > residentCap {
-			b.Fatalf("resident users after close = %d, cap = %d: churn is unbounding memory", got, residentCap)
-		} else if got > maxResident {
-			maxResident = got
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for n := range claims {
-			claims[n] = pptd.StreamClaim{Object: n, Value: rng.Norm()}
-		}
-		id := "churn-" + strconv.Itoa(i)
-		if _, _, err := eng.Ingest(id, claims); err != nil {
-			b.Fatal(err)
-		}
-		open++
-		if open == windowEvery {
-			closeNow()
-		}
-	}
-	if open > 0 {
-		closeNow()
-	}
-	b.StopTimer()
-
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(b.N)*claimsPerBatch/elapsed, "claims/s")
-	}
-	b.ReportMetric(float64(maxResident), "max-resident")
-	if path := os.Getenv("BENCH_CHURN_OUT"); path != "" {
-		rep := map[string]any{
-			"name":      "churn_ingest",
-			"timestamp": time.Now().UTC().Format(time.RFC3339),
-			"config": map[string]any{
-				"claimsPerBatch":   claimsPerBatch,
-				"maxResidentUsers": residentCap,
-				"windowEvery":      windowEvery,
-				"shards":           4,
-			},
-			"distinctUsers":      b.N,
-			"windows":            windows,
-			"maxResidentUsers":   maxResident,
-			"residentUsersFinal": eng.ResidentUsers(),
-			"elapsedSeconds":     elapsed,
-			"claimsPerSecond":    float64(b.N) * claimsPerBatch / elapsed,
-		}
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationConvergence sweeps the convergence threshold on
 // original vs perturbed data (the paper's Section 5.3 runtime knob).
 func BenchmarkAblationConvergence(b *testing.B) { benchExperiment(b, "ablation-convergence") }
-
-// BenchmarkDurableIngest measures the durable ingest path — every
-// submission's privacy charge and claims fsync'd to the ledger journal
-// before the ack — at several concurrency levels, comparing one fsync
-// per append (MaxBatch 1, the pre-group-commit behavior) against group
-// commit (concurrent appends coalesce into shared write+fsync batches).
-// Group commit is the whole point of the durable-path redesign: at
-// concurrency >= 8 it should multiply throughput, because the fsync
-// amortizes over every submission in flight instead of serializing
-// them. The syncs/op metric shows the amortization directly.
-func BenchmarkDurableIngest(b *testing.B) {
-	const claimsPerBatch = 10
-	modes := []struct {
-		name string
-		opts pptd.StreamStoreOptions
-	}{
-		{"per-append-fsync", pptd.StreamStoreOptions{MaxBatch: 1}},
-		{"group-commit", pptd.StreamStoreOptions{}},
-	}
-	for _, mode := range modes {
-		for _, conc := range []int{1, 4, 8, 16} {
-			b.Run(mode.name+"/conc-"+strconv.Itoa(conc), func(b *testing.B) {
-				store, err := pptd.OpenStreamStoreWith(b.TempDir(), mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() {
-					if err := store.Close(); err != nil {
-						b.Error(err)
-					}
-				}()
-				eng, err := pptd.NewStreamEngine(pptd.StreamConfig{
-					NumObjects: claimsPerBatch,
-					NumShards:  4,
-					Lambda1:    1.5,
-					Lambda2:    2,
-					Delta:      0.3,
-					Ledger:     store,
-					ClaimWAL:   true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() {
-					if err := eng.Close(); err != nil {
-						b.Error(err)
-					}
-				}()
-				// Accounting admits one submission per user per window, so
-				// every iteration submits as a fresh user: the measured op
-				// is charge + durable journal append + shard hand-off.
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				b.ResetTimer()
-				for w := 0; w < conc; w++ {
-					wg.Add(1)
-					go func(worker int) {
-						defer wg.Done()
-						rng := pptd.NewRNG(uint64(worker + 1))
-						claims := make([]pptd.StreamClaim, claimsPerBatch)
-						for {
-							i := next.Add(1)
-							if i > int64(b.N) {
-								return
-							}
-							for n := range claims {
-								claims[n] = pptd.StreamClaim{Object: n, Value: rng.Norm()}
-							}
-							id := "bench-" + strconv.FormatInt(i, 10)
-							if _, _, err := eng.Ingest(id, claims); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
-					b.ReportMetric(float64(b.N)/elapsed, "submissions/s")
-					b.ReportMetric(float64(b.N)*claimsPerBatch/elapsed, "claims/s")
-				}
-				if b.N > 0 {
-					b.ReportMetric(float64(store.JournalSyncs())/float64(b.N), "syncs/op")
-				}
-			})
-		}
-	}
-}

@@ -4,14 +4,27 @@
 // discovery once the expected number of users reported, and serves the
 // result. With -stream it additionally hosts the streaming campaign on
 // the same address — one front door for both APIs, built with
-// pptd.NewNode.
+// pptd.NewNode. -lambda1 and -delta turn on the stream's per-user
+// privacy accounting and -budget caps each user's cumulative epsilon.
 //
 // Usage:
 //
 //	pptdserver -addr :8080 -objects 30 -lambda2 2 -users 50 -method crh
 //	pptdserver -addr :8080 -objects 30 -lambda2 2 -stream -window-interval 30s
 //	pptdserver -addr :8080 -objects 30 -lambda2 2 -stream \
+//	    -lambda1 1.5 -delta 0.3 -budget 100 \
 //	    -state-dir /var/lib/pptd -max-resident-users 10000 -decay 0.9
+//
+// A sharded cluster is the same binary in two roles: -worker hosts one
+// shard's engine (durable with -state-dir, replicated with -ship-to),
+// and -coordinator routes each user to the worker owning it and runs
+// the cluster's window closes. Every process takes the same engine
+// flags (-objects, -lambda1/2, -delta, -budget, -decay, -method); the
+// coordinator checks them against each worker at startup.
+//
+//	pptdserver -addr :9001 -worker -state-dir /var/lib/w1 -ship-to /backup/w1
+//	pptdserver -addr :9002 -worker -state-dir /var/lib/w2
+//	pptdserver -addr :8080 -coordinator http://w1:9001,http://w2:9002
 //
 // With -state-dir the node is durable: batch submissions are WAL'd
 // before their receipt and the aggregated result is persisted before it
@@ -37,6 +50,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"pptd"
@@ -61,8 +75,14 @@ func run(args []string) error {
 		stream   = fs.Bool("stream", false, "also host the streaming campaign (same objects) on the same mux")
 		interval = fs.Duration("window-interval", 0, "with -stream: close stream windows on this ticker (0 = manual POST /v1/stream/window)")
 		decay    = fs.Float64("decay", 1, "with -stream: per-window retention factor in (0,1]; eviction under -max-resident-users needs decay < 1, since users with live sufficient statistics are pinned resident")
+		lambda1  = fs.Float64("lambda1", 0, "with -stream: error-variance rate the privacy accountant assumes; > 0 turns on per-user epsilon accounting (needs -delta)")
+		delta    = fs.Float64("delta", 0, "with -stream and -lambda1: LDP delta each window is accounted at")
+		budget   = fs.Float64("budget", 0, "with -stream and -lambda1: cumulative epsilon cap per user; an exhausted user gets 429 (0 = track only)")
 		stateDir = fs.String("state-dir", "", "durable state directory: the batch campaign WALs submissions and persists its result; with -stream the engine journals privacy charges and snapshots (empty = in-memory only)")
 		maxRes   = fs.Int("max-resident-users", 0, "with -stream and -state-dir: cap on users kept resident in memory; idle users spill to the store at window close and re-admit on their next claim (0 = unbounded)")
+		worker   = fs.Bool("worker", false, "serve the streaming engine as a cluster shard worker (implies -stream; the coordinator drives window closes)")
+		coord    = fs.String("coordinator", "", "comma-separated worker base URLs: run as the cluster's streaming front door instead of hosting an engine (no batch campaign, -state-dir or residency cap)")
+		shipTo   = fs.String("ship-to", "", "with -state-dir: replicate the durable state to this directory, or to a follower's http(s):// base URL")
 		maxBody  = fs.Int64("max-request-bytes", 0, "cap on any POST request body in bytes; oversized bodies get the 413 payload_too_large envelope (0 = the 16 MiB default)")
 		logReqs  = fs.String("log", "", "per-request structured logging: 'text' or 'json' slog lines on stderr (empty = off; metrics at /metrics either way)")
 		debug    = fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ (exposes operational internals; keep off public listeners)")
@@ -70,11 +90,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *interval != 0 && !*stream {
-		return errors.New("-window-interval needs -stream")
-	}
-	if *decay != 1 && !*stream {
-		return errors.New("-decay needs -stream")
+	streaming := *stream || *worker || *coord != ""
+	if !streaming && (*interval != 0 || *decay != 1 || *lambda1 != 0 || *delta != 0 || *budget != 0) {
+		return errors.New("-window-interval, -decay, -lambda1, -delta and -budget need -stream")
 	}
 	if *users < 0 {
 		return fmt.Errorf("-users = %d: want 0 (manual aggregation) or a positive trigger", *users)
@@ -86,9 +104,15 @@ func run(args []string) error {
 	}
 	opts := []pptd.Option{
 		pptd.WithName(*name),
-		pptd.WithBatchCampaign(*objects),
 		pptd.WithLambda2(*lambda2),
 		pptd.WithMethod(td),
+	}
+	if *coord == "" {
+		// The coordinator holds no engine or durable state of its own, so
+		// it serves the streaming API only.
+		opts = append(opts, pptd.WithBatchCampaign(*objects))
+	} else {
+		opts = append(opts, pptd.WithClusterCoordinator(strings.Split(*coord, ",")...))
 	}
 	if *users > 0 {
 		opts = append(opts, pptd.WithExpectedUsers(*users))
@@ -111,21 +135,30 @@ func run(args []string) error {
 	if *debug {
 		opts = append(opts, pptd.WithDebugHandlers())
 	}
-	if *maxRes > 0 && (!*stream || *stateDir == "") {
+	if *maxRes > 0 && (!streaming || *stateDir == "") {
 		return errors.New("-max-resident-users needs -stream and -state-dir: evicted users spill their budget and estimator state to the store")
 	}
-	if *stream {
+	if streaming {
 		opts = append(opts, pptd.WithStreamConfig(pptd.StreamConfig{
 			NumObjects:       *objects,
 			Decay:            *decay,
+			Lambda1:          *lambda1,
+			Delta:            *delta,
+			EpsilonBudget:    *budget,
 			MaxResidentUsers: *maxRes,
 		}))
 		if *interval > 0 {
 			opts = append(opts, pptd.WithWindowInterval(*interval))
 		}
 	}
+	if *worker {
+		opts = append(opts, pptd.WithClusterWorker())
+	}
 	if *stateDir != "" {
 		opts = append(opts, pptd.WithPersistence(*stateDir))
+	}
+	if *shipTo != "" {
+		opts = append(opts, pptd.WithSegmentShipping(*shipTo))
 	}
 	node, err := pptd.NewNode(opts...)
 	if err != nil {
@@ -141,7 +174,12 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() {
 		apis := "batch API"
-		if *stream {
+		switch {
+		case *coord != "":
+			apis = "cluster coordinator streaming API"
+		case *worker:
+			apis = "batch + cluster worker streaming APIs"
+		case *stream:
 			apis = "batch + streaming APIs"
 		}
 		log.Printf("campaign %q: %d objects, lambda2=%v, method=%s, %s listening on %s",

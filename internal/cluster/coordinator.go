@@ -217,6 +217,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Metrics != nil {
 		c.routedClaims = cfg.Metrics.CounterVec("pptd_cluster_routed_claims_total",
 			"Claim submissions routed to each worker.", "worker")
+		// Every worker's series exists from boot, so one the ring never
+		// routes to reads 0 rather than missing.
+		for _, w := range ring.Workers() {
+			c.routedClaims.With(w)
+		}
 		c.routeErrors = cfg.Metrics.CounterVec("pptd_cluster_route_errors_total",
 			"Claim submissions that failed because the owning worker was unreachable.", "worker")
 		c.windowCloses = cfg.Metrics.Counter("pptd_cluster_window_closes_total",

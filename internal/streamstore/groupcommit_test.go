@@ -110,7 +110,7 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	}
 	s.mu.Unlock()
 	wg.Wait()
-	if syncs := s.JournalSyncs(); syncs != 1 {
+	if syncs := s.Stats(false).JournalSyncs; syncs != 1 {
 		t.Errorf("%d appends queued behind one busy disk took %d syncs, want 1", n, syncs)
 	}
 	if err := s.Close(); err != nil {

@@ -269,16 +269,6 @@ type Store struct {
 	closed              bool
 }
 
-// JournalSyncs returns how many journal fsyncs the store has issued
-// since Open. With group commit one sync can cover many appends; the
-// ratio of appends to syncs is the batching win (reported by
-// BenchmarkDurableIngest and useful for ops dashboards).
-func (s *Store) JournalSyncs() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalSyncs
-}
-
 // Open creates (or reopens) the state directory with default Options.
 // See OpenWith.
 func Open(dir string) (*Store, error) {

@@ -59,10 +59,8 @@ type nodeConfig struct {
 	windowInterval time.Duration
 	intervalSet    bool
 
-	stateDir    string
-	persistSet  bool
-	store       StreamStoreOptions
-	claimWALOff bool
+	stateDir   string
+	persistSet bool
 
 	clusterWorker   bool
 	clusterWorkers  []string
@@ -256,8 +254,8 @@ func WithStreamEngine(numObjects int) Option {
 // reports in ErrNodeConfig. The node fills in the fields its other
 // options own, and refuses to overwrite one the config already set:
 // Estimator (WithMethod), Lambda1/Delta/Lambda2 (WithPrivacyTarget,
-// WithLambda2), ClaimWAL (on by default on an accounted node with
-// WithPersistence; see WithoutClaimWAL), and — when left nil — Ledger,
+// WithLambda2), ClaimWAL (on for an accounted node with
+// WithPersistence), and — when left nil — Ledger,
 // UserStore and Metrics from the node's own store and registry.
 func WithStreamConfig(cfg StreamConfig) Option {
 	return func(c *nodeConfig) error {
@@ -318,18 +316,15 @@ func (c *nodeConfig) resolveEngine() error {
 	}
 	if eng.ClaimWAL {
 		// An explicit ClaimWAL must stay loud, never silently defaulted
-		// away: it conflicts with WithoutClaimWAL, it is meaningless
-		// without accounting (claims ride the charge journal), and it
-		// needs a durable journal to ride.
+		// away: it is meaningless without accounting (claims ride the
+		// charge journal), and it needs a durable journal to ride.
 		switch {
-		case c.claimWALOff:
-			return optErr("WithoutClaimWAL conflicts with WithStreamConfig.ClaimWAL")
 		case eng.Lambda1 <= 0:
 			return optErr("WithStreamConfig.ClaimWAL requires accounting (Lambda1 > 0): claims ride the charge journal")
 		case !c.persistSet && eng.Ledger == nil:
 			return optErr("WithStreamConfig.ClaimWAL requires WithPersistence (or an explicit Ledger) to journal into")
 		}
-	} else if c.persistSet && !c.claimWALOff && eng.Lambda1 > 0 {
+	} else if c.persistSet && eng.Lambda1 > 0 {
 		// Default the claim WAL on for accounted durable nodes.
 		eng.ClaimWAL = true
 	}
@@ -339,22 +334,18 @@ func (c *nodeConfig) resolveEngine() error {
 	return nil
 }
 
-// PersistenceOption tunes WithPersistence.
-type PersistenceOption func(*nodeConfig) error
-
 // WithPersistence makes the node's campaigns durable in the given state
-// directory. On the streaming side, every privacy charge (and, by
-// default, the submission's claims — see WithoutClaimWAL) is journaled
-// with an fsync before the submission is acknowledged, each window
-// close persists its published result (the retained history, so
-// ?window= reads survive restarts), the engine is snapshotted per the
-// configured cadence, and residency-cap evictions
+// directory. On the streaming side, every privacy charge (and, on an
+// accounted node, the submission's claims) is journaled with an fsync
+// before the submission is acknowledged, each window close persists its
+// published result (the retained history, so ?window= reads survive
+// restarts) and snapshots the engine, and residency-cap evictions
 // (StreamConfig.MaxResidentUsers / ResidentBytes) spill user state to
 // the same store. On the batch side, every accepted submission is WAL'd
 // before its receipt and the aggregated result persists before it is
 // first published. The node owns the store: NewNode opens it and
 // Node.Close closes it.
-func WithPersistence(dir string, opts ...PersistenceOption) Option {
+func WithPersistence(dir string) Option {
 	return func(c *nodeConfig) error {
 		if dir == "" {
 			return optErr("WithPersistence: empty state directory")
@@ -364,79 +355,6 @@ func WithPersistence(dir string, opts ...PersistenceOption) Option {
 		}
 		c.stateDir = dir
 		c.persistSet = true
-		for _, o := range opts {
-			if o == nil {
-				continue
-			}
-			if err := o(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// WithSnapshotEvery snapshots the engine on every nth window close
-// (default every close); the journal covers the windows in between.
-func WithSnapshotEvery(n int) PersistenceOption {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithSnapshotEvery: n = %d", n)
-		}
-		c.store.SnapshotEvery = n
-		return nil
-	}
-}
-
-// WithSnapshotBytes forces a snapshot once the journal outgrows the
-// given size, bounding recovery replay time regardless of cadence.
-func WithSnapshotBytes(n int64) PersistenceOption {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithSnapshotBytes: n = %d", n)
-		}
-		c.store.SnapshotBytes = n
-		return nil
-	}
-}
-
-// WithSegmentBytes caps each journal segment file at n bytes (default
-// 4 MiB): appends roll to a fresh segment past the cap, and snapshots
-// compact by deleting fully-covered sealed segments — O(segments),
-// never a rewrite. Smaller segments reclaim disk sooner at the cost of
-// more files.
-func WithSegmentBytes(n int64) PersistenceOption {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithSegmentBytes: n = %d", n)
-		}
-		c.store.SegmentBytes = n
-		return nil
-	}
-}
-
-// WithGroupCommit caps the records one journal group-commit batch may
-// carry (0 = default 256, 1 = one fsync per append). Batches need no
-// linger: appends that arrive while an earlier fsync holds the disk
-// join the open batch.
-func WithGroupCommit(maxBatch int) PersistenceOption {
-	return func(c *nodeConfig) error {
-		if maxBatch < 0 {
-			return optErr("WithGroupCommit: maxBatch = %d", maxBatch)
-		}
-		c.store.MaxBatch = maxBatch
-		return nil
-	}
-}
-
-// WithoutClaimWAL journals privacy charges only, not the submissions'
-// claims. The budget still survives any crash, but statistics accepted
-// after the last snapshot are lost with it (privacy-conservative: the
-// charge stands, the data is gone). The default — claims in the WAL —
-// makes a kill-and-recover node match an uninterrupted one.
-func WithoutClaimWAL() PersistenceOption {
-	return func(c *nodeConfig) error {
-		c.claimWALOff = true
 		return nil
 	}
 }
@@ -448,13 +366,13 @@ func (n *Node) openStore(c *nodeConfig) error {
 	if !c.persistSet {
 		return nil
 	}
+	opts := streamstore.Options{Metrics: n.metrics}
 	if c.stream != nil {
 		// Persist as many recent results as the engine retains, so
 		// ?window= reads answer the same span across a restart.
-		c.store.ResultHistory = c.stream.HistoryWindows
+		opts.ResultHistory = c.stream.HistoryWindows
 	}
-	c.store.Metrics = n.metrics
-	store, err := streamstore.OpenWith(c.stateDir, c.store)
+	store, err := streamstore.OpenWith(c.stateDir, opts)
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pptd"
+	"pptd/internal/obs"
 )
 
 func TestNodeClusterOptionValidation(t *testing.T) {
@@ -74,8 +75,9 @@ func TestNodeClusterOptionValidation(t *testing.T) {
 
 // TestNodeCluster drives the whole multi-node path through the public
 // Node API: two durable worker nodes with segment shipping, a
-// coordinator node routing ingest and closing windows, and the
-// coordinator's published truths matching a single-node engine.
+// coordinator node routing ingest and closing windows, the
+// coordinator's published truths matching a single-node engine, and its
+// /metrics counting the routed submissions per worker and the close.
 func TestNodeCluster(t *testing.T) {
 	const numObjects = 4
 	shipDirs := make([]string, 2)
@@ -164,6 +166,31 @@ func TestNodeCluster(t *testing.T) {
 		if math.Abs(got.Truths[o]-want) > 1e-9 {
 			t.Fatalf("object %d: cluster truth %v, single-node %v", o, got.Truths[o], want)
 		}
+	}
+
+	// The coordinator's routing series: one per worker (present even if
+	// the ring gave it no user), counting submissions, not claims.
+	p, err := obs.ParseText(strings.NewReader(scrapeMetrics(t, front)))
+	if err != nil {
+		t.Fatalf("parse coordinator /metrics: %v", err)
+	}
+	routed := map[string]float64{}
+	for _, s := range p.Find("pptd_cluster_routed_claims_total") {
+		routed[s.Label("worker")] += s.Value
+	}
+	var total float64
+	for _, u := range urls {
+		n, ok := routed[u]
+		if !ok {
+			t.Errorf("no pptd_cluster_routed_claims_total series for worker %s", u)
+		}
+		total += n
+	}
+	if len(routed) != len(urls) || total != float64(len(users)) {
+		t.Errorf("routed submissions = %v (sum %v), want %d over the %d workers", routed, total, len(users), len(urls))
+	}
+	if v, err := p.Value("pptd_cluster_window_closes_total"); err != nil || v != 1 {
+		t.Errorf("pptd_cluster_window_closes_total = %v (%v), want 1", v, err)
 	}
 
 	// Ship both workers and check each replica is a recoverable store

@@ -118,11 +118,6 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"explicit claim WAL without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda2: 2, ClaimWAL: true})},
 			"ClaimWAL requires accounting"},
-		{"explicit claim WAL against WithoutClaimWAL",
-			[]pptd.Option{
-				cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true}),
-				pptd.WithPersistence(t.TempDir(), pptd.WithoutClaimWAL())},
-			"WithoutClaimWAL conflicts with WithStreamConfig.ClaimWAL"},
 		{"double batch", []pptd.Option{pptd.WithBatchCampaign(5), pptd.WithBatchCampaign(5)},
 			"configured twice"},
 		{"double stream", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamEngine(5)},
@@ -136,18 +131,6 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"bad target eps", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(-1, 0.3)}, "eps = -1"},
 		{"bad target delta", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(0.5, 1)}, "delta = 1"},
 		{"empty persistence dir", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPersistence("")}, "empty state directory"},
-		{"bad group commit",
-			[]pptd.Option{pptd.WithStreamEngine(5),
-				pptd.WithPersistence(t.TempDir(), pptd.WithGroupCommit(-1))},
-			"WithGroupCommit"},
-		{"bad snapshot cadence",
-			[]pptd.Option{pptd.WithStreamEngine(5),
-				pptd.WithPersistence(t.TempDir(), pptd.WithSnapshotEvery(0))},
-			"WithSnapshotEvery"},
-		{"bad segment bytes",
-			[]pptd.Option{pptd.WithStreamEngine(5),
-				pptd.WithPersistence(t.TempDir(), pptd.WithSegmentBytes(0))},
-			"WithSegmentBytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -501,109 +484,6 @@ func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	info, err := client2.StreamTruths(ctx)
 	if err != nil || info.Window != 6 {
 		t.Fatalf("recovered latest: %v %+v", err, info)
-	}
-}
-
-// TestNodeSegmentedJournal drives a durable node with a tiny
-// WithSegmentBytes cap through several windows: segments must roll and
-// be deleted by compaction (visible in the wire stats), and a restarted
-// node on the same directory must recover budgets and truths from the
-// segmented layout.
-func TestNodeSegmentedJournal(t *testing.T) {
-	dir := t.TempDir()
-	open := func() *pptd.Node {
-		t.Helper()
-		n, err := pptd.NewNode(
-			pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 2, NumShards: 1, Lambda1: 1.5, Lambda2: 2, Delta: 0.3,
-			}),
-			pptd.WithPersistence(dir,
-				pptd.WithSegmentBytes(256),
-				pptd.WithSnapshotEvery(2),
-			),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	n := open()
-	ts := httptest.NewServer(n.Handler())
-	client, err := pptd.NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	var lastTruths []float64
-	for w := 0; w < 4; w++ {
-		for u := 0; u < 3; u++ {
-			if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
-				ClientID: fmt.Sprintf("u%d", u),
-				Claims:   []pptd.CampaignClaim{{Object: 0, Value: float64(w + u)}, {Object: 1, Value: 2}},
-			}); err != nil {
-				t.Fatalf("window %d submit %d: %v", w, u, err)
-			}
-		}
-		res, err := client.StreamCloseWindow(ctx)
-		if err != nil {
-			t.Fatalf("close %d: %v", w, err)
-		}
-		lastTruths = res.Truths
-	}
-	stats, err := client.StreamStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := stats.Store
-	if st == nil {
-		t.Fatal("no store stats on durable node")
-	}
-	if st.SegmentsSealed < 2 {
-		t.Errorf("segments sealed = %d, want >= 2 (claim-WAL records at a 256-byte cap must roll)", st.SegmentsSealed)
-	}
-	if st.SegmentsDeleted < 1 {
-		t.Errorf("segments deleted = %d; covered segments not reclaimed", st.SegmentsDeleted)
-	}
-	ts.Close()
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart on the same directory: recovery from segments alone.
-	n2 := open()
-	defer func() { _ = n2.Close() }()
-	ts2 := httptest.NewServer(n2.Handler())
-	defer ts2.Close()
-	client2, err := pptd.NewClient(ts2.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := client2.StreamTruths(ctx)
-	if err != nil {
-		t.Fatalf("truths after restart: %v", err)
-	}
-	if got.Window != 4 {
-		t.Fatalf("recovered window = %d, want 4", got.Window)
-	}
-	for i, v := range lastTruths {
-		if math.Abs(got.Truths[i]-v) > 1e-9 {
-			t.Errorf("recovered truth[%d] = %v, want %v", i, got.Truths[i], v)
-		}
-	}
-	// Budgets survived too: a user re-submitting into the re-opened
-	// window is charged on top of the recovered spending, not afresh.
-	if _, err := client2.StreamSubmit(ctx, pptd.CampaignSubmission{
-		ClientID: "u0",
-		Claims:   []pptd.CampaignClaim{{Object: 0, Value: 1}},
-	}); err != nil {
-		t.Fatalf("submit after restart: %v", err)
-	}
-	if _, err := client2.StreamSubmit(ctx, pptd.CampaignSubmission{
-		ClientID: "u0",
-		Claims:   []pptd.CampaignClaim{{Object: 0, Value: 1}},
-	}); !errors.Is(err, pptd.ErrDuplicateWindow) {
-		t.Fatalf("duplicate submit after restart = %v, want ErrDuplicateWindow", err)
 	}
 }
 

@@ -95,9 +95,10 @@
 // snapshots record which estimator wrote them, and restoring under a
 // different one fails with ErrStreamEstimatorMismatch. The same engine
 // backs the HTTP streaming campaign (NewNode(WithStreamEngine(n)), POST
-// /v1/stream/claims, GET /v1/stream/truths); cmd/pptdstream drives a
-// simulated fleet against it and reports throughput, accuracy, and the
-// cumulative budget per window. Privacy reports carry aggregates only by
+// /v1/stream/claims, GET /v1/stream/truths); cmd/pptdserver -stream
+// serves it and cmd/pptduser -windows N drives a simulated fleet against
+// it, reporting claims, budget refusals and accuracy per window. Privacy
+// reports carry aggregates only by
 // default; the per-user epsilon map (the full historical client roster)
 // is opt-in via StreamConfig.PerUserReport.
 //
@@ -111,12 +112,10 @@
 // window) epsilon charge and, with StreamConfig.ClaimWAL, its claims —
 // durable before the submission is acknowledged; concurrent
 // submissions coalesce into group-commit batches that share one fsync,
-// so the durable path scales with load, and segments past
-// StreamStoreOptions.SegmentBytes are sealed so snapshots compact by
-// deleting covered segments instead of rewriting the journal), atomic
-// checksummed engine snapshots written per a configurable cadence
-// (StreamStoreOptions.SnapshotEvery / SnapshotBytes, with retained
-// generations), and the last published window result:
+// so the durable path scales with load, and full segments are sealed so
+// snapshots compact by deleting covered segments instead of rewriting
+// the journal), atomic checksummed engine snapshots written at every
+// window close, and the last published window result:
 //
 //	node, _ := pptd.NewNode(
 //		pptd.WithStreamConfig(pptd.StreamConfig{ // explicit rates; or WithPrivacyTarget
@@ -139,7 +138,7 @@
 // ReplayJournal / RestoreHistory, StreamConfig.Ledger, and
 // StreamStore.Recover. The full crash-recovery contract — what
 // survives which failure, the fsync/ack ordering, and the group-commit
-// and snapshot-cadence trade-offs — is specified in docs/DURABILITY.md,
+// trade-offs — is specified in docs/DURABILITY.md,
 // and docs/ARCHITECTURE.md maps the paper's sections onto the packages
 // and walks the ingest → journal → snapshot → recovery pipeline.
 //

@@ -133,13 +133,6 @@ type StreamLedger = stream.Ledger
 // a JSON-era snapshot with ErrLegacySnapshot.
 type StreamStore = streamstore.Store
 
-// StreamStoreOptions tunes a stream store's durability/throughput
-// trade-offs: the group-commit batch cap (MaxBatch), journal
-// segment size (SegmentBytes), and snapshot cadence (SnapshotEvery,
-// SnapshotBytes). The zero value is the default: group commit with no
-// added latency, 4 MiB segments, a snapshot at every window close.
-type StreamStoreOptions = streamstore.Options
-
 // StreamJournalPos identifies a point in a stream store's segmented
 // journal (segment sequence number, byte offset within it). Snapshots
 // record the position their export covers; compaction deletes the
@@ -157,19 +150,12 @@ type StreamStoreStats = streamstore.StoreStats
 // StreamStoreStats.
 type StreamHistogram = streamstore.Histogram
 
-// OpenStreamStore creates or reopens a streaming state directory with
-// default options, repairing any torn journal tail left by a crash —
-// the way to persist a bare NewStreamEngine (set it as the engine's
-// StreamConfig.Ledger, then StreamStore.Recover). A Node opens and owns
-// its store itself (WithPersistence). Close the store after the engine
-// using it.
+// OpenStreamStore creates or reopens a streaming state directory,
+// repairing any torn journal tail left by a crash — the way to persist
+// a bare NewStreamEngine (set it as the engine's StreamConfig.Ledger,
+// then StreamStore.Recover). A Node opens and owns its store itself
+// (WithPersistence). Close the store after the engine using it.
 func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open(dir) }
-
-// OpenStreamStoreWith is OpenStreamStore with explicit
-// StreamStoreOptions.
-func OpenStreamStoreWith(dir string, opts StreamStoreOptions) (*StreamStore, error) {
-	return streamstore.OpenWith(dir, opts)
-}
 
 // StreamCampaignServer serves a streaming sensing campaign over HTTP:
 // batched perturbed claims in, live per-window truth snapshots out, with
