@@ -203,12 +203,12 @@ func TestRunBudgetBelowOneWindow(t *testing.T) {
 }
 
 // startCluster serves a coordinator in front of n durable worker nodes,
-// all on cfg. It returns the coordinator and, per worker, the number of
-// claim submissions the coordinator routed to it.
-func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, []*atomic.Int64) {
+// all on cfg. It returns the coordinator and, per worker URL, the number
+// of claim submissions the coordinator routed to it.
+func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, map[string]*atomic.Int64) {
 	t.Helper()
 	urls := make([]string, n)
-	routed := make([]*atomic.Int64, n)
+	routed := make(map[string]*atomic.Int64, n)
 	for i := range urls {
 		w, err := pptd.NewNode(
 			pptd.WithStreamConfig(cfg),
@@ -220,7 +220,6 @@ func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, []*at
 		}
 		t.Cleanup(func() { _ = w.Close() })
 		count := new(atomic.Int64)
-		routed[i] = count
 		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == crowd.PathStreamClaims {
 				count.Add(1)
@@ -229,6 +228,7 @@ func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, []*at
 		}))
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
+		routed[ts.URL] = count
 	}
 	coord, err := pptd.NewNode(pptd.WithStreamConfig(cfg), pptd.WithClusterCoordinator(urls...))
 	if err != nil {
@@ -240,10 +240,12 @@ func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, []*at
 
 // TestRunClusterEndToEnd streams twelve devices over six objects through
 // a coordinator in front of three durable workers: every window lands
-// every claim, and each submission reaches exactly one worker, every
-// worker owning some of the fleet.
+// every claim, and each worker receives exactly the submissions of the
+// devices the coordinator's ring says it owns — each device once per
+// window. (The ring hashes the workers' random test ports, so which
+// worker owns how many devices varies from run to run; one may own none.)
 func TestRunClusterEndToEnd(t *testing.T) {
-	const users, objects, workers = 12, 6, 3
+	const users, objects, workers, windows = 12, 6, 3, 3
 	for _, wire := range []string{pptd.WireJSON, pptd.WireBinary} {
 		t.Run(wire, func(t *testing.T) {
 			coord, routed := startCluster(t, workers, accountedStream(objects, 0))
@@ -252,15 +254,18 @@ func TestRunClusterEndToEnd(t *testing.T) {
 			if want := []windowRow{full, full, full}; fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("per-window (claims, refused) = %v, want %v\n%s", got, want, out)
 			}
-			var total int64
-			for i, c := range routed {
-				if c.Load() == 0 {
-					t.Errorf("worker %d was routed no submissions", i)
-				}
-				total += c.Load()
+			want := make(map[string]int64, workers)
+			for i := 0; i < users; i++ {
+				want[coord.Coordinator().Ring().Owner(fmt.Sprintf("sim-user-%03d", i))] += windows
 			}
-			if total != 3*users {
-				t.Fatalf("workers saw %d submissions, want %d (each exactly once)", total, 3*users)
+			for url, c := range routed {
+				if c.Load() != want[url] {
+					t.Errorf("worker %s was routed %d submissions, want %d (its devices x %d windows)", url, c.Load(), want[url], windows)
+				}
+				delete(want, url)
+			}
+			if len(want) != 0 {
+				t.Fatalf("the ring routes to workers %v the cluster does not have", want)
 			}
 		})
 	}

@@ -60,17 +60,41 @@ func serverSweepOptions() streamstore.Options {
 	}
 }
 
+// serverSweepRecordLens are the lengths of user-0 to user-2's charge
+// records, the journal frame's header included. They are the lengths the
+// JSON-line journal gave the same records, reached by padding the user
+// IDs: the segment cap then rolls at the same records, and every crash
+// point keeps its op number and its label (opNNN-tornLEN, LEN half the
+// record).
+var serverSweepRecordLens = [3]int{126, 128, 126}
+
+// journalFrameHeader is a journal record's header: u32 payload length,
+// u32 CRC-32 of the payload.
+const journalFrameHeader = 8
+
+// paddedSweepUser pads base so that its charge record carrying claims is
+// recLen bytes long. Windows below 64 all encode in one byte, so the ID
+// is the same in every window of the sweep.
+func paddedSweepUser(base string, recLen int, claims []Claim) string {
+	n := journalFrameHeader + len(stream.AppendChargeRecord(nil, stream.ChargeRecord{User: base, Claims: claims}))
+	if n > recLen {
+		panic(fmt.Sprintf("paddedSweepUser(%q): %d-byte record, want at most %d", base, n, recLen))
+	}
+	return base + strings.Repeat("-", recLen-n)
+}
+
 func serverSweepSteps() []serverSweepStep {
 	var steps []serverSweepStep
 	for w := 0; w < 4; w++ {
 		for u := 0; u < 3; u++ {
+			claims := []Claim{
+				{Object: u % 3, Value: float64(w) + 0.5*float64(u)},
+				{Object: (u + 1) % 3, Value: 2*float64(w) - float64(u) + 0.25},
+			}
 			steps = append(steps, serverSweepStep{
-				kind: "ingest",
-				user: fmt.Sprintf("user-%d", u),
-				claims: []Claim{
-					{Object: u % 3, Value: float64(w) + 0.5*float64(u)},
-					{Object: (u + 1) % 3, Value: 2*float64(w) - float64(u) + 0.25},
-				},
+				kind:   "ingest",
+				user:   paddedSweepUser(fmt.Sprintf("user-%d", u), serverSweepRecordLens[u], claims),
+				claims: claims,
 			})
 		}
 		steps = append(steps, serverSweepStep{kind: "close"})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"strings"
 	"sync"
 
@@ -31,10 +30,11 @@ import (
 //
 // payload = uvarint(len clientID) ‖ clientID bytes
 //	‖ uvarint(claim count)
-//	‖ per claim: uvarint(object) ‖ 8 bytes little-endian IEEE-754 value
+//	‖ per claim: uvarint(uint64(int64(object))) ‖ 8 bytes little-endian IEEE-754 value
 //
-// Objects are encoded as uvarint(uint64(int64(object))): every int
-// round-trips, and an out-of-range (negative) object decodes back to
+// The payload is stream.AppendSubmission's encoding, the same bytes a
+// durable batch.wal record carries; stream.DecodeSubmission is its one
+// strict decoder. An out-of-range (negative) object decodes back to
 // itself so the engine rejects it with the same ErrBadClaim a JSON
 // submission would get — framing validates transport integrity only,
 // never business rules.
@@ -63,9 +63,6 @@ const (
 	// length prefix cannot make it reserve more than this, independent of
 	// the (usually tighter) per-route body cap.
 	maxClaimFramePayload = 64 << 20
-	// claimFrameMinClaim is the smallest wire size of one claim (1-byte
-	// uvarint object + 8-byte value); it bounds a hostile claim count.
-	claimFrameMinClaim = 9
 )
 
 // ClaimFrame is one decoded submission, whichever wire it arrived on
@@ -208,36 +205,11 @@ func parseClaimFrameHeader(hdr []byte) (uint32, error) {
 // aliases the payload bytes (which live in f.buf for the streaming
 // decoder); Claims reuses prior capacity.
 func (f *ClaimFrame) parsePayload(p []byte) error {
-	idLen, n := binary.Uvarint(p)
-	if n <= 0 || idLen > uint64(len(p)-n) {
-		return fmt.Errorf("%w: bad client ID length", ErrBadFrame)
+	id, claims, err := stream.DecodeSubmission(p, f.Claims)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
-	f.ClientID = p[n : n+int(idLen)]
-	p = p[n+int(idLen):]
-
-	count, n := binary.Uvarint(p)
-	if n <= 0 || count > uint64(len(p)-n)/claimFrameMinClaim {
-		return fmt.Errorf("%w: bad claim count", ErrBadFrame)
-	}
-	p = p[n:]
-	if cap(f.Claims) < int(count) {
-		f.Claims = make([]stream.Claim, count)
-	}
-	f.Claims = f.Claims[:count]
-	for i := range f.Claims {
-		obj, n := binary.Uvarint(p)
-		if n <= 0 || len(p)-n < 8 {
-			return fmt.Errorf("%w: truncated claim %d of %d", ErrBadFrame, i, count)
-		}
-		f.Claims[i] = stream.Claim{
-			Object: int(int64(obj)),
-			Value:  math.Float64frombits(binary.LittleEndian.Uint64(p[n : n+8])),
-		}
-		p = p[n+8:]
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("%w: %d trailing payload bytes after %d claims", ErrBadFrame, len(p), count)
-	}
+	f.ClientID, f.Claims = id, claims
 	return nil
 }
 
@@ -249,16 +221,8 @@ func AppendClaimFrame(dst []byte, clientID string, claims []Claim) []byte {
 	dst = append(dst, claimFrameMagic...)
 	dst = append(dst, claimFrameVersion)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length + CRC backfilled below
-
-	payloadStart := len(dst)
-	dst = binary.AppendUvarint(dst, uint64(len(clientID)))
-	dst = append(dst, clientID...)
-	dst = binary.AppendUvarint(dst, uint64(len(claims)))
-	for _, c := range claims {
-		dst = binary.AppendUvarint(dst, uint64(int64(c.Object)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Value))
-	}
-	payload := dst[payloadStart:]
+	dst = stream.AppendSubmission(dst, clientID, claims)
+	payload := dst[start+claimFrameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[start+5:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[start+9:], crc32.ChecksumIEEE(payload))
 	return dst

@@ -142,6 +142,14 @@ func TestDecodeClaimFrameRejects(t *testing.T) {
 			c[claimFrameHeaderLen+7] = 0xFF
 			refixCRC(c)
 		}),
+		"non-minimal varint": func() []byte {
+			c := append([]byte{}, valid[:claimFrameHeaderLen]...)
+			c = append(c, 0x86, 0x00) // the client ID's length 6, in two bytes
+			c = append(c, valid[claimFrameHeaderLen+1:]...)
+			binary.LittleEndian.PutUint32(c[5:9], uint32(len(c)-claimFrameHeaderLen))
+			refixCRC(c)
+			return c
+		}(),
 		"trailing payload bytes": func() []byte {
 			c := append(append([]byte{}, valid...), 0xAB)
 			binary.LittleEndian.PutUint32(c[5:9], uint32(len(c)-claimFrameHeaderLen))

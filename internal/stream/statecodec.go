@@ -11,11 +11,11 @@ import (
 // Binary engine-state encoding: the one serialized form of an
 // EngineState, on disk and on the wire (internal/streamstore frames,
 // checksums and writes it; a cluster worker's close reply carries it
-// bare, and the coordinator decodes it with DecodeEngineState). It follows
-// the claim frame's idiom (internal/crowd/wire.go): the user table is
-// written once, every statistic references its user by table index, and
-// floats are fixed little-endian IEEE-754 bits, so they — and the
-// estimator's opaque state bytes — round-trip bit-exactly.
+// bare, and the coordinator decodes it with DecodeEngineState). It shares
+// the claim list's idiom (recordcodec.go): the user table is written
+// once, every statistic references its user by table index, and floats
+// are fixed little-endian IEEE-754 bits, so they — and the estimator's
+// opaque state bytes — round-trip bit-exactly.
 //
 //	varint  numObjects ‖ varint window ‖ varint windowClaims ‖ varint totalClaims
 //	uvarint len(estimator) ‖ estimator bytes
@@ -106,7 +106,7 @@ func AppendEngineState(dst []byte, st *EngineState) ([]byte, error) {
 // is ErrBadStateEncoding. Users decodes to a non-nil slice and Stats to
 // nil when empty — the shapes ExportState produces.
 func DecodeEngineState(data []byte) (*EngineState, error) {
-	d := stateDecoder{p: data}
+	d := stateDecoder{p: data, bad: ErrBadStateEncoding}
 	st := &EngineState{
 		NumObjects:   int(d.varint()),
 		Window:       int(d.varint()),
@@ -154,28 +154,34 @@ func DecodeEngineState(data []byte) (*EngineState, error) {
 		}
 		sn.User = st.Users[idx].ID
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadStateEncoding, len(d.p))
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
-// stateDecoder consumes an encoded state front to back. The first
-// failure sticks in err and every later read returns zero, so call
-// sites check once per record instead of once per field.
+// stateDecoder consumes an encoded state or record front to back. The
+// first failure sticks in err, wrapping bad, and every later read returns
+// zero, so call sites check once per record instead of once per field.
 type stateDecoder struct {
 	p   []byte
 	err error
+	bad error
 }
 
 func (d *stateDecoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrBadStateEncoding, what)
+		d.err = fmt.Errorf("%w: %s", d.bad, what)
 	}
 	d.p = nil
+}
+
+// end reports the first failure, or bytes left after the last field.
+func (d *stateDecoder) end() error {
+	if d.err == nil && len(d.p) != 0 {
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.p)))
+	}
+	return d.err
 }
 
 // uvarint reads one minimally encoded unsigned varint.

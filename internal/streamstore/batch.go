@@ -1,8 +1,6 @@
 package streamstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,9 +13,10 @@ import (
 //
 // The batch campaign acknowledges each submission once and aggregates
 // exactly once, so its durability needs are simpler than the stream's:
-// every accepted submission is appended to batch.wal (one checksummed
-// line, fsync'd before the acknowledgement, same format and torn-tail
-// rule as the charge journal) and the aggregated result is persisted
+// every accepted submission is appended to batch.wal and fsync'd before
+// the acknowledgement — one record in the journal's framing, under its
+// torn-tail rule (journal.go), whose payload is the claim frame's
+// (stream.AppendSubmission) — and the aggregated result is persisted
 // atomically like the stream's window result. Recovery replays the WAL
 // into a fresh campaign server and reloads the published result, so a
 // restarted node neither forgets who already submitted (the duplicate
@@ -40,20 +39,26 @@ type BatchSubmission struct {
 	Claims   []stream.Claim `json:"claims"`
 }
 
-// parseBatchLine decodes one WAL line (without its newline), reporting
-// false on any damage.
-func parseBatchLine(line []byte) (BatchSubmission, bool) {
-	var sub BatchSubmission
-	payload, ok := splitCRCLine(line)
-	if !ok || json.Unmarshal(payload, &sub) != nil || sub.ClientID == "" {
-		return sub, false
-	}
-	return sub, true
+// parseBatchWAL decodes the WAL's longest valid prefix, returning its
+// submissions in append order and its byte length. A record with an
+// empty client ID is damage: AppendBatchSubmission never writes one.
+func parseBatchWAL(data []byte) ([]BatchSubmission, int64) {
+	var subs []BatchSubmission
+	valid := eachRecord(data, func(payload []byte, _ int) bool {
+		id, claims, err := stream.DecodeSubmission(payload, nil)
+		if err != nil || len(id) == 0 {
+			return false
+		}
+		subs = append(subs, BatchSubmission{ClientID: string(id), Claims: claims})
+		return true
+	})
+	return subs, valid
 }
 
 // openBatchLocked repairs an existing batch WAL at Open time (torn-tail
-// truncation, durable size). A directory without one stays without one
-// until the first append. Called from OpenWith under s.mu.
+// truncation, durable size), refusing a JSON-era one untouched
+// (ErrLegacyJournal). A directory without one stays without one until
+// the first append. Called from OpenWith under s.mu.
 func (s *Store) openBatchLocked() error {
 	path := filepath.Join(s.dir, batchWALName)
 	if _, err := s.fs.Stat(path); err != nil {
@@ -71,7 +76,11 @@ func (s *Store) openBatchLocked() error {
 		_ = f.Close()
 		return err
 	}
-	valid := validBatchPrefix(data)
+	if legacyRecordFile(data) {
+		_ = f.Close()
+		return fmt.Errorf("%w: %s", ErrLegacyJournal, path)
+	}
+	_, valid := parseBatchWAL(data)
 	if int64(len(data)) > valid {
 		if err := f.Truncate(valid); err != nil {
 			_ = f.Close()
@@ -87,24 +96,6 @@ func (s *Store) openBatchLocked() error {
 	return nil
 }
 
-// validBatchPrefix returns the byte length of the WAL's longest valid
-// prefix (the per-line CRC torn-tail rule).
-func validBatchPrefix(data []byte) int64 {
-	var valid int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		if _, ok := parseBatchLine(data[off : off+nl]); !ok {
-			break
-		}
-		off += nl + 1
-		valid = int64(off)
-	}
-	return valid
-}
-
 // AppendBatchSubmission durably appends one accepted batch submission:
 // it returns only after the record is written and fsync'd, which is
 // what lets the campaign server acknowledge the submission. On failure
@@ -114,11 +105,10 @@ func (s *Store) AppendBatchSubmission(sub BatchSubmission) error {
 	if sub.ClientID == "" {
 		return fmt.Errorf("streamstore: batch submission with empty client id")
 	}
-	payload, err := json.Marshal(sub)
+	line, err := appendRecord(nil, stream.AppendSubmission(nil, sub.ClientID, sub.Claims))
 	if err != nil {
-		return fmt.Errorf("streamstore: encode batch submission: %w", err)
+		return err
 	}
-	line := appendCRCLine(nil, payload) // the charge journal's line format
 	s.batchMu.Lock()
 	defer s.batchMu.Unlock()
 	if s.batchClosed {
@@ -167,19 +157,7 @@ func (s *Store) LoadBatchSubmissions() ([]BatchSubmission, error) {
 	if err != nil {
 		return nil, err
 	}
-	var subs []BatchSubmission
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		sub, ok := parseBatchLine(data[off : off+nl])
-		if !ok {
-			break
-		}
-		subs = append(subs, sub)
-		off += nl + 1
-	}
+	subs, _ := parseBatchWAL(data)
 	return subs, nil
 }
 

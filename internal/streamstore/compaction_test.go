@@ -25,7 +25,7 @@ func TestCompactionDeletesCoveredSegmentsWithoutRewrite(t *testing.T) {
 	s, err := OpenWith(dir, Options{
 		FS:            fy,
 		MaxBatch:      1,
-		SegmentBytes:  128, // ~2 charge records per segment
+		SegmentBytes:  64, // three 26-byte charge records per segment
 		SnapshotEvery: 1000,
 	})
 	if err != nil {

@@ -67,6 +67,27 @@ func sweepOptions() Options {
 	}
 }
 
+// The sweep's charge records are padded, through their user IDs, to the
+// lengths the JSON-line journal gave them (frame header included): user-0
+// to user-2, then race-0 to race-3. The segment cap then rolls at the
+// same records, and every crash point keeps its op number and its label
+// (opNNN-tornLEN, LEN half the record).
+var (
+	sweepUserRecordLens = [3]int{126, 128, 126}
+	sweepRaceRecordLens = [4]int{125, 127, 125, 127}
+)
+
+// paddedUser pads base so that its charge record carrying claims is
+// recLen bytes long. Windows below 64 all encode in one byte, so the ID
+// is the same in every window of the sweep.
+func paddedUser(base string, recLen int, claims []stream.Claim) string {
+	rec, err := appendChargeRecord(nil, stream.ChargeRecord{User: base, Claims: claims})
+	if err != nil || len(rec) > recLen {
+		panic(fmt.Sprintf("paddedUser(%q): %d-byte record, want at most %d (%v)", base, len(rec), recLen, err))
+	}
+	return base + strings.Repeat("-", recLen-len(rec))
+}
+
 // sweepSteps is the deterministic workload: three users per window,
 // four windows, a close after each window's ingests. Before window 3's
 // close it replays the snapshot/ingest race deterministically:
@@ -81,25 +102,27 @@ func sweepSteps() []sweepStep {
 	var steps []sweepStep
 	for w := 0; w < sweepWindows; w++ {
 		for u := 0; u < 3; u++ {
+			claims := []stream.Claim{
+				{Object: u % 3, Value: float64(w) + 0.5*float64(u)},
+				{Object: (u + 1) % 3, Value: 2*float64(w) - float64(u) + 0.25},
+			}
 			steps = append(steps, sweepStep{
-				kind: "ingest",
-				user: fmt.Sprintf("user-%d", u),
-				claims: []stream.Claim{
-					{Object: u % 3, Value: float64(w) + 0.5*float64(u)},
-					{Object: (u + 1) % 3, Value: 2*float64(w) - float64(u) + 0.25},
-				},
+				kind:   "ingest",
+				user:   paddedUser(fmt.Sprintf("user-%d", u), sweepUserRecordLens[u], claims),
+				claims: claims,
 			})
 		}
 		if w == 2 {
 			steps = append(steps, sweepStep{kind: "race-mark"})
 			for r := 0; r < 4; r++ { // 4 records > SegmentBytes: forces a roll past the mark
+				claims := []stream.Claim{
+					{Object: r % 3, Value: 3.5 - float64(r)},
+					{Object: (r + 2) % 3, Value: 0.5 * float64(r)},
+				}
 				steps = append(steps, sweepStep{
-					kind: "ingest",
-					user: fmt.Sprintf("race-%d", r),
-					claims: []stream.Claim{
-						{Object: r % 3, Value: 3.5 - float64(r)},
-						{Object: (r + 2) % 3, Value: 0.5 * float64(r)},
-					},
+					kind:   "ingest",
+					user:   paddedUser(fmt.Sprintf("race-%d", r), sweepRaceRecordLens[r], claims),
+					claims: claims,
 				})
 			}
 			steps = append(steps, sweepStep{kind: "race-snapshot"})

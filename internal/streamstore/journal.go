@@ -1,66 +1,138 @@
 package streamstore
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"runtime"
-	"slices"
 	"time"
 
 	"pptd/internal/stream"
 	"pptd/internal/streamstore/storefs"
 )
 
-// Journal line format: one charge record per line,
+// Record framing, shared by every append-only file the store keeps —
+// the journal segments, batch.wal and users.spill. Each record is one
+// frame,
 //
-//	crc32hex SP json-payload LF
+//	u32 LE payload length | u32 LE CRC-32 (IEEE) of the payload | payload
 //
-// where crc32hex is the IEEE CRC-32 of the payload in fixed-width lower
-// hex. The checksum plus the trailing newline make torn tails
-// unambiguous: a crashed append leaves either a complete valid line or a
-// detectable partial one, never a silently-wrong record. The batch WAL
-// (batch.go) shares the format and this pair of functions.
-const journalCRCLen = 8
+// where a journal payload is one stream.ChargeRecord and a batch.wal
+// payload one submission, both in stream's binary record encoding
+// (stream.AppendChargeRecord, stream.AppendSubmission), and a users.spill
+// payload is one JSON stream.UserSpill. A reader keeps the longest prefix
+// of whole, intact records. The first record whose header is short, whose
+// length runs past the file, whose CRC does not match or whose payload
+// does not decode is the torn tail of a crashed append, and so is
+// everything after it. A header of length 0 ends the records as well: no
+// payload is empty, and it is where the zeros of a preallocated tail
+// begin (journalAllocChunk).
+const (
+	recordHeaderLen = 8
+	// maxRecordPayload bounds a payload. It keeps the fourth byte of any
+	// header at or below 0x04, never a hex digit, so no file of records
+	// starts the way its JSON-era form did (legacyRecordFile).
+	maxRecordPayload = 64 << 20
+	// legacyHeadLen is how much of a file legacyRecordFile looks at.
+	legacyHeadLen = 9
+)
 
-// appendCRCLine appends payload to dst as one line of that format.
-func appendCRCLine(dst, payload []byte) []byte {
-	n := len(dst)
-	dst = append(slices.Grow(dst, journalCRCLen+2+len(payload)), "00000000 "...)
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	hex.Encode(dst[n:], sum[:])
-	return append(append(dst, payload...), '\n')
+// emptyRecordHeader is the placeholder an encoder appends before the
+// payload; sealRecord fills it in.
+var emptyRecordHeader [recordHeaderLen]byte
+
+// sealRecord fills in the header of the record that starts at
+// dst[start:], its payload being the rest of dst. A payload over
+// maxRecordPayload is refused and dst comes back cut to start: no reader
+// would accept that record, so it must never be acknowledged.
+func sealRecord(dst []byte, start int) ([]byte, error) {
+	payload := dst[start+recordHeaderLen:]
+	if len(payload) > maxRecordPayload {
+		return dst[:start], fmt.Errorf("streamstore: %d-byte record exceeds the %d-byte bound", len(payload), maxRecordPayload)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst, nil
 }
 
-// splitCRCLine returns the payload of one line (without its newline),
-// and false when the checksum field is malformed or does not match.
-func splitCRCLine(line []byte) ([]byte, bool) {
-	if len(line) < journalCRCLen+2 || line[journalCRCLen] != ' ' {
-		return nil, false
-	}
-	var sum [4]byte
-	if _, err := hex.Decode(sum[:], line[:journalCRCLen]); err != nil {
-		return nil, false
-	}
-	payload := line[journalCRCLen+1:]
-	return payload, crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(sum[:])
+// appendRecord appends payload to dst as one record.
+func appendRecord(dst, payload []byte) ([]byte, error) {
+	start := len(dst)
+	return sealRecord(append(append(dst, emptyRecordHeader[:]...), payload...), start)
 }
 
-// encodeChargeLine renders one charge record in the journal line
-// format. Shared by AppendCharge and the fuzz seed corpus.
-func encodeChargeLine(rec stream.ChargeRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("streamstore: encode charge: %w", err)
-	}
-	return appendCRCLine(nil, payload), nil
+// appendChargeRecord appends rec to dst as one journal record, encoding
+// it in place. Shared by AppendCharge and the format tests.
+func appendChargeRecord(dst []byte, rec stream.ChargeRecord) ([]byte, error) {
+	start := len(dst)
+	return sealRecord(stream.AppendChargeRecord(append(dst, emptyRecordHeader[:]...), rec), start)
 }
 
-// commitBatch is one group-commit unit: the concatenated journal lines
+// recordLen returns the length of the whole record whose header starts
+// hdr, or 0 when the header ends the records: a zero length, or one over
+// maxRecordPayload.
+func recordLen(hdr []byte) int {
+	n := binary.LittleEndian.Uint32(hdr)
+	if n == 0 || n > maxRecordPayload {
+		return 0
+	}
+	return recordHeaderLen + int(n)
+}
+
+// splitRecord returns the payload of the record at the front of data and
+// the record's whole length, or n == 0 when data does not start with an
+// intact record: a short header, a header that ends the records, a length
+// past the end of data, or a CRC mismatch.
+func splitRecord(data []byte) (payload []byte, n int) {
+	if len(data) < recordHeaderLen {
+		return nil, 0
+	}
+	if n = recordLen(data); n == 0 || n > len(data) {
+		return nil, 0
+	}
+	payload = data[recordHeaderLen:n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0
+	}
+	return payload, n
+}
+
+// eachRecord calls fn with the payload and offset of every record in
+// data's longest valid prefix, in order, and returns the prefix's length.
+// fn reports false for a payload that does not decode, which ends the
+// prefix before its record.
+func eachRecord(data []byte, fn func(payload []byte, off int) bool) int64 {
+	off := 0
+	for {
+		payload, n := splitRecord(data[off:])
+		if n == 0 || !fn(payload, off) {
+			return int64(off)
+		}
+		off += n
+	}
+}
+
+// legacyRecordFile reports whether head, the first bytes of a journal
+// segment, batch.wal or users.spill, is the start of the file's JSON-era
+// form: one "crc32hex SP json LF" line per record, so eight lower-case hex
+// digits and a space. Nothing reads that form any more, and a reader
+// treating it as a torn tail at offset 0 would truncate it away — handing
+// every user in it their spent epsilon back — so Open refuses such a file
+// (ErrLegacyJournal) before anything repairs it. No binary file matches:
+// see maxRecordPayload.
+func legacyRecordFile(head []byte) bool {
+	if len(head) < legacyHeadLen || head[legacyHeadLen-1] != ' ' {
+		return false
+	}
+	for _, c := range head[:legacyHeadLen-1] {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// commitBatch is one group-commit unit: the concatenated journal records
 // of every append that joined it, flushed with a single write+fsync by
 // its leader. Followers block on done and share err. The buffer is only
 // mutated under commitMu while the batch is pending; the leader reads
@@ -73,8 +145,8 @@ type commitBatch struct {
 	err  error
 }
 
-// commit hands one encoded journal line to the group-commit machinery
-// and returns once it is durable (or failed). The first appender to
+// commit encodes one charge record into the group-commit machinery's
+// open batch and returns once it is durable (or failed). The first appender to
 // find no pending batch becomes the leader: it opens a batch and —
 // crucially — keeps it open while it waits its turn at the disk behind
 // an in-flight sync, snapshot, or compaction. Appends arriving in that
@@ -83,7 +155,7 @@ type commitBatch struct {
 // instead of paying one serialized fsync per submission. A batch that
 // reaches Options.MaxBatch seals itself and the next append starts a
 // new one.
-func (s *Store) commit(line []byte) error {
+func (s *Store) commit(rec stream.ChargeRecord) error {
 	maxBatch := s.opts.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = defaultMaxBatch
@@ -92,7 +164,11 @@ func (s *Store) commit(line []byte) error {
 	s.commitMu.Lock()
 	if b := s.pending; b != nil {
 		// Follower: ride the open batch and wait for its leader's sync.
-		b.buf = append(b.buf, line...)
+		var err error
+		if b.buf, err = appendChargeRecord(b.buf, rec); err != nil {
+			s.commitMu.Unlock()
+			return err
+		}
 		b.n++
 		if b.n >= maxBatch {
 			s.pending = nil
@@ -101,9 +177,14 @@ func (s *Store) commit(line []byte) error {
 		<-b.done
 		return b.err
 	}
-	b := &commitBatch{done: make(chan struct{})}
-	b.buf = append(b.buf, line...)
-	b.n = 1
+	// 64 + user + 18 per claim bounds one encoded record: the leader's own
+	// never regrows the buffer.
+	buf, err := appendChargeRecord(make([]byte, 0, 64+len(rec.User)+18*len(rec.Claims)), rec)
+	if err != nil {
+		s.commitMu.Unlock()
+		return err
+	}
+	b := &commitBatch{buf: buf, n: 1, done: make(chan struct{})}
 	shared := b.n < maxBatch // MaxBatch 1: solo batch, plain per-append fsync
 	if shared {
 		s.pending = b
@@ -184,8 +265,7 @@ func (s *Store) flushLocked(buf []byte, n int) error {
 // the filesystem's own journal only when the write first touches a new
 // block, instead of on every append that grows the file. The cost is
 // that a segment's tail reads as zeros until records fill it: every
-// reader stops at the first NUL, which no record line contains (the
-// checksum is hex, the payload JSON).
+// reader stops at the first record header of length 0.
 const journalAllocChunk = 1 << 20
 
 // preallocateLocked extends the active segment so that a flush ending
@@ -216,38 +296,29 @@ func (s *Store) rewindJournalLocked() {
 }
 
 // parseJournal decodes the longest valid prefix of one segment's bytes,
-// returning its records and byte length. Parsing stops at the first
-// incomplete line (no trailing newline — a torn write), malformed
-// checksum prefix, checksum mismatch, or undecodable payload.
+// returning its records and byte length (see the record framing above).
 func parseJournal(data []byte) ([]stream.ChargeRecord, int64) {
 	return parseJournalAfter(data, 0)
 }
 
 // parseJournalAfter is parseJournal restricted to the records past the
 // byte offset skip: the whole prefix is still validated (valid counts
-// it), but records whose line ends at or before skip — the part of a
-// boundary segment a snapshot already covers — are not returned. skip
-// always falls on a line boundary in practice (it is a durable size the
-// store captured itself); a skip inside a line simply keeps that line.
+// it), but records that end at or before skip — the part of a boundary
+// segment a snapshot already covers — are not returned. skip always
+// falls on a record boundary in practice (it is a durable size the store
+// captured itself); a skip inside a record simply keeps that record.
 func parseJournalAfter(data []byte, skip int64) ([]stream.ChargeRecord, int64) {
 	var recs []stream.ChargeRecord
-	var valid int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: the final append never completed
+	valid := eachRecord(data, func(payload []byte, off int) bool {
+		rec, err := stream.DecodeChargeRecord(payload)
+		if err != nil {
+			return false
 		}
-		line := data[off : off+nl]
-		rec, ok := parseJournalLine(line)
-		if !ok {
-			break
-		}
-		off += nl + 1
-		valid = int64(off)
-		if valid > skip {
+		if int64(off+recordHeaderLen+len(payload)) > skip {
 			recs = append(recs, rec)
 		}
-	}
+		return true
+	})
 	return recs, valid
 }
 
@@ -259,62 +330,73 @@ const journalScanChunk = 256 << 10
 
 // scanJournalFile is parseJournalAfter over a file instead of a byte
 // slice: it scans the first size bytes of f in journalScanChunk reads,
-// carrying only the current incomplete line between reads, and stops at
-// the first invalid or torn line, or at the first NUL — the start of a
+// carrying only the current incomplete record between reads, and stops at
+// the first torn record or at a header of length 0 — the start of a
 // preallocated tail (journalAllocChunk), which is never read further or
-// carried. Memory is O(chunk + longest record), not O(segment) — the
+// carried. A record whose length runs past size is torn without being
+// read. Memory is O(chunk + longest record), not O(segment) — the
 // active segment of a long-lived store can dwarf RAM and recovery must
-// still come up. Records whose line ends past skip are passed to emit
-// (which may be nil when only the valid length matters, e.g. torn-tail
-// repair); the returned length counts every valid line, skipped or not,
-// exactly as parseJournalAfter does.
+// still come up. Records that end past skip are passed to emit (which
+// may be nil when only the valid length matters, e.g. torn-tail
+// repair); the returned length counts every valid record, skipped or
+// not, exactly as parseJournalAfter does.
 func scanJournalFile(f storefs.File, size, skip int64, emit func(stream.ChargeRecord)) (int64, error) {
 	var (
-		carry   []byte
-		chunk   = make([]byte, journalScanChunk)
-		fileOff int64
-		valid   int64
+		buf   = make([]byte, 0, journalScanChunk)
+		off   int   // buf[off:] is not parsed yet; it starts at file offset valid
+		valid int64 // end of the valid prefix
+		end   int64 // file offset just past buf
 	)
+	// load makes n unparsed bytes available, reading whole chunks, and
+	// reports false when the file ends before them.
+	load := func(n int) (bool, error) {
+		have := len(buf) - off
+		if have >= n {
+			return true, nil
+		}
+		if int64(n-have) > size-end {
+			return false, nil
+		}
+		if cap(buf) < n {
+			buf = append(make([]byte, 0, n), buf[off:]...)
+		} else {
+			buf = buf[:copy(buf, buf[off:])]
+		}
+		off = 0
+		for len(buf) < n {
+			want := int(min(int64(cap(buf)-len(buf)), size-end))
+			got, err := f.ReadAt(buf[len(buf):len(buf)+want], end)
+			buf, end = buf[:len(buf)+got], end+int64(got)
+			if got < want && err != nil {
+				return false, fmt.Errorf("streamstore: read journal segment: %w", err)
+			}
+		}
+		return true, nil
+	}
 	for {
-		nl := bytes.IndexByte(carry, '\n')
-		for nl < 0 && fileOff < size {
-			n := len(chunk)
-			if rem := size - fileOff; rem < int64(n) {
-				n = int(rem)
-			}
-			m, err := f.ReadAt(chunk[:n], fileOff)
-			if m < n && err != nil {
-				return valid, fmt.Errorf("streamstore: read journal segment: %w", err)
-			}
-			fileOff += int64(m)
-			if z := bytes.IndexByte(chunk[:m], 0); z >= 0 {
-				m, size = z, fileOff
-			}
-			carry = append(carry, chunk[:m]...)
-			nl = bytes.IndexByte(carry, '\n')
+		ok, err := load(recordHeaderLen)
+		if !ok || err != nil {
+			return valid, err
 		}
-		if nl < 0 {
-			// No newline left anywhere in the file: a torn tail (or a clean
-			// end exactly on a boundary, in which case carry is empty).
+		n := recordLen(buf[off:])
+		if n == 0 {
 			return valid, nil
 		}
-		rec, ok := parseJournalLine(carry[:nl])
-		if !ok {
+		if ok, err := load(n); !ok || err != nil {
+			return valid, err
+		}
+		payload, n := splitRecord(buf[off : off+n])
+		if n == 0 {
 			return valid, nil
 		}
-		carry = carry[nl+1:]
-		valid += int64(nl + 1)
+		rec, err := stream.DecodeChargeRecord(payload)
+		if err != nil {
+			return valid, nil
+		}
+		off += n
+		valid += int64(n)
 		if valid > skip && emit != nil {
 			emit(rec)
 		}
 	}
-}
-
-func parseJournalLine(line []byte) (stream.ChargeRecord, bool) {
-	var rec stream.ChargeRecord
-	payload, ok := splitCRCLine(line)
-	if !ok || json.Unmarshal(payload, &rec) != nil {
-		return rec, false
-	}
-	return rec, true
 }

@@ -1,10 +1,12 @@
 package streamstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,41 +120,96 @@ func TestStraySegmentLookalikesIgnored(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesLegacyJournal: a pre-segmentation ledger.journal is
-// neither read nor ignored — opening around it would hand every user it
-// records their spent epsilon back — so Open fails with the typed error
-// naming the file, on a fresh directory and next to live segments alike,
-// and touches nothing. Removing the file is the operator's explicit
-// decision; after it the directory opens normally.
+// TestOpenRefusesLegacyJournal: a journal this version does not read is
+// neither read, ignored nor repaired — opening around it, or truncating it
+// as a torn tail, would hand every user it records their spent epsilon
+// back — so Open fails with the typed error naming the file and leaves it
+// byte-identical. That covers a pre-segmentation ledger.journal (on a
+// fresh directory and next to live segments) and a JSON-era active
+// segment, sealed segment, batch.wal and users.spill (whose lines the
+// binary reader would otherwise take for a torn tail at offset 0).
+// Removing the file is the operator's explicit decision; after it the
+// directory opens normally.
 func TestOpenRefusesLegacyJournal(t *testing.T) {
-	for _, withSegments := range []bool{false, true} {
+	payload := []byte(`{"user":"a","window":0,"epsilon":1}`)
+	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	jsonEra := []byte(line + line + `deadbeef {"user"`) // two records and a torn tail
+
+	// liveDir is a directory this version wrote: a sealed and an active
+	// segment, a spill file and a batch WAL.
+	liveDir := func(t *testing.T) string {
 		dir := t.TempDir()
-		if withSegments {
-			s := mustOpen(t, dir)
-			if err := s.AppendCharge(stream.ChargeRecord{User: "a", Window: 0, Epsilon: 1}); err != nil {
+		s, err := OpenWith(dir, Options{SegmentBytes: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := s.AppendCharge(stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Window: 0, Epsilon: 1}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := s.SpillUsers([]stream.UserSpill{spillOf("u0", 1, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatchSubmission(batchSub(0)); err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats(false).SegmentsSealed == 0 {
+			t.Fatal("the live directory has no sealed segment")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	freshDir := func(t *testing.T) string { return t.TempDir() }
+
+	for _, tc := range []struct {
+		name    string
+		dir     func(*testing.T) string
+		file    string
+		content []byte
+	}{
+		{"ledger.journal", freshDir, legacyJournalName, []byte("stale\n")},
+		{"ledger.journal next to segments", liveDir, legacyJournalName, []byte("stale\n")},
+		{"active segment", freshDir, segmentFileName(1), jsonEra},
+		{"sealed segment", liveDir, segmentFileName(1), jsonEra},
+		{"batch.wal", liveDir, batchWALName, jsonEra},
+		{"users.spill", liveDir, spillName, jsonEra},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.dir(t)
+			path := filepath.Join(dir, tc.file)
+			if err := os.WriteFile(path, tc.content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(dir)
+			if !errors.Is(err, ErrLegacyJournal) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Open = %v, want ErrLegacyJournal naming %s", err, path)
+			}
+			if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, tc.content) {
+				t.Fatalf("refused Open touched %s: %q, %v", tc.file, data, err)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			s := mustOpen(t, dir)
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-		}
-		legacy := filepath.Join(dir, legacyJournalName)
-		if err := os.WriteFile(legacy, []byte("stale\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(dir)
-		if !errors.Is(err, ErrLegacyJournal) || !strings.Contains(err.Error(), legacy) {
-			t.Fatalf("segments=%v: Open = %v, want ErrLegacyJournal naming %s", withSegments, err, legacy)
-		}
-		if data, err := os.ReadFile(legacy); err != nil || string(data) != "stale\n" {
-			t.Fatalf("segments=%v: refused Open touched the legacy journal: %q, %v", withSegments, data, err)
-		}
-		if err := os.Remove(legacy); err != nil {
-			t.Fatal(err)
-		}
-		s := mustOpen(t, dir)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+		})
+	}
+}
+
+// TestLegacyRecordFileNeverMatchesBinary: the JSON-era check looks at a
+// file's first nine bytes, and no binary record starts with eight hex
+// digits: maxRecordPayload keeps a header's fourth byte at or below 0x04,
+// whatever the other eight bytes hold.
+func TestLegacyRecordFileNeverMatchesBinary(t *testing.T) {
+	for _, n := range []uint32{1, 0x00303030, maxRecordPayload} {
+		head := append(binary.LittleEndian.AppendUint32(nil, n), "0000 "...) // a hex-digit CRC, then a space
+		if legacyRecordFile(head) {
+			t.Errorf("the header of a %d-byte payload reads as JSON-era: % x", n, head)
 		}
 	}
 }

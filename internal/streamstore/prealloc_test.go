@@ -74,7 +74,7 @@ func TestPreallocatedTailRecovery(t *testing.T) {
 		t.Fatalf("segment is %d bytes for %d bytes of records, want one preallocated chunk of %d", fi.Size(), valid, journalAllocChunk)
 	}
 
-	line, err := encodeChargeLine(stream.ChargeRecord{User: "torn", Window: 0, Epsilon: 1})
+	line, err := appendChargeRecord(nil, stream.ChargeRecord{User: "torn", Window: 0, Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
 func TestZeroTailScanIsBounded(t *testing.T) {
 	var recs []byte
 	for i := 0; i < 10; i++ {
-		line, err := encodeChargeLine(stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Window: i, Epsilon: 0.5})
+		line, err := appendChargeRecord(nil, stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Window: i, Epsilon: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestOpenAcceptsSealedSegmentWithZeroTail(t *testing.T) {
 	dir := t.TempDir()
 	var recs []byte
 	for i := 0; i < 3; i++ {
-		line, err := encodeChargeLine(stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Window: 0, Epsilon: 1})
+		line, err := appendChargeRecord(nil, stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Window: 0, Epsilon: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,25 +272,34 @@ func TestOpenAcceptsSealedSegmentWithZeroTail(t *testing.T) {
 	}
 }
 
+// The roll workload's segment cap, and the length of each of its charge
+// records: the one the JSON-line journal gave them, reached by padding
+// the user IDs (paddedUser), so the crash points keep their labels.
+const (
+	rollSegmentBytes = 160
+	rollRecordLen    = 46
+)
+
 // runRollCycle charges one user per append through a size-cap roll, a
 // snapshot whose compaction rolls and deletes the whole journal, and
 // appends into the fresh segment after it. It returns the users whose
 // charge was acknowledged and the segments sealed before and after the
 // snapshot.
 func runRollCycle(fsys storefs.FS, dir string) (acked []string, sealed [2]int64, err error) {
-	s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: 160})
+	s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: rollSegmentBytes})
 	if err != nil {
 		return nil, sealed, err
 	}
 	defer func() { _ = s.Close() }()
 	charge := func(user string) error {
+		user = paddedUser(user, rollRecordLen, nil)
 		if err := s.AppendCharge(stream.ChargeRecord{User: user, Window: 0, Epsilon: 1}); err != nil {
 			return err
 		}
 		acked = append(acked, user)
 		return nil
 	}
-	for i := 0; i < 5; i++ { // ~47 B a record: the fourth crosses the cap
+	for i := 0; i < 5; i++ { // 46 B a record: the fourth crosses the cap
 		if err := charge(fmt.Sprintf("a%d", i)); err != nil {
 			return acked, sealed, err
 		}
@@ -353,7 +362,7 @@ func TestRollCrashRecovers(t *testing.T) {
 							}
 						}
 					}
-					s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: 160})
+					s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: rollSegmentBytes})
 					if err != nil {
 						dumpOpLog(t, fy, label)
 						t.Fatalf("open after crash: %v", err)

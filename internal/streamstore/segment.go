@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"pptd/internal/stream"
 	"pptd/internal/streamstore/storefs"
@@ -22,11 +24,14 @@ import (
 // boundary segment is left intact and its covered prefix skipped on
 // recovery using the snapshot's JournalPos marker.
 //
-// Legacy layout: before segmentation the journal was one rewrite-on-
-// compact file, ledger.journal. No deployment ever ran that layout, so
-// Open does not read it — but it does not ignore it either: a directory
-// holding one fails with ErrLegacyJournal, because opening around the
-// file would hand every user in it their spent epsilon back.
+// Legacy layouts: before segmentation the journal was one rewrite-on-
+// compact file, ledger.journal, and before the binary record framing
+// (journal.go) each segment held JSON lines. No deployment ever ran
+// either, so Open reads neither — but it does not ignore them either: a
+// directory holding ledger.journal, or a segment that starts like a JSON
+// line, fails with ErrLegacyJournal before anything is repaired, because
+// opening around the file (or truncating it as a torn tail) would hand
+// every user in it their spent epsilon back.
 
 // segmentInfo is the store's bookkeeping for one sealed segment.
 type segmentInfo struct {
@@ -67,16 +72,14 @@ func (s *Store) segmentPath(seq int64) string {
 
 // parseSegmentName parses journal-<seq>.wal back to its sequence
 // number, reporting false for other files. Only exact round-trips
-// count: Sscanf tolerates trailing bytes, and accepting e.g. an
-// operator's journal-000000003.wal.bak as segment 3 would register a
-// duplicate sequence — double replay on recovery, and compaction
-// deleting the live file.
+// count: accepting e.g. an operator's journal-000000003.wal.bak, or an
+// unpadded journal-3.wal, as segment 3 would register a duplicate
+// sequence — double replay on recovery, and compaction deleting the
+// live file.
 func parseSegmentName(name string) (int64, bool) {
-	var seq int64
-	if n, err := fmt.Sscanf(name, "journal-%d.wal", &seq); n != 1 || err != nil {
-		return 0, false
-	}
-	if seq <= 0 || name != segmentFileName(seq) {
+	digits, _ := strings.CutPrefix(name, "journal-")
+	seq, err := strconv.ParseInt(strings.TrimSuffix(digits, ".wal"), 10, 64)
+	if err != nil || seq <= 0 || name != segmentFileName(seq) {
 		return 0, false
 	}
 	return seq, true
@@ -102,12 +105,13 @@ func (s *Store) journalBytesLocked() int64 {
 
 // openJournalLocked brings the segmented journal up at Open time: it
 // refuses a directory holding a legacy single-file journal, scans the
-// directory for segments (refusing a JSON-era snapshot or cluster-close
-// record it meets on the way — ErrLegacySnapshot), opens the highest sequence as the active
-// segment (creating segment 1 on a fresh directory), and repairs any
-// torn tail a crash mid-append left in it. Sealed segments are never
-// touched — a roll only happens after a successful fsync, so a torn
-// tail can only live in the last segment.
+// directory for segments (refusing a JSON-era segment, snapshot or
+// cluster-close record it meets on the way — ErrLegacyJournal,
+// ErrLegacySnapshot), opens the highest sequence as the active segment
+// (creating segment 1 on a fresh directory), and repairs any torn tail
+// a crash mid-append left in it. Sealed segments are never written — a
+// roll only happens after a successful fsync, so a torn tail can only
+// live in the last segment.
 func (s *Store) openJournalLocked() error {
 	legacy := filepath.Join(s.dir, legacyJournalName)
 	if _, err := s.fs.Stat(legacy); err == nil {
@@ -131,9 +135,15 @@ func (s *Store) openJournalLocked() error {
 		if !ok {
 			continue
 		}
-		fi, err := s.fs.Stat(filepath.Join(s.dir, e.Name()))
+		path := filepath.Join(s.dir, e.Name())
+		fi, err := s.fs.Stat(path)
 		if err != nil {
 			return fmt.Errorf("streamstore: stat segment %s: %w", e.Name(), err)
+		}
+		if fi.Size() >= legacyHeadLen {
+			if err := s.refuseLegacySegmentLocked(path); err != nil {
+				return err
+			}
 		}
 		segs = append(segs, segmentInfo{seq: seq, size: fi.Size()})
 	}
@@ -162,6 +172,25 @@ func (s *Store) openJournalLocked() error {
 		_ = f.Close()
 		s.active = nil
 		return err
+	}
+	return nil
+}
+
+// refuseLegacySegmentLocked fails with ErrLegacyJournal, naming the
+// file, when the segment at path starts like its JSON-era form
+// (legacyRecordFile). It only reads the segment's first bytes.
+func (s *Store) refuseLegacySegmentLocked(path string) error {
+	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return fmt.Errorf("streamstore: open journal segment: %w", err)
+	}
+	defer func() { _ = f.Close() }()
+	var head [legacyHeadLen]byte
+	if n, err := f.ReadAt(head[:], 0); n < len(head) {
+		return fmt.Errorf("streamstore: read journal segment %s: %w", filepath.Base(path), err)
+	}
+	if legacyRecordFile(head[:]) {
+		return fmt.Errorf("%w: %s", ErrLegacyJournal, path)
 	}
 	return nil
 }
@@ -224,7 +253,7 @@ func (s *Store) readSegmentLocked(f storefs.File) ([]byte, error) {
 // stops at the cap (or at the end of the flush that crosses it), so
 // that file has no zero tail to trim; a compaction roll's file keeps
 // its zeros, but the same pass deletes it, and if a crash keeps it
-// anyway replay stops at the first NUL. Either way sealing costs no
+// anyway replay stops at the zero header. Either way sealing costs no
 // truncate and no fsync. Callers must hold s.mu.
 func (s *Store) rollSegmentLocked() error {
 	next := s.activeSeq + 1

@@ -15,7 +15,7 @@ import (
 // TestLargeSegmentChunkedRecovery exercises the streaming recovery scan
 // on a segment that the old whole-file read would have buffered at
 // once: thousands of records crossing many scan-chunk boundaries, one
-// record whose line alone spans several chunks, and a torn tail. The
+// record that alone spans several chunks, and a torn tail. The
 // reopened store must replay everything, truncate the tail, and accept
 // further appends on a clean record boundary.
 func TestLargeSegmentChunkedRecovery(t *testing.T) {
@@ -25,7 +25,7 @@ func TestLargeSegmentChunkedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A single record far larger than journalScanChunk: its line must be
+	// A single record far larger than journalScanChunk: it must be
 	// carried across several refills without being mistaken for a torn
 	// tail.
 	bigID := "big-" + strings.Repeat("u", 3*journalScanChunk)
@@ -43,12 +43,16 @@ func TestLargeSegmentChunkedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The crash: a torn line lands after the last durable record.
+	// The crash: a torn record lands after the last durable record.
+	torn, err := appendChargeRecord(nil, stream.ChargeRecord{User: "mallory", Window: 0, Epsilon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(filepath.Join(dir, segmentFileName(1)), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("deadbeef {\"user\":\"mallory\""); err != nil {
+	if _, err := f.Write(torn[:len(torn)-2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -112,19 +116,24 @@ func TestScanJournalFileMatchesParseJournal(t *testing.T) {
 	var ends []int64
 	for i, id := range []string{
 		"a",
-		strings.Repeat("b", journalScanChunk+17), // line straddles a chunk boundary
+		strings.Repeat("b", journalScanChunk+17), // record straddles a chunk boundary
 		"c",
 		strings.Repeat("d", 2*journalScanChunk),
 		"e",
 	} {
-		line, err := encodeChargeLine(stream.ChargeRecord{User: id, Window: i, Epsilon: 0.5})
+		line, err := appendChargeRecord(nil, stream.ChargeRecord{User: id, Window: i, Epsilon: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		data = append(data, line...)
 		ends = append(ends, int64(len(data)))
 	}
-	torn := append(append([]byte{}, data...), "00000000 {\"user\":\"x\"}\n junk"...)
+	bad, err := appendChargeRecord(nil, stream.ChargeRecord{User: "x", Window: 9, Epsilon: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad[len(bad)-1] ^= 0x01 // a checksum mismatch, then junk
+	torn := append(append(append([]byte{}, data...), bad...), " junk"...)
 
 	path := filepath.Join(t.TempDir(), "seg.wal")
 	if err := os.WriteFile(path, torn, 0o644); err != nil {

@@ -1,10 +1,8 @@
 package streamstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,9 +20,9 @@ import (
 // segments holding their charges — so SpillUsers returns only after the
 // records are written and fsync'd.
 //
-// The file reuses the journal's line format (crc32hex SP json LF, one
-// stream.UserSpill per line) and the same torn-tail rule: Open parses
-// the longest valid prefix and truncates the rest, so a crash mid-spill
+// The file uses the journal's record framing and torn-tail rule (see
+// journal.go), one JSON stream.UserSpill per record: Open parses the
+// longest valid prefix and truncates the rest, so a crash mid-spill
 // costs at most the batch being written — whose users stayed resident,
 // because eviction drops memory only after SpillUsers returns. Appends
 // are newest-wins: an in-memory index (built at Open, maintained per
@@ -48,7 +46,7 @@ const (
 )
 
 // spillRef locates one user's newest record inside users.spill: the
-// line's byte offset and length (newline included).
+// record's byte offset and length (header included).
 type spillRef struct {
 	off int64
 	n   int64
@@ -56,9 +54,8 @@ type spillRef struct {
 
 var _ stream.UserStore = (*Store)(nil)
 
-// encodeSpillLine renders one spill record in the shared CRC line
-// format.
-func encodeSpillLine(sp stream.UserSpill) ([]byte, error) {
+// encodeSpill renders one spill record.
+func encodeSpill(sp stream.UserSpill) ([]byte, error) {
 	if sp.ID == "" {
 		return nil, fmt.Errorf("streamstore: user spill with empty id")
 	}
@@ -66,24 +63,13 @@ func encodeSpillLine(sp stream.UserSpill) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("streamstore: encode user spill: %w", err)
 	}
-	return []byte(fmt.Sprintf("%0*x %s\n", journalCRCLen, crc32.ChecksumIEEE(payload), payload)), nil
+	return appendRecord(nil, payload)
 }
 
-// parseSpillLine decodes one spill line (without its newline),
-// reporting false on any damage.
-func parseSpillLine(line []byte) (stream.UserSpill, bool) {
+// decodeSpill decodes one spill record's payload, reporting false on any
+// damage.
+func decodeSpill(payload []byte) (stream.UserSpill, bool) {
 	var sp stream.UserSpill
-	if len(line) < journalCRCLen+2 || line[journalCRCLen] != ' ' {
-		return sp, false
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:journalCRCLen]), "%08x", &want); err != nil {
-		return sp, false
-	}
-	payload := line[journalCRCLen+1:]
-	if crc32.ChecksumIEEE(payload) != want {
-		return sp, false
-	}
 	if err := json.Unmarshal(payload, &sp); err != nil || sp.ID == "" {
 		return sp, false
 	}
@@ -91,13 +77,15 @@ func parseSpillLine(line []byte) (stream.UserSpill, bool) {
 }
 
 // openSpillLocked brings the spill file up at Open time: it opens (or
-// creates) users.spill, builds the newest-wins offset index from the
+// creates) users.spill, refuses a JSON-era one untouched
+// (ErrLegacyJournal), builds the newest-wins offset index from the
 // longest valid prefix, and truncates any torn tail a crash mid-spill
 // left. Called from OpenWith under s.mu.
 func (s *Store) openSpillLocked() error {
-	_, statErr := s.fs.Stat(filepath.Join(s.dir, spillName))
+	path := filepath.Join(s.dir, spillName)
+	_, statErr := s.fs.Stat(path)
 	created := os.IsNotExist(statErr)
-	f, err := s.fs.OpenFile(filepath.Join(s.dir, spillName), os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := s.fs.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("streamstore: open user spill file: %w", err)
 	}
@@ -112,27 +100,25 @@ func (s *Store) openSpillLocked() error {
 		_ = f.Close()
 		return err
 	}
+	if legacyRecordFile(data) {
+		_ = f.Close()
+		return fmt.Errorf("%w: %s", ErrLegacyJournal, path)
+	}
 	index := make(map[string]spillRef)
 	var live int64
-	var valid int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: the final spill never completed
-		}
-		sp, ok := parseSpillLine(data[off : off+nl])
+	valid := eachRecord(data, func(payload []byte, off int) bool {
+		sp, ok := decodeSpill(payload)
 		if !ok {
-			break
+			return false
 		}
-		ref := spillRef{off: int64(off), n: int64(nl + 1)}
+		ref := spillRef{off: int64(off), n: int64(recordHeaderLen + len(payload))}
 		if old, dup := index[sp.ID]; dup {
 			live -= old.n
 		}
 		index[sp.ID] = ref
 		live += ref.n
-		off += nl + 1
-		valid = int64(off)
-	}
+		return true
+	})
 	if int64(len(data)) > valid {
 		if err := f.Truncate(valid); err != nil {
 			_ = f.Close()
@@ -168,7 +154,7 @@ func (s *Store) SpillUsers(users []stream.UserSpill) error {
 	var buf []byte
 	refs := make([]pending, 0, len(users))
 	for _, sp := range users {
-		line, err := encodeSpillLine(sp)
+		line, err := encodeSpill(sp)
 		if err != nil {
 			return err
 		}
@@ -221,12 +207,13 @@ func (s *Store) LoadUser(id string) (*stream.UserSpill, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	line := make([]byte, ref.n)
-	if _, err := s.spill.ReadAt(line, ref.off); err != nil {
+	rec := make([]byte, ref.n)
+	if _, err := s.spill.ReadAt(rec, ref.off); err != nil {
 		return nil, false, fmt.Errorf("streamstore: read user spill: %w", err)
 	}
-	sp, valid := parseSpillLine(bytes.TrimSuffix(line, []byte("\n")))
-	if !valid {
+	payload, n := splitRecord(rec)
+	sp, valid := decodeSpill(payload)
+	if n != len(rec) || !valid {
 		return nil, false, fmt.Errorf("streamstore: user spill record for %q is corrupt", id)
 	}
 	s.userLoads++
@@ -243,7 +230,7 @@ func (s *Store) SpilledUsers() int {
 }
 
 // compactSpillLocked rewrites users.spill down to one newest record per
-// user: the live lines are copied (in sorted ID order, so the output is
+// user: the live records are copied (in sorted ID order, so the output is
 // deterministic) into a temp file, fsync'd, and renamed over the live
 // name with a directory sync — the open temp handle survives the rename
 // and becomes the new spill handle, so there is no window where the

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pptd/internal/stream"
@@ -57,13 +58,17 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the tail mid-line: reopen must keep the durable prefix.
+	// Tear the tail mid-record: reopen must keep the durable prefix.
 	path := filepath.Join(dir, spillName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, []byte("0bad crc {torn")...), 0o644); err != nil {
+	torn, err := encodeSpill(spillOf("alice", 9, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, torn[:len(torn)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,7 +195,21 @@ func runSpillCycle(fsys storefs.FS, dir string) (acked map[string]float64, err e
 // acknowledged epsilon — an exhausted user can never come back cheaper —
 // and never returns a corrupt record.
 func TestSpillCrashPointSweep(t *testing.T) {
-	pilot := storefs.NewFaulty(storefs.OS{})
+	runSpillCrashPointSweep(t, osDisk)
+}
+
+// TestSpillCrashPointSweepModel is the same sweep on storefs.Model, once
+// per crash mode: a spill acknowledged before its fsync, or a compaction
+// published before its temp file's, shows up as a lost or cheaper user.
+func TestSpillCrashPointSweepModel(t *testing.T) {
+	for _, mode := range storefs.CrashModes {
+		t.Run(mode.String(), func(t *testing.T) { runSpillCrashPointSweep(t, modelDisk(mode)) })
+	}
+}
+
+func runSpillCrashPointSweep(t *testing.T, disk sweepDisk) {
+	run, _ := disk()
+	pilot := storefs.NewFaulty(run)
 	if _, err := runSpillCycle(pilot, t.TempDir()); err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
@@ -211,29 +230,31 @@ func TestSpillCrashPointSweep(t *testing.T) {
 	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
 		t.Run(tc.Label, func(t *testing.T) {
+			label := strings.ReplaceAll(t.Name(), "/", "-")
 			dir := t.TempDir()
-			fy := storefs.NewFaulty(storefs.OS{})
+			run, afterCrash := disk()
+			fy := storefs.NewFaulty(run)
 			fy.CrashAt(tc.Op, tc.Tear)
 			acked, _ := runSpillCycle(fy, dir)
 
-			re, err := OpenWith(dir, Options{})
+			re, err := OpenWith(dir, Options{FS: afterCrash()})
 			if err != nil {
-				dumpOpLog(t, fy, "spill-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("recovery open: %v", err)
 			}
 			defer func() { _ = re.Close() }()
 			for id, wantEps := range acked {
 				sp, found, err := re.LoadUser(id)
 				if err != nil {
-					dumpOpLog(t, fy, "spill-"+tc.Label)
+					dumpOpLog(t, fy, label)
 					t.Fatalf("LoadUser(%s) after crash: %v", id, err)
 				}
 				if !found {
-					dumpOpLog(t, fy, "spill-"+tc.Label)
+					dumpOpLog(t, fy, label)
 					t.Fatalf("acknowledged spill for %s lost", id)
 				}
 				if sp.CumulativeEpsilon < wantEps-1e-12 {
-					dumpOpLog(t, fy, "spill-"+tc.Label)
+					dumpOpLog(t, fy, label)
 					t.Errorf("%s recovered epsilon %v < acknowledged %v: budget state lost",
 						id, sp.CumulativeEpsilon, wantEps)
 				}
@@ -292,7 +313,11 @@ func TestBatchWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, []byte("ffffffff {half a rec")...), 0o644); err != nil {
+	torn, err := appendRecord(nil, stream.AppendSubmission(nil, "client-99", batchSub(9).Claims))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, torn[:len(torn)/2]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -359,7 +384,21 @@ func runBatchCycle(fsys storefs.FS, dir string) (ackedSubs int, ackedResults [][
 // and the recovered result is exactly an acknowledged payload or absent
 // — never torn.
 func TestBatchCrashPointSweep(t *testing.T) {
-	pilot := storefs.NewFaulty(storefs.OS{})
+	runBatchCrashPointSweep(t, osDisk)
+}
+
+// TestBatchCrashPointSweepModel is the same sweep on storefs.Model, once
+// per crash mode: a submission or result acknowledged before its fsync,
+// or a WAL whose name was never made durable, shows up as a lost record.
+func TestBatchCrashPointSweepModel(t *testing.T) {
+	for _, mode := range storefs.CrashModes {
+		t.Run(mode.String(), func(t *testing.T) { runBatchCrashPointSweep(t, modelDisk(mode)) })
+	}
+}
+
+func runBatchCrashPointSweep(t *testing.T, disk sweepDisk) {
+	run, _ := disk()
+	pilot := storefs.NewFaulty(run)
 	if _, _, err := runBatchCycle(pilot, t.TempDir()); err != nil {
 		t.Fatalf("pilot: %v", err)
 	}
@@ -371,32 +410,34 @@ func TestBatchCrashPointSweep(t *testing.T) {
 	for _, tc := range storefs.CrashPoints(pilotOps) {
 		tc := tc
 		t.Run(tc.Label, func(t *testing.T) {
+			label := strings.ReplaceAll(t.Name(), "/", "-")
 			dir := t.TempDir()
-			fy := storefs.NewFaulty(storefs.OS{})
+			run, afterCrash := disk()
+			fy := storefs.NewFaulty(run)
 			fy.CrashAt(tc.Op, tc.Tear)
 			ackedSubs, ackedResults, _ := runBatchCycle(fy, dir)
 
-			re, err := OpenWith(dir, Options{})
+			re, err := OpenWith(dir, Options{FS: afterCrash()})
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("recovery open: %v", err)
 			}
 			defer func() { _ = re.Close() }()
 
 			subs, err := re.LoadBatchSubmissions()
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("LoadBatchSubmissions: %v", err)
 			}
 			if len(subs) < ackedSubs || len(subs) > ackedSubs+1 {
-				dumpOpLog(t, fy, "batch-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("recovered %d submissions, acknowledged %d (at most one in-flight may appear)",
 					len(subs), ackedSubs)
 			}
 			for i, sub := range subs {
 				want := batchSub(i)
 				if sub.ClientID != want.ClientID {
-					dumpOpLog(t, fy, "batch-"+tc.Label)
+					dumpOpLog(t, fy, label)
 					t.Fatalf("submission %d = %q, want %q: ack order broken", i, sub.ClientID, want.ClientID)
 				}
 				for c := range sub.Claims {
@@ -408,7 +449,7 @@ func TestBatchCrashPointSweep(t *testing.T) {
 
 			res, err := re.LoadBatchResult()
 			if err != nil {
-				dumpOpLog(t, fy, "batch-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("LoadBatchResult: %v", err)
 			}
 			if res != nil {
@@ -425,11 +466,11 @@ func TestBatchCrashPointSweep(t *testing.T) {
 					ok = true
 				}
 				if !ok {
-					dumpOpLog(t, fy, "batch-"+tc.Label)
+					dumpOpLog(t, fy, label)
 					t.Fatalf("recovered result %q is torn", res)
 				}
 			} else if len(ackedResults) > 0 {
-				dumpOpLog(t, fy, "batch-"+tc.Label)
+				dumpOpLog(t, fy, label)
 				t.Fatalf("acknowledged result lost (had %d saves)", len(ackedResults))
 			}
 		})

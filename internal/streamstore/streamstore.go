@@ -60,10 +60,14 @@
 // away; a corrupt snapshot is an error, since the atomic rename means
 // it can only arise from disk damage, not a crash.
 //
-// A pre-segmentation state directory (a single ledger.journal) is
-// refused on Open with ErrLegacyJournal rather than read or ignored, and
-// so is one whose snapshot or cluster-close record is still the JSON
-// form earlier versions wrote (ErrLegacySnapshot).
+// The journal segments, users.spill and batch.wal share one binary
+// record framing — payload length, CRC-32, payload — and one torn-tail
+// rule (journal.go). A pre-segmentation state directory (a single
+// ledger.journal), or one whose segments, spill or batch WAL are still
+// the JSON lines earlier versions wrote, is refused on Open with
+// ErrLegacyJournal rather than read, ignored or repaired, and so is one
+// whose snapshot or cluster-close record is still JSON
+// (ErrLegacySnapshot).
 //
 // All file I/O goes through a storefs.FS (Options.FS; the real
 // filesystem by default), so crash points inside group commit, segment
@@ -82,6 +86,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"pptd/internal/obs"
@@ -129,12 +135,14 @@ var (
 	// this means on-disk damage; deleting result.json clears it at the
 	// cost of serving no estimate until the next window close.
 	ErrCorruptResult = errors.New("streamstore: corrupt result")
-	// ErrLegacyJournal reports a state directory holding a
-	// pre-segmentation ledger.journal. This version does not read that
-	// layout, and opening around the file would silently drop every
-	// charge it records; the error names the file so an operator can
-	// decide what to do with it.
-	ErrLegacyJournal = errors.New("streamstore: pre-segmentation ledger.journal present, refusing to ignore its privacy charges")
+	// ErrLegacyJournal reports a state directory holding a journal this
+	// version does not read: a pre-segmentation ledger.journal, or a
+	// journal segment, batch.wal or users.spill still in the JSON-line
+	// form that preceded the binary record framing. Opening around the
+	// file, or truncating it as a torn tail, would silently drop every
+	// charge it records; the error names the file, untouched, so an
+	// operator can decide what to do with it.
+	ErrLegacyJournal = errors.New("streamstore: journal in a format this version does not read, refusing to ignore its privacy charges")
 )
 
 // Options tunes a store's durability/throughput trade-offs. The zero
@@ -277,7 +285,7 @@ func Open(dir string) (*Store, error) {
 
 // OpenWith creates (or reopens) the state directory and prepares the
 // segmented ledger journal for appending: a directory holding a legacy
-// single-file journal or a JSON-era snapshot is refused
+// journal (single-file or JSON lines) or a JSON-era snapshot is refused
 // (ErrLegacyJournal, ErrLegacySnapshot), the highest-sequence segment
 // becomes the active one, and any torn tail left by a crash mid-append
 // is truncated away. The directory is guarded by an advisory lock (LOCK file, flock
@@ -347,11 +355,7 @@ func (s *Store) Dir() string { return s.dir }
 // so the fsync cost amortizes across however many submissions are in
 // flight. Implements stream.Ledger.
 func (s *Store) AppendCharge(rec stream.ChargeRecord) error {
-	line, err := encodeChargeLine(rec)
-	if err != nil {
-		return err
-	}
-	return s.commit(line)
+	return s.commit(rec)
 }
 
 // envelope wraps a serialized window or batch result with an integrity
@@ -533,13 +537,16 @@ func resultHistoryName(window int) string {
 }
 
 // resultHistoryWindow parses a history file name back to its window,
-// reporting false for files that are not history results.
+// reporting false for files that are not history results. Anything may
+// follow the ".json", so a leftover result-<window>.json.tmp counts too.
 func resultHistoryWindow(name string) (int, bool) {
-	var w int
-	if n, err := fmt.Sscanf(name, "result-%d.json", &w); n != 1 || err != nil {
+	rest, ok := strings.CutPrefix(name, "result-")
+	digits := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' })
+	if !ok || digits <= 0 || !strings.HasPrefix(rest[digits:], ".json") {
 		return 0, false
 	}
-	return w, true
+	w, err := strconv.Atoi(rest[:digits])
+	return w, err == nil
 }
 
 // pruneResultHistoryLocked removes history results at or below

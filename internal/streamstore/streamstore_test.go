@@ -74,14 +74,25 @@ func TestJournalReplayWithoutSnapshot(t *testing.T) {
 }
 
 // TestTornJournalTail simulates a crash mid-append: garbage and a
-// partial record after the last complete line must be truncated away on
+// partial record after the last complete one must be truncated away on
 // reopen, the valid prefix replayed, and later appends must land cleanly.
 func TestTornJournalTail(t *testing.T) {
-	for _, tail := range []string{
-		"deadbeef {\"user\":\"mallory\"", // torn mid-payload, no newline
-		"xxxx",                           // short garbage
-		"00000000 {\"user\":\"mallory\",\"window\":0,\"epsilon\":1}\n", // bad checksum, complete line
-		"deadbeef not-json-at-all\n",                                   // bad payload, complete line
+	mallory, err := appendChargeRecord(nil, stream.ChargeRecord{User: "mallory", Window: 0, Epsilon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badCRC := append([]byte{}, mallory...)
+	badCRC[len(badCRC)-1] ^= 0x40
+	badPayload, err := appendRecord(nil, []byte("not-a-charge-record"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{
+		mallory[:len(mallory)-4], // torn mid-payload
+		mallory[:5],              // torn mid-header
+		[]byte("xxxx"),           // short garbage
+		badCRC,                   // bad checksum, complete record
+		badPayload,               // intact frame, undecodable payload
 	} {
 		dir := t.TempDir()
 		s := mustOpen(t, dir)
@@ -100,7 +111,7 @@ func TestTornJournalTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteString(tail); err != nil {
+		if _, err := f.Write(tail); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -93,10 +93,11 @@ var (
 	// integrity check; deleting result.json clears it at the cost of
 	// serving no estimate until the next window close.
 	ErrCorruptResult = streamstore.ErrCorruptResult
-	// ErrLegacyJournal reports a state directory holding a
-	// pre-segmentation ledger.journal, which this version does not read:
-	// ignoring the file would silently hand every user their spent
-	// epsilon back, so the store refuses.
+	// ErrLegacyJournal reports a state directory holding a journal this
+	// version does not read — a pre-segmentation ledger.journal, or a
+	// journal segment, batch.wal or users.spill still in JSON lines:
+	// ignoring or repairing the file would silently hand every user their
+	// spent epsilon back, so the store refuses.
 	ErrLegacyJournal = streamstore.ErrLegacyJournal
 	// ErrLegacySnapshot reports a state directory whose snapshot.json or
 	// cluster-close.json is still the JSON form earlier versions wrote,
@@ -129,8 +130,9 @@ type StreamLedger = stream.Ledger
 // rewrite. It implements StreamLedger (StreamConfig.Ledger), a Node
 // opens one with WithPersistence, and StreamStore.Recover rebuilds a
 // fresh engine from everything persisted. A pre-segmentation state
-// directory (a single ledger.journal) is refused with ErrLegacyJournal,
-// a JSON-era snapshot with ErrLegacySnapshot.
+// directory (a single ledger.journal) or a JSON-era journal segment,
+// batch.wal or users.spill is refused with ErrLegacyJournal, a JSON-era
+// snapshot with ErrLegacySnapshot.
 type StreamStore = streamstore.Store
 
 // StreamJournalPos identifies a point in a stream store's segmented
