@@ -19,8 +19,9 @@
 //     empty — the close fails with ErrEmptyWindow exactly like a single
 //     node: nothing advances anywhere. Otherwise a second round forces
 //     the empty minority closed (their users still decay, as they would
-//     on one node). A worker retried after a partial close answers from
-//     its per-window export cache, resending identical bytes.
+//     on one node). A worker retried after a partial close resends its
+//     first export byte for byte: held in memory until it commits, and
+//     on a durable worker read back from its cluster-close record after.
 //  2. Merge-estimate. The per-worker exports cover disjoint user sets,
 //     so stream.MergeStates unions them losslessly; the coordinator
 //     loads the union into an ephemeral engine and runs the one true
@@ -41,7 +42,7 @@
 // the round converges under retry even across worker crashes at any
 // point. A coordinator that boots against workers whose records say
 // "closed but never committed" (GET /v1/cluster/status) re-drives the
-// merge/commit from the cached exports before serving — the carries of
+// merge/commit from the workers' exports before serving — the carries of
 // that window are applied exactly once-or-again, never skipped.
 //
 // Ingest never crosses shards: POST /v1/stream/claims is forwarded to
@@ -57,6 +58,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"slices"
 	"sync"
@@ -245,20 +247,21 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // recovering a truly torn cluster (workers whose positions diverge) is
 // a deliberate non-goal of this iteration; the close protocol never
 // creates one because a partial close parks the lagging workers behind
-// the durable export cache, not behind a divergent window.
+// their durable close exports, not behind a divergent window.
 //
 // A worker's effective position is the greater of its engine's window
-// count and its cached close export's window: a worker killed between
+// count and its last close export's window: a worker killed between
 // its durable export and the post-close snapshot recovers one window
 // behind the export it can still serve, and the retried close repairs
 // the advance. When any worker reports a pending export that was never
 // committed, the previous coordinator died mid-round — the merged
 // result was never applied — so bootSync re-drives the merge/commit
-// from the workers' caches before the coordinator serves anything;
+// from the workers' exports before the coordinator serves anything;
 // skipping this would leave every later window estimating from stale
-// carries while still passing the agreement check.
+// carries while still passing the agreement check. The boot's calls,
+// re-drive included, share one request ID of their own.
 func (c *Coordinator) bootSync() error {
-	ctx := context.Background()
+	ctx := obs.WithRequestID(context.Background(), obs.NewRequestID())
 	type boot struct {
 		worker string
 		info   crowd.StreamCampaignInfo
@@ -318,17 +321,17 @@ func (c *Coordinator) bootSync() error {
 	c.window.Store(int64(window))
 	c.totalClaims.Store(total)
 	if uncommitted && window > 0 {
-		if err := c.redriveClose(ctx, window); err != nil {
-			return err
-		}
+		err := c.redriveClose(ctx, window)
+		logRound(ctx, "re-drive", window, err)
+		return err
 	}
 	return nil
 }
 
 // redriveClose finishes a close round a previous coordinator left
-// mid-flight: every worker already closed the window (durably caching
+// mid-flight: every worker already closed the window (durably recording
 // its export), but the merged carries were never committed everywhere
-// and the result was never published. It re-collects the cached exports
+// and the result was never published. It re-collects the exports
 // with a retried close — repairing any worker whose engine recovered
 // un-advanced — and re-runs the merge/estimate/commit; workers that did
 // commit the first time re-apply identical values (the commit is
@@ -478,23 +481,24 @@ func (c *Coordinator) SubmitFrame(ctx context.Context, f *crowd.ClaimFrame) (cro
 // comment for the protocol) and returns the merged window estimate. An
 // all-empty cluster fails with stream.ErrEmptyWindow and advances
 // nothing; an unreachable worker withholds the result and leaves the
-// round retryable.
-func (c *Coordinator) CloseWindow() (crowd.StreamWindowInfo, error) {
+// round retryable. Every RPC of the round, retries included, carries
+// one fresh X-Request-ID, which the round's log line names.
+func (c *Coordinator) CloseWindow() (info crowd.StreamWindowInfo, err error) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
 	window := int(c.window.Load()) + 1
 	workers := c.ring.Workers()
-	ctx := context.Background()
+	ctx := obs.WithRequestID(context.Background(), obs.NewRequestID())
+	defer func() { logRound(ctx, "close round", window, err) }()
 
 	// Round 1: probe-close every worker. Workers holding live statistics
 	// close and export; empty workers report empty (nil) without closing.
 	states := make([]*stream.EngineState, len(workers))
-	err := c.fanOut(workers, func(i int, w string) error {
+	if err := c.fanOut(workers, func(i int, w string) error {
 		st, err := c.closeWorker(ctx, w, window, false)
 		states[i] = st
 		return err
-	})
-	if err != nil {
+	}); err != nil {
 		return crowd.StreamWindowInfo{}, err
 	}
 	if !slices.ContainsFunc(states, func(st *stream.EngineState) bool { return st != nil }) {
@@ -560,7 +564,7 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, stat
 	}); err != nil {
 		// The result is withheld, not partially published: the window
 		// does not advance, and the next close re-runs the idempotent
-		// round (workers answer from their export caches, the merge
+		// round (workers resend their first exports, the merge
 		// reproduces the same result, commits re-apply the same values).
 		return crowd.StreamWindowInfo{}, err
 	}
@@ -633,6 +637,21 @@ func (c *Coordinator) commitWorker(ctx context.Context, worker string, window in
 	}
 	return fmt.Errorf("%w: %s committing window %d: %v",
 		crowd.ErrWorkerUnavailable, worker, window, lastErr)
+}
+
+// logRound writes one line for a close round or re-drive, keyed by the
+// request ID its RPCs carried (the workers log the same ID): a withheld
+// round at warn level, anything else at debug.
+func logRound(ctx context.Context, what string, window int, err error) {
+	level := slog.LevelDebug
+	attrs := []slog.Attr{slog.String("request_id", obs.RequestID(ctx)), slog.Int("window", window)}
+	if err != nil {
+		if !errors.Is(err, stream.ErrEmptyWindow) {
+			level = slog.LevelWarn
+		}
+		attrs = append(attrs, slog.String("error", err.Error()))
+	}
+	slog.Default().LogAttrs(ctx, level, "cluster "+what, attrs...)
 }
 
 // fanOut runs f once per worker concurrently and joins the failures.

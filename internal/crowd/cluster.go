@@ -29,8 +29,8 @@ import (
 //     carry the merged post-estimate state.
 //
 // Both RPCs are idempotent so the coordinator can retry a partially
-// failed cluster close: close caches its export per window, encoded
-// once (a retry resends the identical bytes instead of closing a second
+// failed cluster close: close encodes its export once per window (a
+// retry resends the identical bytes instead of closing a second
 // window), and commit re-applies the same values. Each RPC snapshots the
 // engine when the worker is durable — a worker must never replay its
 // journal across a cluster close boundary, because local replay would
@@ -39,15 +39,22 @@ import (
 //
 // On a durable worker the same bytes are the payload of the persisted
 // record (streamstore.ClusterCloseState, written BEFORE the post-close
-// snapshot and restored on boot), so the idempotence holds across a
-// crash at any point of the round: a worker killed between its close
-// and the coordinator's commit comes back still able to serve the
-// retried close for the window its engine already advanced past. The
-// commit flips the record's Committed flag only after the merged
-// carries are snapshotted; a coordinator booting against workers whose
-// records say "closed but not committed" re-drives the merge/commit
-// from these cached exports before serving (see
-// cluster.Coordinator and ClusterStatus).
+// snapshot), so the idempotence holds across a crash at any point of
+// the round: a worker killed between its close and the coordinator's
+// commit comes back still able to serve the retried close for the
+// window its engine already advanced past. The commit flips the
+// record's Committed flag only after the merged carries are
+// snapshotted; a coordinator booting against workers whose records say
+// "closed but not committed" re-drives the merge/commit from those
+// exports before serving (see cluster.Coordinator and ClusterStatus).
+//
+// A durable worker holds its export bytes only while the round is open:
+// from the close until the commit's rewrite of the record succeeds, and
+// on boot only when the record is not committed. After that the record
+// is the retry cache — a close retried for a committed window (its
+// commit reply was lost) reads the payload back from disk, checksum
+// verified, and serves it without holding it again. A worker with no
+// store has no other copy and keeps its bytes until the next close.
 
 // ContentTypeEngineState is the Content-Type of a worker's 200 reply to
 // POST /v1/cluster/close: one engine state in stream.AppendEngineState's
@@ -76,8 +83,10 @@ type ClusterCloseReply struct {
 	Empty bool
 	// State is the worker's exported pre-close engine state (its Window
 	// field is the closed-window count before this close, i.e.
-	// request.Window-1), encoded by stream.AppendEngineState. It is the
-	// worker's export cache itself: read-only.
+	// request.Window-1), encoded by stream.AppendEngineState: read-only.
+	// While the round is open it is the export the worker holds; once a
+	// durable worker committed the window, a fresh read of the record's
+	// payload.
 	State []byte
 }
 
@@ -104,10 +113,11 @@ type ClusterCommitReply struct {
 type ClusterStatusReply struct {
 	// Window is the worker's closed-window count.
 	Window int `json:"window"`
-	// PendingWindow is the window of the worker's cached close export
-	// (0 when the worker never served a coordinated close). The cache —
-	// durable on a persistent worker — survives until the next close
-	// overwrites it, so a re-driven merge can always re-read it.
+	// PendingWindow is the window of the worker's last close export (0
+	// when the worker never served a coordinated close). The export —
+	// held in memory until the commit, and on disk after it on a
+	// persistent worker — stays servable until the next close replaces
+	// it, so a re-driven merge can always re-read it.
 	PendingWindow int `json:"pendingWindow,omitempty"`
 	// CommittedWindow is the last window whose merged carries this
 	// worker applied and made durable. CommittedWindow < PendingWindow
@@ -125,10 +135,15 @@ type ClusterStatusReply struct {
 func (s *StreamServer) ClusterClose(req ClusterCloseRequest) (ClusterCloseReply, error) {
 	s.windowMu.Lock()
 	defer s.windowMu.Unlock()
-	// The cache check comes before everything else: after a partial
+	// The retry check comes before everything else: after a partial
 	// cluster close this worker's engine already advanced, and only the
-	// cached export lets the coordinator's retry converge.
-	if s.clusterExport != nil && s.clusterExportWindow == req.Window {
+	// first export lets the coordinator's retry converge.
+	if s.clusterExportWindow > 0 && s.clusterExportWindow == req.Window {
+		if s.clusterExport == nil {
+			// A durable worker whose round committed: the engine is past
+			// the window and snapshotted, so there is nothing to repair.
+			return s.committedExportLocked(req.Window)
+		}
 		// A crash (or a failed durable step) between the export and the
 		// post-close snapshot can leave the recovered engine un-advanced,
 		// or the export not yet on disk. Repair both before answering, so
@@ -160,18 +175,36 @@ func (s *StreamServer) ClusterClose(req ClusterCloseRequest) (ClusterCloseReply,
 	if err != nil {
 		return ClusterCloseReply{}, err
 	}
-	// Held until the next close: drop the encoder's size-estimate slack.
+	// Held until the commit (or the next close): drop the encoder's
+	// size-estimate slack.
 	export := append(make([]byte, 0, len(buf)), buf...)
-	// Cache before any durable step: even if persistence fails, a
-	// retried close must return this exact export rather than erroring
-	// on the already-advanced window — the retry re-runs the durable
-	// steps through the cache path above.
+	// Hold before any durable step: even if persistence fails, a retried
+	// close must return this exact export rather than erroring on the
+	// already-advanced window — the retry re-runs the durable steps
+	// through the retry path above.
 	s.clusterExport, s.clusterExportWindow = export, req.Window
 	s.clusterExportDurable = false
 	return ClusterCloseReply{State: export}, s.persistClusterCloseLocked()
 }
 
-// persistClusterCloseLocked makes the cached export durable — the
+// committedExportLocked serves a close retried after a durable worker
+// committed its window, from the record the commit rewrote. The payload
+// is read per retry and not held again; a record that fails its
+// checksum or is not the committed record of window is refused with
+// streamstore.ErrCorruptClusterClose, never re-exported. Callers must
+// hold windowMu.
+func (s *StreamServer) committedExportLocked(window int) (ClusterCloseReply, error) {
+	cs, err := s.store.LoadClusterClose()
+	if err == nil && (cs == nil || cs.Window != window || !cs.Committed) {
+		err = fmt.Errorf("%w: no committed record of window %d", streamstore.ErrCorruptClusterClose, window)
+	}
+	if err != nil {
+		return ClusterCloseReply{}, fmt.Errorf("crowd: retried cluster close of window %d: %w", window, err)
+	}
+	return ClusterCloseReply{State: cs.State}, nil
+}
+
+// persistClusterCloseLocked makes the held export durable — the
 // export record first, so a crash right after it can still serve the
 // retried close, then the advanced engine snapshot (a worker must never
 // replay its journal across a close boundary). Idempotent and cheap to
@@ -206,7 +239,8 @@ func (s *StreamServer) persistClusterCloseLocked() error {
 // between makes a booting coordinator re-drive the commit, which
 // re-applies the same carries; the reverse order would let a
 // committed-looking worker recover pre-commit carries and silently
-// diverge.
+// diverge. Once the committed record is on disk the worker lets go of
+// its export bytes: the record serves any later retry of the close.
 func (s *StreamServer) ClusterCommit(req ClusterCommitRequest) (ClusterCommitReply, error) {
 	s.windowMu.Lock()
 	defer s.windowMu.Unlock()
@@ -233,7 +267,7 @@ func (s *StreamServer) ClusterCommit(req ClusterCommitRequest) (ClusterCommitRep
 			}); err != nil {
 				return ClusterCommitReply{}, fmt.Errorf("crowd: mark cluster close committed: %w", err)
 			}
-			s.clusterExportDurable = true
+			s.clusterExport, s.clusterExportDurable = nil, true
 		}
 	}
 	if req.Window > s.clusterCommitted {
@@ -243,17 +277,17 @@ func (s *StreamServer) ClusterCommit(req ClusterCommitRequest) (ClusterCommitRep
 }
 
 // ClusterStatus reports the worker's close-protocol position: closed
-// windows, the window of its (durably) cached export, and the last
-// committed window. A booting coordinator compares the latter two to
-// detect an interrupted close round it must re-drive.
+// windows, the window of its last close export (held or on disk), and
+// the last committed window. A booting coordinator compares the latter
+// two to detect an interrupted close round it must re-drive.
 func (s *StreamServer) ClusterStatus() ClusterStatusReply {
 	s.windowMu.Lock()
 	defer s.windowMu.Unlock()
-	reply := ClusterStatusReply{Window: s.engine.Window(), CommittedWindow: s.clusterCommitted}
-	if s.clusterExport != nil {
-		reply.PendingWindow = s.clusterExportWindow
+	return ClusterStatusReply{
+		Window:          s.engine.Window(),
+		PendingWindow:   s.clusterExportWindow,
+		CommittedWindow: s.clusterCommitted,
 	}
-	return reply
 }
 
 // RegisterCluster mounts the worker-side cluster RPC routes next to the

@@ -192,10 +192,42 @@ func TestEmptyProbeIsNoContent(t *testing.T) {
 	}
 }
 
-// TestClusterExportIsTheRecordPayload: on a durable worker the cached
-// export is cluster-close.json's payload byte for byte, after the close
-// and after the commit — whose rewrite changes the committed word and
-// the checksum and nothing else.
+// recordHeader is the length of cluster-close.json's header; the
+// payload follows it (docs/DURABILITY.md).
+const recordHeader = 33
+
+// readClusterRecord reads dir's cluster-close.json whole.
+func readClusterRecord(t testing.TB, dir string) []byte {
+	t.Helper()
+	file, err := os.ReadFile(filepath.Join(dir, streamstore.ClusterCloseFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(file) < recordHeader {
+		t.Fatalf("cluster-close.json is %d bytes, shorter than its header", len(file))
+	}
+	return file
+}
+
+// closeAndCommit runs one full coordinated round for window 1 on srv:
+// the forced close, then the commit a one-worker coordinator would send.
+func closeAndCommit(t testing.TB, srv *StreamServer) []byte {
+	t.Helper()
+	reply, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.ClusterCommit(mergedCommit(t, 1, reply.State)); err != nil {
+		t.Fatal(err)
+	}
+	return reply.State
+}
+
+// TestClusterExportIsTheRecordPayload: on a durable worker the close
+// reply is cluster-close.json's payload byte for byte. The commit's
+// rewrite changes the committed word and the checksum and nothing else;
+// after it the worker holds no export bytes, and a retried close — in
+// process or over HTTP — answers with the record's payload.
 func TestClusterExportIsTheRecordPayload(t *testing.T) {
 	dir := t.TempDir()
 	store, err := streamstore.Open(dir)
@@ -203,31 +235,26 @@ func TestClusterExportIsTheRecordPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = store.Close() })
-	srv, _ := newClusterWorker(t, store)
-	readRecord := func() []byte {
-		t.Helper()
-		file, err := os.ReadFile(filepath.Join(dir, streamstore.ClusterCloseFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const header = 33 // docs/DURABILITY.md
-		if len(file) < header || !bytes.Equal(file[header:], srv.clusterExport) {
-			t.Fatalf("cluster-close.json payload (%d bytes) is not the cached export (%d bytes)", len(file)-header, len(srv.clusterExport))
-		}
-		return file
-	}
+	srv, h := newClusterWorker(t, store)
 	reply, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &reply.State[0] != &srv.clusterExport[0] {
-		t.Fatal("the close reply is a copy of the cached export, not the cache")
+	if len(srv.clusterExport) == 0 || &reply.State[0] != &srv.clusterExport[0] {
+		t.Fatal("the close reply is not the export the open round holds")
 	}
-	closed := readRecord()
+	closed := readClusterRecord(t, dir)
+	if !bytes.Equal(closed[recordHeader:], reply.State) {
+		t.Fatalf("cluster-close.json payload (%d bytes) is not the close reply (%d bytes)", len(closed)-recordHeader, len(reply.State))
+	}
+	want := bytes.Clone(reply.State)
 	if _, err := srv.ClusterCommit(mergedCommit(t, 1, reply.State)); err != nil {
 		t.Fatal(err)
 	}
-	committed := readRecord()
+	if srv.clusterExport != nil {
+		t.Fatalf("durable worker still holds %d export bytes after the commit", len(srv.clusterExport))
+	}
+	committed := readClusterRecord(t, dir)
 	if len(committed) != len(closed) {
 		t.Fatalf("commit rewrote the record at %d bytes, was %d", len(committed), len(closed))
 	}
@@ -240,6 +267,135 @@ func TestClusterExportIsTheRecordPayload(t *testing.T) {
 	}
 	if closed[13] != 0 || committed[13] != 1 {
 		t.Fatalf("committed flag %d -> %d, want 0 -> 1", closed[13], committed[13])
+	}
+
+	retry, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
+	if err != nil || !bytes.Equal(retry.State, committed[recordHeader:]) || !bytes.Equal(retry.State, want) {
+		t.Fatalf("retry after the commit = %d bytes, %v; want the record's payload (%d bytes)", len(retry.State), err, len(want))
+	}
+	rec := postClusterClose(t, h, 1, true)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("HTTP retry after the commit = %d with %d bytes; want 200 and the record's payload", rec.Code, rec.Body.Len())
+	}
+	if srv.clusterExport != nil {
+		t.Fatal("a retried close held the record's payload again")
+	}
+	if got := srv.ClusterStatus(); got != (ClusterStatusReply{Window: 1, PendingWindow: 1, CommittedWindow: 1}) {
+		t.Fatalf("status after the commit = %+v, want window, pending and committed all 1", got)
+	}
+}
+
+// TestMemoryOnlyWorkerKeepsItsExport: a worker with no store has no
+// other copy of its export, so it holds the bytes past the commit and
+// answers a close retried after it with the identical bytes.
+func TestMemoryOnlyWorkerKeepsItsExport(t *testing.T) {
+	srv, h := newClusterWorker(t, nil)
+	want := bytes.Clone(closeAndCommit(t, srv))
+	if !bytes.Equal(srv.clusterExport, want) {
+		t.Fatalf("memory-only worker holds %d export bytes after the commit, want its %d", len(srv.clusterExport), len(want))
+	}
+	retry, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
+	if err != nil || !bytes.Equal(retry.State, want) {
+		t.Fatalf("retry after the commit = %d bytes, %v; want the first reply's %d", len(retry.State), err, len(want))
+	}
+	if rec := postClusterClose(t, h, 1, true); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("HTTP retry after the commit = %d with %d bytes; want 200 and the first reply", rec.Code, rec.Body.Len())
+	}
+	if got := srv.ClusterStatus(); got != (ClusterStatusReply{Window: 1, PendingWindow: 1, CommittedWindow: 1}) {
+		t.Fatalf("status after the commit = %+v, want window, pending and committed all 1", got)
+	}
+}
+
+// TestRetriedCloseRefusesDamagedRecord: once the commit dropped the held
+// bytes, a retried close serves the record — so a committed record with
+// one flipped payload bit fails the retry with ErrCorruptClusterClose
+// and a 5xx envelope, is never re-exported, and moves no window.
+func TestRetriedCloseRefusesDamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	store, err := streamstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	srv, h := newClusterWorker(t, store)
+	closeAndCommit(t, srv)
+	file := readClusterRecord(t, dir)
+	file[recordHeader+(len(file)-recordHeader)/2] ^= 0x10
+	if err := os.WriteFile(filepath.Join(dir, streamstore.ClusterCloseFileName), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true}); !errors.Is(err, streamstore.ErrCorruptClusterClose) {
+		t.Fatalf("retry over a damaged record: err = %v, want ErrCorruptClusterClose", err)
+	}
+	rec := postClusterClose(t, h, 1, true)
+	var body ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code < 500 || body.Code != CodeInternal {
+		t.Fatalf("HTTP retry over a damaged record = %d %s (%v); want a 5xx %q envelope", rec.Code, rec.Body, err, CodeInternal)
+	}
+	if got := srv.Engine().Window(); got != 1 {
+		t.Fatalf("refused retries moved the engine to %d closed windows, want 1", got)
+	}
+	if srv.clusterExport != nil {
+		t.Fatal("a refused retry held the damaged payload")
+	}
+}
+
+// TestWorkerBootsOnCommittedRecordWithoutBytes: a worker restarted on a
+// committed record verifies it and holds no export bytes, yet answers
+// the retried close from the file; restarted on an uncommitted record it
+// holds them again, for the retry and the commit's rewrite.
+func TestWorkerBootsOnCommittedRecordWithoutBytes(t *testing.T) {
+	dir := t.TempDir()
+	store, err := streamstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = store.Close() })
+	srv, _ := newClusterWorker(t, store)
+	reply, err := srv.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(reply.State)
+	open := crashImage(t, dir)
+	if _, err := srv.ClusterCommit(mergedCommit(t, 1, want)); err != nil {
+		t.Fatal(err)
+	}
+	committed := crashImage(t, dir)
+
+	boot := func(image string) *StreamServer {
+		t.Helper()
+		restored, err := streamstore.Open(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = restored.Close() })
+		w, err := NewStreamServer(StreamServerConfig{Name: "restarted", Engine: clusterWorkerConfig(), Persistence: restored})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = w.Close() })
+		return w
+	}
+	if w := boot(open); !bytes.Equal(w.clusterExport, want) {
+		t.Fatalf("worker booted on an uncommitted record holds %d export bytes, want its %d", len(w.clusterExport), len(want))
+	}
+
+	w := boot(committed)
+	if w.clusterExport != nil {
+		t.Fatalf("worker booted on a committed record holds %d export bytes", len(w.clusterExport))
+	}
+	if got := w.ClusterStatus(); got != (ClusterStatusReply{Window: 1, PendingWindow: 1, CommittedWindow: 1}) {
+		t.Fatalf("status after the restart = %+v, want window, pending and committed all 1", got)
+	}
+	retry, err := w.ClusterClose(ClusterCloseRequest{Window: 1, Force: true})
+	if err != nil || !bytes.Equal(retry.State, want) {
+		t.Fatalf("retry after the restart = %d bytes, %v; want the first reply's %d", len(retry.State), err, len(want))
+	}
+	if w.clusterExport != nil || w.Engine().Window() != 1 {
+		t.Fatalf("retry after the restart held %d bytes and left the engine at %d windows; want none and 1",
+			len(w.clusterExport), w.Engine().Window())
 	}
 }
 

@@ -189,7 +189,7 @@ const (
 	// back onto the worker after a cluster-wide window close (POST).
 	PathClusterCommit = "/v1/cluster/commit"
 	// PathClusterStatus serves the worker's cluster close-protocol
-	// position (GET): closed-window count, the window of its cached
+	// position (GET): closed-window count, the window of its last close
 	// export, and the last committed window. A booting coordinator reads
 	// it to detect a close round that was interrupted mid-commit and must
 	// be re-driven before serving.

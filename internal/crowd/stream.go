@@ -66,15 +66,17 @@ type StreamServer struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// clusterExport caches the last ClusterClose export as encoded bytes
-	// (keyed by the 1-based window it closed) under windowMu, making the
-	// close RPC idempotent: a coordinator retrying after a partial cluster
-	// close gets the identical bytes back instead of closing a second
-	// window. On a durable server they are the persisted record's payload
-	// so the idempotence survives a worker crash mid-round;
-	// clusterExportDurable tracks whether the current cache entry made
-	// it to disk, and clusterCommitted is the last window whose merged
-	// carries were applied (see ClusterCommit / ClusterStatus).
+	// clusterExport holds the last ClusterClose export as encoded bytes
+	// for the 1-based window clusterExportWindow, under windowMu, making
+	// the close RPC idempotent: a coordinator retrying after a partial
+	// cluster close gets the identical bytes back instead of closing a
+	// second window. On a durable server they are the persisted record's
+	// payload, held only until the commit marks that record committed;
+	// after it clusterExport is nil, clusterExportWindow stays, and a
+	// retry reads the record back. clusterExportDurable tracks whether
+	// the held bytes made it to disk, and clusterCommitted is the last
+	// window whose merged carries were applied (see ClusterCommit /
+	// ClusterStatus).
 	clusterExport        []byte
 	clusterExportWindow  int
 	clusterExportDurable bool
@@ -125,19 +127,23 @@ func NewStreamServer(cfg StreamServerConfig) (*StreamServer, error) {
 		maxBytes: effectiveMaxRequestBytes(cfg.MaxRequestBytes),
 	}
 	if cfg.Persistence != nil {
-		// Restore the cluster close-export cache, so a worker killed
-		// mid-round (closed, not yet committed) can still serve the
-		// coordinator's retried close for the window its recovered
-		// engine may already have advanced past.
+		// Recover the cluster close position. A worker killed mid-round
+		// (closed, not yet committed) holds the export again, for the
+		// coordinator's retried close — its recovered engine may already
+		// be past the window — and for the commit's rewrite. A committed
+		// record is checksum-verified here and its payload dropped: a
+		// retried close reads it back from disk.
 		cs, err := cfg.Persistence.LoadClusterClose()
 		if err != nil {
 			_ = eng.Close()
 			return nil, fmt.Errorf("crowd: stream server: recover cluster close state: %w", err)
 		}
 		if cs != nil {
-			s.clusterExport, s.clusterExportWindow, s.clusterExportDurable = cs.State, cs.Window, true
+			s.clusterExportWindow, s.clusterExportDurable = cs.Window, true
 			if cs.Committed {
 				s.clusterCommitted = cs.Window
+			} else {
+				s.clusterExport = cs.State
 			}
 		}
 	}

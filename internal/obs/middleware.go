@@ -36,10 +36,18 @@ var requestDurationBounds = []float64{
 type requestIDKey struct{}
 
 // RequestID returns the request's correlation ID installed by the
-// middleware ("" outside one).
+// middleware or WithRequestID ("" outside both).
 func RequestID(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
+}
+
+// WithRequestID returns ctx carrying id as its correlation ID, so every
+// outgoing call made under it (crowd.Client sends it as X-Request-ID)
+// shares one ID — how work that no inbound request started, such as a
+// cluster close round, joins its calls in the logs.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
 // NewRequestID returns a fresh 16-hex-char random request ID.
@@ -122,7 +130,7 @@ func Middleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
 				id = NewRequestID()
 			}
 			w.Header().Set(HeaderRequestID, id)
-			r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
+			r = r.WithContext(WithRequestID(r.Context(), id))
 
 			route := r.URL.Path
 			if cfg.Route != nil {

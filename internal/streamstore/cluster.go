@@ -14,12 +14,14 @@ import (
 // snapshot (cluster-close.json, framed and atomically replaced like the
 // snapshot; statefile.go has the byte layout),
 // and flips the record's Committed flag once the coordinator's merged
-// carries were applied and snapshotted. On recovery the file restores
-// the export cache, and its Committed flag is how a rebooting
-// coordinator distinguishes "window W closed and committed everywhere"
-// from "window W closed but the merge/commit never finished" — the
-// latter must be re-driven before serving, or every later window would
-// estimate from stale carries.
+// carries were applied and snapshotted. From then on the file is the
+// worker's only copy of the export: a close retried after the commit
+// reads the payload back through LoadClusterClose. On recovery an
+// uncommitted record gives the worker its export back, and the
+// Committed flag is how a rebooting coordinator distinguishes "window W
+// closed and committed everywhere" from "window W closed but the
+// merge/commit never finished" — the latter must be re-driven before
+// serving, or every later window would estimate from stale carries.
 
 const (
 	clusterCloseName    = "cluster-close.json"
@@ -35,8 +37,9 @@ const ClusterCloseFileName = clusterCloseName
 
 // ErrCorruptClusterClose reports a persisted cluster-close record that
 // fails its integrity check. It is written atomically, so this means
-// on-disk damage; recovery must not silently continue from it, because
-// losing the export cache can wedge a retried cluster close.
+// on-disk damage; neither recovery nor a retried close may silently
+// continue from it, because a lost or altered export can wedge or
+// corrupt a retried cluster close.
 var ErrCorruptClusterClose = errors.New("streamstore: corrupt cluster close record")
 
 // ClusterCloseState is one worker's durable record of its most recent
