@@ -107,7 +107,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{http.MethodGet, "/v1/stream/claims"},
 		{http.MethodPost, "/v1/stream/truths"},
 		{http.MethodGet, "/v1/stream/window"},
-		{http.MethodPost, "/v1/stream/stats"},
 	} {
 		checkEnvelope(t, doReq(t, ep.method, ts.URL+ep.path, ""),
 			http.StatusMethodNotAllowed, "method_not_allowed", 0)

@@ -73,6 +73,12 @@ import (
 // ErrBadConfig reports an invalid coordinator configuration.
 var ErrBadConfig = errors.New("cluster: invalid config")
 
+// closeRPCRetries is how many times each per-worker close/commit RPC is
+// retried within one CloseWindow call before the round is abandoned. The
+// protocol is idempotent, so an abandoned round is simply re-run by the
+// next tick.
+const closeRPCRetries = 2
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Name labels the campaign (served on /v1/stream/campaign).
@@ -87,17 +93,9 @@ type Config struct {
 	// The set defines the hash ring: the same set, in any order, routes
 	// every user identically.
 	Workers []string
-	// VNodes is the virtual-node count per worker on the hash ring
-	// (default DefaultVNodes).
-	VNodes int
 	// WindowInterval, when positive, drives cluster-wide window closes
 	// on a ticker, like StreamServerConfig.WindowInterval on one node.
 	WindowInterval time.Duration
-	// CloseRetries is how many times each per-worker close/commit RPC is
-	// retried within one CloseWindow call before the round is abandoned
-	// (default 2). The protocol is idempotent, so an abandoned round is
-	// simply re-run by the next tick.
-	CloseRetries int
 	// HTTPClient overrides the HTTP client used for worker RPCs.
 	HTTPClient *http.Client
 	// MaxRequestBytes caps the POST /v1/stream/claims request body on
@@ -111,7 +109,7 @@ type Config struct {
 }
 
 // Coordinator fronts a sharded cluster: it serves the standard
-// streaming wire API (campaign, claims, truths, window, stats) while
+// streaming wire API (campaign, claims, truths, window) while
 // routing ingest to workers and running the merge-estimate close
 // protocol. Safe for concurrent use.
 type Coordinator struct {
@@ -121,7 +119,6 @@ type Coordinator struct {
 	epsWindow float64
 	ring      *Ring
 	clients   map[string]*crowd.Client
-	retries   int
 	maxBytes  int64 // front-door request-body cap (0 = crowd's default)
 
 	// windowMu serializes cluster window closes (manual and ticker).
@@ -160,15 +157,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.WindowInterval < 0 {
 		return nil, fmt.Errorf("%w: WindowInterval = %v", ErrBadConfig, cfg.WindowInterval)
 	}
-	if cfg.CloseRetries < 0 {
-		return nil, fmt.Errorf("%w: CloseRetries = %d", ErrBadConfig, cfg.CloseRetries)
-	}
 	if cfg.MaxRequestBytes < 0 {
 		return nil, fmt.Errorf("%w: MaxRequestBytes = %d", ErrBadConfig, cfg.MaxRequestBytes)
-	}
-	retries := cfg.CloseRetries
-	if retries == 0 {
-		retries = 2
 	}
 	// Validate the engine configuration the same way a worker would, by
 	// building (and immediately closing) a merge engine from it.
@@ -183,7 +173,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	epsWindow := probe.EpsilonPerWindow()
 	_ = probe.Close()
 
-	ring, err := NewRing(cfg.Workers, cfg.VNodes)
+	ring, err := NewRing(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +202,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		epsWindow: epsWindow,
 		ring:      ring,
 		clients:   clients,
-		retries:   retries,
 		maxBytes:  cfg.MaxRequestBytes,
 		histCap:   histCap,
 	}
@@ -364,7 +353,6 @@ func mergeConfig(cfg stream.Config) stream.Config {
 	cfg.Metrics = nil
 	cfg.ClaimWAL = false
 	cfg.MaxResidentUsers = 0
-	cfg.ResidentBytes = 0
 	return cfg
 }
 
@@ -592,7 +580,7 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, stat
 // is refused, withholding the round.
 func (c *Coordinator) closeWorker(ctx context.Context, worker string, window int, force bool) (*stream.EngineState, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= closeRPCRetries; attempt++ {
 		if attempt > 0 && c.closeRetries != nil {
 			c.closeRetries.Inc()
 		}
@@ -621,7 +609,7 @@ func (c *Coordinator) closeWorker(ctx context.Context, worker string, window int
 // commitWorker invokes one worker's commit RPC with retries.
 func (c *Coordinator) commitWorker(ctx context.Context, worker string, window int, carries []stream.UserCarry) error {
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= closeRPCRetries; attempt++ {
 		if attempt > 0 && c.closeRetries != nil {
 			c.closeRetries.Inc()
 		}
@@ -697,25 +685,6 @@ func (c *Coordinator) TruthsAt(window int, weights bool) (crowd.StreamWindowInfo
 	}
 	return crowd.StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
 		crowd.ErrUnknownWindow, window, c.histCap)
-}
-
-// ReadStats returns the coordinator's headline counters. It keeps no
-// windowed counters of its own (the stores live on the workers), so
-// reset has nothing to restart.
-func (c *Coordinator) ReadStats(bool) crowd.StreamStatsInfo {
-	info := crowd.StreamStatsInfo{
-		Name:           c.name,
-		Estimator:      c.estimator,
-		Window:         c.Window(),
-		TotalClaims:    c.totalClaims.Load(),
-		HistoryWindows: c.histCap,
-	}
-	c.histMu.RLock()
-	if len(c.history) > 0 {
-		info.HistoryOldest = c.history[0].Window
-	}
-	c.histMu.RUnlock()
-	return info
 }
 
 // Handler returns an http.Handler serving the cluster front door: the

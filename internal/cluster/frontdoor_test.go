@@ -120,10 +120,8 @@ func TestFrontDoorParity(t *testing.T) {
 		refuse("claims wrong method", http.MethodGet, crowd.PathStreamClaims, s405, crowd.CodeMethodNotAllowed),
 		refuse("truths wrong method", http.MethodPost, crowd.PathStreamTruths, s405, crowd.CodeMethodNotAllowed),
 		refuse("window wrong method", http.MethodGet, crowd.PathStreamWindow, s405, crowd.CodeMethodNotAllowed),
-		refuse("stats wrong method", http.MethodPost, crowd.PathStreamStats, s405, crowd.CodeMethodNotAllowed),
 		refuse("bad window", http.MethodGet, crowd.PathStreamTruths+"?window=abc", s400, crowd.CodeBadRequest),
 		refuse("negative window", http.MethodGet, crowd.PathStreamTruths+"?window=-2", s400, crowd.CodeBadRequest),
-		refuse("bad reset", http.MethodGet, crowd.PathStreamStats+"?reset=bogus", s400, crowd.CodeBadRequest),
 		post("undecodable JSON", "application/json", []byte("{nope"), s400, crowd.CodeBadRequest),
 		post("bad frame magic", binaryWire, badMagic, s400, crowd.CodeBadRequest),
 		post("bad frame CRC", binaryWire, badCRC, s400, crowd.CodeBadRequest),
@@ -139,7 +137,6 @@ func TestFrontDoorParity(t *testing.T) {
 		post("accepted frame", binaryWire, goodFrame, http.StatusOK, ""),
 		refuse("close", http.MethodPost, crowd.PathStreamWindow, http.StatusOK, ""),
 		refuse("unknown window", http.MethodGet, crowd.PathStreamTruths+"?window=99", s404, crowd.CodeUnknownWindow),
-		refuse("good reset", http.MethodGet, crowd.PathStreamStats+"?reset=1", http.StatusOK, ""),
 		refuse("latest weights", http.MethodGet, crowd.PathStreamTruths+"?weights=1", http.StatusOK, ""),
 		refuse("latest weights by number", http.MethodGet, crowd.PathStreamTruths+"?window=1&weights=true", http.StatusOK, ""),
 		refuse("bad weights", http.MethodGet, crowd.PathStreamTruths+"?weights=maybe", s400, crowd.CodeBadRequest),

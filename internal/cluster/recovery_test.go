@@ -145,7 +145,7 @@ func TestCoordinatorRestartRedrivesUncommittedClose(t *testing.T) {
 
 	// Window 1 claims go straight to the owning workers (no coordinator
 	// is alive yet — we are reconstructing the state one leaves behind).
-	ring, err := NewRing(urls, 0)
+	ring, err := NewRing(urls)
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}

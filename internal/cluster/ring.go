@@ -8,7 +8,7 @@ import (
 )
 
 // Ring is a consistent hash ring assigning user IDs to workers. Each
-// worker contributes VNodes virtual points (FNV-64a of "worker#i"), so
+// worker contributes vnodes virtual points (FNV-64a of "worker#i"), so
 // load spreads evenly and the assignment is a pure function of the
 // worker set — two coordinators (or one across a restart) configured
 // with the same workers route every user identically, which is what
@@ -23,17 +23,13 @@ type ringPoint struct {
 	worker string
 }
 
-// DefaultVNodes is the virtual-node count per worker when the
-// configuration does not set one.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per worker.
+const vnodes = 64
 
 // NewRing builds a ring over the given worker names (base URLs, in a
 // cluster). Order does not matter — workers are deduplicated and
 // sorted, so any permutation of the same set yields the same ring.
-func NewRing(workers []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+func NewRing(workers []string) (*Ring, error) {
 	seen := make(map[string]bool, len(workers))
 	var uniq []string
 	for _, w := range workers {

@@ -7,11 +7,11 @@ import (
 
 func TestRingDeterministicAcrossOrder(t *testing.T) {
 	workers := []string{"http://c:3", "http://a:1", "http://b:2"}
-	r1, err := NewRing(workers, 0)
+	r1, err := NewRing(workers)
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}
-	r2, err := NewRing([]string{"http://b:2", "http://c:3", "http://a:1", "http://a:1"}, 0)
+	r2, err := NewRing([]string{"http://b:2", "http://c:3", "http://a:1", "http://a:1"})
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}
@@ -25,7 +25,7 @@ func TestRingDeterministicAcrossOrder(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	workers := []string{"http://a:1", "http://b:2", "http://c:3", "http://d:4"}
-	r, err := NewRing(workers, 0)
+	r, err := NewRing(workers)
 	if err != nil {
 		t.Fatalf("ring: %v", err)
 	}
@@ -46,10 +46,10 @@ func TestRingSpreadsLoad(t *testing.T) {
 }
 
 func TestRingRejectsBadConfig(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty worker set accepted")
 	}
-	if _, err := NewRing([]string{"http://a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a", ""}); err == nil {
 		t.Fatal("empty worker name accepted")
 	}
 }

@@ -198,15 +198,6 @@ func (c *Client) streamTruths(ctx context.Context, query string) (StreamWindowIn
 	return info, notReadyErr(err)
 }
 
-// StreamStats fetches the streaming server's observability counters:
-// engine totals, result-history bounds, and — on a durable server — the
-// store's journal and group-commit histograms.
-func (c *Client) StreamStats(ctx context.Context) (StreamStatsInfo, error) {
-	var info StreamStatsInfo
-	err := c.do(ctx, http.MethodGet, PathStreamStats, nil, &info)
-	return info, err
-}
-
 // StreamCloseWindow asks the server to close the open window and returns
 // its estimate.
 func (c *Client) StreamCloseWindow(ctx context.Context) (StreamWindowInfo, error) {

@@ -8,7 +8,7 @@ import (
 	"strconv"
 )
 
-// StreamBackend is everything the stream front door — the five
+// StreamBackend is everything the stream front door — the four
 // /v1/stream/* routes — needs from whatever sits behind it. A
 // StreamServer answers from its local engine; a cluster coordinator
 // routes submissions to the owning worker and answers reads from the
@@ -27,9 +27,6 @@ type StreamBackend interface {
 	// TruthsAt returns one retained closed window (1-based; 0 = latest);
 	// weights adds its per-user weights, which only the latest can answer.
 	TruthsAt(window int, weights bool) (StreamWindowInfo, error)
-	// ReadStats returns the observability counters; with reset true the
-	// windowed ones restart from this read.
-	ReadStats(reset bool) StreamStatsInfo
 }
 
 // frontDoor is the handler set over one backend.
@@ -49,7 +46,6 @@ func RegisterStream(mux *http.ServeMux, b StreamBackend, maxRequestBytes int64) 
 	mux.HandleFunc(PathStreamClaims, route(http.MethodPost, d.handleClaims))
 	mux.HandleFunc(PathStreamTruths, route(http.MethodGet, d.handleTruths))
 	mux.HandleFunc(PathStreamWindow, route(http.MethodPost, d.handleWindow))
-	mux.HandleFunc(PathStreamStats, route(http.MethodGet, d.handleStats))
 }
 
 // StreamHandler returns an http.Handler serving only the streaming
@@ -123,14 +119,6 @@ func (d frontDoor) handleWindow(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	WriteJSON(w, http.StatusOK, info)
-}
-
-func (d frontDoor) handleStats(w http.ResponseWriter, r *http.Request) {
-	reset, err := boolParam(w, r.URL.Query(), "reset")
-	if err != nil {
-		return
-	}
-	WriteJSON(w, http.StatusOK, d.b.ReadStats(reset))
 }
 
 // boolParam reads an optional boolean query parameter (absent = false);

@@ -1,13 +1,13 @@
 package crowd
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"pptd/internal/obs"
 	"pptd/internal/stream"
 	"pptd/internal/streamstore"
 )
@@ -147,118 +147,103 @@ func TestBatchPersistFailureRejectsSubmission(t *testing.T) {
 	}
 }
 
-// TestStreamStatsResetKeepsResidentGauge is the regression test for
-// GET /v1/stream/stats?reset=1 zeroing the residency gauges: residency
-// is live engine state, not a windowed counter, so a stats poller that
-// resets its window must keep seeing the true resident population —
-// while the store's spill *counters* do window and its spilled-users
-// *gauge* does not.
-func TestStreamStatsResetKeepsResidentGauge(t *testing.T) {
-	store, err := streamstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = store.Close() })
-	srv, err := NewStreamServer(StreamServerConfig{
-		Name: "stream-resident",
-		Engine: stream.Config{
-			NumObjects: 2,
-			NumShards:  1,
-			Lambda1:    1,
-			Lambda2:    2,
-			Delta:      0.3,
-			// One decay pass kills every sufficient statistic, so all
-			// users are evictable at the first close.
-			Decay:            1e-10,
-			MaxResidentUsers: 1,
-		},
-		Persistence: store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		if err := srv.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	client, err := NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	statsAt := func(reset bool) StreamStatsInfo {
+// TestResidencyGaugesOnMetrics checks the residency gauges an operator
+// reads on /metrics against the engine and the store they describe, on
+// a durable server capped at one resident user: after the close that
+// spills the idle users, after a spilled user is readmitted, and after
+// a kill and recovery of the state directory.
+func TestResidencyGaugesOnMetrics(t *testing.T) {
+	boot := func(dir string) (*StreamServer, *streamstore.Store, *obs.Registry) {
 		t.Helper()
-		path := ts.URL + PathStreamStats
-		if reset {
-			path += "?reset=1"
-		}
-		resp, err := http.Get(path)
+		reg := obs.NewRegistry()
+		store, err := streamstore.OpenWith(dir, streamstore.Options{Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() { _ = resp.Body.Close() }()
-		var info StreamStatsInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Cleanup(func() { _ = store.Close() })
+		srv, err := NewStreamServer(StreamServerConfig{
+			Name: "stream-resident",
+			Engine: stream.Config{
+				NumObjects: 2,
+				NumShards:  1,
+				Lambda1:    1,
+				Lambda2:    2,
+				Delta:      0.3,
+				// One decay pass kills every sufficient statistic, so all
+				// users are evictable at the first close.
+				Decay:            1e-10,
+				MaxResidentUsers: 1,
+				Metrics:          reg,
+			},
+			Persistence: store,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Store == nil {
-			t.Fatal("durable stream server reported no store stats")
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv, store, reg
+	}
+	// check asserts the three series equal the live engine and store, and
+	// the resident count equals want.
+	check := func(step string, srv *StreamServer, store *streamstore.Store, reg *obs.Registry, want int) {
+		t.Helper()
+		var text bytes.Buffer
+		if err := reg.WriteText(&text); err != nil {
+			t.Fatal(err)
 		}
-		return info
+		p, err := obs.ParseText(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := store.Stats(false)
+		for _, m := range []struct {
+			name string
+			want float64
+		}{
+			{"pptd_stream_resident_users", float64(srv.Engine().ResidentUsers())},
+			{"pptd_store_spilled_users", float64(st.SpilledUsers)},
+			{"pptd_store_user_spills_total", float64(st.UserSpills)},
+		} {
+			if got, err := p.Value(m.name); err != nil || got != m.want {
+				t.Errorf("%s: %s = %v, %v; want %v", step, m.name, got, err, m.want)
+			}
+		}
+		if got := srv.Engine().ResidentUsers(); got != want {
+			t.Errorf("%s: %d resident users, want %d", step, got, want)
+		}
 	}
 
-	for _, id := range []string{"u-0", "u-1", "u-2"} {
-		if _, err := client.StreamSubmit(ctx, Submission{ClientID: id, Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	srv, store, reg := boot(dir)
+	submit := func(id string, object int) {
+		t.Helper()
+		if _, err := srv.Submit(Submission{ClientID: id, Claims: []Claim{{Object: object, Value: 1}}}); err != nil {
+			t.Fatalf("submit %s: %v", id, err)
 		}
 	}
-	if info := statsAt(false); info.ResidentUsers != 3 || info.MaxResidentUsers != 1 {
-		t.Fatalf("pre-close stats = %d resident / cap %d, want 3 / 1", info.ResidentUsers, info.MaxResidentUsers)
+	for _, id := range []string{"u-0", "u-1", "u-2"} {
+		submit(id, 0)
 	}
+	check("before the close", srv, store, reg, 3)
 
 	// The close evicts down to the cap: two users spill.
-	if _, err := client.StreamCloseWindow(ctx); err != nil {
+	if _, err := srv.CloseWindow(); err != nil {
 		t.Fatal(err)
 	}
-	before := statsAt(false)
-	if before.ResidentUsers != 1 {
-		t.Fatalf("post-close resident users = %d, want 1 (cap)", before.ResidentUsers)
-	}
-	if before.Store.UserSpills != 2 || before.Store.SpilledUsers != 2 {
-		t.Fatalf("post-close spill stats = %d spills / %d spilled, want 2 / 2", before.Store.UserSpills, before.Store.SpilledUsers)
+	check("after the spilling close", srv, store, reg, 1)
+	if st := store.Stats(false); st.UserSpills != 2 || st.SpilledUsers != 2 {
+		t.Fatalf("store after the close = %d spills / %d spilled, want 2 / 2", st.UserSpills, st.SpilledUsers)
 	}
 
-	// The reset read still reports the live gauges...
-	during := statsAt(true)
-	if during.ResidentUsers != 1 || during.MaxResidentUsers != 1 {
-		t.Fatalf("reset read = %d resident / cap %d, want 1 / 1: ?reset=1 zeroed a gauge", during.ResidentUsers, during.MaxResidentUsers)
-	}
-	// ...and afterwards the spill counter is windowed while both gauges
-	// keep describing the present.
-	after := statsAt(false)
-	if after.ResidentUsers != 1 || after.MaxResidentUsers != 1 {
-		t.Fatalf("post-reset read = %d resident / cap %d, want 1 / 1: ?reset=1 zeroed a gauge", after.ResidentUsers, after.MaxResidentUsers)
-	}
-	if after.Store.UserSpills != 0 {
-		t.Fatalf("post-reset UserSpills = %d, want 0 (windowed counter)", after.Store.UserSpills)
-	}
-	if after.Store.SpilledUsers != 2 {
-		t.Fatalf("post-reset SpilledUsers = %d, want 2 (gauge survives reset)", after.Store.SpilledUsers)
+	// An evicted user is transparently readmitted on its next claim.
+	submit("u-0", 1)
+	check("after readmission", srv, store, reg, 2)
+	if st := store.Stats(false); st.UserLoads < 1 {
+		t.Fatalf("UserLoads after readmission = %d, want >= 1", st.UserLoads)
 	}
 
-	// An evicted user is transparently re-admitted on its next claim.
-	if _, err := client.StreamSubmit(ctx, Submission{ClientID: "u-0", Claims: []Claim{{Object: 1, Value: 2}}}); err != nil {
-		t.Fatalf("evicted user not re-admitted: %v", err)
-	}
-	readmit := statsAt(false)
-	if readmit.ResidentUsers != 2 {
-		t.Fatalf("resident users after readmission = %d, want 2", readmit.ResidentUsers)
-	}
-	if readmit.Store.UserLoads < 1 {
-		t.Fatalf("UserLoads after readmission = %d, want >= 1", readmit.Store.UserLoads)
-	}
+	// Kill: boot a fresh server over the directory as a power cut leaves
+	// it. The readmitted user's charge replays from the journal.
+	srv, store, reg = boot(crashImage(t, dir))
+	check("after recovery", srv, store, reg, 2)
 }

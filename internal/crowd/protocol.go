@@ -26,7 +26,7 @@
 //   - POST /v1/stream/window closes the open window, re-estimates truths
 //     and weights incrementally from the decayed sufficient statistics —
 //     using the engine's configured estimator (CRH, GTM, or CATD; the
-//     campaign, stats, and every window result name it) — and returns
+//     campaign and every window result name it) — and returns
 //     the estimate (409 before any claim ever arrived);
 //   - GET  /v1/stream/truths serves the latest closed window's estimate
 //     as a live snapshot (404 until the first window ever closes — "not
@@ -39,13 +39,9 @@
 //     evicted answers 404 with code "unknown_window". With persistence
 //     configured both reads survive restarts: a recovered server serves
 //     the persisted results immediately rather than 404 until the next
-//     close;
-//   - GET  /v1/stream/stats serves observability counters: engine
-//     totals, the answerable history bounds, and — on a durable server —
-//     the store's journal counters and group-commit batch-size /
-//     flush-latency histograms. With ?reset=1 the windowed counters and
-//     histograms restart from this read; gauges (journal bytes, live
-//     segments) always describe the present and survive the reset.
+//     close.
+//
+// Observability counters are on the node's /metrics, not on this API.
 //
 // Windows close on explicit POST /v1/stream/window, or automatically on
 // a ticker when StreamServerConfig.WindowInterval is set; both paths
@@ -90,13 +86,11 @@
 //
 // # Privacy reports on the wire
 //
-// Privacy reports ship aggregates only by default (MaxCumulative,
-// MaxWindows, CumulativeDelta, TrackedUsers, ExhaustedUsers): the
-// per-user epsilon map is the complete historical client-ID roster —
-// O(users) to serialize on every window close and truths poll, and
-// participation metadata any poller could harvest. Deployments that want
-// it (trusted dashboards, small fleets) opt in with
-// stream.Config.PerUserReport on StreamServerConfig.Engine.
+// Privacy reports ship aggregates only (MaxCumulative, MaxWindows,
+// CumulativeDelta, TrackedUsers, ExhaustedUsers): a per-user epsilon map
+// would be the complete historical client-ID roster — O(users) to
+// serialize on every window close and truths poll, and participation
+// metadata any poller could harvest.
 //
 // # Durability
 //
@@ -125,11 +119,11 @@
 //
 // A durable stream server also wires the store in as the engine's user
 // spill store (stream.Config.UserStore), so a residency-capped engine
-// (stream.Config.MaxResidentUsers / ResidentBytes) evicts idle users to
-// disk at window close and re-admits them transparently on their next
-// claim — a budget-exhausted user stays rejected (429) across eviction,
-// re-admission, and restart alike. GET /v1/stream/stats reports the
-// live resident count and cap.
+// (stream.Config.MaxResidentUsers) evicts idle users to disk at window
+// close and re-admits them transparently on their next claim — a
+// budget-exhausted user stays rejected (429) across eviction,
+// re-admission, and restart alike. The pptd_stream_resident_users and
+// pptd_store_spilled_users gauges on /metrics report the live split.
 //
 // The one-shot batch campaign persists through the same store when
 // ServerConfig.Persistence is set: every accepted submission is fsync'd
@@ -170,14 +164,6 @@ const (
 	// PathStreamWindow closes the open window and returns its estimate
 	// (POST).
 	PathStreamWindow = "/v1/stream/window"
-	// PathStreamStats serves ingest/persistence observability counters
-	// (GET): engine totals plus, on a durable server, the store's journal
-	// counters and group-commit batch-size / flush-latency histograms.
-	// With ?reset=1 the windowed counters and histograms restart from
-	// this read (gauges — JournalBytes, Segments — always describe the
-	// present and survive the reset, as does the flush-latency Max
-	// high-water mark).
-	PathStreamStats = "/v1/stream/stats"
 
 	// PathClusterClose is the worker-side cluster RPC that quiesces the
 	// open window and exports its raw sufficient statistics to the
@@ -340,12 +326,11 @@ type StreamWindowInfo struct {
 	WindowClaims int64 `json:"windowClaims"`
 	TotalClaims  int64 `json:"totalClaims"`
 	// Privacy summarizes cumulative budget spending; omitted when
-	// accounting is disabled. It carries aggregates only unless the
-	// engine opted into the per-user map (stream.Config.PerUserReport).
+	// accounting is disabled. It carries aggregates only.
 	Privacy *stream.PrivacyReport `json:"privacy,omitempty"`
 }
 
-// StreamStatsInfo is the response of GET /v1/stream/stats: the engine's
+// StreamStatsInfo is what StreamServer.Stats returns: the engine's
 // headline counters plus, on a durable server, the store's journal and
 // group-commit observability (batch-size and flush-latency histograms:
 // how many acks each fsync carried, and what each one cost).
@@ -365,9 +350,8 @@ type StreamStatsInfo struct {
 	HistoryOldest  int `json:"historyOldest"`
 	// ResidentUsers is the number of users the engine currently holds in
 	// memory; MaxResidentUsers is the configured residency cap (0 =
-	// unbounded). Both are gauges read live from the engine, so ?reset=1
-	// never zeroes them — evicted users are not forgotten, just spilled
-	// to the store.
+	// unbounded). Evicted users are not forgotten, just spilled to the
+	// store.
 	ResidentUsers    int `json:"residentUsers"`
 	MaxResidentUsers int `json:"maxResidentUsers"`
 	// Durable reports whether the server persists through a stream store;

@@ -105,7 +105,7 @@ func NewStreamServer(cfg StreamServerConfig) (*StreamServer, error) {
 	}
 	if cfg.Persistence != nil && cfg.Engine.UserStore == nil {
 		// The store doubles as the engine's user spill store, so
-		// residency caps (MaxResidentUsers / ResidentBytes) work out of
+		// the residency cap (MaxResidentUsers) works out of
 		// the box on a durable server — and journal replay can re-admit
 		// users whose only remaining trace is a spill record.
 		cfg.Engine.UserStore = cfg.Persistence
@@ -332,24 +332,14 @@ func (s *StreamServer) TruthsAt(window int, weights bool) (StreamWindowInfo, err
 // Stats returns the server's observability counters: the engine's
 // headline numbers, the result-history bounds behind ?window= reads,
 // and — on a durable server — the store's journal and group-commit
-// histograms.
-func (s *StreamServer) Stats() StreamStatsInfo { return s.ReadStats(false) }
-
-// ReadStats backs Stats and GET /v1/stream/stats. With reset true the
-// store's windowed counters and histograms restart from this read
-// (matching streamstore.Store.Stats semantics: gauges and the
-// flush-latency Max high-water mark survive, and the /metrics series
-// backed by the same fields stay monotone — only this JSON view is
-// windowed).
-func (s *StreamServer) ReadStats(reset bool) StreamStatsInfo {
+// histograms since the store opened.
+func (s *StreamServer) Stats() StreamStatsInfo {
 	info := StreamStatsInfo{
-		Name:           s.name,
-		Estimator:      s.engine.Estimator(),
-		Window:         s.engine.Window(),
-		TotalClaims:    s.engine.TotalClaims(),
-		HistoryWindows: s.engine.HistoryWindows(),
-		// Residency is read live from the engine on every stats call:
-		// these are gauges, so ?reset=1 must not (and cannot) zero them.
+		Name:             s.name,
+		Estimator:        s.engine.Estimator(),
+		Window:           s.engine.Window(),
+		TotalClaims:      s.engine.TotalClaims(),
+		HistoryWindows:   s.engine.HistoryWindows(),
 		ResidentUsers:    s.engine.ResidentUsers(),
 		MaxResidentUsers: s.engine.MaxResidentUsers(),
 		Durable:          s.store != nil,
@@ -358,7 +348,7 @@ func (s *StreamServer) ReadStats(reset bool) StreamStatsInfo {
 		info.HistoryOldest = hist[0].Window
 	}
 	if s.store != nil {
-		st := s.store.Stats(reset)
+		st := s.store.Stats(false)
 		info.Store = &st
 	}
 	return info

@@ -605,56 +605,6 @@ func TestStreamAutoWindowClose(t *testing.T) {
 	}
 }
 
-// TestStreamPerUserReportOptInOverHTTP checks the wire default: privacy
-// reports carry aggregates only, and the per-user map appears only when
-// the engine opted in.
-func TestStreamPerUserReportOptInOverHTTP(t *testing.T) {
-	base := stream.Config{
-		NumObjects: 1,
-		NumShards:  1,
-		Lambda1:    1,
-		Lambda2:    2,
-		Delta:      0.3,
-	}
-	_, summary := newStreamFixture(t, StreamServerConfig{Name: "summary", Engine: base})
-	optCfg := base
-	optCfg.PerUserReport = true
-	_, optIn := newStreamFixture(t, StreamServerConfig{Name: "opt-in", Engine: optCfg})
-
-	ctx := context.Background()
-	sub := Submission{ClientID: "c", Claims: []Claim{{Object: 0, Value: 1}}}
-	for _, client := range []*Client{summary, optIn} {
-		if _, err := client.StreamSubmit(ctx, sub); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.StreamCloseWindow(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res, err := summary.StreamTruths(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Privacy == nil {
-		t.Fatal("summary report missing")
-	}
-	if res.Privacy.PerUser != nil {
-		t.Errorf("default wire report leaked the per-user roster: %v", res.Privacy.PerUser)
-	}
-	if res.Privacy.TrackedUsers != 1 || res.Privacy.MaxCumulative <= 0 {
-		t.Errorf("summary aggregates = %+v", res.Privacy)
-	}
-
-	res, err = optIn.StreamTruths(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Privacy == nil || len(res.Privacy.PerUser) != 1 || res.Privacy.PerUser["c"] <= 0 {
-		t.Errorf("opt-in wire report = %+v, want c's epsilon", res.Privacy)
-	}
-}
-
 // TestStreamServerConfigValidation checks server-level config errors.
 func TestStreamServerConfigValidation(t *testing.T) {
 	if _, err := NewStreamServer(StreamServerConfig{

@@ -10,9 +10,9 @@
 // require (# HELP, # TYPE, sorted families, escaped labels, cumulative
 // histogram buckets with +Inf).
 //
-// Histogram is also the wire type behind the store's JSON stats
-// (streamstore.StoreStats embeds it), so /v1/stream/stats and /metrics
-// render the same observations in two formats.
+// Histogram is also the type behind the store's in-process stats
+// (streamstore.StoreStats embeds it), so Store.Stats and /metrics report
+// the same observations.
 package obs
 
 import (
@@ -20,11 +20,11 @@ import (
 	"strings"
 )
 
-// Histogram is a fixed-bucket counting histogram, the wire-friendly
-// shape shared by the store's JSON stats and the registry's Prometheus
-// exposition. Bucket i counts observations v with v <= UpperBounds[i]
-// (and above the previous bound); the final entry of Counts is the
-// overflow bucket, so len(Counts) == len(UpperBounds)+1.
+// Histogram is a fixed-bucket counting histogram, the shape shared by
+// the store's stats and the registry's Prometheus exposition. Bucket i
+// counts observations v with v <= UpperBounds[i] (and above the previous
+// bound); the final entry of Counts is the overflow bucket, so
+// len(Counts) == len(UpperBounds)+1.
 //
 // A bare Histogram is not safe for concurrent use; wrap it in a
 // HistogramMetric (or guard it with the owner's lock, as the stream

@@ -20,17 +20,6 @@ type userState struct {
 	fromSpill  bool
 }
 
-// residentOverheadBytes approximates the fixed in-memory footprint of one
-// resident user beyond their ID bytes: the userState struct, its registry
-// map entry and slot pointer, and the estimator's per-user slot. It only
-// has to be the same rough order as reality for Config.ResidentBytes to
-// bound memory usefully.
-const residentOverheadBytes = 192
-
-func residentFootprint(id string) int64 {
-	return residentOverheadBytes + 2*int64(len(id))
-}
-
 // registry maps client IDs to user state. It has its own lock so that
 // concurrent Ingest calls (which hold the window lock shared) can still
 // register users and charge budgets safely.
@@ -53,8 +42,7 @@ type registry struct {
 	states []*userState // slot-indexed; nil entries are free-list holes
 	free   []int        // recycled slot indices
 
-	live      int   // resident users (non-nil slots)
-	liveBytes int64 // estimated resident footprint (residentFootprint sum)
+	live int // resident users (non-nil slots)
 
 	// Evicted-population aggregates, so PrivacyReport keeps describing
 	// every user this engine has accounted for (not just the resident
@@ -125,7 +113,6 @@ func (r *registry) getOrCreate(id string, window int) *userState {
 	}
 	r.byID[id] = st
 	r.live++
-	r.liveBytes += residentFootprint(id)
 	return st
 }
 
@@ -275,7 +262,6 @@ func (r *registry) removeLocked(st *userState) {
 	r.states[st.idx] = nil
 	r.free = append(r.free, st.idx)
 	r.live--
-	r.liveBytes -= residentFootprint(st.id)
 }
 
 // evictable returns the resident users eligible for eviction — the ones
@@ -328,13 +314,6 @@ func (r *registry) tracked() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.live + r.evicted
-}
-
-// bytes returns the estimated resident footprint.
-func (r *registry) bytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.liveBytes
 }
 
 // slots returns the slot-space size (resident users plus free holes) —
@@ -447,16 +426,14 @@ func (r *registry) restore(users []UserSnapshot) error {
 		r.byID[u.ID] = st
 		r.states = append(r.states, st)
 		r.live++
-		r.liveBytes += residentFootprint(u.ID)
 	}
 	return nil
 }
 
 // PrivacyReport summarizes the stream's cumulative privacy spending at a
-// window boundary. By default it carries aggregates only: the per-user
-// map is the full historical client-ID roster — O(users) to build per
-// report and participation metadata any poller could harvest — so it is
-// opt-in via Config.PerUserReport.
+// window boundary. It carries aggregates only: a per-user map would be
+// the full historical client-ID roster — O(users) to build per report
+// and participation metadata any poller could harvest.
 type PrivacyReport struct {
 	// EpsilonPerWindow is the epsilon charged for one window of
 	// participation; Delta is the LDP delta it is accounted at.
@@ -464,13 +441,6 @@ type PrivacyReport struct {
 	Delta            float64 `json:"delta"`
 	// Budget is the enforced cumulative cap (0 = tracking only).
 	Budget float64 `json:"budget"`
-	// PerUser maps client IDs to cumulative epsilon spent so far. It is
-	// nil (and absent on the wire) unless Config.PerUserReport opted in:
-	// the roster of every client ID ever seen is participation metadata
-	// that summary aggregates deliberately do not expose. On an engine
-	// with a residency cap it covers resident users only — the spilled
-	// remainder lives in the durable store.
-	PerUser map[string]float64 `json:"perUser,omitempty"`
 	// TrackedUsers counts the distinct client IDs the engine accounts
 	// for: resident plus evicted-to-store. (After a recovery it counts
 	// the users the recovered state references.)
@@ -492,7 +462,7 @@ type PrivacyReport struct {
 	ExhaustedUsers int `json:"exhaustedUsers"`
 }
 
-func (r *registry) report(eps, delta, budget float64, perUser bool) *PrivacyReport {
+func (r *registry) report(eps, delta, budget float64) *PrivacyReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep := &PrivacyReport{
@@ -504,15 +474,9 @@ func (r *registry) report(eps, delta, budget float64, perUser bool) *PrivacyRepo
 		MaxWindows:       r.evictedMaxWin,
 		ExhaustedUsers:   r.evictedExhausted,
 	}
-	if perUser {
-		rep.PerUser = make(map[string]float64, r.live)
-	}
 	for _, st := range r.states {
 		if st == nil {
 			continue
-		}
-		if perUser {
-			rep.PerUser[st.id] = st.cumEps
 		}
 		if st.cumEps > rep.MaxCumulative {
 			rep.MaxCumulative = st.cumEps

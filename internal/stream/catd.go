@@ -36,7 +36,7 @@ func (c *catdEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 
 	foldWeightedTruths(w.views, w.weights, w.truths)
 	iterations := 0
-	for iter := 1; iter <= e.cfg.MaxIterations; iter++ {
+	for iter := 1; iter <= truth.DefaultMaxIterations; iter++ {
 		iterations = iter
 		sumSquaredResiduals(w.views, w.truths, partial, ss)
 		for u, k := range w.claimCount {
@@ -58,7 +58,7 @@ func (c *catdEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 		normalizeActiveWeights(w.weights, w.claimCount)
 		copy(prev, w.truths)
 		foldWeightedTruths(w.views, w.weights, w.truths)
-		if maxAbsDiffCovered(prev, w.truths, w.covered) < e.cfg.Tolerance {
+		if maxAbsDiffCovered(prev, w.truths, w.covered) < truth.DefaultTolerance {
 			return iterations, true
 		}
 	}

@@ -119,12 +119,12 @@ func (c crhEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 
 	foldWeightedTruths(w.views, w.weights, w.truths)
 	iterations := 0
-	for iter := 1; iter <= e.cfg.MaxIterations; iter++ {
+	for iter := 1; iter <= truth.DefaultMaxIterations; iter++ {
 		iterations = iter
-		c.updateWeights(e, w, dists, partial, counts)
+		c.updateWeights(w, dists, partial, counts)
 		copy(prev, w.truths)
 		foldWeightedTruths(w.views, w.weights, w.truths)
-		if maxAbsDiffCovered(prev, w.truths, w.covered) < e.cfg.Tolerance {
+		if maxAbsDiffCovered(prev, w.truths, w.covered) < truth.DefaultTolerance {
 			return iterations, true
 		}
 	}
@@ -152,7 +152,7 @@ func (crhEstimator) seedUser(int, userSeed) {}
 // clamped non-negative. Shards accumulate their objects' distance
 // contributions in parallel; the reduction and the weight update run on
 // the coordinator in user order, mirroring the batch loop.
-func (crhEstimator) updateWeights(e *Engine, w *windowData, dists []float64, partial [][]float64, counts [][]int) {
+func (crhEstimator) updateWeights(w *windowData, dists []float64, partial [][]float64, counts [][]int) {
 	var wg sync.WaitGroup
 	for si, v := range w.views {
 		wg.Add(1)
@@ -170,14 +170,7 @@ func (crhEstimator) updateWeights(e *Engine, w *windowData, dists []float64, par
 				}
 				for _, c := range v.claims[i] {
 					diff := c.value - t
-					switch e.cfg.Distance {
-					case truth.AbsoluteDistance:
-						dSum[c.user] += math.Abs(diff)
-					case truth.NormalizedSquaredDistance:
-						dSum[c.user] += diff * diff / std
-					default: // squared
-						dSum[c.user] += diff * diff
-					}
+					dSum[c.user] += diff * diff / std
 					dCnt[c.user]++
 				}
 			}

@@ -78,8 +78,8 @@ func (e *Engine) admitBytes(id []byte) (*userState, bool, error) {
 	return e.admit(string(id))
 }
 
-// evictIdleLocked enforces the residency caps at a window boundary: if
-// the resident set exceeds MaxResidentUsers or ResidentBytes, the
+// evictIdleLocked enforces the residency cap at a window boundary: if
+// the resident set exceeds MaxResidentUsers, the
 // least-recently-seen users whose sufficient statistics have fully
 // decayed away are spilled to the UserStore and evicted. Users that
 // still hold live statistics are pinned resident — their decayed
@@ -96,16 +96,11 @@ func (e *Engine) admitBytes(id []byte) (*userState, bool, error) {
 //
 // Callers must hold e.mu exclusively with the shards paused.
 func (e *Engine) evictIdleLocked() {
-	if e.cfg.UserStore == nil || (e.cfg.MaxResidentUsers == 0 && e.cfg.ResidentBytes == 0) {
+	if e.cfg.UserStore == nil || e.cfg.MaxResidentUsers == 0 {
 		return
 	}
-	liveCount := e.users.count()
-	liveBytes := e.users.bytes()
-	over := func() bool {
-		return (e.cfg.MaxResidentUsers > 0 && liveCount > e.cfg.MaxResidentUsers) ||
-			(e.cfg.ResidentBytes > 0 && liveBytes > e.cfg.ResidentBytes)
-	}
-	if !over() {
+	excess := e.users.count() - e.cfg.MaxResidentUsers
+	if excess <= 0 {
 		return
 	}
 	pinned := func(slot int) bool {
@@ -118,12 +113,10 @@ func (e *Engine) evictIdleLocked() {
 	}
 	var victims []*userState
 	for _, st := range e.users.evictable(pinned) {
-		if !over() {
+		if len(victims) == excess {
 			break
 		}
 		victims = append(victims, st)
-		liveCount--
-		liveBytes -= residentFootprint(st.id)
 	}
 	if len(victims) == 0 {
 		return

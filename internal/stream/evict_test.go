@@ -69,7 +69,6 @@ func epsilonPerWindow(t *testing.T, cfg Config) float64 {
 	t.Helper()
 	cfg.UserStore = nil
 	cfg.MaxResidentUsers = 0
-	cfg.ResidentBytes = 0
 	cfg.EpsilonBudget = 0
 	e, err := New(cfg)
 	if err != nil {
@@ -469,20 +468,14 @@ func TestSpillFailureSkipsEviction(t *testing.T) {
 	}
 }
 
-// TestResidencyCapConfigValidation: the caps require a UserStore (the
-// spilled budget state must be durable), and bad cap values are refused.
+// TestResidencyCapConfigValidation: the cap requires a UserStore (the
+// spilled budget state must be durable), and a bad cap value is refused.
 func TestResidencyCapConfigValidation(t *testing.T) {
 	if _, err := New(Config{NumObjects: 1, MaxResidentUsers: 4}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("MaxResidentUsers without UserStore = %v, want ErrBadConfig", err)
 	}
-	if _, err := New(Config{NumObjects: 1, ResidentBytes: 1 << 20}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("ResidentBytes without UserStore = %v, want ErrBadConfig", err)
-	}
 	if _, err := New(Config{NumObjects: 1, MaxResidentUsers: -1, UserStore: newMemUserStore()}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("negative MaxResidentUsers = %v, want ErrBadConfig", err)
-	}
-	if _, err := New(Config{NumObjects: 1, ResidentBytes: -1, UserStore: newMemUserStore()}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative ResidentBytes = %v, want ErrBadConfig", err)
 	}
 	// A UserStore without caps is fine: admission still consults it, so
 	// an engine recovered behind an existing spill store keeps honoring

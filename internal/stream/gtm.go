@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+
+	"pptd/internal/truth"
 )
 
 // gtmVarianceFloor matches the batch GTM's variance floor (truth.GTM).
@@ -59,7 +61,7 @@ func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 
 	iterations := 0
 	converged := false
-	for iter := 1; iter <= e.cfg.MaxIterations; iter++ {
+	for iter := 1; iter <= truth.DefaultMaxIterations; iter++ {
 		iterations = iter
 
 		// E-step: posterior-mean truths given variances. Shards own
@@ -98,7 +100,7 @@ func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 			variances[u] = v
 		}
 
-		if maxAbsDiffCovered(prev, w.truths, w.covered) < e.cfg.Tolerance {
+		if maxAbsDiffCovered(prev, w.truths, w.covered) < truth.DefaultTolerance {
 			converged = true
 			break
 		}

@@ -105,13 +105,8 @@ func registerEngineGauges(reg *obs.Registry, e *Engine) {
 		})
 	reg.GaugeFunc("pptd_stream_resident_users",
 		"Users held resident in memory; bounded by the configured residency "+
-			"caps (MaxResidentUsers / ResidentBytes), equal to tracked users "+
-			"when unbounded.",
+			"cap (MaxResidentUsers), equal to tracked users when unbounded.",
 		func() float64 { return float64(e.users.count()) })
-	reg.GaugeFunc("pptd_stream_resident_bytes",
-		"Estimated in-memory footprint of the resident user set (registry "+
-			"bookkeeping plus estimator slots).",
-		func() float64 { return float64(e.users.bytes()) })
 }
 
 func (m *engineMetrics) ingested(n int) {

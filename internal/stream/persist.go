@@ -58,7 +58,7 @@ type Ledger interface {
 // warm-starting their next window, the cumulative privacy spending that
 // keeps an exhausted user exhausted, and the estimator's private
 // per-user state (e.g. a GTM variance). Spill records are written by
-// eviction (Config.MaxResidentUsers / ResidentBytes) before the
+// eviction (Config.MaxResidentUsers) before the
 // in-memory state is dropped and read back by admission; the newest
 // record per user wins.
 type UserSpill struct {
@@ -165,51 +165,6 @@ type EngineState struct {
 	// GTM's per-user variances), opaque to the engine; nil when the
 	// estimator keeps none.
 	EstimatorState json.RawMessage `json:"estimatorState,omitempty"`
-}
-
-// ReplayCharges folds journaled charge records into the state's per-user
-// budgets, creating users the snapshot has never seen. Replay is
-// idempotent against the snapshot and against duplicated records: a
-// record for a window the user was already charged for (its window is
-// <= the user's LastWindow) is skipped, so a journal that overlaps the
-// snapshot — or is strictly newer than it — recovers the same budgets.
-// It returns the number of records applied.
-//
-// ReplayCharges is the budgets-only, state-level replay: any claims a
-// record carries (Config.ClaimWAL) are ignored, because a plain
-// EngineState cannot re-run the window closes their placement may
-// require. Engine.ReplayJournal is the full replay.
-func (st *EngineState) ReplayCharges(recs []ChargeRecord) int {
-	byID := make(map[string]int, len(st.Users))
-	for i, u := range st.Users {
-		byID[u.ID] = i
-	}
-	applied := 0
-	for _, rec := range recs {
-		if rec.User == "" || rec.Window < 0 ||
-			rec.Epsilon <= 0 || math.IsNaN(rec.Epsilon) || math.IsInf(rec.Epsilon, 0) {
-			continue
-		}
-		i, ok := byID[rec.User]
-		if !ok {
-			i = len(st.Users)
-			byID[rec.User] = i
-			st.Users = append(st.Users, UserSnapshot{
-				ID:         rec.User,
-				Carry:      1, // the uniform batch initialization
-				LastWindow: -1,
-			})
-		}
-		u := &st.Users[i]
-		if rec.Window <= u.LastWindow {
-			continue // already accounted by the snapshot or an earlier record
-		}
-		u.CumulativeEpsilon += rec.Epsilon
-		u.LastWindow = rec.Window
-		u.Windows++
-		applied++
-	}
-	return applied
 }
 
 // ExportState captures a consistent point-in-time state of the engine:

@@ -131,13 +131,12 @@ func TestExportRestoreEquivalence(t *testing.T) {
 			tc := tc
 			t.Run(fmt.Sprintf("seed=%d/shards=%d-%d/decay=%v", seed, tc.shards, tc.restoreShards, tc.decay), func(t *testing.T) {
 				cfg := Config{
-					NumObjects:    numObjects,
-					NumShards:     tc.shards,
-					Decay:         tc.decay,
-					Lambda1:       1.5,
-					Lambda2:       2,
-					Delta:         0.3,
-					PerUserReport: true,
+					NumObjects: numObjects,
+					NumShards:  tc.shards,
+					Decay:      tc.decay,
+					Lambda1:    1.5,
+					Lambda2:    2,
+					Delta:      0.3,
 				}
 
 				// Pre-generate every window's batches so both engines see
@@ -313,13 +312,12 @@ func TestBudgetSurvivesRestore(t *testing.T) {
 func TestLedgerDurabilityBeforeAck(t *testing.T) {
 	led := &memLedger{}
 	e, err := New(Config{
-		NumObjects:    2,
-		NumShards:     1,
-		Lambda1:       1,
-		Lambda2:       2,
-		Delta:         0.3,
-		PerUserReport: true,
-		Ledger:        led,
+		NumObjects: 2,
+		NumShards:  1,
+		Lambda1:    1,
+		Lambda2:    2,
+		Delta:      0.3,
+		Ledger:     led,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,117 +353,11 @@ func TestLedgerDurabilityBeforeAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Privacy.PerUser["alice"]; math.Abs(got-eps) > 1e-12 {
+	if got := res.Privacy.MaxCumulative; math.Abs(got-eps) > 1e-12 {
 		t.Fatalf("cumulative eps after rollback+retry = %v, want exactly %v", got, eps)
 	}
 	if res.Privacy.MaxWindows != 1 {
 		t.Fatalf("MaxWindows = %d, want 1 (rollback must revert the window count)", res.Privacy.MaxWindows)
-	}
-}
-
-// TestPerUserReportOptIn checks the wire-privacy default: reports carry
-// aggregates only unless PerUserReport opts the roster in.
-func TestPerUserReportOptIn(t *testing.T) {
-	base := Config{NumObjects: 1, NumShards: 1, Lambda1: 1, Lambda2: 2, Delta: 0.3}
-	claims := []Claim{{Object: 0, Value: 1}}
-
-	summary, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = summary.Close() }()
-	if _, _, err := summary.Ingest("u1", claims); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := summary.Ingest("u2", claims); err != nil {
-		t.Fatal(err)
-	}
-	res, err := summary.CloseWindow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Privacy == nil {
-		t.Fatal("no privacy report")
-	}
-	if res.Privacy.PerUser != nil {
-		t.Errorf("default report leaked the per-user roster: %v", res.Privacy.PerUser)
-	}
-	if res.Privacy.TrackedUsers != 2 {
-		t.Errorf("TrackedUsers = %d, want 2", res.Privacy.TrackedUsers)
-	}
-	if res.Privacy.MaxCumulative <= 0 || res.Privacy.MaxWindows != 1 {
-		t.Errorf("aggregates missing: %+v", res.Privacy)
-	}
-
-	optIn := base
-	optIn.PerUserReport = true
-	per, err := New(optIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = per.Close() }()
-	if _, _, err := per.Ingest("u1", claims); err != nil {
-		t.Fatal(err)
-	}
-	res, err = per.CloseWindow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Privacy.PerUser) != 1 || res.Privacy.PerUser["u1"] <= 0 {
-		t.Errorf("opt-in report PerUser = %v, want u1's spending", res.Privacy.PerUser)
-	}
-}
-
-// TestReplayCharges checks journal replay semantics on a snapshot:
-// idempotent against windows the snapshot already covers, additive for
-// newer windows, and user-creating for IDs the snapshot never saw.
-func TestReplayCharges(t *testing.T) {
-	st := &EngineState{
-		Window: 2,
-		Users: []UserSnapshot{
-			{ID: "alice", Carry: 1, CumulativeEpsilon: 2, LastWindow: 1, Windows: 2},
-		},
-	}
-	applied := st.ReplayCharges([]ChargeRecord{
-		{User: "alice", Window: 0, Epsilon: 1},  // already in snapshot
-		{User: "alice", Window: 1, Epsilon: 1},  // already in snapshot
-		{User: "alice", Window: 2, Epsilon: 1},  // newer than snapshot
-		{User: "alice", Window: 2, Epsilon: 1},  // duplicated record
-		{User: "bob", Window: 2, Epsilon: 1},    // user unknown to snapshot
-		{User: "", Window: 2, Epsilon: 1},       // malformed
-		{User: "carol", Window: -1, Epsilon: 1}, // malformed
-		{User: "dave", Window: 0, Epsilon: math.NaN()},
-	})
-	if applied != 2 {
-		t.Errorf("applied = %d, want 2", applied)
-	}
-	if len(st.Users) != 2 {
-		t.Fatalf("users after replay = %d, want 2 (malformed records must not create users)", len(st.Users))
-	}
-	alice := st.Users[0]
-	if alice.CumulativeEpsilon != 3 || alice.LastWindow != 2 || alice.Windows != 3 {
-		t.Errorf("alice after replay = %+v", alice)
-	}
-	bob := st.Users[1]
-	if bob.ID != "bob" || bob.CumulativeEpsilon != 1 || bob.LastWindow != 2 || bob.Windows != 1 || bob.Carry != 1 {
-		t.Errorf("bob after replay = %+v", bob)
-	}
-
-	// Replaying charges for windows past the snapshot advances the open
-	// window on restore, so the duplicate guard keeps holding.
-	e, err := New(Config{NumObjects: 1, NumShards: 1, Lambda1: 1, Lambda2: 2, Delta: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Close() }()
-	if err := e.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if e.Window() != 2 {
-		t.Errorf("restored window = %d, want 2", e.Window())
-	}
-	if _, _, err := e.Ingest("alice", []Claim{{Object: 0, Value: 1}}); !errors.Is(err, ErrDuplicateWindow) {
-		t.Errorf("alice resubmitting the journaled window = %v, want ErrDuplicateWindow", err)
 	}
 }
 

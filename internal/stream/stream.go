@@ -40,7 +40,6 @@ import (
 
 	"pptd/internal/core"
 	"pptd/internal/obs"
-	"pptd/internal/truth"
 )
 
 var (
@@ -73,6 +72,10 @@ var (
 // retained estimates stay negligible next to the sufficient statistics.
 const DefaultHistoryWindows = 8
 
+// shardQueueBatches is each shard's ingestion channel buffer, in
+// batches: the backpressure depth before Ingest blocks.
+const shardQueueBatches = 64
+
 // Claim is one perturbed (object, value) report inside a streamed
 // submission. Values must already be perturbed on the client device; the
 // engine, like the batch server, only ever sees noisy data.
@@ -89,9 +92,6 @@ type Config struct {
 	// Objects are partitioned across shards by object index. Zero means
 	// min(GOMAXPROCS, 8).
 	NumShards int
-	// QueueDepth is the per-shard ingestion channel buffer (backpressure
-	// bound). Zero means 64 batches.
-	QueueDepth int
 	// Estimator selects the per-window estimation algorithm: EstimatorCRH
 	// (the default when empty), EstimatorGTM, or EstimatorCATD. Each is
 	// the incremental counterpart of the same-named batch method in
@@ -105,15 +105,6 @@ type Config struct {
 	// claims exponentially. Statistics whose decayed mass drops below an
 	// internal floor are evicted to bound memory.
 	Decay float64
-	// Distance selects the claim-to-truth distance of the CRH weight
-	// update (default truth.NormalizedSquaredDistance, matching
-	// truth.CRH). It parameterizes CRH only: setting it under another
-	// Estimator is a config error.
-	Distance truth.Distance
-	// Tolerance and MaxIterations control the per-window estimation loop
-	// (defaults truth.DefaultTolerance, truth.DefaultMaxIterations).
-	Tolerance     float64
-	MaxIterations int
 	// DisableCarryover resets user weights to the uniform batch
 	// initialization at every window instead of warm-starting from the
 	// previous window's estimates.
@@ -142,13 +133,6 @@ type Config struct {
 	// start a new window past the cap are rejected with
 	// ErrBudgetExhausted.
 	EpsilonBudget float64
-	// PerUserReport opts the full per-user cumulative-epsilon map into
-	// every PrivacyReport. Off by default: the map is the complete
-	// historical client-ID roster — O(users) work per report and
-	// participation metadata for any poller — so reports normally carry
-	// aggregates only (MaxCumulative, MaxWindows, CumulativeDelta,
-	// TrackedUsers, ExhaustedUsers). Requires accounting (Lambda1 > 0).
-	PerUserReport bool
 	// Ledger, when set, is the durable privacy ledger: every accepted
 	// (user, window) charge is appended — and must be durable — before
 	// Ingest acknowledges the submission, so cumulative budgets survive
@@ -163,12 +147,6 @@ type Config struct {
 	// UserStore (the spilled budget state must be durable, or eviction
 	// would reset privacy budgets).
 	MaxResidentUsers int
-	// ResidentBytes bounds the estimated in-memory footprint of the
-	// resident user set (registry bookkeeping plus estimator slots; an
-	// estimate, not an exact byte count) the same way MaxResidentUsers
-	// bounds the population. Zero means unbounded. Requires UserStore.
-	// Both caps may be set; eviction stops once both are satisfied.
-	ResidentBytes int64
 	// UserStore, when set, is the durable spill store for evicted users'
 	// state (carry weight, cumulative budget, estimator state). Eviction
 	// only completes after SpillUsers returns — the record must be
@@ -206,22 +184,14 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: NumObjects = %d", ErrBadConfig, c.NumObjects)
 	case c.NumShards < 0:
 		return fmt.Errorf("%w: NumShards = %d", ErrBadConfig, c.NumShards)
-	case c.QueueDepth < 0:
-		return fmt.Errorf("%w: QueueDepth = %d", ErrBadConfig, c.QueueDepth)
 	case c.Decay < 0 || c.Decay > 1 || math.IsNaN(c.Decay):
 		return fmt.Errorf("%w: Decay = %v", ErrBadConfig, c.Decay)
-	case c.Tolerance < 0 || math.IsNaN(c.Tolerance) || math.IsInf(c.Tolerance, 0):
-		return fmt.Errorf("%w: Tolerance = %v", ErrBadConfig, c.Tolerance)
-	case c.MaxIterations < 0:
-		return fmt.Errorf("%w: MaxIterations = %d", ErrBadConfig, c.MaxIterations)
 	case c.EpsilonBudget < 0 || math.IsNaN(c.EpsilonBudget) || math.IsInf(c.EpsilonBudget, 0):
 		return fmt.Errorf("%w: EpsilonBudget = %v", ErrBadConfig, c.EpsilonBudget)
 	case c.HistoryWindows < 0:
 		return fmt.Errorf("%w: HistoryWindows = %d", ErrBadConfig, c.HistoryWindows)
 	case c.MaxResidentUsers < 0:
 		return fmt.Errorf("%w: MaxResidentUsers = %d", ErrBadConfig, c.MaxResidentUsers)
-	case c.ResidentBytes < 0:
-		return fmt.Errorf("%w: ResidentBytes = %d", ErrBadConfig, c.ResidentBytes)
 	}
 	if c.HistoryWindows == 0 {
 		c.HistoryWindows = DefaultHistoryWindows
@@ -232,9 +202,6 @@ func (c *Config) Validate() error {
 			c.NumShards = 8
 		}
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-	}
 	if c.Decay == 0 {
 		c.Decay = 1
 	}
@@ -243,29 +210,6 @@ func (c *Config) Validate() error {
 	}
 	if !KnownEstimator(c.Estimator) {
 		return fmt.Errorf("%w: unknown estimator %q (have %v)", ErrBadConfig, c.Estimator, EstimatorNames)
-	}
-	// Distance parameterizes the CRH weight update and nothing else, so
-	// under another estimator it is refused rather than ignored — and
-	// never defaulted, or validating a defaulted config would refuse it.
-	if c.Estimator != EstimatorCRH {
-		if c.Distance != 0 {
-			return fmt.Errorf("%w: Distance = %v parameterizes the CRH estimator, but Estimator is %q",
-				ErrBadConfig, c.Distance, c.Estimator)
-		}
-	} else {
-		switch c.Distance {
-		case 0:
-			c.Distance = truth.NormalizedSquaredDistance
-		case truth.SquaredDistance, truth.AbsoluteDistance, truth.NormalizedSquaredDistance:
-		default:
-			return fmt.Errorf("%w: unknown distance %v", ErrBadConfig, c.Distance)
-		}
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = truth.DefaultTolerance
-	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = truth.DefaultMaxIterations
 	}
 	if c.Lambda1 < 0 || math.IsNaN(c.Lambda1) || math.IsInf(c.Lambda1, 0) {
 		return fmt.Errorf("%w: Lambda1 = %v", ErrBadConfig, c.Lambda1)
@@ -289,9 +233,6 @@ func (c *Config) Validate() error {
 		}
 		if c.Delta != 0 {
 			return fmt.Errorf("%w: Delta = %v without Lambda1 accounting", ErrBadConfig, c.Delta)
-		}
-		if c.PerUserReport {
-			return fmt.Errorf("%w: PerUserReport without Lambda1 accounting", ErrBadConfig)
 		}
 		if c.Ledger != nil {
 			return fmt.Errorf("%w: Ledger without Lambda1 accounting", ErrBadConfig)
@@ -379,7 +320,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if (cfg.MaxResidentUsers > 0 || cfg.ResidentBytes > 0) && cfg.UserStore == nil {
+	if cfg.MaxResidentUsers > 0 && cfg.UserStore == nil {
 		// Evicting without a durable spill store would hand evicted users
 		// their privacy budget back on their next claim.
 		return nil, fmt.Errorf("%w: residency cap without a UserStore", ErrBadConfig)
@@ -410,7 +351,7 @@ func New(cfg Config) (*Engine, error) {
 	e.scratch = newIngestScratchPool(cfg.NumShards)
 	e.shards = make([]*shard, cfg.NumShards)
 	for i := range e.shards {
-		e.shards[i] = newShard(cfg.QueueDepth, i, cfg.NumShards, cfg.NumObjects)
+		e.shards[i] = newShard(shardQueueBatches, i, cfg.NumShards, cfg.NumObjects)
 		e.wg.Add(1)
 		go func(s *shard) {
 			defer e.wg.Done()
@@ -640,7 +581,7 @@ func (e *Engine) CloseWindow() (*WindowResult, error) {
 	res.WindowClaims = e.windowClaims.Swap(0)
 	res.TotalClaims = e.totalClaims.Load()
 	if e.epsWindow > 0 {
-		res.Privacy = e.users.report(e.epsWindow, e.cfg.Delta, e.cfg.EpsilonBudget, e.cfg.PerUserReport)
+		res.Privacy = e.users.report(e.epsWindow, e.cfg.Delta, e.cfg.EpsilonBudget)
 	}
 	// Eviction runs after the report so the closing window describes the
 	// same population an unbounded engine would, and before the result is
@@ -700,8 +641,7 @@ func (e *Engine) ResultAt(window int) (*WindowResult, bool) {
 // WeightsAt returns the per-user weights of closed window window, and
 // false unless it is the latest: the engine holds each user's weight
 // once — the carry, stamped with the window that estimated it — not a
-// map per retained window. Like PrivacyReport.PerUser it covers resident
-// users only.
+// map per retained window. It covers resident users only.
 func (e *Engine) WeightsAt(window int) (map[string]float64, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

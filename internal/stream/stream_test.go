@@ -9,7 +9,6 @@ import (
 
 	"pptd/internal/core"
 	"pptd/internal/randx"
-	"pptd/internal/truth"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -18,28 +17,21 @@ func TestConfigValidation(t *testing.T) {
 		{NumObjects: -1},            // negative objects
 		{NumObjects: 5, Decay: 1.5}, // decay out of range
 		{NumObjects: 5, Decay: math.NaN()},
-		{NumObjects: 5, Tolerance: -1},
-		{NumObjects: 5, MaxIterations: -3},
 		{NumObjects: 5, NumShards: -2},
-		{NumObjects: 5, Lambda1: 1},                          // accounting without lambda2/delta
-		{NumObjects: 5, Lambda1: 1, Lambda2: 2},              // missing delta
+		{NumObjects: 5, Lambda1: 1},             // accounting without lambda2/delta
+		{NumObjects: 5, Lambda1: 1, Lambda2: 2}, // missing delta
 		{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 1.5},  // delta out of range
 		{NumObjects: 5, EpsilonBudget: 1},                    // budget without accounting
 		{NumObjects: 5, Lambda1: -1, Lambda2: 2, Delta: 0.3}, // bad lambda1
 		{NumObjects: 5, Lambda1: 1, Lambda2: -2, Delta: 0.3}, // bad lambda2
 		{NumObjects: 5, EpsilonBudget: math.Inf(1), Lambda1: 1, Lambda2: 2, Delta: 0.3},
-		{NumObjects: 5, Distance: truth.Distance(9)}, // unknown distance
-		{NumObjects: 5, Lambda2: math.NaN()},         // bad lambda2 without accounting
-		{NumObjects: 5, Lambda2: math.Inf(1)},        // bad lambda2 without accounting
-		{NumObjects: 5, Lambda2: -1},                 // bad lambda2 without accounting
-		{NumObjects: 5, Lambda1: 1, Delta: 0.3},      // accounting with lambda2 = 0
-		{NumObjects: 5, Delta: 0.3},                  // delta without accounting
-		{NumObjects: 5, Delta: math.NaN()},           // NaN delta without accounting
-		{NumObjects: 5, PerUserReport: true},         // per-user report without accounting
-		{NumObjects: 5, Ledger: nopLedger{}},         // ledger without accounting
-		{NumObjects: 5, Tolerance: math.Inf(1)},
-		{NumObjects: 5, Estimator: EstimatorGTM, Distance: truth.SquaredDistance},   // distance is CRH's
-		{NumObjects: 5, Estimator: EstimatorCATD, Distance: truth.AbsoluteDistance}, // distance is CRH's
+		{NumObjects: 5, Lambda2: math.NaN()},    // bad lambda2 without accounting
+		{NumObjects: 5, Lambda2: math.Inf(1)},   // bad lambda2 without accounting
+		{NumObjects: 5, Lambda2: -1},            // bad lambda2 without accounting
+		{NumObjects: 5, Lambda1: 1, Delta: 0.3}, // accounting with lambda2 = 0
+		{NumObjects: 5, Delta: 0.3},             // delta without accounting
+		{NumObjects: 5, Delta: math.NaN()},      // NaN delta without accounting
+		{NumObjects: 5, Ledger: nopLedger{}},    // ledger without accounting
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -124,7 +116,7 @@ func TestConcurrentIngest(t *testing.T) {
 		batchesPerWriter = 40
 		numObjects       = 23
 	)
-	e, err := New(Config{NumObjects: numObjects, NumShards: 4, QueueDepth: 8})
+	e, err := New(Config{NumObjects: numObjects, NumShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +259,6 @@ func TestBudgetEnforcement(t *testing.T) {
 		Lambda2:       lambda2,
 		Delta:         delta,
 		EpsilonBudget: 2.5 * epsWindow, // affords exactly two windows
-		PerUserReport: true,            // this test inspects the per-user map
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -304,11 +295,8 @@ func TestBudgetEnforcement(t *testing.T) {
 			t.Fatal("no privacy report with accounting enabled")
 		}
 		wantCum := float64(w+1) * epsWindow
-		if got := res.Privacy.PerUser["alice"]; math.Abs(got-wantCum) > 1e-9 {
-			t.Errorf("window %d: cumulative eps = %v, want %v", w+1, got, wantCum)
-		}
-		if res.Privacy.MaxCumulative != res.Privacy.PerUser["alice"] {
-			t.Errorf("MaxCumulative = %v, want %v", res.Privacy.MaxCumulative, res.Privacy.PerUser["alice"])
+		if got := res.Privacy.MaxCumulative; math.Abs(got-wantCum) > 1e-9 {
+			t.Errorf("window %d: MaxCumulative = %v, want alice's %v", w+1, got, wantCum)
 		}
 		if res.Privacy.MaxWindows != w+1 {
 			t.Errorf("MaxWindows = %d, want %d", res.Privacy.MaxWindows, w+1)

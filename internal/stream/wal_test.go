@@ -238,26 +238,48 @@ func TestReplayJournalIdempotent(t *testing.T) {
 }
 
 // TestReplayJournalValidation checks that invalid records are skipped
-// (matching ReplayCharges) and that claims that no longer fit the
-// engine fail loudly with ErrBadState.
+// without creating a user, that a record is applied once per (user,
+// window) whether the snapshot or an earlier record covers it, that a
+// user the snapshot never saw is created, and that claims that no longer
+// fit the engine fail loudly with ErrBadState.
 func TestReplayJournalValidation(t *testing.T) {
 	e, err := New(Config{NumObjects: 2, NumShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Close() }()
+	if err := e.Restore(&EngineState{Window: 1, Users: []UserSnapshot{
+		{ID: "alice", Carry: 1, CumulativeEpsilon: 1, LastWindow: 1, Windows: 2},
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	applied, err := e.ReplayJournal([]ChargeRecord{
-		{User: "", Window: 0, Epsilon: 1},           // no user
+		{User: "", Window: 1, Epsilon: 1},           // no user
 		{User: "a", Window: -1, Epsilon: 1},         // bad window
-		{User: "a", Window: 0, Epsilon: 0},          // no charge
-		{User: "a", Window: 0, Epsilon: math.NaN()}, // non-finite
-		{User: "ok", Window: 0, Epsilon: 0.5},       // fine
+		{User: "a", Window: 1, Epsilon: 0},          // no charge
+		{User: "a", Window: 1, Epsilon: math.NaN()}, // non-finite
+		{User: "alice", Window: 1, Epsilon: 0.5},    // covered by the snapshot
+		{User: "ok", Window: 1, Epsilon: 0.5},       // fine, and new to the snapshot
+		{User: "ok", Window: 1, Epsilon: 0.5},       // duplicated record
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if applied != 1 {
 		t.Fatalf("applied %d records, want 1 (the valid one)", applied)
+	}
+	st, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Users) != 2 {
+		t.Fatalf("users after replay = %+v, want alice and ok (malformed records must not create users)", st.Users)
+	}
+	if a := st.Users[0]; a.ID != "alice" || a.CumulativeEpsilon != 1 || a.LastWindow != 1 || a.Windows != 2 {
+		t.Errorf("alice after replay = %+v, want the snapshot's budget", a)
+	}
+	if u := st.Users[1]; u.ID != "ok" || u.CumulativeEpsilon != 0.5 || u.LastWindow != 1 || u.Windows != 1 || u.Carry != 1 {
+		t.Errorf("ok after replay = %+v, want one charge at window 1", u)
 	}
 	if _, err := e.ReplayJournal([]ChargeRecord{
 		{User: "b", Window: 1, Epsilon: 0.5, Claims: []Claim{{Object: 7, Value: 1}}},

@@ -137,7 +137,7 @@ func TestCompactionDeletesCoveredSegmentsWithoutRewrite(t *testing.T) {
 	}
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	got, err := re.LoadState()
+	got, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSegmentRollKeepsAppendsFlowing(t *testing.T) {
 	if err := re.AppendCharge(stream.ChargeRecord{User: "late", Window: 1, Epsilon: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := re.LoadState()
+	st, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

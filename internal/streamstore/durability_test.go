@@ -90,14 +90,24 @@ func TestSnapshotCadenceSizeTrigger(t *testing.T) {
 	}
 }
 
+// latestResult is the newest persisted window result (the last of
+// LoadResultHistory), nil when none was ever saved.
+func latestResult(s *Store) (*stream.WindowResult, error) {
+	hist, err := s.LoadResultHistory()
+	if err != nil || len(hist) == 0 {
+		return nil, err
+	}
+	return hist[len(hist)-1], nil
+}
+
 // TestResultRoundTrip persists a window result — including an uncovered
 // object, whose NaN truth JSON cannot carry — and loads it back across
 // a store reopen.
 func TestResultRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if res, err := s.LoadResult(); err != nil || res != nil {
-		t.Fatalf("LoadResult on fresh dir = %+v, %v", res, err)
+	if res, err := latestResult(s); err != nil || res != nil {
+		t.Fatalf("latest result on fresh dir = %+v, %v", res, err)
 	}
 	res := &stream.WindowResult{
 		Window:       3,
@@ -120,7 +130,7 @@ func TestResultRoundTrip(t *testing.T) {
 
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	got, err := re.LoadResult()
+	got, err := latestResult(re)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +165,9 @@ func TestResultWrittenWithWeightsStillLoads(t *testing.T) {
 	defer func() { _ = s.Close() }()
 	check := func(label string) *stream.WindowResult {
 		t.Helper()
-		got, err := s.LoadResult()
+		got, err := latestResult(s)
 		if err != nil || got == nil {
-			t.Fatalf("%s: LoadResult = %+v, %v", label, got, err)
+			t.Fatalf("%s: latest result = %+v, %v", label, got, err)
 		}
 		if got.Window != 7 || got.Estimator != "crh" || got.ActiveUsers != 3 || got.TotalClaims != 63 ||
 			got.Privacy == nil || got.Privacy.MaxCumulative != 3.5 {
@@ -209,8 +219,8 @@ func TestCorruptResultFailsLoudly(t *testing.T) {
 	}
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	if _, err := re.LoadResult(); !errors.Is(err, ErrCorruptResult) {
-		t.Fatalf("LoadResult on corrupt file = %v, want ErrCorruptResult", err)
+	if _, err := latestResult(re); !errors.Is(err, ErrCorruptResult) {
+		t.Fatalf("latest result on corrupt file = %v, want ErrCorruptResult", err)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestGroupCommitDurability(t *testing.T) {
 
 			re := mustOpen(t, dir)
 			defer func() { _ = re.Close() }()
-			st, err := re.LoadState()
+			st, err := recoveredState(t, re, bareCfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,8 +60,8 @@ func TestSnapshotVersionGuardsDowngrade(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadState(); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "version") {
-		t.Errorf("LoadState on a version-%d snapshot = %v, want ErrCorruptSnapshot naming the version", stateFileVersion+1, err)
+	if _, err := recoveredState(t, s, bareCfg); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "version") {
+		t.Errorf("Recover on a version-%d snapshot = %v, want ErrCorruptSnapshot naming the version", stateFileVersion+1, err)
 	}
 }
 
@@ -99,7 +99,7 @@ func TestStraySegmentLookalikesIgnored(t *testing.T) {
 	if pos := re.JournalPos(); pos.Seq != 1 {
 		t.Fatalf("stray look-alike changed the active segment: pos %+v", pos)
 	}
-	st, err := re.LoadState()
+	st, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // real serialization path: an engine journals charges through the store
 // and snapshots at every window close; after a "kill" (the engine is
 // dropped with no further persistence) a new engine recovered via
-// LoadState must produce the same next-window truths and weights as an
+// Recover must produce the same next-window truths and weights as an
 // uninterrupted engine over identical traffic, within 1e-9, and a user
 // who exhausted their budget before the kill must stay rejected.
 func TestKillAndRecoverThroughStore(t *testing.T) {
@@ -98,13 +98,6 @@ func TestKillAndRecoverThroughStore(t *testing.T) {
 	// Recovery in a "new process".
 	store2 := mustOpen(t, dir)
 	defer func() { _ = store2.Close() }()
-	state, err := store2.LoadState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state == nil {
-		t.Fatal("no recovered state")
-	}
 	recCfg := cfg
 	recCfg.Ledger = store2
 	rec, err := stream.New(recCfg)
@@ -112,8 +105,8 @@ func TestKillAndRecoverThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = rec.Close() }()
-	if err := rec.Restore(state); err != nil {
-		t.Fatal(err)
+	if found, err := store2.Recover(rec); err != nil || !found {
+		t.Fatalf("Recover = %v, %v; want the persisted state", found, err)
 	}
 
 	var got *stream.WindowResult
@@ -202,10 +195,6 @@ func TestExhaustedUserStaysRejectedAfterCrash(t *testing.T) {
 
 	store2 := mustOpen(t, dir)
 	defer func() { _ = store2.Close() }()
-	state, err := store2.LoadState()
-	if err != nil {
-		t.Fatal(err)
-	}
 	recCfg := cfg
 	recCfg.Ledger = store2
 	rec, err := stream.New(recCfg)
@@ -213,8 +202,8 @@ func TestExhaustedUserStaysRejectedAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = rec.Close() }()
-	if err := rec.Restore(state); err != nil {
-		t.Fatal(err)
+	if found, err := store2.Recover(rec); err != nil || !found {
+		t.Fatalf("Recover = %v, %v; want the persisted state", found, err)
 	}
 
 	// Alice already released into the still-open window 2: duplicate.

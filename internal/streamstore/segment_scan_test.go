@@ -63,7 +63,7 @@ func TestLargeSegmentChunkedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := re.LoadState()
+	st, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestLargeSegmentChunkedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = third.Close() }()
-	st, err = third.LoadState()
+	st, err = recoveredState(t, third, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

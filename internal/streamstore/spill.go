@@ -12,8 +12,8 @@ import (
 
 // User-spill store: the durable home of evicted users (users.spill).
 //
-// When the engine runs under a residency cap (stream.Config.
-// MaxResidentUsers / ResidentBytes), window close evicts idle users and
+// When the engine runs under a residency cap
+// (stream.Config.MaxResidentUsers), window close evicts idle users and
 // hands their state here via SpillUsers before dropping it from memory.
 // The spill record can then become the ONLY copy of a user's cumulative
 // privacy spending — a later snapshot may compact away the journal

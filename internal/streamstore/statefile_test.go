@@ -17,6 +17,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 
+// goldenCfg is an engine goldenState restores into.
+var goldenCfg = stream.Config{NumObjects: 512, NumShards: 1, Estimator: stream.EstimatorGTM}
+
 // goldenState is the engine state pinned in testdata: a never-charged
 // user (lastWindow -1), opaque estimator bytes, a two-byte object varint
 // and values JSON could not have carried exactly.
@@ -134,7 +137,7 @@ func TestStateFilesRejectEveryBitFlip(t *testing.T) {
 		load    func() error
 		corrupt error
 	}{
-		{snapshotName, func() error { _, err := s.LoadState(); return err }, ErrCorruptSnapshot},
+		{snapshotName, func() error { _, err := recoveredState(t, s, goldenCfg); return err }, ErrCorruptSnapshot},
 		{clusterCloseName, func() error { _, err := s.LoadClusterClose(); return err }, ErrCorruptClusterClose},
 	}
 	for _, f := range files {
@@ -217,8 +220,8 @@ func TestOpenRefusesJSONSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		re := mustOpen(t, dir)
-		if st, err := re.LoadState(); err != nil || len(st.Users) != 1 {
-			t.Errorf("%s: after removal LoadState = %+v, %v; want the journaled user", name, st, err)
+		if st, err := recoveredState(t, re, bareCfg); err != nil || len(st.Users) != 1 {
+			t.Errorf("%s: after removal Recover = %+v, %v; want the journaled user", name, st, err)
 		}
 		if err := re.Close(); err != nil {
 			t.Fatal(err)

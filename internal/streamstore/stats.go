@@ -5,8 +5,8 @@ import (
 )
 
 // Histogram is the fixed-bucket counting histogram inside StoreStats —
-// the shared obs.Histogram, so the store's JSON stats and the node's
-// /metrics exposition render the same type. (It was born here and was
+// the shared obs.Histogram, so Stats and the node's /metrics exposition
+// render the same type. (It was born here and was
 // promoted to internal/obs when the node grew a metrics registry.)
 type Histogram = obs.Histogram
 
@@ -23,7 +23,7 @@ var (
 )
 
 // StoreStats is a point-in-time snapshot of the store's observability
-// counters (GET /v1/stream/stats on a durable streaming server). The
+// counters (crowd.StreamServer.Stats on a durable streaming server). The
 // append/sync ratio and the two histograms show how group commit meets
 // the observed load: batches pinned at 1 under concurrency mean appends
 // are not overlapping a sync (or Options.MaxBatch is 1), and the flush
@@ -152,7 +152,7 @@ func (s *Store) Stats(reset bool) StoreStats {
 
 // registerMetrics exposes the store's cumulative counters on the given
 // registry as callback instruments: the exposition samples the very
-// fields Stats reads, so /v1/stream/stats and /metrics cannot drift.
+// fields Stats reads, so Stats and /metrics cannot drift.
 // The registry must not already carry another store's collectors.
 func (s *Store) registerMetrics(reg *obs.Registry) {
 	counter := func(name, help string, f func() int64) {

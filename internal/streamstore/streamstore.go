@@ -191,7 +191,7 @@ type Options struct {
 	FS storefs.FS
 	// Metrics, when non-nil, receives the store's pptd_store_* series
 	// as scrape-time callbacks over the same counters Stats reads (one
-	// source of truth for /v1/stream/stats and /metrics). The registry
+	// source of truth for Stats and /metrics). The registry
 	// must not already carry another store's collectors.
 	Metrics *obs.Registry
 }
@@ -263,7 +263,7 @@ type Store struct {
 
 	// Observability counters. All cumulative and monotone — they back
 	// the registered /metrics callbacks — with base marking the last
-	// Stats(reset) boundary for the windowed JSON view.
+	// Stats(reset) boundary for the windowed view.
 	journalSyncs        int64
 	journalAppends      int64
 	snapshots           int64
@@ -499,18 +499,6 @@ func (s *Store) SaveResult(res *stream.WindowResult) error {
 	return nil
 }
 
-// LoadResult returns the last persisted window result, or nil when none
-// was ever saved. Uncovered truths come back as NaN, matching what the
-// engine published.
-func (s *Store) LoadResult() (*stream.WindowResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.loadResultFileLocked(filepath.Join(s.dir, resultName))
-}
-
 // loadResultFileLocked reads, verifies, and decodes one persisted result
 // file, restoring NaN for uncovered truths. Callers must hold s.mu.
 func (s *Store) loadResultFileLocked(path string) (*stream.WindowResult, error) {
@@ -571,7 +559,7 @@ func (s *Store) pruneResultHistoryLocked(latest int) {
 // history files that fail their integrity check are skipped — they are
 // auxiliary read-side artifacts, and losing one old window must not
 // block recovering the stream — while a corrupt latest result is still
-// reported (ErrCorruptResult), matching LoadResult.
+// reported (ErrCorruptResult).
 func (s *Store) LoadResultHistory() ([]*stream.WindowResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -710,39 +698,6 @@ func (s *Store) Recover(e *stream.Engine) (bool, error) {
 	}
 	e.RestoreHistory(history)
 	return true, nil
-}
-
-// LoadState recovers the engine state: the latest snapshot (if any) with
-// all journaled charges past its covered position replayed on top. It
-// returns (nil, nil) when the directory holds no state at all — a fresh
-// deployment.
-//
-// LoadState is the budgets-only, state-level view: claims carried by
-// claim-WAL records are not folded (stream.EngineState.ReplayCharges
-// ignores them), and no persisted window result is loaded. Recover is
-// the full recovery path.
-func (s *Store) LoadState() (*stream.EngineState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	st, covered, err := s.loadSnapshotLocked()
-	if err != nil {
-		return nil, err
-	}
-	recs, err := s.readJournalLocked(covered)
-	if err != nil {
-		return nil, err
-	}
-	if st == nil && len(recs) == 0 {
-		return nil, nil
-	}
-	if st == nil {
-		st = &stream.EngineState{}
-	}
-	st.ReplayCharges(recs)
-	return st, nil
 }
 
 // loadSnapshotLocked reads and verifies the snapshot file, returning

@@ -19,10 +19,30 @@ func mustOpen(t *testing.T, dir string) *Store {
 	return s
 }
 
+// bareCfg is the engine the budget tests recover into: no accounting of
+// its own, so the journaled charges alone set every user's budget.
+var bareCfg = stream.Config{NumObjects: 8, NumShards: 1}
+
+// recoveredState recovers everything s persists into a fresh engine built
+// from cfg, the way a restarting node does (Store.Recover), and exports
+// it. It returns nil when the directory holds no state.
+func recoveredState(t *testing.T, s *Store, cfg stream.Config) (*stream.EngineState, error) {
+	t.Helper()
+	e, err := stream.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	if found, err := s.Recover(e); err != nil || !found {
+		return nil, err
+	}
+	return e.ExportState()
+}
+
 func TestOpenEmptyDirHasNoState(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer func() { _ = s.Close() }()
-	st, err := s.LoadState()
+	st, err := recoveredState(t, s, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +78,7 @@ func TestJournalReplayWithoutSnapshot(t *testing.T) {
 
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	st, err := re.LoadState()
+	st, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +139,7 @@ func TestTornJournalTail(t *testing.T) {
 		}
 
 		re := mustOpen(t, dir)
-		st, err := re.LoadState()
+		st, err := recoveredState(t, re, bareCfg)
 		if err != nil {
 			t.Fatalf("tail %q: %v", tail, err)
 		}
@@ -139,7 +159,7 @@ func TestTornJournalTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		again := mustOpen(t, dir)
-		st, err = again.LoadState()
+		st, err = recoveredState(t, again, bareCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +204,7 @@ func TestSnapshotRoundTripResetsJournal(t *testing.T) {
 		t.Errorf("covered segment 1 not deleted: %v", err)
 	}
 
-	got, err := s.LoadState()
+	got, err := recoveredState(t, s, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +244,7 @@ func TestJournalNewerThanSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := s.LoadState()
+	got, err := recoveredState(t, s, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +282,8 @@ func TestCorruptSnapshotFailsLoudly(t *testing.T) {
 
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	if _, err := re.LoadState(); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("LoadState on corrupt snapshot = %v, want ErrCorruptSnapshot", err)
+	if _, err := recoveredState(t, re, bareCfg); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("Recover on corrupt snapshot = %v, want ErrCorruptSnapshot", err)
 	}
 }
 
@@ -278,8 +298,8 @@ func TestClosedStoreRefusesEverything(t *testing.T) {
 	if err := s.WriteSnapshot(&stream.EngineState{}, JournalPos{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("WriteSnapshot after Close = %v", err)
 	}
-	if _, err := s.LoadState(); !errors.Is(err, ErrClosed) {
-		t.Errorf("LoadState after Close = %v", err)
+	if _, err := recoveredState(t, s, bareCfg); !errors.Is(err, ErrClosed) {
+		t.Errorf("Recover after Close = %v", err)
 	}
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("second Close = %v", err)
@@ -320,7 +340,7 @@ func TestSnapshotPreservesConcurrentTail(t *testing.T) {
 	}
 	re := mustOpen(t, dir)
 	defer func() { _ = re.Close() }()
-	got, err := re.LoadState()
+	got, err := recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +354,7 @@ func TestSnapshotPreservesConcurrentTail(t *testing.T) {
 	if err := re.AppendCharge(stream.ChargeRecord{User: "carol", Window: 1, Epsilon: 1}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = re.LoadState()
+	got, err = recoveredState(t, re, bareCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

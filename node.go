@@ -62,13 +62,11 @@ type nodeConfig struct {
 	stateDir   string
 	persistSet bool
 
-	clusterWorker   bool
-	clusterWorkers  []string
-	clusterSet      bool
-	shipDest        string
-	shipSet         bool
-	shipInterval    time.Duration
-	shipIntervalSet bool
+	clusterWorker  bool
+	clusterWorkers []string
+	clusterSet     bool
+	shipDest       string
+	shipSet        bool
 
 	logger *slog.Logger
 	debug  bool
@@ -131,8 +129,6 @@ func (c *nodeConfig) validate() error {
 		return optErr("WithClusterCoordinator requires a stream engine config (WithStreamEngine or WithStreamConfig)")
 	case c.shipSet && !c.persistSet:
 		return optErr("WithSegmentShipping requires WithPersistence: shipping replicates the state directory")
-	case c.shipIntervalSet && !c.shipSet:
-		return optErr("WithShippingInterval requires WithSegmentShipping")
 	}
 	if c.clusterSet {
 		for opt, set := range map[string]bool{
@@ -141,7 +137,6 @@ func (c *nodeConfig) validate() error {
 			"WithSegmentShipping":           c.shipSet,
 			"WithBatchCampaign":             c.batchSet,
 			"StreamConfig.MaxResidentUsers": c.stream.MaxResidentUsers > 0,
-			"StreamConfig.ResidentBytes":    c.stream.ResidentBytes > 0,
 		} {
 			if set {
 				return optErr("WithClusterCoordinator conflicts with %s: the coordinator holds no engine or durable state of its own", opt)
@@ -311,8 +306,8 @@ func (c *nodeConfig) resolveEngine() error {
 		return optErr("WithLambda2 conflicts with WithStreamConfig.Lambda2")
 	}
 	eng.Lambda2 = c.lambda2
-	if (eng.MaxResidentUsers > 0 || eng.ResidentBytes > 0) && !c.persistSet && eng.UserStore == nil {
-		return optErr("residency caps (StreamConfig.MaxResidentUsers / ResidentBytes) require WithPersistence: evicted users spill to the store")
+	if eng.MaxResidentUsers > 0 && !c.persistSet && eng.UserStore == nil {
+		return optErr("the residency cap (StreamConfig.MaxResidentUsers) requires WithPersistence: evicted users spill to the store")
 	}
 	if eng.ClaimWAL {
 		// An explicit ClaimWAL must stay loud, never silently defaulted
@@ -340,7 +335,7 @@ func (c *nodeConfig) resolveEngine() error {
 // before the submission is acknowledged, each window close persists its
 // published result (the retained history, so ?window= reads survive
 // restarts) and snapshots the engine, and residency-cap evictions
-// (StreamConfig.MaxResidentUsers / ResidentBytes) spill user state to
+// (StreamConfig.MaxResidentUsers) spill user state to
 // the same store. On the batch side, every accepted submission is WAL'd
 // before its receipt and the aggregated result persists before it is
 // first published. The node owns the store: NewNode opens it and
@@ -465,8 +460,8 @@ func (n *Node) startStream(c *nodeConfig) error {
 // follow on every pass. dest is a local archive directory, or — with an
 // http:// or https:// scheme — the base URL of a ClusterFollower; a
 // fresh node pointed at the replica recovers to the shipped state
-// (warm standby, point-in-time restore, read replica). Requires
-// WithPersistence.
+// (warm standby, point-in-time restore, read replica). A pass runs
+// every shipInterval and once more on Close. Requires WithPersistence.
 func WithSegmentShipping(dest string) Option {
 	return func(c *nodeConfig) error {
 		if dest == "" {
@@ -481,18 +476,8 @@ func WithSegmentShipping(dest string) Option {
 	}
 }
 
-// WithShippingInterval sets the segment-shipping cadence (default 5s).
-// Requires WithSegmentShipping.
-func WithShippingInterval(d time.Duration) Option {
-	return func(c *nodeConfig) error {
-		if d <= 0 {
-			return optErr("WithShippingInterval: d = %v", d)
-		}
-		c.shipInterval = d
-		c.shipIntervalSet = true
-		return nil
-	}
-}
+// shipInterval is the segment-shipping cadence.
+const shipInterval = 5 * time.Second
 
 // startShipper starts the WithSegmentShipping loop over the node's store.
 func (n *Node) startShipper(c *nodeConfig) error {
@@ -509,11 +494,7 @@ func (n *Node) startShipper(c *nodeConfig) error {
 	if err != nil {
 		return fmt.Errorf("%w: WithSegmentShipping(%q): %w", ErrNodeConfig, c.shipDest, err)
 	}
-	interval := c.shipInterval
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	shipper, err := cluster.NewShipper(n.store, sink, interval, n.metrics)
+	shipper, err := cluster.NewShipper(n.store, sink, shipInterval, n.metrics)
 	if err != nil {
 		return err
 	}

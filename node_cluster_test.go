@@ -50,11 +50,6 @@ func TestNodeClusterOptionValidation(t *testing.T) {
 			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithSegmentShipping(t.TempDir())},
 			want: "WithSegmentShipping requires WithPersistence",
 		},
-		{
-			name: "shipping interval needs shipping",
-			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithShippingInterval(time.Second)},
-			want: "WithShippingInterval requires WithSegmentShipping",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,7 +87,6 @@ func TestNodeCluster(t *testing.T) {
 			pptd.WithClusterWorker(),
 			pptd.WithPersistence(t.TempDir()),
 			pptd.WithSegmentShipping(shipDirs[i]),
-			pptd.WithShippingInterval(time.Hour), // shipped explicitly below
 		)
 		if err != nil {
 			t.Fatalf("worker node %d: %v", i, err)

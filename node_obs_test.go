@@ -59,9 +59,6 @@ func newObsNode(t *testing.T) *httptest.Server {
 	if _, err := c.StreamTruths(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StreamStats(ctx); err != nil {
-		t.Fatal(err)
-	}
 	// Three error envelopes, three distinct codes: a pending batch result
 	// (not_ready), an unmounted path (not_found), and a POST against the
 	// GET-only exposition (method_not_allowed).
@@ -201,108 +198,6 @@ func TestNodeMetricsRoundTrip(t *testing.T) {
 	// append and one sync for alice's accepted submission.
 	if v, err := p.Value("pptd_store_journal_appends_total"); err != nil || v < 1 {
 		t.Errorf("journal appends = %v, %v; want >= 1", v, err)
-	}
-}
-
-// TestNodeStatsMetricsAgree is the one-source-of-truth check: the JSON
-// stats view (GET /v1/stream/stats) and the Prometheus exposition must
-// report the same store counters, and a ?reset=1 must window only the
-// JSON view — the /metrics series stay monotone, and the gauges
-// (journal bytes, live segments) keep describing the present on both.
-func TestNodeStatsMetricsAgree(t *testing.T) {
-	ts := newObsNode(t)
-	c, err := pptd.NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	metricValue := func(name string) float64 {
-		t.Helper()
-		p, err := obs.ParseText(strings.NewReader(scrapeMetrics(t, ts)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := p.Value(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	statsReset := func(reset bool) *pptd.StreamStoreStats {
-		t.Helper()
-		path := "/v1/stream/stats"
-		if reset {
-			path += "?reset=1"
-		}
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		var info pptd.StreamStatsInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		if info.Store == nil {
-			t.Fatal("durable node reported no store stats")
-		}
-		return info.Store
-	}
-
-	// More durable submissions into the open window, so the pre-reset
-	// window holds several appends and the windowing below is visible.
-	for _, user := range []string{"carol", "dave"} {
-		if _, err := c.StreamSubmit(ctx, pptd.CampaignSubmission{
-			ClientID: user,
-			Claims:   []pptd.CampaignClaim{{Object: 3, Value: 4}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	before := statsReset(false)
-	if got := metricValue("pptd_store_journal_appends_total"); got != float64(before.JournalAppends) {
-		t.Fatalf("journal appends: /metrics = %v, stats JSON = %d", got, before.JournalAppends)
-	}
-	if got := metricValue("pptd_store_journal_bytes"); got != float64(before.JournalBytes) {
-		t.Fatalf("journal bytes: /metrics = %v, stats JSON = %d", got, before.JournalBytes)
-	}
-	if got := metricValue("pptd_store_flush_duration_seconds_count"); got != float64(before.FlushLatencySeconds.Count) {
-		t.Fatalf("flush count: /metrics = %v, stats JSON = %d", got, before.FlushLatencySeconds.Count)
-	}
-
-	// The reset read itself returns the full window...
-	window := statsReset(true)
-	if window.JournalAppends != before.JournalAppends {
-		t.Fatalf("reset read JournalAppends = %d, want %d", window.JournalAppends, before.JournalAppends)
-	}
-	// ...and one more durable submission later, the JSON view counts only
-	// the new window while the exposition stays cumulative and the gauges
-	// agree on the present.
-	if _, err := c.StreamSubmit(ctx, pptd.CampaignSubmission{
-		ClientID: "bob",
-		Claims:   []pptd.CampaignClaim{{Object: 2, Value: 3}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	after := statsReset(false)
-	if after.JournalAppends >= before.JournalAppends {
-		t.Fatalf("windowed JournalAppends = %d, want < %d (reset did not window the JSON view)",
-			after.JournalAppends, before.JournalAppends)
-	}
-	if got, want := metricValue("pptd_store_journal_appends_total"), float64(before.JournalAppends+after.JournalAppends); got != want {
-		t.Fatalf("monotone journal appends: /metrics = %v, want %v", got, want)
-	}
-	if after.JournalBytes <= before.JournalBytes {
-		t.Fatalf("gauge JournalBytes = %d after reset, want > %d (gauges survive resets)",
-			after.JournalBytes, before.JournalBytes)
-	}
-	if got := metricValue("pptd_store_journal_bytes"); got != float64(after.JournalBytes) {
-		t.Fatalf("journal bytes after reset: /metrics = %v, stats JSON = %d", got, after.JournalBytes)
-	}
-	if after.Segments <= 0 {
-		t.Fatalf("gauge Segments = %d after reset, want > 0", after.Segments)
 	}
 }
 

@@ -27,10 +27,6 @@ func TestNodeOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gtm, err := pptd.NewGTM()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The engine-owned rules are asserted through NewNode: each is one
 	// StreamConfig field.
 	type sc = pptd.StreamConfig
@@ -53,21 +49,6 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"method conflicts with config estimator",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Estimator: "gtm"}), pptd.WithMethod(crh)},
 			"WithMethod conflicts with WithStreamConfig.Estimator"},
-		{"stream distance under gtm",
-			[]pptd.Option{cfg(sc{NumObjects: 5, Distance: pptd.SquaredDistance}), pptd.WithMethod(gtm)},
-			"Distance = squared parameterizes the CRH estimator"},
-		{"bad stream distance",
-			[]pptd.Option{cfg(sc{NumObjects: 5, Distance: pptd.Distance(9)})},
-			"unknown distance"},
-		{"bad stream tolerance",
-			[]pptd.Option{cfg(sc{NumObjects: 5, Tolerance: -1})},
-			"Tolerance = -1"},
-		{"bad stream max iterations",
-			[]pptd.Option{cfg(sc{NumObjects: 5, MaxIterations: -1})},
-			"MaxIterations = -1"},
-		{"bad queue depth",
-			[]pptd.Option{cfg(sc{NumObjects: 5, QueueDepth: -2})},
-			"QueueDepth = -2"},
 		{"window interval without stream",
 			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithWindowInterval(time.Second)},
 			"WithWindowInterval requires a stream engine"},
@@ -76,10 +57,7 @@ func TestNodeOptionValidation(t *testing.T) {
 			"configure at least one of"},
 		{"resident cap without persistence",
 			[]pptd.Option{cfg(sc{NumObjects: 5, MaxResidentUsers: 8}), pptd.WithLambda2(2)},
-			"require WithPersistence"},
-		{"resident bytes without persistence",
-			[]pptd.Option{cfg(sc{NumObjects: 5, ResidentBytes: 1 << 20})},
-			"require WithPersistence"},
+			"requires WithPersistence"},
 		{"lambda2 conflicts with target",
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(2),
 				pptd.WithDataQuality(1), pptd.WithPrivacyTarget(0.5, 0.3)},
@@ -93,9 +71,6 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"budget without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, EpsilonBudget: 10})},
 			"EpsilonBudget without Lambda1 accounting"},
-		{"per-user report without accounting",
-			[]pptd.Option{cfg(sc{NumObjects: 5, PerUserReport: true})},
-			"PerUserReport without Lambda1 accounting"},
 		{"batch without a perturbation rate",
 			[]pptd.Option{pptd.WithBatchCampaign(5)},
 			"requires a perturbation rate"},
@@ -166,9 +141,6 @@ func TestNodeRefusesBadStreamConfigBeforeOpening(t *testing.T) {
 		{"no objects", pptd.StreamConfig{}, "NumObjects"},
 		{"unknown estimator", pptd.StreamConfig{NumObjects: 5, Estimator: "bogus"}, `estimator "bogus"`},
 		{"accounting without delta", pptd.StreamConfig{NumObjects: 5, Lambda1: 1, Lambda2: 2}, "Delta"},
-		{"distance under gtm",
-			pptd.StreamConfig{NumObjects: 5, Estimator: pptd.StreamEstimatorGTM, Distance: pptd.SquaredDistance},
-			"Distance"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -217,12 +189,12 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 			pptd.WithLambda2(2)}},
 		{"stream with target accounting", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 7, EpsilonBudget: 2, PerUserReport: true}),
+				NumObjects: 7, EpsilonBudget: 2}),
 			pptd.WithDataQuality(1.5), pptd.WithPrivacyTarget(0.5, 0.3)}},
 		{"escape hatch with explicit rates", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, Lambda1: 1.5, Lambda2: 2, Delta: 0.3,
-				DisableCarryover: true, QueueDepth: 16})}},
+				DisableCarryover: true})}},
 		{"batch and stream together", []pptd.Option{
 			pptd.WithBatchCampaign(7), pptd.WithStreamEngine(7), pptd.WithLambda2(2)}},
 		{"batch-only with derived lambda2", []pptd.Option{
@@ -487,7 +459,7 @@ func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	}
 }
 
-// TestNodeStreamStats checks GET /v1/stream/stats: a durable node
+// TestNodeStreamStats checks StreamCampaignServer.Stats: a durable node
 // reports journal counters and group-commit histograms, a memory-only
 // node reports Durable false with no store block.
 func TestNodeStreamStats(t *testing.T) {
@@ -522,10 +494,7 @@ func TestNodeStreamStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := client.StreamStats(ctx)
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
+	stats := n.Stream().Stats()
 	if !stats.Durable || stats.Store == nil {
 		t.Fatalf("stats = %+v, want durable with store block", stats)
 	}
@@ -552,30 +521,20 @@ func TestNodeStreamStats(t *testing.T) {
 		t.Errorf("stats window bounds = %+v", stats)
 	}
 
-	// Memory-only node: stats still served, no store block.
+	// Memory-only node: no store block.
 	n2, err := pptd.NewNode(pptd.WithStreamEngine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = n2.Close() }()
-	ts2 := httptest.NewServer(n2.Handler())
-	defer ts2.Close()
-	client2, err := pptd.NewClient(ts2.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats2, err := client2.StreamStats(ctx)
-	if err != nil {
-		t.Fatalf("memory-only stats: %v", err)
-	}
-	if stats2.Durable || stats2.Store != nil {
+	if stats2 := n2.Stream().Stats(); stats2.Durable || stats2.Store != nil {
 		t.Fatalf("memory-only stats = %+v", stats2)
 	}
 }
 
 // TestNodeStreamEstimator checks WithMethod reaches the streaming side:
 // the engine runs the selected estimator, the wire metadata (campaign,
-// stats, window results) names it, and a durable node refuses to recover
+// window results) and Stats name it, and a durable node refuses to recover
 // a state directory written under a different estimator with the typed
 // ErrStreamEstimatorMismatch instead of silently reinterpreting it.
 func TestNodeStreamEstimator(t *testing.T) {
@@ -621,11 +580,7 @@ func TestNodeStreamEstimator(t *testing.T) {
 	if info.Estimator != "gtm" {
 		t.Errorf("window estimator = %q, want %q", info.Estimator, "gtm")
 	}
-	stats, err := client.StreamStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Estimator != "gtm" {
+	if stats := n.Stream().Stats(); stats.Estimator != "gtm" {
 		t.Errorf("stats estimator = %q, want %q", stats.Estimator, "gtm")
 	}
 	ts.Close()

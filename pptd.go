@@ -98,9 +98,8 @@
 // /v1/stream/claims, GET /v1/stream/truths); cmd/pptdserver -stream
 // serves it and cmd/pptduser -windows N drives a simulated fleet against
 // it, reporting claims, budget refusals and accuracy per window. Privacy
-// reports carry aggregates only by
-// default; the per-user epsilon map (the full historical client roster)
-// is opt-in via StreamConfig.PerUserReport.
+// reports carry aggregates only, never the per-user epsilon map (the
+// full historical client roster).
 //
 // # Durable streaming state
 //

@@ -145,7 +145,7 @@ type StreamJournalPos = streamstore.JournalPos
 // StreamStoreStats is a point-in-time snapshot of a store's
 // observability counters: journal appends/syncs/bytes, snapshot and
 // result counts, and the group-commit batch-size and flush-latency
-// histograms (GET /v1/stream/stats serves it on a durable node).
+// histograms (StreamCampaignServer.Stats reports it on a durable node).
 type StreamStoreStats = streamstore.StoreStats
 
 // StreamHistogram is the fixed-bucket counting histogram inside
@@ -165,9 +165,9 @@ func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open
 // one with WithStreamEngine or WithStreamConfig (Node.Stream).
 type StreamCampaignServer = crowd.StreamServer
 
-// StreamStatsInfo is the GET /v1/stream/stats response: engine totals,
-// result-history bounds, and the store's StreamStoreStats on a durable
-// node.
+// StreamStatsInfo is what StreamCampaignServer.Stats returns: engine
+// totals, result-history bounds, and the store's StreamStoreStats on a
+// durable node.
 type StreamStatsInfo = crowd.StreamStatsInfo
 
 // StreamCampaignInfo describes a streaming campaign.
