@@ -136,7 +136,7 @@ func run(args []string) error {
 		opts = append(opts, pptd.WithDebugHandlers())
 	}
 	if *maxRes > 0 && (!streaming || *stateDir == "") {
-		return errors.New("-max-resident-users needs -stream and -state-dir: evicted users spill their budget and estimator state to the store")
+		return errors.New("-max-resident-users needs -stream and -state-dir: evicted users spill their budget and carry weight to the store")
 	}
 	if streaming {
 		opts = append(opts, pptd.WithStreamConfig(pptd.StreamConfig{

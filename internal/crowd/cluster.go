@@ -24,8 +24,7 @@ import (
 //     exactly the estimate a single node would have. The reply is the
 //     encoded export (ContentTypeEngineState), or 204 for an empty probe.
 //  2. POST /v1/cluster/commit — write the merged per-user carry
-//     weights and estimator state back onto the worker that owns each
-//     user, then run the deferred idle-user eviction so spill records
+//     weights back onto the worker that owns each user, then run the deferred idle-user eviction so spill records
 //     carry the merged post-estimate state.
 //
 // Both RPCs are idempotent so the coordinator can retry a partially
@@ -96,8 +95,8 @@ type ClusterCommitRequest struct {
 	// Window is the 1-based window the carries resulted from; the worker
 	// must already have closed it (engine at Window closed windows).
 	Window int `json:"window"`
-	// Carries holds the merged carry weight and estimator state for each
-	// user this worker owns.
+	// Carries holds the merged carry weight of each user this worker
+	// owns.
 	Carries []stream.UserCarry `json:"carries"`
 }
 
@@ -231,8 +230,8 @@ func (s *StreamServer) persistClusterCloseLocked() error {
 	return nil
 }
 
-// ClusterCommit applies the coordinator's merged carry weights and
-// estimator state for the users this worker owns, then runs the
+// ClusterCommit applies the coordinator's merged carry weights for the
+// users this worker owns, then runs the
 // idle-user eviction the cluster close deferred. Idempotent: retrying
 // re-applies the same values. On a durable worker the merged state is
 // snapshotted BEFORE the close record is marked committed — a crash in

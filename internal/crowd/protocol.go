@@ -171,8 +171,7 @@ const (
 	// StreamServer.RegisterCluster). Mounted only on cluster workers.
 	PathClusterClose = "/v1/cluster/close"
 	// PathClusterCommit is the worker-side cluster RPC that commits the
-	// coordinator's merged per-user carry weights and estimator state
-	// back onto the worker after a cluster-wide window close (POST).
+	// coordinator's merged per-user carry weights back onto the worker after a cluster-wide window close (POST).
 	PathClusterCommit = "/v1/cluster/commit"
 	// PathClusterStatus serves the worker's cluster close-protocol
 	// position (GET): closed-window count, the window of its last close

@@ -27,8 +27,8 @@ import (
 // torn write) must leave a directory a fresh NewStreamServer recovers
 // from with no acknowledged charge lost and estimates equivalent to an
 // uninterrupted server. The sweep honors PPTD_STREAM_ESTIMATOR, so the
-// CI matrix drives it once per estimator — GTM's private variance state
-// rides the same snapshots and must survive the same crash points.
+// CI matrix drives it once per estimator — GTM's carried precisions ride
+// the same snapshots and must survive the same crash points.
 
 type serverSweepStep struct {
 	kind   string // "ingest" or "close"
@@ -65,8 +65,11 @@ func serverSweepOptions() streamstore.Options {
 // JSON-line journal gave the same records, reached by padding the user
 // IDs: the segment cap then rolls at the same records, and every crash
 // point keeps its op number and its label (opNNN-tornLEN, LEN half the
-// record).
-var serverSweepRecordLens = [3]int{126, 128, 126}
+// record). user-0's is one byte longer (127 halves like 126), and so is
+// its ID in every snapshot: that byte stands in for the estimator-state
+// length the snapshot encoding no longer carries, so the snapshots' torn
+// labels hold too.
+var serverSweepRecordLens = [3]int{127, 128, 126}
 
 // journalFrameHeader is a journal record's header: u32 payload length,
 // u32 CRC-32 of the payload.

@@ -394,15 +394,20 @@ func (r *registry) export() []UserSnapshot {
 		if st == nil {
 			continue
 		}
-		out = append(out, UserSnapshot{
-			ID:                st.id,
-			Carry:             st.carry,
-			CumulativeEpsilon: st.cumEps,
-			LastWindow:        st.lastWindow,
-			Windows:           st.windows,
-		})
+		out = append(out, st.snapshot())
 	}
 	return out
+}
+
+// snapshot copies one user's persistent bookkeeping.
+func (st *userState) snapshot() UserSnapshot {
+	return UserSnapshot{
+		ID:                st.id,
+		Carry:             st.carry,
+		CumulativeEpsilon: st.cumEps,
+		LastWindow:        st.lastWindow,
+		Windows:           st.windows,
+	}
 }
 
 // restore populates an empty registry from exported snapshots, keeping

@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"encoding/json"
-
-	"pptd/internal/truth"
-)
+import "pptd/internal/truth"
 
 // catdEstimator is the confidence-aware method of Li et al. (VLDB'15)
 // (truth.CATD) run incrementally: each user's weight is the upper
@@ -64,19 +60,3 @@ func (c *catdEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 	}
 	return iterations, false
 }
-
-func (*catdEstimator) exportState([]string) (json.RawMessage, error) { return nil, nil }
-
-func (*catdEstimator) restoreState(data json.RawMessage, _ map[string]int) error {
-	return restoreNoState(EstimatorCATD, data)
-}
-
-// CATD restarts from uniform weights every window, so there is no
-// per-user state to spill.
-func (*catdEstimator) exportUser(int) (json.RawMessage, error) { return nil, nil }
-
-func (*catdEstimator) decodeUser(data json.RawMessage) (userSeed, error) {
-	return userSeed{}, restoreNoState(EstimatorCATD, data)
-}
-
-func (*catdEstimator) seedUser(int, userSeed) {}

@@ -1,15 +1,14 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
 
 // Cluster support: the engine-side primitives behind internal/cluster's
 // sharded-ingest coordinator. A cluster partitions users across worker
-// engines (each user's claims, budget, and estimator state live entirely
-// on one worker), so per-(object, user) sufficient statistics are
+// engines (each user's claims, budget, and carry weight live entirely on
+// one worker), so per-(object, user) sufficient statistics are
 // bitwise identical to a single engine's — what differs is only where
 // they sit. Window closes are driven by a coordinator:
 //
@@ -20,25 +19,19 @@ import (
 //  2. the coordinator merges the disjoint exports (MergeStates), loads
 //     the merged state into a fresh engine, and runs the one true
 //     CloseWindow there — identical inputs, identical estimate;
-//  3. the resulting carry weights and per-user estimator state are read
-//     back with ExportCarry and committed to each owning worker with
-//     CommitCarry, so the next window warm-starts exactly as a single
-//     engine would.
+//  3. the resulting carry weights are read back with ExportCarry and
+//     committed to each owning worker with CommitCarry, so the next
+//     window warm-starts exactly as a single engine would.
 //
 // This is what makes the cluster-vs-single-node equivalence property
 // (truths within 1e-9 per estimator) hold by construction.
 
 // UserCarry is one user's cross-window estimation state as committed
 // back to their owning worker after a coordinated window close: the
-// carry weight warm-starting the next window and the estimator's
-// private per-user state (e.g. a GTM variance; nil when the estimator
-// keeps none).
+// carry weight warm-starting the next window.
 type UserCarry struct {
 	ID    string  `json:"id"`
 	Carry float64 `json:"carry"`
-	// EstimatorState is the estimator's private per-user state, in the
-	// same encoding UserSpill carries (exportUser/seedUser).
-	EstimatorState json.RawMessage `json:"estimatorState,omitempty"`
 }
 
 // HasLiveStats reports whether any (object, user) sufficient statistic
@@ -72,10 +65,9 @@ func (e *Engine) WindowClaims() int64 { return e.windowClaims.Load() }
 // counter), then applies the per-window decay and advances the window
 // counter WITHOUT estimating. No estimate runs because a worker only
 // holds a shard of the user population: estimating over it would update
-// carry weights and estimator state differently than the single-engine
-// estimate over everyone. The coordinator merges the exports, runs the
-// one true estimation, and commits the resulting carries back via
-// CommitCarry.
+// carry weights differently than the single-engine estimate over
+// everyone. The coordinator merges the exports, runs the one true
+// estimation, and commits the resulting carries back via CommitCarry.
 //
 // Unlike CloseWindow it never fails with ErrEmptyWindow: a worker with
 // no live statistics still decays and advances, because the cluster-wide
@@ -90,11 +82,7 @@ func (e *Engine) CloseWindowExport() (*EngineState, error) {
 	release := e.pauseShards()
 	defer close(release)
 
-	st, err := e.exportStateLocked()
-	if err != nil {
-		return nil, err
-	}
-	st.WindowClaims = e.windowClaims.Load()
+	st := e.exportStateLocked()
 	if e.cfg.Decay < 1 {
 		e.eachShardParallel(func(s *shard) { s.decay(e.cfg.Decay) })
 	}
@@ -106,10 +94,9 @@ func (e *Engine) CloseWindowExport() (*EngineState, error) {
 	return st, nil
 }
 
-// ExportCarry reads every resident user's carry weight and private
-// estimator state — the coordinator calls it on the merge engine right
-// after CloseWindow, to collect the post-estimate warm-start state it
-// commits back to the owning workers.
+// ExportCarry reads every resident user's carry weight — the coordinator
+// calls it on the merge engine right after CloseWindow, to collect the
+// post-estimate warm-start state it commits back to the owning workers.
 func (e *Engine) ExportCarry() ([]UserCarry, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -123,24 +110,19 @@ func (e *Engine) ExportCarry() ([]UserCarry, error) {
 		if id == "" {
 			continue // free slot of an evicted user
 		}
-		raw, err := e.est.exportUser(idx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, UserCarry{ID: id, Carry: carries[idx], EstimatorState: raw})
+		out = append(out, UserCarry{ID: id, Carry: carries[idx]})
 	}
 	return out, nil
 }
 
-// CommitCarry applies coordinator-merged carry weights and per-user
-// estimator state to this worker's resident users, completing a
-// coordinated window close. Users unknown to this worker are skipped
-// (the coordinator partitions carries by owning worker, so in a healthy
-// protocol round every carry finds its user). After the carries are
-// applied the residency caps are enforced, exactly where CloseWindow
-// would have evicted — so spill records written here carry the merged,
-// not the stale, state. The commit is all-or-nothing: every carry is
-// validated and its estimator state decoded before any is applied, so a
+// CommitCarry applies coordinator-merged carry weights to this worker's
+// resident users, completing a coordinated window close. Users unknown
+// to this worker are skipped (the coordinator partitions carries by
+// owning worker, so in a healthy protocol round every carry finds its
+// user). After the carries are applied the residency caps are enforced,
+// exactly where CloseWindow would have evicted — so spill records
+// written here carry the merged, not the stale, state. The commit is
+// all-or-nothing: every carry is validated before any is applied, so a
 // refused commit leaves the engine as it found it.
 func (e *Engine) CommitCarry(carries []UserCarry) error {
 	e.mu.Lock()
@@ -148,21 +130,13 @@ func (e *Engine) CommitCarry(carries []UserCarry) error {
 	if e.closed {
 		return ErrEngineClosed
 	}
-	seeds := make([]userSeed, len(carries))
-	for i, c := range carries {
+	for _, c := range carries {
 		if c.ID == "" || !finite(c.Carry) || c.Carry < 0 {
 			return fmt.Errorf("%w: carry for user %q = %v", ErrBadState, c.ID, c.Carry)
 		}
-		seed, err := e.est.decodeUser(c.EstimatorState)
-		if err != nil {
-			return fmt.Errorf("carry for user %q: %w", c.ID, err)
-		}
-		seeds[i] = seed
 	}
-	for i, c := range carries {
-		if idx, ok := e.users.setCarry(c.ID, c.Carry); ok {
-			e.est.seedUser(idx, seeds[i])
-		}
+	for _, c := range carries {
+		e.users.setCarry(c.ID, c.Carry)
 	}
 	release := e.pauseShards()
 	defer close(release)
@@ -170,17 +144,14 @@ func (e *Engine) CommitCarry(carries []UserCarry) error {
 	return nil
 }
 
-// setCarry stores a committed carry weight for one resident user,
-// reporting the user's slot index (false when the user is not resident).
-func (r *registry) setCarry(id string, carry float64) (int, bool) {
+// setCarry stores a committed carry weight for one resident user; a
+// user who is not resident is skipped.
+func (r *registry) setCarry(id string, carry float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.byID[id]
-	if !ok {
-		return 0, false
+	if st, ok := r.byID[id]; ok {
+		st.carry = carry
 	}
-	st.carry = carry
-	return st.idx, true
 }
 
 // MergeStates combines per-worker engine exports (CloseWindowExport)
@@ -189,9 +160,7 @@ func (r *registry) setCarry(id string, carry float64) (int, bool) {
 // counter, same object space, and disjoint user populations (each user
 // lives on exactly one worker). Users and statistics concatenate in
 // part order; statistics are re-sorted into the canonical (object, user)
-// order, and claim counters sum. Estimator-private state merges per
-// estimator — GTM's per-user variance maps union (disjoint by the user
-// partition); CRH and CATD keep none.
+// order, and claim counters sum.
 func MergeStates(parts []*EngineState) (*EngineState, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("%w: no states to merge", ErrBadState)
@@ -238,13 +207,6 @@ func MergeStates(parts []*EngineState) (*EngineState, error) {
 		merged.TotalClaims += p.TotalClaims
 	}
 	merged.Stats = mergeStats(parts)
-	if est == EstimatorGTM {
-		raw, err := mergeGTMStates(parts)
-		if err != nil {
-			return nil, err
-		}
-		merged.EstimatorState = raw
-	}
 	return merged, nil
 }
 
@@ -292,30 +254,4 @@ func mergeStats(parts []*EngineState) []StatSnapshot {
 		}
 	}
 	return append(out, heads[0]...)
-}
-
-// mergeGTMStates unions the per-worker GTM variance maps; the user
-// partition makes them disjoint, so union is exact.
-func mergeGTMStates(parts []*EngineState) (json.RawMessage, error) {
-	vars := make(map[string]float64)
-	for i, p := range parts {
-		if len(p.EstimatorState) == 0 || string(p.EstimatorState) == "null" {
-			continue
-		}
-		var st gtmState
-		if err := json.Unmarshal(p.EstimatorState, &st); err != nil {
-			return nil, fmt.Errorf("%w: decode gtm state of part %d: %v", ErrBadState, i, err)
-		}
-		for id, v := range st.Variances {
-			vars[id] = v
-		}
-	}
-	if len(vars) == 0 {
-		return nil, nil
-	}
-	raw, err := json.Marshal(gtmState{Variances: vars})
-	if err != nil {
-		return nil, fmt.Errorf("stream: merge gtm state: %w", err)
-	}
-	return raw, nil
 }

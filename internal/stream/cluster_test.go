@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -66,17 +65,6 @@ func TestMergeStatesRejectsTornInputs(t *testing.T) {
 			parts: []*EngineState{
 				mergeTestState(EstimatorCRH, 2, 3, "a", "b"),
 				mergeTestState(EstimatorCRH, 2, 3, "b"),
-			},
-			wantErr: ErrBadState,
-		},
-		{
-			name: "corrupt gtm estimator state",
-			parts: []*EngineState{
-				func() *EngineState {
-					st := mergeTestState(EstimatorGTM, 2, 3, "a")
-					st.EstimatorState = []byte(`{"variances": "not-a-map"}`)
-					return st
-				}(),
 			},
 			wantErr: ErrBadState,
 		},
@@ -153,9 +141,9 @@ func TestMergedDuplicateStatRefusedByRestore(t *testing.T) {
 }
 
 // TestCommitCarryAllOrNothing: a commit refused at its k-th carry — a
-// negative or NaN carry, an empty ID, estimator state that does not
-// decode — leaves the engine exactly as it found it: the carries before
-// k are not applied, and the user at k keeps their GTM variance.
+// negative or NaN carry, an empty ID — leaves the engine exactly as it
+// found it: the carries before k are not applied, and the user at k
+// keeps their carry.
 func TestCommitCarryAllOrNothing(t *testing.T) {
 	for _, est := range []string{EstimatorCRH, EstimatorGTM} {
 		t.Run(est, func(t *testing.T) {
@@ -177,19 +165,11 @@ func TestCommitCarryAllOrNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			good := func(id string) UserCarry {
-				c := UserCarry{ID: id, Carry: 7.5}
-				if est == EstimatorGTM {
-					c.EstimatorState = json.RawMessage(`{"variance":0.125}`)
-				}
-				return c
-			}
+			good := func(id string) UserCarry { return UserCarry{ID: id, Carry: 7.5} }
 			bad := map[string]UserCarry{
-				"negative carry":              {ID: "u2", Carry: -1},
-				"NaN carry":                   {ID: "u2", Carry: math.NaN()},
-				"empty ID":                    {ID: "", Carry: 1},
-				"undecodable estimator state": {ID: "u2", Carry: 1, EstimatorState: json.RawMessage(`{"variance":"x"}`)},
-				"non-positive variance":       {ID: "u2", Carry: 1, EstimatorState: json.RawMessage(`{"variance":-2}`)},
+				"negative carry": {ID: "u2", Carry: -1},
+				"NaN carry":      {ID: "u2", Carry: math.NaN()},
+				"empty ID":       {ID: "", Carry: 1},
 			}
 			for name, carry := range bad {
 				err := e.CommitCarry([]UserCarry{good("u0"), good("u1"), carry, good("u3")})

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"math"
 	"sync"
 	"time"
@@ -130,22 +129,6 @@ func (c crhEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 	}
 	return iterations, false
 }
-
-func (crhEstimator) exportState([]string) (json.RawMessage, error) { return nil, nil }
-
-func (crhEstimator) restoreState(data json.RawMessage, _ map[string]int) error {
-	return restoreNoState(EstimatorCRH, data)
-}
-
-// CRH keeps no per-user state beyond the registry's carry weight, which
-// rides the spill record itself.
-func (crhEstimator) exportUser(int) (json.RawMessage, error) { return nil, nil }
-
-func (crhEstimator) decodeUser(data json.RawMessage) (userSeed, error) {
-	return userSeed{}, restoreNoState(EstimatorCRH, data)
-}
-
-func (crhEstimator) seedUser(int, userSeed) {}
 
 // updateWeights evaluates Eq. (3): per-user mean distance between the
 // effective claims and the current truths, then w = -log(d/total),

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sync"
 )
@@ -43,11 +41,9 @@ func KnownEstimator(name string) bool {
 // interface exists to name the concept in snapshots, the wire protocol,
 // and documentation.
 //
-// State: an estimator may keep private cross-window state (e.g. GTM's
-// per-user variances). exportState/restoreState round-trip it through
-// EngineState.EstimatorState keyed by stable user IDs, so kill-and-recover
-// preserves it even when the restoring engine re-indexes users or runs a
-// different shard count. Estimators with no private state return nil.
+// Estimators are stateless: the carry weights the user registry persists
+// (in snapshots, spill records and cluster commits) are their whole
+// cross-window memory, handed back in through windowData.weights.
 type Estimator interface {
 	// Name is the stable identifier recorded in snapshots and surfaced on
 	// the wire ("crh", "gtm", "catd").
@@ -57,29 +53,7 @@ type Estimator interface {
 	// (both indexed by registry user index), and returning the iteration
 	// count and convergence flag, mirroring truth.Result.
 	estimate(e *Engine, w *windowData) (iterations int, converged bool)
-	// exportState serializes the estimator's private cross-window state,
-	// keyed by user ID via ids (registry index → ID). Nil means none.
-	exportState(ids []string) (json.RawMessage, error)
-	// restoreState loads previously exported state into a fresh estimator;
-	// byID maps the restored registry's user IDs to their indices. A nil
-	// or empty payload resets to the initial state.
-	restoreState(data json.RawMessage, byID map[string]int) error
-	// exportUser serializes one user slot's private state for a spill
-	// record (UserSpill.EstimatorState). Nil means none worth spilling —
-	// re-admission with a nil payload must reproduce the slot exactly.
-	exportUser(idx int) (json.RawMessage, error)
-	// decodeUser parses a payload from exportUser (nil or empty: the
-	// initial per-user state) without touching any slot, so a caller can
-	// refuse a batch of payloads before applying any.
-	decodeUser(data json.RawMessage) (userSeed, error)
-	// seedUser prepares the slot of a freshly admitted user: the initial
-	// state resets it — slots are recycled across evictions, so stale
-	// values must not leak into the new occupant — a spilled one restores.
-	seedUser(idx int, seed userSeed)
 }
-
-// userSeed is one user's decoded private estimator state (GTM's variance).
-type userSeed struct{ variance float64 }
 
 // windowData is the frozen view of one window handed to an estimator:
 // per-shard statistic views plus pre-allocated output and scratch slices.
@@ -107,7 +81,6 @@ func newEstimator(cfg *Config) Estimator {
 			priorMeanWeight: 0.01,
 			alpha:           2,
 			beta:            1,
-			initVariance:    1,
 		}
 	case EstimatorCATD:
 		return &catdEstimator{confidence: 0.95}
@@ -223,16 +196,6 @@ func normalizeActiveWeights(ws []float64, claimCount []int) {
 			ws[u] *= scale
 		}
 	}
-}
-
-// restoreNoState is the restoreState of stateless estimators: anything
-// but an empty payload is a corrupt or foreign snapshot.
-func restoreNoState(name string, data json.RawMessage) error {
-	if len(data) == 0 || string(data) == "null" {
-		return nil
-	}
-	return fmt.Errorf("%w: estimator %q carries no state but snapshot has %d bytes",
-		ErrBadState, name, len(data))
 }
 
 // maxAbsDiffCovered is the convergence check restricted to covered

@@ -101,8 +101,9 @@ func TestEstimatorMatchesBatch(t *testing.T) {
 // TestEstimatorKillAndRecover is the kill-and-recover property per
 // estimator: an engine exported mid-stream and restored into a fresh
 // engine (possibly sharded differently) produces the same remaining
-// window results as the uninterrupted engine, within 1e-9 — including
-// any private estimator state (GTM's variances) riding the snapshot.
+// window results as the uninterrupted engine, within 1e-9 — the carry
+// weights riding the snapshot are every estimator's whole cross-window
+// memory.
 func TestEstimatorKillAndRecover(t *testing.T) {
 	const (
 		numObjects = 9
@@ -247,7 +248,6 @@ func TestRestoreEstimatorMismatch(t *testing.T) {
 			st := exportFrom(t, tc.written)
 			if tc.legacy {
 				st.Estimator = ""
-				st.EstimatorState = nil
 			}
 			err := restoreInto(t, tc.configured, st)
 			if tc.wantMismatch {
@@ -258,17 +258,6 @@ func TestRestoreEstimatorMismatch(t *testing.T) {
 				t.Fatalf("Restore: %v", err)
 			}
 		})
-	}
-
-	// Corrupt estimator state also rejects, with ErrBadState.
-	st := exportFrom(t, EstimatorGTM)
-	st.EstimatorState = []byte(`{"variances":{"ghost-user":1}}`)
-	if err := restoreInto(t, EstimatorGTM, st); !errors.Is(err, ErrBadState) {
-		t.Fatalf("Restore with unknown state user = %v, want ErrBadState", err)
-	}
-	st.EstimatorState = []byte(`{"variances":`)
-	if err := restoreInto(t, EstimatorGTM, st); !errors.Is(err, ErrBadState) {
-		t.Fatalf("Restore with truncated state = %v, want ErrBadState", err)
 	}
 }
 

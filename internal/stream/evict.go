@@ -1,21 +1,18 @@
 package stream
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // admit resolves a user ID to resident state, creating it when the user
 // is unknown. With a UserStore configured the slow path first consults
 // the spill store, so a previously evicted user is re-admitted with
-// their spilled carry weight, cumulative budget, and estimator state —
-// an exhausted user comes back exhausted. The returned fresh flag
-// reports a slow-path admission (the caller may drop it again via
-// dropIfIdle if the submission is then rejected).
+// their spilled carry weight and cumulative budget — an exhausted user
+// comes back exhausted. The returned fresh flag reports a slow-path
+// admission (the caller may drop it again via dropIfIdle if the
+// submission is then rejected).
 //
 // Callers hold e.mu (shared or exclusive); the slow path additionally
-// serializes on admitMu so concurrent admissions cannot race on the
-// estimator's per-user slots.
+// serializes on admitMu so concurrent admissions cannot both re-admit
+// one spilled user.
 func (e *Engine) admit(id string) (*userState, bool, error) {
 	if st, ok := e.users.get(id, e.window); ok {
 		return st, false, nil
@@ -33,12 +30,15 @@ func (e *Engine) admit(id string) (*userState, bool, error) {
 		return nil, false, fmt.Errorf("%w: load user %q: %v", ErrUserStore, id, err)
 	}
 	if found {
-		if err := validateSpill(sp); err != nil {
+		if sp == nil {
+			return nil, false, fmt.Errorf("%w: nil spill record for user %q", ErrBadState, id)
+		}
+		if err := validateUser(&sp.UserSnapshot); err != nil {
 			return nil, false, err
 		}
-		// Spilled estimator state is only meaningful to the estimator
-		// that wrote it, exactly like snapshots (records written before
-		// the field existed were CRH).
+		// A spilled carry is only meaningful to the estimator that wrote
+		// it, exactly like snapshots (records written before the field
+		// existed were CRH).
 		written := sp.Estimator
 		if written == "" {
 			written = EstimatorCRH
@@ -48,22 +48,11 @@ func (e *Engine) admit(id string) (*userState, bool, error) {
 				ErrEstimatorMismatch, id, written, e.cfg.Estimator)
 		}
 	}
-	var raw json.RawMessage
-	if found {
-		raw = sp.EstimatorState
-	}
-	seed, err := e.est.decodeUser(raw)
-	if err != nil {
-		return nil, false, err
-	}
 	st := e.users.getOrCreate(id, e.window)
 	if found {
 		e.users.readmitSpill(st, sp, e.epsWindow, e.cfg.EpsilonBudget)
 		e.metrics.readmitted(1)
 	}
-	// The slot may be recycled from an evicted user; seeding resets it to
-	// the initial per-user state or restores the spilled one.
-	e.est.seedUser(st.idx, seed)
 	return st, true, nil
 }
 
@@ -123,20 +112,7 @@ func (e *Engine) evictIdleLocked() {
 	}
 	spills := make([]UserSpill, len(victims))
 	for i, st := range victims {
-		raw, err := e.est.exportUser(st.idx)
-		if err != nil {
-			e.metrics.spillFailed()
-			return
-		}
-		spills[i] = UserSpill{
-			ID:                st.id,
-			Carry:             st.carry,
-			CumulativeEpsilon: st.cumEps,
-			LastWindow:        st.lastWindow,
-			Windows:           st.windows,
-			Estimator:         e.cfg.Estimator,
-			EstimatorState:    raw,
-		}
+		spills[i] = UserSpill{UserSnapshot: st.snapshot(), Estimator: e.cfg.Estimator}
 	}
 	if err := e.cfg.UserStore.SpillUsers(spills); err != nil {
 		e.metrics.spillFailed()

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -15,9 +14,9 @@ import (
 var ErrBadState = errors.New("stream: invalid engine state")
 
 // ErrEstimatorMismatch reports a Restore of an EngineState written by a
-// different estimator than the engine is configured to run. Estimator
-// state is not interchangeable (carry weights are CRH log-ratios, GTM
-// variances are precisions, ...), so restoring across estimators would
+// different estimator than the engine is configured to run. Carry
+// weights are not interchangeable (CRH's are log-ratios, GTM's are
+// precisions 1/σ², ...), so restoring across estimators would
 // silently misfold the statistics; the engine refuses instead. Recover
 // with the estimator that wrote the snapshot, or discard it.
 var ErrEstimatorMismatch = errors.New("stream: snapshot estimator mismatch")
@@ -55,45 +54,30 @@ type Ledger interface {
 
 // UserSpill is one evicted user's durable state: everything the engine
 // needs to re-admit them as if they had never left — the carry weight
-// warm-starting their next window, the cumulative privacy spending that
-// keeps an exhausted user exhausted, and the estimator's private
-// per-user state (e.g. a GTM variance). Spill records are written by
-// eviction (Config.MaxResidentUsers) before the
-// in-memory state is dropped and read back by admission; the newest
-// record per user wins.
+// warm-starting their next window and the cumulative privacy spending
+// that keeps an exhausted user exhausted. Spill records are written by
+// eviction (Config.MaxResidentUsers) before the in-memory state is
+// dropped and read back by admission; the newest record per user wins.
 type UserSpill struct {
-	ID string `json:"id"`
-	// Carry is the weight carried into the next window's estimation.
-	Carry float64 `json:"carry"`
-	// CumulativeEpsilon is the total epsilon charged so far.
-	CumulativeEpsilon float64 `json:"cumulativeEpsilon"`
-	// LastWindow is the 0-based index of the last window the user was
-	// charged for (-1 if never charged).
-	LastWindow int `json:"lastWindow"`
-	// Windows is the number of windows the user was charged for.
-	Windows int `json:"windows"`
-	// Estimator names the estimator that wrote EstimatorState ("" on
+	UserSnapshot
+	// Estimator names the estimator whose carry the record holds ("" on
 	// records predating the field = CRH); admission under a different
 	// estimator fails with ErrEstimatorMismatch.
 	Estimator string `json:"estimator,omitempty"`
-	// EstimatorState is the estimator's private per-user state, opaque
-	// to the engine; nil when the estimator keeps none.
-	EstimatorState json.RawMessage `json:"estimatorState,omitempty"`
 }
 
-// validateSpill rejects a spill record the engine must not re-admit.
-func validateSpill(sp *UserSpill) error {
+// validateUser rejects one user's persisted bookkeeping the engine must
+// not restore or re-admit.
+func validateUser(u *UserSnapshot) error {
 	switch {
-	case sp == nil:
-		return fmt.Errorf("%w: nil spill record", ErrBadState)
-	case sp.ID == "":
-		return fmt.Errorf("%w: spill record with empty id", ErrBadState)
-	case !finite(sp.Carry) || sp.Carry < 0:
-		return fmt.Errorf("%w: spilled user %q carry = %v", ErrBadState, sp.ID, sp.Carry)
-	case !finite(sp.CumulativeEpsilon) || sp.CumulativeEpsilon < 0:
-		return fmt.Errorf("%w: spilled user %q cumulative epsilon = %v", ErrBadState, sp.ID, sp.CumulativeEpsilon)
-	case sp.LastWindow < -1 || sp.Windows < 0:
-		return fmt.Errorf("%w: spilled user %q lastWindow=%d windows=%d", ErrBadState, sp.ID, sp.LastWindow, sp.Windows)
+	case u.ID == "":
+		return fmt.Errorf("%w: user with empty id", ErrBadState)
+	case !finite(u.Carry) || u.Carry < 0:
+		return fmt.Errorf("%w: user %q carry = %v", ErrBadState, u.ID, u.Carry)
+	case !finite(u.CumulativeEpsilon) || u.CumulativeEpsilon < 0:
+		return fmt.Errorf("%w: user %q cumulative epsilon = %v", ErrBadState, u.ID, u.CumulativeEpsilon)
+	case u.LastWindow < -1 || u.Windows < 0:
+		return fmt.Errorf("%w: user %q lastWindow=%d windows=%d", ErrBadState, u.ID, u.LastWindow, u.Windows)
 	}
 	return nil
 }
@@ -161,10 +145,6 @@ type EngineState struct {
 	// pluggable, which were always CRH. Restore refuses a state whose
 	// estimator differs from the engine's (ErrEstimatorMismatch).
 	Estimator string `json:"estimator,omitempty"`
-	// EstimatorState is the estimator's private cross-window state (e.g.
-	// GTM's per-user variances), opaque to the engine; nil when the
-	// estimator keeps none.
-	EstimatorState json.RawMessage `json:"estimatorState,omitempty"`
 }
 
 // ExportState captures a consistent point-in-time state of the engine:
@@ -180,29 +160,22 @@ func (e *Engine) ExportState() (*EngineState, error) {
 	}
 	release := e.pauseShards()
 	defer close(release)
-	return e.exportStateLocked()
+	return e.exportStateLocked(), nil
 }
 
 // exportStateLocked builds the state export. Callers must hold e.mu
 // exclusively with the shards paused (ExportState and the cluster-close
 // path CloseWindowExport both funnel through here).
-func (e *Engine) exportStateLocked() (*EngineState, error) {
-	st := &EngineState{
+func (e *Engine) exportStateLocked() *EngineState {
+	return &EngineState{
 		NumObjects:   e.cfg.NumObjects,
 		Window:       e.window,
 		WindowClaims: e.windowClaims.Load(),
 		TotalClaims:  e.totalClaims.Load(),
 		Users:        e.users.export(),
+		Stats:        e.exportStatsLocked(e.users.ids()),
 		Estimator:    e.cfg.Estimator,
 	}
-	ids := e.users.ids()
-	estState, err := e.est.exportState(ids)
-	if err != nil {
-		return nil, err
-	}
-	st.EstimatorState = estState
-	st.Stats = e.exportStatsLocked(ids)
-	return st, nil
 }
 
 // exportStatsLocked copies every live statistic out in the canonical
@@ -275,7 +248,7 @@ func (e *Engine) Restore(st *EngineState) error {
 		return err
 	}
 	// A state is only meaningful to the estimator that wrote it: carry
-	// weights and estimator state encode algorithm-specific quantities.
+	// weights encode algorithm-specific quantities.
 	// Legacy states (exported before estimators were pluggable) were
 	// always CRH.
 	written := st.Estimator
@@ -297,11 +270,6 @@ func (e *Engine) Restore(st *EngineState) error {
 	byID := make(map[string]int, len(st.Users))
 	for i, u := range st.Users {
 		byID[u.ID] = i
-	}
-	// Estimator state is validated (and applied) before the registry and
-	// statistics mutate, so a corrupt payload rejects cleanly.
-	if err := e.est.restoreState(st.EstimatorState, byID); err != nil {
-		return err
 	}
 	if err := e.users.restore(st.Users); err != nil {
 		return err
@@ -470,16 +438,10 @@ func validateState(st *EngineState, numObjects int) error {
 			ErrBadState, st.Window, st.WindowClaims, st.TotalClaims)
 	}
 	seen := make(map[string]struct{}, len(st.Users))
-	for i, u := range st.Users {
-		switch {
-		case u.ID == "":
-			return fmt.Errorf("%w: user %d has empty id", ErrBadState, i)
-		case !finite(u.Carry) || u.Carry < 0:
-			return fmt.Errorf("%w: user %q carry = %v", ErrBadState, u.ID, u.Carry)
-		case !finite(u.CumulativeEpsilon) || u.CumulativeEpsilon < 0:
-			return fmt.Errorf("%w: user %q cumulative epsilon = %v", ErrBadState, u.ID, u.CumulativeEpsilon)
-		case u.LastWindow < -1 || u.Windows < 0:
-			return fmt.Errorf("%w: user %q lastWindow=%d windows=%d", ErrBadState, u.ID, u.LastWindow, u.Windows)
+	for i := range st.Users {
+		u := &st.Users[i]
+		if err := validateUser(u); err != nil {
+			return err
 		}
 		if _, dup := seen[u.ID]; dup {
 			return fmt.Errorf("%w: duplicate user %q", ErrBadState, u.ID)

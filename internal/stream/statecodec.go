@@ -14,12 +14,10 @@ import (
 // bare, and the coordinator decodes it with DecodeEngineState). It shares
 // the claim list's idiom (recordcodec.go): the user table is written
 // once, every statistic references its user by table index, and floats
-// are fixed little-endian IEEE-754 bits, so they — and the estimator's
-// opaque state bytes — round-trip bit-exactly.
+// are fixed little-endian IEEE-754 bits, so they round-trip bit-exactly.
 //
 //	varint  numObjects ‖ varint window ‖ varint windowClaims ‖ varint totalClaims
 //	uvarint len(estimator) ‖ estimator bytes
-//	uvarint len(estimatorState) ‖ estimatorState bytes
 //	uvarint user count
 //	  per user: uvarint len(id) ‖ id bytes ‖ 8 bytes carry ‖ 8 bytes cumulativeEpsilon
 //	            ‖ varint lastWindow ‖ varint windows
@@ -53,7 +51,7 @@ const (
 // user the state's own user table does not hold — such a state has no
 // encoding (and no engine would restore it).
 func AppendEngineState(dst []byte, st *EngineState) ([]byte, error) {
-	size := 64 + len(st.Estimator) + len(st.EstimatorState) + len(st.Stats)*(minStatEncoding+3)
+	size := 64 + len(st.Estimator) + len(st.Stats)*(minStatEncoding+3)
 	for i := range st.Users {
 		size += minUserEncoding + 3 + len(st.Users[i].ID)
 	}
@@ -65,8 +63,6 @@ func AppendEngineState(dst []byte, st *EngineState) ([]byte, error) {
 	dst = binary.AppendVarint(dst, st.TotalClaims)
 	dst = binary.AppendUvarint(dst, uint64(len(st.Estimator)))
 	dst = append(dst, st.Estimator...)
-	dst = binary.AppendUvarint(dst, uint64(len(st.EstimatorState)))
-	dst = append(dst, st.EstimatorState...)
 
 	index := make(map[string]uint64, len(st.Users))
 	dst = binary.AppendUvarint(dst, uint64(len(st.Users)))
@@ -113,9 +109,6 @@ func DecodeEngineState(data []byte) (*EngineState, error) {
 		WindowClaims: d.varint(),
 		TotalClaims:  d.varint(),
 		Estimator:    string(d.bytes()),
-	}
-	if raw := d.bytes(); len(raw) > 0 {
-		st.EstimatorState = append([]byte(nil), raw...)
 	}
 
 	users := d.count(minUserEncoding)

@@ -15,7 +15,7 @@ import (
 
 // churnedEngine builds the awkward engine the export and the codec must
 // both get right: users registered out of ID order, a close that
-// estimated (so GTM holds variances) and evicted down to a residency
+// estimated (so every carry is an estimate) and evicted down to a residency
 // cap (so the slot table has free holes), then a half-ingested open
 // window from returning, re-admitted and brand-new users with partial
 // object coverage.
@@ -101,8 +101,8 @@ func TestExportStateCanonicalOrder(t *testing.T) {
 }
 
 // TestEngineStateCodecRoundTrip: for every estimator, an export of the
-// churned engine survives encode → decode unchanged (floats and GTM's
-// opaque state bytes bit for bit), restores into a fresh engine, and
+// churned engine survives encode → decode unchanged (floats bit for
+// bit), restores into a fresh engine, and
 // that engine's own export encodes to the very same bytes.
 func TestEngineStateCodecRoundTrip(t *testing.T) {
 	for _, est := range codecEstimators {
@@ -110,9 +110,6 @@ func TestEngineStateCodecRoundTrip(t *testing.T) {
 		st, err := e.ExportState()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if est == EstimatorGTM && len(st.EstimatorState) == 0 {
-			t.Fatal("gtm export carries no estimator state: the scenario does not cover the opaque bytes")
 		}
 		// Values JSON would have mangled must come back bit-exact too.
 		st.Stats[0].Sum = math.Copysign(0, -1)
@@ -199,8 +196,8 @@ func TestDecodeEngineStateStrict(t *testing.T) {
 		t.Fatalf("well-formed encoding: %+v, %v", dec, err)
 	}
 	// Field offsets of this particular encoding: four one-byte varints,
-	// then len+"crh", an empty estimator state, then the user count.
-	const userCountAt = 4 + 1 + len(EstimatorCRH) + 1
+	// then len+"crh", then the user count.
+	const userCountAt = 4 + 1 + len(EstimatorCRH)
 	statCountAt := len(good) - 2*(minStatEncoding) - 1
 	if good[userCountAt] != 2 || good[statCountAt] != 2 {
 		t.Fatalf("layout drifted: user count byte %d, stat count byte %d", good[userCountAt], good[statCountAt])

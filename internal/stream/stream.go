@@ -21,11 +21,11 @@
 // with decay disabled and at most one claim per (object, user) pair, its
 // truths and weights agree with the batch method's Run over the same
 // claims to floating-point reordering error (well within 1e-9;
-// property-tested). Estimators may carry private cross-window state
-// (GTM's per-user variances); it is exported and restored with the
-// engine's snapshots, and a snapshot names the estimator that wrote it
-// so recovery under a different one fails loudly (ErrEstimatorMismatch)
-// instead of misfolding.
+// property-tested). Estimators are stateless: each user's carry weight
+// is their whole cross-window memory (GTM's is the precision 1/σ²), and
+// a snapshot names the estimator that wrote it so recovery under a
+// different one fails loudly (ErrEstimatorMismatch) instead of
+// misfolding.
 package stream
 
 import (
@@ -148,9 +148,9 @@ type Config struct {
 	// would reset privacy budgets).
 	MaxResidentUsers int
 	// UserStore, when set, is the durable spill store for evicted users'
-	// state (carry weight, cumulative budget, estimator state). Eviction
-	// only completes after SpillUsers returns — the record must be
-	// durable before the in-memory state is dropped — and an unknown
+	// state (carry weight, cumulative budget). Eviction only completes
+	// after SpillUsers returns — the record must be durable before the
+	// in-memory state is dropped — and an unknown
 	// user's admission consults LoadUser before creating fresh state, so
 	// an exhausted user stays exhausted across evict/readmit.
 	// internal/streamstore implements it next to the charge journal.
@@ -294,7 +294,7 @@ type Engine struct {
 	scratch *sync.Pool     // *ingestScratch, sized to the shard count
 
 	// admitMu serializes the slow path of user admission (spill-store
-	// lookup plus estimator slot seeding) — Ingest holds the window lock
+	// lookup plus re-admission) — Ingest holds the window lock
 	// shared, so concurrent admissions of unknown users need their own
 	// exclusion.
 	admitMu sync.Mutex

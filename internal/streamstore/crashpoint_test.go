@@ -71,9 +71,12 @@ func sweepOptions() Options {
 // lengths the JSON-line journal gave them (frame header included): user-0
 // to user-2, then race-0 to race-3. The segment cap then rolls at the
 // same records, and every crash point keeps its op number and its label
-// (opNNN-tornLEN, LEN half the record).
+// (opNNN-tornLEN, LEN half the record). user-0's is one byte longer (127
+// halves like 126), and so is its ID in every snapshot: that byte stands
+// in for the estimator-state length the snapshot encoding no longer
+// carries, so the snapshots' torn labels hold too.
 var (
-	sweepUserRecordLens = [3]int{126, 128, 126}
+	sweepUserRecordLens = [3]int{127, 128, 126}
 	sweepRaceRecordLens = [4]int{125, 127, 125, 127}
 )
 

@@ -22,8 +22,10 @@ import (
 // binary dies on its first byte ("invalid character") instead of
 // restoring nothing while ignoring the journal. Forwards: this binary
 // refuses a format version it does not know even when the file's
-// checksum verifies. Results stay JSON envelope version 1: every
-// version reads them.
+// checksum verifies — a newer one, and version 1, whose payload carried
+// an estimator-state field version 2 dropped; the snapshot and the
+// cluster-close record each refuse with their own corruption sentinel.
+// Results stay JSON envelope version 1: every version reads them.
 func TestSnapshotVersionGuardsDowngrade(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -54,14 +56,33 @@ func TestSnapshotVersionGuardsDowngrade(t *testing.T) {
 		t.Errorf("result envelope version = %d (%v), want %d (old binaries keep reading results)", env.Version, err, envelopeVersion)
 	}
 
-	// A snapshot from a newer format, intact by its own checksum.
-	snap[4] = stateFileVersion + 1
-	binary.LittleEndian.PutUint32(snap[stateCRCOffset:], stateFileCRC(snap))
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
+	if err := s.SaveClusterClose(&ClusterCloseState{Window: 1, State: []byte{}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recoveredState(t, s, bareCfg); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "version") {
-		t.Errorf("Recover on a version-%d snapshot = %v, want ErrCorruptSnapshot naming the version", stateFileVersion+1, err)
+	record, err := os.ReadFile(filepath.Join(dir, clusterCloseName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Files in another format, each intact by its own checksum.
+	rewrite := func(name string, file []byte, version byte) {
+		t.Helper()
+		file[4] = version
+		binary.LittleEndian.PutUint32(file[stateCRCOffset:], stateFileCRC(file))
+		if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, version := range []byte{1, stateFileVersion + 1} {
+		want := fmt.Sprintf("version %d", version)
+		rewrite(snapshotName, snap, version)
+		if _, err := recoveredState(t, s, bareCfg); !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Errorf("Recover on a version-%d snapshot = %v, want ErrCorruptSnapshot naming the version", version, err)
+		}
+		rewrite(clusterCloseName, record, version)
+		if _, err := s.LoadClusterClose(); !errors.Is(err, ErrCorruptClusterClose) || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadClusterClose on a version-%d record = %v, want ErrCorruptClusterClose naming the version", version, err)
+		}
 	}
 }
 

@@ -16,14 +16,20 @@ import (
 
 func spillOf(id string, eps float64, windows int) stream.UserSpill {
 	return stream.UserSpill{
-		ID:                id,
-		Carry:             1.25,
-		CumulativeEpsilon: eps,
-		LastWindow:        windows - 1,
-		Windows:           windows,
-		Estimator:         stream.EstimatorCRH,
+		UserSnapshot: stream.UserSnapshot{
+			ID:                id,
+			Carry:             1.25,
+			CumulativeEpsilon: eps,
+			LastWindow:        windows - 1,
+			Windows:           windows,
+		},
+		Estimator: stream.EstimatorCRH,
 	}
 }
+
+// paddedID lengthens id by pad bytes, so its spill records are that much
+// larger.
+func paddedID(id string, pad int) string { return id + strings.Repeat("-", pad) }
 
 // TestSpillRoundTrip: spilled users load back exactly, newest record
 // wins, the index survives a reopen (including a torn tail), and loads
@@ -95,7 +101,7 @@ func TestSpillRoundTrip(t *testing.T) {
 func TestSpillRejectsBadRecords(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	defer func() { _ = s.Close() }()
-	if err := s.SpillUsers([]stream.UserSpill{{ID: ""}}); err == nil {
+	if err := s.SpillUsers([]stream.UserSpill{{}}); err == nil {
 		t.Fatal("empty-ID spill accepted")
 	}
 	if got := s.SpilledUsers(); got != 0 {
@@ -111,14 +117,13 @@ func TestSpillCompaction(t *testing.T) {
 	s := mustOpen(t, dir)
 
 	// Pad records so overwrites cross spillCompactMinBytes quickly.
-	pad := json.RawMessage(`{"pad":"` + string(bytes.Repeat([]byte("x"), 400)) + `"}`)
-	const users = 8
+	const users, pad = 8, 400
+	id := func(u int) string { return paddedID(fmt.Sprintf("user-%02d", u), pad) }
 	var rounds int
 	for rounds = 0; ; rounds++ {
 		batch := make([]stream.UserSpill, users)
 		for u := range batch {
-			batch[u] = spillOf(fmt.Sprintf("user-%02d", u), float64(rounds), rounds)
-			batch[u].EstimatorState = pad
+			batch[u] = spillOf(id(u), float64(rounds), rounds)
 		}
 		if err := s.SpillUsers(batch); err != nil {
 			t.Fatal(err)
@@ -133,13 +138,12 @@ func TestSpillCompaction(t *testing.T) {
 		}
 	}
 	for u := 0; u < users; u++ {
-		id := fmt.Sprintf("user-%02d", u)
-		sp, found, err := s.LoadUser(id)
+		sp, found, err := s.LoadUser(id(u))
 		if err != nil || !found {
-			t.Fatalf("LoadUser(%s) after compaction: %v, %v", id, found, err)
+			t.Fatalf("LoadUser(user-%02d) after compaction: %v, %v", u, found, err)
 		}
 		if sp.CumulativeEpsilon != float64(rounds) {
-			t.Fatalf("%s epsilon = %v, want %d (newest round)", id, sp.CumulativeEpsilon, rounds)
+			t.Fatalf("user-%02d epsilon = %v, want %d (newest round)", u, sp.CumulativeEpsilon, rounds)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -166,13 +170,14 @@ func runSpillCycle(fsys storefs.FS, dir string) (acked map[string]float64, err e
 	}
 	defer func() { _ = store.Close() }()
 
-	pad := json.RawMessage(`{"pad":"` + string(bytes.Repeat([]byte("p"), 2200)) + `"}`)
-	const users = 4
+	// The padding fixes every record's length, and with it the sweep's
+	// crash-point labels (a torn write is named by half its length), and
+	// makes a few rounds cross the compaction threshold.
+	const users, pad = 4, 2228
 	for round := 1; round <= 4; round++ {
 		batch := make([]stream.UserSpill, users)
 		for u := range batch {
-			batch[u] = spillOf(fmt.Sprintf("user-%d", u), float64(round), round)
-			batch[u].EstimatorState = pad
+			batch[u] = spillOf(paddedID(fmt.Sprintf("user-%d", u), pad), float64(round), round)
 		}
 		if err := store.SpillUsers(batch); err != nil {
 			return acked, err
@@ -180,7 +185,7 @@ func runSpillCycle(fsys storefs.FS, dir string) (acked map[string]float64, err e
 		for _, sp := range batch {
 			acked[sp.ID] = sp.CumulativeEpsilon
 		}
-		if _, _, err := store.LoadUser("user-0"); err != nil {
+		if _, _, err := store.LoadUser(batch[0].ID); err != nil {
 			return acked, err
 		}
 	}

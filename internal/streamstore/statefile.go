@@ -15,7 +15,7 @@ import (
 // type owner's) behind a fixed header that this package owns:
 //
 //	offset 0   4 bytes  magic: "PTDS" snapshot, "PTDK" cluster-close record
-//	offset 4   1 byte   format version (1)
+//	offset 4   1 byte   format version (2)
 //	offset 5   8 bytes  snapshot: covered journal segment   | record: window
 //	offset 13  8 bytes  snapshot: covered offset within it  | record: committed (0 or 1)
 //	offset 21  8 bytes  payload length
@@ -26,11 +26,13 @@ import (
 // reader acts on — the covered position decides which acknowledged
 // charge records recovery skips, the committed flag whether a rebooting
 // coordinator re-drives the round — so no single damaged bit anywhere in
-// the file loads. docs/DURABILITY.md carries the operator-facing copy.
+// the file loads. Version 1 payloads held an estimator-state field that
+// version 2 dropped; a version-1 file is refused, not half-read.
+// docs/DURABILITY.md carries the operator-facing copy.
 const (
 	snapshotMagic     = "PTDS"
 	clusterCloseMagic = "PTDK"
-	stateFileVersion  = 1
+	stateFileVersion  = 2
 	stateHeaderLen    = 33
 	stateCRCOffset    = stateHeaderLen - 4
 )

@@ -2,7 +2,6 @@ package streamstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"math"
@@ -21,8 +20,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden")
 var goldenCfg = stream.Config{NumObjects: 512, NumShards: 1, Estimator: stream.EstimatorGTM}
 
 // goldenState is the engine state pinned in testdata: a never-charged
-// user (lastWindow -1), opaque estimator bytes, a two-byte object varint
-// and values JSON could not have carried exactly.
+// user (lastWindow -1), a two-byte object varint and values JSON could
+// not have carried exactly.
 func goldenState() *stream.EngineState {
 	return &stream.EngineState{
 		NumObjects:   512,
@@ -30,8 +29,6 @@ func goldenState() *stream.EngineState {
 		WindowClaims: 3,
 		TotalClaims:  1 << 33,
 		Estimator:    stream.EstimatorGTM,
-		EstimatorState: json.RawMessage(
-			`{"variances":{"device-001":0.25,"device-é":4}}`),
 		Users: []stream.UserSnapshot{
 			{ID: "device-001", Carry: 1.5, CumulativeEpsilon: 134.25, LastWindow: 6, Windows: 2},
 			{ID: "device-é", Carry: math.Pi, CumulativeEpsilon: 67.125, LastWindow: 5, Windows: 1},

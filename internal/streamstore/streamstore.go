@@ -36,7 +36,7 @@
 //     instead of nothing until the next close.
 //
 //   - the user-spill file (users.spill): one checksummed record per
-//     evicted user (carry weight, cumulative epsilon, estimator state),
+//     evicted user (carry weight, cumulative epsilon, estimator name),
 //     written newest-wins by the engine's residency-cap eviction and
 //     read back on re-admission; an in-memory offset index makes loads
 //     one positioned read, and the file compacts by atomic rewrite

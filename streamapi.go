@@ -22,8 +22,8 @@ type StreamEngine = stream.Engine
 const (
 	// StreamEstimatorCRH runs incremental CRH (the default).
 	StreamEstimatorCRH = stream.EstimatorCRH
-	// StreamEstimatorGTM runs incremental GTM, carrying learned per-user
-	// variances across windows (persisted in snapshots).
+	// StreamEstimatorGTM runs incremental GTM; its carry weights are the
+	// learned per-user precisions 1/σ² (persisted in snapshots).
 	StreamEstimatorGTM = stream.EstimatorGTM
 	// StreamEstimatorCATD runs incremental CATD.
 	StreamEstimatorCATD = stream.EstimatorCATD
@@ -81,8 +81,8 @@ var (
 	ErrBadState = stream.ErrBadState
 	// ErrStreamEstimatorMismatch reports a restore of engine state
 	// written by a different estimator than the engine is configured
-	// for: per-estimator internal state (like GTM's learned variances)
-	// is not interchangeable, so recovery refuses instead of silently
+	// for: carry weights (CRH's log-ratios, GTM's learned precisions)
+	// are not interchangeable, so recovery refuses instead of silently
 	// reinterpreting the snapshot. Restore with the matching estimator
 	// (or discard the state directory) to proceed.
 	ErrStreamEstimatorMismatch = stream.ErrEstimatorMismatch
