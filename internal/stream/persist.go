@@ -191,9 +191,9 @@ func (e *Engine) exportStatsLocked(ids []string) []StatSnapshot {
 	// next[obj] is where object obj's next statistic lands in out.
 	next := make([]int, e.cfg.NumObjects)
 	for _, s := range e.shards {
-		for _, row := range s.rows {
-			for i := range row {
-				next[row[i].object]++
+		for _, r := range s.rows {
+			for off := 0; off < len(r); off += cellSize {
+				next[r.object(off)]++
 			}
 		}
 	}
@@ -208,7 +208,9 @@ func (e *Engine) exportStatsLocked(ids []string) []StatSnapshot {
 	out := make([]StatSnapshot, total)
 	for _, slot := range slotsByID(ids) {
 		for _, s := range e.shards {
-			for _, c := range s.row(slot) {
+			r := s.row(slot)
+			for off := 0; off < len(r); off += cellSize {
+				c := r.at(off)
 				out[next[c.object]] = StatSnapshot{Object: c.object, User: ids[slot], Sum: c.sum, Mass: c.mass}
 				next[c.object]++
 			}
@@ -277,11 +279,25 @@ func (e *Engine) Restore(st *EngineState) error {
 
 	release := e.pauseShards()
 	defer close(release)
-	statCount := make([]int, len(st.Users)) // by slot, which restore made the index in st.Users
+	// Count every (shard, slot)'s statistics first, so each row is
+	// allocated once at its exact size rather than grown one put at a time.
+	// Slots are the indices into st.Users, as restore numbered them.
+	counts := make([][]int, len(e.shards))
+	for i := range counts {
+		counts[i] = make([]int, len(st.Users))
+	}
+	statCount := make([]int, len(st.Users))
 	for _, sn := range st.Stats {
 		// The user is known and the pair unique: validated above.
+		slot := byID[sn.User]
+		counts[sn.Object%len(e.shards)][slot]++
+		statCount[slot]++
+	}
+	for i, s := range e.shards {
+		s.reserve(counts[i])
+	}
+	for _, sn := range st.Stats {
 		e.shards[sn.Object%len(e.shards)].put(byID[sn.User], cell{object: sn.Object, sum: sn.Sum, mass: sn.Mass})
-		statCount[byID[sn.User]]++
 	}
 
 	// Resume at the exported open window, or past it if journal replay

@@ -30,24 +30,29 @@ func decayModel[K comparable](ref map[K]stat, factor float64) {
 }
 
 // checkShard holds a paused shard to the store's contract: every row
-// strictly ascending by object and holding only the shard's objects, an
-// emptied row released, the live counter equal to the number of cells,
+// whole records strictly ascending by object and holding only the shard's
+// objects, an emptied row released, the live counter equal to the number
+// of records,
 // and a view whose objects ascend and whose per-object claims ascend
 // strictly by slot — the order the estimators' bit-identical sums rest
 // on. lookup returns the model's statistic for a cell.
 func checkShard(t *testing.T, s *shard, lookup func(object, slot int) (stat, bool)) (cells int) {
 	t.Helper()
 	perObject := map[int]int{}
-	for slot, row := range s.rows {
-		if len(row) == 0 && row != nil {
+	for slot, r := range s.rows {
+		if len(r) == 0 && r != nil {
 			t.Fatalf("slot %d: emptied row not released", slot)
 		}
-		for i, c := range row {
+		if len(r)%cellSize != 0 {
+			t.Fatalf("slot %d: row of %d bytes is not whole records", slot, len(r))
+		}
+		for off := 0; off < len(r); off += cellSize {
+			c := r.at(off)
 			if c.object%s.numShards != s.index {
 				t.Fatalf("slot %d: object %d on shard %d of %d", slot, c.object, s.index, s.numShards)
 			}
-			if i > 0 && row[i-1].object >= c.object {
-				t.Fatalf("slot %d: row not strictly ascending: %d then %d", slot, row[i-1].object, c.object)
+			if off > 0 && r.object(off-cellSize) >= c.object {
+				t.Fatalf("slot %d: row not strictly ascending: %d then %d", slot, r.object(off-cellSize), c.object)
 			}
 			want, ok := lookup(c.object, slot)
 			if !ok || want.sum != c.sum || want.mass != c.mass {
@@ -92,18 +97,23 @@ func checkShard(t *testing.T, s *shard, lookup func(object, slot int) (stat, boo
 // them, or bring new ones that land in the middle of an existing row;
 // decays gentle and down to the floor; a rebuild through put in random
 // order, as Restore does — and after every step compares it against the
-// map model.
+// map model. The second geometry's objects straddle 2¹⁶, so a record that
+// kept only the low 16 bits of an object would misplace them.
 func TestShardRowsModel(t *testing.T) {
-	const (
-		numShards  = 3
-		index      = 1
-		numObjects = 40
-		slots      = 9
-	)
-	var own []int
-	for obj := index; obj < numObjects; obj += numShards {
-		own = append(own, obj)
+	const slots = 9
+	for _, geo := range []struct{ numShards, index, numObjects int }{
+		{3, 1, 40},
+		{5000, 7, 100000},
+	} {
+		var own []int
+		for obj := geo.index; obj < geo.numObjects; obj += geo.numShards {
+			own = append(own, obj)
+		}
+		shardRowsModel(t, geo.numShards, geo.index, geo.numObjects, slots, own)
 	}
+}
+
+func shardRowsModel(t *testing.T, numShards, index, numObjects, slots int, own []int) {
 	for _, seed := range []uint64{1, 2, 3, 4} {
 		rng := randx.New(seed)
 		s := newShard(1, index, numShards, numObjects)
@@ -152,7 +162,7 @@ func TestShardRowsModel(t *testing.T) {
 				return st, ok
 			})
 			if cells != len(ref) {
-				t.Fatalf("seed %d step %d: %d cells, model holds %d", seed, step, cells, len(ref))
+				t.Fatalf("%d objects, seed %d step %d: %d cells, model holds %d", numObjects, seed, step, cells, len(ref))
 			}
 		}
 	}
@@ -266,9 +276,67 @@ func engineRowsModel(t *testing.T, estimator string, seed uint64) {
 	recycled(fmt.Sprintf("%s seed %d end", estimator, seed))
 }
 
-// TestShardApplySteadyStateZeroAlloc: once a row exists, folding the same
-// objects again allocates nothing — in the order they were first sent
-// (the cursor) or any other (the binary search).
+// TestRestoredRowsHaveNoSlack: Restore sizes every row once, so a
+// restored row's capacity is exactly its records — at widths where growing
+// one put at a time would leave slack, and when the restoring engine
+// re-partitions the statistics over a different shard count.
+func TestRestoredRowsHaveNoSlack(t *testing.T) {
+	const numShards = 2
+	widths := []int{3, 8, 12, 16} // records per user on each shard
+	cfg := Config{NumObjects: 64, NumShards: numShards}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Close() }()
+	for _, w := range widths {
+		claims := make([]Claim, w*numShards)
+		for i := range claims {
+			claims[i] = Claim{Object: i, Value: float64(w + i)}
+		}
+		if _, _, err := e.Ingest(fmt.Sprintf("width-%02d", w), claims); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{numShards, 3} {
+		cfg.NumShards = shards
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		release := r.pauseShards()
+		rows := 0
+		for i, s := range r.shards {
+			for slot, row := range s.rows {
+				if cap(row) != len(row) {
+					t.Errorf("%d shards: shard %d slot %d: restored row len %d, cap %d", shards, i, slot, len(row), cap(row))
+				}
+				if len(row) > 0 {
+					rows++
+				}
+			}
+		}
+		if want := len(widths) * shards; rows != want {
+			t.Errorf("%d shards: %d restored rows, want %d", shards, rows, want)
+		}
+		close(release)
+		r.mu.Unlock()
+		_ = r.Close()
+	}
+}
+
+// TestShardApplySteadyStateZeroAlloc: a user's first batch sizes their
+// row in exactly one allocation of one record per claim, and once the row
+// exists, folding the same objects again allocates nothing — in the order
+// they were first sent (the cursor) or any other (the binary search).
 func TestShardApplySteadyStateZeroAlloc(t *testing.T) {
 	s := newShard(1, 0, 2, 32)
 	claims := make([]Claim, 16)
@@ -279,7 +347,17 @@ func TestShardApplySteadyStateZeroAlloc(t *testing.T) {
 	for i, c := range claims {
 		reversed[len(claims)-1-i] = c
 	}
-	s.apply(7, claims)
+	s.reach(7)
+	first := func() {
+		s.rows[7], s.live = nil, 0
+		s.apply(7, claims)
+	}
+	if n := testing.AllocsPerRun(10, first); n != 1 {
+		t.Errorf("a first 16-claim batch allocates %v times, want 1", n)
+	}
+	if got, want := cap(s.rows[7]), len(claims)*cellSize; got != want {
+		t.Errorf("first batch's row has cap %d bytes, want %d", got, want)
+	}
 	for name, batch := range map[string][]Claim{"same order": claims, "reversed": reversed} {
 		if n := testing.AllocsPerRun(100, func() { s.apply(7, batch) }); n != 0 {
 			t.Errorf("%s: steady-state apply allocates %v times", name, n)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 )
@@ -11,15 +12,77 @@ import (
 const evictFloor = 1e-9
 
 // cell is the exponentially-decayed sufficient statistic of one
-// (object, user) pair, as it sits in the user's row: the decayed sum of
-// claimed values and the decayed claim mass. The effective claim the
-// estimator sees is sum/mass, the decay-weighted mean of everything the
-// user ever claimed on the object.
+// (object, user) pair: the decayed sum of claimed values and the decayed
+// claim mass. The effective claim the estimator sees is sum/mass, the
+// decay-weighted mean of everything the user ever claimed on the object.
+// A row stores it packed (see row); cell is its unpacked value.
 type cell struct {
 	object int
 	sum    float64
 	mass   float64
 }
+
+// cellSize is the bytes one statistic takes in a row: sum and mass as
+// little-endian float64 bits, then the object as a little-endian uint32
+// (Config.Validate caps NumObjects to fit).
+const cellSize = 20
+
+// row is one user's live statistics on one shard: cellSize-byte records
+// packed back to back, strictly ascending by object. Readers walk it by
+// byte offset, off += cellSize. Holding no pointers, a row is one
+// allocation the garbage collector never scans.
+type row []byte
+
+// object returns the object of the record at byte offset off.
+func (r row) object(off int) int {
+	return int(binary.LittleEndian.Uint32(r[off+16 : off+cellSize]))
+}
+
+// at unpacks the record at byte offset off.
+func (r row) at(off int) cell {
+	b := r[off : off+cellSize]
+	return cell{
+		object: int(binary.LittleEndian.Uint32(b[16:])),
+		sum:    math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		mass:   math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}
+}
+
+// set packs c into the record at byte offset off.
+func (r row) set(off int, c cell) {
+	b := r[off : off+cellSize]
+	binary.LittleEndian.PutUint64(b, math.Float64bits(c.sum))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(c.mass))
+	binary.LittleEndian.PutUint32(b[16:], uint32(c.object))
+}
+
+// fold adds one claimed value to the record at byte offset off: the value
+// to its sum, one to its mass.
+func (r row) fold(off int, v float64) {
+	b := r[off : off+16]
+	binary.LittleEndian.PutUint64(b, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(b))+v))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))+1))
+}
+
+// find returns the byte offset of object's record, or, when there is
+// none, the offset that keeps the row ascending.
+func (r row) find(object int) (int, bool) {
+	lo, hi := 0, len(r)/cellSize
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.object(mid*cellSize) < object {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	off := lo * cellSize
+	return off, off < len(r) && r.object(off) == object
+}
+
+// blankCell is the room a new record is inserted into before set fills
+// it in.
+var blankCell [cellSize]byte
 
 // pauseReq asks a shard worker to quiesce: it closes acquired once all
 // earlier batches are applied, then blocks until release is closed,
@@ -43,14 +106,14 @@ type shardMsg struct {
 // shard owns the sufficient statistics of the objects hashed to it
 // (object % numShards). They are stored user-major: rows[slot] holds the
 // live statistics of the user in that registry slot on this shard's
-// objects, one contiguous slice of cells kept strictly ascending by
-// object. A submission is one user's batch, so a fold touches one row;
-// every reader (view, decay, export, eviction) is a linear pass over the
-// rows, and because it walks them in slot order, whatever it groups by
-// object comes out ascending by slot without sorting. Memory is one cell
-// per live statistic plus one slice header per slot — never users ×
-// objects. An evicted user's slot is recycled only once its row is empty
-// on every shard, so a new occupant starts with no statistics.
+// objects, one packed row kept strictly ascending by object. A submission
+// is one user's batch, so a fold touches one row; every reader (view,
+// decay, export, eviction) is a linear pass over the rows, and because it
+// walks them in slot order, whatever it groups by object comes out
+// ascending by slot without sorting. Memory is one cellSize record per
+// live statistic plus one slice header per slot — never users × objects.
+// An evicted user's slot is recycled only once its row is empty on every
+// shard, so a new occupant starts with no statistics.
 //
 // The state is mutated only by the worker goroutine (run) or, while
 // paused, by the coordinator.
@@ -60,8 +123,8 @@ type shard struct {
 	// them, which object/numShards numbers 0, 1, 2, ...
 	index, numShards, segments int
 
-	rows [][]cell
-	live int // cells across all rows
+	rows []row
+	live int // records across all rows
 }
 
 func newShard(queueDepth, index, numShards, numObjects int) *shard {
@@ -91,80 +154,94 @@ func (s *shard) run() {
 
 // apply folds one user's batch into their row. A device resends the same
 // objects in the same order, so a cursor walking the row finds each claim's
-// cell by one comparison; a claim the cursor does not expect (a shuffled
+// record by one comparison; a claim the cursor does not expect (a shuffled
 // or repeated object, or one the user never claimed before) falls back to
-// a binary search and, when absent, an in-order insert.
+// a binary search and, when absent, an in-order insert. The cursor is a
+// byte offset, advanced by cellSize per claim.
 func (s *shard) apply(user int, claims []Claim) {
 	s.reach(user)
-	row := s.rows[user]
-	cur := 0
+	r := s.rows[user]
+	off := 0
 	for i, c := range claims {
-		if cur >= len(row) || row[cur].object != c.Object {
+		if off >= len(r) || r.object(off) != c.Object {
 			var found bool
-			if cur, found = findCell(row, c.Object); !found {
-				if len(row) == cap(row) {
+			if off, found = r.find(c.Object); !found {
+				if cap(r)-len(r) < cellSize {
 					// At most the rest of the batch is new to the row, so
-					// a user's first batch sizes their row in one allocation.
-					row = slices.Grow(row, len(claims)-i)
+					// a user's first batch sizes their row in one
+					// allocation; a row that keeps growing doubles.
+					grown := make(row, len(r), max(len(r)+(len(claims)-i)*cellSize, 2*cap(r)))
+					copy(grown, r)
+					r = grown
 				}
-				row = slices.Insert(row, cur, cell{object: c.Object})
+				r = slices.Insert(r, off, blankCell[:]...)
+				r.set(off, cell{object: c.Object})
 				s.live++
 			}
 		}
-		row[cur].sum += c.Value
-		row[cur].mass++
-		cur++
+		r.fold(off, c.Value)
+		off += cellSize
 	}
-	s.rows[user] = row
+	s.rows[user] = r
+}
+
+// reserve gives every slot's row exact room for counts[slot] records, so
+// the puts of a Restore fill each row without growing it. Called on a
+// shard that holds no statistics yet.
+func (s *shard) reserve(counts []int) {
+	for slot, n := range counts {
+		if n > 0 {
+			s.reach(slot)
+			s.rows[slot] = make(row, 0, n*cellSize)
+		}
+	}
 }
 
 // put stores a restored statistic. The caller guarantees the pair is not
 // already present (validateState refuses a state that repeats one).
 func (s *shard) put(user int, c cell) {
 	s.reach(user)
-	at, _ := findCell(s.rows[user], c.object)
-	s.rows[user] = slices.Insert(s.rows[user], at, c)
+	off, _ := s.rows[user].find(c.object)
+	r := slices.Insert(s.rows[user], off, blankCell[:]...)
+	r.set(off, c)
+	s.rows[user] = r
 	s.live++
 }
 
 // reach extends the slot table so that rows[user] exists.
 func (s *shard) reach(user int) {
 	if user >= len(s.rows) {
-		s.rows = append(s.rows, make([][]cell, user+1-len(s.rows))...)
+		s.rows = append(s.rows, make([]row, user+1-len(s.rows))...)
 	}
-}
-
-// findCell returns the position of object's cell in row, or, when there is
-// none, the position that keeps the row ascending.
-func findCell(row []cell, object int) (int, bool) {
-	return slices.BinarySearchFunc(row, object, func(c cell, object int) int { return c.object - object })
 }
 
 // decay scales every statistic by the retention factor and evicts the
 // ones whose mass fell below the floor, compacting each row in place and
 // releasing the rows it empties. Called only while paused.
 func (s *shard) decay(factor float64) {
-	for slot, row := range s.rows {
-		kept := row[:0]
-		for _, c := range row {
+	for slot, r := range s.rows {
+		kept := 0
+		for off := 0; off < len(r); off += cellSize {
+			c := r.at(off)
 			c.sum *= factor
 			c.mass *= factor
 			if c.mass < evictFloor {
 				continue
 			}
-			kept = append(kept, c)
+			r.set(kept, c)
+			kept += cellSize
 		}
-		s.live -= len(row) - len(kept)
-		if len(kept) == 0 {
-			kept = nil
+		s.live -= (len(r) - kept) / cellSize
+		if kept == 0 {
+			r = nil
 		}
-		s.rows[slot] = kept
+		s.rows[slot] = r[:kept]
 	}
 }
 
 // row returns the live statistics of the user in slot; the slot table
 // only reaches as far as the highest slot that ever claimed here.
-func (s *shard) row(slot int) []cell {
+func (s *shard) row(slot int) row {
 	if slot < len(s.rows) {
 		return s.rows[slot]
 	}
@@ -189,17 +266,17 @@ type shardView struct {
 }
 
 // view materializes the shard's statistics for estimation: it counts the
-// cells per object, carves one backing array into a segment per covered
+// records per object, carves one backing array into a segment per covered
 // object, and deals the rows into the segments in slot order — so every
 // object's claims ascend by user index, the order every estimator sums
 // in, with no sort. Called only while paused.
 func (s *shard) view() *shardView {
-	// at[seg] first counts the cells of the shard's seg-th object, then
+	// at[seg] first counts the records of the shard's seg-th object, then
 	// holds that object's position in the view.
 	at := make([]int, s.segments)
-	for _, row := range s.rows {
-		for i := range row {
-			at[row[i].object/s.numShards]++
+	for _, r := range s.rows {
+		for off := 0; off < len(r); off += cellSize {
+			at[r.object(off)/s.numShards]++
 		}
 	}
 	covered := 0
@@ -223,9 +300,9 @@ func (s *shard) view() *shardView {
 		v.claims = append(v.claims, backing[:0:n])
 		backing = backing[n:]
 	}
-	for slot, row := range s.rows {
-		for i := range row {
-			c := &row[i]
+	for slot, r := range s.rows {
+		for off := 0; off < len(r); off += cellSize {
+			c := r.at(off)
 			pos := at[c.object/s.numShards]
 			v.claims[pos] = append(v.claims[pos], uv{user: slot, value: c.sum / c.mass})
 		}

@@ -64,8 +64,9 @@ func referenceStats(e *Engine) []StatSnapshot {
 	ids := e.users.ids()
 	var out []StatSnapshot
 	for _, s := range e.shards {
-		for slot, row := range s.rows {
-			for _, c := range row {
+		for slot, r := range s.rows {
+			for off := 0; off < len(r); off += cellSize {
+				c := r.at(off)
 				out = append(out, StatSnapshot{Object: c.object, User: ids[slot], Sum: c.sum, Mass: c.mass})
 			}
 		}

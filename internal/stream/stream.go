@@ -86,7 +86,8 @@ type Claim struct {
 
 // Config parameterizes a streaming engine.
 type Config struct {
-	// NumObjects is the number of micro-tasks (objects) in the stream.
+	// NumObjects is the number of micro-tasks (objects) in the stream,
+	// at most math.MaxUint32.
 	NumObjects int
 	// NumShards is the number of ingestion/estimation worker shards.
 	// Objects are partitioned across shards by object index. Zero means
@@ -182,6 +183,9 @@ func (c *Config) Validate() error {
 	switch {
 	case c.NumObjects <= 0:
 		return fmt.Errorf("%w: NumObjects = %d", ErrBadConfig, c.NumObjects)
+	case uint64(c.NumObjects) > math.MaxUint32:
+		// A shard row stores each statistic's object as a uint32.
+		return fmt.Errorf("%w: NumObjects = %d exceeds %d", ErrBadConfig, c.NumObjects, uint64(math.MaxUint32))
 	case c.NumShards < 0:
 		return fmt.Errorf("%w: NumShards = %d", ErrBadConfig, c.NumShards)
 	case c.Decay < 0 || c.Decay > 1 || math.IsNaN(c.Decay):

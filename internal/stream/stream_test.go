@@ -13,9 +13,10 @@ import (
 
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
-		{},                          // no objects
-		{NumObjects: -1},            // negative objects
-		{NumObjects: 5, Decay: 1.5}, // decay out of range
+		{},                               // no objects
+		{NumObjects: -1},                 // negative objects
+		{NumObjects: math.MaxUint32 + 1}, // more objects than a row's uint32 holds
+		{NumObjects: 5, Decay: 1.5},      // decay out of range
 		{NumObjects: 5, Decay: math.NaN()},
 		{NumObjects: 5, NumShards: -2},
 		{NumObjects: 5, Lambda1: 1},             // accounting without lambda2/delta
