@@ -1,28 +1,63 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"sync"
 )
 
-// userState is the engine's per-user bookkeeping: the dense index claims
-// are stored under, the carried weight warm-starting the next window,
-// and the cumulative privacy spending.
-type userState struct {
-	idx        int
+// maxWindow is the largest value of the engine's window counter: the
+// registry keeps window counters as int32, and with the open window at
+// most maxWindow a user's lastWindow, lastSeen, estimated and windows
+// all stay within that range. A close that would advance past it is
+// refused.
+const maxWindow = math.MaxInt32 - 1
+
+// userRec is the engine's per-user bookkeeping, one fixed-size record
+// per registry slot: the slot is the dense index claims are stored
+// under, carry is the weight warm-starting the next window, and cumEps
+// the cumulative privacy spending. A free slot has an empty id. The
+// record holds no pointer besides id, so the slot table costs the
+// collector one pointer per user.
+type userRec struct {
 	id         string
 	carry      float64
-	estimated  int // closed window (1-based) whose estimate set carry; 0 = none yet
 	cumEps     float64
-	lastWindow int // last window index this user was charged for
-	windows    int // number of windows participated in
-	lastSeen   int // open-window index of the user's last activity (LRU order)
+	estimated  int32 // closed window (1-based) whose estimate set carry; 0 = none yet
+	lastWindow int32 // last window index this user was charged for
+	windows    int32 // number of windows participated in
+	lastSeen   int32 // open-window index of the user's last activity (LRU order)
+	gen        uint32
 	fromSpill  bool
 }
+
+// userRef is a handle to a resident user: their slot and the slot's
+// generation when the handle was issued. Removing a user bumps the
+// generation, so a handle outliving its user — a concurrent rejected
+// admission may drop them — is refused instead of touching whoever the
+// slot is recycled for.
+type userRef struct {
+	slot int32
+	gen  uint32
+}
+
+// errStaleUser reports a handle whose user was dropped after the lookup
+// that issued it; looking the user up again resolves it. Only a rejected
+// re-admission from the UserStore drops a user outside a window close.
+var errStaleUser = fmt.Errorf("%w: user dropped since lookup", ErrUserStore)
 
 // registry maps client IDs to user state. It has its own lock so that
 // concurrent Ingest calls (which hold the window lock shared) can still
 // register users and charge budgets safely.
+//
+// The state is a flat slot table: recs holds one userRec per slot and
+// index is an open-addressing hash table of slots (linear probing,
+// load at most 3/4, backward-shift deletion, hashed with a per-registry
+// maphash seed). A resident user costs one record plus 4/3 to 8/3 index
+// cells, with no heap object of their own.
 //
 // Residency is bounded, not the accounting: a user's cumulative epsilon
 // must outlive their sufficient statistics, otherwise a returning (or
@@ -37,12 +72,13 @@ type userState struct {
 // sufficient statistic references it (eviction requires fully decayed
 // statistics), so the shards never need rewriting.
 type registry struct {
-	mu     sync.Mutex
-	byID   map[string]*userState
-	states []*userState // slot-indexed; nil entries are free-list holes
-	free   []int        // recycled slot indices
+	mu    sync.Mutex
+	seed  maphash.Seed
+	recs  []userRec // slot-indexed; free slots have an empty id
+	index []int32   // slot+1 per cell, 0 = empty; length is 0 or a power of two
+	free  []int32   // recycled slot indices
 
-	live int // resident users (non-nil slots)
+	live int // resident users (non-free slots)
 
 	// Evicted-population aggregates, so PrivacyReport keeps describing
 	// every user this engine has accounted for (not just the resident
@@ -55,82 +91,190 @@ type registry struct {
 	evictedMaxWin    int
 }
 
+// minIndexCells is the index size of the first admission.
+const minIndexCells = 16
+
 func newRegistry() *registry {
-	return &registry{byID: make(map[string]*userState)}
+	return &registry{seed: maphash.MakeSeed()}
 }
 
-// get returns the resident state for id, stamping its LRU clock with the
-// open window, or reports false when the user is not resident.
-func (r *registry) get(id string, window int) (*userState, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.byID[id]
-	if ok && window > st.lastSeen {
-		st.lastSeen = window
+// cellOf returns the index cell holding id, or -1 when id is not
+// resident. Callers hold r.mu.
+func (r *registry) cellOf(id string) int {
+	if r.live == 0 {
+		return -1
 	}
-	return st, ok
-}
-
-// getBytes is get for a byte-slice key: the map lookup converts without
-// allocating (the compiler's m[string(b)] special case), so the ingest
-// hot path never materializes a string for a user the registry already
-// interned.
-func (r *registry) getBytes(id []byte, window int) (*userState, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.byID[string(id)]
-	if ok && window > st.lastSeen {
-		st.lastSeen = window
-	}
-	return st, ok
-}
-
-// getOrCreate returns the resident state for id, admitting a fresh one
-// (free-list slot first, then a new slot) when the user is not resident.
-// window stamps the LRU clock.
-func (r *registry) getOrCreate(id string, window int) *userState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if st, ok := r.byID[id]; ok {
-		if window > st.lastSeen {
-			st.lastSeen = window
+	mask := len(r.index) - 1
+	for i := int(maphash.String(r.seed, id)) & mask; ; i = (i + 1) & mask {
+		s := r.index[i]
+		if s == 0 {
+			return -1
 		}
-		return st
+		if r.recs[s-1].id == id {
+			return i
+		}
 	}
-	st := &userState{
+}
+
+// cellOfBytes is cellOf for a byte-slice key; neither the hash nor the
+// comparison materializes a string, so looking up a resident user on
+// the binary wire allocates nothing.
+func (r *registry) cellOfBytes(id []byte) int {
+	if r.live == 0 {
+		return -1
+	}
+	mask := len(r.index) - 1
+	for i := int(maphash.Bytes(r.seed, id)) & mask; ; i = (i + 1) & mask {
+		s := r.index[i]
+		if s == 0 {
+			return -1
+		}
+		if r.recs[s-1].id == string(id) {
+			return i
+		}
+	}
+}
+
+// insertLocked indexes slot under its record's id, rebuilding the index
+// at twice the size instead when one more entry would push the load past
+// 3/4. Callers hold r.mu and have counted the slot in r.live.
+func (r *registry) insertLocked(slot int32) {
+	if r.live*4 > len(r.index)*3 {
+		r.rehashLocked(max(minIndexCells, 2*len(r.index))) // indexes slot too
+		return
+	}
+	r.placeLocked(slot)
+}
+
+// rehashLocked rebuilds the index at cells cells (a power of two) from
+// every resident slot. Callers hold r.mu.
+func (r *registry) rehashLocked(cells int) {
+	r.index = make([]int32, cells)
+	for slot := range r.recs {
+		if r.recs[slot].id != "" {
+			r.placeLocked(int32(slot))
+		}
+	}
+}
+
+// placeLocked stores slot in the first empty cell of its probe run.
+// Callers hold r.mu and guarantee the index has room.
+func (r *registry) placeLocked(slot int32) {
+	mask := len(r.index) - 1
+	i := int(maphash.String(r.seed, r.recs[slot].id)) & mask
+	for r.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.index[i] = slot + 1
+}
+
+// unindexLocked empties cell i with a backward shift: each later entry
+// of the probe run moves into the hole when the hole lies between its
+// home cell and where it sits, so every remaining entry stays reachable
+// from its home without tombstones. Callers hold r.mu.
+func (r *registry) unindexLocked(i int) {
+	mask := len(r.index) - 1
+	for j := (i + 1) & mask; r.index[j] != 0; j = (j + 1) & mask {
+		home := int(maphash.String(r.seed, r.recs[r.index[j]-1].id)) & mask
+		if (j-home)&mask >= (j-i)&mask {
+			r.index[i] = r.index[j]
+			i = j
+		}
+	}
+	r.index[i] = 0
+}
+
+// foundLocked turns index cell i (from cellOf or cellOfBytes) into a
+// handle plus the interned ID, stamping the user's LRU clock with the
+// open window. Callers hold r.mu.
+func (r *registry) foundLocked(i, window int) (userRef, string, bool) {
+	if i < 0 {
+		return userRef{}, "", false
+	}
+	slot := r.index[i] - 1
+	rec := &r.recs[slot]
+	if int32(window) > rec.lastSeen {
+		rec.lastSeen = int32(window)
+	}
+	return userRef{slot: slot, gen: rec.gen}, rec.id, true
+}
+
+// get returns a handle to id's resident record and the registry's
+// interned copy of the ID, stamping the LRU clock with the open window,
+// or reports false when the user is not resident.
+func (r *registry) get(id string, window int) (userRef, string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.foundLocked(r.cellOf(id), window)
+}
+
+// getBytes is get for a byte-slice key, without allocating.
+func (r *registry) getBytes(id []byte, window int) (userRef, string, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.foundLocked(r.cellOfBytes(id), window)
+}
+
+// getOrCreate returns a handle to id's resident record, admitting a
+// fresh one (free-list slot first, then a new slot) when the user is not
+// resident. window stamps the LRU clock.
+func (r *registry) getOrCreate(id string, window int) userRef {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ref, _, ok := r.foundLocked(r.cellOf(id), window); ok {
+		return ref
+	}
+	var slot int32
+	if n := len(r.free); n > 0 {
+		slot = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		slot = int32(len(r.recs))
+		r.recs = append(r.recs, userRec{})
+	}
+	rec := &r.recs[slot]
+	*rec = userRec{
 		id:         id,
 		carry:      1, // the uniform batch initialization
 		lastWindow: -1,
-		lastSeen:   window,
+		lastSeen:   int32(window),
+		gen:        rec.gen,
 	}
-	if n := len(r.free); n > 0 {
-		st.idx = r.free[n-1]
-		r.free = r.free[:n-1]
-		r.states[st.idx] = st
-	} else {
-		st.idx = len(r.states)
-		r.states = append(r.states, st)
-	}
-	r.byID[id] = st
 	r.live++
-	return st
+	r.insertLocked(slot)
+	return userRef{slot: slot, gen: rec.gen}
+}
+
+// recLocked returns the record ref names, or nil when the user it was
+// issued for is gone. Callers hold r.mu.
+func (r *registry) recLocked(ref userRef) *userRec {
+	rec := &r.recs[ref.slot]
+	if rec.gen != ref.gen || rec.id == "" {
+		return nil
+	}
+	return rec
 }
 
 // readmitSpill loads a spilled user's persistent bookkeeping into their
-// freshly admitted state and moves them from the evicted population back
-// into the resident one.
-func (r *registry) readmitSpill(st *userState, sp *UserSpill, eps, budget float64) {
+// freshly admitted record and moves them from the evicted population
+// back into the resident one. The caller has validated sp (validateUser
+// keeps its counters within int32).
+func (r *registry) readmitSpill(ref userRef, sp *UserSpill, eps, budget float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st.carry = sp.Carry
-	st.cumEps = sp.CumulativeEpsilon
-	st.lastWindow = sp.LastWindow
-	st.windows = sp.Windows
-	st.fromSpill = true
+	rec := r.recLocked(ref)
+	if rec == nil {
+		return
+	}
+	rec.carry = sp.Carry
+	rec.cumEps = sp.CumulativeEpsilon
+	rec.lastWindow = int32(sp.LastWindow)
+	rec.windows = int32(sp.Windows)
+	rec.fromSpill = true
 	if r.evicted > 0 {
 		r.evicted--
 	}
-	if r.evictedExhausted > 0 && exhausted(st.cumEps, eps, budget) {
+	if r.evictedExhausted > 0 && exhausted(rec.cumEps, eps, budget) {
 		r.evictedExhausted--
 	}
 }
@@ -145,26 +289,30 @@ func (r *registry) readmitSpill(st *userState, sp *UserSpill, eps, budget float6
 // On success it returns the user's previous lastWindow — so a failed
 // durable-ledger append can roll the debit back with uncharge — and
 // the new cumulative epsilon, for the engine's spending-distribution
-// histogram.
-func (r *registry) charge(st *userState, window int, eps, budget float64) (int, float64, error) {
+// histogram. A stale handle is refused with errStaleUser.
+func (r *registry) charge(ref userRef, window int, eps, budget float64) (int, float64, error) {
 	if eps == 0 {
 		return 0, 0, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st.lastWindow == window {
+	rec := r.recLocked(ref)
+	if rec == nil {
+		return 0, 0, errStaleUser
+	}
+	if int(rec.lastWindow) == window {
 		return 0, 0, fmt.Errorf("%w: user %q already submitted in window %d",
-			ErrDuplicateWindow, st.id, window+1)
+			ErrDuplicateWindow, rec.id, window+1)
 	}
-	if exhausted(st.cumEps, eps, budget) {
+	if exhausted(rec.cumEps, eps, budget) {
 		return 0, 0, fmt.Errorf("%w: user %q spent %.6g of %.6g, next window costs %.6g",
-			ErrBudgetExhausted, st.id, st.cumEps, budget, eps)
+			ErrBudgetExhausted, rec.id, rec.cumEps, budget, eps)
 	}
-	prev := st.lastWindow
-	st.cumEps += eps
-	st.lastWindow = window
-	st.windows++
-	return prev, st.cumEps, nil
+	prev := int(rec.lastWindow)
+	rec.cumEps += eps
+	rec.lastWindow = int32(window)
+	rec.windows++
+	return prev, rec.cumEps, nil
 }
 
 // replayCharge folds one already-durable journal record into the user's
@@ -174,30 +322,35 @@ func (r *registry) charge(st *userState, window int, eps, budget float64) (int, 
 // the idempotency check — a record whose window the user was already
 // charged for (by the snapshot or an earlier record) reports false and
 // must be skipped entirely by the caller.
-func (r *registry) replayCharge(st *userState, window int, eps float64) bool {
+func (r *registry) replayCharge(ref userRef, window int, eps float64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if window <= st.lastWindow {
+	rec := r.recLocked(ref)
+	if rec == nil || window <= int(rec.lastWindow) {
 		return false
 	}
-	st.cumEps += eps
-	st.lastWindow = window
-	st.windows++
+	rec.cumEps += eps
+	rec.lastWindow = int32(window)
+	rec.windows++
 	return true
 }
 
 // uncharge reverts a charge whose ledger record could not be made
 // durable: without the record on disk the release must not be admitted,
 // or a crash would hand the user the epsilon back.
-func (r *registry) uncharge(st *userState, eps float64, prevLastWindow int) {
+func (r *registry) uncharge(ref userRef, eps float64, prevLastWindow int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st.cumEps -= eps
-	if st.cumEps < 0 {
-		st.cumEps = 0
+	rec := r.recLocked(ref)
+	if rec == nil {
+		return
 	}
-	st.lastWindow = prevLastWindow
-	st.windows--
+	rec.cumEps -= eps
+	if rec.cumEps < 0 {
+		rec.cumEps = 0
+	}
+	rec.lastWindow = int32(prevLastWindow)
+	rec.windows--
 }
 
 // dropIfIdle removes a freshly admitted user whose submission was then
@@ -207,88 +360,81 @@ func (r *registry) uncharge(st *userState, eps float64, prevLastWindow int) {
 // the state being dropped, so no re-spill is needed — which is what
 // stops an exhausted client from pinning residency by hammering. It
 // reports whether the user returned to the evicted population.
-func (r *registry) dropIfIdle(st *userState, window int, eps, budget float64) bool {
+func (r *registry) dropIfIdle(ref userRef, window int, eps, budget float64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st.lastWindow == window {
-		return false // a concurrent ingest charged them; they stay
+	rec := r.recLocked(ref)
+	if rec == nil || int(rec.lastWindow) == window {
+		return false // already dropped, or a concurrent ingest charged them
 	}
-	if r.states[st.idx] != st || r.byID[st.id] != st {
-		return false // already dropped or superseded
+	fromSpill := rec.fromSpill
+	if fromSpill {
+		r.countEvictedLocked(rec, eps, budget)
 	}
-	r.removeLocked(st)
-	if st.fromSpill {
-		r.evicted++
-		if exhausted(st.cumEps, eps, budget) {
-			r.evictedExhausted++
-		}
-		if st.cumEps > r.evictedMaxCum {
-			r.evictedMaxCum = st.cumEps
-		}
-		if st.windows > r.evictedMaxWin {
-			r.evictedMaxWin = st.windows
-		}
-	}
-	return st.fromSpill
+	r.removeLocked(ref.slot)
+	return fromSpill
 }
 
 // evict removes already-spilled users from the resident set, folding
 // their spending into the evicted-population aggregates. Callers must
 // have made the matching spill records durable first.
-func (r *registry) evict(victims []*userState, eps, budget float64) {
+func (r *registry) evict(victims []userRef, eps, budget float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, st := range victims {
-		if r.states[st.idx] != st {
+	for _, ref := range victims {
+		rec := r.recLocked(ref)
+		if rec == nil {
 			continue
 		}
-		r.removeLocked(st)
-		r.evicted++
-		if exhausted(st.cumEps, eps, budget) {
-			r.evictedExhausted++
-		}
-		if st.cumEps > r.evictedMaxCum {
-			r.evictedMaxCum = st.cumEps
-		}
-		if st.windows > r.evictedMaxWin {
-			r.evictedMaxWin = st.windows
-		}
+		r.countEvictedLocked(rec, eps, budget)
+		r.removeLocked(ref.slot)
 	}
 }
 
-// removeLocked frees one resident slot. Callers hold r.mu.
-func (r *registry) removeLocked(st *userState) {
-	delete(r.byID, st.id)
-	r.states[st.idx] = nil
-	r.free = append(r.free, st.idx)
+// countEvictedLocked folds one leaving user's spending into the
+// evicted-population aggregates. Callers hold r.mu.
+func (r *registry) countEvictedLocked(rec *userRec, eps, budget float64) {
+	r.evicted++
+	if exhausted(rec.cumEps, eps, budget) {
+		r.evictedExhausted++
+	}
+	if rec.cumEps > r.evictedMaxCum {
+		r.evictedMaxCum = rec.cumEps
+	}
+	if int(rec.windows) > r.evictedMaxWin {
+		r.evictedMaxWin = int(rec.windows)
+	}
+}
+
+// removeLocked frees one resident slot, bumping its generation so every
+// handle issued for the leaving user goes stale. Callers hold r.mu.
+func (r *registry) removeLocked(slot int32) {
+	r.unindexLocked(r.cellOf(r.recs[slot].id))
+	r.recs[slot] = userRec{gen: r.recs[slot].gen + 1}
+	r.free = append(r.free, slot)
 	r.live--
 }
 
-// evictable returns the resident users eligible for eviction — the ones
-// no live sufficient statistic references (pinned reports the slot
-// indices that do) — in LRU order: least-recently-seen first, ties by
-// slot index so the order is deterministic.
-func (r *registry) evictable(pinned func(slot int) bool) []*userState {
+// evictable returns handles to the resident users eligible for eviction
+// — the ones no live sufficient statistic references (pinned reports the
+// slot indices that do) — in LRU order: least-recently-seen first, ties
+// by slot index so the order is deterministic.
+func (r *registry) evictable(pinned func(slot int) bool) []userRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*userState, 0, r.live)
-	for _, st := range r.states {
-		if st == nil || pinned(st.idx) {
+	out := make([]userRef, 0, r.live)
+	for slot := range r.recs {
+		if r.recs[slot].id == "" || pinned(slot) {
 			continue
 		}
-		out = append(out, st)
+		out = append(out, userRef{slot: int32(slot), gen: r.recs[slot].gen})
 	}
-	// Insertion sort keeps this allocation-free; eviction scans run at
-	// window close, not on the ingest hot path.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.lastSeen < b.lastSeen || (a.lastSeen == b.lastSeen && a.idx < b.idx) {
-				break
-			}
-			out[j-1], out[j] = b, a
+	slices.SortFunc(out, func(a, b userRef) int {
+		if c := cmp.Compare(r.recs[a.slot].lastSeen, r.recs[b.slot].lastSeen); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.slot, b.slot)
+	})
 	return out
 }
 
@@ -317,11 +463,11 @@ func (r *registry) tracked() int {
 }
 
 // slots returns the slot-space size (resident users plus free holes) —
-// the length every per-user slice indexed by userState.idx must have.
+// the length every per-user slice indexed by slot must have.
 func (r *registry) slots() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.states)
+	return len(r.recs)
 }
 
 // carryWeights returns the warm-start weight vector indexed by user
@@ -331,13 +477,13 @@ func (r *registry) slots() int {
 func (r *registry) carryWeights(disableCarryover bool) []float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ws := make([]float64, len(r.states))
-	for i, st := range r.states {
-		if disableCarryover || st == nil {
+	ws := make([]float64, len(r.recs))
+	for i := range r.recs {
+		if disableCarryover || r.recs[i].id == "" {
 			ws[i] = 1
 			continue
 		}
-		ws[i] = st.carry
+		ws[i] = r.recs[i].carry
 	}
 	return ws
 }
@@ -348,10 +494,10 @@ func (r *registry) carryWeights(disableCarryover bool) []float64 {
 func (r *registry) updateCarry(weights []float64, claimCount []int, window int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i, st := range r.states {
-		if st != nil && claimCount[i] > 0 {
-			st.carry = weights[i]
-			st.estimated = window
+	for i := range r.recs {
+		if r.recs[i].id != "" && claimCount[i] > 0 {
+			r.recs[i].carry = weights[i]
+			r.recs[i].estimated = int32(window)
 		}
 	}
 }
@@ -362,9 +508,9 @@ func (r *registry) weightsAt(window int) map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]float64, r.live)
-	for _, st := range r.states {
-		if st != nil && st.estimated == window {
-			out[st.id] = st.carry
+	for i := range r.recs {
+		if rec := &r.recs[i]; rec.id != "" && int(rec.estimated) == window {
+			out[rec.id] = rec.carry
 		}
 	}
 	return out
@@ -374,11 +520,9 @@ func (r *registry) weightsAt(window int) map[string]float64 {
 func (r *registry) ids() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, len(r.states))
-	for i, st := range r.states {
-		if st != nil {
-			out[i] = st.id
-		}
+	out := make([]string, len(r.recs))
+	for i := range r.recs {
+		out[i] = r.recs[i].id
 	}
 	return out
 }
@@ -390,48 +534,67 @@ func (r *registry) export() []UserSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]UserSnapshot, 0, r.live)
-	for _, st := range r.states {
-		if st == nil {
-			continue
+	for i := range r.recs {
+		if r.recs[i].id != "" {
+			out = append(out, r.recs[i].snapshot())
 		}
-		out = append(out, st.snapshot())
+	}
+	return out
+}
+
+// snapshots copies the persistent bookkeeping of the users refs name;
+// a stale handle yields a zero snapshot (empty ID).
+func (r *registry) snapshots(refs []userRef) []UserSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]UserSnapshot, len(refs))
+	for i, ref := range refs {
+		if rec := r.recLocked(ref); rec != nil {
+			out[i] = rec.snapshot()
+		}
 	}
 	return out
 }
 
 // snapshot copies one user's persistent bookkeeping.
-func (st *userState) snapshot() UserSnapshot {
+func (rec *userRec) snapshot() UserSnapshot {
 	return UserSnapshot{
-		ID:                st.id,
-		Carry:             st.carry,
-		CumulativeEpsilon: st.cumEps,
-		LastWindow:        st.lastWindow,
-		Windows:           st.windows,
+		ID:                rec.id,
+		Carry:             rec.carry,
+		CumulativeEpsilon: rec.cumEps,
+		LastWindow:        int(rec.lastWindow),
+		Windows:           int(rec.windows),
 	}
 }
 
 // restore populates an empty registry from exported snapshots, keeping
 // their order so restored stats can keep referencing users by index.
+// The slot table and index are sized for exactly these users; the
+// caller has validated them (validateUser keeps their counters within
+// int32).
 func (r *registry) restore(users []UserSnapshot) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.states) != 0 {
-		return fmt.Errorf("%w: registry already holds %d users", ErrBadState, len(r.states))
+	if len(r.recs) != 0 {
+		return fmt.Errorf("%w: registry already holds %d users", ErrBadState, len(r.recs))
 	}
-	for _, u := range users {
-		st := &userState{
-			idx:        len(r.states),
+	r.recs = make([]userRec, len(users))
+	for i, u := range users {
+		r.recs[i] = userRec{
 			id:         u.ID,
 			carry:      u.Carry,
 			cumEps:     u.CumulativeEpsilon,
-			lastWindow: u.LastWindow,
-			windows:    u.Windows,
-			lastSeen:   u.LastWindow,
+			lastWindow: int32(u.LastWindow),
+			windows:    int32(u.Windows),
+			lastSeen:   int32(u.LastWindow),
 		}
-		r.byID[u.ID] = st
-		r.states = append(r.states, st)
-		r.live++
 	}
+	r.live = len(users)
+	cells := minIndexCells
+	for r.live*4 > cells*3 {
+		cells *= 2
+	}
+	r.rehashLocked(cells)
 	return nil
 }
 
@@ -479,17 +642,18 @@ func (r *registry) report(eps, delta, budget float64) *PrivacyReport {
 		MaxWindows:       r.evictedMaxWin,
 		ExhaustedUsers:   r.evictedExhausted,
 	}
-	for _, st := range r.states {
-		if st == nil {
+	for i := range r.recs {
+		rec := &r.recs[i]
+		if rec.id == "" {
 			continue
 		}
-		if st.cumEps > rep.MaxCumulative {
-			rep.MaxCumulative = st.cumEps
+		if rec.cumEps > rep.MaxCumulative {
+			rep.MaxCumulative = rec.cumEps
 		}
-		if st.windows > rep.MaxWindows {
-			rep.MaxWindows = st.windows
+		if int(rec.windows) > rep.MaxWindows {
+			rep.MaxWindows = int(rec.windows)
 		}
-		if exhausted(st.cumEps, eps, budget) {
+		if exhausted(rec.cumEps, eps, budget) {
 			rep.ExhaustedUsers++
 		}
 	}

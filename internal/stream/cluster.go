@@ -79,6 +79,9 @@ func (e *Engine) CloseWindowExport() (*EngineState, error) {
 	if e.closed {
 		return nil, ErrEngineClosed
 	}
+	if e.window >= maxWindow {
+		return nil, fmt.Errorf("%w: window counter at its limit %d", ErrBadState, maxWindow)
+	}
 	release := e.pauseShards()
 	defer close(release)
 
@@ -149,8 +152,8 @@ func (e *Engine) CommitCarry(carries []UserCarry) error {
 func (r *registry) setCarry(id string, carry float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if st, ok := r.byID[id]; ok {
-		st.carry = carry
+	if i := r.cellOf(id); i >= 0 {
+		r.recs[r.index[i]-1].carry = carry
 	}
 }
 

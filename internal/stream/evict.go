@@ -2,8 +2,9 @@ package stream
 
 import "fmt"
 
-// admit resolves a user ID to resident state, creating it when the user
-// is unknown. With a UserStore configured the slow path first consults
+// admit resolves a user ID to a handle on resident state, creating it
+// when the user is unknown, and returns the registry's interned copy of
+// the ID. With a UserStore configured the slow path first consults
 // the spill store, so a previously evicted user is re-admitted with
 // their spilled carry weight and cumulative budget — an exhausted user
 // comes back exhausted. The returned fresh flag reports a slow-path
@@ -13,28 +14,28 @@ import "fmt"
 // Callers hold e.mu (shared or exclusive); the slow path additionally
 // serializes on admitMu so concurrent admissions cannot both re-admit
 // one spilled user.
-func (e *Engine) admit(id string) (*userState, bool, error) {
-	if st, ok := e.users.get(id, e.window); ok {
-		return st, false, nil
+func (e *Engine) admit(id string) (userRef, string, bool, error) {
+	if ref, interned, ok := e.users.get(id, e.window); ok {
+		return ref, interned, false, nil
 	}
 	if e.cfg.UserStore == nil {
-		return e.users.getOrCreate(id, e.window), false, nil
+		return e.users.getOrCreate(id, e.window), id, false, nil
 	}
 	e.admitMu.Lock()
 	defer e.admitMu.Unlock()
-	if st, ok := e.users.get(id, e.window); ok {
-		return st, false, nil // raced with another admission; theirs won
+	if ref, interned, ok := e.users.get(id, e.window); ok {
+		return ref, interned, false, nil // raced with another admission; theirs won
 	}
 	sp, found, err := e.cfg.UserStore.LoadUser(id)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: load user %q: %v", ErrUserStore, id, err)
+		return userRef{}, "", false, fmt.Errorf("%w: load user %q: %v", ErrUserStore, id, err)
 	}
 	if found {
 		if sp == nil {
-			return nil, false, fmt.Errorf("%w: nil spill record for user %q", ErrBadState, id)
+			return userRef{}, "", false, fmt.Errorf("%w: nil spill record for user %q", ErrBadState, id)
 		}
 		if err := validateUser(&sp.UserSnapshot); err != nil {
-			return nil, false, err
+			return userRef{}, "", false, err
 		}
 		// A spilled carry is only meaningful to the estimator that wrote
 		// it, exactly like snapshots (records written before the field
@@ -44,27 +45,31 @@ func (e *Engine) admit(id string) (*userState, bool, error) {
 			written = EstimatorCRH
 		}
 		if written != e.cfg.Estimator {
-			return nil, false, fmt.Errorf("%w: spilled state of user %q written by %q, engine configured for %q",
+			return userRef{}, "", false, fmt.Errorf("%w: spilled state of user %q written by %q, engine configured for %q",
 				ErrEstimatorMismatch, id, written, e.cfg.Estimator)
 		}
 	}
-	st := e.users.getOrCreate(id, e.window)
+	ref := e.users.getOrCreate(id, e.window)
 	if found {
-		e.users.readmitSpill(st, sp, e.epsWindow, e.cfg.EpsilonBudget)
+		e.users.readmitSpill(ref, sp, e.epsWindow, e.cfg.EpsilonBudget)
 		e.metrics.readmitted(1)
 	}
-	return st, true, nil
+	return ref, id, true, nil
 }
 
-// admitBytes is admit for a byte-slice ID (the binary wire's pooled
-// decode path): the resident fast path looks the user up without
+// admitKey is admit for a submitter identified by exactly one of a
+// string and a byte-slice ID (the binary wire's pooled decode path): for
+// the byte form the resident fast path looks the user up without
 // allocating, and only an unknown user — whose ID the registry must
 // intern anyway — pays the string conversion on the slow path.
-func (e *Engine) admitBytes(id []byte) (*userState, bool, error) {
-	if st, ok := e.users.getBytes(id, e.window); ok {
-		return st, false, nil
+func (e *Engine) admitKey(id string, key []byte) (userRef, string, bool, error) {
+	if key == nil {
+		return e.admit(id)
 	}
-	return e.admit(string(id))
+	if ref, interned, ok := e.users.getBytes(key, e.window); ok {
+		return ref, interned, false, nil
+	}
+	return e.admit(string(key))
 }
 
 // evictIdleLocked enforces the residency cap at a window boundary: if
@@ -100,19 +105,16 @@ func (e *Engine) evictIdleLocked() {
 		}
 		return false
 	}
-	var victims []*userState
-	for _, st := range e.users.evictable(pinned) {
-		if len(victims) == excess {
-			break
-		}
-		victims = append(victims, st)
+	victims := e.users.evictable(pinned)
+	if len(victims) > excess {
+		victims = victims[:excess]
 	}
 	if len(victims) == 0 {
 		return
 	}
 	spills := make([]UserSpill, len(victims))
-	for i, st := range victims {
-		spills[i] = UserSpill{UserSnapshot: st.snapshot(), Estimator: e.cfg.Estimator}
+	for i, u := range e.users.snapshots(victims) {
+		spills[i] = UserSpill{UserSnapshot: u, Estimator: e.cfg.Estimator}
 	}
 	if err := e.cfg.UserStore.SpillUsers(spills); err != nil {
 		e.metrics.spillFailed()

@@ -76,7 +76,7 @@ func validateUser(u *UserSnapshot) error {
 		return fmt.Errorf("%w: user %q carry = %v", ErrBadState, u.ID, u.Carry)
 	case !finite(u.CumulativeEpsilon) || u.CumulativeEpsilon < 0:
 		return fmt.Errorf("%w: user %q cumulative epsilon = %v", ErrBadState, u.ID, u.CumulativeEpsilon)
-	case u.LastWindow < -1 || u.Windows < 0:
+	case u.LastWindow < -1 || u.LastWindow > maxWindow || u.Windows < 0 || u.Windows > math.MaxInt32:
 		return fmt.Errorf("%w: user %q lastWindow=%d windows=%d", ErrBadState, u.ID, u.LastWindow, u.Windows)
 	}
 	return nil
@@ -351,6 +351,10 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 			rec.Epsilon <= 0 || math.IsNaN(rec.Epsilon) || math.IsInf(rec.Epsilon, 0) {
 			continue
 		}
+		if rec.Window > maxWindow {
+			return applied, fmt.Errorf("%w: journal record %d: window %d beyond %d",
+				ErrBadState, i, rec.Window, maxWindow)
+		}
 		for _, c := range rec.Claims {
 			if c.Object < 0 || c.Object >= e.cfg.NumObjects {
 				return applied, fmt.Errorf("%w: journal record %d: object %d of %d",
@@ -365,11 +369,11 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 		// ingestion does: a user evicted before the crash whose charges
 		// were compacted away behind a snapshot exists only as a spill
 		// record, and recreating them bare would reset their budget.
-		st, _, err := e.admit(rec.User)
+		ref, _, _, err := e.admit(rec.User)
 		if err != nil {
 			return applied, err
 		}
-		if !e.users.replayCharge(st, rec.Window, rec.Epsilon) {
+		if !e.users.replayCharge(ref, rec.Window, rec.Epsilon) {
 			continue // already accounted by the snapshot or an earlier record
 		}
 		for rec.Window > e.window {
@@ -387,7 +391,7 @@ func (e *Engine) ReplayJournal(recs []ChargeRecord) (int, error) {
 			}
 			for i, part := range perShard {
 				if len(part) > 0 {
-					e.shards[i].apply(st.idx, part)
+					e.shards[i].apply(int(ref.slot), part)
 				}
 			}
 			e.windowClaims.Add(int64(len(rec.Claims)))
@@ -415,6 +419,9 @@ func (e *Engine) ReplayClosesTo(target int) error {
 	}
 	if target <= e.window {
 		return nil
+	}
+	if target > maxWindow {
+		return fmt.Errorf("%w: window %d beyond %d", ErrBadState, target, maxWindow)
 	}
 	release := e.pauseShards()
 	defer close(release)
@@ -449,8 +456,8 @@ func (e *Engine) replayCloseLocked() {
 // validateState checks an EngineState before restoring into an engine
 // with numObjects objects.
 func validateState(st *EngineState, numObjects int) error {
-	if st.Window < 0 || st.WindowClaims < 0 || st.TotalClaims < 0 {
-		return fmt.Errorf("%w: negative counters (window=%d windowClaims=%d totalClaims=%d)",
+	if st.Window < 0 || st.Window > maxWindow || st.WindowClaims < 0 || st.TotalClaims < 0 {
+		return fmt.Errorf("%w: counters out of range (window=%d windowClaims=%d totalClaims=%d)",
 			ErrBadState, st.Window, st.WindowClaims, st.TotalClaims)
 	}
 	seen := make(map[string]struct{}, len(st.Users))

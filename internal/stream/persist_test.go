@@ -379,6 +379,9 @@ func TestRestoreValidation(t *testing.T) {
 	}{
 		{"nil", nil},
 		{"negative window", &EngineState{Window: -1}},
+		{"window beyond int32", &EngineState{Window: math.MaxInt32}},
+		{"last window beyond int32", &EngineState{Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: math.MaxInt32}}}},
+		{"windows beyond int32", &EngineState{Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: 0, Windows: math.MaxInt32 + 1}}}},
 		{"empty user id", &EngineState{Users: []UserSnapshot{{ID: ""}}}},
 		{"duplicate user", &EngineState{Users: []UserSnapshot{{ID: "a", Carry: 1, LastWindow: -1}, {ID: "a", Carry: 1, LastWindow: -1}}}},
 		{"bad carry", &EngineState{Users: []UserSnapshot{{ID: "a", Carry: math.NaN(), LastWindow: -1}}}},

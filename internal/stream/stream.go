@@ -482,20 +482,20 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 	if e.closed {
 		return 0, 0, ErrEngineClosed
 	}
-	var (
-		st    *userState
-		fresh bool
-		err   error
-	)
-	if key != nil {
-		st, fresh, err = e.admitBytes(key)
-	} else {
-		st, fresh, err = e.admit(user)
-	}
+	ref, id, fresh, err := e.admitKey(user, key)
 	if err != nil {
 		return 0, 0, err
 	}
-	prevWindow, cumEps, err := e.users.charge(st, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+	prevWindow, cumEps, err := e.users.charge(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+	if errors.Is(err, errStaleUser) {
+		// A concurrent submission that freshly admitted this user was
+		// rejected and dropped them after our lookup: look them up again,
+		// once (a second drop in between fails the submission).
+		if ref, id, fresh, err = e.admitKey(user, key); err != nil {
+			return 0, 0, err
+		}
+		prevWindow, cumEps, err = e.users.charge(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+	}
 	if err != nil {
 		// A freshly admitted user whose submission is then rejected is
 		// dropped again without a re-spill: the on-disk record (or, for a
@@ -503,7 +503,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 		// a rejected client — exhausted or otherwise — cannot pin
 		// residency by hammering.
 		if fresh {
-			e.users.dropIfIdle(st, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+			e.users.dropIfIdle(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
 		}
 		return 0, 0, err
 	}
@@ -512,10 +512,10 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 		// acknowledged: a crash after the ack but before the append would
 		// hand the user their epsilon back on recovery. A failed append
 		// therefore rejects the submission and reverts the charge.
-		// st.id is the registry's interned copy of the submitter's ID —
+		// id is the registry's interned copy of the submitter's ID —
 		// identical to user on the string path, and the only string form
 		// that exists on the byte-key path.
-		rec := ChargeRecord{User: st.id, Window: e.window, Epsilon: e.epsWindow}
+		rec := ChargeRecord{User: id, Window: e.window, Epsilon: e.epsWindow}
 		if e.cfg.ClaimWAL {
 			// With the claim WAL the statistics ride the same durable
 			// record as the charge: one fsync covers both, and recovery
@@ -523,11 +523,11 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 			rec.Claims = claims
 		}
 		if err := e.cfg.Ledger.AppendCharge(rec); err != nil {
-			e.users.uncharge(st, e.epsWindow, prevWindow)
+			e.users.uncharge(ref, e.epsWindow, prevWindow)
 			if fresh {
-				e.users.dropIfIdle(st, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+				e.users.dropIfIdle(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
 			}
-			return 0, 0, fmt.Errorf("%w: user %q window %d: %v", ErrLedger, st.id, e.window+1, err)
+			return 0, 0, fmt.Errorf("%w: user %q window %d: %v", ErrLedger, id, e.window+1, err)
 		}
 	}
 
@@ -550,7 +550,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 			continue
 		}
 		sc.bufs[i] = nil
-		e.shards[i].in <- shardMsg{user: st.idx, claims: cb.claims, buf: cb}
+		e.shards[i].in <- shardMsg{user: int(ref.slot), claims: cb.claims, buf: cb}
 	}
 	e.windowClaims.Add(int64(len(claims)))
 	e.totalClaims.Add(int64(len(claims)))
@@ -569,6 +569,9 @@ func (e *Engine) CloseWindow() (*WindowResult, error) {
 	defer e.mu.Unlock()
 	if e.closed {
 		return nil, ErrEngineClosed
+	}
+	if e.window >= maxWindow {
+		return nil, fmt.Errorf("%w: window counter at its limit %d", ErrBadState, maxWindow)
 	}
 	release := e.pauseShards()
 	defer close(release)
