@@ -5,14 +5,22 @@ import (
 	"testing"
 )
 
+// TestMethodByName: -method names a streaming estimator; the mean and
+// median baselines are refused with an error pointing at the offline
+// tools that run them.
 func TestMethodByName(t *testing.T) {
-	for _, name := range []string{"crh", "gtm", "catd", "mean", "median"} {
-		m, err := methodByName(name)
-		if err != nil || m == nil {
-			t.Errorf("methodByName(%q) = %v, %v", name, m, err)
+	for _, name := range []string{"crh", "gtm", "catd"} {
+		if got, err := estimatorByName(name); err != nil || got != name {
+			t.Errorf("estimatorByName(%q) = %q, %v", name, got, err)
 		}
 	}
-	if _, err := methodByName("unknown"); err == nil {
+	for _, name := range []string{"mean", "median"} {
+		_, err := estimatorByName(name)
+		if err == nil || !strings.Contains(err.Error(), "cmd/pptd") || !strings.Contains(err.Error(), "internal/eval") {
+			t.Errorf("estimatorByName(%q) = %v, want a refusal naming cmd/pptd and internal/eval", name, err)
+		}
+	}
+	if _, err := estimatorByName("unknown"); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -26,8 +34,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}{
 		{[]string{"-badflag"}, "not defined"},
 		{[]string{"-method", "nope"}, "unknown method"},
-		{[]string{"-objects", "0"}, "numObjects = 0"},
-		{[]string{"-budget", "10"}, "need -stream"},
+		{[]string{"-method", "median"}, "runs offline only"},
+		{[]string{"-objects", "0"}, "NumObjects = 0"},
+		{[]string{"-lambda1", "0", "-delta", "0", "-budget", "10"}, "EpsilonBudget without Lambda1 accounting"},
+		{[]string{"-lambda1", "0"}, "Delta = 0.3 without Lambda1 accounting"},
+		{[]string{"-lambda1", "0", "-delta", "0", "-state-dir", t.TempDir()}, "-state-dir needs accounting"},
+		{[]string{"-stream"}, "not defined"},
 	} {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
@@ -49,7 +61,7 @@ func TestRunRejectsClusterFlags(t *testing.T) {
 			"WithClusterCoordinator conflicts with WithPersistence"},
 		{"coordinator with residency cap",
 			[]string{"-coordinator", "http://127.0.0.1:1", "-max-resident-users", "10"},
-			"-max-resident-users needs -stream and -state-dir"},
+			"-max-resident-users needs -state-dir"},
 		{"coordinator with unknown method",
 			[]string{"-coordinator", "http://127.0.0.1:1", "-method", "em"},
 			"unknown method em"},

@@ -8,15 +8,13 @@
 //	pptduser -server http://localhost:8080 -users 50 -lambda1 1 -seed 7
 //	pptduser -server http://localhost:8080 -users 50 -windows 5 -drift 0.2 -wire binary
 //
-// With -windows 0 (the default) the fleet joins the batch campaign once;
-// after all users reported (and the server aggregated) it fetches the
-// result and prints the aggregate's distance from the ground truth it
-// generated — something only the simulation can know. With -windows N
-// the fleet streams instead: every window the ground truth drifts by a
-// random-walk step of -drift, every device re-reads it and submits a
-// fresh perturbed release to the open window, and the fleet closes the
-// window and prints its claims, the submissions refused because the
-// device's privacy budget is spent, and the estimate's MAE.
+// The fleet streams -windows windows (default 1, a one-shot campaign):
+// every window the ground truth drifts by a random-walk step of -drift,
+// every device re-reads it and submits a fresh perturbed release to the
+// open window, and the fleet closes the window and prints its claims,
+// the submissions refused because the device's privacy budget is spent,
+// and the estimate's MAE against the ground truth it generated —
+// something only the simulation can know.
 package main
 
 import (
@@ -49,9 +47,9 @@ func run(args []string, out io.Writer) error {
 		lambda1 = fs.Float64("lambda1", 1, "error-variance rate of the simulated crowd")
 		seed    = fs.Uint64("seed", 7, "random seed")
 		timeout = fs.Duration("timeout", 60*time.Second, "overall deadline")
-		windows = fs.Int("windows", 0, "stream this many windows to the server's streaming campaign (0 = join the batch campaign once)")
-		drift   = fs.Float64("drift", 0.2, "with -windows: per-window random-walk step of the ground truth")
-		wire    = fs.String("wire", pptd.WireJSON, "with -windows: claim wire format, json or binary (docs/WIRE.md)")
+		windows = fs.Int("windows", 1, "number of windows to stream (1 = a one-shot campaign)")
+		drift   = fs.Float64("drift", 0.2, "per-window random-walk step of the ground truth")
+		wire    = fs.String("wire", pptd.WireJSON, "claim wire format, json or binary (docs/WIRE.md)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -59,8 +57,8 @@ func run(args []string, out io.Writer) error {
 	if *users <= 0 {
 		return fmt.Errorf("users = %d", *users)
 	}
-	if *windows < 0 {
-		return fmt.Errorf("windows = %d", *windows)
+	if *windows <= 0 {
+		return fmt.Errorf("windows = %d: want at least 1", *windows)
 	}
 	if *wire != pptd.WireJSON && *wire != pptd.WireBinary {
 		return fmt.Errorf("-wire = %q: want %q or %q", *wire, pptd.WireJSON, pptd.WireBinary)
@@ -73,28 +71,17 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var numObjects int
-	if *windows > 0 {
-		info, err := client.StreamCampaign(ctx)
-		if err != nil {
-			return fmt.Errorf("fetch stream campaign: %w", err)
-		}
-		fmt.Fprintf(out, "joined streaming campaign %q: %d objects, lambda2=%v, epsilon=%.4f per window, budget=%v\n",
-			info.Name, info.NumObjects, info.Lambda2, info.EpsilonPerWindow, info.EpsilonBudget)
-		numObjects = info.NumObjects
-	} else {
-		info, err := client.Campaign(ctx)
-		if err != nil {
-			return fmt.Errorf("fetch campaign: %w", err)
-		}
-		fmt.Fprintf(out, "joined campaign %q: %d objects, lambda2=%v\n", info.Name, info.NumObjects, info.Lambda2)
-		numObjects = info.NumObjects
+	info, err := client.StreamCampaign(ctx)
+	if err != nil {
+		return fmt.Errorf("fetch campaign: %w", err)
 	}
+	fmt.Fprintf(out, "joined campaign %q: %d objects, lambda2=%v, epsilon=%.4f per window, budget=%v\n",
+		info.Name, info.NumObjects, info.Lambda2, info.EpsilonPerWindow, info.EpsilonBudget)
 
 	// Simulate ground truth and per-user sensors: quality sigma^2 ~
 	// Exp(lambda1), each reading the truth plus that user's error.
 	rng := pptd.NewRNG(*seed)
-	groundTruth := make([]float64, numObjects)
+	groundTruth := make([]float64, info.NumObjects)
 	for n := range groundTruth {
 		groundTruth[n] = 10 * rng.Float64()
 	}
@@ -123,48 +110,12 @@ func run(args []string, out io.Writer) error {
 		var sum float64
 		var n int
 		for i, tv := range groundTruth {
-			if covered == nil || covered[i] {
+			if covered[i] {
 				sum += math.Abs(truths[i] - tv)
 				n++
 			}
 		}
 		return sum / float64(max(n, 1))
-	}
-
-	if *windows == 0 {
-		var wg sync.WaitGroup
-		errs := make([]error, len(fleet))
-		for i, d := range fleet {
-			wg.Add(1)
-			go func(i int, u *pptd.CampaignUser) {
-				defer wg.Done()
-				_, errs[i] = u.Participate(ctx, client)
-			}(i, d.user)
-		}
-		wg.Wait()
-		if err := errors.Join(errs...); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "%d users submitted perturbed readings\n", len(fleet))
-
-		// Poll for the aggregate (the server may still be waiting for more
-		// users if ExpectedUsers was configured above our fleet size).
-		var result pptd.CampaignResult
-		for {
-			result, err = client.Result(ctx)
-			if err == nil {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("waiting for result: %w", ctx.Err())
-			case <-time.After(500 * time.Millisecond):
-			}
-		}
-		fmt.Fprintf(out, "aggregated with %s in %d iterations (converged=%v)\n",
-			result.Method, result.Iterations, result.Converged)
-		fmt.Fprintf(out, "MAE of private aggregate vs simulated ground truth: %.4f\n", mae(result.Truths, nil))
-		return nil
 	}
 
 	fmt.Fprintf(out, "%-7s %8s %8s %8s\n", "window", "claims", "refused", "mae")

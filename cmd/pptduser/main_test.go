@@ -12,7 +12,6 @@ import (
 
 	"pptd"
 	"pptd/internal/crowd"
-	"pptd/internal/truth"
 )
 
 func TestRunRejectsBadArgs(t *testing.T) {
@@ -29,6 +28,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 func TestRunRejectsBadStreamArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-windows", "-1"},
+		{"-windows", "0"},
 		{"-windows", "2", "-wire", "xml"},
 	} {
 		if err := run(args, io.Discard); err == nil {
@@ -37,29 +37,26 @@ func TestRunRejectsBadStreamArgs(t *testing.T) {
 	}
 }
 
+// TestRunAgainstLocalServer: by default the fleet runs a one-shot
+// campaign, one window that every device lands in.
 func TestRunAgainstLocalServer(t *testing.T) {
-	method, err := truth.NewCRH()
+	node, err := pptd.NewNode(pptd.WithName("test"), pptd.WithStreamEngine(5), pptd.WithLambda2(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := crowd.NewServer(crowd.ServerConfig{
-		Name:          "test",
-		NumObjects:    5,
-		Lambda2:       2,
-		ExpectedUsers: 8,
-		Method:        method,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
+	defer func() { _ = node.Close() }()
+	ts := httptest.NewServer(node.Handler())
 	defer ts.Close()
 
 	if err := run([]string{"-server", ts.URL, "-users", "8", "-seed", "4", "-timeout", "30s"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Result(); err != nil {
-		t.Fatalf("server did not aggregate: %v", err)
+	res, err := node.Stream().Truths()
+	if err != nil {
+		t.Fatalf("the window did not close: %v", err)
+	}
+	if res.Window != 1 || res.WindowClaims != 8*5 {
+		t.Fatalf("closed window %d with %d claims, want window 1 with 40", res.Window, res.WindowClaims)
 	}
 }
 

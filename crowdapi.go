@@ -7,8 +7,8 @@ import (
 )
 
 // Client talks to a pptd node (or a standalone campaign server) over
-// HTTP: the batch campaign, the streaming campaign, history reads, and
-// stats all through one client. Non-2xx responses are decoded from the
+// HTTP: the streaming campaign and its history reads through one
+// client. Non-2xx responses are decoded from the
 // versioned error envelope into typed errors — errors.Is against
 // ErrNotReady, ErrDuplicateWindow, ErrBudgetExhausted, ... and errors.As
 // against *CampaignHTTPError both work on the same returned error.
@@ -73,19 +73,13 @@ type EnvelopeDecodeError = crowd.EnvelopeDecodeError
 // Typed API errors, decoded from the wire envelope's code by Client.
 // Match with errors.Is.
 var (
-	// ErrNotReady reports a result or truths fetch before anything was
+	// ErrNotReady reports a truths fetch before anything was
 	// published (envelope code "not_ready", HTTP 404).
 	ErrNotReady = crowd.ErrNotReady
 	// ErrUnknownWindow reports a ?window=N history read for a window that
 	// never closed or was evicted from the bounded result ring (envelope
 	// code "unknown_window", HTTP 404).
 	ErrUnknownWindow = crowd.ErrUnknownWindow
-	// ErrDuplicateClient reports a second batch submission from one
-	// client ID (envelope code "duplicate_client", HTTP 409).
-	ErrDuplicateClient = crowd.ErrDuplicateClient
-	// ErrCampaignClosed reports a batch submission after aggregation
-	// (envelope code "campaign_closed", HTTP 410).
-	ErrCampaignClosed = crowd.ErrCampaignClosed
 	// ErrBadSubmission reports a malformed submission (envelope code
 	// "bad_request", HTTP 400).
 	ErrBadSubmission = crowd.ErrBadSubmission
@@ -95,23 +89,11 @@ var (
 	ErrPayloadTooLarge = crowd.ErrPayloadTooLarge
 )
 
-// CampaignServer is the untrusted aggregation server of the crowd sensing
-// system: it publishes micro-tasks plus lambda2, collects perturbed
-// submissions over HTTP/JSON, and aggregates with truth discovery. A
-// Node hosts one with WithBatchCampaign (Node.Batch).
-type CampaignServer = crowd.Server
-
-// CampaignInfo describes a sensing campaign.
-type CampaignInfo = crowd.CampaignInfo
-
 // CampaignClaim is one (object, value) report inside a submission.
 type CampaignClaim = crowd.Claim
 
 // CampaignSubmission is one user's batch of perturbed claims.
 type CampaignSubmission = crowd.Submission
-
-// CampaignResult is the aggregated output of a campaign.
-type CampaignResult = crowd.ResultInfo
 
 // CampaignHTTPError reports a non-2xx response from a campaign server:
 // the HTTP status plus the decoded error envelope (stable Code, Message,

@@ -72,7 +72,7 @@ func doReq(t *testing.T, method, url, body string) *http.Response {
 	return resp
 }
 
-// TestErrorEnvelopeGolden drives every endpoint of a full node (batch +
+// TestErrorEnvelopeGolden drives every endpoint of a full node (an
 // accounted durable stream) into each reachable error state and asserts
 // the envelope's exact {status, code, retry_after_windows} — the wire
 // contract docs/API.md documents.
@@ -84,7 +84,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		EpsilonBudget: 100,
 	}
 	n, err := pptd.NewNode(
-		pptd.WithBatchCampaign(2),
 		pptd.WithStreamConfig(streamCfg),
 		pptd.WithPersistence(dir),
 	)
@@ -99,10 +98,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 
 	// --- method mismatches: every endpoint speaks method_not_allowed.
 	for _, ep := range []struct{ method, path string }{
-		{http.MethodPost, "/v1/campaign"},
-		{http.MethodGet, "/v1/submissions"},
-		{http.MethodPost, "/v1/result"},
-		{http.MethodGet, "/v1/aggregate"},
 		{http.MethodPost, "/v1/stream/campaign"},
 		{http.MethodGet, "/v1/stream/claims"},
 		{http.MethodPost, "/v1/stream/truths"},
@@ -113,10 +108,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}
 
 	// --- not-yet states.
-	checkEnvelope(t, doReq(t, http.MethodGet, ts.URL+"/v1/result", ""),
-		http.StatusNotFound, "not_ready", 0)
-	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/aggregate", ""),
-		http.StatusConflict, "empty_campaign", 0)
 	checkEnvelope(t, doReq(t, http.MethodGet, ts.URL+"/v1/stream/truths", ""),
 		http.StatusNotFound, "not_ready", 0)
 	checkEnvelope(t, doReq(t, http.MethodGet, ts.URL+"/v1/stream/truths?window=1", ""),
@@ -125,8 +116,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		http.StatusConflict, "empty_window", 0)
 
 	// --- malformed requests.
-	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/submissions", "{nope"),
-		http.StatusBadRequest, "bad_request", 0)
 	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/stream/claims", "{nope"),
 		http.StatusBadRequest, "bad_request", 0)
 	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/stream/claims",
@@ -136,23 +125,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		http.StatusBadRequest, "bad_request", 0)
 	checkEnvelope(t, doReq(t, http.MethodGet, ts.URL+"/v1/stream/truths?window=-2", ""),
 		http.StatusBadRequest, "bad_request", 0)
-
-	// --- batch conflicts.
-	if resp := doReq(t, http.MethodPost, ts.URL+"/v1/submissions", sub); resp.StatusCode != http.StatusOK {
-		t.Fatalf("seed batch submission: %d", resp.StatusCode)
-	} else {
-		_ = resp.Body.Close()
-	}
-	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/submissions", sub),
-		http.StatusConflict, "duplicate_client", 0)
-	if resp := doReq(t, http.MethodPost, ts.URL+"/v1/aggregate", ""); resp.StatusCode != http.StatusOK {
-		t.Fatalf("aggregate: %d", resp.StatusCode)
-	} else {
-		_ = resp.Body.Close()
-	}
-	checkEnvelope(t, doReq(t, http.MethodPost, ts.URL+"/v1/submissions",
-		`{"clientId":"u2","claims":[{"object":0,"value":3}]}`),
-		http.StatusGone, "campaign_closed", 0)
 
 	// --- stream conflicts: duplicate submission carries the retry hint.
 	if resp := doReq(t, http.MethodPost, ts.URL+"/v1/stream/claims", sub); resp.StatusCode != http.StatusOK {
@@ -214,8 +186,8 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	}
 	checkEnvelope(t, doReq(t, http.MethodPost, ts2.URL+"/v1/stream/claims", fresh),
 		http.StatusConflict, "duplicate_window", 1)
-	// The batch API was not configured on the recovered node: its paths
-	// fall through to the front door's envelope 404.
+	// The retired batch routes fall through to the front door's
+	// envelope 404.
 	checkEnvelope(t, doReq(t, http.MethodGet, ts2.URL+"/v1/campaign", ""),
 		http.StatusNotFound, "not_found", 0)
 }

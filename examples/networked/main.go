@@ -1,7 +1,9 @@
 // Networked: the full crowd sensing system over a real HTTP boundary, in
-// one process — a campaign server on a loopback port and a fleet of
+// one process — a campaign node on a loopback port and a fleet of
 // concurrent user goroutines that perturb locally and submit only noisy
-// claims, exactly as Algorithm 2 prescribes.
+// claims, exactly as Algorithm 2 prescribes. The one-shot campaign is
+// one window: the fleet submits, then the window closes and the node
+// publishes its weighted estimate.
 package main
 
 import (
@@ -23,6 +25,7 @@ const (
 	defaultNumObjects = 20
 	lambda1           = 1.5 // simulated sensor quality
 	lambda2           = 2.0 // server-released perturbation rate
+	delta             = 0.3 // LDP delta each window is accounted at
 )
 
 func main() {
@@ -32,13 +35,13 @@ func main() {
 }
 
 func run(fleetSize, numObjects int) error {
-	// Campaign node with auto-aggregation (CRH by default) at fleetSize
-	// submissions.
+	// Campaign node running CRH, the default estimator. Accounting (the
+	// rates the privacy accountant assumes) charges each device once and
+	// refuses a second submission into the window.
 	node, err := pptd.NewNode(
 		pptd.WithName("networked-demo"),
-		pptd.WithBatchCampaign(numObjects),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects, Lambda1: lambda1, Delta: delta}),
 		pptd.WithLambda2(lambda2),
-		pptd.WithExpectedUsers(fleetSize),
 	)
 	if err != nil {
 		return err
@@ -93,7 +96,7 @@ func run(fleetSize, numObjects int) error {
 		wg.Add(1)
 		go func(i int, u *pptd.CampaignUser) {
 			defer wg.Done()
-			_, errs[i] = u.Participate(ctx, client)
+			_, errs[i] = u.ParticipateStream(ctx, client)
 		}(i, user)
 	}
 	wg.Wait()
@@ -104,7 +107,7 @@ func run(fleetSize, numObjects int) error {
 	}
 	fmt.Printf("%d devices submitted perturbed readings concurrently\n", fleetSize)
 
-	result, err := client.Result(ctx)
+	result, err := client.StreamCloseWindow(ctx)
 	if err != nil {
 		return err
 	}
@@ -114,7 +117,7 @@ func run(fleetSize, numObjects int) error {
 	}
 	mae /= float64(numObjects)
 	fmt.Printf("server aggregated with %s (%d iterations, converged=%v)\n",
-		result.Method, result.Iterations, result.Converged)
+		result.Estimator, result.Iterations, result.Converged)
 	fmt.Printf("MAE of the private aggregate vs ground truth: %.4f\n", mae)
 	fmt.Println("the server never saw an original reading or any user's noise variance.")
 	return nil

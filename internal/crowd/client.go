@@ -113,36 +113,6 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	return c, nil
 }
 
-// Campaign fetches the campaign metadata.
-func (c *Client) Campaign(ctx context.Context) (CampaignInfo, error) {
-	var info CampaignInfo
-	err := c.do(ctx, http.MethodGet, PathCampaign, nil, &info)
-	return info, err
-}
-
-// Submit posts one perturbed submission.
-func (c *Client) Submit(ctx context.Context, sub Submission) (SubmissionReceipt, error) {
-	var receipt SubmissionReceipt
-	err := c.do(ctx, http.MethodPost, PathSubmissions, sub, &receipt)
-	return receipt, err
-}
-
-// Result fetches the aggregated result. While aggregation is pending the
-// server answers 404 and the returned error matches both
-// errors.Is(err, ErrNotReady) and errors.As(err, **HTTPError).
-func (c *Client) Result(ctx context.Context) (ResultInfo, error) {
-	var res ResultInfo
-	err := c.do(ctx, http.MethodGet, PathResult, nil, &res)
-	return res, notReadyErr(err)
-}
-
-// Aggregate asks the server to aggregate whatever has been submitted.
-func (c *Client) Aggregate(ctx context.Context) (ResultInfo, error) {
-	var res ResultInfo
-	err := c.do(ctx, http.MethodPost, PathAggregate, nil, &res)
-	return res, err
-}
-
 // StreamCampaign fetches the streaming campaign metadata.
 func (c *Client) StreamCampaign(ctx context.Context) (StreamCampaignInfo, error) {
 	var info StreamCampaignInfo
@@ -400,34 +370,6 @@ func NewUser(id string, readings []Claim, rng *randx.RNG) (*User, error) {
 
 // ID returns the user's client ID.
 func (u *User) ID() string { return u.id }
-
-// Participate runs the full client side of Algorithm 2: fetch the
-// campaign (obtaining lambda2), sample a private noise variance, perturb
-// every reading locally, and submit only the perturbed claims. It returns
-// the submission receipt.
-func (u *User) Participate(ctx context.Context, c *Client) (SubmissionReceipt, error) {
-	if c == nil {
-		return SubmissionReceipt{}, fmt.Errorf("%w: nil client", ErrBadClient)
-	}
-	info, err := c.Campaign(ctx)
-	if err != nil {
-		return SubmissionReceipt{}, fmt.Errorf("crowd: user %q fetch campaign: %w", u.id, err)
-	}
-	mech, err := core.NewMechanism(info.Lambda2)
-	if err != nil {
-		return SubmissionReceipt{}, fmt.Errorf("crowd: user %q: %w", u.id, err)
-	}
-	perturber := mech.NewUserPerturber(u.rng)
-	perturbed := make([]Claim, len(u.readings))
-	for i, r := range u.readings {
-		perturbed[i] = Claim{Object: r.Object, Value: perturber.Perturb(r.Value)}
-	}
-	receipt, err := c.Submit(ctx, Submission{ClientID: u.id, Claims: perturbed})
-	if err != nil {
-		return SubmissionReceipt{}, fmt.Errorf("crowd: user %q submit: %w", u.id, err)
-	}
-	return receipt, nil
-}
 
 // SetReadings replaces the device's readings in place — the streaming
 // analogue of taking fresh sensor measurements between submissions. Not

@@ -13,209 +13,165 @@ import (
 
 	"pptd/internal/randx"
 	"pptd/internal/stats"
+	"pptd/internal/stream"
 	"pptd/internal/synthetic"
-	"pptd/internal/truth"
 )
 
-func testMethod(t *testing.T) truth.Method {
-	t.Helper()
-	m, err := truth.NewCRH()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// accountedEngine is a stream configuration with privacy accounting on:
+// one submission per user per window.
+func accountedEngine(numObjects int) stream.Config {
+	return stream.Config{NumObjects: numObjects, Lambda1: 1.5, Lambda2: 2, Delta: 0.3}
 }
 
-func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *Client) {
-	t.Helper()
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	client, err := NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv, client
-}
-
+// TestNewServerValidation: a stream server refuses the configuration
+// errors the one-shot campaign used to: no objects, a bad perturbation
+// rate, a negative user cap, and a method the stream cannot run.
 func TestNewServerValidation(t *testing.T) {
-	method := testMethod(t)
 	tests := []struct {
 		name string
-		cfg  ServerConfig
+		cfg  StreamServerConfig
 	}{
-		{name: "zero objects", cfg: ServerConfig{NumObjects: 0, Lambda2: 1, Method: method}},
-		{name: "bad lambda2", cfg: ServerConfig{NumObjects: 1, Lambda2: 0, Method: method}},
-		{name: "nan lambda2", cfg: ServerConfig{NumObjects: 1, Lambda2: math.NaN(), Method: method}},
-		{name: "negative users", cfg: ServerConfig{NumObjects: 1, Lambda2: 1, ExpectedUsers: -1, Method: method}},
-		{name: "nil method", cfg: ServerConfig{NumObjects: 1, Lambda2: 1}},
+		{name: "zero objects", cfg: StreamServerConfig{Engine: stream.Config{NumObjects: 0, Lambda2: 1}}},
+		{name: "bad lambda2", cfg: StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: -1}}},
+		{name: "nan lambda2", cfg: StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: math.NaN()}}},
+		{name: "negative users", cfg: StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1, MaxResidentUsers: -1}}},
+		{name: "nil method", cfg: StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1, Estimator: "median"}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewServer(tt.cfg); !errors.Is(err, ErrBadConfig) {
-				t.Error("invalid config accepted")
+			if _, err := NewStreamServer(tt.cfg); !errors.Is(err, stream.ErrBadConfig) {
+				t.Errorf("invalid config accepted: %v", err)
 			}
 		})
 	}
 }
 
+// TestCampaignEndpoint: the campaign metadata a device joins with.
 func TestCampaignEndpoint(t *testing.T) {
-	_, client := newTestServer(t, ServerConfig{
-		Name:          "hallways",
-		NumObjects:    7,
-		Lambda2:       1.5,
-		ExpectedUsers: 3,
-		Method:        testMethod(t),
+	_, client := newStreamFixture(t, StreamServerConfig{
+		Name:   "hallways",
+		Engine: stream.Config{NumObjects: 7, Lambda2: 1.5, Estimator: stream.EstimatorGTM},
 	})
-	info, err := client.Campaign(context.Background())
+	info, err := client.StreamCampaign(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Name != "hallways" || info.NumObjects != 7 || info.Lambda2 != 1.5 || info.ExpectedUsers != 3 {
+	if info.Name != "hallways" || info.NumObjects != 7 || info.Lambda2 != 1.5 || info.Estimator != stream.EstimatorGTM {
 		t.Fatalf("campaign info = %+v", info)
 	}
-	if info.SubmittedUsers != 0 || info.Aggregated {
+	if info.Window != 0 || info.TotalClaims != 0 {
 		t.Fatalf("fresh campaign info = %+v", info)
 	}
 }
 
+// TestSubmissionValidation: malformed submissions are refused as bad
+// claims (400 on the wire) before anything is ingested. The accounted
+// engine also refuses a second claim on one object: one release per
+// object per window.
 func TestSubmissionValidation(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{NumObjects: 2, Lambda2: 1, Method: testMethod(t)})
+	srv, _ := newStreamFixture(t, StreamServerConfig{Engine: accountedEngine(2)})
 	tests := []struct {
-		name    string
-		sub     Submission
-		wantErr error
+		name string
+		sub  Submission
 	}{
-		{name: "empty id", sub: Submission{Claims: []Claim{{Object: 0, Value: 1}}}, wantErr: ErrBadSubmission},
-		{name: "no claims", sub: Submission{ClientID: "u"}, wantErr: ErrBadSubmission},
-		{name: "bad object", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 5, Value: 1}}}, wantErr: ErrBadSubmission},
-		{name: "nan value", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: math.NaN()}}}, wantErr: ErrBadSubmission},
-		{
-			name:    "duplicate object",
-			sub:     Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: 1}, {Object: 0, Value: 2}}},
-			wantErr: ErrBadSubmission,
-		},
+		{name: "empty id", sub: Submission{Claims: []Claim{{Object: 0, Value: 1}}}},
+		{name: "no claims", sub: Submission{ClientID: "u"}},
+		{name: "bad object", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 5, Value: 1}}}},
+		{name: "nan value", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: math.NaN()}}}},
+		{name: "duplicate object", sub: Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: 1}, {Object: 0, Value: 2}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := srv.Submit(tt.sub); !errors.Is(err, tt.wantErr) {
-				t.Errorf("Submit error = %v, want %v", err, tt.wantErr)
+			if _, err := srv.Submit(tt.sub); !errors.Is(err, stream.ErrBadClaim) {
+				t.Errorf("Submit error = %v, want ErrBadClaim", err)
 			}
 		})
 	}
+	if got := srv.Campaign().TotalClaims; got != 0 {
+		t.Fatalf("refused submissions ingested %d claims", got)
+	}
 }
 
+// TestDuplicateClientRejected: one submission per client per window.
 func TestDuplicateClientRejected(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
+	srv, _ := newStreamFixture(t, StreamServerConfig{Engine: accountedEngine(1)})
 	sub := Submission{ClientID: "phone-1", Claims: []Claim{{Object: 0, Value: 1}}}
 	if _, err := srv.Submit(sub); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(sub); !errors.Is(err, ErrDuplicateClient) {
+	if _, err := srv.Submit(sub); !errors.Is(err, stream.ErrDuplicateWindow) {
 		t.Fatalf("second submission error = %v", err)
 	}
 }
 
+// TestResultBeforeAggregation: truths before the first close are a
+// missing resource, 404 not_ready.
 func TestResultBeforeAggregation(t *testing.T) {
-	_, client := newTestServer(t, ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
-	_, err := client.Result(context.Background())
+	_, client := newStreamFixture(t, StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1}})
+	_, err := client.StreamTruths(context.Background())
 	var httpErr *HTTPError
 	if !errors.As(err, &httpErr) || httpErr.StatusCode != 404 {
-		t.Fatalf("result before aggregation: %v", err)
+		t.Fatalf("truths before the first close: %v", err)
 	}
 	if !errors.Is(err, ErrNotReady) {
-		t.Fatalf("result before aggregation: %v does not wrap ErrNotReady", err)
+		t.Fatalf("truths before the first close: %v does not wrap ErrNotReady", err)
 	}
 }
 
-func TestAutoAggregationAtExpectedUsers(t *testing.T) {
-	srv, client := newTestServer(t, ServerConfig{
-		NumObjects:    2,
-		Lambda2:       1,
-		ExpectedUsers: 2,
-		Method:        testMethod(t),
-	})
-	ctx := context.Background()
-	r1, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Aggregated {
-		t.Fatal("aggregated after first of two users")
-	}
-	r2, err := client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{Object: 0, Value: 3}, {Object: 1, Value: 7}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Aggregated {
-		t.Fatal("did not aggregate at expected user count")
-	}
-	res, err := client.Result(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Truths) != 2 || res.Method != "crh" {
-		t.Fatalf("result = %+v", res)
-	}
-	if res.Truths[0] < 1 || res.Truths[0] > 3 || res.Truths[1] < 5 || res.Truths[1] > 7 {
-		t.Fatalf("truths out of claim range: %v", res.Truths)
-	}
-	if len(res.Weights) != 2 {
-		t.Fatalf("weights = %v", res.Weights)
-	}
-	// Campaign now closed.
-	if _, err := srv.Submit(Submission{ClientID: "c", Claims: []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 1}}}); !errors.Is(err, ErrCampaignClosed) {
-		t.Fatalf("late submission error = %v", err)
-	}
-}
-
+// TestExplicitAggregate: closing an empty window is refused; closing one
+// with a submission publishes its estimate, which truths then serve.
 func TestExplicitAggregate(t *testing.T) {
-	_, client := newTestServer(t, ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
+	_, client := newStreamFixture(t, StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1}})
 	ctx := context.Background()
-	if _, err := client.Aggregate(ctx); err == nil {
-		t.Fatal("aggregate with zero submissions should fail")
+	if _, err := client.StreamCloseWindow(ctx); !errors.Is(err, stream.ErrEmptyWindow) {
+		t.Fatalf("close with zero submissions: err = %v, want ErrEmptyWindow", err)
 	}
-	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 2}}}); err != nil {
+	if _, err := client.StreamSubmit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := client.Aggregate(ctx)
+	res, err := client.StreamCloseWindow(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Truths[0] != 2 {
-		t.Fatalf("truth = %v, want 2", res.Truths[0])
+	if res.Window != 1 || res.Truths[0] != 2 {
+		t.Fatalf("window %d truth = %v, want window 1 truth 2", res.Window, res.Truths[0])
 	}
-	// Idempotent.
-	res2, err := client.Aggregate(ctx)
+	latest, err := client.StreamTruths(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Truths[0] != res.Truths[0] {
-		t.Fatal("aggregate not idempotent")
+	if latest.Window != 1 || latest.Truths[0] != res.Truths[0] {
+		t.Fatalf("served window %d truth %v, closed window 1 truth %v", latest.Window, latest.Truths[0], res.Truths[0])
 	}
 }
 
+// TestUserParticipatePerturbsLocally: the device perturbs a copy, never
+// the caller's readings, and what reaches the server is near them.
 func TestUserParticipatePerturbsLocally(t *testing.T) {
-	_, client := newTestServer(t, ServerConfig{
-		NumObjects: 3,
-		Lambda2:    1000000, // tiny noise, so values stay near originals
-		Method:     testMethod(t),
+	srv, client := newStreamFixture(t, StreamServerConfig{
+		Engine: stream.Config{NumObjects: 3, Lambda2: 1000000}, // tiny noise, so values stay near originals
 	})
 	readings := []Claim{{Object: 0, Value: 1}, {Object: 1, Value: 2}, {Object: 2, Value: 3}}
 	u, err := NewUser("phone-7", readings, randx.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Participate(context.Background(), client); err != nil {
+	if _, err := u.ParticipateStream(context.Background(), client); err != nil {
 		t.Fatal(err)
 	}
 	// Readings slice must be untouched (perturbation happens on a copy).
 	for i, want := range []float64{1, 2, 3} {
 		if readings[i].Value != want {
-			t.Fatal("Participate mutated the caller's readings")
+			t.Fatal("ParticipateStream mutated the caller's readings")
+		}
+	}
+	res, err := srv.CloseWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{1, 2, 3} {
+		if got := res.Truths[i]; got == want || math.Abs(got-want) > 0.1 {
+			t.Fatalf("truth[%d] = %v: want a perturbed value near %v", i, got, want)
 		}
 	}
 }
@@ -243,9 +199,9 @@ func TestNewClientValidation(t *testing.T) {
 }
 
 func TestEndToEndCampaignConcurrentUsers(t *testing.T) {
-	// Full Algorithm 2 over HTTP: generate a synthetic crowd, run every
-	// user as a goroutine, and check the aggregate tracks the ground
-	// truth despite the injected noise.
+	// Full Algorithm 2 over HTTP as one window: generate a synthetic
+	// crowd, run every user as a goroutine, close the window, and check
+	// the aggregate tracks the ground truth despite the injected noise.
 	cfg := synthetic.Default()
 	cfg.NumUsers = 40
 	cfg.NumObjects = 12
@@ -255,12 +211,9 @@ func TestEndToEndCampaignConcurrentUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, client := newTestServer(t, ServerConfig{
-		Name:          "e2e",
-		NumObjects:    cfg.NumObjects,
-		Lambda2:       2,
-		ExpectedUsers: cfg.NumUsers,
-		Method:        testMethod(t),
+	_, client := newStreamFixture(t, StreamServerConfig{
+		Name:   "e2e",
+		Engine: stream.Config{NumObjects: cfg.NumObjects, Lambda2: 2},
 	})
 
 	seedRng := randx.New(78)
@@ -288,7 +241,7 @@ func TestEndToEndCampaignConcurrentUsers(t *testing.T) {
 		wg.Add(1)
 		go func(i int, u *User) {
 			defer wg.Done()
-			_, errs[i] = u.Participate(ctx, client)
+			_, errs[i] = u.ParticipateStream(ctx, client)
 		}(i, u)
 	}
 	wg.Wait()
@@ -298,7 +251,7 @@ func TestEndToEndCampaignConcurrentUsers(t *testing.T) {
 		}
 	}
 
-	res, err := client.Result(ctx)
+	res, err := client.StreamCloseWindow(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,22 +282,32 @@ func userID(s int) string {
 	return "user-" + string(rune('a'+s%26)) + "-" + string(rune('0'+s/26))
 }
 
-func TestHTTPMethodNotAllowed(t *testing.T) {
-	srv, err := NewServer(ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
+// newStreamHTTP serves a one-object stream server on a test listener.
+func newStreamHTTP(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv, err := NewStreamServer(StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Close()
+	})
+	return ts
+}
+
+func TestHTTPMethodNotAllowed(t *testing.T) {
+	ts := newStreamHTTP(t)
 
 	tests := []struct {
 		method string
 		path   string
 	}{
-		{http.MethodPost, PathCampaign},
-		{http.MethodGet, PathSubmissions},
-		{http.MethodPost, PathResult},
-		{http.MethodGet, PathAggregate},
+		{http.MethodPost, PathStreamCampaign},
+		{http.MethodGet, PathStreamClaims},
+		{http.MethodPost, PathStreamTruths},
+		{http.MethodGet, PathStreamWindow},
 	}
 	for _, tt := range tests {
 		req, err := http.NewRequest(tt.method, ts.URL+tt.path, nil)
@@ -365,14 +328,9 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 }
 
 func TestHTTPMalformedSubmissionBody(t *testing.T) {
-	srv, err := NewServer(ServerConfig{NumObjects: 1, Lambda2: 1, Method: testMethod(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	ts := newStreamHTTP(t)
 
-	resp, err := http.Post(ts.URL+PathSubmissions, "application/json", strings.NewReader("{not json"))
+	resp, err := http.Post(ts.URL+PathStreamClaims, "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +351,10 @@ func TestHTTPMalformedSubmissionBody(t *testing.T) {
 	}
 }
 
+// TestHTTPLateSubmissionGone: a submission after the server shut its
+// engine down is 410 engine_closed.
 func TestHTTPLateSubmissionGone(t *testing.T) {
-	srv, err := NewServer(ServerConfig{NumObjects: 1, Lambda2: 1, ExpectedUsers: 1, Method: testMethod(t)})
+	srv, err := NewStreamServer(StreamServerConfig{Engine: stream.Config{NumObjects: 1, Lambda2: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,12 +365,15 @@ func TestHTTPLateSubmissionGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := client.Submit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
+	if _, err := client.StreamSubmit(ctx, Submission{ClientID: "a", Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Submit(ctx, Submission{ClientID: "b", Claims: []Claim{{Object: 0, Value: 2}}})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = client.StreamSubmit(ctx, Submission{ClientID: "b", Claims: []Claim{{Object: 0, Value: 2}}})
 	var httpErr *HTTPError
-	if !errors.As(err, &httpErr) || httpErr.StatusCode != http.StatusGone {
-		t.Fatalf("late submission error = %v, want 410", err)
+	if !errors.As(err, &httpErr) || httpErr.StatusCode != http.StatusGone || httpErr.Code != CodeEngineClosed {
+		t.Fatalf("late submission error = %v, want 410 engine_closed", err)
 	}
 }

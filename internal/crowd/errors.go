@@ -27,11 +27,10 @@ var ErrWorkerUnavailable = errors.New("crowd: shard worker unavailable")
 // ingested. Splitting the submission into smaller batches succeeds.
 var ErrPayloadTooLarge = errors.New("crowd: request body too large")
 
-// Machine-readable error codes carried by every non-2xx response across
-// the batch and streaming endpoints (ErrorBody.Code). Codes are the
-// stable contract: HTTP status codes are derived from them and clients
-// should branch on the code (or on the typed errors the Client decodes
-// them into), never on the message text.
+// Machine-readable error codes carried by every non-2xx response
+// (ErrorBody.Code). Codes are the stable contract: HTTP status codes are
+// derived from them and clients should branch on the code (or on the
+// typed errors the Client decodes them into), never on the message text.
 const (
 	// CodeBadRequest: the request body or query is malformed — an
 	// undecodable JSON body, an out-of-range object index, a non-finite
@@ -44,15 +43,12 @@ const (
 	// CodeNotFound: no route is mounted at this path (the unified Node
 	// front door serves the envelope even for unknown paths). HTTP 404.
 	CodeNotFound = "not_found"
-	// CodeNotReady: the requested artifact (batch result, latest stream
-	// estimate) does not exist yet. HTTP 404.
+	// CodeNotReady: the requested artifact (the latest stream estimate)
+	// does not exist yet. HTTP 404.
 	CodeNotReady = "not_ready"
 	// CodeUnknownWindow: an explicit ?window=N history read for a window
 	// that never closed or was evicted from the bounded ring. HTTP 404.
 	CodeUnknownWindow = "unknown_window"
-	// CodeDuplicateClient: a second batch-campaign submission from the
-	// same client ID. HTTP 409.
-	CodeDuplicateClient = "duplicate_client"
 	// CodeDuplicateWindow: a second streaming submission from the same
 	// user into one open window while privacy accounting is enabled; the
 	// envelope carries RetryAfterWindows = 1. HTTP 409.
@@ -60,12 +56,6 @@ const (
 	// CodeEmptyWindow: a window close before any claim ever arrived.
 	// HTTP 409.
 	CodeEmptyWindow = "empty_window"
-	// CodeEmptyCampaign: an explicit POST /v1/aggregate before anything
-	// was submitted — the request conflicts with campaign state (a
-	// pending GET /v1/result is CodeNotReady instead). HTTP 409.
-	CodeEmptyCampaign = "empty_campaign"
-	// CodeCampaignClosed: a batch submission after aggregation. HTTP 410.
-	CodeCampaignClosed = "campaign_closed"
 	// CodeEngineClosed: the streaming engine behind the endpoint has shut
 	// down. HTTP 410.
 	CodeEngineClosed = "engine_closed"
@@ -92,7 +82,7 @@ const (
 // errorStatus maps one server-side error to its wire form: the stable
 // envelope code, the HTTP status derived from it, and the retry hint in
 // windows (0 = no hint). It is the single place the error taxonomy lives,
-// so batch and streaming handlers cannot drift apart.
+// so the node's and the coordinator's handlers cannot drift apart.
 func errorStatus(err error) (status int, code string, retryAfterWindows int) {
 	switch {
 	case errors.Is(err, ErrBadSubmission), errors.Is(err, stream.ErrBadClaim):
@@ -101,16 +91,12 @@ func errorStatus(err error) (status int, code string, retryAfterWindows int) {
 		return http.StatusNotFound, CodeUnknownWindow, 0
 	case errors.Is(err, ErrNotReady):
 		return http.StatusNotFound, CodeNotReady, 0
-	case errors.Is(err, ErrDuplicateClient):
-		return http.StatusConflict, CodeDuplicateClient, 0
 	case errors.Is(err, stream.ErrDuplicateWindow):
 		// The charge that blocks this user expires when the open window
 		// closes: retrying one window later succeeds.
 		return http.StatusConflict, CodeDuplicateWindow, 1
 	case errors.Is(err, stream.ErrEmptyWindow):
 		return http.StatusConflict, CodeEmptyWindow, 0
-	case errors.Is(err, ErrCampaignClosed):
-		return http.StatusGone, CodeCampaignClosed, 0
 	case errors.Is(err, stream.ErrEngineClosed), errors.Is(err, streamstore.ErrClosed):
 		return http.StatusGone, CodeEngineClosed, 0
 	case errors.Is(err, stream.ErrBudgetExhausted):
@@ -132,11 +118,8 @@ var sentinelByCode = map[string]error{
 	CodeBadRequest:        ErrBadSubmission,
 	CodeNotReady:          ErrNotReady,
 	CodeUnknownWindow:     ErrUnknownWindow,
-	CodeDuplicateClient:   ErrDuplicateClient,
 	CodeDuplicateWindow:   stream.ErrDuplicateWindow,
 	CodeEmptyWindow:       stream.ErrEmptyWindow,
-	CodeEmptyCampaign:     ErrNotReady,
-	CodeCampaignClosed:    ErrCampaignClosed,
 	CodeEngineClosed:      stream.ErrEngineClosed,
 	CodeBudgetExhausted:   stream.ErrBudgetExhausted,
 	CodePayloadTooLarge:   ErrPayloadTooLarge,

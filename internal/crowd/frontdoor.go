@@ -2,6 +2,7 @@ package crowd
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -36,8 +37,8 @@ type frontDoor struct {
 }
 
 // RegisterStream mounts the streaming routes over b on a shared mux, so
-// one front door (a pptd Node) can serve the batch and streaming APIs
-// together. maxRequestBytes caps the claims body (zero means
+// one front door (a pptd Node) serves them next to /metrics and the
+// cluster routes. maxRequestBytes caps the claims body (zero means
 // DefaultMaxRequestBytes). Every route echoes the request-correlation
 // header (see HeaderRequestID).
 func RegisterStream(mux *http.ServeMux, b StreamBackend, maxRequestBytes int64) {
@@ -134,4 +135,13 @@ func boolParam(w http.ResponseWriter, q url.Values, name string) (bool, error) {
 			fmt.Sprintf("bad %s parameter %q: want a boolean", name, raw))
 	}
 	return v, err
+}
+
+// WriteJSON writes one JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// Encoding of our own wire structs cannot fail; ignore the writer
+	// error as the response is already committed.
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -2,150 +2,12 @@ package crowd
 
 import (
 	"bytes"
-	"context"
-	"errors"
-	"net/http/httptest"
 	"testing"
 
 	"pptd/internal/obs"
 	"pptd/internal/stream"
 	"pptd/internal/streamstore"
 )
-
-// TestBatchCampaignPersistenceRecovery walks a durable batch campaign
-// through two restarts: submissions survive the first (with the
-// duplicate guard intact), the aggregated result survives the second
-// (without re-aggregation, and with the campaign still closed).
-func TestBatchCampaignPersistenceRecovery(t *testing.T) {
-	dir := t.TempDir()
-	method := testMethod(t)
-	open := func() *streamstore.Store {
-		t.Helper()
-		store, err := streamstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return store
-	}
-	cfg := func(store *streamstore.Store) ServerConfig {
-		return ServerConfig{
-			Name:        "batch-durable",
-			NumObjects:  2,
-			Lambda2:     1.5,
-			Method:      method,
-			Persistence: store,
-		}
-	}
-	ctx := context.Background()
-
-	// Life 1: two clients submit, then the "process" dies gracefully.
-	store1 := open()
-	srv1, err := NewServer(cfg(store1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(srv1.Handler())
-	client1, err := NewClient(ts1.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range []Submission{
-		{ClientID: "alice", Claims: []Claim{{Object: 0, Value: 1.0}, {Object: 1, Value: 2.0}}},
-		{ClientID: "bob", Claims: []Claim{{Object: 0, Value: 1.2}, {Object: 1, Value: 1.8}}},
-	} {
-		if _, err := client1.Submit(ctx, sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts1.Close()
-	if err := store1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Life 2: both submissions recovered, duplicate still rejected, a
-	// new client joins, and the campaign aggregates.
-	store2 := open()
-	srv2, err := NewServer(cfg(store2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info := srv2.Campaign(); info.SubmittedUsers != 2 || info.Aggregated {
-		t.Fatalf("recovered campaign = %+v, want 2 submitted users, open", info)
-	}
-	if _, err := srv2.Submit(Submission{ClientID: "alice", Claims: []Claim{{Object: 0, Value: 9}}}); !errors.Is(err, ErrDuplicateClient) {
-		t.Fatalf("resubmission after restart = %v, want ErrDuplicateClient", err)
-	}
-	if _, err := srv2.Submit(Submission{ClientID: "carol", Claims: []Claim{{Object: 0, Value: 0.8}, {Object: 1, Value: 2.2}}}); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := srv2.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Weights) != 3 {
-		t.Fatalf("aggregated weights = %+v, want all three clients", res2.Weights)
-	}
-	if err := store2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Life 3: the persisted result is served without re-aggregation and
-	// the campaign stays closed.
-	store3 := open()
-	t.Cleanup(func() { _ = store3.Close() })
-	srv3, err := NewServer(cfg(store3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := srv3.Result()
-	if err != nil {
-		t.Fatalf("result after restart = %v, want the persisted aggregation", err)
-	}
-	if res3.Method != res2.Method || len(res3.Truths) != len(res2.Truths) {
-		t.Fatalf("recovered result = %+v, want %+v", res3, res2)
-	}
-	for i := range res2.Truths {
-		if res3.Truths[i] != res2.Truths[i] {
-			t.Fatalf("recovered truth[%d] = %v, want %v", i, res3.Truths[i], res2.Truths[i])
-		}
-	}
-	for id, w := range res2.Weights {
-		if res3.Weights[id] != w {
-			t.Fatalf("recovered weight[%s] = %v, want %v", id, res3.Weights[id], w)
-		}
-	}
-	if _, err := srv3.Submit(Submission{ClientID: "dave", Claims: []Claim{{Object: 0, Value: 1}}}); !errors.Is(err, ErrCampaignClosed) {
-		t.Fatalf("submission after recovered result = %v, want ErrCampaignClosed", err)
-	}
-}
-
-// TestBatchPersistFailureRejectsSubmission: when the WAL append fails,
-// the submission is not acknowledged and the in-memory state does not
-// advance — durable-before-acknowledged, never the reverse.
-func TestBatchPersistFailureRejectsSubmission(t *testing.T) {
-	store, err := streamstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		NumObjects:  1,
-		Lambda2:     1,
-		Method:      testMethod(t),
-		Persistence: store,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Close(); err != nil { // every append now fails
-		t.Fatal(err)
-	}
-	if _, err := srv.Submit(Submission{ClientID: "u", Claims: []Claim{{Object: 0, Value: 1}}}); err == nil {
-		t.Fatal("submission acknowledged without durability")
-	}
-	if info := srv.Campaign(); info.SubmittedUsers != 0 {
-		t.Fatalf("failed submission still counted: %+v", info)
-	}
-}
 
 // TestResidencyGaugesOnMetrics checks the residency gauges an operator
 // reads on /metrics against the engine and the store they describe, on

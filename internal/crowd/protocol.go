@@ -2,19 +2,21 @@
 // Section 2 as a real client/server application: an untrusted aggregation
 // server that publishes micro-tasks and the perturbation hyper-parameter
 // lambda2, and user clients that perturb their readings locally (the only
-// place original data ever exists) before submitting them over HTTP/JSON.
+// place original data ever exists) before submitting them over HTTP.
 // This realizes Algorithm 2 end to end:
 //
 //  1. the server publishes the campaign (micro-tasks + lambda2),
 //  2. each user samples delta_s^2 ~ Exp(lambda2) on-device,
 //  3. each user perturbs readings with N(0, delta_s^2) noise,
 //  4. users submit only perturbed claims,
-//  5. the server runs weighted truth discovery once enough users reported.
+//  5. the server runs weighted truth discovery when the window closes.
+//
+// A one-shot campaign is one window of the stream: submit, then close.
 //
 // # Streaming campaigns
 //
-// Beyond the one-shot campaign above, the package serves continuous
-// streams through internal/stream (see StreamServer):
+// The package serves campaigns through internal/stream (see
+// StreamServer):
 //
 //   - GET  /v1/stream/campaign publishes the stream metadata (objects,
 //     lambda2, shard count, per-window epsilon/delta and budget);
@@ -32,8 +34,7 @@
 //     as a live snapshot (404 until the first window ever closes — "not
 //     ready" is a missing resource; 409 is reserved for real conflicts
 //     like a duplicate same-window submission or closing an empty
-//     window; the one-shot GET /v1/result answers pending aggregation
-//     with 404 the same way). With ?window=N it serves one specific
+//     window). With ?window=N it serves one specific
 //     recent window from the engine's bounded result history
 //     (stream.Config.HistoryWindows); a window never closed or already
 //     evicted answers 404 with code "unknown_window". With persistence
@@ -49,25 +50,23 @@
 //
 // # Error envelope
 //
-// Every non-2xx response across batch and streaming endpoints carries
-// the same versioned JSON envelope (ErrorBody): {v, code, message,
-// retry_after_windows?}. The code (see the Code* constants in
-// errors.go) is the stable contract — HTTP statuses are derived from it
+// Every non-2xx response carries the same versioned JSON envelope
+// (ErrorBody): {v, code, message, retry_after_windows?}. The code (see
+// the Code* constants in errors.go) is the stable contract — HTTP statuses are derived from it
 // in one place (errorStatus) — and Client decodes it back into the
 // matching typed sentinel, so errors.Is(err, stream.ErrBudgetExhausted)
 // and errors.As(err, &httpErr) both work on one returned error.
 // docs/API.md at the repository root tabulates every code.
 //
-// Clients keep perturbing locally exactly as in the one-shot flow; the
-// streaming server additionally meters each client's cumulative
-// (epsilon, delta) spending. The accounting unit is the release unit:
-// each window's epsilon pays for exactly one submission per client, with
-// at most one claim per object, and a second submission into the same
-// open window is rejected (409) instead of being silently averaged in —
-// otherwise k same-window submissions would cut the effective noise by
-// about sqrt(k) while paying a single epsilon. Both epsilon and delta
-// compose linearly across the windows a client is charged for; the
-// per-window privacy report carries the basic-composition totals
+// The server meters each client's cumulative (epsilon, delta) spending.
+// The accounting unit is the release unit: each window's epsilon pays
+// for exactly one submission per client, with at most one claim per
+// object, and a second submission into the same open window is rejected
+// (409) instead of being silently averaged in — otherwise k same-window
+// submissions would cut the effective noise by about sqrt(k) while
+// paying a single epsilon. Both epsilon and delta compose linearly
+// across the windows a client is charged for; the per-window privacy
+// report carries the basic-composition totals
 // (MaxCumulative, CumulativeDelta). User.ParticipateStream honors the
 // one-submission-per-window contract on-device, skipping (ErrSameWindow)
 // before a second noisy release of the same window is even generated.
@@ -124,13 +123,6 @@
 // budget-exhausted user stays rejected (429) across eviction,
 // re-admission, and restart alike. The pptd_stream_resident_users and
 // pptd_store_spilled_users gauges on /metrics report the live split.
-//
-// The one-shot batch campaign persists through the same store when
-// ServerConfig.Persistence is set: every accepted submission is fsync'd
-// to a WAL before its receipt (the duplicate-client guard survives a
-// crash) and the aggregated result is persisted before it is first
-// published, so a restarted server still refuses re-submission and
-// serves the same result.
 package crowd
 
 import (
@@ -143,15 +135,6 @@ import (
 
 // Wire paths served by the campaign server.
 const (
-	// PathCampaign serves campaign metadata (GET).
-	PathCampaign = "/v1/campaign"
-	// PathSubmissions accepts perturbed claim batches (POST).
-	PathSubmissions = "/v1/submissions"
-	// PathResult serves the aggregated result (GET), 404 until ready.
-	PathResult = "/v1/result"
-	// PathAggregate forces aggregation of whatever was submitted (POST).
-	PathAggregate = "/v1/aggregate"
-
 	// PathStreamCampaign serves streaming campaign metadata (GET).
 	PathStreamCampaign = "/v1/stream/campaign"
 	// PathStreamClaims accepts batched perturbed claims for the open
@@ -202,59 +185,19 @@ const (
 	HeaderErrorCode = obs.HeaderErrorCode
 )
 
-// CampaignInfo is the public description of a sensing campaign.
-type CampaignInfo struct {
-	// Name labels the campaign.
-	Name string `json:"name"`
-	// NumObjects is the number of micro-tasks (objects) to report on.
-	NumObjects int `json:"numObjects"`
-	// Lambda2 is the server-released rate for the noise-variance
-	// distribution each user samples from.
-	Lambda2 float64 `json:"lambda2"`
-	// ExpectedUsers is the submission count that triggers aggregation.
-	ExpectedUsers int `json:"expectedUsers"`
-	// SubmittedUsers is how many users have submitted so far.
-	SubmittedUsers int `json:"submittedUsers"`
-	// Aggregated reports whether the result is available.
-	Aggregated bool `json:"aggregated"`
-}
-
 // Claim is a single (object, value) report inside a submission. Values
 // must already be perturbed by the client. It is the stream engine's
 // claim type, so a decoded batch reaches the engine without conversion.
 type Claim = stream.Claim
 
-// Submission is the body of POST /v1/submissions.
+// Submission is one client's claim batch, the JSON body of POST
+// /v1/stream/claims.
 type Submission struct {
-	// ClientID identifies the submitting device; one submission per ID.
+	// ClientID identifies the submitting device; one submission per ID
+	// per window.
 	ClientID string `json:"clientId"`
 	// Claims holds the perturbed readings.
 	Claims []Claim `json:"claims"`
-}
-
-// SubmissionReceipt is the response to a successful submission.
-type SubmissionReceipt struct {
-	// Accepted echoes the number of stored claims.
-	Accepted int `json:"accepted"`
-	// SubmittedUsers is the submission count after this one.
-	SubmittedUsers int `json:"submittedUsers"`
-	// Aggregated reports whether this submission triggered aggregation.
-	Aggregated bool `json:"aggregated"`
-}
-
-// ResultInfo is the response of GET /v1/result once aggregation ran.
-type ResultInfo struct {
-	// Truths holds the aggregated value per object.
-	Truths []float64 `json:"truths"`
-	// Weights holds the estimated weight per submitting user, keyed by
-	// client ID. Weights reveal only aggregate reliability on perturbed
-	// data, never original readings.
-	Weights map[string]float64 `json:"weights"`
-	// Method names the truth-discovery algorithm used.
-	Method string `json:"method"`
-	// Iterations and Converged mirror the truth.Result metadata.
-	Iterations int  `json:"iterations"`
-	Converged  bool `json:"converged"`
 }
 
 // StreamCampaignInfo is the public description of a streaming campaign
@@ -365,9 +308,8 @@ type StreamStatsInfo struct {
 const ErrorEnvelopeVersion = 1
 
 // ErrorBody is the versioned JSON error envelope every non-2xx response
-// carries, across batch and streaming endpoints alike. Clients branch on
-// Code (stable, machine-readable — see the Code* constants) rather than
-// on Message or on the HTTP status.
+// carries. Clients branch on Code (stable, machine-readable — see the
+// Code* constants) rather than on Message or on the HTTP status.
 type ErrorBody struct {
 	// V is the envelope version (ErrorEnvelopeVersion).
 	V int `json:"v"`

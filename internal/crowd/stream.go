@@ -12,6 +12,15 @@ import (
 	"pptd/internal/streamstore"
 )
 
+var (
+	// ErrBadConfig reports an invalid server configuration.
+	ErrBadConfig = errors.New("crowd: invalid server config")
+	// ErrNotReady reports a truths request before any window closed.
+	ErrNotReady = errors.New("crowd: result not ready")
+	// ErrBadSubmission reports a malformed submission.
+	ErrBadSubmission = errors.New("crowd: bad submission")
+)
+
 // StreamServerConfig parameterizes a streaming campaign server.
 type StreamServerConfig struct {
 	// Name labels the streaming campaign.
@@ -46,11 +55,11 @@ type StreamServerConfig struct {
 	MaxRequestBytes int64
 }
 
-// StreamServer is the streaming counterpart of Server: instead of one
-// aggregation over a frozen campaign, it ingests perturbed claim batches
-// continuously into a sharded stream engine and serves the latest
-// per-window estimate as a live snapshot. Like Server it only ever sees
-// perturbed data. Safe for concurrent use.
+// StreamServer is the untrusted aggregation server: it ingests perturbed
+// claim batches continuously into a sharded stream engine and serves the
+// latest per-window estimate as a live snapshot. It only ever sees
+// perturbed data; the privacy of each user rests on the client-side
+// perturbation, not on trusting this process. Safe for concurrent use.
 type StreamServer struct {
 	name     string
 	engine   *stream.Engine

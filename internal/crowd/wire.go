@@ -32,10 +32,9 @@ import (
 //	‖ uvarint(claim count)
 //	‖ per claim: uvarint(uint64(int64(object))) ‖ 8 bytes little-endian IEEE-754 value
 //
-// The payload is stream.AppendSubmission's encoding, the same bytes a
-// durable batch.wal record carries; stream.DecodeSubmission is its one
-// strict decoder. An out-of-range (negative) object decodes back to
-// itself so the engine rejects it with the same ErrBadClaim a JSON
+// The payload is stream.AppendSubmission's encoding;
+// stream.DecodeSubmission is its one strict decoder. An out-of-range
+// (negative) object decodes back to itself so the engine rejects it with the same ErrBadClaim a JSON
 // submission would get — framing validates transport integrity only,
 // never business rules.
 

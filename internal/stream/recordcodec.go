@@ -7,10 +7,10 @@ import (
 )
 
 // Binary submission and charge-record encodings: the one form of a claim
-// list on the wire and on disk. A submission is the claim frame's payload
-// (internal/crowd wraps it in the frame header) and a batch.wal record's
-// payload; a charge record is a ledger journal record's payload
-// (internal/streamstore frames and checksums both). They follow
+// list on the wire and on disk. A submission is the claim frame's
+// payload (internal/crowd wraps it in the frame header); a charge record
+// is a ledger journal record's payload (internal/streamstore frames and
+// checksums it). They follow
 // statecodec.go's idiom:
 //
 //	claim list    = uvarint count

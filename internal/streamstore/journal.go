@@ -12,15 +12,13 @@ import (
 )
 
 // Record framing, shared by every append-only file the store keeps —
-// the journal segments, batch.wal and users.spill. Each record is one
-// frame,
+// the journal segments and users.spill. Each record is one frame,
 //
 //	u32 LE payload length | u32 LE CRC-32 (IEEE) of the payload | payload
 //
-// where a journal payload is one stream.ChargeRecord and a batch.wal
-// payload one submission, both in stream's binary record encoding
-// (stream.AppendChargeRecord, stream.AppendSubmission), and a users.spill
-// payload is one JSON stream.UserSpill. A reader keeps the longest prefix
+// where a journal payload is one stream.ChargeRecord in stream's binary
+// record encoding (stream.AppendChargeRecord), and a users.spill payload
+// is one JSON stream.UserSpill. A reader keeps the longest prefix
 // of whole, intact records. The first record whose header is short, whose
 // length runs past the file, whose CRC does not match or whose payload
 // does not decode is the torn tail of a crashed append, and so is
@@ -113,7 +111,7 @@ func eachRecord(data []byte, fn func(payload []byte, off int) bool) int64 {
 }
 
 // legacyRecordFile reports whether head, the first bytes of a journal
-// segment, batch.wal or users.spill, is the start of the file's JSON-era
+// segment or users.spill, is the start of the file's JSON-era
 // form: one "crc32hex SP json LF" line per record, so eight lower-case hex
 // digits and a space. Nothing reads that form any more, and a reader
 // treating it as a torn tail at offset 0 would truncate it away — handing

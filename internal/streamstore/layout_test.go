@@ -146,9 +146,10 @@ func TestStraySegmentLookalikesIgnored(t *testing.T) {
 // as a torn tail, would hand every user it records their spent epsilon
 // back — so Open fails with the typed error naming the file and leaves it
 // byte-identical. That covers a pre-segmentation ledger.journal (on a
-// fresh directory and next to live segments) and a JSON-era active
-// segment, sealed segment, batch.wal and users.spill (whose lines the
-// binary reader would otherwise take for a torn tail at offset 0).
+// fresh directory and next to live segments), a JSON-era active
+// segment, sealed segment and users.spill (whose lines the binary reader
+// would otherwise take for a torn tail at offset 0), and a JSON-era
+// batch.wal, which TestOpenRefusesBatchCampaignFiles covers in full.
 // Removing the file is the operator's explicit decision; after it the
 // directory opens normally.
 func TestOpenRefusesLegacyJournal(t *testing.T) {
@@ -157,7 +158,7 @@ func TestOpenRefusesLegacyJournal(t *testing.T) {
 	jsonEra := []byte(line + line + `deadbeef {"user"`) // two records and a torn tail
 
 	// liveDir is a directory this version wrote: a sealed and an active
-	// segment, a spill file and a batch WAL.
+	// segment and a spill file.
 	liveDir := func(t *testing.T) string {
 		dir := t.TempDir()
 		s, err := OpenWith(dir, Options{SegmentBytes: 64})
@@ -170,9 +171,6 @@ func TestOpenRefusesLegacyJournal(t *testing.T) {
 			}
 		}
 		if err := s.SpillUsers([]stream.UserSpill{spillOf("u0", 1, 1)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AppendBatchSubmission(batchSub(0)); err != nil {
 			t.Fatal(err)
 		}
 		if s.Stats(false).SegmentsSealed == 0 {
@@ -195,7 +193,7 @@ func TestOpenRefusesLegacyJournal(t *testing.T) {
 		{"ledger.journal next to segments", liveDir, legacyJournalName, []byte("stale\n")},
 		{"active segment", freshDir, segmentFileName(1), jsonEra},
 		{"sealed segment", liveDir, segmentFileName(1), jsonEra},
-		{"batch.wal", liveDir, batchWALName, jsonEra},
+		{"batch.wal", liveDir, "batch.wal", jsonEra},
 		{"users.spill", liveDir, spillName, jsonEra},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,6 +217,78 @@ func TestOpenRefusesLegacyJournal(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesBatchCampaignFiles: the retired batch campaign's WAL
+// and result are refused by name, empty or not, before Open repairs
+// anything: the directory, whose active segment still carries the
+// preallocated tail a normal Open truncates, is left byte-identical.
+// Removing the file is the operator's decision; after it the directory
+// opens normally and its charges are all there.
+func TestOpenRefusesBatchCampaignFiles(t *testing.T) {
+	readDir := func(t *testing.T, dir string) map[string][]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string][]byte, len(entries))
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = data
+		}
+		return files
+	}
+	for _, name := range []string{"batch.wal", "batch-result.json"} {
+		for _, content := range [][]byte{{}, []byte(`{"truths":[1.5],"method":"crh"}` + "\n")} {
+			t.Run(fmt.Sprintf("%s/%d-bytes", name, len(content)), func(t *testing.T) {
+				dir := t.TempDir()
+				s := mustOpen(t, dir)
+				for i := 0; i < 3; i++ {
+					if err := s.AppendCharge(stream.ChargeRecord{User: fmt.Sprintf("u%d", i), Epsilon: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Crash without Close: the preallocated tail stays.
+				if err := unlockFile(s.lock); err != nil {
+					t.Fatal(err)
+				}
+				_, _ = s.active.Close(), s.lock.Close()
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, content, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				before := readDir(t, dir)
+
+				_, err := Open(dir)
+				if !errors.Is(err, ErrLegacyJournal) || !strings.Contains(err.Error(), path) {
+					t.Fatalf("Open = %v, want ErrLegacyJournal naming %s", err, path)
+				}
+				after := readDir(t, dir)
+				if len(after) != len(before) {
+					t.Fatalf("refused Open changed the directory: %d files, had %d", len(after), len(before))
+				}
+				for f, data := range before {
+					if !bytes.Equal(after[f], data) {
+						t.Fatalf("refused Open touched %s", f)
+					}
+				}
+
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				re := mustOpen(t, dir)
+				defer func() { _ = re.Close() }()
+				st, err := recoveredState(t, re, bareCfg)
+				if err != nil || st == nil || len(st.Users) != 3 {
+					t.Fatalf("recovered %+v, %v; want the 3 charged users", st, err)
+				}
+			})
+		}
 	}
 }
 

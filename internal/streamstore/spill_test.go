@@ -1,10 +1,7 @@
 package streamstore
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -268,222 +265,8 @@ func runSpillCrashPointSweep(t *testing.T, disk sweepDisk) {
 	}
 }
 
-// batchSub builds one batch submission with a recognizable claim.
-func batchSub(i int) BatchSubmission {
-	return BatchSubmission{
-		ClientID: fmt.Sprintf("client-%02d", i),
-		Claims: []stream.Claim{
-			{Object: i % 3, Value: float64(i) + 0.25},
-			{Object: (i + 1) % 3, Value: -0.5 * float64(i)},
-		},
-	}
-}
-
-// TestBatchWALRoundTrip: appends come back in acknowledgement order
-// across a reopen, the WAL is created lazily (a stream-only directory
-// never grows one), the result round-trips atomically, and a torn tail
-// costs only the unacknowledged record.
-func TestBatchWALRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir)
-
-	if subs, err := s.LoadBatchSubmissions(); err != nil || subs != nil {
-		t.Fatalf("fresh store LoadBatchSubmissions = %v, %v; want empty", subs, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, batchWALName)); !os.IsNotExist(err) {
-		t.Fatal("batch.wal exists before any append — lazy creation broken")
-	}
-	if err := s.AppendBatchSubmission(BatchSubmission{}); err == nil {
-		t.Fatal("empty client ID accepted")
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.AppendBatchSubmission(batchSub(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res, err := s.LoadBatchResult(); err != nil || res != nil {
-		t.Fatalf("LoadBatchResult before save = %v, %v; want absent", res, err)
-	}
-	payload := []byte(`{"truths":[1,2,3]}`)
-	if err := s.SaveBatchResult(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the WAL tail; the five acknowledged records must survive.
-	path := filepath.Join(dir, batchWALName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn, err := appendRecord(nil, stream.AppendSubmission(nil, "client-99", batchSub(9).Claims))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, torn[:len(torn)/2]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re := mustOpen(t, dir)
-	defer func() { _ = re.Close() }()
-	subs, err := re.LoadBatchSubmissions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 5 {
-		t.Fatalf("recovered %d submissions, want 5", len(subs))
-	}
-	for i, sub := range subs {
-		want := batchSub(i)
-		if sub.ClientID != want.ClientID || len(sub.Claims) != len(want.Claims) {
-			t.Fatalf("submission %d = %+v, want %+v (order must be ack order)", i, sub, want)
-		}
-		for c := range sub.Claims {
-			if sub.Claims[c] != want.Claims[c] {
-				t.Fatalf("submission %d claim %d = %+v, want %+v", i, c, sub.Claims[c], want.Claims[c])
-			}
-		}
-	}
-	res, err := re.LoadBatchResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res, payload) {
-		t.Fatalf("recovered result = %q, want %q", res, payload)
-	}
-}
-
-// runBatchCycle is the batch-persistence crash workload: six appends
-// with the result saved (and once overwritten) along the way. It returns
-// how many appends were acknowledged and every result payload whose save
-// was acknowledged.
-func runBatchCycle(fsys storefs.FS, dir string) (ackedSubs int, ackedResults [][]byte, err error) {
-	store, err := OpenWith(dir, Options{FS: fsys})
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() { _ = store.Close() }()
-	for i := 0; i < 6; i++ {
-		if err := store.AppendBatchSubmission(batchSub(i)); err != nil {
-			return ackedSubs, ackedResults, err
-		}
-		ackedSubs++
-		if i == 2 || i == 4 {
-			payload := []byte(fmt.Sprintf(`{"aggregatedAt":%d}`, i))
-			if err := store.SaveBatchResult(payload); err != nil {
-				return ackedSubs, ackedResults, err
-			}
-			ackedResults = append(ackedResults, payload)
-		}
-	}
-	return ackedSubs, ackedResults, nil
-}
-
-// TestBatchCrashPointSweep crashes at every filesystem operation of the
-// batch workload (WAL creation, appends, result save with its
-// temp/rename dance, torn write variants) and asserts: every
-// acknowledged submission survives recovery in order, an unacknowledged
-// one is either absent or the complete in-flight record (never garbage),
-// and the recovered result is exactly an acknowledged payload or absent
-// — never torn.
-func TestBatchCrashPointSweep(t *testing.T) {
-	runBatchCrashPointSweep(t, osDisk)
-}
-
-// TestBatchCrashPointSweepModel is the same sweep on storefs.Model, once
-// per crash mode: a submission or result acknowledged before its fsync,
-// or a WAL whose name was never made durable, shows up as a lost record.
-func TestBatchCrashPointSweepModel(t *testing.T) {
-	for _, mode := range storefs.CrashModes {
-		t.Run(mode.String(), func(t *testing.T) { runBatchCrashPointSweep(t, modelDisk(mode)) })
-	}
-}
-
-func runBatchCrashPointSweep(t *testing.T, disk sweepDisk) {
-	run, _ := disk()
-	pilot := storefs.NewFaulty(run)
-	if _, _, err := runBatchCycle(pilot, t.TempDir()); err != nil {
-		t.Fatalf("pilot: %v", err)
-	}
-	pilotOps := pilot.Ops()
-	if len(pilotOps) < 15 {
-		t.Fatalf("pilot enumerated only %d ops", len(pilotOps))
-	}
-
-	for _, tc := range storefs.CrashPoints(pilotOps) {
-		tc := tc
-		t.Run(tc.Label, func(t *testing.T) {
-			label := strings.ReplaceAll(t.Name(), "/", "-")
-			dir := t.TempDir()
-			run, afterCrash := disk()
-			fy := storefs.NewFaulty(run)
-			fy.CrashAt(tc.Op, tc.Tear)
-			ackedSubs, ackedResults, _ := runBatchCycle(fy, dir)
-
-			re, err := OpenWith(dir, Options{FS: afterCrash()})
-			if err != nil {
-				dumpOpLog(t, fy, label)
-				t.Fatalf("recovery open: %v", err)
-			}
-			defer func() { _ = re.Close() }()
-
-			subs, err := re.LoadBatchSubmissions()
-			if err != nil {
-				dumpOpLog(t, fy, label)
-				t.Fatalf("LoadBatchSubmissions: %v", err)
-			}
-			if len(subs) < ackedSubs || len(subs) > ackedSubs+1 {
-				dumpOpLog(t, fy, label)
-				t.Fatalf("recovered %d submissions, acknowledged %d (at most one in-flight may appear)",
-					len(subs), ackedSubs)
-			}
-			for i, sub := range subs {
-				want := batchSub(i)
-				if sub.ClientID != want.ClientID {
-					dumpOpLog(t, fy, label)
-					t.Fatalf("submission %d = %q, want %q: ack order broken", i, sub.ClientID, want.ClientID)
-				}
-				for c := range sub.Claims {
-					if math.IsNaN(sub.Claims[c].Value) {
-						t.Fatalf("submission %d claim %d is NaN", i, c)
-					}
-				}
-			}
-
-			res, err := re.LoadBatchResult()
-			if err != nil {
-				dumpOpLog(t, fy, label)
-				t.Fatalf("LoadBatchResult: %v", err)
-			}
-			if res != nil {
-				ok := false
-				for _, want := range ackedResults {
-					if bytes.Equal(res, want) {
-						ok = true
-					}
-				}
-				// The crash may have landed after the last save's write but
-				// before its acknowledgement: the in-flight payload is also
-				// legal, as long as it is a complete JSON document.
-				if !ok && json.Valid(res) {
-					ok = true
-				}
-				if !ok {
-					dumpOpLog(t, fy, label)
-					t.Fatalf("recovered result %q is torn", res)
-				}
-			} else if len(ackedResults) > 0 {
-				dumpOpLog(t, fy, label)
-				t.Fatalf("acknowledged result lost (had %d saves)", len(ackedResults))
-			}
-		})
-	}
-}
-
-// TestSpillAfterCloseFails: both spill and batch surfaces refuse cleanly
-// once the store is closed.
+// TestSpillAfterCloseFails: the spill surface refuses cleanly once the
+// store is closed.
 func TestSpillAfterCloseFails(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	if err := s.Close(); err != nil {
@@ -494,17 +277,5 @@ func TestSpillAfterCloseFails(t *testing.T) {
 	}
 	if _, _, err := s.LoadUser("x"); err != ErrClosed {
 		t.Errorf("LoadUser after close = %v, want ErrClosed", err)
-	}
-	if err := s.AppendBatchSubmission(batchSub(0)); err != ErrClosed {
-		t.Errorf("AppendBatchSubmission after close = %v, want ErrClosed", err)
-	}
-	if _, err := s.LoadBatchSubmissions(); err != ErrClosed {
-		t.Errorf("LoadBatchSubmissions after close = %v, want ErrClosed", err)
-	}
-	if err := s.SaveBatchResult([]byte("{}")); err != ErrClosed {
-		t.Errorf("SaveBatchResult after close = %v, want ErrClosed", err)
-	}
-	if _, err := s.LoadBatchResult(); err != ErrClosed {
-		t.Errorf("LoadBatchResult after close = %v, want ErrClosed", err)
 	}
 }

@@ -57,9 +57,6 @@ type StoreStats struct {
 	UserSpills   int64 `json:"userSpills"`
 	UserLoads    int64 `json:"userLoads"`
 	SpilledUsers int   `json:"spilledUsers"`
-	// BatchAppends counts accepted batch-campaign submissions made
-	// durable in the batch WAL.
-	BatchAppends int64 `json:"batchAppends"`
 	// BatchSizes is the histogram of records per group-commit flush.
 	BatchSizes Histogram `json:"batchSizes"`
 	// FlushLatencySeconds is the histogram of write+fsync wall time per
@@ -81,7 +78,6 @@ type statsBase struct {
 	resultsSaved    int64
 	userSpills      int64
 	userLoads       int64
-	batchAppends    int64
 	batchSizes      Histogram
 	flushLatency    Histogram
 }
@@ -109,13 +105,10 @@ type statsBase struct {
 func (s *Store) Stats(reset bool) StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Lock order s.mu -> spillMu -> batchMu, matching Close.
+	// Lock order s.mu -> spillMu, matching Close.
 	s.spillMu.Lock()
 	userSpills, userLoads, spilled := s.userSpills, s.userLoads, len(s.spillIndex)
 	s.spillMu.Unlock()
-	s.batchMu.Lock()
-	batchAppends := s.batchAppends
-	s.batchMu.Unlock()
 	st := StoreStats{
 		JournalAppends:      s.journalAppends - s.base.journalAppends,
 		JournalSyncs:        s.journalSyncs - s.base.journalSyncs,
@@ -128,7 +121,6 @@ func (s *Store) Stats(reset bool) StoreStats {
 		UserSpills:          userSpills - s.base.userSpills,
 		UserLoads:           userLoads - s.base.userLoads,
 		SpilledUsers:        spilled,
-		BatchAppends:        batchAppends - s.base.batchAppends,
 		BatchSizes:          s.batchSizes.Sub(s.base.batchSizes),
 		FlushLatencySeconds: s.flushLatency.Sub(s.base.flushLatency),
 	}
@@ -142,7 +134,6 @@ func (s *Store) Stats(reset bool) StoreStats {
 			resultsSaved:    s.resultsSaved,
 			userSpills:      userSpills,
 			userLoads:       userLoads,
-			batchAppends:    batchAppends,
 			batchSizes:      s.batchSizes.Clone(),
 			flushLatency:    s.flushLatency.Clone(),
 		}
@@ -199,13 +190,6 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 			s.spillMu.Lock()
 			defer s.spillMu.Unlock()
 			return float64(len(s.spillIndex))
-		})
-	reg.CounterFunc("pptd_store_batch_appends_total",
-		"Batch-campaign submissions made durable in the batch WAL.",
-		func() float64 {
-			s.batchMu.Lock()
-			defer s.batchMu.Unlock()
-			return float64(s.batchAppends)
 		})
 	reg.GaugeFunc("pptd_store_journal_bytes",
 		"Live journal size in bytes across every segment.",

@@ -42,12 +42,6 @@
 //     one positioned read, and the file compacts by atomic rewrite
 //     once dead records outweigh live ones. See spill.go.
 //
-//   - the batch-campaign leg (batch.wal + batch-result.json): every
-//     accepted batch submission fsync'd before its acknowledgement,
-//     plus the aggregated result written atomically, so the one-shot
-//     campaign's duplicate guard and published result survive a
-//     restart too. See batch.go.
-//
 // Recovery (Recover) restores the latest snapshot into a fresh engine,
 // replays every journaled record past the snapshot's covered position
 // (budgets always, claims when present — re-running any window closes
@@ -60,13 +54,14 @@
 // away; a corrupt snapshot is an error, since the atomic rename means
 // it can only arise from disk damage, not a crash.
 //
-// The journal segments, users.spill and batch.wal share one binary
-// record framing — payload length, CRC-32, payload — and one torn-tail
-// rule (journal.go). A pre-segmentation state directory (a single
-// ledger.journal), or one whose segments, spill or batch WAL are still
-// the JSON lines earlier versions wrote, is refused on Open with
-// ErrLegacyJournal rather than read, ignored or repaired, and so is one
-// whose snapshot or cluster-close record is still JSON
+// The journal segments and users.spill share one binary record framing
+// — payload length, CRC-32, payload — and one torn-tail rule
+// (journal.go). A pre-segmentation state directory (a single
+// ledger.journal), one left by the retired batch campaign (batch.wal or
+// batch-result.json, whatever their content), or one whose segments or
+// spill are still the JSON lines earlier versions wrote, is refused on
+// Open with ErrLegacyJournal rather than read, ignored or repaired, and
+// so is one whose snapshot or cluster-close record is still JSON
 // (ErrLegacySnapshot).
 //
 // All file I/O goes through a storefs.FS (Options.FS; the real
@@ -136,9 +131,10 @@ var (
 	// cost of serving no estimate until the next window close.
 	ErrCorruptResult = errors.New("streamstore: corrupt result")
 	// ErrLegacyJournal reports a state directory holding a journal this
-	// version does not read: a pre-segmentation ledger.journal, or a
-	// journal segment, batch.wal or users.spill still in the JSON-line
-	// form that preceded the binary record framing. Opening around the
+	// version does not read: a pre-segmentation ledger.journal, the
+	// retired batch campaign's batch.wal or batch-result.json, or a
+	// journal segment or users.spill still in the JSON-line form that
+	// preceded the binary record framing. Opening around the
 	// file, or truncating it as a torn tail, would silently drop every
 	// charge it records; the error names the file, untouched, so an
 	// operator can decide what to do with it.
@@ -252,15 +248,6 @@ type Store struct {
 	userLoads        int64
 	spillCompactions int64
 
-	// Batch-campaign WAL state (batch.wal; see batch.go). The file is
-	// created lazily on the first append, so batch == nil does not mean
-	// closed — batchClosed does. Lock order is s.mu before batchMu.
-	batchMu      sync.Mutex
-	batch        storefs.File
-	batchSize    int64
-	batchClosed  bool
-	batchAppends int64
-
 	// Observability counters. All cumulative and monotone — they back
 	// the registered /metrics callbacks — with base marking the last
 	// Stats(reset) boundary for the windowed view.
@@ -321,7 +308,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		flushLatency: obs.NewHistogram(flushLatencyBounds),
 	}
 	fail := func(err error) (*Store, error) {
-		for _, f := range []storefs.File{s.active, s.spill, s.batch} {
+		for _, f := range []storefs.File{s.active, s.spill} {
 			if f != nil {
 				_ = f.Close()
 			}
@@ -330,19 +317,36 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		_ = lock.Close()
 		return nil, err
 	}
+	if err := s.refuseBatchFiles(); err != nil {
+		return fail(err)
+	}
 	if err := s.openJournalLocked(); err != nil {
 		return fail(err)
 	}
 	if err := s.openSpillLocked(); err != nil {
 		return fail(err)
 	}
-	if err := s.openBatchLocked(); err != nil {
-		return fail(err)
-	}
 	if opts.Metrics != nil {
 		s.registerMetrics(opts.Metrics)
 	}
 	return s, nil
+}
+
+// refuseBatchFiles fails Open with ErrLegacyJournal, naming the file,
+// when the directory holds the retired batch campaign's batch.wal or
+// batch-result.json, whatever their content. It runs before anything is
+// opened or repaired; there is no migration.
+func (s *Store) refuseBatchFiles() error {
+	entries, err := s.fs.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("streamstore: scan state dir: %w", err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); name == "batch.wal" || name == "batch-result.json" {
+			return fmt.Errorf("%w: %s", ErrLegacyJournal, filepath.Join(s.dir, name))
+		}
+	}
+	return nil
 }
 
 // Dir returns the state directory the store persists into.
@@ -735,9 +739,8 @@ func readFileIfExists(fsys storefs.FS, path string) ([]byte, error) {
 	return data, nil
 }
 
-// readEnvelope reads and integrity-checks one enveloped result file
-// (window or batch),
-// returning (nil, nil) when the file does not exist and wrapping
+// readEnvelope reads and integrity-checks one enveloped window result
+// file, returning (nil, nil) when the file does not exist and wrapping
 // verification failures in ErrCorruptResult.
 func readEnvelope(fsys storefs.FS, path string) ([]byte, error) {
 	data, err := readFileIfExists(fsys, path)
@@ -775,15 +778,6 @@ func (s *Store) Close() error {
 		s.spill = nil
 	}
 	s.spillMu.Unlock()
-	s.batchMu.Lock()
-	s.batchClosed = true
-	if s.batch != nil {
-		if berr := s.batch.Close(); err == nil {
-			err = berr
-		}
-		s.batch = nil
-	}
-	s.batchMu.Unlock()
 	if uerr := unlockFile(s.lock); err == nil {
 		err = uerr
 	}

@@ -49,12 +49,6 @@ type nodeConfig struct {
 	lambda1    float64
 	lambda1Set bool
 
-	batchObjects int
-	batchSet     bool
-	expected     int
-	expectedSet  bool
-	method       Method
-
 	stream         *StreamConfig // resolved and validated by resolveEngine
 	windowInterval time.Duration
 	intervalSet    bool
@@ -76,7 +70,7 @@ func optErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrNodeConfig, fmt.Sprintf(format, args...))
 }
 
-// WithName labels the node's campaigns.
+// WithName labels the node's campaign.
 func WithName(name string) Option {
 	return func(c *nodeConfig) error {
 		c.name = name
@@ -84,49 +78,19 @@ func WithName(name string) Option {
 	}
 }
 
-// WithMethod selects the truth-discovery method (default CRH). It
-// applies to every campaign the node hosts: the batch campaign runs the
-// method as given, and the streaming engine runs its incremental
-// counterpart (so the streaming estimators are CRH, GTM, and CATD —
-// configuring a stream engine with a batch-only method like the mean or
-// median baseline fails validation, and so does a StreamConfig that
-// names an Estimator of its own). On a durable node the method is
-// also cross-checked against the recovered snapshot: restoring state
-// written by a different estimator fails with ErrStreamEstimatorMismatch
-// instead of silently reinterpreting it. Requires WithBatchCampaign or a
-// stream engine.
-func WithMethod(m Method) Option {
-	return func(c *nodeConfig) error {
-		if m == nil {
-			return optErr("WithMethod: nil method")
-		}
-		c.method = m
-		return nil
-	}
-}
-
 // validate checks the rules that span subsystems, after every option
-// applied: which campaigns the node hosts, and how persistence, the
-// cluster roles and shipping combine. Half-configured or contradictory
+// applied: that the node hosts a stream engine, and how persistence,
+// the cluster roles and shipping combine. Half-configured or contradictory
 // sets fail with a typed error (wrapped ErrNodeConfig) naming the
 // options involved — never a silent default. The privacy options and
 // the engine configuration are checked by the steps that resolve them
 // (resolveLambda2, resolveEngine).
 func (c *nodeConfig) validate() error {
-	streaming := c.stream != nil
 	switch {
-	case !c.batchSet && !streaming:
-		return optErr("configure at least one of WithBatchCampaign and WithStreamEngine")
-	case c.expectedSet && !c.batchSet:
-		return optErr("WithExpectedUsers requires WithBatchCampaign")
-	case c.intervalSet && !streaming:
-		return optErr("WithWindowInterval requires a stream engine (WithStreamEngine or WithStreamConfig)")
-	case c.clusterWorker && !streaming:
-		return optErr("WithClusterWorker requires a stream engine (WithStreamEngine or WithStreamConfig)")
+	case c.stream == nil:
+		return optErr("configure a stream engine (WithStreamEngine or WithStreamConfig)")
 	case c.clusterWorker && c.intervalSet:
 		return optErr("WithClusterWorker conflicts with WithWindowInterval: the coordinator drives window closes")
-	case c.clusterSet && !streaming:
-		return optErr("WithClusterCoordinator requires a stream engine config (WithStreamEngine or WithStreamConfig)")
 	case c.shipSet && !c.persistSet:
 		return optErr("WithSegmentShipping requires WithPersistence: shipping replicates the state directory")
 	}
@@ -135,7 +99,6 @@ func (c *nodeConfig) validate() error {
 			"WithClusterWorker":             c.clusterWorker,
 			"WithPersistence":               c.persistSet,
 			"WithSegmentShipping":           c.shipSet,
-			"WithBatchCampaign":             c.batchSet,
 			"StreamConfig.MaxResidentUsers": c.stream.MaxResidentUsers > 0,
 		} {
 			if set {
@@ -161,14 +124,13 @@ func WithLambda2(lambda2 float64) Option {
 	}
 }
 
-// WithPrivacyTarget asks each streaming window (and the batch campaign's
-// single release) to satisfy (eps, delta)-local differential privacy:
-// the node derives the lambda2 to publish from the target via the
-// paper's accountant (Theorem 4.8) and meters every streaming user's
-// cumulative spending, both eps and delta composing linearly across
-// their windows (StreamConfig.EpsilonBudget caps the total). Requires
-// WithDataQuality (the accountant's assumed error-variance rate);
-// conflicts with WithLambda2.
+// WithPrivacyTarget asks each streaming window to satisfy (eps,
+// delta)-local differential privacy: the node derives the lambda2 to
+// publish from the target via the paper's accountant (Theorem 4.8) and
+// meters every streaming user's cumulative spending, both eps and delta
+// composing linearly across their windows (StreamConfig.EpsilonBudget
+// caps the total). Requires WithDataQuality (the accountant's assumed
+// error-variance rate); conflicts with WithLambda2.
 func WithPrivacyTarget(eps, delta float64) Option {
 	return func(c *nodeConfig) error {
 		if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
@@ -223,11 +185,8 @@ func (c *nodeConfig) resolveLambda2() error {
 		}
 		c.lambda2 = mech.Lambda2()
 	}
-	if c.lambda2 == 0 && c.stream != nil {
+	if c.lambda2 == 0 {
 		c.lambda2 = c.stream.Lambda2
-	}
-	if c.batchSet && c.lambda2 <= 0 {
-		return optErr("WithBatchCampaign requires a perturbation rate (WithLambda2 or WithPrivacyTarget)")
 	}
 	return nil
 }
@@ -246,18 +205,20 @@ func WithStreamEngine(numObjects int) Option {
 // history, per-user budget, residency caps; only NumObjects is required
 // — and its own validation (StreamConfig.Validate) owns every field
 // rule: NewNode runs it before anything is opened and wraps what it
-// reports in ErrNodeConfig. The node fills in the fields its other
-// options own, and refuses to overwrite one the config already set:
-// Estimator (WithMethod), Lambda1/Delta/Lambda2 (WithPrivacyTarget,
-// WithLambda2), ClaimWAL (on for an accounted node with
-// WithPersistence), and — when left nil — Ledger,
-// UserStore and Metrics from the node's own store and registry.
+// reports in ErrNodeConfig. Estimator is the one place the estimator is
+// chosen: CRH (the default), GTM or CATD. The node fills in the fields
+// its other options own, and refuses to overwrite one the config
+// already set: Lambda1/Delta/Lambda2 (WithPrivacyTarget, WithLambda2),
+// ClaimWAL (on for an accounted node with WithPersistence), and — when
+// left nil — Ledger, UserStore and Metrics from the node's own store and
+// registry.
 func WithStreamConfig(cfg StreamConfig) Option {
 	return func(c *nodeConfig) error {
 		if c.stream != nil {
 			return optErr("WithStreamConfig configured twice (WithStreamEngine is shorthand for it)")
 		}
-		c.stream = &cfg
+		own := cfg // NewNode fills fields in; the option stays reusable
+		c.stream = &own
 		return nil
 	}
 }
@@ -278,24 +239,11 @@ func WithWindowInterval(d time.Duration) Option {
 
 // resolveEngine turns the WithStreamConfig value into the configuration
 // the engine (on a coordinator, the merge engine) runs. The node adds
-// only what its other options own — the estimator, the privacy rates,
-// the claim-WAL default — checks those against what the config already
-// carries, and leaves every field rule to the config's own validation.
+// only what its other options own — the privacy rates and the claim-WAL
+// default — checks those against what the config already carries, and
+// leaves every field rule to the config's own validation.
 func (c *nodeConfig) resolveEngine() error {
 	eng := c.stream
-	if eng == nil {
-		return nil
-	}
-	if c.method != nil {
-		if eng.Estimator != "" {
-			return optErr("WithMethod conflicts with WithStreamConfig.Estimator")
-		}
-		if !stream.KnownEstimator(c.method.Name()) {
-			return optErr("WithMethod: %q is batch-only; streaming estimators are %v",
-				c.method.Name(), stream.EstimatorNames)
-		}
-		eng.Estimator = c.method.Name()
-	}
 	if c.targetSet {
 		if eng.Lambda1 > 0 {
 			return optErr("WithPrivacyTarget conflicts with WithStreamConfig accounting (Lambda1 set)")
@@ -329,17 +277,15 @@ func (c *nodeConfig) resolveEngine() error {
 	return nil
 }
 
-// WithPersistence makes the node's campaigns durable in the given state
-// directory. On the streaming side, every privacy charge (and, on an
-// accounted node, the submission's claims) is journaled with an fsync
-// before the submission is acknowledged, each window close persists its
-// published result (the retained history, so ?window= reads survive
-// restarts) and snapshots the engine, and residency-cap evictions
-// (StreamConfig.MaxResidentUsers) spill user state to
-// the same store. On the batch side, every accepted submission is WAL'd
-// before its receipt and the aggregated result persists before it is
-// first published. The node owns the store: NewNode opens it and
-// Node.Close closes it.
+// WithPersistence makes the node's campaign durable in the given state
+// directory: on an accounted node every submission's charge and claims
+// are journaled with an fsync before it is acknowledged (an unaccounted
+// node journals nothing per submission, so its open window lives in
+// memory until the close), each window close persists its published
+// result (the retained history, so ?window= reads survive restarts) and
+// snapshots the engine, and residency-cap evictions
+// (StreamConfig.MaxResidentUsers) spill user state to the same store.
+// The node owns the store: NewNode opens it and Node.Close closes it.
 func WithPersistence(dir string) Option {
 	return func(c *nodeConfig) error {
 		if dir == "" {
@@ -354,19 +300,14 @@ func WithPersistence(dir string) Option {
 	}
 }
 
-// openStore opens the WithPersistence state directory. The store serves
-// whichever campaigns the node hosts — the batch WAL needs no stream
-// engine.
+// openStore opens the WithPersistence state directory.
 func (n *Node) openStore(c *nodeConfig) error {
 	if !c.persistSet {
 		return nil
 	}
-	opts := streamstore.Options{Metrics: n.metrics}
-	if c.stream != nil {
-		// Persist as many recent results as the engine retains, so
-		// ?window= reads answer the same span across a restart.
-		opts.ResultHistory = c.stream.HistoryWindows
-	}
+	// Persist as many recent results as the engine retains, so ?window=
+	// reads answer the same span across a restart.
+	opts := streamstore.Options{Metrics: n.metrics, ResultHistory: c.stream.HistoryWindows}
 	store, err := streamstore.OpenWith(c.stateDir, opts)
 	if err != nil {
 		return err
@@ -394,12 +335,12 @@ func WithClusterWorker() Option {
 // them on the hash ring and runs the merge-estimate close protocol, so
 // GET /v1/stream/truths serves cluster-wide estimates identical to a
 // single node's. The engine configuration (WithStreamEngine or
-// WithStreamConfig, plus WithMethod and the privacy options) is the one
-// shared with the workers, which is cross-checked against each worker
-// at startup; WithWindowInterval drives cluster-wide closes. The
-// coordinator holds no durable state — durability lives on the workers
-// — so it conflicts with WithPersistence, residency caps, segment
-// shipping, WithClusterWorker, and WithBatchCampaign.
+// WithStreamConfig, plus the privacy options) is the one shared with the
+// workers, which is cross-checked against each worker at startup;
+// WithWindowInterval drives cluster-wide closes. The coordinator holds
+// no durable state — durability lives on the workers — so it conflicts
+// with WithPersistence, residency caps, segment shipping, and
+// WithClusterWorker.
 func WithClusterCoordinator(workers ...string) Option {
 	return func(c *nodeConfig) error {
 		if len(workers) == 0 {
@@ -419,9 +360,6 @@ func WithClusterCoordinator(workers ...string) Option {
 // the engine config describes the cluster's shared engine and no local
 // engine runs — the cluster coordinator.
 func (n *Node) startStream(c *nodeConfig) error {
-	if c.stream == nil {
-		return nil
-	}
 	if c.stream.Metrics == nil {
 		c.stream.Metrics = n.metrics
 	}
@@ -503,75 +441,13 @@ func (n *Node) startShipper(c *nodeConfig) error {
 	return nil
 }
 
-// WithBatchCampaign hosts the one-shot batch campaign (Algorithm 2's
-// collect-then-aggregate flow) over numObjects micro-tasks. The
-// truth-discovery method defaults to CRH (WithMethod overrides) and
-// aggregation is manual unless WithExpectedUsers sets a trigger.
-func WithBatchCampaign(numObjects int) Option {
-	return func(c *nodeConfig) error {
-		if numObjects <= 0 {
-			return optErr("WithBatchCampaign: numObjects = %d", numObjects)
-		}
-		if c.batchSet {
-			return optErr("WithBatchCampaign configured twice")
-		}
-		c.batchObjects = numObjects
-		c.batchSet = true
-		return nil
-	}
-}
-
-// WithExpectedUsers auto-aggregates the batch campaign once n users have
-// submitted. Requires WithBatchCampaign.
-func WithExpectedUsers(n int) Option {
-	return func(c *nodeConfig) error {
-		if n <= 0 {
-			return optErr("WithExpectedUsers: n = %d", n)
-		}
-		c.expected = n
-		c.expectedSet = true
-		return nil
-	}
-}
-
-// startBatch starts the WithBatchCampaign server, durable when the node
-// has a store.
-func (n *Node) startBatch(c *nodeConfig) error {
-	if !c.batchSet {
-		return nil
-	}
-	method := c.method
-	if method == nil {
-		m, err := NewCRH()
-		if err != nil {
-			return err
-		}
-		method = m
-	}
-	srv, err := crowd.NewServer(crowd.ServerConfig{
-		Name:            c.name,
-		NumObjects:      c.batchObjects,
-		Lambda2:         c.lambda2,
-		ExpectedUsers:   c.expected,
-		Method:          method,
-		Persistence:     n.store,
-		MaxRequestBytes: c.maxRequestBytes,
-	})
-	if err != nil {
-		return err
-	}
-	n.batch = srv
-	return nil
-}
-
-// WithMaxRequestBytes caps the request body of every POST route the
-// node serves — stream claims, batch submissions, and (on cluster
-// workers and coordinators) the cluster close/commit RPCs. An oversized
-// body is refused with the 413 payload_too_large envelope before it is
-// buffered, so one client cannot exhaust the node's memory with a
-// single giant request. The default is 16 MiB (see the API docs);
-// raise it for deployments whose legitimate batches are larger, or
-// lower it to tighten the ingest surface.
+// WithMaxRequestBytes caps the request body of every POST route the node
+// serves — stream claims and (on cluster workers and coordinators) the
+// cluster close/commit RPCs. An oversized body is refused with the 413
+// payload_too_large envelope before it is buffered, so one client cannot
+// exhaust the node's memory with a single giant request. The default is
+// 16 MiB (see the API docs); raise it for deployments whose legitimate
+// batches are larger, or lower it to tighten the ingest surface.
 func WithMaxRequestBytes(n int64) Option {
 	return func(c *nodeConfig) error {
 		if n <= 0 {
@@ -614,9 +490,6 @@ func WithDebugHandlers() Option {
 // behind the telemetry middleware.
 func (n *Node) mount(c *nodeConfig) {
 	mux := http.NewServeMux()
-	if n.batch != nil {
-		n.batch.Register(mux)
-	}
 	// One front door whatever sits behind it: the local stream server or
 	// the cluster coordinator (startStream starts one or the other).
 	if n.stream != nil {
@@ -667,14 +540,13 @@ func withEnvelopeNotFound(mux *http.ServeMux) http.Handler {
 }
 
 // Node is the unified front door to a privacy-preserving truth-discovery
-// deployment: one process that can host the one-shot batch campaign, the
-// windowed streaming engine, and durable persistence — all mounted on a
-// single HTTP mux speaking one error-envelope contract. Build it with
+// deployment: one process that hosts the windowed streaming engine — a
+// one-shot campaign is one window — and durable persistence, mounted on
+// a single HTTP mux speaking one error-envelope contract. Build it with
 // NewNode and functional options; Close releases everything the node
 // owns (stream workers, window ticker, state store).
 type Node struct {
 	name    string
-	batch   *CampaignServer
 	stream  *StreamCampaignServer
 	store   *StreamStore
 	coord   *cluster.Coordinator
@@ -684,13 +556,13 @@ type Node struct {
 	handler http.Handler
 }
 
-// NewNode builds a node from functional options. At least one of
-// WithBatchCampaign and WithStreamEngine (or WithStreamConfig) must be
-// given; every option carries its defaults, and half-configured or
-// conflicting option sets — and a StreamConfig its own validation
-// refuses — fail with an error wrapping ErrNodeConfig before anything
-// is opened or started. The returned node owns its resources —
-// including the WithPersistence store — and must be Closed.
+// NewNode builds a node from functional options. A stream engine
+// (WithStreamEngine or WithStreamConfig) is required; every option
+// carries its defaults, and half-configured or conflicting option sets —
+// and a StreamConfig its own validation refuses — fail with an error
+// wrapping ErrNodeConfig before anything is opened or started. The
+// returned node owns its resources — including the WithPersistence store
+// — and must be Closed.
 func NewNode(opts ...Option) (*Node, error) {
 	var cfg nodeConfig
 	for _, o := range opts {
@@ -716,7 +588,7 @@ func NewNode(opts ...Option) (*Node, error) {
 	// One build step per subsystem, in dependency order, each a no-op
 	// when its options are absent; Close releases whatever was started.
 	for _, start := range []func(*nodeConfig) error{
-		n.openStore, n.startStream, n.startShipper, n.startBatch,
+		n.openStore, n.startStream, n.startShipper,
 	} {
 		if err := start(&cfg); err != nil {
 			_ = n.Close()
@@ -727,23 +599,19 @@ func NewNode(opts ...Option) (*Node, error) {
 	return n, nil
 }
 
-// Name returns the label the node's campaigns carry.
+// Name returns the label the node's campaign carries.
 func (n *Node) Name() string { return n.name }
 
-// Handler returns the node's HTTP handler: every configured API — batch
-// campaign, streaming campaign, stats — on one mux, plus the Prometheus
+// Handler returns the node's HTTP handler: the streaming campaign (and,
+// on a cluster worker, the cluster RPCs) on one mux, plus the Prometheus
 // exposition at GET /metrics (and, with WithDebugHandlers, pprof under
 // /debug/pprof/). Every non-2xx JSON response carries the versioned
 // error envelope, every response echoes an X-Request-ID, and every
 // request is counted and timed in the node's metrics registry.
 func (n *Node) Handler() http.Handler { return n.handler }
 
-// Batch returns the hosted batch campaign server, or nil when
-// WithBatchCampaign was not configured.
-func (n *Node) Batch() *CampaignServer { return n.batch }
-
-// Stream returns the hosted streaming campaign server, or nil when no
-// stream engine was configured.
+// Stream returns the hosted streaming campaign server, or nil on a
+// cluster coordinator.
 func (n *Node) Stream() *StreamCampaignServer { return n.stream }
 
 // Metrics returns the node's metrics registry — the one behind

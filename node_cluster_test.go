@@ -22,8 +22,8 @@ func TestNodeClusterOptionValidation(t *testing.T) {
 	}{
 		{
 			name: "cluster worker needs a stream engine",
-			opts: []pptd.Option{pptd.WithBatchCampaign(3), pptd.WithLambda2(1), pptd.WithClusterWorker()},
-			want: "WithClusterWorker requires a stream engine",
+			opts: []pptd.Option{pptd.WithLambda2(1), pptd.WithClusterWorker()},
+			want: "configure a stream engine",
 		},
 		{
 			name: "cluster worker vs window interval",
@@ -32,8 +32,8 @@ func TestNodeClusterOptionValidation(t *testing.T) {
 		},
 		{
 			name: "coordinator needs a stream engine config",
-			opts: []pptd.Option{pptd.WithBatchCampaign(3), pptd.WithLambda2(1), pptd.WithClusterCoordinator("http://w0")},
-			want: "WithClusterCoordinator requires a stream engine",
+			opts: []pptd.Option{pptd.WithLambda2(1), pptd.WithClusterCoordinator("http://w0")},
+			want: "configure a stream engine",
 		},
 		{
 			name: "coordinator with no workers",

@@ -17,8 +17,8 @@ import (
 	"pptd/internal/obs"
 )
 
-// newObsNode boots a full node — batch campaign, accounted stream
-// engine with a pinned shard count, durable persistence — and drives a
+// newObsNode boots a full node — accounted stream engine with a pinned
+// shard count, durable persistence — and drives a
 // fixed request sequence, so the set of metric series the node exposes
 // is deterministic. It returns the test server; the node and server are
 // cleaned up with the test.
@@ -26,7 +26,6 @@ func newObsNode(t *testing.T) *httptest.Server {
 	t.Helper()
 	n, err := pptd.NewNode(
 		pptd.WithName("obs"),
-		pptd.WithBatchCampaign(3),
 		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 4, NumShards: 2, HistoryWindows: 4}),
 		pptd.WithDataQuality(1),
 		pptd.WithPrivacyTarget(1, 1e-5),
@@ -44,8 +43,14 @@ func newObsNode(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := c.Campaign(ctx); err != nil {
+	if _, err := c.StreamCampaign(ctx); err != nil {
 		t.Fatal(err)
+	}
+	// Three error envelopes, three distinct codes: truths before the
+	// first close (not_ready), an unmounted path (not_found), and a POST
+	// against the GET-only exposition (method_not_allowed).
+	if _, err := c.StreamTruths(ctx); !errors.Is(err, pptd.ErrNotReady) {
+		t.Fatalf("truths before the first close: err = %v, want ErrNotReady", err)
 	}
 	if _, err := c.StreamSubmit(ctx, pptd.CampaignSubmission{
 		ClientID: "alice",
@@ -58,12 +63,6 @@ func newObsNode(t *testing.T) *httptest.Server {
 	}
 	if _, err := c.StreamTruths(ctx); err != nil {
 		t.Fatal(err)
-	}
-	// Three error envelopes, three distinct codes: a pending batch result
-	// (not_ready), an unmounted path (not_found), and a POST against the
-	// GET-only exposition (method_not_allowed).
-	if _, err := c.Result(ctx); !errors.Is(err, pptd.ErrNotReady) {
-		t.Fatalf("pending result error = %v, want ErrNotReady", err)
 	}
 	for _, req := range []struct{ method, path string }{
 		{http.MethodGet, "/does-not-exist"},
@@ -228,23 +227,23 @@ func TestNodeRequestIDEcho(t *testing.T) {
 		return resp
 	}
 
-	if resp := do(http.MethodGet, "/v1/campaign", "trace-42"); resp.Header.Get("X-Request-ID") != "trace-42" {
+	if resp := do(http.MethodGet, "/v1/stream/campaign", "trace-42"); resp.Header.Get("X-Request-ID") != "trace-42" {
 		t.Errorf("success echo = %q, want trace-42", resp.Header.Get("X-Request-ID"))
 	}
-	resp := do(http.MethodGet, "/v1/result", "trace-err")
+	resp := do(http.MethodGet, "/v1/stream/truths?window=42", "trace-err")
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pending result status = %d, want 404", resp.StatusCode)
+		t.Fatalf("unknown window status = %d, want 404", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Request-ID"); got != "trace-err" {
 		t.Errorf("error-envelope echo = %q, want trace-err", got)
 	}
-	if got := resp.Header.Get("X-Error-Code"); got != "not_ready" {
-		t.Errorf("X-Error-Code = %q, want not_ready", got)
+	if got := resp.Header.Get("X-Error-Code"); got != "unknown_window" {
+		t.Errorf("X-Error-Code = %q, want unknown_window", got)
 	}
-	if resp := do(http.MethodGet, "/v1/campaign", ""); !hexRequestID.MatchString(resp.Header.Get("X-Request-ID")) {
+	if resp := do(http.MethodGet, "/v1/stream/campaign", ""); !hexRequestID.MatchString(resp.Header.Get("X-Request-ID")) {
 		t.Errorf("generated ID = %q, want 16 hex chars", resp.Header.Get("X-Request-ID"))
 	}
-	if resp := do(http.MethodGet, "/v1/campaign", "has space"); !hexRequestID.MatchString(resp.Header.Get("X-Request-ID")) {
+	if resp := do(http.MethodGet, "/v1/stream/campaign", "has space"); !hexRequestID.MatchString(resp.Header.Get("X-Request-ID")) {
 		t.Errorf("invalid ID replacement = %q, want 16 hex chars", resp.Header.Get("X-Request-ID"))
 	}
 
@@ -252,10 +251,10 @@ func TestNodeRequestIDEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Result(context.Background())
+	_, err = c.StreamTruthsAt(context.Background(), 42)
 	var httpErr *pptd.CampaignHTTPError
 	if !errors.As(err, &httpErr) {
-		t.Fatalf("pending result error = %v, want *CampaignHTTPError", err)
+		t.Fatalf("unknown window error = %v, want *CampaignHTTPError", err)
 	}
 	if httpErr.RequestID != "cli-run-7" {
 		t.Errorf("HTTPError.RequestID = %q, want cli-run-7", httpErr.RequestID)

@@ -23,10 +23,6 @@ import (
 // ErrNodeConfig that names the offending option or StreamConfig field —
 // never a silent default, never a panic.
 func TestNodeOptionValidation(t *testing.T) {
-	crh, err := pptd.NewCRH()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The engine-owned rules are asserted through NewNode: each is one
 	// StreamConfig field.
 	type sc = pptd.StreamConfig
@@ -36,25 +32,17 @@ func TestNodeOptionValidation(t *testing.T) {
 		opts []pptd.Option
 		want string // substring of the error
 	}{
-		{"no servers", nil, "at least one of"},
-		{"expected users without batch",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithExpectedUsers(3)},
-			"WithExpectedUsers requires WithBatchCampaign"},
-		{"method without any campaign",
-			[]pptd.Option{pptd.WithMethod(crh)},
-			"configure at least one of WithBatchCampaign and WithStreamEngine"},
+		{"no servers", nil, "configure a stream engine"},
+		// Mean and median run offline only (cmd/pptd, internal/eval).
 		{"batch-only method with stream",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithMethod(pptd.MeanBaseline())},
-			"batch-only"},
-		{"method conflicts with config estimator",
-			[]pptd.Option{cfg(sc{NumObjects: 5, Estimator: "gtm"}), pptd.WithMethod(crh)},
-			"WithMethod conflicts with WithStreamConfig.Estimator"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Estimator: "mean"})},
+			`unknown estimator "mean"`},
 		{"window interval without stream",
-			[]pptd.Option{pptd.WithBatchCampaign(5), pptd.WithLambda2(2), pptd.WithWindowInterval(time.Second)},
-			"WithWindowInterval requires a stream engine"},
+			[]pptd.Option{pptd.WithLambda2(2), pptd.WithWindowInterval(time.Second)},
+			"configure a stream engine"},
 		{"persistence without any campaign",
 			[]pptd.Option{pptd.WithLambda2(2), pptd.WithPersistence(t.TempDir())},
-			"configure at least one of"},
+			"configure a stream engine"},
 		{"resident cap without persistence",
 			[]pptd.Option{cfg(sc{NumObjects: 5, MaxResidentUsers: 8}), pptd.WithLambda2(2)},
 			"requires WithPersistence"},
@@ -71,9 +59,11 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"budget without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, EpsilonBudget: 10})},
 			"EpsilonBudget without Lambda1 accounting"},
+		// A private one-shot campaign is an accounted window: it must
+		// publish the rate devices perturb with.
 		{"batch without a perturbation rate",
-			[]pptd.Option{pptd.WithBatchCampaign(5)},
-			"requires a perturbation rate"},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda1: 1, Delta: 0.3})},
+			"Lambda2 = 0 with accounting enabled"},
 		{"stream engine conflicts with stream config",
 			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5})},
 			"WithStreamConfig configured twice"},
@@ -93,11 +83,9 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"explicit claim WAL without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda2: 2, ClaimWAL: true})},
 			"ClaimWAL requires accounting"},
-		{"double batch", []pptd.Option{pptd.WithBatchCampaign(5), pptd.WithBatchCampaign(5)},
-			"configured twice"},
 		{"double stream", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamEngine(5)},
 			"configured twice"},
-		{"bad batch objects", []pptd.Option{pptd.WithBatchCampaign(0)}, "numObjects = 0"},
+		{"bad batch objects", []pptd.Option{pptd.WithStreamEngine(0)}, "NumObjects = 0"},
 		{"bad stream objects", []pptd.Option{pptd.WithStreamEngine(-1)}, "NumObjects = -1"},
 		{"bad decay", []pptd.Option{cfg(sc{NumObjects: 5, Decay: 1.5})}, "Decay = 1.5"},
 		{"bad shards", []pptd.Option{cfg(sc{NumObjects: 5, NumShards: -1})}, "NumShards = -1"},
@@ -169,20 +157,17 @@ func TestNodeRefusesBadStreamConfigBeforeOpening(t *testing.T) {
 }
 
 // TestNodeBuildsEveryOldConfiguration checks that the options path can
-// express what the config structs could: batch with method + trigger,
-// stream with shards/decay/accounting/budget, and explicit rates.
+// express what the config structs could: a one-shot campaign with its
+// estimator (one window of the stream), stream with
+// shards/decay/accounting/budget, and explicit rates.
 func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
-	gtm, err := pptd.NewGTM()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		opts []pptd.Option
 	}{
 		{"batch only", []pptd.Option{
-			pptd.WithName("b"), pptd.WithBatchCampaign(7), pptd.WithLambda2(2),
-			pptd.WithMethod(gtm), pptd.WithExpectedUsers(3)}},
+			pptd.WithName("b"), pptd.WithLambda2(2),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 7, Estimator: pptd.StreamEstimatorGTM})}},
 		{"stream only", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, NumShards: 2, Decay: 0.8, HistoryWindows: 4}),
@@ -195,10 +180,8 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, Lambda1: 1.5, Lambda2: 2, Delta: 0.3,
 				DisableCarryover: true})}},
-		{"batch and stream together", []pptd.Option{
-			pptd.WithBatchCampaign(7), pptd.WithStreamEngine(7), pptd.WithLambda2(2)}},
 		{"batch-only with derived lambda2", []pptd.Option{
-			pptd.WithBatchCampaign(7), pptd.WithDataQuality(1),
+			pptd.WithStreamEngine(7), pptd.WithDataQuality(1),
 			pptd.WithPrivacyTarget(0.5, 0.3)}},
 	}
 	for _, tc := range cases {
@@ -249,12 +232,32 @@ func TestNodeDerivesLambda2FromPrivacyTarget(t *testing.T) {
 	}
 }
 
-// TestNodeFrontDoor runs the batch and streaming flows end to end
-// against one node handler: one mux, one client, one error contract.
+// TestStreamConfigOptionReusable: NewNode fills the fields its other
+// options own into its own copy of the WithStreamConfig value, so one
+// option value builds any number of nodes, each with the rates given
+// beside it.
+func TestStreamConfigOptionReusable(t *testing.T) {
+	opt := pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3, Lambda1: 1.5, Delta: 0.3})
+	for _, lambda2 := range []float64{2, 4} {
+		n, err := pptd.NewNode(opt, pptd.WithLambda2(lambda2), pptd.WithPersistence(t.TempDir()))
+		if err != nil {
+			t.Fatalf("node with lambda2 = %v: %v", lambda2, err)
+		}
+		got := n.Stream().Campaign().Lambda2
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got != lambda2 {
+			t.Errorf("node built with lambda2 = %v publishes %v", lambda2, got)
+		}
+	}
+}
+
+// TestNodeFrontDoor runs the streaming flow end to end against one node
+// handler: one mux, one client, one error contract.
 func TestNodeFrontDoor(t *testing.T) {
 	n, err := pptd.NewNode(
 		pptd.WithName("front-door"),
-		pptd.WithBatchCampaign(2),
 		pptd.WithStreamEngine(2),
 		pptd.WithLambda2(2),
 	)
@@ -270,33 +273,14 @@ func TestNodeFrontDoor(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Batch flow.
-	if _, err := client.Submit(ctx, pptd.CampaignSubmission{
+	if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
 		ClientID: "u1",
 		Claims:   []pptd.CampaignClaim{{Object: 0, Value: 1}, {Object: 1, Value: 2}},
 	}); err != nil {
-		t.Fatalf("batch submit: %v", err)
-	}
-	if _, err := client.Result(ctx); !errors.Is(err, pptd.ErrNotReady) {
-		t.Fatalf("pre-aggregate result err = %v, want ErrNotReady", err)
-	}
-	if _, err := client.Aggregate(ctx); err != nil {
-		t.Fatalf("aggregate: %v", err)
-	}
-	res, err := client.Result(ctx)
-	if err != nil {
-		t.Fatalf("result: %v", err)
-	}
-	if len(res.Truths) != 2 {
-		t.Fatalf("truths = %v", res.Truths)
-	}
-
-	// Streaming flow on the same address.
-	if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
-		ClientID: "u1",
-		Claims:   []pptd.CampaignClaim{{Object: 0, Value: 5}},
-	}); err != nil {
 		t.Fatalf("stream submit: %v", err)
+	}
+	if _, err := client.StreamTruths(ctx); !errors.Is(err, pptd.ErrNotReady) {
+		t.Fatalf("truths before the first close: err = %v, want ErrNotReady", err)
 	}
 	win, err := client.StreamCloseWindow(ctx)
 	if err != nil {
@@ -309,8 +293,8 @@ func TestNodeFrontDoor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stream truths: %v", err)
 	}
-	if truths.Window != 1 {
-		t.Fatalf("latest window = %d", truths.Window)
+	if truths.Window != 1 || len(truths.Truths) != 2 {
+		t.Fatalf("latest window = %d, truths %v", truths.Window, truths.Truths)
 	}
 
 	// Unknown paths speak the envelope too.
@@ -532,22 +516,15 @@ func TestNodeStreamStats(t *testing.T) {
 	}
 }
 
-// TestNodeStreamEstimator checks WithMethod reaches the streaming side:
-// the engine runs the selected estimator, the wire metadata (campaign,
+// TestNodeStreamEstimator checks StreamConfig.Estimator reaches every
+// surface: the engine runs the selected estimator, the wire metadata (campaign,
 // window results) and Stats name it, and a durable node refuses to recover
 // a state directory written under a different estimator with the typed
 // ErrStreamEstimatorMismatch instead of silently reinterpreting it.
 func TestNodeStreamEstimator(t *testing.T) {
-	gtm, err := pptd.NewGTM()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gtm := pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 2, Estimator: pptd.StreamEstimatorGTM})
 	dir := t.TempDir()
-	n, err := pptd.NewNode(
-		pptd.WithStreamEngine(2),
-		pptd.WithMethod(gtm),
-		pptd.WithPersistence(dir),
-	)
+	n, err := pptd.NewNode(gtm, pptd.WithPersistence(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,11 +572,7 @@ func TestNodeStreamEstimator(t *testing.T) {
 		t.Fatalf("recover under crh = %v, want ErrStreamEstimatorMismatch", err)
 	}
 	// The matching estimator recovers fine.
-	n2, err := pptd.NewNode(
-		pptd.WithStreamEngine(2),
-		pptd.WithMethod(gtm),
-		pptd.WithPersistence(dir),
-	)
+	n2, err := pptd.NewNode(gtm, pptd.WithPersistence(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

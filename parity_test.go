@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"math"
 	"net/http"
@@ -18,13 +17,16 @@ import (
 	"pptd"
 )
 
-var updateParity = flag.Bool("update-parity", false, "rewrite testdata/batch-parity.golden from the batch campaign")
-
 const (
 	parityDevices = 40
 	parityObjects = 12
 	parityLambda2 = 2
 	parityTol     = 1e-9
+
+	// The accounting rates of a one-shot campaign: pptdserver's
+	// -lambda1 and -delta defaults.
+	oneShotLambda1 = 1.5
+	oneShotDelta   = 0.3
 )
 
 // parityFleet returns a seeded fleet's perturbed submissions: every
@@ -62,7 +64,7 @@ type parityResult struct {
 	Weights map[string]float64 `json:"weights"`
 }
 
-func postJSON(t *testing.T, url string, body any, out any) {
+func postJSON(t *testing.T, url string, body any) {
 	t.Helper()
 	var buf bytes.Buffer
 	if body != nil {
@@ -74,54 +76,34 @@ func postJSON(t *testing.T, url string, body any, out any) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = resp.Body.Close() }()
+	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: status %d", url, resp.StatusCode)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
-// batchResult runs the fleet through a batch campaign over HTTP.
-func batchResult(t *testing.T, m pptd.Method, subs []pptd.CampaignSubmission) parityResult {
+// oneWindowResult runs the fleet through one window of a stream node
+// over HTTP: every device submits, the window closes, and the published
+// truths are read back with the window's weights.
+func oneWindowResult(t *testing.T, url string, subs []pptd.CampaignSubmission) parityResult {
 	t.Helper()
-	node, err := pptd.NewNode(pptd.WithBatchCampaign(parityObjects), pptd.WithLambda2(parityLambda2), pptd.WithMethod(m))
+	for _, sub := range subs {
+		postJSON(t, url+"/v1/stream/claims", sub)
+	}
+	postJSON(t, url+"/v1/stream/window", nil)
+	resp, err := http.Get(url + "/v1/stream/truths?weights=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = node.Close() }()
-	srv := httptest.NewServer(node.Handler())
-	defer srv.Close()
-	for _, sub := range subs {
-		postJSON(t, srv.URL+"/v1/submissions", sub, nil)
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET truths: status %d", resp.StatusCode)
 	}
 	var res parityResult
-	postJSON(t, srv.URL+"/v1/aggregate", nil, &res)
-	return res
-}
-
-// writeParityGolden renders one result per estimator, every value at
-// %.17g so it parses back to the same float64.
-func writeParityGolden(t *testing.T, path string, names []string, results map[string]parityResult) {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString("# estimator kind key value: one batch campaign over the seeded parity fleet\n")
-	for _, name := range names {
-		res := results[name]
-		for o, v := range res.Truths {
-			fmt.Fprintf(&b, "%s truth %d %.17g\n", name, o, v)
-		}
-		for d := 0; d < parityDevices; d++ {
-			id := fmt.Sprintf("device-%02d", d)
-			fmt.Fprintf(&b, "%s weight %s %.17g\n", name, id, res.Weights[id])
-		}
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
+	return res
 }
 
 // readParityGolden parses the golden into one result per estimator.
@@ -167,49 +149,150 @@ func readParityGolden(t *testing.T, path string) map[string]parityResult {
 	return out
 }
 
-// TestOneWindowReproducesBatch pins what a campaign publishes for a
-// seeded fleet — truths and per-device weights for CRH, GTM and CATD —
-// in testdata/batch-parity.golden, and holds the served estimate to it
-// within 1e-9.
+// TestOneWindowReproducesBatch holds a one-window stream campaign to
+// what the retired batch campaign published for a seeded fleet:
+// testdata/batch-parity.golden holds the batch server's truths and
+// per-device weights for CRH, GTM and CATD, captured before the batch
+// server was deleted and never regenerated since. Every value must match
+// within 1e-9. The node runs the one-shot recipe of docs/API.md, with
+// accounting on as pptdserver runs it by default: the charge does not
+// move the estimate. The batch routes are gone: each answers the
+// not_found envelope.
 func TestOneWindowReproducesBatch(t *testing.T) {
 	subs := parityFleet(t)
-	methods := map[string]func() (pptd.Method, error){
-		"crh":  func() (pptd.Method, error) { return pptd.NewCRH() },
-		"gtm":  func() (pptd.Method, error) { return pptd.NewGTM() },
-		"catd": func() (pptd.Method, error) { return pptd.NewCATD() },
+	want := readParityGolden(t, filepath.Join("testdata", "batch-parity.golden"))
+	for _, name := range []string{pptd.StreamEstimatorCRH, pptd.StreamEstimatorGTM, pptd.StreamEstimatorCATD} {
+		t.Run(name, func(t *testing.T) {
+			node, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{
+				NumObjects: parityObjects, Lambda2: parityLambda2, Estimator: name,
+				Lambda1: oneShotLambda1, Delta: oneShotDelta,
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = node.Close() }()
+			srv := httptest.NewServer(node.Handler())
+			defer srv.Close()
+
+			got, w := oneWindowResult(t, srv.URL, subs), want[name]
+			if len(got.Truths) != parityObjects || len(w.Truths) != parityObjects {
+				t.Fatalf("%d truths, golden %d", len(got.Truths), len(w.Truths))
+			}
+			for o := range w.Truths {
+				if d := math.Abs(got.Truths[o] - w.Truths[o]); d > parityTol {
+					t.Errorf("truth[%d] = %v, golden %v (|diff| %g)", o, got.Truths[o], w.Truths[o], d)
+				}
+			}
+			if len(got.Weights) != parityDevices || len(w.Weights) != parityDevices {
+				t.Fatalf("%d weights, golden %d", len(got.Weights), len(w.Weights))
+			}
+			for id, wv := range w.Weights {
+				if d := math.Abs(got.Weights[id] - wv); d > parityTol {
+					t.Errorf("weight[%s] = %v, golden %v (|diff| %g)", id, got.Weights[id], wv, d)
+				}
+			}
+
+			for _, ep := range []struct{ method, path string }{
+				{http.MethodGet, "/v1/campaign"},
+				{http.MethodPost, "/v1/submissions"},
+				{http.MethodGet, "/v1/result"},
+				{http.MethodPost, "/v1/aggregate"},
+			} {
+				checkEnvelope(t, doReq(t, ep.method, srv.URL+ep.path, ""), http.StatusNotFound, "not_found", 0)
+			}
+		})
 	}
-	names := []string{"crh", "gtm", "catd"}
-	results := make(map[string]parityResult)
-	for _, name := range names {
-		m, err := methods[name]()
+}
+
+// TestDurableOneShotCampaign pins what a durable one-shot campaign
+// promises a device. With accounting on (pptdserver's default), a second
+// submission into the window is refused with duplicate_window, and an
+// acknowledged submission survives a crash before the close: restarted
+// from the directory as the crash left it, the node still refuses the
+// device and its close publishes every acknowledged claim. Without
+// accounting the node is a plain streaming aggregator, which NewNode
+// accepts (pptdserver refuses it with -state-dir): the repeat folds in,
+// and nothing is journaled per submission, so the crashed window is
+// lost and the close finds it empty.
+func TestDurableOneShotCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cfg       pptd.StreamConfig
+		accounted bool
+	}{
+		{"accounted", pptd.StreamConfig{NumObjects: 2, Lambda1: oneShotLambda1, Delta: oneShotDelta}, true},
+		{"unaccounted", pptd.StreamConfig{NumObjects: 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := func(dir string) (string, func()) {
+				t.Helper()
+				node, err := pptd.NewNode(pptd.WithStreamConfig(tc.cfg), pptd.WithLambda2(parityLambda2), pptd.WithPersistence(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := httptest.NewServer(node.Handler())
+				return srv.URL, func() { srv.Close(); _ = node.Close() }
+			}
+			submit := func(url, device string) *http.Response {
+				return doReq(t, http.MethodPost, url+"/v1/stream/claims",
+					fmt.Sprintf(`{"clientId":%q,"claims":[{"object":0,"value":1.5},{"object":1,"value":-2}]}`, device))
+			}
+
+			dir, crashed := t.TempDir(), t.TempDir()
+			url, stop := serve(dir)
+			for _, device := range []string{"a", "b"} {
+				resp := submit(url, device)
+				_ = resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("submit %s: status %d", device, resp.StatusCode)
+				}
+			}
+			repeat := submit(url, "a")
+			if tc.accounted {
+				checkEnvelope(t, repeat, http.StatusConflict, "duplicate_window", 1)
+			} else if _ = repeat.Body.Close(); repeat.StatusCode != http.StatusOK {
+				t.Fatalf("unaccounted repeat: status %d, want it folded in", repeat.StatusCode)
+			}
+			copyStateDir(t, dir, crashed) // what a kill -9 leaves on disk now
+			stop()
+
+			url, stop = serve(crashed)
+			defer stop()
+			if !tc.accounted {
+				checkEnvelope(t, doReq(t, http.MethodPost, url+"/v1/stream/window", ""), http.StatusConflict, "empty_window", 0)
+				return
+			}
+			checkEnvelope(t, submit(url, "a"), http.StatusConflict, "duplicate_window", 1)
+			resp := doReq(t, http.MethodPost, url+"/v1/stream/window", "")
+			defer func() { _ = resp.Body.Close() }()
+			var info pptd.StreamWindowInfo
+			if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("close after the crash: status %d, %v", resp.StatusCode, err)
+			}
+			if info.Window != 1 || info.ActiveUsers != 2 || info.WindowClaims != 4 {
+				t.Errorf("close after the crash: window %d, %d users, %d claims; want window 1, 2 users, 4 claims",
+					info.Window, info.ActiveUsers, info.WindowClaims)
+			}
+		})
+	}
+}
+
+// copyStateDir copies a live node's state directory file by file: every
+// acknowledged record is already written, so the copy is the directory a
+// crash at this point leaves behind.
+func copyStateDir(t *testing.T, from, to string) {
+	t.Helper()
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[name] = batchResult(t, m, subs)
-	}
-	path := filepath.Join("testdata", "batch-parity.golden")
-	if *updateParity {
-		writeParityGolden(t, path, names, results)
-		return
-	}
-	want := readParityGolden(t, path)
-	for _, name := range names {
-		got, w := results[name], want[name]
-		if len(got.Truths) != parityObjects || len(w.Truths) != parityObjects {
-			t.Fatalf("%s: %d truths, golden %d", name, len(got.Truths), len(w.Truths))
-		}
-		for o := range w.Truths {
-			if d := math.Abs(got.Truths[o] - w.Truths[o]); d > parityTol {
-				t.Errorf("%s truth[%d] = %v, golden %v", name, o, got.Truths[o], w.Truths[o])
-			}
-		}
-		if len(got.Weights) != len(w.Weights) || len(w.Weights) != parityDevices {
-			t.Fatalf("%s: %d weights, golden %d", name, len(got.Weights), len(w.Weights))
-		}
-		for id, wv := range w.Weights {
-			if d := math.Abs(got.Weights[id] - wv); d > parityTol {
-				t.Errorf("%s weight[%s] = %v, golden %v", name, id, got.Weights[id], wv)
-			}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

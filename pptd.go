@@ -31,10 +31,15 @@
 //
 // # Serving quick start: the Node front door
 //
-// Deployments build one Node from functional options — it can host the
-// batch campaign, the streaming engine, and durable persistence, all on
-// a single HTTP mux whose every non-2xx response is a versioned JSON
-// error envelope ({v, code, message, retry_after_windows?}):
+// Deployments build one Node from functional options — it hosts the
+// streaming engine and durable persistence on a single HTTP mux whose
+// every non-2xx response is a versioned JSON error envelope ({v, code,
+// message, retry_after_windows?}). A one-shot campaign (Algorithm 2's
+// collect-then-aggregate flow) is one window: every device submits, then
+// POST /v1/stream/window publishes the estimate. With accounting on, a
+// device submits once per window and a durable node journals each
+// submission before its receipt. A long-running, accounted, durable
+// deployment:
 //
 //	node, _ := pptd.NewNode(
 //		pptd.WithName("air-quality"),
@@ -56,27 +61,27 @@
 //
 // StreamConfig is the streaming engine's configuration — the one way to
 // set anything about it — and the node adds only what its other options
-// own (the estimator from WithMethod, the privacy rates, the claim-WAL
-// default). Conflicting or half-configured options fail NewNode with a
-// typed error wrapping ErrNodeConfig (for example WithLambda2 together
-// with WithPrivacyTarget, or an EpsilonBudget without accounting) before
+// own (the privacy rates and the claim-WAL default); its Estimator
+// field is the one place the estimator is chosen. Conflicting or
+// half-configured options fail NewNode with a typed error wrapping
+// ErrNodeConfig (for example WithLambda2 together with
+// WithPrivacyTarget, or an EpsilonBudget without accounting) before
 // anything is opened — nothing is silently defaulted. docs/API.md
 // carries the endpoint table, the error-code table, the options
 // reference, and the StreamConfig field table.
 //
 // # Streaming quick start
 //
-// Beyond the one-shot campaign, the streaming engine serves continuous
-// submission traffic: perturbed claims ingest concurrently into sharded
-// workers, fold into exponentially-decayed sufficient statistics, and
-// every window close re-estimates truths and weights incrementally with
-// a pluggable estimator — incremental CRH (the default), GTM, or CATD,
-// selected by WithMethod or StreamConfig.Estimator and warm-started
-// from the previous window — while a privacy accountant
-// tracks each user's cumulative (epsilon, delta) spending — one
-// submission per user per window, so the per-window charge covers
-// exactly one perturbed release and both epsilon and delta compose
-// linearly over a user's windows:
+// The streaming engine serves continuous submission traffic: perturbed
+// claims ingest concurrently into sharded workers, fold into
+// exponentially-decayed sufficient statistics, and every window close
+// re-estimates truths and weights incrementally with a pluggable
+// estimator — incremental CRH (the default), GTM, or CATD, selected by
+// StreamConfig.Estimator and warm-started from the previous window —
+// while a privacy accountant tracks each user's cumulative (epsilon,
+// delta) spending — one submission per user per window, so the
+// per-window charge covers exactly one perturbed release and both
+// epsilon and delta compose linearly over a user's windows:
 //
 //	eng, _ := pptd.NewStreamEngine(pptd.StreamConfig{
 //		NumObjects: 30,
@@ -95,9 +100,9 @@
 // snapshots record which estimator wrote them, and restoring under a
 // different one fails with ErrStreamEstimatorMismatch. The same engine
 // backs the HTTP streaming campaign (NewNode(WithStreamEngine(n)), POST
-// /v1/stream/claims, GET /v1/stream/truths); cmd/pptdserver -stream
-// serves it and cmd/pptduser -windows N drives a simulated fleet against
-// it, reporting claims, budget refusals and accuracy per window. Privacy
+// /v1/stream/claims, GET /v1/stream/truths); cmd/pptdserver serves it
+// and cmd/pptduser -windows N drives a simulated fleet against it,
+// reporting claims, budget refusals and accuracy per window. Privacy
 // reports carry aggregates only, never the per-user epsilon map (the
 // full historical client roster).
 //
@@ -145,9 +150,9 @@
 // live in internal/core, truth discovery in internal/truth, the
 // closed-form analysis in internal/theory, data generators in
 // internal/synthetic and internal/floorplan, the networked crowd sensing
-// system in internal/crowd (one-shot and streaming), the streaming
-// engine in internal/stream, its durable state in internal/streamstore,
-// and the figure-regeneration harness in internal/eval. This package
+// system in internal/crowd, the streaming engine in internal/stream,
+// its durable state in internal/streamstore, and the
+// figure-regeneration harness in internal/eval. This package
 // re-exports the full public surface.
 package pptd
 

@@ -94,10 +94,11 @@ var (
 	// serving no estimate until the next window close.
 	ErrCorruptResult = streamstore.ErrCorruptResult
 	// ErrLegacyJournal reports a state directory holding a journal this
-	// version does not read — a pre-segmentation ledger.journal, or a
-	// journal segment, batch.wal or users.spill still in JSON lines:
-	// ignoring or repairing the file would silently hand every user their
-	// spent epsilon back, so the store refuses.
+	// version does not read — a pre-segmentation ledger.journal, the
+	// retired batch campaign's batch.wal or batch-result.json, or a
+	// journal segment or users.spill still in JSON lines: ignoring or
+	// repairing the file would silently hand every user their spent
+	// epsilon back, so the store refuses.
 	ErrLegacyJournal = streamstore.ErrLegacyJournal
 	// ErrLegacySnapshot reports a state directory whose snapshot.json or
 	// cluster-close.json is still the JSON form earlier versions wrote,
@@ -130,9 +131,10 @@ type StreamLedger = stream.Ledger
 // rewrite. It implements StreamLedger (StreamConfig.Ledger), a Node
 // opens one with WithPersistence, and StreamStore.Recover rebuilds a
 // fresh engine from everything persisted. A pre-segmentation state
-// directory (a single ledger.journal) or a JSON-era journal segment,
-// batch.wal or users.spill is refused with ErrLegacyJournal, a JSON-era
-// snapshot with ErrLegacySnapshot.
+// directory (a single ledger.journal), the retired batch campaign's
+// batch.wal or batch-result.json, or a JSON-era journal segment or
+// users.spill is refused with ErrLegacyJournal, a JSON-era snapshot
+// with ErrLegacySnapshot.
 type StreamStore = streamstore.Store
 
 // StreamJournalPos identifies a point in a stream store's segmented

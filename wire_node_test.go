@@ -16,13 +16,12 @@ import (
 )
 
 // newWireNode starts a node hosting the streaming campaign with privacy
-// accounting on, plus the batch campaign and (as a cluster worker) the
-// cluster RPC routes — every POST route family in one front door.
+// accounting on, plus (as a cluster worker) the cluster RPC routes —
+// every POST route family in one front door.
 func newWireNode(t *testing.T, extra ...pptd.Option) *httptest.Server {
 	t.Helper()
 	opts := append([]pptd.Option{
 		pptd.WithName("wire-test"),
-		pptd.WithBatchCampaign(4),
 		pptd.WithStreamConfig(pptd.StreamConfig{
 			NumObjects: 4,
 			NumShards:  2,
@@ -171,8 +170,6 @@ func TestMaxRequestBytes413(t *testing.T) {
 	bigFrame := append([]byte("PTDC\x01"), byte(2*cap&0xFF), byte(2*cap>>8), 0, 0, 0, 0, 0, 0)
 	bigFrame = append(bigFrame, big...)
 	assert413("stream claims (binary)", post("/v1/stream/claims", pptd.ContentTypeClaims, string(bigFrame)))
-	assert413("batch submissions", post("/v1/submissions", "application/json",
-		`{"clientId":"`+big+`","claims":[{"object":0,"value":1}]}`))
 	assert413("cluster close", post("/v1/cluster/close", "application/json",
 		`{"window":1,"junk":"`+big+`"}`))
 
