@@ -84,7 +84,7 @@ func run(args []string) error {
 		maxRes   = fs.Int("max-resident-users", 0, "with -state-dir: cap on users kept resident in memory; idle users spill to the store at window close and re-admit on their next claim (0 = unbounded)")
 		worker   = fs.Bool("worker", false, "serve the engine as a cluster shard worker (the coordinator drives window closes)")
 		coord    = fs.String("coordinator", "", "comma-separated worker base URLs: run as the cluster's front door instead of hosting an engine (no -state-dir or residency cap)")
-		shipTo   = fs.String("ship-to", "", "with -state-dir: replicate the durable state to this directory, or to a follower's http(s):// base URL")
+		shipTo   = fs.String("ship-to", "", "with -state-dir: replicate the durable state into this directory (a local archive or a mounted volume; URLs are refused)")
 		maxBody  = fs.Int64("max-request-bytes", 0, "cap on any POST request body in bytes; oversized bodies get the 413 payload_too_large envelope (0 = the 16 MiB default)")
 		logReqs  = fs.String("log", "", "per-request structured logging: 'text' or 'json' slog lines on stderr (empty = off; metrics at /metrics either way)")
 		debug    = fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/ (exposes operational internals; keep off public listeners)")

@@ -71,6 +71,9 @@ func TestRunRejectsClusterFlags(t *testing.T) {
 		{"worker shipping without state dir",
 			[]string{"-worker", "-ship-to", t.TempDir()},
 			"WithSegmentShipping requires WithPersistence"},
+		{"worker shipping to a URL",
+			[]string{"-worker", "-ship-to", "http://127.0.0.1:1"},
+			"shipping writes to a directory"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

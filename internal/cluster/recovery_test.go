@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -321,64 +319,5 @@ func TestShipperSkipsUnchangedMutableFiles(t *testing.T) {
 		if !got[name] {
 			t.Fatalf("%q did not re-ship on the second pass (shipped %v)", name, sink.puts)
 		}
-	}
-}
-
-// TestFollowerBodyCapAndAuth: the follower's ingress limits — a PUT
-// over the per-file cap is refused with 413 before buffering, and with
-// a token configured both routes refuse unauthenticated (or
-// wrong-token) requests with 401 while a token-bearing HTTPSink works.
-func TestFollowerBodyCapAndAuth(t *testing.T) {
-	const token = "s3cret"
-	f, err := NewFollowerWith(t.TempDir(), FollowerOptions{MaxFileBytes: 64, AuthToken: token})
-	if err != nil {
-		t.Fatalf("follower: %v", err)
-	}
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-
-	// No token: both routes answer 401.
-	bare, err := NewHTTPSink(srv.URL, nil)
-	if err != nil {
-		t.Fatalf("sink: %v", err)
-	}
-	if _, err := bare.Have(); err == nil || !strings.Contains(err.Error(), "401") {
-		t.Fatalf("unauthenticated manifest: err = %v, want 401", err)
-	}
-	if err := bare.Put(streamstore.SnapshotFileName, []byte("x")); err == nil || !strings.Contains(err.Error(), "401") {
-		t.Fatalf("unauthenticated put: err = %v, want 401", err)
-	}
-	if err := bare.WithAuthToken("wrong").Put(streamstore.SnapshotFileName, []byte("x")); err == nil ||
-		!strings.Contains(err.Error(), "401") {
-		t.Fatalf("wrong-token put: err = %v, want 401", err)
-	}
-
-	authed, err := NewHTTPSink(srv.URL, nil)
-	if err != nil {
-		t.Fatalf("sink: %v", err)
-	}
-	authed.WithAuthToken(token)
-	if err := authed.Put(streamstore.SnapshotFileName, []byte("small enough")); err != nil {
-		t.Fatalf("authorized put: %v", err)
-	}
-	have, err := authed.Have()
-	if err != nil {
-		t.Fatalf("authorized manifest: %v", err)
-	}
-	if have[streamstore.SnapshotFileName] != int64(len("small enough")) {
-		t.Fatalf("manifest = %v, want %s at %d bytes", have, streamstore.SnapshotFileName, len("small enough"))
-	}
-
-	// One byte over the cap: refused with 413, nothing overwritten.
-	big := make([]byte, 65)
-	if err := authed.Put(streamstore.SnapshotFileName, big); err == nil || !strings.Contains(err.Error(), "413") {
-		t.Fatalf("oversized put: err = %v, want 413", err)
-	}
-	have, err = authed.Have()
-	if err != nil {
-		t.Fatalf("manifest after oversized put: %v", err)
-	}
-	if have[streamstore.SnapshotFileName] != int64(len("small enough")) {
-		t.Fatalf("oversized put altered the replica: manifest = %v", have)
 	}
 }

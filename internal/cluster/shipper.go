@@ -15,11 +15,10 @@ import (
 // Segment shipping: a background Shipper replicates a worker's durable
 // state directory — sealed journal segments, the active segment's
 // durable prefix, the user spill file, retained results, and the
-// snapshot — to a Sink. A sink can be a local archive directory
-// (DirSink: point-in-time restore) or a follower node over HTTP
-// (HTTPSink + Follower: warm standby, read replica). Restoring is just
-// opening a streamstore on the replica directory: the shipped files ARE
-// the state directory.
+// snapshot — to a Sink, in production a local directory (DirSink): an
+// archive for point-in-time restore, or a mounted volume a standby node
+// recovers from. Restoring is just opening a streamstore on the replica
+// directory: the shipped files ARE the state directory.
 //
 // Correctness rests on two properties of the store's files. Sealed
 // segments are immutable, so shipping one at its final size is final —
@@ -54,9 +53,6 @@ func NewDirSink(dir string) (*DirSink, error) {
 	}
 	return &DirSink{dir: dir}, nil
 }
-
-// Dir returns the sink's directory.
-func (d *DirSink) Dir() string { return d.dir }
 
 // Have implements Sink.
 func (d *DirSink) Have() (map[string]int64, error) {
@@ -119,9 +115,6 @@ type Shipper struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	mu      sync.Mutex
-	lastErr error
-
 	shippedFiles *obs.Counter
 	shippedBytes *obs.Counter
 	syncErrors   *obs.Counter
@@ -159,9 +152,6 @@ func NewShipper(store *streamstore.Store, sink Sink, interval time.Duration, met
 // (last) makes it the pass's commit point.
 func (s *Shipper) SyncOnce() error {
 	err := s.syncOnce()
-	s.mu.Lock()
-	s.lastErr = err
-	s.mu.Unlock()
 	if err != nil && s.syncErrors != nil {
 		s.syncErrors.Inc()
 	}
@@ -206,14 +196,6 @@ func (s *Shipper) syncOnce() error {
 		}
 	}
 	return nil
-}
-
-// LastError returns the outcome of the most recent shipping pass (nil
-// when it succeeded) — how a deployment notices its standby going stale.
-func (s *Shipper) LastError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
 }
 
 // Start ships continuously on the configured interval until Close. A

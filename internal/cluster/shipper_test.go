@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -77,7 +77,8 @@ func TestShipAndRestore(t *testing.T) {
 		_ = srv.Close()
 		_ = store.Close()
 	}()
-	sink, err := NewDirSink(t.TempDir())
+	replica := t.TempDir()
+	sink, err := NewDirSink(replica)
 	if err != nil {
 		t.Fatalf("sink: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestShipAndRestore(t *testing.T) {
 		t.Fatalf("sync: %v", err)
 	}
 
-	restored, restoredStore := newDurableServer(t, sink.Dir(), streamstore.Options{})
+	restored, restoredStore := newDurableServer(t, replica, streamstore.Options{})
 	defer func() {
 		_ = restored.Close()
 		_ = restoredStore.Close()
@@ -186,64 +187,28 @@ func walNames(puts []string) []string {
 	return wals
 }
 
-// TestFollowerHTTPShipping: shipping over HTTP to a Follower leaves a
-// directory a server can recover from, and the follower refuses
-// non-shippable names.
-func TestFollowerHTTPShipping(t *testing.T) {
-	srv, store := newDurableServer(t, t.TempDir(), streamstore.Options{})
-	defer func() {
-		_ = srv.Close()
-		_ = store.Close()
-	}()
-	submitN(t, srv, 10, 1)
-	if _, err := srv.CloseWindow(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-
-	follower, err := NewFollower(t.TempDir())
+// TestDirSinkRefusesUnshippableNames: a sink writes only names the
+// store could list, so no caller can turn the replica directory into an
+// arbitrary file drop or write outside it.
+func TestDirSinkRefusesUnshippableNames(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := NewDirSink(dir)
 	if err != nil {
-		t.Fatalf("follower: %v", err)
+		t.Fatalf("sink: %v", err)
 	}
-	ts := httptest.NewServer(follower.Handler())
-	defer ts.Close()
-
-	sink, err := NewHTTPSink(ts.URL, nil)
+	for _, name := range []string{"evil.txt", "../" + streamstore.SnapshotFileName, "a/b", "a\\b", ""} {
+		if err := sink.Put(name, []byte("x")); err == nil {
+			t.Errorf("Put(%q) succeeded, want a refusal", name)
+		}
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("http sink: %v", err)
+		t.Fatalf("read sink dir: %v", err)
 	}
-	shipper, err := NewShipper(store, sink, time.Hour, nil)
-	if err != nil {
-		t.Fatalf("shipper: %v", err)
+	if len(entries) != 0 {
+		t.Fatalf("sink dir holds %d entries after refused puts, want none (first %q)", len(entries), entries[0].Name())
 	}
-	if err := shipper.SyncOnce(); err != nil {
-		t.Fatalf("sync over http: %v", err)
-	}
-
-	restored, restoredStore := newDurableServer(t, follower.Dir(), streamstore.Options{})
-	defer func() {
-		_ = restored.Close()
-		_ = restoredStore.Close()
-	}()
-	info, err := restored.Truths()
-	if err != nil {
-		t.Fatalf("restored truths: %v", err)
-	}
-	if info.Window != 1 {
-		t.Fatalf("restored follower serves window %d, want 1", info.Window)
-	}
-
-	// A name the store would never emit is refused, shippable or not on
-	// disk: the follower must not become an arbitrary file drop.
-	req, err := http.NewRequest(http.MethodPut, ts.URL+PathFollowerFiles+"evil.txt", strings.NewReader("x"))
-	if err != nil {
-		t.Fatalf("build request: %v", err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("PUT evil.txt: status %d, want 400", resp.StatusCode)
+	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), streamstore.SnapshotFileName)); !os.IsNotExist(err) {
+		t.Fatalf("a refused put escaped the sink dir: stat err = %v", err)
 	}
 }

@@ -97,3 +97,94 @@ func TestSingleClaimEpsilon(t *testing.T) {
 		t.Errorf("Lemma 4.7 confidence = %v, want 0.943", c)
 	}
 }
+
+// normalLogCDF is log Φ(x). Far in the lower tail Φ underflows to 0 and
+// the log to -Inf, which exp maps back to an exact 0.
+func normalLogCDF(x float64) float64 {
+	return math.Log(0.5 * math.Erfc(-x/math.Sqrt2))
+}
+
+// gaussianDelta is the analytic Gaussian mechanism's privacy curve
+// (Balle & Wang, ICML 2018): the smallest delta at which a Gaussian
+// release whose neighbouring means lie mu standard deviations apart is
+// (eps, delta)-DP. The e^eps factor rides inside the exponent, since
+// e^eps alone overflows to Inf (and Inf*0 is NaN) once eps reaches the
+// hundreds.
+func gaussianDelta(eps, mu float64) float64 {
+	return math.Exp(normalLogCDF(mu/2-eps/mu)) - math.Exp(eps+normalLogCDF(-mu/2-eps/mu))
+}
+
+// oneClaimDeltaBound is B(eps) = E_V[gaussianDelta(eps, shift/sqrt(V))]
+// for V ~ Exp(lambda2): the delta of a device's release when its
+// variance V is revealed to the adversary, which can only help them, so
+// it bounds the delta of the release itself. The integral runs by
+// trapezoid quadrature over ln V on [1e-12, 200]; the Exp(lambda2) mass
+// outside that range is below 1e-11 for the lambda2 used here.
+func oneClaimDeltaBound(eps, shift, lambda2 float64, nodes int) float64 {
+	lo, hi := math.Log(1e-12), math.Log(200)
+	h := (hi - lo) / float64(nodes-1)
+	sum := 0.0
+	for i := 0; i < nodes; i++ {
+		v := math.Exp(lo + float64(i)*h)
+		f := lambda2 * math.Exp(-lambda2*v) * v * gaussianDelta(eps, shift/math.Sqrt(v))
+		if i == 0 || i == nodes-1 {
+			f /= 2
+		}
+		sum += f
+	}
+	return sum * h
+}
+
+// TestOneClaimRelationDeltaBound fills docs/PRIVACY.md's one-claim
+// entries for the submission, window and campaign rows. Neighbouring
+// inputs differ in one claim by at most Lemma 4.7's Delta, so the shift
+// between the two noise densities has length Delta however many claims
+// a device sends and however many windows it sends them in, and one
+// bound covers every row: at the benchmark's (lambda1, lambda2, delta)
+// = (1.5, 2, 0.3) and the charged per-window epsilon, B stays under
+// the configured delta. B is also non-increasing in epsilon, as a
+// privacy curve must be, and the quadrature has converged.
+func TestOneClaimRelationDeltaBound(t *testing.T) {
+	const configuredDelta = 0.3
+	acct, err := NewAccountant(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMechanism(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift, err := acct.Sensitivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged, err := acct.Epsilon(m, configuredDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := oneClaimDeltaBound(charged, shift, m.Lambda2(), 4000)
+	t.Logf("Delta = %.4f, charged eps = %.4f: B = %.5f", shift, charged, b)
+	if math.Round(b*1000)/1000 != 0.299 {
+		t.Errorf("B(%.4f) = %.5f, want 0.299", charged, b)
+	}
+	if b >= configuredDelta {
+		t.Errorf("B(%.4f) = %.5f is not below the configured delta %v", charged, b, configuredDelta)
+	}
+	for _, nodes := range []int{1000, 16000} {
+		if other := oneClaimDeltaBound(charged, shift, m.Lambda2(), nodes); math.Abs(other-b) > 1e-4 {
+			t.Errorf("B at %d nodes = %.6f, at 4000 = %.6f: quadrature not converged", nodes, other, b)
+		}
+	}
+
+	prev := math.Inf(1)
+	for eps := 10.0; eps <= 100; eps += 5 {
+		cur := oneClaimDeltaBound(eps, shift, m.Lambda2(), 4000)
+		if math.IsNaN(cur) || cur > prev+1e-12 {
+			t.Errorf("B(%v) = %v after B(%v) = %v: not non-increasing", eps, cur, eps-5, prev)
+		}
+		prev = cur
+	}
+	if huge := oneClaimDeltaBound(800, shift, m.Lambda2(), 4000); math.IsNaN(huge) || huge < 0 || huge > prev {
+		t.Errorf("B(800) = %v, want a finite value in [0, B(100) = %v]", huge, prev)
+	}
+}

@@ -62,13 +62,8 @@ const (
 	// CodeBudgetExhausted: the user's cumulative privacy budget cannot
 	// afford another window. HTTP 429.
 	CodeBudgetExhausted = "budget_exhausted"
-	// CodeUnauthorized: the request is missing (or carries the wrong)
-	// shared bearer token a protected route requires — today the cluster
-	// follower's replication endpoints. HTTP 401.
-	CodeUnauthorized = "unauthorized"
 	// CodePayloadTooLarge: the request body exceeds the route's size cap
-	// (the follower's file endpoint refuses bodies over its per-file
-	// limit before buffering them). HTTP 413.
+	// and was refused before being buffered (ErrPayloadTooLarge). HTTP 413.
 	CodePayloadTooLarge = "payload_too_large"
 	// CodeWorkerUnavailable: a cluster coordinator could not reach the
 	// worker owning this user's shard; the message names the worker. The

@@ -9,12 +9,11 @@ import (
 // EchoRequestID wraps one route handler so its response always carries
 // an X-Request-ID header: the client's, when the request supplied a
 // valid one, otherwise a freshly generated ID. Registered on every
-// route (the cluster follower's included), it makes the echo contract
-// hold even for a bare Server or StreamServer handler mounted without
-// the node's obs middleware; under the middleware (which installs the
-// header before the mux runs) the wrapper sees the header already set
-// and leaves it alone, so the ID the middleware logged is the one the
-// client receives.
+// route, it makes the echo contract hold even for a bare StreamServer
+// handler mounted without the node's obs middleware; under the
+// middleware (which installs the header before the mux runs) the
+// wrapper sees the header already set and leaves it alone, so the ID
+// the middleware logged is the one the client receives.
 func EchoRequestID(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if w.Header().Get(HeaderRequestID) == "" {

@@ -12,11 +12,11 @@ import (
 // background shipper. Sealed journal segments are immutable, so a
 // replica that has a segment at its final size never needs it again;
 // the active segment ships as its durable prefix (append-only with
-// per-record CRCs, so a prefix is always a valid journal — the
-// follower's torn-tail repair handles anything past it). Snapshots, the
-// last published results, and the user spill file ship whole: each is
-// replaced (or appended) atomically, so a point-in-time copy is always
-// internally consistent.
+// per-record CRCs, so a prefix is always a valid journal — opening the
+// replica repairs any torn tail past it). Snapshots, the last published
+// results, and the user spill file ship whole: each is replaced (or
+// appended) atomically, so a point-in-time copy is always internally
+// consistent.
 //
 // Ordering is the shipper's durability contract: Shippable lists the
 // journal segments BEFORE the snapshot, and a shipper must Put files in
@@ -24,7 +24,7 @@ import (
 // sealed segments it covers; shipping the snapshot last guarantees the
 // destination never holds a snapshot whose journal suffix it is still
 // missing. (The reverse — segments newer than the shipped snapshot —
-// just means the follower replays a little more.)
+// just means the restored node replays a little more.)
 
 // SnapshotFileName is the engine snapshot's base name inside a state
 // directory — exported for shippers, which must treat it as the sync
@@ -37,13 +37,10 @@ const SnapshotFileName = snapshotName
 // shipper replicates.
 type ShippableFile struct {
 	// Name is the file's base name inside the state directory.
-	Name string `json:"name"`
+	Name string
 	// Size is the durable byte count to ship: the whole file, except for
 	// the active journal segment where it is the fsync'd prefix.
-	Size int64 `json:"size"`
-	// Immutable marks sealed journal segments: once shipped at this
-	// size, the file never changes and need not ship again.
-	Immutable bool `json:"immutable"`
+	Size int64
 }
 
 // Shippable enumerates the current durable state as shippable files, in
@@ -60,7 +57,7 @@ func (s *Store) Shippable() ([]ShippableFile, error) {
 	var out []ShippableFile
 	for _, seg := range s.sealed {
 		if seg.size > 0 {
-			out = append(out, ShippableFile{Name: segmentFileName(seg.seq), Size: seg.size, Immutable: true})
+			out = append(out, ShippableFile{Name: segmentFileName(seg.seq), Size: seg.size})
 		}
 	}
 	activeName := segmentFileName(s.activeSeq)
@@ -102,12 +99,12 @@ func (s *Store) Shippable() ([]ShippableFile, error) {
 }
 
 // ValidShippableName reports whether name is a file Shippable can
-// list — exported for a push follower, which must refuse to write any
+// list — exported for a shipping sink, which must refuse to write any
 // other name into its replica directory.
 func ValidShippableName(name string) bool { return shippableName(name) }
 
 // shippableName reports whether name is a file Shippable can list — the
-// only names ReadShippable (and, transitively, a push follower) will
+// only names ReadShippable (and, transitively, a shipping sink) will
 // touch. Anything else, path separators included, is rejected.
 func shippableName(name string) bool {
 	if name == "" || strings.ContainsAny(name, "/\\") || name != filepath.Base(name) {

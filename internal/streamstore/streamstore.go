@@ -17,7 +17,7 @@
 //     charge, nor (with the claim WAL) the statistics it paid for.
 //
 //   - a periodic engine snapshot (snapshot.json — the name is the
-//     shipper's and follower's key and predates the format): the full
+//     shipper's key and predates the format): the full
 //     stream.EngineState (window counter, per-user carry weights and
 //     budgets, decayed sufficient statistics) in the engine's compact
 //     binary encoding behind a fixed header (magic, format version, the

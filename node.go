@@ -395,15 +395,19 @@ func (n *Node) startStream(c *nodeConfig) error {
 // WithSegmentShipping replicates the node's durable state to dest in
 // the background: sealed journal segments ship once, the active
 // segment's durable prefix, snapshots, results, and the spill file
-// follow on every pass. dest is a local archive directory, or — with an
-// http:// or https:// scheme — the base URL of a ClusterFollower; a
-// fresh node pointed at the replica recovers to the shipped state
-// (warm standby, point-in-time restore, read replica). A pass runs
-// every shipInterval and once more on Close. Requires WithPersistence.
+// follow on every pass. dest is a directory, created if missing: a
+// local archive, or a mounted volume that puts the replica off-box. A
+// fresh node pointed at it recovers to the shipped state (warm standby,
+// point-in-time restore). A URL is refused: shipping writes files, it
+// speaks no network protocol. A pass runs every shipInterval and once
+// more on Close. Requires WithPersistence.
 func WithSegmentShipping(dest string) Option {
 	return func(c *nodeConfig) error {
 		if dest == "" {
 			return optErr("WithSegmentShipping: empty destination")
+		}
+		if strings.Contains(dest, "://") {
+			return optErr("WithSegmentShipping(%q): shipping writes to a directory (for example a mounted volume), not a URL", dest)
 		}
 		if c.shipSet {
 			return optErr("WithSegmentShipping configured twice")
@@ -422,13 +426,7 @@ func (n *Node) startShipper(c *nodeConfig) error {
 	if !c.shipSet {
 		return nil
 	}
-	var sink cluster.Sink
-	var err error
-	if strings.HasPrefix(c.shipDest, "http://") || strings.HasPrefix(c.shipDest, "https://") {
-		sink, err = cluster.NewHTTPSink(c.shipDest, nil)
-	} else {
-		sink, err = cluster.NewDirSink(c.shipDest)
-	}
+	sink, err := cluster.NewDirSink(c.shipDest)
 	if err != nil {
 		return fmt.Errorf("%w: WithSegmentShipping(%q): %w", ErrNodeConfig, c.shipDest, err)
 	}

@@ -94,6 +94,8 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"bad target eps", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(-1, 0.3)}, "eps = -1"},
 		{"bad target delta", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(0.5, 1)}, "delta = 1"},
 		{"empty persistence dir", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPersistence("")}, "empty state directory"},
+		{"shipping to a URL", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithSegmentShipping("http://host:9000")},
+			"shipping writes to a directory"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
