@@ -501,6 +501,10 @@ func TestClusterEmptyWindow(t *testing.T) {
 	defer func() {
 		_ = coord.Close()
 	}()
+	// An unset HistoryWindows gets the engine's default ring depth.
+	if coord.histCap != stream.DefaultHistoryWindows {
+		t.Errorf("coordinator retains %d windows, want the engine default %d", coord.histCap, stream.DefaultHistoryWindows)
+	}
 	if _, err := coord.CloseWindow(); !errors.Is(err, stream.ErrEmptyWindow) {
 		t.Fatalf("empty close: err = %v, want ErrEmptyWindow", err)
 	}

@@ -171,6 +171,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		estimator = stream.EstimatorCRH
 	}
 	epsWindow := probe.EpsilonPerWindow()
+	histCap := probe.HistoryWindows()
 	_ = probe.Close()
 
 	ring, err := NewRing(cfg.Workers)
@@ -190,10 +191,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: worker %s: %w", w, err)
 		}
 		clients[w] = cl
-	}
-	histCap := cfg.Engine.HistoryWindows
-	if histCap <= 0 {
-		histCap = 8
 	}
 	c := &Coordinator{
 		name:      cfg.Name,

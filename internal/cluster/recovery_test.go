@@ -247,9 +247,9 @@ func (r *recordingSink) Put(name string, data []byte) error {
 }
 
 // TestShipperSkipsUnchangedMutableFiles: a shipping pass re-ships only
-// what moved — an unchanged journal does not re-ship, while the
-// snapshot and the cluster-close record (atomically rewritten, possibly
-// at an unchanged size) re-ship on every pass.
+// what moved — an unchanged journal does not re-ship, while the latest
+// result, the snapshot and the cluster-close record (atomically
+// rewritten, possibly at an unchanged size) re-ship on every pass.
 func TestShipperSkipsUnchangedMutableFiles(t *testing.T) {
 	dir := t.TempDir()
 	store, err := streamstore.Open(dir)
@@ -270,6 +270,13 @@ func TestShipperSkipsUnchangedMutableFiles(t *testing.T) {
 	}()
 	if _, _, err := eng.Ingest("alice", []stream.Claim{{Object: 0, Value: 1}}); err != nil {
 		t.Fatalf("ingest: %v", err)
+	}
+	res, err := eng.CloseWindow()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := store.SaveResult(res); err != nil {
+		t.Fatalf("save result: %v", err)
 	}
 	if err := store.SnapshotEngine(eng); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -305,6 +312,7 @@ func TestShipperSkipsUnchangedMutableFiles(t *testing.T) {
 		t.Fatalf("second pass: %v", err)
 	}
 	want := map[string]bool{
+		streamstore.ResultFileName:       true,
 		streamstore.SnapshotFileName:     true,
 		streamstore.ClusterCloseFileName: true,
 	}

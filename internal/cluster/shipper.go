@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"pptd/internal/obs"
 	"pptd/internal/streamstore"
+	"pptd/internal/streamstore/storefs"
 )
 
 // Segment shipping: a background Shipper replicates a worker's durable
@@ -44,6 +44,10 @@ type Sink interface {
 // restore, or a directory a standby node will recover from.
 type DirSink struct {
 	dir string
+	fs  storefs.FS
+	// mu serializes Puts: concurrent shipping passes would otherwise
+	// share a file's temp name.
+	mu sync.Mutex
 }
 
 // NewDirSink creates the directory if needed and returns a sink over it.
@@ -51,12 +55,12 @@ func NewDirSink(dir string) (*DirSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: create sink dir: %w", err)
 	}
-	return &DirSink{dir: dir}, nil
+	return &DirSink{dir: dir, fs: storefs.OS{}}, nil
 }
 
 // Have implements Sink.
 func (d *DirSink) Have() (map[string]int64, error) {
-	entries, err := os.ReadDir(d.dir)
+	entries, err := d.fs.ReadDir(d.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -73,31 +77,18 @@ func (d *DirSink) Have() (map[string]int64, error) {
 	return have, nil
 }
 
-// Put implements Sink: write-temp-then-rename, so a reader (or a
-// restore racing the shipper) never sees a half-written file.
+// Put implements Sink through the store's own atomic replace
+// (streamstore.WriteFileAtomic): temp file, fsync, rename, directory
+// fsync. A reader (or a restore racing the shipper) never sees a
+// half-written file, and a power loss on the replica's host never loses
+// a rename Put returned for.
 func (d *DirSink) Put(name string, data []byte) error {
 	if !streamstore.ValidShippableName(name) {
 		return fmt.Errorf("cluster: refusing to ship %q: not a shippable name", name)
 	}
-	tmp, err := os.CreateTemp(d.dir, ".ship-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		_ = os.Remove(tmp.Name()) // no-op after the rename succeeds
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(d.dir, name))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return streamstore.WriteFileAtomic(d.fs, d.dir, name, data)
 }
 
 // Shipper replicates one store's durable state to a sink, either on
@@ -145,11 +136,12 @@ func NewShipper(store *streamstore.Store, sink Sink, interval time.Duration, met
 // shippable files, and Put — in listing order — every file the sink is
 // missing or that changed. Sealed segments already present at their
 // final size are skipped for good; mutable files (active segment,
-// spill, results) re-ship whenever their durable size moved; the
-// snapshot and the cluster-close record re-ship on every pass even at
-// an unchanged size, because both are atomically rewritten (same size,
-// different state, is possible) and the snapshot's listing position
-// (last) makes it the pass's commit point.
+// spill, retained results) re-ship whenever their durable size moved;
+// the latest result, the cluster-close record and the snapshot re-ship
+// on every pass even at an unchanged size, because all three are
+// atomically rewritten (same size, different state, is possible) and
+// the snapshot's listing position (last) makes it the pass's commit
+// point.
 func (s *Shipper) SyncOnce() error {
 	err := s.syncOnce()
 	if err != nil && s.syncErrors != nil {
@@ -172,12 +164,12 @@ func (s *Shipper) syncOnce() error {
 		// for sealed segments (immutable), and "durable size unchanged"
 		// for the other files — the active segment and the spill only
 		// ever grow (or shrink on compaction), so an equal size means an
-		// identical durable prefix. The snapshot and the cluster-close
-		// record are the exceptions: both are atomically rewritten and
-		// can change state without changing size, and the snapshot is the
-		// pass's commit point — they always re-ship.
-		if size, ok := have[f.Name]; ok && size == f.Size &&
-			f.Name != streamstore.SnapshotFileName && f.Name != streamstore.ClusterCloseFileName {
+		// identical durable prefix. The latest result, the cluster-close
+		// record and the snapshot are the exceptions: all are atomically
+		// rewritten and can change state without changing size, and the
+		// snapshot is the pass's commit point — they always re-ship.
+		if size, ok := have[f.Name]; ok && size == f.Size && f.Name != streamstore.ResultFileName &&
+			f.Name != streamstore.ClusterCloseFileName && f.Name != streamstore.SnapshotFileName {
 			continue
 		}
 		data, err := s.store.ReadShippable(f.Name, f.Size)

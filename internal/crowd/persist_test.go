@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 	"pptd/internal/stream"
 	"pptd/internal/streamstore"
 )
@@ -53,7 +54,7 @@ func TestResidencyGaugesOnMetrics(t *testing.T) {
 		if err := reg.WriteText(&text); err != nil {
 			t.Fatal(err)
 		}
-		p, err := obs.ParseText(&text)
+		p, err := obstest.ParseText(&text)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pptd/internal/obs/obstest"
 )
 
 func TestMiddlewareMetricsAndRequestID(t *testing.T) {
@@ -56,7 +58,7 @@ func TestMiddlewareMetricsAndRequestID(t *testing.T) {
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ParseText(strings.NewReader(b.String()))
+	p, err := obstest.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("parse middleware exposition: %v\n%s", err, b.String())
 	}

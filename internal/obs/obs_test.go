@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pptd/internal/obs/obstest"
 )
 
 func TestHistogramQuantileAndString(t *testing.T) {
@@ -134,7 +136,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err := r.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ParseText(strings.NewReader(b.String()))
+	p, err := obstest.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("ParseText of our own exposition: %v\n%s", err, b.String())
 	}
@@ -172,7 +174,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"inf bucket vs count": "# TYPE h histogram\n" +
 			"h_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n",
 	} {
-		if _, err := ParseText(strings.NewReader(in)); err == nil {
+		if _, err := obstest.ParseText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ParseText accepted %q", name, in)
 		}
 	}

@@ -1,4 +1,8 @@
-package obs
+// Package obstest parses the Prometheus text exposition internal/obs
+// writes, so tests and smoke checks can assert on /metrics output:
+// ParseText checks the format's invariants (declared types, cumulative
+// histogram buckets) and returns the samples.
+package obstest
 
 import (
 	"bufio"
@@ -289,7 +293,7 @@ func (p *ParsedMetrics) checkHistograms() error {
 		var b strings.Builder
 		b.WriteString(fam)
 		for _, k := range keys {
-			b.WriteString(labelSep)
+			b.WriteString("\x1f")
 			b.WriteString(k)
 			b.WriteString("=")
 			b.WriteString(labels[k])
@@ -357,4 +361,20 @@ func leBound(s Sample) float64 {
 		return float64(1 << 62)
 	}
 	return v
+}
+
+// validName reports whether s is a legal metric or label name,
+// [a-zA-Z_:][a-zA-Z0-9_:]*. The parser checks the exposition against the
+// format's grammar itself rather than reuse the writer's check, so a
+// writer bug cannot hide behind a shared one.
+func validName(s string) bool {
+	for i, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
+		case r >= '0' && r <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
 }

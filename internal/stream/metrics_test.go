@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 )
 
 func scrapeValue(t *testing.T, reg *obs.Registry, name string, labelPairs ...string) float64 {
@@ -13,7 +14,7 @@ func scrapeValue(t *testing.T, reg *obs.Registry, name string, labelPairs ...str
 	if err := reg.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
-	p, err := obs.ParseText(strings.NewReader(b.String()))
+	p, err := obstest.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("parse exposition: %v\n%s", err, b.String())
 	}

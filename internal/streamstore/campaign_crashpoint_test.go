@@ -198,7 +198,7 @@ func runBatchCrashPointSweep(t *testing.T, disk sweepDisk) {
 	pilotOps := pilot.Ops()
 	rolls := 0
 	for _, op := range pilotOps {
-		if op.Kind == storefs.OpOpen && filepath.Base(op.Path) == resultTmpName {
+		if op.Kind == storefs.OpOpen && filepath.Base(op.Path) == resultName+".tmp" {
 			break // the close: every roll before it is an ingest's
 		}
 		if op.Kind == storefs.OpOpen && filepath.Base(op.Path) == segmentFileName(2+int64(rolls)) {

@@ -23,10 +23,7 @@ import (
 // merge/commit never finished" — the latter must be re-driven before
 // serving, or every later window would estimate from stale carries.
 
-const (
-	clusterCloseName    = "cluster-close.json"
-	clusterCloseTmpName = "cluster-close.json.tmp"
-)
+const clusterCloseName = "cluster-close.json"
 
 // ClusterCloseFileName is the cluster-close record's base name inside a
 // state directory — exported for shippers, which (like the snapshot)
@@ -76,7 +73,7 @@ func (s *Store) SaveClusterClose(cs *ClusterCloseState) error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.writeAtomicLocked("cluster close", clusterCloseName, clusterCloseTmpName, file)
+	return WriteFileAtomic(s.fs, s.dir, clusterCloseName, file)
 }
 
 // LoadClusterClose returns the persisted cluster-close record, or nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 	"pptd/internal/stream"
 )
 
@@ -314,7 +315,7 @@ func TestStoreMetricsStayMonotoneAcrossResets(t *testing.T) {
 		if err := reg.WriteText(&b); err != nil {
 			t.Fatal(err)
 		}
-		p, err := obs.ParseText(strings.NewReader(b.String()))
+		p, err := obstest.ParseText(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("parse exposition: %v", err)
 		}

@@ -33,6 +33,13 @@ import (
 // the size unchanged while the state moved.
 const SnapshotFileName = snapshotName
 
+// ResultFileName is the latest published result's base name inside a
+// state directory — exported for shippers, which must re-ship it even
+// when the sink holds a same-size copy: it is atomically rewritten at
+// every window close, and two windows' results can encode to the same
+// length.
+const ResultFileName = resultName
+
 // ShippableFile describes one file of the durable state directory a
 // shipper replicates.
 type ShippableFile struct {

@@ -92,9 +92,7 @@ import (
 
 const (
 	snapshotName      = "snapshot.json"
-	snapshotTmpName   = "snapshot.json.tmp"
 	resultName        = "result.json"
-	resultTmpName     = "result.json.tmp"
 	legacyJournalName = "ledger.journal"
 	lockName          = "LOCK"
 
@@ -451,7 +449,7 @@ func (s *Store) WriteSnapshot(st *stream.EngineState, covered JournalPos) error 
 	if s.closed {
 		return ErrClosed
 	}
-	if err := s.writeAtomicLocked("snapshot", snapshotName, snapshotTmpName, sealStateFile(file)); err != nil {
+	if err := WriteFileAtomic(s.fs, s.dir, snapshotName, sealStateFile(file)); err != nil {
 		return err
 	}
 	s.snapshots++
@@ -490,13 +488,12 @@ func (s *Store) SaveResult(res *stream.WindowResult) error {
 		return ErrClosed
 	}
 	if s.opts.ResultHistory > 1 {
-		name := resultHistoryName(res.Window)
-		if err := s.writeEnvelopeLocked("result history", name, name+".tmp", body); err != nil {
+		if err := s.writeEnvelopeLocked(resultHistoryName(res.Window), body); err != nil {
 			return err
 		}
 		s.pruneResultHistoryLocked(res.Window)
 	}
-	if err := s.writeEnvelopeLocked("result", resultName, resultTmpName, body); err != nil {
+	if err := s.writeEnvelopeLocked(resultName, body); err != nil {
 		return err
 	}
 	s.resultsSaved++
@@ -601,44 +598,48 @@ func (s *Store) LoadResultHistory() ([]*stream.WindowResult, error) {
 }
 
 // writeEnvelopeLocked writes a result payload under its checksummed JSON
-// envelope (writeAtomicLocked). Callers must hold s.mu.
-func (s *Store) writeEnvelopeLocked(what, name, tmpName string, payload []byte) error {
+// envelope (WriteFileAtomic). Callers must hold s.mu.
+func (s *Store) writeEnvelopeLocked(name string, payload []byte) error {
 	env, err := json.Marshal(envelope{
 		Version: envelopeVersion,
 		CRC32:   fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)),
 		State:   payload,
 	})
 	if err != nil {
-		return fmt.Errorf("streamstore: encode %s envelope: %w", what, err)
+		return fmt.Errorf("streamstore: encode %s envelope: %w", name, err)
 	}
-	return s.writeAtomicLocked(what, name, tmpName, env)
+	return WriteFileAtomic(s.fs, s.dir, name, env)
 }
 
-// writeAtomicLocked replaces name with data through the atomic
-// temp/fsync/rename/dir-fsync sequence, so a crash at any point leaves
-// the old file or the new one. Callers must hold s.mu.
-func (s *Store) writeAtomicLocked(what, name, tmpName string, data []byte) error {
-	tmp := filepath.Join(s.dir, tmpName)
-	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// WriteFileAtomic replaces dir/name with data through the
+// temp/fsync/rename/dir-fsync sequence (the temp file is name+".tmp"),
+// so a crash at any point leaves the old file or the new one, and the
+// rename itself survives a power loss. The snapshot, the results and
+// the cluster-close record are written through it, and so is a shipping
+// sink's replica (cluster.DirSink). Two concurrent calls for one name
+// share the temp file: callers serialize them.
+func WriteFileAtomic(fsys storefs.FS, dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("streamstore: create %s temp: %w", what, err)
+		return fmt.Errorf("streamstore: create %s temp: %w", name, err)
 	}
 	if _, err := f.Write(data); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("streamstore: write %s: %w", what, err)
+		return fmt.Errorf("streamstore: write %s: %w", name, err)
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return fmt.Errorf("streamstore: sync %s: %w", what, err)
+		return fmt.Errorf("streamstore: sync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("streamstore: close %s temp: %w", what, err)
+		return fmt.Errorf("streamstore: close %s temp: %w", name, err)
 	}
-	if err := s.fs.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("streamstore: publish %s: %w", what, err)
+	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return fmt.Errorf("streamstore: publish %s: %w", name, err)
 	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("streamstore: sync state dir: %w", err)
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("streamstore: sync dir %s: %w", dir, err)
 	}
 	return nil
 }

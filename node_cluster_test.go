@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"pptd"
-	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 )
 
 func TestNodeClusterOptionValidation(t *testing.T) {
@@ -164,7 +164,7 @@ func TestNodeCluster(t *testing.T) {
 
 	// The coordinator's routing series: one per worker (present even if
 	// the ring gave it no user), counting submissions, not claims.
-	p, err := obs.ParseText(strings.NewReader(scrapeMetrics(t, front)))
+	p, err := obstest.ParseText(strings.NewReader(scrapeMetrics(t, front)))
 	if err != nil {
 		t.Fatalf("parse coordinator /metrics: %v", err)
 	}

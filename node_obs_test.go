@@ -14,7 +14,7 @@ import (
 	"testing"
 
 	"pptd"
-	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 )
 
 // newObsNode boots a full node — accounted stream engine with a pinned
@@ -169,7 +169,7 @@ func TestNodeMetricsGolden(t *testing.T) {
 func TestNodeMetricsRoundTrip(t *testing.T) {
 	ts := newObsNode(t)
 	text := scrapeMetrics(t, ts)
-	p, err := obs.ParseText(strings.NewReader(text))
+	p, err := obstest.ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("parse /metrics: %v\n%s", err, text)
 	}

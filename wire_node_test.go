@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"pptd"
-	"pptd/internal/obs"
+	"pptd/internal/obs/obstest"
 )
 
 // newWireNode starts a node hosting the streaming campaign with privacy
@@ -55,7 +55,7 @@ func TestCrossWireEquivalence(t *testing.T) {
 		wire     string
 		receipts []pptd.StreamReceipt
 		truths   []float64
-		metrics  *obs.ParsedMetrics
+		metrics  *obstest.ParsedMetrics
 	}
 	runs := make([]*run, 0, 2)
 	for _, wire := range []string{pptd.WireJSON, pptd.WireBinary} {
@@ -88,7 +88,7 @@ func TestCrossWireEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := obs.ParseText(resp.Body)
+		p, err := obstest.ParseText(resp.Body)
 		_ = resp.Body.Close()
 		if err != nil {
 			t.Fatalf("%s wire: parse /metrics: %v", wire, err)
