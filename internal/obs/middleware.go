@@ -86,10 +86,12 @@ type MiddlewareConfig struct {
 	// Logger receives one structured line per request; nil disables
 	// logging.
 	Logger *slog.Logger
-	// Route maps a request to its bounded-cardinality route label (e.g.
-	// the mux pattern). nil falls back to the URL path — only safe when
-	// the path space is closed.
-	Route func(*http.Request) string
+	// Route maps a request to the handler that serves it and its
+	// bounded-cardinality route label (e.g. the mux pattern), so one
+	// lookup both labels and dispatches. A nil handler dispatches the
+	// wrapped one. A nil Route labels by the URL path — only safe when
+	// the path space is closed — and dispatches the wrapped handler.
+	Route func(*http.Request) (http.Handler, string)
 }
 
 // Middleware wraps an http.Handler with the node's request telemetry:
@@ -132,14 +134,17 @@ func Middleware(cfg MiddlewareConfig) func(http.Handler) http.Handler {
 			w.Header().Set(HeaderRequestID, id)
 			r = r.WithContext(WithRequestID(r.Context(), id))
 
-			route := r.URL.Path
+			h, route := next, r.URL.Path
 			if cfg.Route != nil {
-				route = cfg.Route(r)
+				var matched http.Handler
+				if matched, route = cfg.Route(r); matched != nil {
+					h = matched
+				}
 			}
 			inflight.Inc()
 			rec := &statusRecorder{ResponseWriter: w}
 			start := time.Now()
-			next.ServeHTTP(rec, r)
+			h.ServeHTTP(rec, r)
 			elapsed := time.Since(start)
 			inflight.Dec()
 

@@ -29,7 +29,7 @@ func TestMiddlewareMetricsAndRequestID(t *testing.T) {
 	h := Middleware(MiddlewareConfig{
 		Registry: reg,
 		Logger:   logger,
-		Route:    func(r *http.Request) string { return "/fixed" },
+		Route:    func(r *http.Request) (http.Handler, string) { return nil, "/fixed" },
 	})(inner)
 
 	// Client-supplied ID is echoed and installed in the context.

@@ -109,8 +109,9 @@ func TestEngineClosed(t *testing.T) {
 }
 
 // TestConcurrentIngest hammers the engine from many goroutines while
-// windows close concurrently; run with -race this doubles as the data
-// race check the subsystem is gated on.
+// windows close and the state is exported concurrently, and checks that
+// every accepted claim lands whole in exactly one window; run with -race
+// this doubles as the data race check the subsystem is gated on.
 func TestConcurrentIngest(t *testing.T) {
 	const (
 		writers          = 8
@@ -152,18 +153,56 @@ func TestConcurrentIngest(t *testing.T) {
 			mu.Unlock()
 		}(w)
 	}
-	// Close windows concurrently with the writers.
-	done := make(chan struct{})
+	// Close windows and export the state concurrently with the writers.
+	// With Decay 1 every statistic's mass counts its claims, so each
+	// export's summed mass equals its TotalClaims unless a batch was
+	// caught half folded.
+	massOf := func(st *EngineState) (mass float64) {
+		for _, sn := range st.Stats {
+			mass += sn.Mass
+		}
+		return mass
+	}
+	var windowClaims int64
+	writing := make(chan struct{})
+	keepRacing := func(i int) bool { // while the writers run, and at least 5 times
+		select {
+		case <-writing:
+			return i < 5
+		default:
+			return true
+		}
+	}
+	done := make(chan struct{}, 2)
 	go func() {
-		defer close(done)
-		for i := 0; i < 5; i++ {
-			if _, err := e.CloseWindow(); err != nil && !errors.Is(err, ErrEmptyWindow) {
+		defer func() { done <- struct{}{} }()
+		for i := 0; keepRacing(i); i++ {
+			res, err := e.CloseWindow()
+			if err != nil && !errors.Is(err, ErrEmptyWindow) {
 				t.Error(err)
 				return
+			}
+			if err == nil {
+				windowClaims += res.WindowClaims
+			}
+		}
+	}()
+	go func() {
+		defer func() { done <- struct{}{} }()
+		for i := 0; keepRacing(i); i++ {
+			st, err := e.ExportState()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := massOf(st); got != float64(st.TotalClaims) {
+				t.Errorf("export %d: summed mass %v, want its TotalClaims %d", i, got, st.TotalClaims)
 			}
 		}
 	}()
 	wg.Wait()
+	close(writing)
+	<-done
 	<-done
 
 	res, err := e.CloseWindow()
@@ -172,6 +211,16 @@ func TestConcurrentIngest(t *testing.T) {
 	}
 	if res.TotalClaims != total {
 		t.Errorf("TotalClaims = %d, want %d", res.TotalClaims, total)
+	}
+	if windowClaims += res.WindowClaims; windowClaims != total {
+		t.Errorf("windows' WindowClaims sum to %d, want the %d accepted claims", windowClaims, total)
+	}
+	st, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := massOf(st); got != float64(total) {
+		t.Errorf("exported statistics' summed mass = %v, want the %d accepted claims", got, total)
 	}
 	if got := e.Snapshot(); got == nil || got.Window != res.Window || got.TotalClaims != res.TotalClaims {
 		t.Errorf("Snapshot = %+v, want the latest window result", got)

@@ -509,32 +509,20 @@ func (n *Node) mount(c *nodeConfig) {
 	// The telemetry middleware wraps the whole front door — every route,
 	// the not-found envelope, /metrics itself — labeling each request
 	// with its mux pattern so metric cardinality stays bounded no matter
-	// what paths are probed.
+	// what paths are probed. One mux lookup labels and dispatches; paths
+	// no route is mounted at get the JSON error envelope (code
+	// "not_found"), not net/http's plain-text 404.
+	notFound := crowd.NotFoundHandler()
 	n.handler = obs.Middleware(obs.MiddlewareConfig{
 		Registry: n.metrics,
 		Logger:   c.logger,
-		Route: func(r *http.Request) string {
-			if _, pattern := mux.Handler(r); pattern != "" {
-				return pattern
+		Route: func(r *http.Request) (http.Handler, string) {
+			if h, pattern := mux.Handler(r); pattern != "" {
+				return h, pattern
 			}
-			return "unmatched"
+			return notFound, "unmatched"
 		},
-	})(withEnvelopeNotFound(mux))
-}
-
-// withEnvelopeNotFound keeps the front door's contract total: paths no
-// route is mounted at get the JSON error envelope (code "not_found"),
-// not net/http's plain-text 404.
-func withEnvelopeNotFound(mux *http.ServeMux) http.Handler {
-	notFound := crowd.NotFoundHandler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h, pattern := mux.Handler(r)
-		if pattern == "" {
-			notFound.ServeHTTP(w, r)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
+	})(mux)
 }
 
 // Node is the unified front door to a privacy-preserving truth-discovery
