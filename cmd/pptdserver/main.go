@@ -98,12 +98,12 @@ func run(args []string) error {
 	}
 	opts := []pptd.Option{
 		pptd.WithName(*name),
-		pptd.WithLambda2(*lambda2),
 		pptd.WithStreamConfig(pptd.StreamConfig{
 			NumObjects:       *objects,
 			Estimator:        estimator,
 			Decay:            *decay,
 			Lambda1:          *lambda1,
+			Lambda2:          *lambda2,
 			Delta:            *delta,
 			EpsilonBudget:    *budget,
 			MaxResidentUsers: *maxRes,
@@ -114,6 +114,9 @@ func run(args []string) error {
 	}
 	if *interval > 0 {
 		opts = append(opts, pptd.WithWindowInterval(*interval))
+	}
+	if !(*lambda2 > 0) {
+		return fmt.Errorf("-lambda2 = %v: devices perturb with it, so it must be positive", *lambda2)
 	}
 	if *maxBody < 0 {
 		return fmt.Errorf("-max-request-bytes = %d: want 0 (default) or a positive cap", *maxBody)

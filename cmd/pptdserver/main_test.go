@@ -39,6 +39,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-lambda1", "0", "-delta", "0", "-budget", "10"}, "EpsilonBudget without Lambda1 accounting"},
 		{[]string{"-lambda1", "0"}, "Delta = 0.3 without Lambda1 accounting"},
 		{[]string{"-lambda1", "0", "-delta", "0", "-state-dir", t.TempDir()}, "-state-dir needs accounting"},
+		{[]string{"-lambda1", "0", "-delta", "0", "-lambda2", "0"}, "-lambda2 = 0"},
+		{[]string{"-lambda2", "NaN"}, "-lambda2 = NaN"},
 		{[]string{"-stream"}, "not defined"},
 	} {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

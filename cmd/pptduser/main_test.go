@@ -40,7 +40,7 @@ func TestRunRejectsBadStreamArgs(t *testing.T) {
 // TestRunAgainstLocalServer: by default the fleet runs a one-shot
 // campaign, one window that every device lands in.
 func TestRunAgainstLocalServer(t *testing.T) {
-	node, err := pptd.NewNode(pptd.WithName("test"), pptd.WithStreamEngine(5), pptd.WithLambda2(2))
+	node, err := pptd.NewNode(pptd.WithName("test"), pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5, Lambda2: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

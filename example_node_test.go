@@ -60,3 +60,37 @@ func ExampleNewNode_validation() {
 	// Output:
 	// true
 }
+
+// ExampleNewNode_privacyTarget configures a node for a per-window
+// privacy target (eps, delta): the accountant (Theorem 4.8) turns the
+// target and the data-quality rate lambda1 into the perturbation rate
+// lambda2, and StreamConfig carries all three rates.
+func ExampleNewNode_privacyTarget() {
+	const lambda1, eps, delta = 1.5, 0.5, 0.3
+	acct, err := pptd.NewAccountant(lambda1)
+	if err != nil {
+		fmt.Println("accountant:", err)
+		return
+	}
+	mech, err := acct.MechanismForEpsilon(eps, delta)
+	if err != nil {
+		fmt.Println("mechanism:", err)
+		return
+	}
+	node, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{
+		NumObjects: 10,
+		Lambda1:    lambda1,
+		Lambda2:    mech.Lambda2(),
+		Delta:      delta,
+	}))
+	if err != nil {
+		fmt.Println("build:", err)
+		return
+	}
+	defer func() { _ = node.Close() }()
+
+	info := node.Stream().Campaign()
+	fmt.Printf("lambda2 %.4g, epsilon per window %.4g\n", info.Lambda2, info.EpsilonPerWindow)
+	// Output:
+	// lambda2 0.01488, epsilon per window 0.5
+}

@@ -40,8 +40,7 @@ func run(fleetSize, numObjects int) error {
 	// refuses a second submission into the window.
 	node, err := pptd.NewNode(
 		pptd.WithName("networked-demo"),
-		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects, Lambda1: lambda1, Delta: delta}),
-		pptd.WithLambda2(lambda2),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects, Lambda1: lambda1, Lambda2: lambda2, Delta: delta}),
 	)
 	if err != nil {
 		return err

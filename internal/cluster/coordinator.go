@@ -167,9 +167,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: engine config: %w", err)
 	}
 	estimator := probe.Estimator()
-	if estimator == "" {
-		estimator = stream.EstimatorCRH
-	}
 	epsWindow := probe.EpsilonPerWindow()
 	histCap := probe.HistoryWindows()
 	_ = probe.Close()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -29,38 +28,24 @@ var ErrNodeConfig = errors.New("pptd: invalid node configuration")
 // order.
 type Option func(*nodeConfig) error
 
-// nodeConfig accumulates the option set before validation. The *Set
-// flags distinguish "explicitly configured" from zero values, which is
-// what lets validation reject half-configured feature combinations
-// instead of silently defaulting them. The streaming engine has one
-// field here: StreamConfig is its configuration, and the node adds to
-// it only what its own options own (see resolveEngine).
+// nodeConfig accumulates the option set before validation. Each setter
+// validation depends on refuses its zero value, so a non-zero field is
+// one the caller set, which is what lets validation reject
+// half-configured feature combinations instead of silently defaulting
+// them. The streaming engine has one field here: StreamConfig is its
+// configuration, and the node adds to it only what it owns itself (see
+// resolveEngine).
 type nodeConfig struct {
 	name            string
 	maxRequestBytes int64
 
-	lambda2    float64 // the published rate once resolveLambda2 ran
-	lambda2Set bool
-
-	targetEps   float64
-	targetDelta float64
-	targetSet   bool
-
-	lambda1    float64
-	lambda1Set bool
-
 	stream         *StreamConfig // resolved and validated by resolveEngine
 	windowInterval time.Duration
-	intervalSet    bool
-
-	stateDir   string
-	persistSet bool
+	stateDir       string
 
 	clusterWorker  bool
 	clusterWorkers []string
-	clusterSet     bool
 	shipDest       string
-	shipSet        bool
 
 	logger *slog.Logger
 	debug  bool
@@ -82,120 +67,36 @@ func WithName(name string) Option {
 // applied: that the node hosts a stream engine, and how persistence,
 // the cluster roles and shipping combine. Half-configured or contradictory
 // sets fail with a typed error (wrapped ErrNodeConfig) naming the
-// options involved — never a silent default. The privacy options and
-// the engine configuration are checked by the steps that resolve them
-// (resolveLambda2, resolveEngine).
+// options involved — never a silent default. The engine configuration
+// is checked by the step that resolves it (resolveEngine).
 func (c *nodeConfig) validate() error {
 	switch {
 	case c.stream == nil:
-		return optErr("configure a stream engine (WithStreamEngine or WithStreamConfig)")
-	case c.clusterWorker && c.intervalSet:
+		return optErr("configure a stream engine (WithStreamConfig)")
+	case c.clusterWorker && c.windowInterval > 0:
 		return optErr("WithClusterWorker conflicts with WithWindowInterval: the coordinator drives window closes")
-	case c.shipSet && !c.persistSet:
+	case c.shipDest != "" && c.stateDir == "":
 		return optErr("WithSegmentShipping requires WithPersistence: shipping replicates the state directory")
 	}
-	if c.clusterSet {
-		for opt, set := range map[string]bool{
-			"WithClusterWorker":             c.clusterWorker,
-			"WithPersistence":               c.persistSet,
-			"WithSegmentShipping":           c.shipSet,
-			"StreamConfig.MaxResidentUsers": c.stream.MaxResidentUsers > 0,
-		} {
-			if set {
-				return optErr("WithClusterCoordinator conflicts with %s: the coordinator holds no engine or durable state of its own", opt)
-			}
+	if c.clusterWorkers == nil {
+		return nil
+	}
+	// An ordered list, so a set with several conflicts always names the
+	// same one.
+	for _, conflict := range []struct {
+		opt string
+		set bool
+	}{
+		{"WithClusterWorker", c.clusterWorker},
+		{"WithPersistence", c.stateDir != ""},
+		{"WithSegmentShipping", c.shipDest != ""},
+		{"StreamConfig.MaxResidentUsers", c.stream.MaxResidentUsers > 0},
+	} {
+		if conflict.set {
+			return optErr("WithClusterCoordinator conflicts with %s: the coordinator holds no engine or durable state of its own", conflict.opt)
 		}
 	}
 	return nil
-}
-
-// WithLambda2 publishes an explicit perturbation rate lambda2 to users
-// (the rate each device samples its private noise variance with). It
-// does not by itself enable privacy accounting — use WithPrivacyTarget
-// for that — and conflicts with it, since the target derives lambda2.
-func WithLambda2(lambda2 float64) Option {
-	return func(c *nodeConfig) error {
-		if lambda2 <= 0 || math.IsNaN(lambda2) || math.IsInf(lambda2, 0) {
-			return optErr("WithLambda2: lambda2 = %v", lambda2)
-		}
-		c.lambda2 = lambda2
-		c.lambda2Set = true
-		return nil
-	}
-}
-
-// WithPrivacyTarget asks each streaming window to satisfy (eps,
-// delta)-local differential privacy: the node derives the lambda2 to
-// publish from the target via the paper's accountant (Theorem 4.8) and
-// meters every streaming user's cumulative spending, both eps and delta
-// composing linearly across their windows (StreamConfig.EpsilonBudget
-// caps the total). Requires WithDataQuality (the accountant's assumed
-// error-variance rate); conflicts with WithLambda2.
-func WithPrivacyTarget(eps, delta float64) Option {
-	return func(c *nodeConfig) error {
-		if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-			return optErr("WithPrivacyTarget: eps = %v", eps)
-		}
-		if delta <= 0 || delta >= 1 || math.IsNaN(delta) {
-			return optErr("WithPrivacyTarget: delta = %v (want (0, 1))", delta)
-		}
-		c.targetEps = eps
-		c.targetDelta = delta
-		c.targetSet = true
-		return nil
-	}
-}
-
-// WithDataQuality sets lambda1, the error-variance rate the privacy
-// accountant assumes the crowd's sensors follow (the paper's data-
-// quality parameter). Required by WithPrivacyTarget.
-func WithDataQuality(lambda1 float64) Option {
-	return func(c *nodeConfig) error {
-		if lambda1 <= 0 || math.IsNaN(lambda1) || math.IsInf(lambda1, 0) {
-			return optErr("WithDataQuality: lambda1 = %v", lambda1)
-		}
-		c.lambda1 = lambda1
-		c.lambda1Set = true
-		return nil
-	}
-}
-
-// resolveLambda2 checks the privacy options against each other and
-// settles the perturbation rate the node publishes: the explicit
-// WithLambda2, the rate the accountant derives from WithPrivacyTarget,
-// or the one StreamConfig.Lambda2 carries.
-func (c *nodeConfig) resolveLambda2() error {
-	switch {
-	case c.lambda2Set && c.targetSet:
-		return optErr("WithLambda2 conflicts with WithPrivacyTarget: the target derives lambda2")
-	case c.targetSet && !c.lambda1Set:
-		return optErr("WithPrivacyTarget requires WithDataQuality (the accountant's error-variance rate)")
-	case c.lambda1Set && !c.targetSet:
-		return optErr("WithDataQuality requires WithPrivacyTarget (nothing to account without a target)")
-	}
-	if c.targetSet {
-		acct, err := NewAccountant(c.lambda1)
-		if err != nil {
-			return fmt.Errorf("%w: %w", ErrNodeConfig, err)
-		}
-		mech, err := acct.MechanismForEpsilon(c.targetEps, c.targetDelta)
-		if err != nil {
-			return fmt.Errorf("%w: WithPrivacyTarget(%v, %v): %w",
-				ErrNodeConfig, c.targetEps, c.targetDelta, err)
-		}
-		c.lambda2 = mech.Lambda2()
-	}
-	if c.lambda2 == 0 {
-		c.lambda2 = c.stream.Lambda2
-	}
-	return nil
-}
-
-// WithStreamEngine hosts the streaming engine over numObjects objects
-// with every default: shorthand for
-// WithStreamConfig(StreamConfig{NumObjects: numObjects}).
-func WithStreamEngine(numObjects int) Option {
-	return WithStreamConfig(StreamConfig{NumObjects: numObjects})
 }
 
 // WithStreamConfig hosts the streaming engine: perturbed claims ingest
@@ -206,16 +107,18 @@ func WithStreamEngine(numObjects int) Option {
 // — and its own validation (StreamConfig.Validate) owns every field
 // rule: NewNode runs it before anything is opened and wraps what it
 // reports in ErrNodeConfig. Estimator is the one place the estimator is
-// chosen: CRH (the default), GTM or CATD. The node fills in the fields
-// its other options own, and refuses to overwrite one the config
-// already set: Lambda1/Delta/Lambda2 (WithPrivacyTarget, WithLambda2),
-// ClaimWAL (on for an accounted node with WithPersistence), and — when
-// left nil — Ledger, UserStore and Metrics from the node's own store and
-// registry.
+// chosen: CRH (the default), GTM or CATD. Lambda1, Lambda2 and Delta are
+// the one place the privacy rates are set: Lambda2 is the rate devices
+// perturb with, and Lambda1 > 0 turns per-user accounting on at
+// EpsilonPerWindow. To meet a target (eps, delta), derive Lambda2 with
+// NewAccountant(Lambda1).MechanismForEpsilon(eps, delta). The node fills
+// in only what it owns: ClaimWAL (on for an accounted node with
+// WithPersistence), and — when left nil — Ledger, UserStore and Metrics
+// from the node's own store and registry.
 func WithStreamConfig(cfg StreamConfig) Option {
 	return func(c *nodeConfig) error {
 		if c.stream != nil {
-			return optErr("WithStreamConfig configured twice (WithStreamEngine is shorthand for it)")
+			return optErr("WithStreamConfig configured twice")
 		}
 		own := cfg // NewNode fills fields in; the option stays reusable
 		c.stream = &own
@@ -232,29 +135,17 @@ func WithWindowInterval(d time.Duration) Option {
 			return optErr("WithWindowInterval: d = %v", d)
 		}
 		c.windowInterval = d
-		c.intervalSet = true
 		return nil
 	}
 }
 
 // resolveEngine turns the WithStreamConfig value into the configuration
 // the engine (on a coordinator, the merge engine) runs. The node adds
-// only what its other options own — the privacy rates and the claim-WAL
-// default — checks those against what the config already carries, and
-// leaves every field rule to the config's own validation.
+// only the claim-WAL default, checks the fields that need its store,
+// and leaves every other field rule to the config's own validation.
 func (c *nodeConfig) resolveEngine() error {
 	eng := c.stream
-	if c.targetSet {
-		if eng.Lambda1 > 0 {
-			return optErr("WithPrivacyTarget conflicts with WithStreamConfig accounting (Lambda1 set)")
-		}
-		eng.Lambda1, eng.Delta = c.lambda1, c.targetDelta
-	}
-	if c.lambda2Set && eng.Lambda2 > 0 {
-		return optErr("WithLambda2 conflicts with WithStreamConfig.Lambda2")
-	}
-	eng.Lambda2 = c.lambda2
-	if eng.MaxResidentUsers > 0 && !c.persistSet && eng.UserStore == nil {
+	if eng.MaxResidentUsers > 0 && c.stateDir == "" && eng.UserStore == nil {
 		return optErr("the residency cap (StreamConfig.MaxResidentUsers) requires WithPersistence: evicted users spill to the store")
 	}
 	if eng.ClaimWAL {
@@ -264,10 +155,10 @@ func (c *nodeConfig) resolveEngine() error {
 		switch {
 		case eng.Lambda1 <= 0:
 			return optErr("WithStreamConfig.ClaimWAL requires accounting (Lambda1 > 0): claims ride the charge journal")
-		case !c.persistSet && eng.Ledger == nil:
+		case c.stateDir == "" && eng.Ledger == nil:
 			return optErr("WithStreamConfig.ClaimWAL requires WithPersistence (or an explicit Ledger) to journal into")
 		}
-	} else if c.persistSet && eng.Lambda1 > 0 {
+	} else if c.stateDir != "" && eng.Lambda1 > 0 {
 		// Default the claim WAL on for accounted durable nodes.
 		eng.ClaimWAL = true
 	}
@@ -291,18 +182,17 @@ func WithPersistence(dir string) Option {
 		if dir == "" {
 			return optErr("WithPersistence: empty state directory")
 		}
-		if c.persistSet {
+		if c.stateDir != "" {
 			return optErr("WithPersistence configured twice")
 		}
 		c.stateDir = dir
-		c.persistSet = true
 		return nil
 	}
 }
 
 // openStore opens the WithPersistence state directory.
 func (n *Node) openStore(c *nodeConfig) error {
-	if !c.persistSet {
+	if c.stateDir == "" {
 		return nil
 	}
 	// Persist as many recent results as the engine retains, so ?window=
@@ -334,9 +224,9 @@ func WithClusterWorker() Option {
 // local engine, the node routes each user's claims to the worker owning
 // them on the hash ring and runs the merge-estimate close protocol, so
 // GET /v1/stream/truths serves cluster-wide estimates identical to a
-// single node's. The engine configuration (WithStreamEngine or
-// WithStreamConfig, plus the privacy options) is the one shared with the
-// workers, which is cross-checked against each worker at startup;
+// single node's. The engine configuration (WithStreamConfig, privacy
+// rates included) is the one shared with the workers, which is
+// cross-checked against each worker at startup;
 // WithWindowInterval drives cluster-wide closes. The coordinator holds
 // no durable state — durability lives on the workers — so it conflicts
 // with WithPersistence, residency caps, segment shipping, and
@@ -346,11 +236,10 @@ func WithClusterCoordinator(workers ...string) Option {
 		if len(workers) == 0 {
 			return optErr("WithClusterCoordinator: no workers")
 		}
-		if c.clusterSet {
+		if c.clusterWorkers != nil {
 			return optErr("WithClusterCoordinator configured twice")
 		}
 		c.clusterWorkers = append([]string(nil), workers...)
-		c.clusterSet = true
 		return nil
 	}
 }
@@ -363,7 +252,7 @@ func (n *Node) startStream(c *nodeConfig) error {
 	if c.stream.Metrics == nil {
 		c.stream.Metrics = n.metrics
 	}
-	if c.clusterSet {
+	if c.clusterWorkers != nil {
 		coord, err := cluster.NewCoordinator(cluster.Config{
 			Name:            c.name,
 			Engine:          *c.stream,
@@ -409,11 +298,10 @@ func WithSegmentShipping(dest string) Option {
 		if strings.Contains(dest, "://") {
 			return optErr("WithSegmentShipping(%q): shipping writes to a directory (for example a mounted volume), not a URL", dest)
 		}
-		if c.shipSet {
+		if c.shipDest != "" {
 			return optErr("WithSegmentShipping configured twice")
 		}
 		c.shipDest = dest
-		c.shipSet = true
 		return nil
 	}
 }
@@ -423,7 +311,7 @@ const shipInterval = 5 * time.Second
 
 // startShipper starts the WithSegmentShipping loop over the node's store.
 func (n *Node) startShipper(c *nodeConfig) error {
-	if !c.shipSet {
+	if c.shipDest == "" {
 		return nil
 	}
 	sink, err := cluster.NewDirSink(c.shipDest)
@@ -543,7 +431,7 @@ type Node struct {
 }
 
 // NewNode builds a node from functional options. A stream engine
-// (WithStreamEngine or WithStreamConfig) is required; every option
+// (WithStreamConfig) is required; every option
 // carries its defaults, and half-configured or conflicting option sets —
 // and a StreamConfig its own validation refuses — fail with an error
 // wrapping ErrNodeConfig before anything is opened or started. The
@@ -561,10 +449,11 @@ func NewNode(opts ...Option) (*Node, error) {
 	}
 	// Everything that can be wrong with the option set is found here,
 	// from the options alone.
-	for _, check := range []func() error{cfg.validate, cfg.resolveLambda2, cfg.resolveEngine} {
-		if err := check(); err != nil {
-			return nil, err
-		}
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.resolveEngine(); err != nil {
+		return nil, err
 	}
 	// Every node carries a metrics registry: the engine, the store, and
 	// the HTTP middleware all publish into it, and GET /metrics serves

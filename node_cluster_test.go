@@ -16,53 +16,66 @@ import (
 
 func TestNodeClusterOptionValidation(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []pptd.Option
-		want string
+		name   string
+		opts   []pptd.Option
+		want   string
+		builds int // how many times to build; 0 means once
 	}{
 		{
 			name: "cluster worker needs a stream engine",
-			opts: []pptd.Option{pptd.WithLambda2(1), pptd.WithClusterWorker()},
+			opts: []pptd.Option{pptd.WithClusterWorker()},
 			want: "configure a stream engine",
 		},
 		{
 			name: "cluster worker vs window interval",
-			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithClusterWorker(), pptd.WithWindowInterval(time.Second)},
+			opts: []pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3}), pptd.WithClusterWorker(), pptd.WithWindowInterval(time.Second)},
 			want: "coordinator drives window closes",
 		},
 		{
 			name: "coordinator needs a stream engine config",
-			opts: []pptd.Option{pptd.WithLambda2(1), pptd.WithClusterCoordinator("http://w0")},
+			opts: []pptd.Option{pptd.WithClusterCoordinator("http://w0")},
 			want: "configure a stream engine",
 		},
 		{
 			name: "coordinator with no workers",
-			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithClusterCoordinator()},
+			opts: []pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3}), pptd.WithClusterCoordinator()},
 			want: "no workers",
 		},
 		{
 			name: "coordinator vs persistence",
-			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithClusterCoordinator("http://w0"), pptd.WithPersistence(t.TempDir())},
+			opts: []pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3}), pptd.WithClusterCoordinator("http://w0"), pptd.WithPersistence(t.TempDir())},
 			want: "WithClusterCoordinator conflicts with WithPersistence",
 		},
 		{
+			// Two conflicts: the error names the same one on every build.
+			name: "coordinator vs persistence and shipping",
+			opts: []pptd.Option{
+				pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3}), pptd.WithClusterCoordinator("http://w0"),
+				pptd.WithPersistence(t.TempDir()), pptd.WithSegmentShipping(t.TempDir()),
+			},
+			want:   "WithClusterCoordinator conflicts with WithPersistence",
+			builds: 100,
+		},
+		{
 			name: "shipping needs persistence",
-			opts: []pptd.Option{pptd.WithStreamEngine(3), pptd.WithSegmentShipping(t.TempDir())},
+			opts: []pptd.Option{pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3}), pptd.WithSegmentShipping(t.TempDir())},
 			want: "WithSegmentShipping requires WithPersistence",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n, err := pptd.NewNode(tc.opts...)
-			if err == nil {
-				_ = n.Close()
-				t.Fatalf("NewNode accepted %s", tc.name)
-			}
-			if !errors.Is(err, pptd.ErrNodeConfig) {
-				t.Fatalf("err = %v, want ErrNodeConfig", err)
-			}
-			if got := err.Error(); !strings.Contains(got, tc.want) {
-				t.Fatalf("err = %q, want mention of %q", got, tc.want)
+			for i := 0; i < max(tc.builds, 1); i++ {
+				n, err := pptd.NewNode(tc.opts...)
+				if err == nil {
+					_ = n.Close()
+					t.Fatalf("NewNode accepted %s", tc.name)
+				}
+				if !errors.Is(err, pptd.ErrNodeConfig) {
+					t.Fatalf("err = %v, want ErrNodeConfig", err)
+				}
+				if got := err.Error(); !strings.Contains(got, tc.want) {
+					t.Fatalf("build %d: err = %q, want mention of %q", i, got, tc.want)
+				}
 			}
 		})
 	}
@@ -83,7 +96,7 @@ func TestNodeCluster(t *testing.T) {
 		shipDirs[i] = filepath.Join(t.TempDir(), "replica")
 		w, err := pptd.NewNode(
 			pptd.WithName("shard"),
-			pptd.WithStreamEngine(numObjects),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects}),
 			pptd.WithClusterWorker(),
 			pptd.WithPersistence(t.TempDir()),
 			pptd.WithSegmentShipping(shipDirs[i]),
@@ -100,7 +113,7 @@ func TestNodeCluster(t *testing.T) {
 
 	coordNode, err := pptd.NewNode(
 		pptd.WithName("front"),
-		pptd.WithStreamEngine(numObjects),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects}),
 		pptd.WithClusterCoordinator(urls...),
 	)
 	if err != nil {
@@ -197,7 +210,7 @@ func TestNodeCluster(t *testing.T) {
 			t.Fatalf("ship worker %d: %v", i, err)
 		}
 		replica, err := pptd.NewNode(
-			pptd.WithStreamEngine(numObjects),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects}),
 			pptd.WithPersistence(shipDirs[i]),
 		)
 		if err != nil {

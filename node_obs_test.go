@@ -26,9 +26,10 @@ func newObsNode(t *testing.T) *httptest.Server {
 	t.Helper()
 	n, err := pptd.NewNode(
 		pptd.WithName("obs"),
-		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 4, NumShards: 2, HistoryWindows: 4}),
-		pptd.WithDataQuality(1),
-		pptd.WithPrivacyTarget(1, 1e-5),
+		pptd.WithStreamConfig(pptd.StreamConfig{
+			NumObjects: 4, NumShards: 2, HistoryWindows: 4,
+			Lambda1: 1, Lambda2: targetLambda2(t, 1, 1, 1e-5), Delta: 1e-5,
+		}),
 		pptd.WithPersistence(t.TempDir()),
 	)
 	if err != nil {
@@ -268,7 +269,7 @@ func TestNodeRequestIDEcho(t *testing.T) {
 // with WithDebugHandlers, a not_found envelope without it.
 func TestNodeDebugHandlers(t *testing.T) {
 	n, err := pptd.NewNode(
-		pptd.WithStreamEngine(2),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 2}),
 		pptd.WithDebugHandlers(),
 	)
 	if err != nil {

@@ -38,24 +38,14 @@ func TestNodeOptionValidation(t *testing.T) {
 			[]pptd.Option{cfg(sc{NumObjects: 5, Estimator: "mean"})},
 			`unknown estimator "mean"`},
 		{"window interval without stream",
-			[]pptd.Option{pptd.WithLambda2(2), pptd.WithWindowInterval(time.Second)},
+			[]pptd.Option{pptd.WithWindowInterval(time.Second)},
 			"configure a stream engine"},
 		{"persistence without any campaign",
-			[]pptd.Option{pptd.WithLambda2(2), pptd.WithPersistence(t.TempDir())},
+			[]pptd.Option{pptd.WithPersistence(t.TempDir())},
 			"configure a stream engine"},
 		{"resident cap without persistence",
-			[]pptd.Option{cfg(sc{NumObjects: 5, MaxResidentUsers: 8}), pptd.WithLambda2(2)},
+			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda2: 2, MaxResidentUsers: 8})},
 			"requires WithPersistence"},
-		{"lambda2 conflicts with target",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(2),
-				pptd.WithDataQuality(1), pptd.WithPrivacyTarget(0.5, 0.3)},
-			"WithLambda2 conflicts with WithPrivacyTarget"},
-		{"target without data quality",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(0.5, 0.3)},
-			"WithPrivacyTarget requires WithDataQuality"},
-		{"data quality without target",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithDataQuality(1)},
-			"WithDataQuality requires WithPrivacyTarget"},
 		{"budget without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, EpsilonBudget: 10})},
 			"EpsilonBudget without Lambda1 accounting"},
@@ -64,37 +54,22 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"batch without a perturbation rate",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda1: 1, Delta: 0.3})},
 			"Lambda2 = 0 with accounting enabled"},
-		{"stream engine conflicts with stream config",
-			[]pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 5})},
-			"WithStreamConfig configured twice"},
-		{"target conflicts with stream config accounting",
-			[]pptd.Option{
-				cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3}),
-				pptd.WithDataQuality(1), pptd.WithPrivacyTarget(0.5, 0.3)},
-			"WithPrivacyTarget conflicts with WithStreamConfig"},
-		{"lambda2 conflicts with stream config lambda2",
-			[]pptd.Option{
-				cfg(sc{NumObjects: 5, Lambda2: 2}),
-				pptd.WithLambda2(3)},
-			"WithLambda2 conflicts with WithStreamConfig.Lambda2"},
 		{"explicit claim WAL without persistence",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda1: 1, Lambda2: 2, Delta: 0.3, ClaimWAL: true})},
 			"ClaimWAL requires WithPersistence"},
 		{"explicit claim WAL without accounting",
 			[]pptd.Option{cfg(sc{NumObjects: 5, Lambda2: 2, ClaimWAL: true})},
 			"ClaimWAL requires accounting"},
-		{"double stream", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithStreamEngine(5)},
-			"configured twice"},
-		{"bad batch objects", []pptd.Option{pptd.WithStreamEngine(0)}, "NumObjects = 0"},
-		{"bad stream objects", []pptd.Option{pptd.WithStreamEngine(-1)}, "NumObjects = -1"},
+		{"double stream", []pptd.Option{cfg(sc{NumObjects: 5}), cfg(sc{NumObjects: 5})},
+			"WithStreamConfig configured twice"},
+		{"bad batch objects", []pptd.Option{cfg(sc{NumObjects: 0})}, "NumObjects = 0"},
+		{"bad stream objects", []pptd.Option{cfg(sc{NumObjects: -1})}, "NumObjects = -1"},
 		{"bad decay", []pptd.Option{cfg(sc{NumObjects: 5, Decay: 1.5})}, "Decay = 1.5"},
 		{"bad shards", []pptd.Option{cfg(sc{NumObjects: 5, NumShards: -1})}, "NumShards = -1"},
 		{"bad history", []pptd.Option{cfg(sc{NumObjects: 5, HistoryWindows: -1})}, "HistoryWindows = -1"},
-		{"bad lambda2", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithLambda2(math.NaN())}, "WithLambda2"},
-		{"bad target eps", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(-1, 0.3)}, "eps = -1"},
-		{"bad target delta", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPrivacyTarget(0.5, 1)}, "delta = 1"},
-		{"empty persistence dir", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithPersistence("")}, "empty state directory"},
-		{"shipping to a URL", []pptd.Option{pptd.WithStreamEngine(5), pptd.WithSegmentShipping("http://host:9000")},
+		{"bad lambda2", []pptd.Option{cfg(sc{NumObjects: 5, Lambda2: math.NaN()})}, "Lambda2 = NaN"},
+		{"empty persistence dir", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithPersistence("")}, "empty state directory"},
+		{"shipping to a URL", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithSegmentShipping("http://host:9000")},
 			"shipping writes to a directory"},
 	}
 	for _, tc := range cases {
@@ -168,23 +143,19 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 		opts []pptd.Option
 	}{
 		{"batch only", []pptd.Option{
-			pptd.WithName("b"), pptd.WithLambda2(2),
-			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 7, Estimator: pptd.StreamEstimatorGTM})}},
+			pptd.WithName("b"),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 7, Estimator: pptd.StreamEstimatorGTM, Lambda2: 2})}},
 		{"stream only", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 7, NumShards: 2, Decay: 0.8, HistoryWindows: 4}),
-			pptd.WithLambda2(2)}},
+				NumObjects: 7, NumShards: 2, Decay: 0.8, HistoryWindows: 4, Lambda2: 2})}},
 		{"stream with target accounting", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 7, EpsilonBudget: 2}),
-			pptd.WithDataQuality(1.5), pptd.WithPrivacyTarget(0.5, 0.3)}},
+				NumObjects: 7, EpsilonBudget: 2,
+				Lambda1: 1.5, Lambda2: targetLambda2(t, 1.5, 0.5, 0.3), Delta: 0.3})}},
 		{"escape hatch with explicit rates", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, Lambda1: 1.5, Lambda2: 2, Delta: 0.3,
 				DisableCarryover: true})}},
-		{"batch-only with derived lambda2", []pptd.Option{
-			pptd.WithStreamEngine(7), pptd.WithDataQuality(1),
-			pptd.WithPrivacyTarget(0.5, 0.3)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,11 +170,11 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 	}
 }
 
-// TestNodeDerivesLambda2FromPrivacyTarget checks the WithPrivacyTarget
-// path publishes the lambda2 the accountant derives and charges windows
-// at (close to) the target epsilon.
-func TestNodeDerivesLambda2FromPrivacyTarget(t *testing.T) {
-	const lambda1, eps, delta = 1.5, 0.5, 0.3
+// targetLambda2 is the perturbation rate that meets (eps, delta) per
+// window under error-variance rate lambda1 (Theorem 4.8): the rate a
+// node with that target publishes in StreamConfig.Lambda2.
+func targetLambda2(t testing.TB, lambda1, eps, delta float64) float64 {
+	t.Helper()
 	acct, err := pptd.NewAccountant(lambda1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,19 +183,27 @@ func TestNodeDerivesLambda2FromPrivacyTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := pptd.NewNode(
-		pptd.WithStreamEngine(5),
-		pptd.WithDataQuality(lambda1),
-		pptd.WithPrivacyTarget(eps, delta),
-	)
+	return mech.Lambda2()
+}
+
+// TestNodeDerivesLambda2FromPrivacyTarget checks the recipe for a
+// privacy target: a node configured with the lambda2 the accountant
+// derives from (eps, delta) publishes that rate and charges windows at
+// (close to) the target epsilon.
+func TestNodeDerivesLambda2FromPrivacyTarget(t *testing.T) {
+	const lambda1, eps, delta = 1.5, 0.5, 0.3
+	lambda2 := targetLambda2(t, lambda1, eps, delta)
+	n, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{
+		NumObjects: 5, Lambda1: lambda1, Lambda2: lambda2, Delta: delta,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
 
 	info := n.Stream().Campaign()
-	if got, want := info.Lambda2, mech.Lambda2(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("published lambda2 = %v, accountant derives %v", got, want)
+	if info.Lambda2 != lambda2 {
+		t.Errorf("published lambda2 = %v, accountant derives %v", info.Lambda2, lambda2)
 	}
 	if math.Abs(info.EpsilonPerWindow-eps) > 1e-9 {
 		t.Errorf("epsilon per window = %v, want target %v", info.EpsilonPerWindow, eps)
@@ -234,23 +213,29 @@ func TestNodeDerivesLambda2FromPrivacyTarget(t *testing.T) {
 	}
 }
 
-// TestStreamConfigOptionReusable: NewNode fills the fields its other
-// options own into its own copy of the WithStreamConfig value, so one
-// option value builds any number of nodes, each with the rates given
-// beside it.
+// TestStreamConfigOptionReusable: NewNode fills the fields it owns into
+// its own copy of the WithStreamConfig value, so one option value
+// builds any number of nodes. A durable accounted node defaults the
+// claim WAL on; had that default been written into the caller's value,
+// the memory-only node built next would be refused ("ClaimWAL requires
+// WithPersistence").
 func TestStreamConfigOptionReusable(t *testing.T) {
-	opt := pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3, Lambda1: 1.5, Delta: 0.3})
-	for _, lambda2 := range []float64{2, 4} {
-		n, err := pptd.NewNode(opt, pptd.WithLambda2(lambda2), pptd.WithPersistence(t.TempDir()))
+	opt := pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 3, Lambda1: 1.5, Lambda2: 2, Delta: 0.3})
+	for _, durable := range []bool{true, false} {
+		opts := []pptd.Option{opt}
+		if durable {
+			opts = append(opts, pptd.WithPersistence(t.TempDir()))
+		}
+		n, err := pptd.NewNode(opts...)
 		if err != nil {
-			t.Fatalf("node with lambda2 = %v: %v", lambda2, err)
+			t.Fatalf("durable = %v: %v", durable, err)
 		}
 		got := n.Stream().Campaign().Lambda2
 		if err := n.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if got != lambda2 {
-			t.Errorf("node built with lambda2 = %v publishes %v", lambda2, got)
+		if got != 2 {
+			t.Errorf("durable = %v: node publishes lambda2 = %v, want 2", durable, got)
 		}
 	}
 }
@@ -260,8 +245,7 @@ func TestStreamConfigOptionReusable(t *testing.T) {
 func TestNodeFrontDoor(t *testing.T) {
 	n, err := pptd.NewNode(
 		pptd.WithName("front-door"),
-		pptd.WithStreamEngine(2),
-		pptd.WithLambda2(2),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 2, Lambda2: 2}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +492,7 @@ func TestNodeStreamStats(t *testing.T) {
 	}
 
 	// Memory-only node: no store block.
-	n2, err := pptd.NewNode(pptd.WithStreamEngine(2))
+	n2, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +553,7 @@ func TestNodeStreamEstimator(t *testing.T) {
 
 	// Same directory, default estimator (CRH): recovery must refuse the
 	// GTM-written snapshot with the typed sentinel.
-	_, err = pptd.NewNode(pptd.WithStreamEngine(2), pptd.WithPersistence(dir))
+	_, err = pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 2}), pptd.WithPersistence(dir))
 	if !errors.Is(err, pptd.ErrStreamEstimatorMismatch) {
 		t.Fatalf("recover under crh = %v, want ErrStreamEstimatorMismatch", err)
 	}

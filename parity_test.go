@@ -220,13 +220,13 @@ func TestDurableOneShotCampaign(t *testing.T) {
 		cfg       pptd.StreamConfig
 		accounted bool
 	}{
-		{"accounted", pptd.StreamConfig{NumObjects: 2, Lambda1: oneShotLambda1, Delta: oneShotDelta}, true},
-		{"unaccounted", pptd.StreamConfig{NumObjects: 2}, false},
+		{"accounted", pptd.StreamConfig{NumObjects: 2, Lambda1: oneShotLambda1, Lambda2: parityLambda2, Delta: oneShotDelta}, true},
+		{"unaccounted", pptd.StreamConfig{NumObjects: 2, Lambda2: parityLambda2}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := func(dir string) (string, func()) {
 				t.Helper()
-				node, err := pptd.NewNode(pptd.WithStreamConfig(tc.cfg), pptd.WithLambda2(parityLambda2), pptd.WithPersistence(dir))
+				node, err := pptd.NewNode(pptd.WithStreamConfig(tc.cfg), pptd.WithPersistence(dir))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -39,16 +39,18 @@
 // POST /v1/stream/window publishes the estimate. With accounting on, a
 // device submits once per window and a durable node journals each
 // submission before its receipt. A long-running, accounted, durable
-// deployment:
+// deployment, perturbing at the rate that meets (eps, delta) = (0.5, 0.3)
+// per window when the sensors' error variances follow rate lambda1 = 1.5:
 //
+//	acct, _ := pptd.NewAccountant(1.5)
+//	mech, _ := acct.MechanismForEpsilon(0.5, 0.3)
 //	node, _ := pptd.NewNode(
 //		pptd.WithName("air-quality"),
 //		pptd.WithStreamConfig(pptd.StreamConfig{
 //			NumObjects:    30,
+//			Lambda1:       1.5, Lambda2: mech.Lambda2(), Delta: 0.3,
 //			EpsilonBudget: 5, // cumulative per-user cap
 //		}),
-//		pptd.WithDataQuality(1.5),            // lambda1 the accountant assumes
-//		pptd.WithPrivacyTarget(0.5, 0.3),     // (eps, delta) per window; derives lambda2
 //		pptd.WithWindowInterval(time.Minute), // ticker-driven window closes
 //		pptd.WithPersistence("/var/lib/pptd"),
 //	)
@@ -60,12 +62,12 @@
 //	if errors.Is(err, pptd.ErrUnknownWindow) { ... } // typed, decoded from the envelope
 //
 // StreamConfig is the streaming engine's configuration — the one way to
-// set anything about it — and the node adds only what its other options
-// own (the privacy rates and the claim-WAL default); its Estimator
-// field is the one place the estimator is chosen. Conflicting or
-// half-configured options fail NewNode with a typed error wrapping
-// ErrNodeConfig (for example WithLambda2 together with
-// WithPrivacyTarget, or an EpsilonBudget without accounting) before
+// set anything about it, the privacy rates included — and the node adds
+// only what it owns (the claim-WAL default and its store); its
+// Estimator field is the one place the estimator is chosen. Conflicting
+// or half-configured options fail NewNode with a typed error wrapping
+// ErrNodeConfig (for example WithClusterCoordinator together with
+// WithPersistence, or an EpsilonBudget without accounting) before
 // anything is opened — nothing is silently defaulted. docs/API.md
 // carries the endpoint table, the error-code table, the options
 // reference, and the StreamConfig field table.
@@ -99,7 +101,7 @@
 // engine recovered from a snapshot continues within the same bound —
 // snapshots record which estimator wrote them, and restoring under a
 // different one fails with ErrStreamEstimatorMismatch. The same engine
-// backs the HTTP streaming campaign (NewNode(WithStreamEngine(n)), POST
+// backs the HTTP streaming campaign (NewNode(WithStreamConfig(cfg)), POST
 // /v1/stream/claims, GET /v1/stream/truths); cmd/pptdserver serves it
 // and cmd/pptduser -windows N drives a simulated fleet against it,
 // reporting claims, budget refusals and accuracy per window. Privacy
@@ -122,7 +124,7 @@
 // window close, and the last published window result:
 //
 //	node, _ := pptd.NewNode(
-//		pptd.WithStreamConfig(pptd.StreamConfig{ // explicit rates; or WithPrivacyTarget
+//		pptd.WithStreamConfig(pptd.StreamConfig{
 //			NumObjects: 30, Lambda1: 1, Lambda2: 2, Delta: 0.3,
 //		}),
 //		pptd.WithWindowInterval(time.Minute), // optional ticker-driven window closes

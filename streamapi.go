@@ -164,7 +164,7 @@ func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open
 // StreamCampaignServer serves a streaming sensing campaign over HTTP:
 // batched perturbed claims in, live per-window truth snapshots out, with
 // per-user cumulative privacy budgets tracked and enforced. A Node hosts
-// one with WithStreamEngine or WithStreamConfig (Node.Stream).
+// one with WithStreamConfig (Node.Stream).
 type StreamCampaignServer = crowd.StreamServer
 
 // StreamStatsInfo is what StreamCampaignServer.Stats returns: engine
