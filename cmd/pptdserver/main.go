@@ -112,6 +112,9 @@ func run(args []string) error {
 	if *coord != "" {
 		opts = append(opts, pptd.WithClusterCoordinator(strings.Split(*coord, ",")...))
 	}
+	if *interval < 0 {
+		return fmt.Errorf("-window-interval = %v: want 0 (manual closes) or a positive interval", *interval)
+	}
 	if *interval > 0 {
 		opts = append(opts, pptd.WithWindowInterval(*interval))
 	}

@@ -41,6 +41,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-lambda1", "0", "-delta", "0", "-state-dir", t.TempDir()}, "-state-dir needs accounting"},
 		{[]string{"-lambda1", "0", "-delta", "0", "-lambda2", "0"}, "-lambda2 = 0"},
 		{[]string{"-lambda2", "NaN"}, "-lambda2 = NaN"},
+		{[]string{"-window-interval", "-1m"}, "-window-interval = -1m0s"},
 		{[]string{"-stream"}, "not defined"},
 	} {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {

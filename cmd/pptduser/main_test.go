@@ -231,7 +231,6 @@ func startCluster(t *testing.T, n int, cfg pptd.StreamConfig) (*pptd.Node, map[s
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	t.Cleanup(func() { _ = coord.Close() })
 	return coord, routed
 }
 

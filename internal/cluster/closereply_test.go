@@ -62,7 +62,6 @@ func TestCoordinatorWithholdsBadCloseReply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coord.Close() })
 	for u := 0; u < 20; u++ {
 		if _, err := coord.Submit(context.Background(), toSubmission(userID(u), claimsFor(u, 1, cfg.NumObjects))); err != nil {
 			t.Fatal(err)

@@ -300,9 +300,6 @@ func TestClusterEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("coordinator: %v", err)
 			}
-			defer func() {
-				_ = coord.Close()
-			}()
 
 			ctx := context.Background()
 			recovered := false
@@ -401,9 +398,6 @@ func TestClusterExhaustedUserSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 
 	ctx := context.Background()
 	const alice = "alice"
@@ -498,9 +492,6 @@ func TestClusterEmptyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 	// An unset HistoryWindows gets the engine's default ring depth.
 	if coord.histCap != stream.DefaultHistoryWindows {
 		t.Errorf("coordinator retains %d windows, want the engine default %d", coord.histCap, stream.DefaultHistoryWindows)

@@ -63,7 +63,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pptd/internal/crowd"
 	"pptd/internal/obs"
@@ -76,7 +75,7 @@ var ErrBadConfig = errors.New("cluster: invalid config")
 // closeRPCRetries is how many times each per-worker close/commit RPC is
 // retried within one CloseWindow call before the round is abandoned. The
 // protocol is idempotent, so an abandoned round is simply re-run by the
-// next tick.
+// next close.
 const closeRPCRetries = 2
 
 // Config parameterizes a Coordinator.
@@ -93,16 +92,8 @@ type Config struct {
 	// The set defines the hash ring: the same set, in any order, routes
 	// every user identically.
 	Workers []string
-	// WindowInterval, when positive, drives cluster-wide window closes
-	// on a ticker, like StreamServerConfig.WindowInterval on one node.
-	WindowInterval time.Duration
 	// HTTPClient overrides the HTTP client used for worker RPCs.
 	HTTPClient *http.Client
-	// MaxRequestBytes caps the POST /v1/stream/claims request body on
-	// the coordinator's front door (matching the workers' own caps);
-	// oversized bodies get the 413 payload_too_large envelope. Zero
-	// means crowd.DefaultMaxRequestBytes.
-	MaxRequestBytes int64
 	// Metrics, when set, registers the coordinator's routing and close
 	// counters.
 	Metrics *obs.Registry
@@ -119,7 +110,6 @@ type Coordinator struct {
 	epsWindow float64
 	ring      *Ring
 	clients   map[string]*crowd.Client
-	maxBytes  int64 // front-door request-body cap (0 = crowd's default)
 
 	// windowMu serializes cluster window closes (manual and ticker).
 	windowMu sync.Mutex
@@ -133,13 +123,6 @@ type Coordinator struct {
 	weights map[string]float64
 	histCap int
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
-	tickMu  sync.Mutex
-	tickErr error
-
 	routedClaims *obs.CounterVec
 	routeErrors  *obs.CounterVec
 	windowCloses *obs.Counter
@@ -148,17 +131,12 @@ type Coordinator struct {
 
 // NewCoordinator validates the configuration, contacts every worker
 // (all must be reachable and agree on the window count — a cluster must
-// not boot torn), and returns a serving coordinator. Close it to stop
-// the window ticker.
+// not boot torn), and returns a serving coordinator. It starts no
+// goroutine and holds nothing to release: workers keep their own
+// lifecycles.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("%w: no workers", ErrBadConfig)
-	}
-	if cfg.WindowInterval < 0 {
-		return nil, fmt.Errorf("%w: WindowInterval = %v", ErrBadConfig, cfg.WindowInterval)
-	}
-	if cfg.MaxRequestBytes < 0 {
-		return nil, fmt.Errorf("%w: MaxRequestBytes = %d", ErrBadConfig, cfg.MaxRequestBytes)
 	}
 	// Validate the engine configuration the same way a worker would, by
 	// building (and immediately closing) a merge engine from it.
@@ -196,7 +174,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		epsWindow: epsWindow,
 		ring:      ring,
 		clients:   clients,
-		maxBytes:  cfg.MaxRequestBytes,
 		histCap:   histCap,
 	}
 	if cfg.Metrics != nil {
@@ -216,11 +193,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if err := c.bootSync(); err != nil {
 		return nil, err
-	}
-	if cfg.WindowInterval > 0 {
-		c.stop = make(chan struct{})
-		c.wg.Add(1)
-		go c.autoCloseLoop(cfg.WindowInterval)
 	}
 	return c, nil
 }
@@ -348,52 +320,6 @@ func mergeConfig(cfg stream.Config) stream.Config {
 	cfg.ClaimWAL = false
 	cfg.MaxResidentUsers = 0
 	return cfg
-}
-
-// autoCloseLoop closes windows on the configured interval until Close.
-func (c *Coordinator) autoCloseLoop(interval time.Duration) {
-	defer c.wg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			// An empty window means no traffic this tick — and the probe
-			// round reached every worker to establish that, so it clears
-			// any retained fault just like a successful close does.
-			// Anything else — above all an unreachable worker, which
-			// withholds the round's result — is retained for TickError;
-			// the next tick re-runs the idempotent round.
-			_, err := c.CloseWindow()
-			if errors.Is(err, stream.ErrEmptyWindow) {
-				err = nil
-			}
-			c.tickMu.Lock()
-			c.tickErr = err // nil on success: a good tick clears the fault
-			c.tickMu.Unlock()
-		}
-	}
-}
-
-// TickError returns the most recent unexpected error from a
-// ticker-driven cluster close (nil when the last effective tick
-// succeeded) — how a deployment notices a worker holding up closes.
-func (c *Coordinator) TickError() error {
-	c.tickMu.Lock()
-	defer c.tickMu.Unlock()
-	return c.tickErr
-}
-
-// Close stops the window ticker. Workers are not touched — they are
-// independent processes with their own lifecycles.
-func (c *Coordinator) Close() error {
-	if c.stop != nil {
-		c.stopOnce.Do(func() { close(c.stop) })
-		c.wg.Wait()
-	}
-	return c.TickError()
 }
 
 // Ring exposes the coordinator's hash ring (for tests and diagnostics).
@@ -680,8 +606,3 @@ func (c *Coordinator) TruthsAt(window int, weights bool) (crowd.StreamWindowInfo
 	return crowd.StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
 		crowd.ErrUnknownWindow, window, c.histCap)
 }
-
-// Handler returns an http.Handler serving the cluster front door: the
-// same handler set a single node mounts (crowd.RegisterStream), over
-// this coordinator.
-func (c *Coordinator) Handler() http.Handler { return crowd.StreamHandler(c, c.maxBytes) }

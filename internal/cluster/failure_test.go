@@ -43,13 +43,10 @@ func TestWorkerDownAtClaim(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 
 	// Serve the coordinator over real HTTP so the typed envelope is
 	// tested end to end, client included.
-	front := &http.Server{Handler: coord.Handler()}
+	front := &http.Server{Handler: crowd.StreamHandler(coord, 0)}
 	ln := newLocalListener(t)
 	go func() {
 		_ = front.Serve(ln)
@@ -111,9 +108,6 @@ func TestWorkerDownAtClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 
 	// Single-node reference over the same claims.
 	ref, err := stream.New(cfg)
@@ -194,9 +188,6 @@ func TestRingStableAcrossCoordinatorRestarts(t *testing.T) {
 		id := fmt.Sprintf("user-%d", i)
 		owners[id] = first.Ring().Owner(id)
 	}
-	if err := first.Close(); err != nil {
-		t.Fatalf("close first coordinator: %v", err)
-	}
 
 	shuffled := append([]string(nil), urls...)
 	rand.New(rand.NewSource(42)).Shuffle(len(shuffled), func(i, j int) {
@@ -206,9 +197,6 @@ func TestRingStableAcrossCoordinatorRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restarted coordinator: %v", err)
 	}
-	defer func() {
-		_ = second.Close()
-	}()
 	for id, want := range owners {
 		if got := second.Ring().Owner(id); got != want {
 			t.Fatalf("user %s moved from %s to %s across coordinator restart", id, want, got)

@@ -84,12 +84,11 @@ func TestFrontDoorParity(t *testing.T) {
 	shard.RegisterCluster(workerMux)
 	worker := httptest.NewServer(workerMux)
 	t.Cleanup(worker.Close)
-	coord, err := NewCoordinator(Config{Name: "parity", Engine: cfg, Workers: []string{worker.URL}, MaxRequestBytes: parityBodyCap})
+	coord, err := NewCoordinator(Config{Name: "parity", Engine: cfg, Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	t.Cleanup(func() { _ = coord.Close() })
-	cluster := coord.Handler()
+	cluster := crowd.StreamHandler(coord, parityBodyCap)
 
 	const binaryWire = crowd.ContentTypeClaims
 	claim := []crowd.Claim{{Object: 0, Value: 1}}

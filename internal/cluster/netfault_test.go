@@ -132,9 +132,6 @@ func TestCloseRoundSurvivesDroppedReplies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("coordinator: %v", err)
 			}
-			defer func() {
-				_ = coord.Close()
-			}()
 
 			// Every claim goes to workers[0], so workers[1] answers the
 			// probe empty and the round has a force call.

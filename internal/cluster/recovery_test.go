@@ -45,9 +45,6 @@ func TestWorkerCrashMidCloseServesRetriedClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 
 	ctx := context.Background()
 	for u := 0; u < 16; u++ {
@@ -182,9 +179,6 @@ func TestCoordinatorRestartRedrivesUncommittedClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator over pending round: %v", err)
 	}
-	defer func() {
-		_ = coord.Close()
-	}()
 	if coord.Window() != 1 {
 		t.Fatalf("coordinator booted at window %d, want 1", coord.Window())
 	}

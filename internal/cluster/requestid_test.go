@@ -44,10 +44,9 @@ func TestClaimHopKeepsRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coord.Close() })
 	// The node's middleware is what installs the request ID in the
 	// context the coordinator's worker client reads.
-	front := httptest.NewServer(obs.Middleware(obs.MiddlewareConfig{Registry: obs.NewRegistry()})(coord.Handler()))
+	front := httptest.NewServer(obs.Middleware(obs.MiddlewareConfig{Registry: obs.NewRegistry()})(crowd.StreamHandler(coord, 0)))
 	t.Cleanup(front.Close)
 
 	claim := []crowd.Claim{{Object: 0, Value: 1}}
@@ -164,7 +163,6 @@ func TestCloseRoundCarriesOneRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = coord.Close() })
 
 	ctx := context.Background()
 	// One user per round, on one worker: each round probes both workers,
@@ -203,7 +201,6 @@ func TestCloseRoundCarriesOneRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = successor.Close() })
 	if n := capture.calls(crowd.PathClusterCommit); successor.Window() != 3 || n != 2 {
 		t.Fatalf("successor booted at window %d after %d commits, want a re-drive to 3", successor.Window(), n)
 	}

@@ -135,10 +135,9 @@ func TestPerUserWeightsHeldOnce(t *testing.T) {
 			coordFloats += len(info.Weights)
 		}
 		coord.histMu.RUnlock()
-		checkReads(coord, coord.Handler(), last)
+		checkReads(coord, crowd.StreamHandler(coord, 0), last)
 		retained[windows] = [2]int{engineFloats, coordFloats}
 
-		_ = coord.Close()
 		ts.Close()
 		_ = worker.Close()
 		_ = node.Close()

@@ -44,9 +44,9 @@
 //
 // Observability counters are on the node's /metrics, not on this API.
 //
-// Windows close on explicit POST /v1/stream/window, or automatically on
-// a ticker when StreamServerConfig.WindowInterval is set; both paths
-// serialize with each other and with persistence snapshots.
+// Windows close on explicit POST /v1/stream/window, or on the hosting
+// node's window ticker (CloseWindow); both paths serialize with each
+// other and with persistence snapshots.
 //
 // # Error envelope
 //
@@ -109,8 +109,8 @@
 // data is gone).
 //
 // Each window close persists its published result and snapshots the
-// engine per the store's cadence (streamstore.Options.SnapshotEvery,
-// SnapshotBytes); a graceful Close always writes a final snapshot. After
+// engine per the store's cadence (streamstore.Options.SnapshotEvery); a
+// graceful Close always writes a final snapshot. After
 // a restart GET /v1/stream/truths serves the persisted last result
 // immediately — 404 only before the first window ever closed. See
 // docs/DURABILITY.md at the repository root for the full crash-recovery

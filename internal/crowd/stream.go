@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
 	"pptd/internal/stream"
 	"pptd/internal/streamstore"
@@ -36,17 +35,11 @@ type StreamServerConfig struct {
 	// before the submission is acknowledged (unless Engine.Ledger was
 	// set explicitly; concurrent submissions share group-commit fsyncs),
 	// each window close persists its result and snapshots the engine per
-	// the store's cadence (streamstore.Options.SnapshotEvery /
-	// SnapshotBytes), and a full snapshot is forced on graceful Close.
+	// the store's cadence (streamstore.Options.SnapshotEvery), and a full
+	// snapshot is forced on graceful Close.
 	// The caller opens the store and keeps ownership: Close the server
 	// first, then the store.
 	Persistence *streamstore.Store
-	// WindowInterval, when positive, closes windows automatically on a
-	// ticker so a deployment does not depend on an external
-	// POST /v1/stream/window driver. Ticks on an empty window are
-	// skipped. Auto closes serialize with manual closes and with
-	// persistence snapshots.
-	WindowInterval time.Duration
 	// MaxRequestBytes caps the request body of every POST route this
 	// server mounts — stream claims and the cluster close/commit RPCs.
 	// Oversized bodies get the 413 payload_too_large envelope before
@@ -71,10 +64,6 @@ type StreamServer struct {
 	// captures the state its window close produced.
 	windowMu sync.Mutex
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-
 	// clusterExport holds the last ClusterClose export as encoded bytes
 	// for the 1-based window clusterExportWindow, under windowMu, making
 	// the close RPC idempotent: a coordinator retrying after a partial
@@ -90,9 +79,6 @@ type StreamServer struct {
 	clusterExportWindow  int
 	clusterExportDurable bool
 	clusterCommitted     int
-
-	tickMu  sync.Mutex
-	tickErr error
 }
 
 // NewStreamServer starts a streaming campaign server. With persistence
@@ -101,11 +87,8 @@ type StreamServer struct {
 // privacy spending, the estimator resumes from its persisted sufficient
 // statistics — including journal-replayed claims when the claim WAL is
 // enabled — and the previous estimate is served right away. Close it to
-// stop the window ticker and the engine's shard workers.
+// write the final snapshot and release the engine.
 func NewStreamServer(cfg StreamServerConfig) (*StreamServer, error) {
-	if cfg.WindowInterval < 0 {
-		return nil, fmt.Errorf("%w: WindowInterval = %v", ErrBadConfig, cfg.WindowInterval)
-	}
 	if cfg.MaxRequestBytes < 0 {
 		return nil, fmt.Errorf("%w: MaxRequestBytes = %d", ErrBadConfig, cfg.MaxRequestBytes)
 	}
@@ -156,64 +139,18 @@ func NewStreamServer(cfg StreamServerConfig) (*StreamServer, error) {
 			}
 		}
 	}
-	if cfg.WindowInterval > 0 {
-		s.stop = make(chan struct{})
-		s.wg.Add(1)
-		go s.autoCloseLoop(cfg.WindowInterval)
-	}
 	return s, nil
-}
-
-// autoCloseLoop closes windows on the configured interval until Close.
-func (s *StreamServer) autoCloseLoop(interval time.Duration) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			// An empty window just means no traffic this tick, and a
-			// closed engine means shutdown is racing the ticker; neither
-			// stops the loop. Anything else — above all a failed
-			// persistence snapshot — must not vanish silently: it is
-			// retained for TickError and returned from Close.
-			_, err := s.CloseWindow()
-			if errors.Is(err, stream.ErrEmptyWindow) || errors.Is(err, stream.ErrEngineClosed) {
-				continue
-			}
-			s.tickMu.Lock()
-			s.tickErr = err // nil on success: a good tick clears the fault
-			s.tickMu.Unlock()
-		}
-	}
-}
-
-// TickError returns the most recent unexpected error from a
-// ticker-driven window close (nil when the last effective tick
-// succeeded). With persistence configured this is how a deployment
-// notices that snapshots have started failing — e.g. a full disk —
-// before a crash makes the stale snapshot matter.
-func (s *StreamServer) TickError() error {
-	s.tickMu.Lock()
-	defer s.tickMu.Unlock()
-	return s.tickErr
 }
 
 // Engine exposes the underlying stream engine (for embedding servers
 // that drive window closes themselves).
 func (s *StreamServer) Engine() *stream.Engine { return s.engine }
 
-// Close stops the window ticker, persists a final snapshot when a store
-// is configured (so a graceful shutdown loses not even the open window's
-// statistics), and stops the engine's shard workers. It does not close
-// the store itself — the caller that opened it does.
+// Close persists a final snapshot when a store is configured (so a
+// graceful shutdown loses not even the open window's statistics) and
+// closes the engine. It does not close the store itself — the caller
+// that opened it does.
 func (s *StreamServer) Close() error {
-	if s.stop != nil {
-		s.stopOnce.Do(func() { close(s.stop) })
-		s.wg.Wait()
-	}
 	s.windowMu.Lock()
 	defer s.windowMu.Unlock()
 	var snapErr error
@@ -225,7 +162,7 @@ func (s *StreamServer) Close() error {
 	if err := s.engine.Close(); err != nil {
 		return err
 	}
-	return errors.Join(snapErr, s.TickError())
+	return snapErr
 }
 
 // Handler returns the HTTP handler serving the streaming campaign API:

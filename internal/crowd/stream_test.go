@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"pptd/internal/randx"
 	"pptd/internal/stream"
@@ -566,92 +565,5 @@ func TestStreamServerSegmentedJournal(t *testing.T) {
 	}
 	if _, err := client2.StreamSubmit(ctx, sub); !errors.Is(err, stream.ErrDuplicateWindow) {
 		t.Fatalf("duplicate submit after restart = %v, want ErrDuplicateWindow", err)
-	}
-}
-
-// TestStreamAutoWindowClose checks the ticker-driven window close: with
-// WindowInterval set, truths appear without any POST /v1/stream/window.
-func TestStreamAutoWindowClose(t *testing.T) {
-	_, client := newStreamFixture(t, StreamServerConfig{
-		Name: "stream-ticker",
-		Engine: stream.Config{
-			NumObjects: 1,
-			NumShards:  1,
-		},
-		WindowInterval: 10 * time.Millisecond,
-	})
-	ctx := context.Background()
-	if _, err := client.StreamSubmit(ctx, Submission{
-		ClientID: "c", Claims: []Claim{{Object: 0, Value: 4}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		info, err := client.StreamTruths(ctx)
-		if err == nil {
-			if info.Window < 1 || info.Truths[0] != 4 {
-				t.Fatalf("auto-closed snapshot = %+v", info)
-			}
-			return
-		}
-		if !errors.Is(err, ErrNotReady) {
-			t.Fatal(err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no window auto-closed within the deadline")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestStreamServerConfigValidation checks server-level config errors.
-func TestStreamServerConfigValidation(t *testing.T) {
-	if _, err := NewStreamServer(StreamServerConfig{
-		Engine:         stream.Config{NumObjects: 1},
-		WindowInterval: -time.Second,
-	}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative WindowInterval = %v, want ErrBadConfig", err)
-	}
-}
-
-// TestTickErrorSurfacesSnapshotFailure checks that a ticker-driven
-// window close whose persistence snapshot fails does not vanish: the
-// fault is retained for TickError and returned from Close.
-func TestTickErrorSurfacesSnapshotFailure(t *testing.T) {
-	dir := t.TempDir()
-	store, err := streamstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewStreamServer(StreamServerConfig{
-		Name:           "stream-tick-err",
-		Engine:         stream.Config{NumObjects: 1, NumShards: 1},
-		Persistence:    store,
-		WindowInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Submit(Submission{ClientID: "c", Claims: []Claim{{Object: 0, Value: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	// The store dies under the server (stand-in for a full disk): every
-	// subsequent auto close must fail its snapshot.
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.TickError() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("snapshot failure never surfaced via TickError")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !errors.Is(srv.TickError(), streamstore.ErrClosed) {
-		t.Errorf("TickError = %v, want wrapped streamstore.ErrClosed", srv.TickError())
-	}
-	if err := srv.Close(); !errors.Is(err, streamstore.ErrClosed) {
-		t.Errorf("Close = %v, want the retained snapshot failure", err)
 	}
 }

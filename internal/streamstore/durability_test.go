@@ -56,40 +56,6 @@ func TestSnapshotCadenceEveryN(t *testing.T) {
 	}
 }
 
-// TestSnapshotCadenceSizeTrigger: a journal past SnapshotBytes forces
-// the snapshot early, regardless of the every-N cadence.
-func TestSnapshotCadenceSizeTrigger(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{SnapshotEvery: 1000, SnapshotBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	e := mustEngine(t, stream.Config{NumObjects: 1, NumShards: 1})
-	defer func() { _ = e.Close() }()
-	if err := s.AppendCharge(stream.ChargeRecord{User: "a", Window: 0, Epsilon: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.Ingest("a", []stream.Claim{{Object: 0, Value: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CloseWindow(); err != nil {
-		t.Fatal(err)
-	}
-	wrote, err := s.MaybeSnapshotEngine(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wrote {
-		t.Fatal("size trigger did not force a snapshot")
-	}
-	// The snapshot compacted the journal below the bound: the next close
-	// is back on cadence (no write).
-	if wrote, err = s.MaybeSnapshotEngine(e); err != nil || wrote {
-		t.Fatalf("post-compaction close wrote = %v, %v; want false, nil", wrote, err)
-	}
-}
-
 // latestResult is the newest persisted window result (the last of
 // LoadResultHistory), nil when none was ever saved.
 func latestResult(s *Store) (*stream.WindowResult, error) {

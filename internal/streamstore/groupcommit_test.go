@@ -149,7 +149,6 @@ func TestOpenWithRejectsBadOptions(t *testing.T) {
 		{MaxBatch: -1},
 		{SegmentBytes: -1},
 		{SnapshotEvery: -2},
-		{SnapshotBytes: -1},
 	} {
 		if _, err := OpenWith(t.TempDir(), opts); err == nil {
 			t.Errorf("OpenWith(%+v) succeeded", opts)

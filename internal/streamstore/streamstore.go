@@ -164,11 +164,6 @@ type Options struct {
 	// every one. Zero or one snapshots at every close. The journal —
 	// and the claim WAL, when enabled — covers the windows in between.
 	SnapshotEvery int
-	// SnapshotBytes forces a snapshot on the next MaybeSnapshotEngine
-	// call whenever the journal has grown past this many bytes,
-	// regardless of cadence, bounding both recovery replay time and
-	// disk growth. Zero disables the size trigger.
-	SnapshotBytes int64
 	// ResultHistory persists the last N published window results (one
 	// result-<window>.json per close, atomically written like result.json
 	// and pruned past the bound), so GET /v1/stream/truths?window=N keeps
@@ -198,8 +193,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("streamstore: SegmentBytes = %d", o.SegmentBytes)
 	case o.SnapshotEvery < 0:
 		return fmt.Errorf("streamstore: SnapshotEvery = %d", o.SnapshotEvery)
-	case o.SnapshotBytes < 0:
-		return fmt.Errorf("streamstore: SnapshotBytes = %d", o.SnapshotBytes)
 	case o.ResultHistory < 0:
 		return fmt.Errorf("streamstore: ResultHistory = %d", o.ResultHistory)
 	}
@@ -397,8 +390,7 @@ func (s *Store) SnapshotEngine(e *stream.Engine) error {
 
 // MaybeSnapshotEngine applies the store's snapshot cadence: it counts
 // one window close and snapshots the engine (SnapshotEngine) when the
-// count reaches Options.SnapshotEvery, or sooner once the journal has
-// outgrown Options.SnapshotBytes. It reports whether a snapshot was
+// count reaches Options.SnapshotEvery. It reports whether a snapshot was
 // attempted; a skipped close costs nothing beyond the counter. Skipping
 // is safe exactly when the journal can reconstruct the skipped windows:
 // budgets always can, statistics only with the claim WAL — without it a
@@ -415,8 +407,7 @@ func (s *Store) MaybeSnapshotEngine(e *stream.Engine) (bool, error) {
 	if every <= 0 {
 		every = 1
 	}
-	due := s.closesSinceSnapshot >= every ||
-		(s.opts.SnapshotBytes > 0 && s.journalBytesLocked() >= s.opts.SnapshotBytes)
+	due := s.closesSinceSnapshot >= every
 	s.mu.Unlock()
 	if !due {
 		return false, nil

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"pptd/internal/cluster"
@@ -128,7 +129,9 @@ func WithStreamConfig(cfg StreamConfig) Option {
 
 // WithWindowInterval closes streaming windows automatically on a ticker,
 // so the deployment does not depend on an external POST
-// /v1/stream/window driver. Requires a stream engine.
+// /v1/stream/window driver: on a cluster coordinator each tick runs the
+// cluster-wide close. Node.TickError reports a failing tick. A cluster
+// worker refuses it: its coordinator drives the closes.
 func WithWindowInterval(d time.Duration) Option {
 	return func(c *nodeConfig) error {
 		if d <= 0 {
@@ -254,12 +257,10 @@ func (n *Node) startStream(c *nodeConfig) error {
 	}
 	if c.clusterWorkers != nil {
 		coord, err := cluster.NewCoordinator(cluster.Config{
-			Name:            c.name,
-			Engine:          *c.stream,
-			Workers:         c.clusterWorkers,
-			WindowInterval:  c.windowInterval,
-			MaxRequestBytes: c.maxRequestBytes,
-			Metrics:         n.metrics,
+			Name:    c.name,
+			Engine:  *c.stream,
+			Workers: c.clusterWorkers,
+			Metrics: n.metrics,
 		})
 		if err != nil {
 			return err
@@ -271,7 +272,6 @@ func (n *Node) startStream(c *nodeConfig) error {
 		Name:            c.name,
 		Engine:          *c.stream,
 		Persistence:     n.store,
-		WindowInterval:  c.windowInterval,
 		MaxRequestBytes: c.maxRequestBytes,
 	})
 	if err != nil {
@@ -376,15 +376,10 @@ func WithDebugHandlers() Option {
 // behind the telemetry middleware.
 func (n *Node) mount(c *nodeConfig) {
 	mux := http.NewServeMux()
-	// One front door whatever sits behind it: the local stream server or
-	// the cluster coordinator (startStream starts one or the other).
-	if n.stream != nil {
-		crowd.RegisterStream(mux, n.stream, c.maxRequestBytes)
-		if c.clusterWorker {
-			n.stream.RegisterCluster(mux)
-		}
-	} else if n.coord != nil {
-		crowd.RegisterStream(mux, n.coord, c.maxRequestBytes)
+	// One front door whatever sits behind it.
+	crowd.RegisterStream(mux, n.backend(), c.maxRequestBytes)
+	if c.clusterWorker {
+		n.stream.RegisterCluster(mux)
 	}
 	mux.Handle(crowd.PathMetrics, crowd.GetOnly(n.metrics.Handler()))
 	if c.debug {
@@ -413,12 +408,54 @@ func (n *Node) mount(c *nodeConfig) {
 	})(mux)
 }
 
+// backend returns what sits behind the streaming API: the cluster
+// coordinator, or else the local stream server (startStream starts one
+// or the other).
+func (n *Node) backend() crowd.StreamBackend {
+	if n.coord != nil {
+		return n.coord
+	}
+	return n.stream
+}
+
+// startTicker runs the WithWindowInterval clock once every subsystem is
+// up: each tick closes the window on the node's backend. A tick on an
+// empty window leaves the retained error as it was; any other outcome
+// replaces it, so a good close clears a fault and a failed one (a
+// snapshot that could not be written, an unreachable worker) is kept
+// for TickError and returned from Close.
+func (n *Node) startTicker(c *nodeConfig) {
+	if c.windowInterval <= 0 {
+		return
+	}
+	b := n.backend()
+	stop, done := make(chan struct{}), make(chan struct{})
+	n.stopTicker = func() { close(stop); <-done }
+	go func() {
+		defer close(done)
+		ticker := time.NewTicker(c.windowInterval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				if _, err := b.CloseWindow(); !errors.Is(err, stream.ErrEmptyWindow) {
+					n.tickMu.Lock()
+					n.tickErr = err
+					n.tickMu.Unlock()
+				}
+			}
+		}
+	}()
+}
+
 // Node is the unified front door to a privacy-preserving truth-discovery
 // deployment: one process that hosts the windowed streaming engine — a
 // one-shot campaign is one window — and durable persistence, mounted on
 // a single HTTP mux speaking one error-envelope contract. Build it with
 // NewNode and functional options; Close releases everything the node
-// owns (stream workers, window ticker, state store).
+// owns (window ticker, stream engine, shipper, state store).
 type Node struct {
 	name    string
 	stream  *StreamCampaignServer
@@ -428,6 +465,10 @@ type Node struct {
 	metrics *obs.Registry
 
 	handler http.Handler
+
+	stopTicker func() // nil without WithWindowInterval
+	tickMu     sync.Mutex
+	tickErr    error // see TickError
 }
 
 // NewNode builds a node from functional options. A stream engine
@@ -471,6 +512,7 @@ func NewNode(opts ...Option) (*Node, error) {
 		}
 	}
 	n.mount(&cfg)
+	n.startTicker(&cfg)
 	return n, nil
 }
 
@@ -507,16 +549,27 @@ func (n *Node) Coordinator() *ClusterCoordinator { return n.coord }
 // WithSegmentShipping.
 func (n *Node) Shipper() *SegmentShipper { return n.shipper }
 
+// TickError returns the error of the last WithWindowInterval tick that
+// found a non-empty window: nil when it closed it, else why it could
+// not — how a deployment notices failing snapshots (a full disk) or a
+// worker holding up cluster closes before a crash makes it matter.
+func (n *Node) TickError() error {
+	n.tickMu.Lock()
+	defer n.tickMu.Unlock()
+	return n.tickErr
+}
+
 // Close releases everything the node owns, in dependency order: the
-// streaming server first (stopping the window ticker and shard workers,
-// and writing a final snapshot on a durable node), then the state store.
+// window ticker first (its retained error joins what Close returns),
+// then the shipper's last pass, the streaming server (writing a final
+// snapshot on a durable node) and the state store. A coordinator holds
+// nothing to release.
 func (n *Node) Close() error {
 	var errs []error
-	if n.coord != nil {
-		if err := n.coord.Close(); err != nil {
-			errs = append(errs, err)
-		}
-		n.coord = nil
+	if n.stopTicker != nil {
+		n.stopTicker()
+		n.stopTicker = nil
+		errs = append(errs, n.TickError())
 	}
 	if n.shipper != nil {
 		// Stop the shipping loop with a final pass now, before the

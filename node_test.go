@@ -68,6 +68,8 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"bad shards", []pptd.Option{cfg(sc{NumObjects: 5, NumShards: -1})}, "NumShards = -1"},
 		{"bad history", []pptd.Option{cfg(sc{NumObjects: 5, HistoryWindows: -1})}, "HistoryWindows = -1"},
 		{"bad lambda2", []pptd.Option{cfg(sc{NumObjects: 5, Lambda2: math.NaN()})}, "Lambda2 = NaN"},
+		{"bad window interval", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithWindowInterval(0)}, "WithWindowInterval: d = 0s"},
+		{"bad window interval", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithWindowInterval(-time.Second)}, "WithWindowInterval: d = -1s"},
 		{"empty persistence dir", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithPersistence("")}, "empty state directory"},
 		{"shipping to a URL", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithSegmentShipping("http://host:9000")},
 			"shipping writes to a directory"},
