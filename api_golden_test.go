@@ -19,9 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/api.golden from 
 
 // TestAPIGolden pins the package's exported surface to a golden file: a
 // sorted, source-derived rendering of every exported const, var, type,
-// and function declaration. An accidental breaking change — a removed
-// symbol, a changed signature, a narrowed type — shows up as a diff and
-// fails CI (the api-compat job). Intentional changes regenerate with
+// function and method declared in package pptd, structs without their
+// unexported fields. An accidental breaking change — a removed symbol, a
+// changed signature, a narrowed type — shows up as a diff and fails CI
+// (the api-compat job), and a private field does not. Aliases of
+// internal types render as the alias line alone: their fields and
+// methods are declared in the internal package and stay outside the
+// gate. Intentional changes regenerate with
 //
 //	go test -run TestAPIGolden . -update
 func TestAPIGolden(t *testing.T) {
@@ -99,13 +103,14 @@ func renderExportedSurface(t *testing.T, dir string) string {
 		for _, decl := range pkg.Files[name].Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if !d.Name.IsExported() || d.Recv != nil {
-					// Methods of re-exported (aliased) internal types are
-					// not declared here; top-level funcs are the surface.
+				if !d.Name.IsExported() || (d.Recv != nil && !exportedReceiver(d.Recv)) {
 					continue
 				}
 				fn := *d
 				fn.Doc, fn.Body = nil, nil
+				if d.Recv != nil { // the receiver's name is no part of the surface
+					fn.Recv = &ast.FieldList{List: []*ast.Field{{Type: d.Recv.List[0].Type}}}
+				}
 				entries = append(entries, render(&fn))
 			case *ast.GenDecl:
 				specs := exportedSpecs(d)
@@ -146,6 +151,9 @@ func exportedSpecs(d *ast.GenDecl) []ast.Spec {
 			if s.Name.IsExported() {
 				ts := *s
 				ts.Doc, ts.Comment = nil, nil
+				if st, ok := s.Type.(*ast.StructType); ok {
+					ts.Type = exportedFields(st)
+				}
 				out = append(out, &ts)
 			}
 		case *ast.ValueSpec:
@@ -161,6 +169,48 @@ func exportedSpecs(d *ast.GenDecl) []ast.Spec {
 				out = append(out, &vs)
 			}
 		}
+	}
+	return out
+}
+
+// exportedReceiver reports whether a method's receiver is an exported
+// type declared in the package.
+func exportedReceiver(recv *ast.FieldList) bool {
+	typ := recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && id.IsExported()
+}
+
+// exportedFields copies a struct type keeping only its exported fields
+// (embedded ones included), each on its own line.
+func exportedFields(st *ast.StructType) *ast.StructType {
+	out := &ast.StructType{Fields: &ast.FieldList{}}
+	for _, f := range st.Fields.List {
+		var names []*ast.Ident
+		for _, n := range f.Names {
+			if n.IsExported() {
+				names = append(names, ast.NewIdent(n.Name))
+			}
+		}
+		embedded := len(f.Names) == 0
+		if embedded {
+			typ := f.Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if sel, ok := typ.(*ast.SelectorExpr); ok {
+				typ = sel.Sel
+			}
+			if id, ok := typ.(*ast.Ident); !ok || !id.IsExported() {
+				continue
+			}
+		} else if len(names) == 0 {
+			continue
+		}
+		out.Fields.List = append(out.Fields.List, &ast.Field{Names: names, Type: f.Type, Tag: f.Tag})
 	}
 	return out
 }

@@ -61,13 +61,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pptdserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves the node until ctx is cancelled (SIGINT in main) or the
+// listener fails. Its error includes whatever Node.Close reports — a
+// failed final snapshot or the window ticker's retained error — so a
+// shutdown that loses state exits non-zero.
+func run(ctx context.Context, args []string) (err error) {
 	fs := flag.NewFlagSet("pptdserver", flag.ContinueOnError)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
@@ -158,7 +165,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = node.Close() }()
+	defer func() { err = errors.Join(err, node.Close()) }()
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -179,8 +186,6 @@ func run(args []string) error {
 		errc <- httpSrv.ListenAndServe()
 	}()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err
@@ -188,10 +193,7 @@ func run(args []string) error {
 		log.Print("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			return err
-		}
-		return nil
+		return httpSrv.Shutdown(shutdownCtx)
 	}
 }
 

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"context"
+	"net"
+	"net/http"
+	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMethodByName: -method names a streaming estimator; the mean and
@@ -44,7 +49,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-window-interval", "-1m"}, "-window-interval = -1m0s"},
 		{[]string{"-stream"}, "not defined"},
 	} {
-		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := run(context.Background(), tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
 		}
 	}
@@ -79,9 +84,56 @@ func TestRunRejectsClusterFlags(t *testing.T) {
 			"shipping writes to a directory"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := run(context.Background(), tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("run(%v) = %v, want an error mentioning %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunReportsLostStateOnShutdown drives run to a cancelled shutdown
+// after its -state-dir was removed under the running node: the final
+// snapshot cannot be written, and run must say so instead of returning
+// nil.
+func TestRunReportsLostStateOnShutdown(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	_ = l.Close()
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", addr, "-objects", "2", "-state-dir", dir}) }()
+
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-done:
+			t.Fatalf("run returned before serving: %v", err)
+		default:
+		}
+		if resp, err := http.Get("http://" + addr + "/v1/stream/campaign"); err == nil {
+			_ = resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never answered")
+		}
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "final stream snapshot") {
+			t.Fatalf("run after losing its state directory = %v, want the final snapshot's failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after cancel")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 
 	"pptd"
@@ -11,12 +12,13 @@ import (
 
 // ExampleNewNode builds the unified front door — a streaming engine
 // with window history behind one HTTP mux — submits a claim, closes a
-// window, and reads it back by number; a miss decodes into the typed
-// ErrUnknownWindow from the wire envelope.
+// window, and reads it back by number; a miss is the typed
+// ErrUnknownWindow, which the wire answers as a 404 unknown_window
+// envelope.
 func ExampleNewNode() {
 	node, err := pptd.NewNode(
 		pptd.WithName("demo"),
-		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 4}),
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1}),
 	)
 	if err != nil {
 		fmt.Println("build:", err)
@@ -38,15 +40,23 @@ func ExampleNewNode() {
 		return
 	}
 
-	info, _ := client.StreamTruthsAt(ctx, 1)
+	info, _ := node.Stream().TruthsAt(1, false)
 	fmt.Printf("window %d truth %.1f\n", info.Window, info.Truths[0])
 
-	_, err = client.StreamTruthsAt(ctx, 42)
+	_, err = node.Stream().TruthsAt(42, false)
 	fmt.Println("window 42 unknown:", errors.Is(err, pptd.ErrUnknownWindow))
+	resp, err := http.Get(ts.URL + "/v1/stream/truths?window=42")
+	if err != nil {
+		fmt.Println("get:", err)
+		return
+	}
+	_ = resp.Body.Close()
+	fmt.Println("GET ?window=42:", resp.StatusCode, resp.Header.Get("X-Error-Code"))
 
 	// Output:
 	// window 1 truth 21.5
 	// window 42 unknown: true
+	// GET ?window=42: 404 unknown_window
 }
 
 // ExampleNewNode_validation shows the option matrix refusing a

@@ -492,10 +492,6 @@ func TestClusterEmptyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	// An unset HistoryWindows gets the engine's default ring depth.
-	if coord.histCap != stream.DefaultHistoryWindows {
-		t.Errorf("coordinator retains %d windows, want the engine default %d", coord.histCap, stream.DefaultHistoryWindows)
-	}
 	if _, err := coord.CloseWindow(); !errors.Is(err, stream.ErrEmptyWindow) {
 		t.Fatalf("empty close: err = %v, want ErrEmptyWindow", err)
 	}

@@ -121,7 +121,6 @@ type Coordinator struct {
 	histMu  sync.RWMutex
 	history []crowd.StreamWindowInfo
 	weights map[string]float64
-	histCap int
 
 	routedClaims *obs.CounterVec
 	routeErrors  *obs.CounterVec
@@ -146,7 +145,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	estimator := probe.Estimator()
 	epsWindow := probe.EpsilonPerWindow()
-	histCap := probe.HistoryWindows()
 	_ = probe.Close()
 
 	ring, err := NewRing(cfg.Workers)
@@ -174,7 +172,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		epsWindow: epsWindow,
 		ring:      ring,
 		clients:   clients,
-		histCap:   histCap,
 	}
 	if cfg.Metrics != nil {
 		c.routedClaims = cfg.Metrics.CounterVec("pptd_cluster_routed_claims_total",
@@ -221,31 +218,27 @@ func (c *Coordinator) bootSync() error {
 		worker string
 		info   crowd.StreamCampaignInfo
 		status crowd.ClusterStatusReply
-		err    error
 	}
 	workers := c.ring.Workers()
 	boots := make([]boot, len(workers))
-	var wg sync.WaitGroup
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w string) {
-			defer wg.Done()
-			info, err := c.clients[w].StreamCampaign(ctx)
-			var status crowd.ClusterStatusReply
-			if err == nil {
-				status, err = c.clients[w].ClusterStatus(ctx)
-			}
-			boots[i] = boot{worker: w, info: info, status: status, err: err}
-		}(i, w)
+	if err := c.fanOut(workers, func(i int, w string) error {
+		info, err := c.clients[w].StreamCampaign(ctx)
+		var status crowd.ClusterStatusReply
+		if err == nil {
+			status, err = c.clients[w].ClusterStatus(ctx)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: %s at boot: %v", crowd.ErrWorkerUnavailable, w, err)
+		}
+		boots[i] = boot{worker: w, info: info, status: status}
+		return nil
+	}); err != nil {
+		return err
 	}
-	wg.Wait()
 	window := -1
 	uncommitted := false
 	var total int64
 	for _, b := range boots {
-		if b.err != nil {
-			return fmt.Errorf("%w: %s at boot: %v", crowd.ErrWorkerUnavailable, b.worker, b.err)
-		}
 		if b.info.NumObjects != c.engCfg.NumObjects {
 			return fmt.Errorf("%w: worker %s serves %d objects, coordinator configured for %d",
 				ErrBadConfig, b.worker, b.info.NumObjects, c.engCfg.NumObjects)
@@ -486,8 +479,8 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, stat
 	kept.Weights = nil
 	c.histMu.Lock()
 	c.history = append(c.history, kept)
-	if len(c.history) > c.histCap {
-		c.history = c.history[len(c.history)-c.histCap:]
+	if len(c.history) > stream.HistoryWindows {
+		c.history = c.history[len(c.history)-stream.HistoryWindows:]
 	}
 	c.weights = info.Weights
 	c.histMu.Unlock()
@@ -604,5 +597,5 @@ func (c *Coordinator) TruthsAt(window int, weights bool) (crowd.StreamWindowInfo
 		return info, nil
 	}
 	return crowd.StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
-		crowd.ErrUnknownWindow, window, c.histCap)
+		crowd.ErrUnknownWindow, window, stream.HistoryWindows)
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pptd/internal/core"
@@ -138,34 +137,9 @@ func (c *Client) StreamSubmit(ctx context.Context, sub Submission) (StreamReceip
 // window closed the server answers 404 and the returned error matches
 // both errors.Is(err, ErrNotReady) and errors.As(err, **HTTPError).
 func (c *Client) StreamTruths(ctx context.Context) (StreamWindowInfo, error) {
-	return c.streamTruths(ctx, "")
-}
-
-// StreamWeights is StreamTruths with the latest window's per-user
-// weights (?weights=1), which the default reply leaves out.
-func (c *Client) StreamWeights(ctx context.Context) (StreamWindowInfo, error) {
-	return c.streamTruths(ctx, "?weights=1")
-}
-
-// StreamTruthsAt fetches the retained estimate of one specific closed
-// window (1-based) from the server's bounded result history; window 0
-// means the latest, like StreamTruths. A window that never closed or
-// was already evicted returns an error matching ErrUnknownWindow
-// (ErrNotReady when no window ever closed).
-func (c *Client) StreamTruthsAt(ctx context.Context, window int) (StreamWindowInfo, error) {
-	if window < 0 {
-		return StreamWindowInfo{}, fmt.Errorf("%w: window %d", ErrBadClient, window)
-	}
-	if window == 0 {
-		return c.streamTruths(ctx, "")
-	}
-	return c.streamTruths(ctx, "?window="+strconv.Itoa(window))
-}
-
-func (c *Client) streamTruths(ctx context.Context, query string) (StreamWindowInfo, error) {
 	var info StreamWindowInfo
-	err := c.do(ctx, http.MethodGet, PathStreamTruths+query, nil, &info)
-	return info, notReadyErr(err)
+	err := c.do(ctx, http.MethodGet, PathStreamTruths, nil, &info)
+	return info, err
 }
 
 // StreamCloseWindow asks the server to close the open window and returns
@@ -174,29 +148,6 @@ func (c *Client) StreamCloseWindow(ctx context.Context) (StreamWindowInfo, error
 	var info StreamWindowInfo
 	err := c.do(ctx, http.MethodPost, PathStreamWindow, nil, &info)
 	return info, err
-}
-
-// notReadyErr surfaces a pre-envelope server's bare 404 "nothing to
-// fetch yet" responses as ErrNotReady so pollers can match
-// errors.Is(err, ErrNotReady) instead of inspecting status codes. Such
-// a server answers either with an empty body (an *HTTPError with no
-// code) or with a non-envelope body like Go's plain-text "404 page not
-// found" (an *EnvelopeDecodeError); both map here. Against an
-// envelope-speaking server the code mapping in doBody already attached
-// the right sentinel and this is a no-op.
-func notReadyErr(err error) error {
-	if errors.Is(err, ErrNotReady) {
-		return err
-	}
-	var httpErr *HTTPError
-	if errors.As(err, &httpErr) && httpErr.StatusCode == http.StatusNotFound && httpErr.Code == "" {
-		return fmt.Errorf("%w: %w", ErrNotReady, err)
-	}
-	var envErr *EnvelopeDecodeError
-	if errors.As(err, &envErr) && envErr.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: %w", ErrNotReady, err)
-	}
-	return err
 }
 
 // maxErrorBodyBytes bounds how much of a failed response's body the

@@ -69,3 +69,29 @@ func TestEnvelopeDecodeError(t *testing.T) {
 		t.Fatalf("empty-body error = %v, want bare *HTTPError with empty code", err)
 	}
 }
+
+// TestWrongServer404IsNotNotReady: a client pointed at a server that
+// does not speak the envelope — here Go's plain "404 page not found" —
+// reports that server's error, not ErrNotReady ("no window closed
+// yet"), which only the not_ready envelope code maps to.
+func TestWrongServer404IsNotNotReady(t *testing.T) {
+	for name, h := range map[string]http.HandlerFunc{
+		"plain text": http.NotFound,
+		"empty body": func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(h)
+			defer ts.Close()
+			client, err := NewClient(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = client.StreamTruths(context.Background())
+			var httpErr *HTTPError
+			var decErr *EnvelopeDecodeError
+			if err == nil || errors.Is(err, ErrNotReady) || !(errors.As(err, &httpErr) || errors.As(err, &decErr)) {
+				t.Fatalf("truths from a non-envelope 404 = %v, want its HTTP error and not ErrNotReady", err)
+			}
+		})
+	}
+}

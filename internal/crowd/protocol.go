@@ -36,7 +36,7 @@
 //     like a duplicate same-window submission or closing an empty
 //     window). With ?window=N it serves one specific
 //     recent window from the engine's bounded result history
-//     (stream.Config.HistoryWindows); a window never closed or already
+//     (the last stream.HistoryWindows); a window never closed or already
 //     evicted answers 404 with code "unknown_window". With persistence
 //     configured both reads survive restarts: a recovered server serves
 //     the persisted results immediately rather than 404 until the next
@@ -285,11 +285,6 @@ type StreamStatsInfo struct {
 	// claim accepted over the stream.
 	Window      int   `json:"window"`
 	TotalClaims int64 `json:"totalClaims"`
-	// HistoryWindows is the capacity of the retained result ring backing
-	// GET /v1/stream/truths?window=N; HistoryOldest is the oldest window
-	// currently answerable (0 when none is retained).
-	HistoryWindows int `json:"historyWindows"`
-	HistoryOldest  int `json:"historyOldest"`
 	// ResidentUsers is the number of users the engine currently holds in
 	// memory; MaxResidentUsers is the configured residency cap (0 =
 	// unbounded). Evicted users are not forgotten, just spilled to the

@@ -261,7 +261,7 @@ func (s *StreamServer) TruthsAt(window int, weights bool) (StreamWindowInfo, err
 		var ok bool
 		if res, ok = s.engine.ResultAt(window); !ok {
 			return StreamWindowInfo{}, fmt.Errorf("%w: window %d (retaining up to %d recent windows)",
-				ErrUnknownWindow, window, s.engine.HistoryWindows())
+				ErrUnknownWindow, window, stream.HistoryWindows)
 		}
 	}
 	info := WindowInfo(res)
@@ -276,22 +276,17 @@ func (s *StreamServer) TruthsAt(window int, weights bool) (StreamWindowInfo, err
 }
 
 // Stats returns the server's observability counters: the engine's
-// headline numbers, the result-history bounds behind ?window= reads,
-// and — on a durable server — the store's journal and group-commit
-// histograms since the store opened.
+// headline numbers and — on a durable server — the store's journal and
+// group-commit histograms since the store opened.
 func (s *StreamServer) Stats() StreamStatsInfo {
 	info := StreamStatsInfo{
 		Name:             s.name,
 		Estimator:        s.engine.Estimator(),
 		Window:           s.engine.Window(),
 		TotalClaims:      s.engine.TotalClaims(),
-		HistoryWindows:   s.engine.HistoryWindows(),
 		ResidentUsers:    s.engine.ResidentUsers(),
 		MaxResidentUsers: s.engine.MaxResidentUsers(),
 		Durable:          s.store != nil,
-	}
-	if hist := s.engine.History(); len(hist) > 0 {
-		info.HistoryOldest = hist[0].Window
 	}
 	if s.store != nil {
 		st := s.store.Stats(false)

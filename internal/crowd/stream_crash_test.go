@@ -53,7 +53,6 @@ func serverSweepConfig() stream.Config {
 
 func serverSweepOptions() streamstore.Options {
 	return streamstore.Options{
-		MaxBatch:      1,   // serial appends: one logical step per flush
 		SegmentBytes:  384, // a few records per segment: rolls mid-cycle
 		SnapshotEvery: 2,   // snapshots + compaction at closes 2 and 4
 		ResultHistory: 3,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -120,8 +121,8 @@ func TestRecoveredWeightsEqualCloseReply(t *testing.T) {
 					t.Fatal(err)
 				}
 				ctx := context.Background()
-				got, err := client.StreamWeights(ctx)
-				if err != nil {
+				var got StreamWindowInfo
+				if err := client.do(ctx, http.MethodGet, PathStreamTruths+"?weights=1", nil, &got); err != nil {
 					t.Fatalf("?weights=1 on the recovered node: %v", err)
 				}
 				if !reflect.DeepEqual(got.Weights, reply.Weights) {
@@ -134,8 +135,9 @@ func TestRecoveredWeightsEqualCloseReply(t *testing.T) {
 					t.Errorf("recovered truths = %+v, %v\nwant the close reply minus weights %+v", plain, err, want)
 				}
 				// Window 1 is retained by number, but its weights are gone.
-				if _, err := client.StreamTruthsAt(ctx, 1); err != nil {
-					t.Errorf("?window=1 on the recovered node: %v", err)
+				var w1 StreamWindowInfo
+				if err := client.do(ctx, http.MethodGet, PathStreamTruths+"?window=1", nil, &w1); err != nil || w1.Window != 1 {
+					t.Errorf("?window=1 on the recovered node: window %d, %v", w1.Window, err)
 				}
 				if _, err := recovered.TruthsAt(1, true); !errors.Is(err, ErrUnknownWindow) {
 					t.Errorf("?window=1&weights=1 on the recovered node = %v, want ErrUnknownWindow", err)

@@ -58,19 +58,23 @@ var (
 	ErrDuplicateWindow = errors.New("stream: duplicate submission in window")
 	// ErrEngineClosed reports use of an engine after Close.
 	ErrEngineClosed = errors.New("stream: engine closed")
-	// ErrEmptyWindow reports a window close before any claim ever arrived.
-	ErrEmptyWindow = errors.New("stream: no claims ingested yet")
+	// ErrEmptyWindow reports a window close refused because no sufficient
+	// statistic is live: no claim ever arrived, or every one has decayed
+	// away. It does not mean "no claims this window": at Decay 1 nothing
+	// decays, so once one claim arrived every close succeeds,
+	// re-estimating from the carried statistics.
+	ErrEmptyWindow = errors.New("stream: no live statistics: no claim ingested, or all decayed away")
 	// ErrUserStore reports a failed spill-store operation while admitting
 	// a user: their spilled state could not be read back, so the engine
 	// rejects the submission rather than risk resetting their budget.
 	ErrUserStore = errors.New("stream: user spill store failed")
 )
 
-// DefaultHistoryWindows is the result-ring capacity used when
-// Config.HistoryWindows is zero: enough recent windows that a late
-// reader polling a live stream can catch up, small enough that the
-// retained estimates stay negligible next to the sufficient statistics.
-const DefaultHistoryWindows = 8
+// HistoryWindows is the result-ring capacity: enough recent windows
+// that a late reader polling a live stream can catch up, small enough
+// that the retained estimates stay negligible next to the sufficient
+// statistics.
+const HistoryWindows = 8
 
 // shardQueueBatches is each shard's ingestion channel buffer, in
 // batches: the backpressure depth before Ingest blocks.
@@ -110,12 +114,6 @@ type Config struct {
 	// initialization at every window instead of warm-starting from the
 	// previous window's estimates.
 	DisableCarryover bool
-	// HistoryWindows bounds the ring of recent WindowResults the engine
-	// retains for ResultAt (late readers asking for a specific closed
-	// window, e.g. GET /v1/stream/truths?window=N). Zero means
-	// DefaultHistoryWindows; 1 keeps only the latest result, matching the
-	// pre-history behavior.
-	HistoryWindows int
 
 	// Lambda1 enables privacy accounting when positive: it is the
 	// data-quality rate the accountant assumes (as in core.NewAccountant).
@@ -192,13 +190,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: Decay = %v", ErrBadConfig, c.Decay)
 	case c.EpsilonBudget < 0 || math.IsNaN(c.EpsilonBudget) || math.IsInf(c.EpsilonBudget, 0):
 		return fmt.Errorf("%w: EpsilonBudget = %v", ErrBadConfig, c.EpsilonBudget)
-	case c.HistoryWindows < 0:
-		return fmt.Errorf("%w: HistoryWindows = %d", ErrBadConfig, c.HistoryWindows)
 	case c.MaxResidentUsers < 0:
 		return fmt.Errorf("%w: MaxResidentUsers = %d", ErrBadConfig, c.MaxResidentUsers)
-	}
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = DefaultHistoryWindows
 	}
 	if c.NumShards == 0 {
 		c.NumShards = runtime.GOMAXPROCS(0)
@@ -313,7 +306,7 @@ type Engine struct {
 	totalClaims  atomic.Int64
 
 	// histMu guards history, the bounded ring of recent published
-	// results (ascending by Window, at most cfg.HistoryWindows entries).
+	// results (ascending by Window, at most HistoryWindows entries).
 	histMu  sync.Mutex
 	history []*WindowResult
 }
@@ -611,7 +604,7 @@ func (e *Engine) pushResult(res *WindowResult) {
 	e.histMu.Lock()
 	defer e.histMu.Unlock()
 	e.history = append(e.history, &kept)
-	if n := len(e.history) - e.cfg.HistoryWindows; n > 0 {
+	if n := len(e.history) - HistoryWindows; n > 0 {
 		e.history = append(e.history[:0], e.history[n:]...)
 	}
 }
@@ -629,7 +622,7 @@ func (e *Engine) Snapshot() *WindowResult {
 
 // ResultAt returns the retained published result of the given 1-based
 // closed window. It reports false when that window never closed or has
-// been evicted from the bounded ring (Config.HistoryWindows). The result
+// been evicted from the bounded ring (HistoryWindows). The result
 // is shared; treat it as read-only.
 func (e *Engine) ResultAt(window int) (*WindowResult, bool) {
 	e.histMu.Lock()
@@ -658,20 +651,6 @@ func (e *Engine) WeightsAt(window int) (map[string]float64, bool) {
 	return e.users.weightsAt(window), true
 }
 
-// History returns the retained published results in ascending window
-// order (at most Config.HistoryWindows of them). The slice is a copy;
-// the results are shared and read-only.
-func (e *Engine) History() []*WindowResult {
-	e.histMu.Lock()
-	defer e.histMu.Unlock()
-	out := make([]*WindowResult, len(e.history))
-	copy(out, e.history)
-	return out
-}
-
-// HistoryWindows returns the capacity of the retained result ring.
-func (e *Engine) HistoryWindows() int { return e.cfg.HistoryWindows }
-
 // RestoreHistory seeds the published-result ring with persisted
 // WindowResults after a Restore, so Snapshot and ResultAt serve the
 // pre-restart estimates immediately instead of nothing until the next
@@ -697,7 +676,7 @@ func (e *Engine) RestoreHistory(results []*WindowResult) {
 		merged = append(merged, r)
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Window < merged[j].Window })
-	if n := len(merged) - e.cfg.HistoryWindows; n > 0 {
+	if n := len(merged) - HistoryWindows; n > 0 {
 		merged = merged[n:]
 	}
 	e.history = merged

@@ -33,14 +33,14 @@ func weightAggregates(ws map[string]float64) (effective, maxShare float64) {
 }
 
 // TestWeightsAtServesLatestWindowFromCarry: the engine keeps no weight
-// map — not in the ring, whatever its depth — and still answers for the
+// map — not in the ring — and still answers for the
 // latest closed window, and only for it, with exactly the map that
 // window's CloseWindow returned; a restored engine answers the same from
 // the carries in its state.
 func TestWeightsAtServesLatestWindowFromCarry(t *testing.T) {
 	for _, est := range estimatorsUnderTest(t) {
 		t.Run(est, func(t *testing.T) {
-			cfg := Config{NumObjects: 6, NumShards: 3, Estimator: est, Decay: 0.8, HistoryWindows: 3}
+			cfg := Config{NumObjects: 6, NumShards: 3, Estimator: est, Decay: 0.8}
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -76,9 +76,9 @@ func TestWeightsAtServesLatestWindowFromCarry(t *testing.T) {
 						window, res.EffectiveUsers, eff, res.MaxWeightShare, share, res.ActiveUsers)
 				}
 			}
-			history := e.History()
-			if len(history) != cfg.HistoryWindows {
-				t.Fatalf("ring holds %d windows, want %d", len(history), cfg.HistoryWindows)
+			history := ringOf(e)
+			if len(history) != 5 {
+				t.Fatalf("ring holds %d windows, want 5", len(history))
 			}
 			for _, kept := range history {
 				if kept.Weights != nil {

@@ -65,7 +65,7 @@ func batchReportsAll(i int) bool { return i == 3 || i == 6 }
 // all-object records cross (3×37+59 and 2×37+59 bytes), so each of them
 // rolls the segment.
 func batchSweepOptions() Options {
-	return Options{MaxBatch: 1, SegmentBytes: 128}
+	return Options{SegmentBytes: 128}
 }
 
 // errEarlyResult fails the workload when a result shows up before the

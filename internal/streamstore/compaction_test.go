@@ -24,7 +24,6 @@ func TestCompactionDeletesCoveredSegmentsWithoutRewrite(t *testing.T) {
 	fy := storefs.NewFaulty(storefs.OS{}) // no faults: pure op logger
 	s, err := OpenWith(dir, Options{
 		FS:            fy,
-		MaxBatch:      1,
 		SegmentBytes:  64, // three 26-byte charge records per segment
 		SnapshotEvery: 1000,
 	})
@@ -157,7 +156,7 @@ func TestCompactionDeletesCoveredSegmentsWithoutRewrite(t *testing.T) {
 // in the highest segment rather than resurrecting old names.
 func TestSegmentRollKeepsAppendsFlowing(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{MaxBatch: 1, SegmentBytes: 96})
+	s, err := OpenWith(dir, Options{SegmentBytes: 96})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ func sweepConfig() stream.Config {
 
 func sweepOptions() Options {
 	return Options{
-		MaxBatch:      1,   // serial appends: one logical step per flush
 		SegmentBytes:  384, // a few records per segment: rolls mid-cycle
 		SnapshotEvery: 2,   // snapshots + compaction at closes 2 and 4
 		ResultHistory: 3,

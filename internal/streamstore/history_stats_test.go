@@ -115,7 +115,7 @@ func TestResultHistoryWithoutOptionKeepsLatestOnly(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{MaxBatch: 1, ResultHistory: 2})
+	s, err := OpenWith(dir, Options{ResultHistory: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestStatsCounters(t *testing.T) {
 	if st.JournalAppends != 4 {
 		t.Errorf("appends = %d, want 4", st.JournalAppends)
 	}
-	// MaxBatch 1: every append pays its own sync, batch size always 1.
+	// Serial appends: every append pays its own sync, batch size always 1.
 	if st.JournalSyncs != 4 || st.BatchSizes.Count != 4 {
 		t.Errorf("syncs = %d batches = %d, want 4/4", st.JournalSyncs, st.BatchSizes.Count)
 	}
@@ -167,7 +167,7 @@ func TestStatsCounters(t *testing.T) {
 // reset only moves the baseline the windowed view subtracts.
 func TestStatsResetWindow(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{MaxBatch: 1})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestHistogramQuantileAndString(t *testing.T) {
 // double-counted across reset boundaries.
 func TestStatsResetConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestStatsResetConcurrentAppends(t *testing.T) {
 func TestStoreMetricsStayMonotoneAcrossResets(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	s, err := OpenWith(dir, Options{MaxBatch: 1, Metrics: reg})
+	s, err := OpenWith(dir, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

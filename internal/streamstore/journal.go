@@ -150,15 +150,11 @@ type commitBatch struct {
 // an in-flight sync, snapshot, or compaction. Appends arriving in that
 // window join as followers and ride the leader's single write+fsync,
 // which is what makes durable ingest throughput scale with concurrency
-// instead of paying one serialized fsync per submission. A batch that
-// reaches Options.MaxBatch seals itself and the next append starts a
-// new one.
+// instead of paying one serialized fsync per submission. Batching needs
+// no linger: appends arriving while an earlier sync (or a snapshot)
+// holds the disk join the open batch. A batch that reaches maxBatch
+// seals itself and the next append starts a new one.
 func (s *Store) commit(rec stream.ChargeRecord) error {
-	maxBatch := s.opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = defaultMaxBatch
-	}
-
 	s.commitMu.Lock()
 	if b := s.pending; b != nil {
 		// Follower: ride the open batch and wait for its leader's sync.
@@ -183,35 +179,26 @@ func (s *Store) commit(rec stream.ChargeRecord) error {
 		return err
 	}
 	b := &commitBatch{buf: buf, n: 1, done: make(chan struct{})}
-	shared := b.n < maxBatch // MaxBatch 1: solo batch, plain per-append fsync
-	if shared {
-		s.pending = b
-	}
+	s.pending = b
 	s.commitMu.Unlock()
 
-	if shared {
-		// Give every appender already in flight one scheduling quantum
-		// to join the open batch. Waiting on s.mu below achieves the
-		// same thing while an earlier sync holds the disk, but not
-		// reliably on a single-P runtime: a goroutine blocked in
-		// fsync(2) only releases its P when sysmon notices, so without
-		// this yield concurrent appenders may never run mid-sync and
-		// every batch degenerates to one record. A yield costs well
-		// under a microsecond; the fsync it amortizes costs tens to
-		// hundreds.
-		runtime.Gosched()
-	}
+	// Give every appender already in flight one scheduling quantum to
+	// join the open batch. Waiting on s.mu below achieves the same thing
+	// while an earlier sync holds the disk, but not reliably on a
+	// single-P runtime: a goroutine blocked in fsync(2) only releases
+	// its P when sysmon notices, so without this yield concurrent
+	// appenders may never run mid-sync and every batch degenerates to
+	// one record. A yield costs well under a microsecond; the fsync it
+	// amortizes costs tens to hundreds.
+	runtime.Gosched()
 	s.mu.Lock()
-	if shared {
-		// Seal: late arrivals start the next batch. Acquiring commitMu
-		// here also orders every follower's buffer append before the
-		// flush below.
-		s.commitMu.Lock()
-		if s.pending == b {
-			s.pending = nil
-		}
-		s.commitMu.Unlock()
+	// Seal: late arrivals start the next batch. Acquiring commitMu here
+	// also orders every follower's buffer append before the flush below.
+	s.commitMu.Lock()
+	if s.pending == b {
+		s.pending = nil
 	}
+	s.commitMu.Unlock()
 	if s.closed {
 		s.mu.Unlock()
 		b.err = ErrClosed

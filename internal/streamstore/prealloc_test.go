@@ -202,7 +202,7 @@ func (f noAllocFile) Allocate(int64, int64) error {
 func TestAllocateFailureFallsBackToPlainAppends(t *testing.T) {
 	dir := t.TempDir()
 	calls := new(atomic.Int64)
-	s, err := OpenWith(dir, Options{FS: noAllocFS{FS: storefs.OS{}, calls: calls}, MaxBatch: 1})
+	s, err := OpenWith(dir, Options{FS: noAllocFS{FS: storefs.OS{}, calls: calls}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func journaledState(s *Store) (*stream.EngineState, error) {
 // charge was acknowledged and the segments sealed before and after the
 // snapshot.
 func runRollCycle(fsys storefs.FS, dir string) (acked []string, sealed [2]int64, err error) {
-	s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: rollSegmentBytes})
+	s, err := OpenWith(dir, Options{FS: fsys, SegmentBytes: rollSegmentBytes})
 	if err != nil {
 		return nil, sealed, err
 	}
@@ -387,7 +387,7 @@ func TestRollCrashRecovers(t *testing.T) {
 							}
 						}
 					}
-					s, err := OpenWith(dir, Options{FS: fsys, MaxBatch: 1, SegmentBytes: rollSegmentBytes})
+					s, err := OpenWith(dir, Options{FS: fsys, SegmentBytes: rollSegmentBytes})
 					if err != nil {
 						dumpOpLog(t, fy, label)
 						t.Fatalf("open after crash: %v", err)
@@ -449,7 +449,7 @@ func TestPreallocationAddsNoSyncs(t *testing.T) {
 	dir := t.TempDir()
 	allocates := allocSupported(t, dir)
 	fy := storefs.NewFaulty(storefs.OS{})
-	store, err := OpenWith(dir, Options{FS: fy, MaxBatch: 1, ResultHistory: 3})
+	store, err := OpenWith(dir, Options{FS: fy, ResultHistory: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 type Histogram = obs.Histogram
 
 // Bucket bounds for the two group-commit histograms: batch sizes in
-// records (powers of two up to the default batch cap) and flush
+// records (powers of two up to the batch cap, maxBatch) and flush
 // latencies in seconds (50µs up to 1s; an fsync on real hardware lands
 // in the middle of this range).
 var (
@@ -26,8 +26,8 @@ var (
 // counters (crowd.StreamServer.Stats on a durable streaming server). The
 // append/sync ratio and the two histograms show how group commit meets
 // the observed load: batches pinned at 1 under concurrency mean appends
-// are not overlapping a sync (or Options.MaxBatch is 1), and the flush
-// latency is what each ack waits for.
+// are not overlapping a sync, and the flush latency is what each ack
+// waits for.
 type StoreStats struct {
 	// JournalAppends counts accepted AppendCharge calls; JournalSyncs
 	// counts the fsyncs that made them durable. Appends/Syncs is the

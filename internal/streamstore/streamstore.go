@@ -101,9 +101,10 @@ const (
 	// snapshot's binary header).
 	envelopeVersion = 1
 
-	// defaultMaxBatch bounds a group-commit batch when Options.MaxBatch
-	// is zero: large enough that the disk, not the bound, paces ingest.
-	defaultMaxBatch = 256
+	// maxBatch caps the records one group-commit batch may carry; later
+	// appends start the next batch. It is large enough that the disk,
+	// not the cap, paces ingest.
+	maxBatch = 256
 
 	// defaultSegmentBytes caps the active journal segment when
 	// Options.SegmentBytes is zero: small enough that compaction deletes
@@ -144,14 +145,6 @@ var (
 // 4 MiB journal segments, a snapshot at every window close, no retained
 // generations.
 type Options struct {
-	// MaxBatch caps the records one group-commit batch may carry; later
-	// appends start the next batch. Zero means 256. Batching needs no
-	// linger: appends arriving while an earlier sync (or a snapshot)
-	// holds the disk join the open batch.
-	// MaxBatch 1 disables group commit entirely — every append pays its
-	// own fsync (kept for benchmarking the trade-off and for strict
-	// one-record-per-sync deployments).
-	MaxBatch int
 	// SegmentBytes caps the active journal segment: the first flush
 	// that pushes it past the cap seals it and rolls to a fresh
 	// segment, so one segment may exceed the cap by at most a batch.
@@ -168,10 +161,10 @@ type Options struct {
 	// result-<window>.json per close, atomically written like result.json
 	// and pruned past the bound), so GET /v1/stream/truths?window=N keeps
 	// answering for recent windows across a kill-and-recover. Zero or one
-	// persists only the latest result, the pre-history behavior. Match it
-	// to the engine's stream.Config.HistoryWindows — persisting more than
-	// the engine ring retains is wasted disk, fewer means late readers
-	// lose windows on restart.
+	// persists only the latest result, the pre-history behavior. A node
+	// sets it to stream.HistoryWindows, the engine ring's depth —
+	// persisting more is wasted disk, fewer means late readers lose
+	// windows on restart.
 	ResultHistory int
 	// FS routes every file operation (journal segments, snapshots,
 	// results — everything but the flock'd LOCK file) through the given
@@ -187,8 +180,6 @@ type Options struct {
 
 func (o Options) validate() error {
 	switch {
-	case o.MaxBatch < 0:
-		return fmt.Errorf("streamstore: MaxBatch = %d", o.MaxBatch)
 	case o.SegmentBytes < 0:
 		return fmt.Errorf("streamstore: SegmentBytes = %d", o.SegmentBytes)
 	case o.SnapshotEvery < 0:

@@ -130,8 +130,13 @@ func WithStreamConfig(cfg StreamConfig) Option {
 // WithWindowInterval closes streaming windows automatically on a ticker,
 // so the deployment does not depend on an external POST
 // /v1/stream/window driver: on a cluster coordinator each tick runs the
-// cluster-wide close. Node.TickError reports a failing tick. A cluster
-// worker refuses it: its coordinator drives the closes.
+// cluster-wide close. A tick closes a window whenever any sufficient
+// statistic is live, not only when claims arrived since the last tick:
+// at Decay 1 a node that ever took a claim closes a window — and, when
+// durable, writes a result and a full snapshot — on every tick. Only a
+// tick with no live statistic is refused (ErrEmptyWindow) and skipped.
+// Node.TickError reports a failing tick. A cluster worker refuses the
+// option: its coordinator drives the closes.
 func WithWindowInterval(d time.Duration) Option {
 	return func(c *nodeConfig) error {
 		if d <= 0 {
@@ -200,7 +205,7 @@ func (n *Node) openStore(c *nodeConfig) error {
 	}
 	// Persist as many recent results as the engine retains, so ?window=
 	// reads answer the same span across a restart.
-	opts := streamstore.Options{Metrics: n.metrics, ResultHistory: c.stream.HistoryWindows}
+	opts := streamstore.Options{Metrics: n.metrics, ResultHistory: stream.HistoryWindows}
 	store, err := streamstore.OpenWith(c.stateDir, opts)
 	if err != nil {
 		return err
@@ -550,9 +555,10 @@ func (n *Node) Coordinator() *ClusterCoordinator { return n.coord }
 func (n *Node) Shipper() *SegmentShipper { return n.shipper }
 
 // TickError returns the error of the last WithWindowInterval tick that
-// found a non-empty window: nil when it closed it, else why it could
-// not — how a deployment notices failing snapshots (a full disk) or a
-// worker holding up cluster closes before a crash makes it matter.
+// found a live statistic (see ErrEmptyWindow): nil when it closed the
+// window, else why it could not — how a deployment notices failing
+// snapshots (a full disk) or a worker holding up cluster closes before
+// a crash makes it matter.
 func (n *Node) TickError() error {
 	n.tickMu.Lock()
 	defer n.tickMu.Unlock()

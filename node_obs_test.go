@@ -27,7 +27,7 @@ func newObsNode(t *testing.T) *httptest.Server {
 	n, err := pptd.NewNode(
 		pptd.WithName("obs"),
 		pptd.WithStreamConfig(pptd.StreamConfig{
-			NumObjects: 4, NumShards: 2, HistoryWindows: 4,
+			NumObjects: 4, NumShards: 2,
 			Lambda1: 1, Lambda2: targetLambda2(t, 1, 1, 1e-5), Delta: 1e-5,
 		}),
 		pptd.WithPersistence(t.TempDir()),
@@ -252,10 +252,12 @@ func TestNodeRequestIDEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.StreamTruthsAt(context.Background(), 42)
+	_, err = c.StreamSubmit(context.Background(), pptd.CampaignSubmission{
+		ClientID: "d", Claims: []pptd.CampaignClaim{{Object: 99, Value: 1}},
+	})
 	var httpErr *pptd.CampaignHTTPError
 	if !errors.As(err, &httpErr) {
-		t.Fatalf("unknown window error = %v, want *CampaignHTTPError", err)
+		t.Fatalf("out-of-range claim error = %v, want *CampaignHTTPError", err)
 	}
 	if httpErr.RequestID != "cli-run-7" {
 		t.Errorf("HTTPError.RequestID = %q, want cli-run-7", httpErr.RequestID)

@@ -66,7 +66,6 @@ func TestNodeOptionValidation(t *testing.T) {
 		{"bad stream objects", []pptd.Option{cfg(sc{NumObjects: -1})}, "NumObjects = -1"},
 		{"bad decay", []pptd.Option{cfg(sc{NumObjects: 5, Decay: 1.5})}, "Decay = 1.5"},
 		{"bad shards", []pptd.Option{cfg(sc{NumObjects: 5, NumShards: -1})}, "NumShards = -1"},
-		{"bad history", []pptd.Option{cfg(sc{NumObjects: 5, HistoryWindows: -1})}, "HistoryWindows = -1"},
 		{"bad lambda2", []pptd.Option{cfg(sc{NumObjects: 5, Lambda2: math.NaN()})}, "Lambda2 = NaN"},
 		{"bad window interval", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithWindowInterval(0)}, "WithWindowInterval: d = 0s"},
 		{"bad window interval", []pptd.Option{cfg(sc{NumObjects: 5}), pptd.WithWindowInterval(-time.Second)}, "WithWindowInterval: d = -1s"},
@@ -149,7 +148,7 @@ func TestNodeBuildsEveryOldConfiguration(t *testing.T) {
 			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 7, Estimator: pptd.StreamEstimatorGTM, Lambda2: 2})}},
 		{"stream only", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
-				NumObjects: 7, NumShards: 2, Decay: 0.8, HistoryWindows: 4, Lambda2: 2})}},
+				NumObjects: 7, NumShards: 2, Decay: 0.8, Lambda2: 2})}},
 		{"stream with target accounting", []pptd.Option{
 			pptd.WithStreamConfig(pptd.StreamConfig{
 				NumObjects: 7, EpsilonBudget: 2,
@@ -300,12 +299,11 @@ func TestNodeFrontDoor(t *testing.T) {
 	}
 }
 
-// TestNodeWindowHistory drives ?window=N against a bounded ring: recent
-// windows answer, evicted and future windows fail with ErrUnknownWindow.
+// TestNodeWindowHistory drives ?window=N against the bounded ring:
+// the last StreamHistoryWindows windows answer, evicted and future
+// windows are 404 unknown_window.
 func TestNodeWindowHistory(t *testing.T) {
-	n, err := pptd.NewNode(
-		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 3}),
-	)
+	n, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +316,8 @@ func TestNodeWindowHistory(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	for w := 1; w <= 5; w++ {
+	last := pptd.StreamHistoryWindows + 2
+	for w := 1; w <= last; w++ {
 		if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
 			ClientID: "u",
 			Claims:   []pptd.CampaignClaim{{Object: 0, Value: float64(10 * w)}},
@@ -330,38 +329,47 @@ func TestNodeWindowHistory(t *testing.T) {
 		}
 	}
 
-	for w := 3; w <= 5; w++ {
-		info, err := client.StreamTruthsAt(ctx, w)
-		if err != nil {
-			t.Fatalf("truths at %d: %v", w, err)
-		}
-		if info.Window != w {
+	for w := 3; w <= last; w++ {
+		if info := windowAt(t, ts.URL, w); info.Window != w {
 			t.Errorf("truths at %d returned window %d", w, info.Window)
 		}
 	}
 	for _, w := range []int{1, 2, 99} {
-		_, err := client.StreamTruthsAt(ctx, w)
-		if !errors.Is(err, pptd.ErrUnknownWindow) {
-			t.Errorf("truths at %d err = %v, want ErrUnknownWindow", w, err)
-		}
+		checkEnvelope(t, doReq(t, http.MethodGet, fmt.Sprintf("%s/v1/stream/truths?window=%d", ts.URL, w), ""),
+			http.StatusNotFound, "unknown_window", 0)
 	}
 	// window=0 means latest.
-	info, err := client.StreamTruthsAt(ctx, 0)
-	if err != nil || info.Window != 5 {
-		t.Fatalf("latest via window=0: %v %+v", err, info)
+	if info := windowAt(t, ts.URL, 0); info.Window != last {
+		t.Fatalf("latest via window=0 = window %d, want %d", info.Window, last)
 	}
 }
 
+// windowAt reads GET /v1/stream/truths?window=w and decodes its 200
+// reply.
+func windowAt(t *testing.T, base string, w int) pptd.StreamWindowInfo {
+	t.Helper()
+	resp := doReq(t, http.MethodGet, fmt.Sprintf("%s/v1/stream/truths?window=%d", base, w), "")
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("truths at %d: status %d", w, resp.StatusCode)
+	}
+	var info pptd.StreamWindowInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatalf("truths at %d: %v", w, err)
+	}
+	return info
+}
+
 // TestNodeHistorySurvivesRecovery is the acceptance drill: a durable
-// node serves ?window=N for the last K windows, and still does after a
-// kill-and-recover into the same state directory — including the error
-// envelope staying intact on the recovered node.
+// node serves ?window=N for the last StreamHistoryWindows windows, and
+// still does after a kill-and-recover into the same state directory —
+// including the error envelope staying intact on the recovered node.
 func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *pptd.Node {
 		t.Helper()
 		n, err := pptd.NewNode(
-			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, HistoryWindows: 4}),
+			pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1}),
 			pptd.WithPersistence(dir),
 		)
 		if err != nil {
@@ -377,8 +385,9 @@ func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	last := pptd.StreamHistoryWindows + 2
 	truthOf := map[int]float64{}
-	for w := 1; w <= 6; w++ {
+	for w := 1; w <= last; w++ {
 		if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
 			ClientID: "u",
 			Claims:   []pptd.CampaignClaim{{Object: 0, Value: float64(w)}},
@@ -406,27 +415,21 @@ func TestNodeHistorySurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w := 3; w <= 6; w++ {
-		info, err := client2.StreamTruthsAt(ctx, w)
-		if err != nil {
-			t.Fatalf("recovered truths at %d: %v", w, err)
-		}
+	for w := 3; w <= last; w++ {
+		info := windowAt(t, ts2.URL, w)
 		if info.Window != w || math.Abs(info.Truths[0]-truthOf[w]) > 1e-12 {
 			t.Errorf("recovered window %d = %+v, want truth %v", w, info, truthOf[w])
 		}
 	}
 	// Evicted window: still the typed error, still the envelope.
-	_, err = client2.StreamTruthsAt(ctx, 1)
-	if !errors.Is(err, pptd.ErrUnknownWindow) {
-		t.Fatalf("recovered truths at 1 err = %v, want ErrUnknownWindow", err)
+	if _, err := n2.Stream().TruthsAt(2, false); !errors.Is(err, pptd.ErrUnknownWindow) {
+		t.Fatalf("recovered truths at 2 err = %v, want ErrUnknownWindow", err)
 	}
-	var httpErr *pptd.CampaignHTTPError
-	if !errors.As(err, &httpErr) || httpErr.Code != "unknown_window" || httpErr.StatusCode != http.StatusNotFound {
-		t.Fatalf("recovered envelope = %+v", httpErr)
-	}
+	checkEnvelope(t, doReq(t, http.MethodGet, ts2.URL+"/v1/stream/truths?window=2", ""),
+		http.StatusNotFound, "unknown_window", 0)
 	// The stream resumes where it left off.
 	info, err := client2.StreamTruths(ctx)
-	if err != nil || info.Window != 6 {
+	if err != nil || info.Window != last {
 		t.Fatalf("recovered latest: %v %+v", err, info)
 	}
 }
@@ -489,8 +492,8 @@ func TestNodeStreamStats(t *testing.T) {
 	if st.ResultsSaved != 1 || st.Snapshots != 1 {
 		t.Errorf("results = %d snapshots = %d, want 1/1", st.ResultsSaved, st.Snapshots)
 	}
-	if stats.Window != 1 || stats.HistoryOldest != 1 {
-		t.Errorf("stats window bounds = %+v", stats)
+	if stats.Window != 1 {
+		t.Errorf("stats window = %d, want 1", stats.Window)
 	}
 
 	// Memory-only node: no store block.

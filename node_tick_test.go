@@ -75,6 +75,37 @@ func TestStreamAutoWindowClose(t *testing.T) {
 	}
 }
 
+// TestIdleTicksCloseWindowsAtDecayOne pins what ErrEmptyWindow means:
+// no live statistic, not "no claims since the last tick". After one
+// claim at Decay 1 the statistic never decays, so every idle tick
+// closes a window, and a durable node writes a result and a snapshot
+// each time.
+func TestIdleTicksCloseWindowsAtDecayOne(t *testing.T) {
+	n, err := pptd.NewNode(
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, NumShards: 1, Decay: 1}),
+		pptd.WithPersistence(t.TempDir()),
+		pptd.WithWindowInterval(tickInterval),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	if _, err := n.Stream().Submit(pptd.CampaignSubmission{
+		ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A close writes its result, then its snapshot.
+	waitFor(t, "idle ticks did not snapshot three windows", func() bool { return n.Store().Stats(false).Snapshots >= 3 })
+	if w, saved := n.Stream().Campaign().Window, n.Store().Stats(false).ResultsSaved; w < 3 || saved < 3 {
+		t.Errorf("after three idle-tick snapshots: window %d, %d results saved; want at least 3 each", w, saved)
+	}
+	info, err := n.Stream().Truths()
+	if err != nil || info.Truths[0] != 4 || info.ActiveUsers != 1 {
+		t.Errorf("latest idle window = %+v, %v; want the one claim's truth 4 from 1 user", info, err)
+	}
+}
+
 // TestTickErrorSurfacesSnapshotFailure checks that a ticker-driven
 // window close whose persistence snapshot fails does not vanish: the
 // fault is retained for Node.TickError and returned from Node.Close.

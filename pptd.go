@@ -58,8 +58,8 @@
 //	go http.ListenAndServe(":8080", node.Handler())
 //
 //	client, _ := pptd.NewClient("http://localhost:8080")
-//	info, err := client.StreamTruthsAt(ctx, 7) // a recent window by number
-//	if errors.Is(err, pptd.ErrUnknownWindow) { ... } // typed, decoded from the envelope
+//	info, err := client.StreamTruths(ctx) // the latest closed window
+//	if errors.Is(err, pptd.ErrNotReady) { ... } // typed, decoded from the envelope
 //
 // StreamConfig is the streaming engine's configuration — the one way to
 // set anything about it, the privacy rates included — and the node adds

@@ -47,11 +47,11 @@ type StreamPrivacyReport = stream.PrivacyReport
 // engine directly; HTTP deployments build a Node instead.)
 func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) { return stream.New(cfg) }
 
-// DefaultStreamHistoryWindows is the published-result ring capacity a
-// stream engine (and a node's persisted result history) defaults to:
+// StreamHistoryWindows is the published-result ring capacity of a
+// stream engine, a coordinator and a node's persisted result history:
 // the last 8 closed windows stay answerable by GET
 // /v1/stream/truths?window=N.
-const DefaultStreamHistoryWindows = stream.DefaultHistoryWindows
+const StreamHistoryWindows = stream.HistoryWindows
 
 // Streaming sentinel errors, matchable with errors.Is. Client decodes
 // wire envelopes into the same sentinels.
@@ -65,8 +65,11 @@ var (
 	// per-window epsilon pays for exactly one perturbed release (envelope
 	// code "duplicate_window", HTTP 409, retry_after_windows = 1).
 	ErrDuplicateWindow = stream.ErrDuplicateWindow
-	// ErrEmptyWindow reports a window close before any claim arrived
-	// (envelope code "empty_window", HTTP 409).
+	// ErrEmptyWindow reports a window close refused because no
+	// sufficient statistic is live: no claim ever arrived, or every one
+	// has decayed away (envelope code "empty_window", HTTP 409). It does
+	// not mean "no claims this window": at Decay 1, once one claim
+	// arrived, every close succeeds.
 	ErrEmptyWindow = stream.ErrEmptyWindow
 	// ErrSameWindow reports a CampaignUser.ParticipateStream call before
 	// the server's window advanced past the user's last submission; the
@@ -168,8 +171,8 @@ func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open
 type StreamCampaignServer = crowd.StreamServer
 
 // StreamStatsInfo is what StreamCampaignServer.Stats returns: engine
-// totals, result-history bounds, and the store's StreamStoreStats on a
-// durable node.
+// totals, residency, and the store's StreamStoreStats on a durable
+// node.
 type StreamStatsInfo = crowd.StreamStatsInfo
 
 // StreamCampaignInfo describes a streaming campaign.
