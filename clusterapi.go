@@ -14,11 +14,6 @@ import (
 // WithClusterCoordinator.
 type ClusterCoordinator = cluster.Coordinator
 
-// ClusterRing is the consistent hash ring assigning user IDs to
-// workers: a pure function of the worker set, so coordinators agree
-// across restarts and each user's privacy ledger stays on one worker.
-type ClusterRing = cluster.Ring
-
 // SegmentShipper replicates a durable node's state directory — sealed
 // journal segments, the active segment's durable prefix, snapshots,
 // results, spill file — into a replica directory in the background. A

@@ -1,42 +1,40 @@
 package pptd_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
 	"pptd"
 )
 
-// ExampleNewStreamEngine runs the streaming engine in-memory: perturbed
-// claims ingest into the open window, and closing the window publishes
-// an incremental truth estimate with per-user weights.
-func ExampleNewStreamEngine() {
-	eng, err := pptd.NewStreamEngine(pptd.StreamConfig{
+// ExampleNewNode_outlier drives a node's streaming engine in-process:
+// perturbed claims ingest into the open window, and closing the window
+// publishes an incremental truth estimate with per-user weights.
+func ExampleNewNode_outlier() {
+	node, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{
 		NumObjects: 2,
 		NumShards:  2, // fixed so the example is deterministic everywhere
-	})
+	}))
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer func() { _ = eng.Close() }()
+	defer func() { _ = node.Close() }()
 
 	// Three devices report on both objects; the third is an outlier.
-	submissions := []struct {
-		id     string
-		claims []pptd.StreamClaim
-	}{
-		{"device-1", []pptd.StreamClaim{{Object: 0, Value: 10.0}, {Object: 1, Value: 20.0}}},
-		{"device-2", []pptd.StreamClaim{{Object: 0, Value: 10.2}, {Object: 1, Value: 19.8}}},
-		{"device-3", []pptd.StreamClaim{{Object: 0, Value: 15.0}, {Object: 1, Value: 30.0}}},
+	submissions := []pptd.CampaignSubmission{
+		{ClientID: "device-1", Claims: []pptd.CampaignClaim{{Object: 0, Value: 10.0}, {Object: 1, Value: 20.0}}},
+		{ClientID: "device-2", Claims: []pptd.CampaignClaim{{Object: 0, Value: 10.2}, {Object: 1, Value: 19.8}}},
+		{ClientID: "device-3", Claims: []pptd.CampaignClaim{{Object: 0, Value: 15.0}, {Object: 1, Value: 30.0}}},
 	}
 	for _, sub := range submissions {
-		if _, _, err := eng.Ingest(sub.id, sub.claims); err != nil {
+		if _, err := node.Stream().Submit(sub); err != nil {
 			fmt.Println(err)
 			return
 		}
 	}
-	res, err := eng.CloseWindow()
+	res, err := node.Stream().CloseWindow()
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -52,13 +50,14 @@ func ExampleNewStreamEngine() {
 	// outlier has the lowest weight: true
 }
 
-// ExampleOpenStreamStore is the durable streaming round trip: a store
-// journals every privacy charge — and, with the claim WAL, the claims
-// themselves — before the engine acknowledges a submission, so after a
-// crash with no snapshot ever written, Recover rebuilds budgets AND
-// statistics from the journal alone and the next window close matches
-// what the uninterrupted engine would have published.
-func ExampleOpenStreamStore() {
+// ExampleNewNode_restart is the durable round trip: a node built with
+// WithPersistence journals every privacy charge — and, with the claim
+// WAL, the claims themselves — before it acknowledges a submission, and
+// persists each published window. A node restarted on the same state
+// directory serves the last estimate at once, still refuses a second
+// release into a window the user already paid for, and keeps every
+// returning user's cumulative budget.
+func ExampleNewNode_restart() {
 	dir, err := os.MkdirTemp("", "pptd-stream-example")
 	if err != nil {
 		fmt.Println(err)
@@ -66,78 +65,83 @@ func ExampleOpenStreamStore() {
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
 
-	durable := pptd.StreamConfig{
-		NumObjects: 1,
-		NumShards:  1,
-		Lambda1:    1, // enables privacy accounting
-		Lambda2:    2,
-		Delta:      0.3,
-		ClaimWAL:   true, // claims ride the charge record
+	// A budget of two windows' charges, with room for rounding.
+	acct, _ := pptd.NewAccountant(1)
+	mech, _ := pptd.NewMechanism(2)
+	epsWindow, _ := acct.Epsilon(mech, 0.3)
+	open := func() (*pptd.Node, error) {
+		return pptd.NewNode(
+			pptd.WithStreamConfig(pptd.StreamConfig{
+				NumObjects:    1,
+				NumShards:     1,
+				Lambda1:       1, // enables privacy accounting
+				Lambda2:       2,
+				Delta:         0.3,
+				EpsilonBudget: 2.5 * epsWindow,
+			}),
+			pptd.WithPersistence(dir), // claim WAL on
+		)
+	}
+	submit := func(node *pptd.Node, id string, v float64) error {
+		_, err := node.Stream().Submit(pptd.CampaignSubmission{
+			ClientID: id, Claims: []pptd.CampaignClaim{{Object: 0, Value: v}},
+		})
+		return err
 	}
 
-	// First process: accept two submissions, then crash mid-window —
-	// no window close, no snapshot, nothing but the fsync'd journal.
-	store, err := pptd.OpenStreamStore(dir)
+	// First process: window 1 closes, then alice pays for window 2.
+	node, err := open()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	cfg := durable
-	cfg.Ledger = store // every charge is durable before the ack
-	eng, err := pptd.NewStreamEngine(cfg)
-	if err != nil {
+	_ = submit(node, "alice", 1)
+	_ = submit(node, "bob", 3)
+	if _, err := node.Stream().CloseWindow(); err != nil {
 		fmt.Println(err)
 		return
 	}
-	if _, _, err := eng.Ingest("alice", []pptd.StreamClaim{{Object: 0, Value: 1}}); err != nil {
+	_ = submit(node, "alice", 2)
+	if err := node.Close(); err != nil {
 		fmt.Println(err)
 		return
 	}
-	if _, _, err := eng.Ingest("bob", []pptd.StreamClaim{{Object: 0, Value: 3}}); err != nil {
-		fmt.Println(err)
-		return
-	}
-	_ = eng.Close() // the "crash"
-	_ = store.Close()
 
-	// Second process: recover everything from the state directory.
-	store2, err := pptd.OpenStreamStore(dir)
+	// Second process on the same state directory.
+	node, err = open()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer func() { _ = store2.Close() }()
-	cfg = durable
-	cfg.Ledger = store2
-	eng2, err := pptd.NewStreamEngine(cfg)
+	defer func() { _ = node.Close() }()
+	last, err := node.Stream().Truths()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	defer func() { _ = eng2.Close() }()
-	recovered, err := store2.Recover(eng2)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println("recovered state:", recovered)
+	fmt.Printf("served after restart: window %d truth %.1f\n", last.Window, last.Truths[0])
 
-	// Alice's charge survived: the open window is still paid for, so a
-	// second release into it is refused.
-	_, _, err = eng2.Ingest("alice", []pptd.StreamClaim{{Object: 0, Value: 9}})
-	fmt.Println("alice resubmitting same window:", err != nil)
+	// Alice's window-2 charge survived: a second release is refused.
+	err = submit(node, "alice", 9)
+	fmt.Println("alice resubmitting window 2:", errors.Is(err, pptd.ErrDuplicateWindow))
 
-	// The replayed claims produce the estimate the crash interrupted.
-	res, err := eng2.CloseWindow()
+	if err := submit(node, "bob", 2); err != nil {
+		fmt.Println(err)
+		return
+	}
+	res, err := node.Stream().CloseWindow()
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("window %d truth: %.1f\n", res.Window, res.Truths[0])
-	fmt.Printf("each user charged for %d window(s)\n", res.Privacy.MaxWindows)
+	fmt.Printf("window %d: each user charged for %d windows\n", res.Window, res.Privacy.MaxWindows)
+
+	// Two charges spend alice's budget, the one before the restart too.
+	err = submit(node, "alice", 2)
+	fmt.Println("alice in window 3:", errors.Is(err, pptd.ErrBudgetExhausted))
 	// Output:
-	// recovered state: true
-	// alice resubmitting same window: true
-	// window 1 truth: 2.0
-	// each user charged for 1 window(s)
+	// served after restart: window 1 truth 2.0
+	// alice resubmitting window 2: true
+	// window 2: each user charged for 2 windows
+	// alice in window 3: true
 }

@@ -6,6 +6,7 @@ import (
 
 	"pptd/internal/randx"
 	"pptd/internal/stats"
+	"pptd/internal/theory"
 )
 
 // laplaceCDF is the CDF of Laplace(0, b).
@@ -186,5 +187,79 @@ func TestOneClaimRelationDeltaBound(t *testing.T) {
 	}
 	if huge := oneClaimDeltaBound(800, shift, m.Lambda2(), 4000); math.IsNaN(huge) || huge < 0 || huge > prev {
 		t.Errorf("B(800) = %v, want a finite value in [0, B(100) = %v]", huge, prev)
+	}
+}
+
+// TestOneClaimExactBelowBound sets the exact one-claim curve beside the
+// bound it is proven under: for a k-claim submission whose one claim
+// moves by Delta, theory.RadialLoss's δ(ε) stays at or below
+// B(ε) = oneClaimDeltaBound on an ε grid, at the quadrature's default
+// grid and at twice it. At k = 1 the exact curve is the Laplace one and
+// is 0 from ε = 9.79 on.
+func TestOneClaimExactBelowBound(t *testing.T) {
+	acct, err := NewAccountant(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMechanism(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift, err := acct.Sensitivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := []theory.Grid{theory.DefaultGrid, {
+		Radius: 2 * theory.RadiusNodes, Angle: 2 * theory.AngleNodes, Table: 2 * theory.TableNodes,
+	}}
+	for _, grid := range grids {
+		for _, k := range []int{1, 16, 32} {
+			l, err := theory.NewRadialLoss(theory.MixtureLogRadial(k, m.Lambda2()), k, shift, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for eps := 10.0; eps <= 100; eps += 5 {
+				exact, bound := l.Delta(eps), oneClaimDeltaBound(eps, shift, m.Lambda2(), 4000)
+				if exact > bound {
+					t.Errorf("grid %dx%d, k = %d: exact δ(%v) = %.6f above B = %.6f", grid.Radius, grid.Angle, k, eps, exact, bound)
+				}
+			}
+		}
+	}
+}
+
+// TestRevealVBoundUnderOneUser: the reveal-V bound that proves the
+// one-claim rows is no use under the one-user relation. For a 16-claim
+// submission (shift 4Δ) it first reaches the configured δ = 0.3 near
+// ε = 1 075, where the exact curve (theory.RadialLoss) gives 59.1.
+func TestRevealVBoundUnderOneUser(t *testing.T) {
+	acct, err := NewAccountant(1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMechanism(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sens, err := acct.Sensitivity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := 0.0, 5000.0
+	for hi-lo > 0.01 {
+		if mid := (lo + hi) / 2; oneClaimDeltaBound(mid, 4*sens, m.Lambda2(), 4000) > 0.3 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	l, err := theory.NewRadialLoss(theory.MixtureLogRadial(16, m.Lambda2()), 16, 4*sens, theory.DefaultGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := l.Epsilon(0.3)
+	t.Logf("16 claims, one user: reveal-V bound ε(0.3) = %.1f, exact %.1f", hi, exact)
+	if math.Abs(hi-1075) > 5 || math.Abs(exact-59.1) > 0.5 {
+		t.Errorf("reveal-V ε(0.3) = %.1f (want 1 075 ± 5), exact %.2f (want 59.1 ± 0.5)", hi, exact)
 	}
 }

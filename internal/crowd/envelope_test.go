@@ -95,3 +95,43 @@ func TestWrongServer404IsNotNotReady(t *testing.T) {
 		})
 	}
 }
+
+// TestErrorTaxonomyRoundTrip sends every errorTaxonomy row's sentinel
+// through the envelope and back through Client: the decoded error
+// carries the row's status, code and retry hint, and satisfies
+// errors.Is against the sentinel the client maps that code to.
+func TestErrorTaxonomyRoundTrip(t *testing.T) {
+	for _, row := range errorTaxonomy {
+		t.Run(row.code, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				WriteAPIError(w, fmt.Errorf("handler: %w", row.sentinel))
+			}))
+			defer ts.Close()
+			client, err := NewClient(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = client.StreamSubmit(context.Background(), Submission{
+				ClientID: "dev", Claims: []Claim{{Object: 0, Value: 1}},
+			})
+			want, ok := sentinelByCode[row.code]
+			if !ok {
+				t.Fatalf("code %q has no client sentinel", row.code)
+			}
+			if !errors.Is(err, want) {
+				t.Errorf("err = %v, want errors.Is %v", err, want)
+			}
+			var httpErr *HTTPError
+			if !errors.As(err, &httpErr) {
+				t.Fatalf("err = %v (%T), want an *HTTPError in the chain", err, err)
+			}
+			if httpErr.StatusCode != row.status || httpErr.Code != row.code || httpErr.RetryAfterWindows != row.retry {
+				t.Errorf("got (%d, %q, retry %d), want (%d, %q, retry %d)",
+					httpErr.StatusCode, httpErr.Code, httpErr.RetryAfterWindows, row.status, row.code, row.retry)
+			}
+		})
+	}
+	if status, code, _ := errorStatus(errors.New("disk on fire")); status != http.StatusInternalServerError || code != CodeInternal {
+		t.Errorf("an unlisted error maps to (%d, %q), want (500, %q)", status, code, CodeInternal)
+	}
+}

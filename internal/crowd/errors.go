@@ -53,8 +53,8 @@ const (
 	// user into one open window while privacy accounting is enabled; the
 	// envelope carries RetryAfterWindows = 1. HTTP 409.
 	CodeDuplicateWindow = "duplicate_window"
-	// CodeEmptyWindow: a window close before any claim ever arrived.
-	// HTTP 409.
+	// CodeEmptyWindow: a window close with no live statistic — no claim
+	// ever arrived, or every one has decayed away. HTTP 409.
 	CodeEmptyWindow = "empty_window"
 	// CodeEngineClosed: the streaming engine behind the endpoint has shut
 	// down. HTTP 410.
@@ -74,52 +74,57 @@ const (
 	CodeInternal = "internal"
 )
 
-// errorStatus maps one server-side error to its wire form: the stable
-// envelope code, the HTTP status derived from it, and the retry hint in
-// windows (0 = no hint). It is the single place the error taxonomy lives,
-// so the node's and the coordinator's handlers cannot drift apart.
-func errorStatus(err error) (status int, code string, retryAfterWindows int) {
-	switch {
-	case errors.Is(err, ErrBadSubmission), errors.Is(err, stream.ErrBadClaim):
-		return http.StatusBadRequest, CodeBadRequest, 0
-	case errors.Is(err, ErrUnknownWindow):
-		return http.StatusNotFound, CodeUnknownWindow, 0
-	case errors.Is(err, ErrNotReady):
-		return http.StatusNotFound, CodeNotReady, 0
-	case errors.Is(err, stream.ErrDuplicateWindow):
-		// The charge that blocks this user expires when the open window
-		// closes: retrying one window later succeeds.
-		return http.StatusConflict, CodeDuplicateWindow, 1
-	case errors.Is(err, stream.ErrEmptyWindow):
-		return http.StatusConflict, CodeEmptyWindow, 0
-	case errors.Is(err, stream.ErrEngineClosed), errors.Is(err, streamstore.ErrClosed):
-		return http.StatusGone, CodeEngineClosed, 0
-	case errors.Is(err, stream.ErrBudgetExhausted):
-		return http.StatusTooManyRequests, CodeBudgetExhausted, 0
-	case errors.Is(err, ErrPayloadTooLarge):
-		return http.StatusRequestEntityTooLarge, CodePayloadTooLarge, 0
-	case errors.Is(err, ErrWorkerUnavailable):
-		return http.StatusServiceUnavailable, CodeWorkerUnavailable, 0
-	default:
-		return http.StatusInternalServerError, CodeInternal, 0
-	}
+// errorTaxonomy is the one table of the error taxonomy: each sentinel
+// with the stable envelope code it travels as, the HTTP status derived
+// from the code, and the retry hint in windows (0 = no hint). The
+// server walks it in order (errorStatus); the client decodes a code to
+// the first row's sentinel for it (sentinelByCode). One table keeps the
+// node's handlers, the coordinator's and the client from drifting apart.
+var errorTaxonomy = []struct {
+	sentinel error
+	code     string
+	status   int
+	retry    int
+}{
+	{ErrBadSubmission, CodeBadRequest, http.StatusBadRequest, 0},
+	{stream.ErrBadClaim, CodeBadRequest, http.StatusBadRequest, 0},
+	{ErrUnknownWindow, CodeUnknownWindow, http.StatusNotFound, 0},
+	{ErrNotReady, CodeNotReady, http.StatusNotFound, 0},
+	// The charge that blocks this user expires when the open window
+	// closes: retrying one window later succeeds.
+	{stream.ErrDuplicateWindow, CodeDuplicateWindow, http.StatusConflict, 1},
+	{stream.ErrEmptyWindow, CodeEmptyWindow, http.StatusConflict, 0},
+	{stream.ErrEngineClosed, CodeEngineClosed, http.StatusGone, 0},
+	{streamstore.ErrClosed, CodeEngineClosed, http.StatusGone, 0},
+	{stream.ErrBudgetExhausted, CodeBudgetExhausted, http.StatusTooManyRequests, 0},
+	{ErrPayloadTooLarge, CodePayloadTooLarge, http.StatusRequestEntityTooLarge, 0},
+	{ErrWorkerUnavailable, CodeWorkerUnavailable, http.StatusServiceUnavailable, 0},
 }
 
-// sentinelByCode is the client-side inverse of errorStatus: the typed
+// errorStatus maps one server-side error to its wire form: the first
+// errorTaxonomy row whose sentinel err matches, else a 500 internal.
+func errorStatus(err error) (status int, code string, retryAfterWindows int) {
+	for _, row := range errorTaxonomy {
+		if errors.Is(err, row.sentinel) {
+			return row.status, row.code, row.retry
+		}
+	}
+	return http.StatusInternalServerError, CodeInternal, 0
+}
+
+// sentinelByCode is the client-side inverse of errorTaxonomy: the typed
 // error a decoded envelope code unwraps to, so callers can match with
 // errors.Is against package sentinels instead of inspecting codes or
 // status numbers.
-var sentinelByCode = map[string]error{
-	CodeBadRequest:        ErrBadSubmission,
-	CodeNotReady:          ErrNotReady,
-	CodeUnknownWindow:     ErrUnknownWindow,
-	CodeDuplicateWindow:   stream.ErrDuplicateWindow,
-	CodeEmptyWindow:       stream.ErrEmptyWindow,
-	CodeEngineClosed:      stream.ErrEngineClosed,
-	CodeBudgetExhausted:   stream.ErrBudgetExhausted,
-	CodePayloadTooLarge:   ErrPayloadTooLarge,
-	CodeWorkerUnavailable: ErrWorkerUnavailable,
-}
+var sentinelByCode = func() map[string]error {
+	m := make(map[string]error, len(errorTaxonomy))
+	for _, row := range errorTaxonomy {
+		if _, ok := m[row.code]; !ok {
+			m[row.code] = row.sentinel
+		}
+	}
+	return m
+}()
 
 // WriteAPIError answers one failed request with the versioned envelope,
 // deriving status, code, and retry hint from the error taxonomy. An

@@ -53,7 +53,7 @@
 // Every non-2xx response carries the same versioned JSON envelope
 // (ErrorBody): {v, code, message, retry_after_windows?}. The code (see
 // the Code* constants in errors.go) is the stable contract — HTTP statuses are derived from it
-// in one place (errorStatus) — and Client decodes it back into the
+// in one table (errorTaxonomy) — and Client decodes it back into the
 // matching typed sentinel, so errors.Is(err, stream.ErrBudgetExhausted)
 // and errors.As(err, &httpErr) both work on one returned error.
 // docs/API.md at the repository root tabulates every code.
@@ -252,7 +252,8 @@ type StreamWindowInfo struct {
 	// ?weights=1 and only for the latest window — it is O(users) per poll
 	// and a participation side channel, so readers get aggregates instead:
 	// EffectiveUsers, (Σw)²/Σw² over those weights, and MaxWeightShare,
-	// max w/Σw.
+	// max w/Σw (n and 1/n when every weight is 0: the estimate then weighs
+	// the n active users equally).
 	Weights        map[string]float64 `json:"weights,omitempty"`
 	EffectiveUsers float64            `json:"effectiveUsers"`
 	MaxWeightShare float64            `json:"maxWeightShare"`

@@ -3,6 +3,7 @@ package crowd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -144,5 +145,62 @@ func TestRecoveredWeightsEqualCloseReply(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestLoneUserWindowPublishesOneUser: a window one user estimated
+// publishes effectiveUsers 1 and maxWeightShare 1 under every
+// estimator, in the close reply and in GET ?weights=1, and no body
+// carries a "-0" weight (CRH's lone user weighs -log(1)).
+func TestLoneUserWindowPublishesOneUser(t *testing.T) {
+	for _, est := range stream.EstimatorNames {
+		t.Run(est, func(t *testing.T) {
+			srv, err := NewStreamServer(StreamServerConfig{
+				Name:   "lone",
+				Engine: stream.Config{NumObjects: 2, NumShards: 1, Estimator: est},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = srv.Close() }()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			post := func(path, body string) []byte {
+				t.Helper()
+				resp, err := http.Post(ts.URL+path, "application/json", bytes.NewBufferString(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = resp.Body.Close() }()
+				var buf bytes.Buffer
+				_, _ = buf.ReadFrom(resp.Body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST %s: %d %s", path, resp.StatusCode, buf.Bytes())
+				}
+				return buf.Bytes()
+			}
+			post("/v1/stream/claims", `{"clientId":"a","claims":[{"object":0,"value":1.5},{"object":1,"value":2.5}]}`)
+			closeReply := post("/v1/stream/window", "")
+			resp, err := http.Get(ts.URL + "/v1/stream/truths?weights=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var truths bytes.Buffer
+			_, _ = truths.ReadFrom(resp.Body)
+			_ = resp.Body.Close()
+			for name, body := range map[string][]byte{"close reply": closeReply, "GET ?weights=1": truths.Bytes()} {
+				var info StreamWindowInfo
+				if err := json.Unmarshal(body, &info); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if info.ActiveUsers != 1 || info.EffectiveUsers != 1 || info.MaxWeightShare != 1 {
+					t.Errorf("%s: active %d, effective %v, max share %v; want 1, 1 and 1",
+						name, info.ActiveUsers, info.EffectiveUsers, info.MaxWeightShare)
+				}
+				if _, ok := info.Weights["a"]; !ok || bytes.Contains(body, []byte(":-0")) {
+					t.Errorf("%s: %s; want user a's weight, and no -0", name, body)
+				}
+			}
+		})
 	}
 }

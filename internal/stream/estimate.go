@@ -86,9 +86,15 @@ func (e *Engine) estimateLocked() (*WindowResult, error) {
 			maxW = math.Max(maxW, wt)
 		}
 	}
-	if sumSq > 0 {
+	switch {
+	case sumSq > 0:
 		res.EffectiveUsers = sum * sum / sumSq
 		res.MaxWeightShare = maxW / sum
+	case res.ActiveUsers > 0:
+		// Every active weight is 0 (CRH's lone user): the fold floors
+		// them all alike, so the estimate weighs the users equally.
+		res.EffectiveUsers = float64(res.ActiveUsers)
+		res.MaxWeightShare = 1 / float64(res.ActiveUsers)
 	}
 	e.users.updateCarry(w.weights, w.claimCount, e.window+1)
 	return res, nil
@@ -190,7 +196,7 @@ func (crhEstimator) updateWeights(w *windowData, dists []float64, partial [][]fl
 			continue
 		}
 		wt := -math.Log(dists[u] / total)
-		if wt < 0 {
+		if wt <= 0 { // also -log(1) = -0, which would print as "-0"
 			wt = 0
 		}
 		w.weights[u] = wt

@@ -258,7 +258,8 @@ type WindowResult struct {
 	Weights map[string]float64 `json:"-"`
 	// EffectiveUsers is (Σw)²/Σw² over the active users' weights — how many
 	// equally weighted users the estimate amounts to — and MaxWeightShare
-	// is max w/Σw. Both are 0 when every weight is.
+	// is max w/Σw. When every active weight is 0 (CRH's lone user) the
+	// estimate weighs the active users equally, so they are n and 1/n.
 	EffectiveUsers float64
 	MaxWeightShare float64
 	// Iterations and Converged mirror truth.Result for the estimation

@@ -27,7 +27,10 @@ func weightAggregates(ws map[string]float64) (effective, maxShare float64) {
 		maxW = math.Max(maxW, ws[id])
 	}
 	if sumSq == 0 {
-		return 0, 0
+		if len(ws) == 0 {
+			return 0, 0
+		}
+		return float64(len(ws)), 1 / float64(len(ws))
 	}
 	return sum * sum / sumSq, maxW / sum
 }
@@ -123,26 +126,35 @@ func TestWeightsAtServesLatestWindowFromCarry(t *testing.T) {
 }
 
 // TestWeightAggregatesOfZeroWeights: CRH gives a lone user weight
-// -log(1) = 0; the aggregates are then 0, not 0/0, and the result stays
-// JSON-encodable.
+// -log(1), which is clamped to +0, never -0. The fold then weighs the
+// window's users equally, so the aggregates are 1 and 1, as GTM's and
+// CATD's are for a lone user, and the result stays JSON-encodable.
 func TestWeightAggregatesOfZeroWeights(t *testing.T) {
-	e, err := New(Config{NumObjects: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = e.Close() }()
-	if _, _, err := e.Ingest("only", []Claim{{Object: 0, Value: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.CloseWindow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, ok := res.Weights["only"]; !ok || w != 0 || res.EffectiveUsers != 0 || res.MaxWeightShare != 0 {
-		t.Errorf("weights %v, effective users %v, max share %v; want all zero", res.Weights, res.EffectiveUsers, res.MaxWeightShare)
-	}
-	if _, err := json.Marshal(res); err != nil {
-		t.Errorf("result does not encode: %v", err)
+	for _, est := range EstimatorNames {
+		t.Run(est, func(t *testing.T) {
+			e, err := New(Config{NumObjects: 2, Estimator: est})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = e.Close() }()
+			if _, _, err := e.Ingest("only", []Claim{{Object: 0, Value: 3}, {Object: 1, Value: 4}}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.CloseWindow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, ok := res.Weights["only"]
+			if !ok || math.Signbit(w) || (est == EstimatorCRH && w != 0) {
+				t.Errorf("weights %v: want the lone user's weight non-negative (+0 under CRH)", res.Weights)
+			}
+			if res.EffectiveUsers != 1 || res.MaxWeightShare != 1 {
+				t.Errorf("effective users %v, max share %v; want 1 and 1", res.EffectiveUsers, res.MaxWeightShare)
+			}
+			if _, err := json.Marshal(res); err != nil {
+				t.Errorf("result does not encode: %v", err)
+			}
+		})
 	}
 }
 

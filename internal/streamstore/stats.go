@@ -4,12 +4,6 @@ import (
 	"pptd/internal/obs"
 )
 
-// Histogram is the fixed-bucket counting histogram inside StoreStats —
-// the shared obs.Histogram, so Stats and the node's /metrics exposition
-// render the same type. (It was born here and was
-// promoted to internal/obs when the node grew a metrics registry.)
-type Histogram = obs.Histogram
-
 // Bucket bounds for the two group-commit histograms: batch sizes in
 // records (powers of two up to the batch cap, maxBatch) and flush
 // latencies in seconds (50µs up to 1s; an fsync on real hardware lands
@@ -58,10 +52,10 @@ type StoreStats struct {
 	UserLoads    int64 `json:"userLoads"`
 	SpilledUsers int   `json:"spilledUsers"`
 	// BatchSizes is the histogram of records per group-commit flush.
-	BatchSizes Histogram `json:"batchSizes"`
+	BatchSizes obs.Histogram `json:"batchSizes"`
 	// FlushLatencySeconds is the histogram of write+fsync wall time per
 	// flush, in seconds.
-	FlushLatencySeconds Histogram `json:"flushLatencySeconds"`
+	FlushLatencySeconds obs.Histogram `json:"flushLatencySeconds"`
 }
 
 // statsBase records the cumulative counter values at the last
@@ -78,8 +72,8 @@ type statsBase struct {
 	resultsSaved    int64
 	userSpills      int64
 	userLoads       int64
-	batchSizes      Histogram
-	flushLatency    Histogram
+	batchSizes      obs.Histogram
+	flushLatency    obs.Histogram
 }
 
 // Stats returns a copy of the store's counters and histograms. Safe for
@@ -207,14 +201,14 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		})
 	reg.HistogramFunc("pptd_store_commit_batch_records",
 		"Records per group-commit flush.",
-		func() Histogram {
+		func() obs.Histogram {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return s.batchSizes.Clone()
 		})
 	reg.HistogramFunc("pptd_store_flush_duration_seconds",
 		"Write+fsync wall time per group-commit flush, in seconds.",
-		func() Histogram {
+		func() obs.Histogram {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return s.flushLatency.Clone()

@@ -239,8 +239,8 @@ type Store struct {
 	resultsSaved        int64
 	segmentsSealed      int64
 	segmentsDeleted     int64
-	batchSizes          Histogram
-	flushLatency        Histogram
+	batchSizes          obs.Histogram
+	flushLatency        obs.Histogram
 	base                statsBase
 	closesSinceSnapshot int
 	closed              bool

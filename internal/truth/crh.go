@@ -163,9 +163,10 @@ func (c *CRH) updateWeights(ds *Dataset, truths, stds, weights []float64) {
 			continue
 		}
 		w := -math.Log(dists[s] / total)
-		if w < 0 {
+		if w <= 0 {
 			// A single user dominating the total distance can push the
-			// ratio above 1; clamp so weights stay non-negative.
+			// ratio above 1, and a lone user's is -log(1) = -0; clamp so
+			// weights stay non-negative and never print as "-0".
 			w = 0
 		}
 		weights[s] = w

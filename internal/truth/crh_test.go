@@ -123,6 +123,23 @@ func TestCRHWeightsNonNegative(t *testing.T) {
 	}
 }
 
+// TestCRHLoneUserWeightIsPositiveZero: a lone user's weight is
+// -log(1), which the clamp turns into +0, so it never prints as "-0".
+func TestCRHLoneUserWeightIsPositiveZero(t *testing.T) {
+	ds := mustDataset(t, [][]float64{{1.5, 2.5}})
+	c, err := NewCRH()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := res.Weights[0]; w != 0 || math.Signbit(w) {
+		t.Errorf("lone user's weight = %v (sign bit %v), want +0", w, math.Signbit(w))
+	}
+}
+
 func TestCRHPerfectAgreement(t *testing.T) {
 	// All users report identical values: distances hit the floor, the
 	// algorithm must still terminate with the exact truths.

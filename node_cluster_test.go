@@ -84,8 +84,9 @@ func TestNodeClusterOptionValidation(t *testing.T) {
 // TestNodeCluster drives the whole multi-node path through the public
 // Node API: two durable worker nodes with segment shipping, a
 // coordinator node routing ingest and closing windows, the
-// coordinator's published truths matching a single-node engine, and its
-// /metrics counting the routed submissions per worker and the close.
+// coordinator's published truths matching a memory-only single node,
+// and its /metrics counting the routed submissions per worker and the
+// close.
 func TestNodeCluster(t *testing.T) {
 	const numObjects = 4
 	shipDirs := make([]string, 2)
@@ -127,9 +128,9 @@ func TestNodeCluster(t *testing.T) {
 		t.Fatal("coordinator node hosts a local stream engine")
 	}
 
-	ref, err := pptd.NewStreamEngine(pptd.StreamConfig{NumObjects: numObjects})
+	ref, err := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: numObjects}))
 	if err != nil {
-		t.Fatalf("reference engine: %v", err)
+		t.Fatalf("reference node: %v", err)
 	}
 	defer func() { _ = ref.Close() }()
 
@@ -143,22 +144,18 @@ func TestNodeCluster(t *testing.T) {
 
 	users := []string{"ada", "grace", "edsger", "barbara", "donald"}
 	for u, id := range users {
-		claims := make([]pptd.StreamClaim, 0, numObjects)
+		sub := pptd.CampaignSubmission{ClientID: id, Claims: make([]pptd.CampaignClaim, 0, numObjects)}
 		for o := 0; o < numObjects; o++ {
-			claims = append(claims, pptd.StreamClaim{Object: o, Value: float64(u*numObjects + o)})
+			sub.Claims = append(sub.Claims, pptd.CampaignClaim{Object: o, Value: float64(u*numObjects + o)})
 		}
-		if _, _, err := ref.Ingest(id, claims); err != nil {
-			t.Fatalf("reference ingest: %v", err)
+		if _, err := ref.Stream().Submit(sub); err != nil {
+			t.Fatalf("reference submit: %v", err)
 		}
-		wire := make([]pptd.CampaignClaim, len(claims))
-		for i, c := range claims {
-			wire[i] = pptd.CampaignClaim{Object: c.Object, Value: c.Value}
-		}
-		if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{ClientID: id, Claims: wire}); err != nil {
+		if _, err := client.StreamSubmit(ctx, sub); err != nil {
 			t.Fatalf("cluster submit %s: %v", id, err)
 		}
 	}
-	refRes, err := ref.CloseWindow()
+	refRes, err := ref.Stream().CloseWindow()
 	if err != nil {
 		t.Fatalf("reference close: %v", err)
 	}

@@ -6,25 +6,14 @@ import "pptd/internal/obs"
 // counters, gauges, and fixed-bucket histograms, rendered as the
 // Prometheus text exposition at GET /metrics. Every Node owns one (see
 // Node.Metrics); embedding applications can register their own
-// instruments on it, or create standalone registries with
-// NewMetricsRegistry for drivers and tests.
+// instruments on it.
 type MetricsRegistry = obs.Registry
 
 // MetricsHistogram is the fixed-bucket counting histogram the registry's
-// Histogram instruments snapshot to — the same type StreamHistogram
-// aliases, so the JSON stats views and the /metrics exposition share one
-// implementation.
+// Histogram instruments snapshot to — also the type of StreamStoreStats'
+// histograms, so the JSON stats views and the /metrics exposition share
+// one implementation.
 type MetricsHistogram = obs.Histogram
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewMetricsHistogram returns a histogram counting observations into the
-// given cumulative upper-bound buckets (ascending; an implicit +Inf
-// bucket catches the rest).
-func NewMetricsHistogram(bounds []float64) MetricsHistogram {
-	return obs.NewHistogram(bounds)
-}
 
 // MetricsTextContentType is the Content-Type of the GET /metrics
 // response (Prometheus text exposition format 0.0.4).

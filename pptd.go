@@ -85,15 +85,18 @@
 // per-window charge covers exactly one perturbed release and both
 // epsilon and delta compose linearly over a user's windows:
 //
-//	eng, _ := pptd.NewStreamEngine(pptd.StreamConfig{
+//	node, _ := pptd.NewNode(pptd.WithStreamConfig(pptd.StreamConfig{
 //		NumObjects: 30,
 //		Decay:      0.8,              // forget stale windows
 //		Lambda1:    1,                // enables budget accounting
 //		Lambda2:    2, Delta: 0.3,
+//	}))
+//	defer node.Close()
+//	node.Stream().Submit(pptd.CampaignSubmission{
+//		ClientID: "device-1",
+//		Claims:   []pptd.CampaignClaim{{Object: 0, Value: 3.2}},
 //	})
-//	defer eng.Close()
-//	eng.Ingest("device-1", []pptd.StreamClaim{{Object: 0, Value: 3.2}})
-//	res, _ := eng.CloseWindow()       // incremental truths + weights
+//	res, _ := node.Stream().CloseWindow() // incremental truths + weights
 //	fmt.Println(res.Truths[0], res.Privacy.MaxCumulative)
 //
 // On a closed window with decay disabled each incremental estimator
@@ -112,7 +115,7 @@
 //
 // A streaming privacy guarantee is only as durable as its ledger: if a
 // restart erased cumulative epsilon, every returning client would
-// re-spend its budget from zero. OpenStreamStore gives the engine a
+// re-spend its budget from zero. WithPersistence gives the node a
 // state directory with an append-only, fsync'd journal of rolling
 // segment files (one record per accepted submission — its (user,
 // window) epsilon charge and, with StreamConfig.ClaimWAL, its claims —
@@ -139,13 +142,10 @@
 // weights as an uninterrupted one (within 1e-9 with the claim WAL), a
 // budget-exhausted user stays rejected after the restart, and GET
 // /v1/stream/truths never regresses to 404 across a restart — including
-// ?window=N reads over the persisted recent-result history. Raw
-// engines get the same hooks via StreamEngine.ExportState / Restore /
-// ReplayJournal / RestoreHistory, StreamConfig.Ledger, and
-// StreamStore.Recover. The full crash-recovery contract — what
-// survives which failure, the fsync/ack ordering, and the group-commit
-// trade-offs — is specified in docs/DURABILITY.md,
-// and docs/ARCHITECTURE.md maps the paper's sections onto the packages
+// ?window=N reads over the persisted recent-result history. The full
+// crash-recovery contract — what survives which failure, the fsync/ack
+// ordering, and the group-commit trade-offs — is specified in
+// docs/DURABILITY.md, and docs/ARCHITECTURE.md maps the paper's sections onto the packages
 // and walks the ingest → journal → snapshot → recovery pipeline.
 //
 // The subpackage layout mirrors the paper: the mechanism and accountant

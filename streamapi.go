@@ -6,15 +6,6 @@ import (
 	"pptd/internal/streamstore"
 )
 
-// StreamEngine is the sharded streaming truth-discovery engine: claims
-// ingest concurrently into hash-partitioned worker shards, fold into
-// exponentially-decayed sufficient statistics per (object, user), and
-// each window close re-estimates truths and weights incrementally with
-// the configured estimator (CRH, GTM, or CATD — see
-// StreamConfig.Estimator), warm-started from the previous window and
-// with cumulative (epsilon, delta) accounting.
-type StreamEngine = stream.Engine
-
 // Streaming estimator names, accepted in StreamConfig.Estimator and
 // recorded in snapshots and wire metadata. Each is the incremental
 // counterpart of the batch Method of the same name, matching it within
@@ -29,7 +20,13 @@ const (
 	StreamEstimatorCATD = stream.EstimatorCATD
 )
 
-// StreamConfig parameterizes NewStreamEngine.
+// StreamConfig parameterizes a node's streaming engine
+// (WithStreamConfig): claims ingest concurrently into hash-partitioned
+// shards, fold into exponentially-decayed sufficient statistics per
+// (object, user), and each window close re-estimates truths and weights
+// incrementally with the configured estimator (CRH, GTM, or CATD),
+// warm-started from the previous window and with cumulative
+// (epsilon, delta) accounting.
 type StreamConfig = stream.Config
 
 // StreamClaim is one perturbed (object, value) report in a stream.
@@ -41,11 +38,6 @@ type StreamWindowResult = stream.WindowResult
 // StreamPrivacyReport summarizes cumulative per-user privacy spending at
 // a window boundary.
 type StreamPrivacyReport = stream.PrivacyReport
-
-// NewStreamEngine starts a streaming engine; Close it to stop the shard
-// workers. (Embedding applications that drive windows themselves use the
-// engine directly; HTTP deployments build a Node instead.)
-func NewStreamEngine(cfg StreamConfig) (*StreamEngine, error) { return stream.New(cfg) }
 
 // StreamHistoryWindows is the published-result ring capacity of a
 // stream engine, a coordinator and a node's persisted result history:
@@ -111,12 +103,6 @@ var (
 	ErrLegacySnapshot = streamstore.ErrLegacySnapshot
 )
 
-// StreamEngineState is a point-in-time export of a streaming engine —
-// window counter, per-user carry weights and budgets, and the decayed
-// sufficient statistics — produced by StreamEngine.ExportState and
-// loaded back with StreamEngine.Restore.
-type StreamEngineState = stream.EngineState
-
 // StreamChargeRecord is one privacy-ledger entry: a (user, window,
 // epsilon) charge journaled before the submission is acknowledged.
 type StreamChargeRecord = stream.ChargeRecord
@@ -125,44 +111,26 @@ type StreamChargeRecord = stream.ChargeRecord
 // appends to before acknowledging a charged submission.
 type StreamLedger = stream.Ledger
 
-// StreamStore is the durable state directory for a streaming engine: an
-// fsync'd append-only journal of rolling segment files (privacy
-// charges, and claims when the claim WAL is on) with group-committed
-// concurrent appends, plus atomically-replaced, checksummed engine
-// snapshots and the last published window result. Snapshots compact the
-// journal by deleting fully-covered sealed segments — O(segments), no
-// rewrite. It implements StreamLedger (StreamConfig.Ledger), a Node
-// opens one with WithPersistence, and StreamStore.Recover rebuilds a
-// fresh engine from everything persisted. A pre-segmentation state
+// StreamStore is a durable node's state directory, which the node opens
+// with WithPersistence, owns, and returns from Node.Store: an fsync'd
+// append-only journal of rolling segment files (privacy charges, and
+// claims when the claim WAL is on) with group-committed concurrent
+// appends, plus atomically-replaced, checksummed engine snapshots and
+// the last published window results. Snapshots compact the journal by
+// deleting fully-covered sealed segments — O(segments), no rewrite. A
+// node restarted on the directory recovers from everything persisted.
+// A pre-segmentation state
 // directory (a single ledger.journal), the retired batch campaign's
 // batch.wal or batch-result.json, or a JSON-era journal segment or
 // users.spill is refused with ErrLegacyJournal, a JSON-era snapshot
 // with ErrLegacySnapshot.
 type StreamStore = streamstore.Store
 
-// StreamJournalPos identifies a point in a stream store's segmented
-// journal (segment sequence number, byte offset within it). Snapshots
-// record the position their export covers; compaction deletes the
-// sealed segments before it and recovery skips the covered prefix of
-// the boundary segment.
-type StreamJournalPos = streamstore.JournalPos
-
 // StreamStoreStats is a point-in-time snapshot of a store's
 // observability counters: journal appends/syncs/bytes, snapshot and
 // result counts, and the group-commit batch-size and flush-latency
 // histograms (StreamCampaignServer.Stats reports it on a durable node).
 type StreamStoreStats = streamstore.StoreStats
-
-// StreamHistogram is the fixed-bucket counting histogram inside
-// StreamStoreStats.
-type StreamHistogram = streamstore.Histogram
-
-// OpenStreamStore creates or reopens a streaming state directory,
-// repairing any torn journal tail left by a crash — the way to persist
-// a bare NewStreamEngine (set it as the engine's StreamConfig.Ledger,
-// then StreamStore.Recover). A Node opens and owns its store itself
-// (WithPersistence). Close the store after the engine using it.
-func OpenStreamStore(dir string) (*StreamStore, error) { return streamstore.Open(dir) }
 
 // StreamCampaignServer serves a streaming sensing campaign over HTTP:
 // batched perturbed claims in, live per-window truth snapshots out, with
