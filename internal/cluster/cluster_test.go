@@ -376,12 +376,10 @@ func TestClusterEquivalence(t *testing.T) {
 // one consulted.
 func TestClusterExhaustedUserSurvivesRecovery(t *testing.T) {
 	cfg := baseConfig(stream.EstimatorCRH)
-	probe, err := stream.New(cfg)
+	epsWindow, err := cfg.EpsilonPerWindow()
 	if err != nil {
-		t.Fatalf("probe engine: %v", err)
+		t.Fatal(err)
 	}
-	epsWindow := probe.EpsilonPerWindow()
-	_ = probe.Close()
 	if epsWindow <= 0 {
 		t.Fatalf("accounting not enabled (epsWindow = %v)", epsWindow)
 	}

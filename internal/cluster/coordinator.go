@@ -104,12 +104,10 @@ type Config struct {
 // routing ingest to workers and running the merge-estimate close
 // protocol. Safe for concurrent use.
 type Coordinator struct {
-	name      string
-	engCfg    stream.Config
-	estimator string
-	epsWindow float64
-	ring      *Ring
-	clients   map[string]*crowd.Client
+	name    string
+	engCfg  stream.Config // Config.Engine, validated, minus the per-node fields
+	ring    *Ring
+	clients map[string]*crowd.Client
 
 	// windowMu serializes cluster window closes (manual and ticker).
 	windowMu sync.Mutex
@@ -137,15 +135,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("%w: no workers", ErrBadConfig)
 	}
-	// Validate the engine configuration the same way a worker would, by
-	// building (and immediately closing) a merge engine from it.
-	probe, err := stream.New(mergeConfig(cfg.Engine))
-	if err != nil {
+	// The merge engine lives for one estimation, in memory: it must never
+	// journal, spill, or report metrics of its own. Its config is checked
+	// as a worker's engine checks it: the field rules, then the charge.
+	engCfg := cfg.Engine
+	engCfg.Ledger, engCfg.UserStore, engCfg.Metrics = nil, nil, nil
+	engCfg.ClaimWAL, engCfg.MaxResidentUsers = false, 0
+	if err := engCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: engine config: %w", err)
 	}
-	estimator := probe.Estimator()
-	epsWindow := probe.EpsilonPerWindow()
-	_ = probe.Close()
+	if _, err := engCfg.EpsilonPerWindow(); err != nil {
+		return nil, fmt.Errorf("cluster: engine config: %w", err)
+	}
 
 	ring, err := NewRing(cfg.Workers)
 	if err != nil {
@@ -166,12 +167,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		clients[w] = cl
 	}
 	c := &Coordinator{
-		name:      cfg.Name,
-		engCfg:    cfg.Engine,
-		estimator: estimator,
-		epsWindow: epsWindow,
-		ring:      ring,
-		clients:   clients,
+		name:    cfg.Name,
+		engCfg:  engCfg,
+		ring:    ring,
+		clients: clients,
 	}
 	if cfg.Metrics != nil {
 		c.routedClaims = cfg.Metrics.CounterVec("pptd_cluster_routed_claims_total",
@@ -243,13 +242,9 @@ func (c *Coordinator) bootSync() error {
 			return fmt.Errorf("%w: worker %s serves %d objects, coordinator configured for %d",
 				ErrBadConfig, b.worker, b.info.NumObjects, c.engCfg.NumObjects)
 		}
-		est := b.info.Estimator
-		if est == "" {
-			est = stream.EstimatorCRH
-		}
-		if est != c.estimator {
+		if b.info.Estimator != c.engCfg.Estimator {
 			return fmt.Errorf("%w: worker %s runs estimator %q, coordinator configured for %q",
-				ErrBadConfig, b.worker, est, c.estimator)
+				ErrBadConfig, b.worker, b.info.Estimator, c.engCfg.Estimator)
 		}
 		eff := b.status.Window
 		if b.status.PendingWindow > eff {
@@ -302,41 +297,16 @@ func (c *Coordinator) redriveClose(ctx context.Context, window int) error {
 	return nil
 }
 
-// mergeConfig strips the per-node concerns from the shared engine
-// configuration: the merge engine is ephemeral and in-memory, exists
-// only for the duration of one estimation, and must never journal,
-// spill, or report metrics of its own.
-func mergeConfig(cfg stream.Config) stream.Config {
-	cfg.Ledger = nil
-	cfg.UserStore = nil
-	cfg.Metrics = nil
-	cfg.ClaimWAL = false
-	cfg.MaxResidentUsers = 0
-	return cfg
-}
-
 // Ring exposes the coordinator's hash ring (for tests and diagnostics).
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Window returns the number of cluster-wide closed windows.
 func (c *Coordinator) Window() int { return int(c.window.Load()) }
 
-// Campaign returns the cluster campaign metadata. Shards reports the
-// worker count — the unit of horizontal scale here, as engine shards
-// are on one node.
+// Campaign returns the cluster campaign metadata; Shards is the worker
+// count, the unit of horizontal scale here.
 func (c *Coordinator) Campaign() crowd.StreamCampaignInfo {
-	return crowd.StreamCampaignInfo{
-		Name:             c.name,
-		NumObjects:       c.engCfg.NumObjects,
-		Lambda2:          c.engCfg.Lambda2,
-		Estimator:        c.estimator,
-		Shards:           len(c.ring.Workers()),
-		Window:           c.Window(),
-		TotalClaims:      c.totalClaims.Load(),
-		EpsilonPerWindow: c.epsWindow,
-		Delta:            c.engCfg.Delta,
-		EpsilonBudget:    c.engCfg.EpsilonBudget,
-	}
+	return crowd.CampaignInfo(c.name, c.engCfg, len(c.ring.Workers()), c.Window(), c.totalClaims.Load())
 }
 
 // Submit routes one claim batch to the worker owning the submitting
@@ -433,7 +403,7 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, stat
 	if err != nil {
 		return crowd.StreamWindowInfo{}, fmt.Errorf("cluster: merge window %d: %w", window, err)
 	}
-	eng, err := stream.New(mergeConfig(c.engCfg))
+	eng, err := stream.New(c.engCfg)
 	if err != nil {
 		return crowd.StreamWindowInfo{}, fmt.Errorf("cluster: merge engine: %w", err)
 	}

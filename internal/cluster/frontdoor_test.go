@@ -207,3 +207,68 @@ func TestFrontDoorParity(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignParity requires GET /v1/stream/campaign to report the same
+// campaign parameters from a standalone stream server and from a
+// coordinator over one worker, with accounting off and on: both build
+// the reply from their engine config with crowd.CampaignInfo. Only the
+// shard count is the backend's own (engine shards against workers).
+func TestCampaignParity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  stream.Config
+	}{
+		{"plain", stream.Config{NumObjects: 2}},
+		{"accounted", stream.Config{NumObjects: 3, Lambda1: 1.5, Lambda2: 2, Delta: 0.3, EpsilonBudget: 200}},
+		{"accounted gtm", stream.Config{NumObjects: 4, Estimator: stream.EstimatorGTM, Lambda1: 1, Lambda2: 0.5, Delta: 1e-5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newServer := func() *crowd.StreamServer {
+				srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{Name: "parity", Engine: tc.cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = srv.Close() })
+				return srv
+			}
+			shard := newServer()
+			workerMux := http.NewServeMux()
+			workerMux.Handle("/v1/stream/", shard.Handler())
+			shard.RegisterCluster(workerMux)
+			worker := httptest.NewServer(workerMux)
+			t.Cleanup(worker.Close)
+			coord, err := NewCoordinator(Config{Name: "parity", Engine: tc.cfg, Workers: []string{worker.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			get := func(h http.Handler) crowd.StreamCampaignInfo {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, crowd.PathStreamCampaign, nil))
+				var info crowd.StreamCampaignInfo
+				if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusOK || err != nil {
+					t.Fatalf("GET campaign = %d %s", rec.Code, rec.Body)
+				}
+				return info
+			}
+			node, cluster := get(newServer().Handler()), get(crowd.StreamHandler(coord, 0))
+			if cluster.Shards != 1 {
+				t.Errorf("coordinator reports %d shards, want its 1 worker", cluster.Shards)
+			}
+			cluster.Shards = node.Shards
+			if node != cluster {
+				t.Errorf("campaign differs:\nstandalone  %+v\ncoordinator %+v", node, cluster)
+			}
+			eps, err := tc.cfg.EpsilonPerWindow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if node.EpsilonPerWindow != eps || node.Delta != tc.cfg.Delta || node.EpsilonBudget != tc.cfg.EpsilonBudget ||
+				node.Lambda2 != tc.cfg.Lambda2 || node.NumObjects != tc.cfg.NumObjects {
+				t.Errorf("campaign %+v does not report config %+v (epsilon per window %v)", node, tc.cfg, eps)
+			}
+			if (eps > 0) != (tc.cfg.Lambda1 > 0) {
+				t.Errorf("epsilon per window %v with Lambda1 %v", eps, tc.cfg.Lambda1)
+			}
+		})
+	}
+}

@@ -171,17 +171,27 @@ func (s *StreamServer) Handler() http.Handler { return StreamHandler(s, s.maxByt
 
 // Campaign returns the streaming campaign metadata.
 func (s *StreamServer) Campaign() StreamCampaignInfo {
+	cfg := s.engine.Config()
+	return CampaignInfo(s.name, cfg, cfg.NumShards, s.engine.Window(), s.engine.TotalClaims())
+}
+
+// CampaignInfo is both backends' GET /v1/stream/campaign reply: the
+// parameters of the validated engine config cfg, plus the backend's own
+// shards, window and totalClaims. The backend derived cfg's charge when
+// it was built, so deriving it here cannot fail.
+func CampaignInfo(name string, cfg stream.Config, shards, window int, totalClaims int64) StreamCampaignInfo {
+	eps, _ := cfg.EpsilonPerWindow()
 	return StreamCampaignInfo{
-		Name:             s.name,
-		NumObjects:       s.engine.NumObjects(),
-		Lambda2:          s.engine.Lambda2(),
-		Estimator:        s.engine.Estimator(),
-		Shards:           s.engine.NumShards(),
-		Window:           s.engine.Window(),
-		TotalClaims:      s.engine.TotalClaims(),
-		EpsilonPerWindow: s.engine.EpsilonPerWindow(),
-		Delta:            s.engine.Delta(),
-		EpsilonBudget:    s.engine.EpsilonBudget(),
+		Name:             name,
+		NumObjects:       cfg.NumObjects,
+		Lambda2:          cfg.Lambda2,
+		Estimator:        cfg.Estimator,
+		Shards:           shards,
+		Window:           window,
+		TotalClaims:      totalClaims,
+		EpsilonPerWindow: eps,
+		Delta:            cfg.Delta,
+		EpsilonBudget:    cfg.EpsilonBudget,
 	}
 }
 
@@ -281,11 +291,11 @@ func (s *StreamServer) TruthsAt(window int, weights bool) (StreamWindowInfo, err
 func (s *StreamServer) Stats() StreamStatsInfo {
 	info := StreamStatsInfo{
 		Name:             s.name,
-		Estimator:        s.engine.Estimator(),
+		Estimator:        s.engine.Config().Estimator,
 		Window:           s.engine.Window(),
 		TotalClaims:      s.engine.TotalClaims(),
 		ResidentUsers:    s.engine.ResidentUsers(),
-		MaxResidentUsers: s.engine.MaxResidentUsers(),
+		MaxResidentUsers: s.engine.Config().MaxResidentUsers,
 		Durable:          s.store != nil,
 	}
 	if s.store != nil {

@@ -368,14 +368,8 @@ func TestStreamServerRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := cfg(store)
-	probeCfg := c.Engine
-	probeCfg.ClaimWAL = false // the throwaway epsilon probe has no ledger
-	probe, err := stream.New(probeCfg)
+	eps, err := c.Engine.EpsilonPerWindow()
 	if err != nil {
-		t.Fatal(err)
-	}
-	eps := probe.EpsilonPerWindow()
-	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
 	c.Engine.EpsilonBudget = 1.5 * eps // affords exactly one window

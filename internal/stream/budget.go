@@ -72,6 +72,10 @@ var errStaleUser = fmt.Errorf("%w: user dropped since lookup", ErrUserStore)
 // sufficient statistic references it (eviction requires fully decayed
 // statistics), so the shards never need rewriting.
 type registry struct {
+	// eps is what each charge debits (0 = accounting off), budget the
+	// enforced cumulative cap (0 = tracking only); New fixes both.
+	eps, budget float64
+
 	mu    sync.Mutex
 	seed  maphash.Seed
 	recs  []userRec // slot-indexed; free slots have an empty id
@@ -94,8 +98,8 @@ type registry struct {
 // minIndexCells is the index size of the first admission.
 const minIndexCells = 16
 
-func newRegistry() *registry {
-	return &registry{seed: maphash.MakeSeed()}
+func newRegistry(eps, budget float64) *registry {
+	return &registry{eps: eps, budget: budget, seed: maphash.MakeSeed()}
 }
 
 // cellOf returns the index cell holding id, or -1 when id is not
@@ -259,7 +263,7 @@ func (r *registry) recLocked(ref userRef) *userRec {
 // freshly admitted record and moves them from the evicted population
 // back into the resident one. The caller has validated sp (validateUser
 // keeps its counters within int32).
-func (r *registry) readmitSpill(ref userRef, sp *UserSpill, eps, budget float64) {
+func (r *registry) readmitSpill(ref userRef, sp *UserSpill) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.recLocked(ref)
@@ -274,12 +278,12 @@ func (r *registry) readmitSpill(ref userRef, sp *UserSpill, eps, budget float64)
 	if r.evicted > 0 {
 		r.evicted--
 	}
-	if r.evictedExhausted > 0 && exhausted(rec.cumEps, eps, budget) {
+	if r.evictedExhausted > 0 && r.exhausted(rec.cumEps) {
 		r.evictedExhausted--
 	}
 }
 
-// charge debits eps for participating in the given window. The
+// charge debits r.eps for participating in the given window. The
 // accounting unit is the release unit: each submission is an
 // independently-perturbed release, so the per-window epsilon pays for
 // exactly one of them — a second submission into the same open window is
@@ -290,8 +294,8 @@ func (r *registry) readmitSpill(ref userRef, sp *UserSpill, eps, budget float64)
 // durable-ledger append can roll the debit back with uncharge — and
 // the new cumulative epsilon, for the engine's spending-distribution
 // histogram. A stale handle is refused with errStaleUser.
-func (r *registry) charge(ref userRef, window int, eps, budget float64) (int, float64, error) {
-	if eps == 0 {
+func (r *registry) charge(ref userRef, window int) (int, float64, error) {
+	if r.eps == 0 {
 		return 0, 0, nil
 	}
 	r.mu.Lock()
@@ -304,12 +308,12 @@ func (r *registry) charge(ref userRef, window int, eps, budget float64) (int, fl
 		return 0, 0, fmt.Errorf("%w: user %q already submitted in window %d",
 			ErrDuplicateWindow, rec.id, window+1)
 	}
-	if exhausted(rec.cumEps, eps, budget) {
+	if r.exhausted(rec.cumEps) {
 		return 0, 0, fmt.Errorf("%w: user %q spent %.6g of %.6g, next window costs %.6g",
-			ErrBudgetExhausted, rec.id, rec.cumEps, budget, eps)
+			ErrBudgetExhausted, rec.id, rec.cumEps, r.budget, r.eps)
 	}
 	prev := int(rec.lastWindow)
-	rec.cumEps += eps
+	rec.cumEps += r.eps
 	rec.lastWindow = int32(window)
 	rec.windows++
 	return prev, rec.cumEps, nil
@@ -338,14 +342,14 @@ func (r *registry) replayCharge(ref userRef, window int, eps float64) bool {
 // uncharge reverts a charge whose ledger record could not be made
 // durable: without the record on disk the release must not be admitted,
 // or a crash would hand the user the epsilon back.
-func (r *registry) uncharge(ref userRef, eps float64, prevLastWindow int) {
+func (r *registry) uncharge(ref userRef, prevLastWindow int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.recLocked(ref)
 	if rec == nil {
 		return
 	}
-	rec.cumEps -= eps
+	rec.cumEps -= r.eps
 	if rec.cumEps < 0 {
 		rec.cumEps = 0
 	}
@@ -360,7 +364,7 @@ func (r *registry) uncharge(ref userRef, eps float64, prevLastWindow int) {
 // the state being dropped, so no re-spill is needed — which is what
 // stops an exhausted client from pinning residency by hammering. It
 // reports whether the user returned to the evicted population.
-func (r *registry) dropIfIdle(ref userRef, window int, eps, budget float64) bool {
+func (r *registry) dropIfIdle(ref userRef, window int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.recLocked(ref)
@@ -369,7 +373,7 @@ func (r *registry) dropIfIdle(ref userRef, window int, eps, budget float64) bool
 	}
 	fromSpill := rec.fromSpill
 	if fromSpill {
-		r.countEvictedLocked(rec, eps, budget)
+		r.countEvictedLocked(rec)
 	}
 	r.removeLocked(ref.slot)
 	return fromSpill
@@ -378,7 +382,7 @@ func (r *registry) dropIfIdle(ref userRef, window int, eps, budget float64) bool
 // evict removes already-spilled users from the resident set, folding
 // their spending into the evicted-population aggregates. Callers must
 // have made the matching spill records durable first.
-func (r *registry) evict(victims []userRef, eps, budget float64) {
+func (r *registry) evict(victims []userRef) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ref := range victims {
@@ -386,16 +390,16 @@ func (r *registry) evict(victims []userRef, eps, budget float64) {
 		if rec == nil {
 			continue
 		}
-		r.countEvictedLocked(rec, eps, budget)
+		r.countEvictedLocked(rec)
 		r.removeLocked(ref.slot)
 	}
 }
 
 // countEvictedLocked folds one leaving user's spending into the
 // evicted-population aggregates. Callers hold r.mu.
-func (r *registry) countEvictedLocked(rec *userRec, eps, budget float64) {
+func (r *registry) countEvictedLocked(rec *userRec) {
 	r.evicted++
-	if exhausted(rec.cumEps, eps, budget) {
+	if r.exhausted(rec.cumEps) {
 		r.evictedExhausted++
 	}
 	if rec.cumEps > r.evictedMaxCum {
@@ -438,13 +442,13 @@ func (r *registry) evictable(pinned func(slot int) bool) []userRef {
 	return out
 }
 
-// exhausted reports whether spending eps for one more window would push
-// the cumulative total past the budget. A small relative slack keeps an
-// exact multiple of eps affordable despite accumulated rounding; the
-// single definition keeps charge rejections and the ExhaustedUsers
-// report in agreement.
-func exhausted(cumEps, eps, budget float64) bool {
-	return budget > 0 && cumEps+eps-budget > 1e-9*eps
+// exhausted reports whether spending r.eps for one more window would
+// push the cumulative total cumEps past the budget. A small relative
+// slack keeps an exact multiple of r.eps affordable despite accumulated
+// rounding; the single definition keeps charge rejections and the
+// ExhaustedUsers report in agreement.
+func (r *registry) exhausted(cumEps float64) bool {
+	return r.budget > 0 && cumEps+r.eps-r.budget > 1e-9*r.eps
 }
 
 // count returns the number of resident users.
@@ -630,13 +634,13 @@ type PrivacyReport struct {
 	ExhaustedUsers int `json:"exhaustedUsers"`
 }
 
-func (r *registry) report(eps, delta, budget float64) *PrivacyReport {
+func (r *registry) report(delta float64) *PrivacyReport {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep := &PrivacyReport{
-		EpsilonPerWindow: eps,
+		EpsilonPerWindow: r.eps,
 		Delta:            delta,
-		Budget:           budget,
+		Budget:           r.budget,
 		TrackedUsers:     r.live + r.evicted,
 		MaxCumulative:    r.evictedMaxCum,
 		MaxWindows:       r.evictedMaxWin,
@@ -653,7 +657,7 @@ func (r *registry) report(eps, delta, budget float64) *PrivacyReport {
 		if int(rec.windows) > rep.MaxWindows {
 			rep.MaxWindows = int(rec.windows)
 		}
-		if exhausted(rec.cumEps, eps, budget) {
+		if r.exhausted(rec.cumEps) {
 			rep.ExhaustedUsers++
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // dropped, a handle issued for them must not charge, uncharge, drop or
 // readmit whoever the recycled slot now holds.
 func TestStaleUserHandleIsRefused(t *testing.T) {
-	r := newRegistry()
+	r := newRegistry(1, 0)
 	x := r.getOrCreate("x", 0)
-	r.dropIfIdle(x, 0, 1, 0)
+	r.dropIfIdle(x, 0)
 	if r.count() != 0 {
 		t.Fatalf("drop left %d resident users", r.count())
 	}
@@ -27,25 +27,25 @@ func TestStaleUserHandleIsRefused(t *testing.T) {
 	}
 	want := r.export()
 
-	if _, _, err := r.charge(x, 0, 1, 0); !errors.Is(err, errStaleUser) {
+	if _, _, err := r.charge(x, 0); !errors.Is(err, errStaleUser) {
 		t.Fatalf("charge with a stale handle: err = %v, want errStaleUser", err)
 	}
 	if r.replayCharge(x, 0, 1) {
 		t.Fatal("replayCharge accepted a stale handle")
 	}
-	r.uncharge(x, 1, -1)
-	r.readmitSpill(x, &UserSpill{UserSnapshot: UserSnapshot{ID: "x", Carry: 7, CumulativeEpsilon: 9, LastWindow: 3, Windows: 2}}, 1, 0)
-	if r.dropIfIdle(x, 1, 1, 0) || r.count() != 1 {
+	r.uncharge(x, -1)
+	r.readmitSpill(x, &UserSpill{UserSnapshot: UserSnapshot{ID: "x", Carry: 7, CumulativeEpsilon: 9, LastWindow: 3, Windows: 2}})
+	if r.dropIfIdle(x, 1) || r.count() != 1 {
 		t.Fatalf("dropIfIdle with a stale handle removed y (resident %d)", r.count())
 	}
-	r.evict([]userRef{x}, 1, 0)
+	r.evict([]userRef{x})
 	if got := r.export(); !reflect.DeepEqual(got, want) || r.tracked() != 1 {
 		t.Fatalf("stale handle touched y: %+v (tracked %d), want %+v", got, r.tracked(), want)
 	}
 	if ref, id, ok := r.get("y", 0); !ok || ref != y || id != "y" {
 		t.Fatalf("get(y) = %v %q %v, want %v", ref, id, ok, y)
 	}
-	if _, _, err := r.charge(y, 0, 1, 0); err != nil {
+	if _, _, err := r.charge(y, 0); err != nil {
 		t.Fatalf("charge with y's own handle: %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestRegistryModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			r := newRegistry()
+			r := newRegistry(1, 0)
 			resident := make(map[string]*modelUser)
 			spilled := make(map[string]UserSnapshot)
 			var known []string // every ID ever admitted, in admission order
@@ -106,7 +106,7 @@ func TestRegistryModel(t *testing.T) {
 				}
 				m := &modelUser{slot: slot, snap: UserSnapshot{ID: key, Carry: 1, LastWindow: -1}}
 				if sp, ok := spilled[key]; ok {
-					r.readmitSpill(ref, &UserSpill{UserSnapshot: sp}, 1, 0)
+					r.readmitSpill(ref, &UserSpill{UserSnapshot: sp})
 					delete(spilled, key)
 					m.snap = sp
 				}
@@ -147,7 +147,7 @@ func TestRegistryModel(t *testing.T) {
 						break
 					}
 					m := resident[key]
-					_, _, err := r.charge(refOf(key), window, 1, 0)
+					_, _, err := r.charge(refOf(key), window)
 					if m.snap.LastWindow == window {
 						if !errors.Is(err, ErrDuplicateWindow) {
 							t.Fatalf("second charge of %s in window %d: err = %v", key, window, err)
@@ -166,7 +166,7 @@ func TestRegistryModel(t *testing.T) {
 						break
 					}
 					m := resident[key]
-					r.dropIfIdle(refOf(key), window, 1, 0)
+					r.dropIfIdle(refOf(key), window)
 					if m.snap.LastWindow == window {
 						break // charged into the open window: stays
 					}
@@ -189,7 +189,7 @@ func TestRegistryModel(t *testing.T) {
 						}
 						spilled[u.ID] = u
 					}
-					r.evict(victims, 1, 0)
+					r.evict(victims)
 					for _, key := range keys {
 						freeSlots = append(freeSlots, resident[key].slot)
 						delete(resident, key)
@@ -197,7 +197,7 @@ func TestRegistryModel(t *testing.T) {
 				case op < 93:
 					exp := r.export()
 					checkExport(t, exp, resident)
-					r = newRegistry()
+					r = newRegistry(1, 0)
 					if err := r.restore(exp); err != nil {
 						t.Fatal(err)
 					}
@@ -297,7 +297,7 @@ func TestRegistryBytesPerUser(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			r := newRegistry()
+			r := newRegistry(0, 0)
 			for _, id := range ids {
 				r.getOrCreate(id, 0)
 			}

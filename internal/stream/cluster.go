@@ -55,10 +55,6 @@ func (e *Engine) HasLiveStats() bool {
 	return false
 }
 
-// WindowClaims returns the number of claims ingested into the open
-// window so far.
-func (e *Engine) WindowClaims() int64 { return e.windowClaims.Load() }
-
 // CloseWindowExport is the worker half of a coordinated window close: it
 // quiesces ingestion, exports the pre-close engine state (exactly what
 // ExportState would return — raw sufficient statistics, users, window

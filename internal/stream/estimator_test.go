@@ -76,8 +76,8 @@ func TestEstimatorMatchesBatch(t *testing.T) {
 							t.Error(err)
 						}
 					}()
-					if e.Estimator() != est {
-						t.Fatalf("Estimator() = %q, want %q", e.Estimator(), est)
+					if e.Config().Estimator != est {
+						t.Fatalf("Config().Estimator = %q, want %q", e.Config().Estimator, est)
 					}
 					ingestDataset(t, e, ds)
 					res, err := e.CloseWindow()
@@ -272,8 +272,8 @@ func TestEstimatorConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Close() }()
-	if e.Estimator() != EstimatorCRH {
-		t.Fatalf("default estimator = %q, want %q", e.Estimator(), EstimatorCRH)
+	if e.Config().Estimator != EstimatorCRH {
+		t.Fatalf("default estimator = %q, want %q", e.Config().Estimator, EstimatorCRH)
 	}
 }
 

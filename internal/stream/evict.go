@@ -51,7 +51,7 @@ func (e *Engine) admit(id string) (userRef, string, bool, error) {
 	}
 	ref := e.users.getOrCreate(id, e.window)
 	if found {
-		e.users.readmitSpill(ref, sp, e.epsWindow, e.cfg.EpsilonBudget)
+		e.users.readmitSpill(ref, sp)
 		e.metrics.readmitted(1)
 	}
 	return ref, id, true, nil
@@ -120,6 +120,6 @@ func (e *Engine) evictIdleLocked() {
 		e.metrics.spillFailed()
 		return
 	}
-	e.users.evict(victims, e.epsWindow, e.cfg.EpsilonBudget)
+	e.users.evict(victims)
 	e.metrics.evicted(len(victims))
 }

@@ -63,19 +63,15 @@ func (s *memUserStore) counts() (spills, loads int) {
 // after each window close every user is idle and eligible for eviction.
 const churnDecay = 1e-10
 
-// epsilonPerWindow constructs a throwaway accounted engine to learn what
-// one window costs under the given accounting parameters.
+// epsilonPerWindow returns what one window costs under cfg's accounting
+// parameters.
 func epsilonPerWindow(t *testing.T, cfg Config) float64 {
 	t.Helper()
-	cfg.UserStore = nil
-	cfg.MaxResidentUsers = 0
-	cfg.EpsilonBudget = 0
-	e, err := New(cfg)
+	eps, err := cfg.EpsilonPerWindow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = e.Close() }()
-	return e.EpsilonPerWindow()
+	return eps
 }
 
 // churnWindows pre-generates the claim batches of a churn run, staggered

@@ -97,14 +97,13 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
-// mustEps computes the per-window epsilon an engine with these privacy
-// parameters charges, mirroring New's derivation.
+// mustEps returns the per-window epsilon an engine with these privacy
+// parameters charges.
 func mustEps(t *testing.T, lambda1, lambda2, delta float64) float64 {
 	t.Helper()
-	e, err := New(Config{NumObjects: 1, Lambda1: lambda1, Lambda2: lambda2, Delta: delta})
+	eps, err := Config{Lambda1: lambda1, Lambda2: lambda2, Delta: delta}.EpsilonPerWindow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = e.Close() }()
-	return e.EpsilonPerWindow()
+	return eps
 }

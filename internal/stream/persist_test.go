@@ -257,12 +257,8 @@ func TestBudgetSurvivesRestore(t *testing.T) {
 		Lambda2:    2,
 		Delta:      0.3,
 	}
-	probe, err := New(cfg)
+	eps, err := cfg.EpsilonPerWindow()
 	if err != nil {
-		t.Fatal(err)
-	}
-	eps := probe.EpsilonPerWindow()
-	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cfg.EpsilonBudget = 1.5 * eps // affords exactly one window

@@ -238,6 +238,25 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// EpsilonPerWindow is the one derivation of the epsilon charged to a
+// user for each window they participate in: Theorem 4.8's epsilon of the
+// Lambda2 mechanism at Delta for Exp(Lambda1) data quality, or 0 when
+// accounting is off.
+func (c Config) EpsilonPerWindow() (float64, error) {
+	if c.Lambda1 == 0 {
+		return 0, nil
+	}
+	acct, err := core.NewAccountant(c.Lambda1)
+	if err != nil {
+		return 0, err
+	}
+	mech, err := core.NewMechanism(c.Lambda2)
+	if err != nil {
+		return 0, err
+	}
+	return acct.Epsilon(mech, c.Delta)
+}
+
 // WindowResult is the estimate published when a window closes.
 type WindowResult struct {
 	// Window is the 1-based index of the closed window.
@@ -281,9 +300,8 @@ type WindowResult struct {
 // called from any number of goroutines; CloseWindow serializes against
 // ingestion and publishes a fresh estimate.
 type Engine struct {
-	cfg       Config
-	epsWindow float64 // epsilon charged per active window; 0 = accounting off
-	est       Estimator
+	cfg Config
+	est Estimator
 
 	users   *registry
 	shards  []*shard
@@ -326,25 +344,14 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ClaimWAL && cfg.Ledger == nil {
 		return nil, fmt.Errorf("%w: ClaimWAL without a Ledger", ErrBadConfig)
 	}
+	eps, err := cfg.EpsilonPerWindow()
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
 	e := &Engine{
 		cfg:   cfg,
 		est:   newEstimator(&cfg),
-		users: newRegistry(),
-	}
-	if cfg.Lambda1 > 0 {
-		acct, err := core.NewAccountant(cfg.Lambda1)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-		mech, err := core.NewMechanism(cfg.Lambda2)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-		eps, err := acct.Epsilon(mech, cfg.Delta)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-		e.epsWindow = eps
+		users: newRegistry(eps, cfg.EpsilonBudget),
 	}
 	e.scratch = newIngestScratchPool(cfg.NumShards)
 	e.shards = make([]*shard, cfg.NumShards)
@@ -363,37 +370,16 @@ func New(cfg Config) (*Engine, error) {
 
 // EpsilonPerWindow returns the epsilon charged to a user for each window
 // they participate in (0 when accounting is disabled).
-func (e *Engine) EpsilonPerWindow() float64 { return e.epsWindow }
+func (e *Engine) EpsilonPerWindow() float64 { return e.users.eps }
 
-// NumShards returns the shard count the engine runs with.
-func (e *Engine) NumShards() int { return e.cfg.NumShards }
-
-// Estimator returns the name of the per-window estimator the engine runs
-// ("crh", "gtm", "catd").
-func (e *Engine) Estimator() string { return e.cfg.Estimator }
-
-// NumObjects returns the number of objects in the stream.
-func (e *Engine) NumObjects() int { return e.cfg.NumObjects }
-
-// Lambda2 returns the perturbation rate published to users (0 when none
-// was configured).
-func (e *Engine) Lambda2() float64 { return e.cfg.Lambda2 }
-
-// Delta returns the LDP delta windows are accounted at (0 when
-// accounting is disabled).
-func (e *Engine) Delta() float64 { return e.cfg.Delta }
-
-// EpsilonBudget returns the enforced cumulative epsilon cap (0 when
-// tracking only).
-func (e *Engine) EpsilonBudget() float64 { return e.cfg.EpsilonBudget }
+// Config returns the configuration the engine runs, defaults filled in
+// by Config.Validate.
+func (e *Engine) Config() Config { return e.cfg }
 
 // ResidentUsers returns the number of users currently held resident in
 // memory (the pptd_stream_resident_users gauge). Without a residency cap
 // it equals the number of distinct users ever seen.
 func (e *Engine) ResidentUsers() int { return e.users.count() }
-
-// MaxResidentUsers returns the configured residency cap (0 = unbounded).
-func (e *Engine) MaxResidentUsers() int { return e.cfg.MaxResidentUsers }
 
 // TrackedUsers returns the number of users the engine accounts for:
 // resident plus evicted-to-store.
@@ -452,7 +438,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 	sc := e.scratch.Get().(*ingestScratch)
 	defer e.scratch.Put(sc)
 	var seen map[int]struct{}
-	if e.epsWindow > 0 {
+	if e.users.eps > 0 {
 		seen = sc.seen
 		clear(seen)
 	}
@@ -480,7 +466,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	prevWindow, cumEps, err := e.users.charge(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+	prevWindow, cumEps, err := e.users.charge(ref, e.window)
 	if errors.Is(err, errStaleUser) {
 		// A concurrent submission that freshly admitted this user was
 		// rejected and dropped them after our lookup: look them up again,
@@ -488,7 +474,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 		if ref, id, fresh, err = e.admitKey(user, key); err != nil {
 			return 0, 0, err
 		}
-		prevWindow, cumEps, err = e.users.charge(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+		prevWindow, cumEps, err = e.users.charge(ref, e.window)
 	}
 	if err != nil {
 		// A freshly admitted user whose submission is then rejected is
@@ -497,11 +483,11 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 		// a rejected client — exhausted or otherwise — cannot pin
 		// residency by hammering.
 		if fresh {
-			e.users.dropIfIdle(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+			e.users.dropIfIdle(ref, e.window)
 		}
 		return 0, 0, err
 	}
-	if e.epsWindow > 0 && e.cfg.Ledger != nil {
+	if e.users.eps > 0 && e.cfg.Ledger != nil {
 		// The ledger record must be durable before the submission is
 		// acknowledged: a crash after the ack but before the append would
 		// hand the user their epsilon back on recovery. A failed append
@@ -509,7 +495,7 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 		// id is the registry's interned copy of the submitter's ID —
 		// identical to user on the string path, and the only string form
 		// that exists on the byte-key path.
-		rec := ChargeRecord{User: id, Window: e.window, Epsilon: e.epsWindow}
+		rec := ChargeRecord{User: id, Window: e.window, Epsilon: e.users.eps}
 		if e.cfg.ClaimWAL {
 			// With the claim WAL the statistics ride the same durable
 			// record as the charge: one fsync covers both, and recovery
@@ -517,9 +503,9 @@ func (e *Engine) ingest(user string, key []byte, claims []Claim) (int, int, erro
 			rec.Claims = claims
 		}
 		if err := e.cfg.Ledger.AppendCharge(rec); err != nil {
-			e.users.uncharge(ref, e.epsWindow, prevWindow)
+			e.users.uncharge(ref, prevWindow)
 			if fresh {
-				e.users.dropIfIdle(ref, e.window, e.epsWindow, e.cfg.EpsilonBudget)
+				e.users.dropIfIdle(ref, e.window)
 			}
 			return 0, 0, fmt.Errorf("%w: user %q window %d: %v", ErrLedger, id, e.window+1, err)
 		}
@@ -581,8 +567,8 @@ func (e *Engine) CloseWindow() (*WindowResult, error) {
 	res.Window = e.window
 	res.WindowClaims = e.windowClaims.Swap(0)
 	res.TotalClaims = e.totalClaims.Load()
-	if e.epsWindow > 0 {
-		res.Privacy = e.users.report(e.epsWindow, e.cfg.Delta, e.cfg.EpsilonBudget)
+	if e.users.eps > 0 {
+		res.Privacy = e.users.report(e.cfg.Delta)
 	}
 	// Eviction runs after the report so the closing window describes the
 	// same population an unbounded engine would, and before the result is

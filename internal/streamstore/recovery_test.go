@@ -151,12 +151,8 @@ func TestExhaustedUserStaysRejectedAfterCrash(t *testing.T) {
 		Lambda2:    2,
 		Delta:      0.3,
 	}
-	probe, err := stream.New(cfg)
+	eps, err := cfg.EpsilonPerWindow()
 	if err != nil {
-		t.Fatal(err)
-	}
-	eps := probe.EpsilonPerWindow()
-	if err := probe.Close(); err != nil {
 		t.Fatal(err)
 	}
 	cfg.EpsilonBudget = 2.5 * eps // affords exactly two windows

@@ -130,13 +130,15 @@ func WithStreamConfig(cfg StreamConfig) Option {
 // WithWindowInterval closes streaming windows automatically on a ticker,
 // so the deployment does not depend on an external POST
 // /v1/stream/window driver: on a cluster coordinator each tick runs the
-// cluster-wide close. A tick closes a window whenever any sufficient
-// statistic is live, not only when claims arrived since the last tick:
-// at Decay 1 a node that ever took a claim closes a window — and, when
-// durable, writes a result and a full snapshot — on every tick. Only a
+// cluster-wide close. At Decay 1 a tick that finds no claim accepted
+// since the last close is skipped: nothing decays, so such a close would
+// change only the window number, yet write a result and a snapshot and
+// push a real window out of the result ring. Below Decay 1 the window is
+// the decay clock, and every tick closes while any statistic is live. A
 // tick with no live statistic is refused (ErrEmptyWindow) and skipped.
-// Node.TickError reports a failing tick. A cluster worker refuses the
-// option: its coordinator drives the closes.
+// A manual POST /v1/stream/window always closes. Node.TickError reports
+// a failing tick. A cluster worker refuses the option: its coordinator
+// drives the closes.
 func WithWindowInterval(d time.Duration) Option {
 	return func(c *nodeConfig) error {
 		if d <= 0 {
@@ -424,16 +426,17 @@ func (n *Node) backend() crowd.StreamBackend {
 }
 
 // startTicker runs the WithWindowInterval clock once every subsystem is
-// up: each tick closes the window on the node's backend. A tick on an
-// empty window leaves the retained error as it was; any other outcome
-// replaces it, so a good close clears a fault and a failed one (a
-// snapshot that could not be written, an unreachable worker) is kept
-// for TickError and returned from Close.
+// up: each tick closes the window on the node's backend. A tick skipped
+// as idle, or refused on an empty window, leaves the retained error as
+// it was; any other outcome replaces it, so a good close clears a fault
+// and a failed one (a snapshot that could not be written, an unreachable
+// worker) is kept for TickError and returned from Close.
 func (n *Node) startTicker(c *nodeConfig) {
 	if c.windowInterval <= 0 {
 		return
 	}
 	b := n.backend()
+	skipIdle := c.stream.Decay == 1 // validated: 0 became 1
 	stop, done := make(chan struct{}), make(chan struct{})
 	n.stopTicker = func() { close(stop); <-done }
 	go func() {
@@ -445,6 +448,9 @@ func (n *Node) startTicker(c *nodeConfig) {
 			case <-stop:
 				return
 			case <-ticker.C:
+				if skipIdle && idle(b) {
+					continue
+				}
 				if _, err := b.CloseWindow(); !errors.Is(err, stream.ErrEmptyWindow) {
 					n.tickMu.Lock()
 					n.tickErr = err
@@ -453,6 +459,17 @@ func (n *Node) startTicker(c *nodeConfig) {
 			}
 		}
 	}()
+}
+
+// idle reports whether b accepted no claim since its last close, on
+// either backend: each accepted claim counts into the campaign's
+// TotalClaims, and each close stamps the count it covered on its result
+// (on a coordinator, the sum of the workers' counts in their exports).
+// The count is read first, so a close racing the check covers it.
+func idle(b crowd.StreamBackend) bool {
+	total := b.Campaign().TotalClaims
+	last, err := b.TruthsAt(0, false)
+	return err == nil && total <= last.TotalClaims
 }
 
 // Node is the unified front door to a privacy-preserving truth-discovery
@@ -555,8 +572,9 @@ func (n *Node) Coordinator() *ClusterCoordinator { return n.coord }
 func (n *Node) Shipper() *SegmentShipper { return n.shipper }
 
 // TickError returns the error of the last WithWindowInterval tick that
-// found a live statistic (see ErrEmptyWindow): nil when it closed the
-// window, else why it could not — how a deployment notices failing
+// tried a close and found a live statistic (see ErrEmptyWindow; an idle
+// tick at Decay 1 tries none): nil when it closed the window, else why
+// it could not — how a deployment notices failing
 // snapshots (a full disk) or a worker holding up cluster closes before
 // a crash makes it matter.
 func (n *Node) TickError() error {

@@ -2,12 +2,17 @@ package pptd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,15 +80,53 @@ func TestStreamAutoWindowClose(t *testing.T) {
 	}
 }
 
-// TestIdleTicksCloseWindowsAtDecayOne pins what ErrEmptyWindow means:
-// no live statistic, not "no claims since the last tick". After one
-// claim at Decay 1 the statistic never decays, so every idle tick
-// closes a window, and a durable node writes a result and a snapshot
-// each time.
+// dirFiles returns every file under dir by relative path, with its
+// bytes, so two reads compare what is on disk.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// closeWindow closes the open window through the node's POST
+// /v1/stream/window route and returns the closed window's number.
+func closeWindow(t *testing.T, n *pptd.Node) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	n.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stream/window", nil))
+	var info pptd.StreamWindowInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("POST /v1/stream/window = %d %s", rec.Code, rec.Body)
+	}
+	return info.Window
+}
+
+// TestIdleTicksCloseWindowsAtDecayOne pins the idle-tick rule: at Decay
+// 1 nothing decays, so a tick that finds no claim accepted since the
+// last close is skipped. After the tick that closes the claim's window,
+// idle ticks leave the window number, every file of a durable node and
+// the result ring as they were, and TickError nil; a manual POST
+// /v1/stream/window still closes.
 func TestIdleTicksCloseWindowsAtDecayOne(t *testing.T) {
+	dir := t.TempDir()
 	n, err := pptd.NewNode(
 		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, NumShards: 1, Decay: 1}),
-		pptd.WithPersistence(t.TempDir()),
+		pptd.WithPersistence(dir),
 		pptd.WithWindowInterval(tickInterval),
 	)
 	if err != nil {
@@ -96,13 +139,95 @@ func TestIdleTicksCloseWindowsAtDecayOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A close writes its result, then its snapshot.
-	waitFor(t, "idle ticks did not snapshot three windows", func() bool { return n.Store().Stats(false).Snapshots >= 3 })
-	if w, saved := n.Stream().Campaign().Window, n.Store().Stats(false).ResultsSaved; w < 3 || saved < 3 {
-		t.Errorf("after three idle-tick snapshots: window %d, %d results saved; want at least 3 each", w, saved)
+	waitFor(t, "the claim's window was not closed and snapshotted", func() bool { return n.Store().Stats(false).Snapshots >= 1 })
+	files, stats := dirFiles(t, dir), n.Store().Stats(false)
+	time.Sleep(20 * tickInterval)
+	if w := n.Stream().Campaign().Window; w != 1 {
+		t.Fatalf("window %d after idle ticks, want 1", w)
+	}
+	if after := n.Store().Stats(false); after.Snapshots != stats.Snapshots || after.ResultsSaved != stats.ResultsSaved {
+		t.Errorf("idle ticks wrote %d snapshots and %d results", after.Snapshots-stats.Snapshots, after.ResultsSaved-stats.ResultsSaved)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Errorf("idle ticks changed the state directory: %d files before, %d after", len(files), len(after))
 	}
 	info, err := n.Stream().Truths()
-	if err != nil || info.Truths[0] != 4 || info.ActiveUsers != 1 {
-		t.Errorf("latest idle window = %+v, %v; want the one claim's truth 4 from 1 user", info, err)
+	if err != nil || info.Window != 1 || info.Truths[0] != 4 || info.ActiveUsers != 1 {
+		t.Errorf("latest window after idle ticks = %+v, %v; want window 1, truth 4 from 1 user", info, err)
+	}
+	if _, err := n.Stream().TruthsAt(2, false); !errors.Is(err, pptd.ErrUnknownWindow) {
+		t.Errorf("TruthsAt(2) = %v after idle ticks, want ErrUnknownWindow", err)
+	}
+	if err := n.TickError(); err != nil {
+		t.Errorf("TickError = %v after idle ticks, want nil", err)
+	}
+	if w := closeWindow(t, n); w != 2 {
+		t.Errorf("manual close at Decay 1 closed window %d, want 2", w)
+	}
+}
+
+// TestTicksBelowDecayOneKeepClosing checks the other side of the rule:
+// below Decay 1 the window is the decay clock, so every tick closes
+// while the statistic is live, claims or not.
+func TestTicksBelowDecayOneKeepClosing(t *testing.T) {
+	n, err := pptd.NewNode(
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, NumShards: 1, Decay: 0.5}),
+		pptd.WithWindowInterval(tickInterval),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	if _, err := n.Stream().Submit(pptd.CampaignSubmission{
+		ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "ticks at Decay 0.5 did not close three windows", func() bool { return n.Stream().Campaign().Window >= 3 })
+	if err := n.TickError(); err != nil {
+		t.Errorf("TickError = %v, want nil", err)
+	}
+}
+
+// TestCoordinatorSkipsIdleTicks applies the idle-tick rule to a
+// coordinator over one durable worker: after the tick that closes the
+// claim's window, idle ticks close nothing on the coordinator or the
+// worker and write nothing to the worker's state directory, and a
+// manual close still runs the cluster-wide round.
+func TestCoordinatorSkipsIdleTicks(t *testing.T) {
+	cfg := pptd.StreamConfig{NumObjects: 1, NumShards: 1}
+	dir := t.TempDir()
+	worker, err := pptd.NewNode(pptd.WithStreamConfig(cfg), pptd.WithClusterWorker(), pptd.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = worker.Close() })
+	ws := httptest.NewServer(worker.Handler())
+	t.Cleanup(ws.Close)
+	coord, err := pptd.NewNode(pptd.WithStreamConfig(cfg), pptd.WithClusterCoordinator(ws.URL), pptd.WithWindowInterval(tickInterval))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close() })
+	if _, err := coord.Coordinator().Submit(context.Background(), pptd.CampaignSubmission{
+		ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the claim's window was not closed", func() bool { return coord.Coordinator().Window() == 1 })
+	files := dirFiles(t, dir)
+	time.Sleep(20 * tickInterval)
+	if cw, ww := coord.Coordinator().Window(), worker.Stream().Campaign().Window; cw != 1 || ww != 1 {
+		t.Fatalf("after idle ticks: coordinator at window %d, worker at %d; want 1 and 1", cw, ww)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Errorf("idle ticks changed the worker's state directory: %d files before, %d after", len(files), len(after))
+	}
+	if err := coord.TickError(); err != nil {
+		t.Errorf("TickError = %v after idle ticks, want nil", err)
+	}
+	if w := closeWindow(t, coord); w != 2 {
+		t.Errorf("manual close on the coordinator closed window %d, want 2", w)
 	}
 }
 
@@ -120,14 +245,18 @@ func TestTickErrorSurfacesSnapshotFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = n.Close() }()
-	if _, err := n.Stream().Submit(pptd.CampaignSubmission{
-		ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 1}},
-	}); err != nil {
+	sub := pptd.CampaignSubmission{ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 1}}}
+	if _, err := n.Stream().Submit(sub); err != nil {
 		t.Fatal(err)
 	}
 	// The store dies under the node (stand-in for a full disk): every
-	// subsequent auto close must fail its snapshot.
+	// subsequent auto close must fail its snapshot. The resident user's
+	// second claim, which needs no store, makes sure a tick tries one
+	// even if the first claim's window closed before the store died.
 	if err := n.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Stream().Submit(sub); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "snapshot failure never surfaced via TickError", func() bool { return n.TickError() != nil })
@@ -246,7 +375,17 @@ func TestCoordinatorAutoWindowClose(t *testing.T) {
 		t.Fatalf("TickError = %v after a merged close, want nil", err)
 	}
 
-	stopWorker()
+	// Stopped again, the worker fails the tick that a new claim on the
+	// other worker brings.
+	servers[1].Close()
+	if _, err := client.StreamSubmit(ctx, pptd.CampaignSubmission{
+		ClientID: owned[urls[0]], Claims: []pptd.CampaignClaim{{Object: 0, Value: want[0]}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "unreachable worker never surfaced via TickError", func() bool {
+		return errors.Is(coord.TickError(), crowd.ErrWorkerUnavailable)
+	})
 	if err := coord.Close(); !errors.Is(err, crowd.ErrWorkerUnavailable) {
 		t.Errorf("Close = %v, want the retained ErrWorkerUnavailable", err)
 	}

@@ -61,7 +61,8 @@ var (
 	// sufficient statistic is live: no claim ever arrived, or every one
 	// has decayed away (envelope code "empty_window", HTTP 409). It does
 	// not mean "no claims this window": at Decay 1, once one claim
-	// arrived, every close succeeds.
+	// arrived, every close succeeds (the WithWindowInterval ticker skips
+	// a window with no new claim instead of closing it).
 	ErrEmptyWindow = stream.ErrEmptyWindow
 	// ErrSameWindow reports a CampaignUser.ParticipateStream call before
 	// the server's window advanced past the user's last submission; the
