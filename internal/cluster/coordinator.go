@@ -104,16 +104,22 @@ type Config struct {
 // routing ingest to workers and running the merge-estimate close
 // protocol. Safe for concurrent use.
 type Coordinator struct {
-	name    string
-	engCfg  stream.Config // Config.Engine, validated, minus the per-node fields
-	ring    *Ring
-	clients map[string]*crowd.Client
+	name      string
+	engCfg    stream.Config // Config.Engine, validated, minus the per-node fields
+	epsWindow float64       // engCfg's per-window charge
+	ring      *Ring
+	clients   map[string]*crowd.Client
 
 	// windowMu serializes cluster window closes (manual and ticker).
 	windowMu sync.Mutex
 	window   atomic.Int64 // closed windows, mutated only under windowMu
 
-	totalClaims atomic.Int64
+	// claims holds each worker's own claim count as last reported, at
+	// boot, in a receipt or in a close export; a count only grows. Their
+	// sum is the cluster's TotalClaims, the count a merged result sums
+	// too, so a reply lost after its worker ingested is caught up by that
+	// worker's next report.
+	claims map[string]*atomic.Int64
 
 	// history entries hold no per-user weights; weights is the latest's.
 	histMu  sync.RWMutex
@@ -144,7 +150,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := engCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: engine config: %w", err)
 	}
-	if _, err := engCfg.EpsilonPerWindow(); err != nil {
+	eps, err := engCfg.EpsilonPerWindow()
+	if err != nil {
 		return nil, fmt.Errorf("cluster: engine config: %w", err)
 	}
 
@@ -154,6 +161,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	httpc := cfg.HTTPClient
 	clients := make(map[string]*crowd.Client, len(ring.Workers()))
+	claims := make(map[string]*atomic.Int64, len(ring.Workers()))
 	for _, w := range ring.Workers() {
 		// Routed claims travel as the binary claim frame.
 		opts := []crowd.ClientOption{crowd.WithClaimWire(crowd.WireBinary)}
@@ -165,12 +173,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: worker %s: %w", w, err)
 		}
 		clients[w] = cl
+		claims[w] = new(atomic.Int64)
 	}
 	c := &Coordinator{
-		name:    cfg.Name,
-		engCfg:  engCfg,
-		ring:    ring,
-		clients: clients,
+		name:      cfg.Name,
+		engCfg:    engCfg,
+		epsWindow: eps,
+		ring:      ring,
+		clients:   clients,
+		claims:    claims,
 	}
 	if cfg.Metrics != nil {
 		c.routedClaims = cfg.Metrics.CounterVec("pptd_cluster_routed_claims_total",
@@ -236,7 +247,6 @@ func (c *Coordinator) bootSync() error {
 	}
 	window := -1
 	uncommitted := false
-	var total int64
 	for _, b := range boots {
 		if b.info.NumObjects != c.engCfg.NumObjects {
 			return fmt.Errorf("%w: worker %s serves %d objects, coordinator configured for %d",
@@ -259,10 +269,9 @@ func (c *Coordinator) bootSync() error {
 		if b.status.PendingWindow > b.status.CommittedWindow {
 			uncommitted = true
 		}
-		total += b.info.TotalClaims
+		c.noteClaims(b.worker, b.info.TotalClaims)
 	}
 	c.window.Store(int64(window))
-	c.totalClaims.Store(total)
 	if uncommitted && window > 0 {
 		err := c.redriveClose(ctx, window)
 		logRound(ctx, "re-drive", window, err)
@@ -304,9 +313,28 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 func (c *Coordinator) Window() int { return int(c.window.Load()) }
 
 // Campaign returns the cluster campaign metadata; Shards is the worker
-// count, the unit of horizontal scale here.
+// count, the unit of horizontal scale here, and TotalClaims the sum of
+// the workers' counts as last reported.
 func (c *Coordinator) Campaign() crowd.StreamCampaignInfo {
-	return crowd.CampaignInfo(c.name, c.engCfg, len(c.ring.Workers()), c.Window(), c.totalClaims.Load())
+	return crowd.CampaignInfo(c.name, c.engCfg, c.epsWindow, len(c.ring.Workers()), c.Window(), c.totalClaims())
+}
+
+// noteClaims raises worker's reported claim count to n (a stale, lower
+// report changes nothing) and returns the cluster's TotalClaims.
+func (c *Coordinator) noteClaims(worker string, n int64) int64 {
+	count := c.claims[worker]
+	for cur := count.Load(); n > cur && !count.CompareAndSwap(cur, n); cur = count.Load() {
+	}
+	return c.totalClaims()
+}
+
+// totalClaims sums the workers' reported claim counts.
+func (c *Coordinator) totalClaims() int64 {
+	var total int64
+	for _, count := range c.claims {
+		total += count.Load()
+	}
+	return total
 }
 
 // Submit routes one claim batch to the worker owning the submitting
@@ -320,9 +348,10 @@ func (c *Coordinator) Submit(ctx context.Context, sub crowd.Submission) (crowd.S
 // path lives on the workers; the coordinator is a proxy either way).
 // The worker's answer — receipt or typed rejection (duplicate window,
 // exhausted budget) — passes through unchanged except that the
-// receipt's TotalClaims becomes the cluster-wide count. A transport
-// failure maps to crowd.ErrWorkerUnavailable naming the worker; the
-// claim was not ingested anywhere.
+// receipt's TotalClaims, the worker's own count, becomes the cluster's
+// (see Campaign). A transport failure maps to crowd.ErrWorkerUnavailable
+// naming the worker; a reply lost after the worker ingested the claim
+// counts it at the worker's next report.
 func (c *Coordinator) SubmitFrame(ctx context.Context, f *crowd.ClaimFrame) (crowd.StreamReceipt, error) {
 	if len(f.ClientID) == 0 {
 		return crowd.StreamReceipt{}, fmt.Errorf("%w: empty clientId", crowd.ErrBadSubmission)
@@ -344,7 +373,7 @@ func (c *Coordinator) SubmitFrame(ctx context.Context, f *crowd.ClaimFrame) (cro
 	if c.routedClaims != nil {
 		c.routedClaims.With(owner).Inc()
 	}
-	receipt.TotalClaims = c.totalClaims.Add(int64(receipt.Accepted))
+	receipt.TotalClaims = c.noteClaims(owner, receipt.TotalClaims)
 	return receipt, nil
 }
 
@@ -454,6 +483,11 @@ func (c *Coordinator) mergeAndCommitLocked(ctx context.Context, window int, stat
 	}
 	c.weights = info.Weights
 	c.histMu.Unlock()
+	// The exports' counts land after the result they sum, so a reader of
+	// the count and then the result never finds the count ahead.
+	for i, st := range states {
+		c.noteClaims(workers[i], st.TotalClaims)
+	}
 	return info, nil
 }
 

@@ -221,3 +221,58 @@ func TestCloseRoundSurvivesDroppedReplies(t *testing.T) {
 		})
 	}
 }
+
+// TestCoordinatorCountsClaimsOfLostReplies loses the reply to a routed
+// submission after its worker ingested the claims. The coordinator's
+// TotalClaims sums the workers' own counts, the count a merged result
+// sums too: the close that covers the lost claims brings the campaign's
+// count level with the result's, and one accepted claim after it puts
+// the campaign's count ahead, which is what the idle-tick rule reads.
+func TestCoordinatorCountsClaimsOfLostReplies(t *testing.T) {
+	cfg := baseConfig(estimatorsUnderTest(t)[0])
+	w := startWorker(t, cfg, "w0")
+	defer w.closeAll(t)
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	lossy := &dropReplies{next: tr}
+	coord, err := NewCoordinator(Config{
+		Name: "lost-submit", Engine: cfg, Workers: []string{w.url},
+		HTTPClient: &http.Client{Transport: lossy},
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	u, err := url.Parse(w.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	lost := claimsFor(0, 1, cfg.NumObjects)
+	lossy.arm(&roundCall{path: crowd.PathStreamClaims, host: u.Host})
+	_, err = coord.Submit(ctx, toSubmission(userID(0), lost))
+	drops := lossy.drops()
+	lossy.arm(nil)
+	if !errors.Is(err, crowd.ErrWorkerUnavailable) || drops == 0 {
+		t.Fatalf("submit with a dropped reply: err = %v after %d drops, want ErrWorkerUnavailable", err, drops)
+	}
+	if got := w.worker.srv.Engine().TotalClaims(); got != int64(len(lost)) {
+		t.Fatalf("worker ingested %d claims, want the lost reply's %d", got, len(lost))
+	}
+
+	res, err := coord.CloseWindow()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := coord.Campaign().TotalClaims; res.TotalClaims != int64(len(lost)) || got != res.TotalClaims {
+		t.Fatalf("after the close: campaign counts %d claims, result %d; want %d and %d", got, res.TotalClaims, len(lost), len(lost))
+	}
+	receipt, err := coord.Submit(ctx, toSubmission(userID(1), []stream.Claim{{Object: 0, Value: 1}}))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	want := int64(len(lost) + 1)
+	if got := coord.Campaign().TotalClaims; receipt.TotalClaims != want || got != want {
+		t.Errorf("after one more claim: receipt counts %d claims, campaign %d; want %d, ahead of the result's %d",
+			receipt.TotalClaims, got, want, res.TotalClaims)
+	}
+}

@@ -172,15 +172,14 @@ func (s *StreamServer) Handler() http.Handler { return StreamHandler(s, s.maxByt
 // Campaign returns the streaming campaign metadata.
 func (s *StreamServer) Campaign() StreamCampaignInfo {
 	cfg := s.engine.Config()
-	return CampaignInfo(s.name, cfg, cfg.NumShards, s.engine.Window(), s.engine.TotalClaims())
+	return CampaignInfo(s.name, cfg, s.engine.EpsilonPerWindow(), cfg.NumShards, s.engine.Window(), s.engine.TotalClaims())
 }
 
 // CampaignInfo is both backends' GET /v1/stream/campaign reply: the
-// parameters of the validated engine config cfg, plus the backend's own
-// shards, window and totalClaims. The backend derived cfg's charge when
-// it was built, so deriving it here cannot fail.
-func CampaignInfo(name string, cfg stream.Config, shards, window int, totalClaims int64) StreamCampaignInfo {
-	eps, _ := cfg.EpsilonPerWindow()
+// parameters of the validated engine config cfg and its per-window
+// charge eps (cfg.EpsilonPerWindow, derived once when the backend was
+// built), plus the backend's own shards, window and totalClaims.
+func CampaignInfo(name string, cfg stream.Config, eps float64, shards, window int, totalClaims int64) StreamCampaignInfo {
 	return StreamCampaignInfo{
 		Name:             name,
 		NumObjects:       cfg.NumObjects,

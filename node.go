@@ -137,8 +137,8 @@ func WithStreamConfig(cfg StreamConfig) Option {
 // the decay clock, and every tick closes while any statistic is live. A
 // tick with no live statistic is refused (ErrEmptyWindow) and skipped.
 // A manual POST /v1/stream/window always closes. Node.TickError reports
-// a failing tick. A cluster worker refuses the option: its coordinator
-// drives the closes.
+// a failing tick, and while it holds one no tick is skipped as idle. A
+// cluster worker refuses the option: its coordinator drives the closes.
 func WithWindowInterval(d time.Duration) Option {
 	return func(c *nodeConfig) error {
 		if d <= 0 {
@@ -430,7 +430,10 @@ func (n *Node) backend() crowd.StreamBackend {
 // as idle, or refused on an empty window, leaves the retained error as
 // it was; any other outcome replaces it, so a good close clears a fault
 // and a failed one (a snapshot that could not be written, an unreachable
-// worker) is kept for TickError and returned from Close.
+// worker) is kept for TickError and returned from Close. A tick is
+// skipped as idle only while no fault is retained: a close that
+// published its result but failed to persist it counts its claims as
+// closed, so only a later close writes what it could not.
 func (n *Node) startTicker(c *nodeConfig) {
 	if c.windowInterval <= 0 {
 		return
@@ -448,7 +451,7 @@ func (n *Node) startTicker(c *nodeConfig) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				if skipIdle && idle(b) {
+				if skipIdle && n.TickError() == nil && idle(b) {
 					continue
 				}
 				if _, err := b.CloseWindow(); !errors.Is(err, stream.ErrEmptyWindow) {
@@ -463,9 +466,10 @@ func (n *Node) startTicker(c *nodeConfig) {
 
 // idle reports whether b accepted no claim since its last close, on
 // either backend: each accepted claim counts into the campaign's
-// TotalClaims, and each close stamps the count it covered on its result
-// (on a coordinator, the sum of the workers' counts in their exports).
-// The count is read first, so a close racing the check covers it.
+// TotalClaims, and each close stamps the count it covered on its result.
+// On a coordinator both are sums of the workers' own counts (see
+// cluster.Coordinator.Campaign). The count is read first, so a close
+// racing the check covers it.
 func idle(b crowd.StreamBackend) bool {
 	total := b.Campaign().TotalClaims
 	last, err := b.TruthsAt(0, false)

@@ -271,6 +271,56 @@ func TestTickErrorSurfacesSnapshotFailure(t *testing.T) {
 	}
 }
 
+// TestIdleTickRetriesFailedClose checks that a fault stops ticks from
+// being skipped as idle. At Decay 1, a close that published its result
+// but could not write its snapshot counts its claim as closed, so no
+// claim is new; yet while TickError holds the fault every tick closes
+// again. Once the disk recovers, a tick writes the result and the
+// snapshot and clears TickError, and the ticks after it are idle.
+func TestIdleTickRetriesFailedClose(t *testing.T) {
+	dir := t.TempDir()
+	n, err := pptd.NewNode(
+		pptd.WithStreamConfig(pptd.StreamConfig{NumObjects: 1, NumShards: 1, Decay: 1}),
+		pptd.WithPersistence(dir),
+		pptd.WithWindowInterval(tickInterval),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = n.Close() }()
+	// A directory where the snapshot's temp file goes fails every
+	// snapshot write (a stand-in for a full disk) until it is removed.
+	blocker := filepath.Join(dir, "snapshot.json.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := n.Store().Stats(false)
+	if _, err := n.Stream().Submit(pptd.CampaignSubmission{
+		ClientID: "c", Claims: []pptd.CampaignClaim{{Object: 0, Value: 4}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the failed snapshot never surfaced via TickError", func() bool { return n.TickError() != nil })
+	if after := n.Store().Stats(false); after.Snapshots != before.Snapshots {
+		t.Fatalf("%d snapshots written through the blocked path", after.Snapshots-before.Snapshots)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "no tick cleared TickError after the disk recovered", func() bool { return n.TickError() == nil })
+	if after := n.Store().Stats(false); after.Snapshots <= before.Snapshots || after.ResultsSaved <= before.ResultsSaved {
+		t.Fatalf("the recovering tick wrote %d snapshots and %d results, want both", after.Snapshots-before.Snapshots, after.ResultsSaved-before.ResultsSaved)
+	}
+	window, files := n.Stream().Campaign().Window, dirFiles(t, dir)
+	time.Sleep(20 * tickInterval)
+	if w := n.Stream().Campaign().Window; w != window {
+		t.Errorf("idle ticks after the recovery moved the window from %d to %d", window, w)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, files) {
+		t.Errorf("idle ticks after the recovery changed the state directory")
+	}
+}
+
 // TestCoordinatorAutoWindowClose runs the window ticker on a cluster
 // coordinator over two in-process workers. A worker whose server is
 // stopped fails the rounds, and the error stays while the rounds that
