@@ -55,6 +55,9 @@ type testWorker struct {
 	worker *testShard
 	store  *streamstore.Store
 	srv    *http.Server
+	// wrap, when set, decorates the worker's handler from the next
+	// serve on.
+	wrap func(http.Handler) http.Handler
 }
 
 // testShard is what NewNode(WithClusterWorker(), WithSegmentShipping(..))
@@ -116,7 +119,11 @@ func startWorker(t *testing.T, cfg stream.Config, name string) *testWorker {
 
 func (tw *testWorker) serve(t *testing.T, ln net.Listener) {
 	t.Helper()
-	srv := &http.Server{Handler: tw.worker.Handler()}
+	h := tw.worker.Handler()
+	if tw.wrap != nil {
+		h = tw.wrap(h)
+	}
+	srv := &http.Server{Handler: h}
 	tw.srv = srv
 	go func() {
 		_ = srv.Serve(ln)

@@ -49,9 +49,12 @@
 // the user's owning worker as a binary claim frame, whichever wire it
 // arrived on, and the worker's local (epsilon, delta) ledger decides
 // duplicate-window and budget-exhaustion exactly as a single node
-// would. A worker that cannot be reached fails the claim with the typed
-// worker_unavailable envelope naming the worker; nothing was ingested,
-// so the client can simply retry.
+// would. The claim travels on the caller's goroutine over one of the
+// coordinator's pooled keep-alive connections to that worker (see
+// forward.go); the close, commit and status RPCs go through a
+// crowd.Client. A worker that cannot be reached fails the claim with the
+// typed worker_unavailable envelope naming the worker; nothing was
+// ingested, so the client can simply retry.
 package cluster
 
 import (
@@ -92,7 +95,11 @@ type Config struct {
 	// The set defines the hash ring: the same set, in any order, routes
 	// every user identically.
 	Workers []string
-	// HTTPClient overrides the HTTP client used for worker RPCs.
+	// HTTPClient overrides the HTTP client of the close, commit and
+	// status RPCs. Routed claims do not use it: they travel over the
+	// coordinator's own pooled connections, which honour no proxy
+	// environment and verify an https worker with crypto/tls's default
+	// configuration.
 	HTTPClient *http.Client
 	// Metrics, when set, registers the coordinator's routing and close
 	// counters.
@@ -108,7 +115,8 @@ type Coordinator struct {
 	engCfg    stream.Config // Config.Engine, validated, minus the per-node fields
 	epsWindow float64       // engCfg's per-window charge
 	ring      *Ring
-	clients   map[string]*crowd.Client
+	clients   map[string]*crowd.Client // close, commit and status RPCs
+	claimHops map[string]*forwarder    // routed claims
 
 	// windowMu serializes cluster window closes (manual and ticker).
 	windowMu sync.Mutex
@@ -133,9 +141,10 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the configuration, contacts every worker
-// (all must be reachable and agree on the window count — a cluster must
-// not boot torn), and returns a serving coordinator. It starts no
-// goroutine and holds nothing to release: workers keep their own
+// (all must be reachable, serve the coordinator's campaign parameters
+// and agree on the window count — a cluster must not boot torn), and
+// returns a serving coordinator. It starts no goroutine; Close releases
+// the connections it keeps to the workers, which keep their own
 // lifecycles.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
@@ -159,20 +168,20 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	httpc := cfg.HTTPClient
+	var opts []crowd.ClientOption
+	if cfg.HTTPClient != nil {
+		opts = append(opts, crowd.WithHTTPClient(cfg.HTTPClient))
+	}
 	clients := make(map[string]*crowd.Client, len(ring.Workers()))
+	claimHops := make(map[string]*forwarder, len(ring.Workers()))
 	claims := make(map[string]*atomic.Int64, len(ring.Workers()))
 	for _, w := range ring.Workers() {
-		// Routed claims travel as the binary claim frame.
-		opts := []crowd.ClientOption{crowd.WithClaimWire(crowd.WireBinary)}
-		if httpc != nil {
-			opts = append(opts, crowd.WithHTTPClient(httpc))
+		if claimHops[w], err = newForwarder(w); err != nil {
+			return nil, err
 		}
-		cl, err := crowd.NewClient(w, opts...)
-		if err != nil {
+		if clients[w], err = crowd.NewClient(w, opts...); err != nil {
 			return nil, fmt.Errorf("cluster: worker %s: %w", w, err)
 		}
-		clients[w] = cl
 		claims[w] = new(atomic.Int64)
 	}
 	c := &Coordinator{
@@ -181,6 +190,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		epsWindow: eps,
 		ring:      ring,
 		clients:   clients,
+		claimHops: claimHops,
 		claims:    claims,
 	}
 	if cfg.Metrics != nil {
@@ -204,12 +214,24 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
+// Close closes the idle connections routed claims use. A claim routed
+// after Close dials, and closes its connection when it returns.
+func (c *Coordinator) Close() error {
+	var errs []error
+	for _, fw := range c.claimHops {
+		errs = append(errs, fw.close())
+	}
+	return errors.Join(errs...)
+}
+
 // bootSync contacts every worker and adopts the cluster's window count.
-// All workers must be reachable and agree on their effective position —
-// recovering a truly torn cluster (workers whose positions diverge) is
-// a deliberate non-goal of this iteration; the close protocol never
-// creates one because a partial close parks the lagging workers behind
-// their durable close exports, not behind a divergent window.
+// Every worker must publish the coordinator's campaign parameters (see
+// sameCampaign). All workers must be reachable and agree on their
+// effective position — recovering a truly torn cluster (workers whose
+// positions diverge) is a deliberate non-goal of this iteration; the
+// close protocol never creates one because a partial close parks the
+// lagging workers behind their durable close exports, not behind a
+// divergent window.
 //
 // A worker's effective position is the greater of its engine's window
 // count and its last close export's window: a worker killed between
@@ -245,16 +267,12 @@ func (c *Coordinator) bootSync() error {
 	}); err != nil {
 		return err
 	}
+	want := c.Campaign()
 	window := -1
 	uncommitted := false
 	for _, b := range boots {
-		if b.info.NumObjects != c.engCfg.NumObjects {
-			return fmt.Errorf("%w: worker %s serves %d objects, coordinator configured for %d",
-				ErrBadConfig, b.worker, b.info.NumObjects, c.engCfg.NumObjects)
-		}
-		if b.info.Estimator != c.engCfg.Estimator {
-			return fmt.Errorf("%w: worker %s runs estimator %q, coordinator configured for %q",
-				ErrBadConfig, b.worker, b.info.Estimator, c.engCfg.Estimator)
+		if err := sameCampaign(b.worker, b.info, want); err != nil {
+			return err
 		}
 		eff := b.status.Window
 		if b.status.PendingWindow > eff {
@@ -276,6 +294,30 @@ func (c *Coordinator) bootSync() error {
 		err := c.redriveClose(ctx, window)
 		logRound(ctx, "re-drive", window, err)
 		return err
+	}
+	return nil
+}
+
+// sameCampaign checks that a worker publishes the coordinator's campaign
+// parameters: object count, estimator, λ₂, δ, budget and the per-window
+// charge, which covers λ₁ through Δ = γ/λ₁. Decay is not in the
+// campaign reply, so it goes unchecked.
+func sameCampaign(worker string, got, want crowd.StreamCampaignInfo) error {
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"objects", got.NumObjects, want.NumObjects},
+		{"estimator", got.Estimator, want.Estimator},
+		{"lambda2", got.Lambda2, want.Lambda2},
+		{"delta", got.Delta, want.Delta},
+		{"epsilonBudget", got.EpsilonBudget, want.EpsilonBudget},
+		{"epsilonPerWindow", got.EpsilonPerWindow, want.EpsilonPerWindow},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("%w: worker %s serves %s %v, coordinator configured for %v",
+				ErrBadConfig, worker, f.name, f.got, f.want)
+		}
 	}
 	return nil
 }
@@ -344,8 +386,9 @@ func (c *Coordinator) Submit(ctx context.Context, sub crowd.Submission) (crowd.S
 }
 
 // SubmitFrame routes one decoded claim batch to the worker owning the
-// submitting user over that worker's client (the zero-allocation ingest
-// path lives on the workers; the coordinator is a proxy either way).
+// submitting user, on the caller's goroutine over a pooled connection
+// to that worker (the zero-allocation ingest path lives on the workers;
+// the coordinator is a proxy either way).
 // The worker's answer — receipt or typed rejection (duplicate window,
 // exhausted budget) — passes through unchanged except that the
 // receipt's TotalClaims, the worker's own count, becomes the cluster's
@@ -356,13 +399,15 @@ func (c *Coordinator) SubmitFrame(ctx context.Context, f *crowd.ClaimFrame) (cro
 	if len(f.ClientID) == 0 {
 		return crowd.StreamReceipt{}, fmt.Errorf("%w: empty clientId", crowd.ErrBadSubmission)
 	}
-	sub := crowd.Submission{ClientID: string(f.ClientID), Claims: f.Claims}
-	owner := c.ring.Owner(sub.ClientID)
-	receipt, err := c.clients[owner].StreamSubmit(ctx, sub)
+	clientID := string(f.ClientID)
+	owner := c.ring.Owner(clientID)
+	receipt, err := c.claimHops[owner].submit(ctx, clientID, f.Claims)
 	if err != nil {
 		var httpErr *crowd.HTTPError
 		if !errors.As(err, &httpErr) {
-			// No HTTP response at all: the worker is down or unreachable.
+			// No HTTP response at all (the worker is down or unreachable,
+			// or the caller's context ended), or a reply that is not the
+			// error envelope or a receipt.
 			if c.routeErrors != nil {
 				c.routeErrors.With(owner).Inc()
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -271,4 +272,51 @@ func TestCampaignParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBootRefusesForeignCampaign: a coordinator refuses to boot over a
+// worker that publishes other campaign parameters than its own, naming
+// the field and both values. λ₁ shows through the per-window charge.
+func TestBootRefusesForeignCampaign(t *testing.T) {
+	worker := stream.Config{NumObjects: 3, Lambda1: 1.5, Lambda2: 2, Delta: 0.3, EpsilonBudget: 50}
+	shard, err := crowd.NewStreamServer(crowd.StreamServerConfig{Name: "foreign", Engine: worker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = shard.Close() })
+	mux := http.NewServeMux()
+	crowd.RegisterStream(mux, shard, 0)
+	shard.RegisterCluster(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	for _, tc := range []struct {
+		name   string
+		change func(*stream.Config)
+		want   string
+	}{
+		{"lambda2+delta+budget", func(c *stream.Config) { c.Lambda2, c.Delta, c.EpsilonBudget = 3, 0.1, 500 }, "lambda2 2, coordinator configured for 3"},
+		{"objects", func(c *stream.Config) { c.NumObjects = 4 }, "objects 3, coordinator configured for 4"},
+		{"estimator", func(c *stream.Config) { c.Estimator = stream.EstimatorGTM }, "estimator crh, coordinator configured for gtm"},
+		{"delta", func(c *stream.Config) { c.Delta = 0.1 }, "delta 0.3, coordinator configured for 0.1"},
+		{"budget", func(c *stream.Config) { c.EpsilonBudget = 500 }, "epsilonBudget 50, coordinator configured for 500"},
+		{"lambda1", func(c *stream.Config) { c.Lambda1 = 1 }, "epsilonPerWindow "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := worker
+			tc.change(&cfg)
+			coord, err := NewCoordinator(Config{Name: "foreign", Engine: cfg, Workers: []string{ts.URL}})
+			if err == nil {
+				_ = coord.Close()
+			}
+			if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("boot over worker %+v with %+v: err = %v, want ErrBadConfig naming %q", worker, cfg, err, tc.want)
+			}
+		})
+	}
+	coord, err := NewCoordinator(Config{Name: "foreign", Engine: worker, Workers: []string{ts.URL}})
+	if err != nil {
+		t.Fatalf("boot over a worker of the same campaign: %v", err)
+	}
+	_ = coord.Close()
 }

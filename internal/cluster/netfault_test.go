@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"sync"
 	"testing"
@@ -222,6 +223,48 @@ func TestCloseRoundSurvivesDroppedReplies(t *testing.T) {
 	}
 }
 
+// dropClaimReplies is a worker handler that loses claim replies while
+// armed: the worker ingests the claim, then the connection is hijacked
+// and closed unanswered. Everything else passes through.
+type dropClaimReplies struct {
+	next http.Handler
+
+	mu      sync.Mutex
+	armed   bool
+	dropped int
+}
+
+func (d *dropClaimReplies) arm(on bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.armed, d.dropped = on, 0
+}
+
+func (d *dropClaimReplies) drops() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dropped
+}
+
+func (d *dropClaimReplies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	d.mu.Lock()
+	drop := d.armed && r.URL.Path == crowd.PathStreamClaims
+	if drop {
+		d.dropped++
+	}
+	d.mu.Unlock()
+	if !drop {
+		d.next.ServeHTTP(w, r)
+		return
+	}
+	d.next.ServeHTTP(httptest.NewRecorder(), r)
+	conn, _, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		panic(err)
+	}
+	_ = conn.Close()
+}
+
 // TestCoordinatorCountsClaimsOfLostReplies loses the reply to a routed
 // submission after its worker ingested the claims. The coordinator's
 // TotalClaims sums the workers' own counts, the count a merged result
@@ -232,26 +275,26 @@ func TestCoordinatorCountsClaimsOfLostReplies(t *testing.T) {
 	cfg := baseConfig(estimatorsUnderTest(t)[0])
 	w := startWorker(t, cfg, "w0")
 	defer w.closeAll(t)
-	tr := &http.Transport{}
-	defer tr.CloseIdleConnections()
-	lossy := &dropReplies{next: tr}
-	coord, err := NewCoordinator(Config{
-		Name: "lost-submit", Engine: cfg, Workers: []string{w.url},
-		HTTPClient: &http.Client{Transport: lossy},
-	})
+	lossy := &dropClaimReplies{}
+	w.stopListening(t)
+	w.wrap = func(h http.Handler) http.Handler {
+		lossy.next = h
+		return lossy
+	}
+	w.relisten(t)
+	coord, err := NewCoordinator(Config{Name: "lost-submit", Engine: cfg, Workers: []string{w.url}})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	u, err := url.Parse(w.url)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer func() {
+		_ = coord.Close()
+	}()
 	ctx := context.Background()
 	lost := claimsFor(0, 1, cfg.NumObjects)
-	lossy.arm(&roundCall{path: crowd.PathStreamClaims, host: u.Host})
+	lossy.arm(true)
 	_, err = coord.Submit(ctx, toSubmission(userID(0), lost))
 	drops := lossy.drops()
-	lossy.arm(nil)
+	lossy.arm(false)
 	if !errors.Is(err, crowd.ErrWorkerUnavailable) || drops == 0 {
 		t.Fatalf("submit with a dropped reply: err = %v after %d drops, want ErrWorkerUnavailable", err, drops)
 	}

@@ -36,6 +36,10 @@ const (
 	WireBinary = "binary"
 )
 
+// RequestTimeout bounds one request of a Client on its default HTTP
+// client, and one claim a cluster coordinator forwards to a worker.
+const RequestTimeout = 10 * time.Second
+
 // Client talks to a campaign server. Safe for concurrent use.
 type Client struct {
 	baseURL string
@@ -58,8 +62,8 @@ type clientOptionFunc func(*Client)
 
 func (f clientOptionFunc) applyClient(c *Client) { f(c) }
 
-// WithHTTPClient substitutes the underlying *http.Client (default:
-// 10-second timeout).
+// WithHTTPClient substitutes the underlying *http.Client (default: one
+// with RequestTimeout).
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return clientOptionFunc(func(c *Client) { c.httpc = hc })
 }
@@ -93,7 +97,7 @@ func NewClient(baseURL string, opts ...ClientOption) (*Client, error) {
 	}
 	c := &Client{
 		baseURL: baseURL,
-		httpc:   &http.Client{Timeout: 10 * time.Second},
+		httpc:   &http.Client{Timeout: RequestTimeout},
 	}
 	for _, o := range opts {
 		o.applyClient(c)
@@ -183,6 +187,46 @@ func (e *EnvelopeDecodeError) Error() string {
 
 func (e *EnvelopeDecodeError) Unwrap() error { return e.Err }
 
+// ReplyError decodes a non-2xx reply, reading at most maxErrorBodyBytes
+// of its body: the envelope's typed sentinel wrapping an *HTTPError, a
+// bare *HTTPError for an unknown code or an empty body, or an
+// *EnvelopeDecodeError for a body that is not the envelope.
+func ReplyError(resp *http.Response) error {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
+	var eb ErrorBody
+	if len(bytes.TrimSpace(raw)) > 0 {
+		if derr := json.Unmarshal(raw, &eb); derr != nil {
+			// A non-empty body that is not the envelope: report what
+			// answered instead of propagating a fabricated empty
+			// envelope.
+			prefix := bytes.TrimSpace(raw)
+			if len(prefix) > errorBodyPrefixBytes {
+				prefix = prefix[:errorBodyPrefixBytes]
+			}
+			return &EnvelopeDecodeError{
+				StatusCode: resp.StatusCode,
+				RequestID:  resp.Header.Get(HeaderRequestID),
+				BodyPrefix: append([]byte(nil), prefix...),
+				Err:        derr,
+			}
+		}
+	}
+	httpErr := &HTTPError{
+		StatusCode:        resp.StatusCode,
+		Code:              eb.Code,
+		Message:           eb.Message,
+		RetryAfterWindows: eb.RetryAfterWindows,
+		RequestID:         resp.Header.Get(HeaderRequestID),
+	}
+	// The envelope code is the stable contract: unwrap it into the
+	// matching typed sentinel so callers can errors.Is against package
+	// errors while errors.As still reaches the *HTTPError.
+	if sentinel, ok := sentinelByCode[eb.Code]; ok {
+		return fmt.Errorf("%w: %w", sentinel, httpErr)
+	}
+	return httpErr
+}
+
 // do issues one JSON request/response exchange.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var raw []byte
@@ -232,39 +276,7 @@ func (c *Client) doBody(ctx context.Context, method, path, contentType string, b
 	}()
 
 	if resp.StatusCode/100 != 2 {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBodyBytes))
-		var eb ErrorBody
-		if len(bytes.TrimSpace(raw)) > 0 {
-			if derr := json.Unmarshal(raw, &eb); derr != nil {
-				// A non-empty body that is not the envelope: report what
-				// answered instead of propagating a fabricated empty
-				// envelope (the old behavior swallowed this failure).
-				prefix := bytes.TrimSpace(raw)
-				if len(prefix) > errorBodyPrefixBytes {
-					prefix = prefix[:errorBodyPrefixBytes]
-				}
-				return &EnvelopeDecodeError{
-					StatusCode: resp.StatusCode,
-					RequestID:  resp.Header.Get(HeaderRequestID),
-					BodyPrefix: append([]byte(nil), prefix...),
-					Err:        derr,
-				}
-			}
-		}
-		httpErr := &HTTPError{
-			StatusCode:        resp.StatusCode,
-			Code:              eb.Code,
-			Message:           eb.Message,
-			RetryAfterWindows: eb.RetryAfterWindows,
-			RequestID:         resp.Header.Get(HeaderRequestID),
-		}
-		// The envelope code is the stable contract: unwrap it into the
-		// matching typed sentinel so callers can errors.Is against
-		// package errors while errors.As still reaches the *HTTPError.
-		if sentinel, ok := sentinelByCode[eb.Code]; ok {
-			return fmt.Errorf("%w: %w", sentinel, httpErr)
-		}
-		return httpErr
+		return ReplyError(resp)
 	}
 	switch out := out.(type) {
 	case nil:

@@ -590,8 +590,8 @@ func (n *Node) TickError() error {
 // Close releases everything the node owns, in dependency order: the
 // window ticker first (its retained error joins what Close returns),
 // then the shipper's last pass, the streaming server (writing a final
-// snapshot on a durable node) and the state store. A coordinator holds
-// nothing to release.
+// snapshot on a durable node) or the coordinator's worker connections,
+// and the state store.
 func (n *Node) Close() error {
 	var errs []error
 	if n.stopTicker != nil {
@@ -611,6 +611,11 @@ func (n *Node) Close() error {
 			errs = append(errs, err)
 		}
 		n.stream = nil
+	}
+	if n.coord != nil {
+		if err := n.coord.Close(); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	if n.shipper != nil {
 		// ...and ship once more after it, so the replica holds the final
