@@ -59,6 +59,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -96,10 +97,13 @@ type Config struct {
 	// every user identically.
 	Workers []string
 	// HTTPClient overrides the HTTP client of the close, commit and
-	// status RPCs. Routed claims do not use it: they travel over the
-	// coordinator's own pooled connections, which honour no proxy
-	// environment and verify an https worker with crypto/tls's default
-	// configuration.
+	// status RPCs. Routed claims travel over the coordinator's own
+	// pooled connections instead, which honour no proxy environment.
+	// They verify an https worker with the TLSClientConfig of
+	// HTTPClient's *http.Transport, or crypto/tls's default
+	// configuration when it has none; NewCoordinator opens one such
+	// connection per worker, so a worker the claims cannot reach fails
+	// it.
 	HTTPClient *http.Client
 	// Metrics, when set, registers the coordinator's routing and close
 	// counters.
@@ -169,14 +173,18 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	var opts []crowd.ClientOption
+	var tlsConf *tls.Config
 	if cfg.HTTPClient != nil {
 		opts = append(opts, crowd.WithHTTPClient(cfg.HTTPClient))
+		if t, ok := cfg.HTTPClient.Transport.(*http.Transport); ok {
+			tlsConf = t.TLSClientConfig
+		}
 	}
 	clients := make(map[string]*crowd.Client, len(ring.Workers()))
 	claimHops := make(map[string]*forwarder, len(ring.Workers()))
 	claims := make(map[string]*atomic.Int64, len(ring.Workers()))
 	for _, w := range ring.Workers() {
-		if claimHops[w], err = newForwarder(w); err != nil {
+		if claimHops[w], err = newForwarder(w, tlsConf); err != nil {
 			return nil, err
 		}
 		if clients[w], err = crowd.NewClient(w, opts...); err != nil {
@@ -209,7 +217,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			"Per-worker close/commit RPC retries during cluster window closes.")
 	}
 	if err := c.bootSync(); err != nil {
-		return nil, err
+		return nil, errors.Join(err, c.Close())
 	}
 	return c, nil
 }
@@ -226,12 +234,12 @@ func (c *Coordinator) Close() error {
 
 // bootSync contacts every worker and adopts the cluster's window count.
 // Every worker must publish the coordinator's campaign parameters (see
-// sameCampaign). All workers must be reachable and agree on their
-// effective position — recovering a truly torn cluster (workers whose
-// positions diverge) is a deliberate non-goal of this iteration; the
-// close protocol never creates one because a partial close parks the
-// lagging workers behind their durable close exports, not behind a
-// divergent window.
+// sameCampaign) and take one claim connection (see forward.go). All
+// workers must be reachable and agree on their effective position —
+// recovering a truly torn cluster (workers whose positions diverge) is
+// a deliberate non-goal of this iteration; the close protocol never
+// creates one because a partial close parks the lagging workers behind
+// their durable close exports, not behind a divergent window.
 //
 // A worker's effective position is the greater of its engine's window
 // count and its last close export's window: a worker killed between
@@ -261,6 +269,10 @@ func (c *Coordinator) bootSync() error {
 		}
 		if err != nil {
 			return fmt.Errorf("%w: %s at boot: %v", crowd.ErrWorkerUnavailable, w, err)
+		}
+		if err := c.claimHops[w].warm(ctx); err != nil {
+			return fmt.Errorf("%w: worker %s answers its RPCs, but a claim connection to it fails: %v",
+				ErrBadConfig, w, err)
 		}
 		boots[i] = boot{worker: w, info: info, status: status}
 		return nil

@@ -39,8 +39,8 @@ var expired = time.Unix(1, 0)
 // hand-off to a transport's connection goroutines. Idle connections are
 // kept in a LIFO, dialled on demand and released by close.
 type forwarder struct {
-	addr  string // host:port dialled
-	https bool
+	addr string      // host:port dialled
+	tls  *tls.Config // nil for an http worker
 	// head is the request up to the Content-Length value: the request
 	// line to the worker's claims route, Host and Content-Type.
 	head string
@@ -60,8 +60,9 @@ type workerConn struct {
 
 // newForwarder checks a worker base URL: http or https, with a host.
 // The claims route is the URL's path plus crowd.PathStreamClaims, as a
-// crowd.Client builds it.
-func newForwarder(worker string) (*forwarder, error) {
+// crowd.Client builds it. An https worker is dialled with tlsConf, or
+// crypto/tls's default configuration when it is nil.
+func newForwarder(worker string, tlsConf *tls.Config) (*forwarder, error) {
 	u, err := url.Parse(worker + crowd.PathStreamClaims)
 	if err != nil {
 		return nil, fmt.Errorf("%w: worker URL %q: %v", ErrBadConfig, worker, err)
@@ -79,12 +80,31 @@ func newForwarder(worker string) (*forwarder, error) {
 	if p := u.Port(); p != "" {
 		port = p
 	}
-	return &forwarder{
-		addr:  net.JoinHostPort(u.Hostname(), port),
-		https: u.Scheme == "https",
+	fw := &forwarder{
+		addr: net.JoinHostPort(u.Hostname(), port),
 		head: "POST " + u.RequestURI() + " HTTP/1.1\r\nHost: " + u.Host +
 			"\r\nContent-Type: " + crowd.ContentTypeClaims + "\r\nContent-Length: ",
-	}, nil
+	}
+	if u.Scheme == "https" {
+		fw.tls = new(tls.Config)
+		if tlsConf != nil {
+			fw.tls = tlsConf.Clone()
+		}
+		// The claim is HTTP/1.1: offer no other protocol.
+		fw.tls.NextProtos = nil
+	}
+	return fw, nil
+}
+
+// warm dials one connection and keeps it for the next claim, so that a
+// worker the claims cannot reach is found before the first claim.
+func (fw *forwarder) warm(ctx context.Context) error {
+	wc, err := fw.get(ctx, time.Now().Add(crowd.RequestTimeout))
+	if err != nil {
+		return err
+	}
+	fw.put(wc)
+	return nil
 }
 
 // submit forwards one claim batch under the context's request ID and
@@ -182,8 +202,8 @@ func (fw *forwarder) get(ctx context.Context, deadline time.Time) (*workerConn, 
 	d := net.Dialer{Deadline: deadline}
 	var conn net.Conn
 	var err error
-	if fw.https {
-		conn, err = (&tls.Dialer{NetDialer: &d}).DialContext(ctx, "tcp", fw.addr)
+	if fw.tls != nil {
+		conn, err = (&tls.Dialer{NetDialer: &d, Config: fw.tls}).DialContext(ctx, "tcp", fw.addr)
 	} else {
 		conn, err = d.DialContext(ctx, "tcp", fw.addr)
 	}

@@ -18,30 +18,68 @@ import (
 	"pptd/internal/stream"
 )
 
-// countingListener counts the connections it accepts.
+// countingListener counts the connections it accepts and those of them
+// the server has closed.
 type countingListener struct {
 	net.Listener
-	accepts atomic.Int64
+	accepts, closes atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if err == nil {
-		l.accepts.Add(1)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	l.accepts.Add(1)
+	return &countedConn{Conn: c, closes: &l.closes}, nil
 }
 
-// countedWorker is an in-memory worker whose listener counts accepts.
+// countedConn counts its first Close.
+type countedConn struct {
+	net.Conn
+	once   sync.Once
+	closes *atomic.Int64
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.closes.Add(1) })
+	return c.Conn.Close()
+}
+
+// countedWorker is an in-memory worker whose listener counts accepts
+// and which notes the connection every claim arrives on.
 type countedWorker struct {
 	srv *crowd.StreamServer
 	ts  *httptest.Server
 	ln  *countingListener
+
+	mu         sync.Mutex
+	claimConns []string // the remote address of each claim, in arrival order
 }
 
-// startCountedWorker serves a worker's stream and cluster routes, its
-// handler decorated by wrap when wrap is not nil.
-func startCountedWorker(t *testing.T, cfg stream.Config, wrap func(http.Handler) http.Handler) *countedWorker {
+// claimConnsSince counts the distinct connections that carried claims
+// from the n-th claim on.
+func (w *countedWorker) claimConnsSince(n int) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	seen := map[string]bool{}
+	for _, a := range w.claimConns[n:] {
+		seen[a] = true
+	}
+	return len(seen)
+}
+
+// claimCount is how many claims have arrived.
+func (w *countedWorker) claimCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.claimConns)
+}
+
+// startCountedWorker serves a worker's stream and cluster routes, over
+// TLS when https is set, its handler decorated by wrap when wrap is not
+// nil.
+func startCountedWorker(t *testing.T, cfg stream.Config, https bool, wrap func(http.Handler) http.Handler) *countedWorker {
 	t.Helper()
 	srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{Name: "counted", Engine: cfg})
 	if err != nil {
@@ -55,12 +93,24 @@ func startCountedWorker(t *testing.T, cfg stream.Config, wrap func(http.Handler)
 	if wrap != nil {
 		h = wrap(mux)
 	}
-	ts := httptest.NewUnstartedServer(h)
-	ln := &countingListener{Listener: ts.Listener}
-	ts.Listener = ln
-	ts.Start()
-	t.Cleanup(ts.Close)
-	return &countedWorker{srv: srv, ts: ts, ln: ln}
+	w := &countedWorker{srv: srv}
+	w.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == crowd.PathStreamClaims {
+			w.mu.Lock()
+			w.claimConns = append(w.claimConns, r.RemoteAddr)
+			w.mu.Unlock()
+		}
+		h.ServeHTTP(rw, r)
+	}))
+	w.ln = &countingListener{Listener: w.ts.Listener}
+	w.ts.Listener = w.ln
+	if https {
+		w.ts.StartTLS()
+	} else {
+		w.ts.Start()
+	}
+	t.Cleanup(w.ts.Close)
+	return w
 }
 
 // newTestCoordinator boots a coordinator over urls whose boot RPCs use a
@@ -85,7 +135,7 @@ func TestForwardUnansweredClaimEndsWithContext(t *testing.T) {
 	cfg := stream.Config{NumObjects: 2}
 	var hang atomic.Bool
 	release := make(chan struct{})
-	w := startCountedWorker(t, cfg, func(next http.Handler) http.Handler {
+	w := startCountedWorker(t, cfg, false, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == crowd.PathStreamClaims && hang.Load() {
 				// With the body read, the server notices the coordinator
@@ -102,7 +152,6 @@ func TestForwardUnansweredClaimEndsWithContext(t *testing.T) {
 	})
 	t.Cleanup(func() { close(release) }) // before the worker's server closes
 	coord := newTestCoordinator(t, cfg, w.ts.URL)
-	before := w.ln.accepts.Load()
 
 	hang.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -121,8 +170,8 @@ func TestForwardUnansweredClaimEndsWithContext(t *testing.T) {
 	if err != nil || receipt.Accepted != 1 {
 		t.Fatalf("claim after the unanswered one: %+v, %v", receipt, err)
 	}
-	if got := w.ln.accepts.Load() - before; got != 2 {
-		t.Fatalf("the two claims took %d connections, want 2: the hung one must not be reused", got)
+	if got := w.claimConnsSince(0); got != 2 {
+		t.Fatalf("the two claims came over %d connections, want 2: the hung one must not be reused", got)
 	}
 }
 
@@ -135,7 +184,7 @@ func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 	cfg := stream.Config{NumObjects: 2}
 	var closing atomic.Bool
 	var reused atomic.Int64 // bytes sent on a connection after a Connection: close reply
-	w := startCountedWorker(t, cfg, func(next http.Handler) http.Handler {
+	w := startCountedWorker(t, cfg, false, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != crowd.PathStreamClaims || !closing.Load() {
 				next.ServeHTTP(rw, r)
@@ -172,15 +221,15 @@ func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 
 	for _, tc := range []struct {
 		closing bool
-		want    int64
+		want    int
 	}{{true, 3}, {false, 1}} {
 		closing.Store(tc.closing)
-		before := w.ln.accepts.Load()
+		before := w.claimCount()
 		for u := 0; u < 3; u++ {
 			submit(u)
 		}
-		if got := w.ln.accepts.Load() - before; got != tc.want {
-			t.Fatalf("Connection: close %v: 3 claims took %d connections, want %d", tc.closing, got, tc.want)
+		if got := w.claimConnsSince(before); got != tc.want {
+			t.Fatalf("Connection: close %v: 3 claims came over %d connections, want %d", tc.closing, got, tc.want)
 		}
 	}
 	if n := reused.Load(); n != 0 {
@@ -194,7 +243,7 @@ func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 func TestForwardConcurrentClaims(t *testing.T) {
 	const goroutines, perGoroutine = 8, 40
 	cfg := stream.Config{NumObjects: 4}
-	workers := []*countedWorker{startCountedWorker(t, cfg, nil), startCountedWorker(t, cfg, nil)}
+	workers := []*countedWorker{startCountedWorker(t, cfg, false, nil), startCountedWorker(t, cfg, false, nil)}
 	coord := newTestCoordinator(t, cfg, workers[0].ts.URL, workers[1].ts.URL)
 	before := []int64{workers[0].ln.accepts.Load(), workers[1].ln.accepts.Load()}
 
@@ -242,11 +291,7 @@ func TestForwardConcurrentClaims(t *testing.T) {
 
 // TestCoordinatorRefusesWorkerURLs: a worker URL that is not http or
 // https, or names no host, fails NewCoordinator with ErrBadConfig before
-// any worker is contacted. An https worker's claims go through
-// crypto/tls with its default configuration, which verifies the
-// worker's certificate against the system roots — so a test server's
-// self-signed certificate refuses the claim even though the boot RPCs,
-// on a client that trusts it, succeed.
+// any worker is contacted.
 func TestCoordinatorRefusesWorkerURLs(t *testing.T) {
 	cfg := stream.Config{NumObjects: 2}
 	for _, u := range []string{"ftp://127.0.0.1:1", "127.0.0.1:1", "http://", "http:///v1", "https://:443", "unix:///tmp/w.sock"} {
@@ -254,27 +299,60 @@ func TestCoordinatorRefusesWorkerURLs(t *testing.T) {
 			t.Errorf("worker %q: err = %v, want ErrBadConfig", u, err)
 		}
 	}
+}
 
-	srv, err := crowd.NewStreamServer(crowd.StreamServerConfig{Name: "tls", Engine: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	mux := http.NewServeMux()
-	crowd.RegisterStream(mux, srv, 0)
-	srv.RegisterCluster(mux)
-	ts := httptest.NewTLSServer(mux)
-	t.Cleanup(ts.Close)
-	coord, err := NewCoordinator(Config{Name: "tls", Engine: cfg, Workers: []string{ts.URL}, HTTPClient: ts.Client()})
+// wrappedTransport hides the *http.Transport it delegates to.
+type wrappedTransport struct{ http.RoundTripper }
+
+// TestForwardHTTPSWorker: claims to an https worker are verified with
+// the TLS configuration of Config.HTTPClient's transport, and two claims
+// share one connection. A coordinator whose HTTPClient trusts the worker
+// through a transport the claims cannot see fails at boot with
+// ErrBadConfig naming the certificate, not at its first claim.
+func TestForwardHTTPSWorker(t *testing.T) {
+	cfg := stream.Config{NumObjects: 2}
+	w := startCountedWorker(t, cfg, true, nil)
+	coord, err := NewCoordinator(Config{Name: "tls", Engine: cfg, Workers: []string{w.ts.URL}, HTTPClient: w.ts.Client()})
 	if err != nil {
 		t.Fatalf("coordinator over https: %v", err)
 	}
 	t.Cleanup(func() { _ = coord.Close() })
-	_, err = coord.Submit(context.Background(), crowd.Submission{ClientID: "a", Claims: []crowd.Claim{{Object: 0, Value: 1}}})
-	if !errors.Is(err, crowd.ErrWorkerUnavailable) || !strings.Contains(err.Error(), "certificate") {
-		t.Fatalf("claim to a self-signed https worker: err = %v, want ErrWorkerUnavailable over a certificate error", err)
+	for u := 0; u < 2; u++ {
+		if _, err := coord.Submit(context.Background(), crowd.Submission{ClientID: userID(u), Claims: []crowd.Claim{{Object: 0, Value: 1}}}); err != nil {
+			t.Fatalf("claim %d to a trusted https worker: %v", u, err)
+		}
 	}
-	if got := srv.Engine().TotalClaims(); got != 0 {
-		t.Fatalf("the worker ingested %d claims over an unverified connection", got)
+	if got := w.claimConnsSince(0); got != 1 {
+		t.Fatalf("two claims came over %d TLS connections, want 1", got)
+	}
+
+	hidden := &http.Client{Transport: wrappedTransport{w.ts.Client().Transport}}
+	_, err = NewCoordinator(Config{Name: "tls", Engine: cfg, Workers: []string{w.ts.URL}, HTTPClient: hidden})
+	if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), "certificate") {
+		t.Fatalf("claims that cannot verify the worker: err = %v, want ErrBadConfig over a certificate error", err)
+	}
+	if got := w.claimCount(); got != 2 {
+		t.Fatalf("the worker saw %d claims, want the 2 of the trusting coordinator", got)
+	}
+}
+
+// TestBootFailureClosesClaimConnections: a coordinator that fails at
+// boot closes the claim connection it opened to a worker that passed,
+// so the worker sees every connection closed.
+func TestBootFailureClosesClaimConnections(t *testing.T) {
+	cfg := stream.Config{NumObjects: 2}
+	good := startCountedWorker(t, cfg, false, nil)
+	other := startCountedWorker(t, stream.Config{NumObjects: 3}, false, nil)
+	tr := &http.Transport{}
+	_, err := NewCoordinator(Config{Name: "boot", Engine: cfg, Workers: []string{good.ts.URL, other.ts.URL}, HTTPClient: &http.Client{Transport: tr}})
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("boot over a worker serving 3 objects: err = %v, want ErrBadConfig", err)
+	}
+	tr.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); good.ln.closes.Load() < good.ln.accepts.Load(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker still holds %d of its %d connections open after the failed boot",
+				good.ln.accepts.Load()-good.ln.closes.Load(), good.ln.accepts.Load())
+		}
 	}
 }

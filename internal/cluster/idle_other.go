@@ -4,7 +4,7 @@ package cluster
 
 import "net"
 
-// idleAlive assumes an idle connection is alive: without a non-blocking
-// socket read a stale one is found only by the claim it fails, as
-// worker_unavailable.
-func idleAlive(net.Conn) bool { return true }
+// idleAlive cannot tell a stale idle connection from a live one without
+// a non-blocking socket read, so it reports none alive: every claim
+// dials a connection of its own.
+func idleAlive(net.Conn) bool { return false }
