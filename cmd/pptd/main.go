@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return errors.New("-secure supports only -method crh")
 		}
 		var cost pptd.SecureCost
-		res, cost, err = pptd.SecureCRH(ds, 100, 1e-6, pptd.NewRNG(*seed+1))
+		res, cost, err = pptd.SecureCRH(ds, pptd.NewRNG(*seed+1))
 		if err != nil {
 			return err
 		}

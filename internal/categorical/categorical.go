@@ -181,13 +181,15 @@ type Result struct {
 	Converged bool
 }
 
+// votingMaxIterations caps the weighted-voting rounds.
+const votingMaxIterations = 50
+
 // Voting is iterative weighted-voting truth discovery for categorical
 // claims, the categorical counterpart of CRH: truths are weighted
 // plurality votes, and user weights decrease with their disagreement rate
 // against the current truths (Eq. 3 with 0/1 distance).
 type Voting struct {
-	maxIterations int
-	weighted      bool
+	weighted bool
 }
 
 // VotingOption configures NewVoting.
@@ -199,25 +201,18 @@ type votingOptionFunc func(*Voting)
 
 func (f votingOptionFunc) applyVoting(v *Voting) { f(v) }
 
-// WithVotingMaxIterations caps the iteration count (default 50).
-func WithVotingMaxIterations(n int) VotingOption {
-	return votingOptionFunc(func(v *Voting) { v.maxIterations = n })
-}
-
 // WithUnweightedVoting disables weight estimation, reducing the method to
 // plain majority voting (the baseline).
 func WithUnweightedVoting() VotingOption {
 	return votingOptionFunc(func(v *Voting) { v.weighted = false })
 }
 
-// NewVoting returns a configured voting method.
+// NewVoting returns a configured voting method, which runs at most 50
+// weighted rounds (votingMaxIterations). It never fails.
 func NewVoting(opts ...VotingOption) (*Voting, error) {
-	v := &Voting{maxIterations: 50, weighted: true}
+	v := &Voting{weighted: true}
 	for _, o := range opts {
 		o.applyVoting(v)
-	}
-	if v.maxIterations <= 0 {
-		return nil, fmt.Errorf("%w: max iterations %d", ErrBadParam, v.maxIterations)
 	}
 	return v, nil
 }
@@ -273,7 +268,7 @@ func (v *Voting) Run(ds *Dataset) (*Result, error) {
 	}
 	const errFloor = 1e-6
 	errRates := make([]float64, ds.numUsers)
-	for iter := 1; iter <= v.maxIterations; iter++ {
+	for iter := 1; iter <= votingMaxIterations; iter++ {
 		res.Iterations = iter
 		var total float64
 		for s, claims := range ds.byUser {

@@ -206,9 +206,6 @@ func TestVotingWeightsTrackQuality(t *testing.T) {
 }
 
 func TestVotingValidation(t *testing.T) {
-	if _, err := NewVoting(WithVotingMaxIterations(0)); !errors.Is(err, ErrBadParam) {
-		t.Error("zero iterations accepted")
-	}
 	v, err := NewVoting()
 	if err != nil {
 		t.Fatal(err)

@@ -69,6 +69,15 @@ func (w *countedWorker) claimConnsSince(n int) int {
 	return len(seen)
 }
 
+// sequentialConns is how many connections n claims sent one after another
+// to one worker take: one where idle connections are reused, else n.
+func sequentialConns(n int) int {
+	if idleConnsReused {
+		return 1
+	}
+	return n
+}
+
 // claimCount is how many claims have arrived.
 func (w *countedWorker) claimCount() int {
 	w.mu.Lock()
@@ -179,7 +188,7 @@ func TestForwardUnansweredClaimEndsWithContext(t *testing.T) {
 // Connection: close retires its connection, even when the worker leaves
 // it open, so every such claim dials and none arrives on a connection
 // that was asked to close; without the header one connection carries
-// every claim.
+// every claim (where idle connections are reused).
 func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 	cfg := stream.Config{NumObjects: 2}
 	var closing atomic.Bool
@@ -222,7 +231,7 @@ func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 	for _, tc := range []struct {
 		closing bool
 		want    int
-	}{{true, 3}, {false, 1}} {
+	}{{true, 3}, {false, sequentialConns(3)}} {
 		closing.Store(tc.closing)
 		before := w.claimCount()
 		for u := 0; u < 3; u++ {
@@ -238,8 +247,9 @@ func TestForwardKeepsNoConnectionClosedByReply(t *testing.T) {
 }
 
 // TestForwardConcurrentClaims: 8 goroutines route claims to 2 workers.
-// Every receipt counts its batch, the workers hold every claim, and no
-// worker accepts more connections than there are goroutines.
+// Every receipt counts its batch, the workers hold every claim, and,
+// where idle connections are reused, no worker accepts more connections
+// than there are goroutines.
 func TestForwardConcurrentClaims(t *testing.T) {
 	const goroutines, perGoroutine = 8, 40
 	cfg := stream.Config{NumObjects: 4}
@@ -277,11 +287,18 @@ func TestForwardConcurrentClaims(t *testing.T) {
 	for u := 0; u < goroutines*perGoroutine; u++ {
 		want += int64(len(claimsFor(u, 1, cfg.NumObjects)))
 	}
+	// With reuse each goroutine holds at most one connection at a time.
+	// Without it every claim dials, and the boot connection's accept may
+	// land after before was read.
+	maxAccepts := int64(goroutines)
+	if !idleConnsReused {
+		maxAccepts = goroutines*perGoroutine + 1
+	}
 	var held int64
 	for i, w := range workers {
 		held += w.srv.Engine().TotalClaims()
-		if got := w.ln.accepts.Load() - before[i]; got > goroutines {
-			t.Errorf("worker %d accepted %d connections for %d goroutines", i, got, goroutines)
+		if got := w.ln.accepts.Load() - before[i]; got > maxAccepts {
+			t.Errorf("worker %d accepted %d connections for %d goroutines, want at most %d", i, got, goroutines, maxAccepts)
 		}
 	}
 	if held != want || coord.Campaign().TotalClaims != want {
@@ -306,9 +323,10 @@ type wrappedTransport struct{ http.RoundTripper }
 
 // TestForwardHTTPSWorker: claims to an https worker are verified with
 // the TLS configuration of Config.HTTPClient's transport, and two claims
-// share one connection. A coordinator whose HTTPClient trusts the worker
-// through a transport the claims cannot see fails at boot with
-// ErrBadConfig naming the certificate, not at its first claim.
+// share one connection (where idle connections are reused). A
+// coordinator whose HTTPClient trusts the worker through a transport the
+// claims cannot see fails at boot with ErrBadConfig naming the
+// certificate, not at its first claim.
 func TestForwardHTTPSWorker(t *testing.T) {
 	cfg := stream.Config{NumObjects: 2}
 	w := startCountedWorker(t, cfg, true, nil)
@@ -322,8 +340,8 @@ func TestForwardHTTPSWorker(t *testing.T) {
 			t.Fatalf("claim %d to a trusted https worker: %v", u, err)
 		}
 	}
-	if got := w.claimConnsSince(0); got != 1 {
-		t.Fatalf("two claims came over %d TLS connections, want 1", got)
+	if got, want := w.claimConnsSince(0), sequentialConns(2); got != want {
+		t.Fatalf("two claims came over %d TLS connections, want %d", got, want)
 	}
 
 	hidden := &http.Client{Transport: wrappedTransport{w.ts.Client().Transport}}

@@ -132,7 +132,7 @@ func CostComparison(cfg CostConfig) (*CostResult, error) {
 			perturbMs.Add(float64(time.Since(start).Microseconds()) / 1000)
 
 			start = time.Now()
-			res, cost, err := secagg.SecureCRH(inst.Dataset, truth.DefaultMaxIterations, truth.DefaultTolerance, rng.Split())
+			res, cost, err := secagg.SecureCRH(inst.Dataset, rng.Split())
 			if err != nil {
 				return nil, fmt.Errorf("eval: cost comparison: %w", err)
 			}

@@ -201,7 +201,7 @@ func TestSecureCRHMatchesUtility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, cost, err := SecureCRH(inst.Dataset, 50, 1e-6, randx.New(8))
+	res, cost, err := SecureCRH(inst.Dataset, randx.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestSecureCRHSparseData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := SecureCRH(inst.Dataset, 50, 1e-6, randx.New(10))
+	res, _, err := SecureCRH(inst.Dataset, randx.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +255,10 @@ func TestSecureCRHValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SecureCRH(nil, 10, 1e-6, randx.New(1)); !errors.Is(err, ErrBadParam) {
+	if _, _, err := SecureCRH(nil, randx.New(1)); !errors.Is(err, ErrBadParam) {
 		t.Error("nil dataset accepted")
 	}
-	if _, _, err := SecureCRH(inst.Dataset, 0, 1e-6, randx.New(1)); !errors.Is(err, ErrBadParam) {
-		t.Error("zero iterations accepted")
-	}
-	if _, _, err := SecureCRH(inst.Dataset, 10, 0, randx.New(1)); !errors.Is(err, ErrBadParam) {
-		t.Error("zero tolerance accepted")
-	}
-	if _, _, err := SecureCRH(inst.Dataset, 10, 1e-6, nil); !errors.Is(err, ErrBadParam) {
+	if _, _, err := SecureCRH(inst.Dataset, nil); !errors.Is(err, ErrBadParam) {
 		t.Error("nil rng accepted")
 	}
 }
@@ -293,7 +287,7 @@ func TestSecureCRHAgreesWithPlainCRHOnWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := SecureCRH(inst.Dataset, 50, 1e-6, randx.New(13))
+	res, _, err := SecureCRH(inst.Dataset, randx.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}

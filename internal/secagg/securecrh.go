@@ -24,15 +24,13 @@ import (
 //
 // where obs_sn is the observation indicator and d_s the previous-round
 // distance used for the Eq. 3 weight normalization.
-func SecureCRH(ds *truth.Dataset, maxIterations int, tolerance float64, rng *randx.RNG) (*truth.Result, Cost, error) {
+//
+// It runs at plain CRH's fixed iteration controls: at most
+// truth.DefaultMaxIterations (100) rounds, stopping once the truths move
+// less than truth.DefaultTolerance (1e-6).
+func SecureCRH(ds *truth.Dataset, rng *randx.RNG) (*truth.Result, Cost, error) {
 	if ds == nil {
 		return nil, Cost{}, fmt.Errorf("%w: nil dataset", ErrBadParam)
-	}
-	if maxIterations <= 0 {
-		return nil, Cost{}, fmt.Errorf("%w: max iterations %d", ErrBadParam, maxIterations)
-	}
-	if tolerance <= 0 || math.IsNaN(tolerance) {
-		return nil, Cost{}, fmt.Errorf("%w: tolerance %v", ErrBadParam, tolerance)
 	}
 	numUsers := ds.NumUsers()
 	numObjects := ds.NumObjects()
@@ -91,7 +89,7 @@ func SecureCRH(ds *truth.Dataset, maxIterations int, tolerance float64, rng *ran
 	// estimated weights first influence the aggregation in round 3;
 	// convergence is only meaningful once that has happened.
 	weightsApplied := false
-	for iter := 1; iter <= maxIterations; iter++ {
+	for iter := 1; iter <= truth.DefaultMaxIterations; iter++ {
 		res.Iterations = iter
 		// Each client assembles its weighted upload.
 		for s := range clients {
@@ -121,7 +119,7 @@ func SecureCRH(ds *truth.Dataset, maxIterations int, tolerance float64, rng *ran
 		}
 		totalDist := sums[2*numObjects]
 
-		if weightsApplied && maxAbsDiff(prev, truths) < tolerance {
+		if weightsApplied && maxAbsDiff(prev, truths) < truth.DefaultTolerance {
 			res.Converged = true
 			break
 		}

@@ -9,20 +9,19 @@ import "pptd/internal/truth"
 // registry. Like its batch counterpart it restarts from uniform weights
 // every window — the claim counts and residuals it weighs by are already
 // carried by the decayed sufficient statistics — so it keeps no private
-// cross-window state.
-type catdEstimator struct {
-	confidence float64
-}
+// cross-window state. Its confidence is the batch method's
+// (truth.CATDConfidence).
+type catdEstimator struct{}
 
-func (*catdEstimator) Name() string { return EstimatorCATD }
+func (catdEstimator) Name() string { return EstimatorCATD }
 
-func (c *catdEstimator) estimate(e *Engine, w *windowData) (int, bool) {
+func (catdEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 	countClaims(w.views, w.claimCount)
 	quantile := make([]float64, w.numUsers)
 	for u, k := range w.claimCount {
 		w.weights[u] = 1
 		if k > 0 {
-			quantile[u] = truth.Chi2Quantile(c.confidence, float64(k))
+			quantile[u] = truth.Chi2Quantile(truth.CATDConfidence, float64(k))
 		}
 	}
 

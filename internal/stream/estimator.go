@@ -77,13 +77,9 @@ type windowData struct {
 func newEstimator(cfg *Config) Estimator {
 	switch cfg.Estimator {
 	case EstimatorGTM:
-		return &gtmEstimator{
-			priorMeanWeight: 0.01,
-			alpha:           2,
-			beta:            1,
-		}
+		return &gtmEstimator{}
 	case EstimatorCATD:
-		return &catdEstimator{confidence: 0.95}
+		return &catdEstimator{}
 	default:
 		return &crhEstimator{}
 	}

@@ -18,15 +18,14 @@ const gtmVarianceFloor = 1e-9
 // It keeps no private state: the precisions it reports are the carry
 // weights the registry persists, so the next window warm-starts from
 // them (or from all ones, the unit initial variance, when carryover is
-// disabled) exactly as if GTM kept the variance vector itself.
-type gtmEstimator struct {
-	priorMeanWeight float64
-	alpha, beta     float64
-}
+// disabled) exactly as if GTM kept the variance vector itself. Its priors
+// are the batch method's constants (truth.GTMTruthPriorWeight,
+// truth.GTMPriorAlpha, truth.GTMPriorBeta).
+type gtmEstimator struct{}
 
-func (*gtmEstimator) Name() string { return EstimatorGTM }
+func (gtmEstimator) Name() string { return EstimatorGTM }
 
-func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
+func (g gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 	// prec enters holding the carry weights: the precisions of the last
 	// window that estimated each user. Silent users keep theirs.
 	prec := w.weights
@@ -59,8 +58,8 @@ func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 			go func(v *shardView) {
 				defer wg.Done()
 				for i, obj := range v.objects {
-					num := g.priorMeanWeight * priorMeans[obj]
-					den := g.priorMeanWeight
+					num := truth.GTMTruthPriorWeight * priorMeans[obj]
+					den := truth.GTMTruthPriorWeight
 					for _, c := range v.claims[i] {
 						num += prec[c.user] * c.value
 						den += prec[c.user]
@@ -79,7 +78,7 @@ func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 			if k == 0 {
 				continue
 			}
-			v := (2*g.beta + ss[u]) / (2*(g.alpha+1) + float64(k))
+			v := (2*truth.GTMPriorBeta + ss[u]) / (2*(truth.GTMPriorAlpha+1) + float64(k))
 			if v < gtmVarianceFloor {
 				v = gtmVarianceFloor
 			}
@@ -102,7 +101,7 @@ func (g *gtmEstimator) estimate(e *Engine, w *windowData) (int, bool) {
 
 // objectMeans fills means with each covered object's plain mean of the
 // effective claims; uncovered objects are left untouched.
-func (*gtmEstimator) objectMeans(views []*shardView, means []float64) {
+func (gtmEstimator) objectMeans(views []*shardView, means []float64) {
 	var wg sync.WaitGroup
 	for _, v := range views {
 		wg.Add(1)

@@ -16,69 +16,20 @@ import (
 // trustworthy), which matters on long-tail crowd sensing data. It is an
 // extension beyond the paper's two evaluated methods, included to support
 // the claim that the mechanism works with any weighted-aggregation method.
-type CATD struct {
-	cfg        iterConfig
-	confidence float64
-}
+type CATD struct{}
 
 var _ Method = (*CATD)(nil)
 
-// CATDOption configures NewCATD.
-type CATDOption interface {
-	applyCATD(*CATD)
-}
-
-type catdOptionFunc func(*CATD)
-
-func (f catdOptionFunc) applyCATD(c *CATD) { f(c) }
-
-// WithCATDConfidence sets the chi-squared confidence level in (0, 1)
-// (default 0.95).
-func WithCATDConfidence(conf float64) CATDOption {
-	return catdOptionFunc(func(c *CATD) { c.confidence = conf })
-}
-
-// WithCATDTolerance sets the convergence tolerance (default
-// DefaultTolerance).
-func WithCATDTolerance(tol float64) CATDOption {
-	return catdOptionFunc(func(c *CATD) { c.cfg.tolerance = tol })
-}
-
-// WithCATDMaxIterations caps the iteration count (default
-// DefaultMaxIterations).
-func WithCATDMaxIterations(n int) CATDOption {
-	return catdOptionFunc(func(c *CATD) { c.cfg.maxIterations = n })
-}
-
-// WithCATDFailOnNonConvergence makes Run return an error wrapping
-// ErrNotConverged when the cap is hit.
-func WithCATDFailOnNonConvergence() CATDOption {
-	return catdOptionFunc(func(c *CATD) { c.cfg.failOnNoConv = true })
-}
-
-// NewCATD returns a configured CATD method.
-func NewCATD(opts ...CATDOption) (*CATD, error) {
-	c := &CATD{
-		cfg:        defaultIterConfig(),
-		confidence: 0.95,
-	}
-	for _, o := range opts {
-		o.applyCATD(c)
-	}
-	if err := c.cfg.validate(); err != nil {
-		return nil, err
-	}
-	if c.confidence <= 0 || c.confidence >= 1 || math.IsNaN(c.confidence) {
-		return nil, fmt.Errorf("truth: confidence %v outside (0, 1)", c.confidence)
-	}
-	return c, nil
-}
+// NewCATD returns CATD at its fixed parameters: confidence
+// CATDConfidence (0.95), tolerance DefaultTolerance (1e-6) and at most
+// DefaultMaxIterations (100) iterations. It never fails.
+func NewCATD() (*CATD, error) { return &CATD{}, nil }
 
 // Name implements Method.
-func (c *CATD) Name() string { return "catd" }
+func (*CATD) Name() string { return "catd" }
 
 // Run implements Method.
-func (c *CATD) Run(ds *Dataset) (*Result, error) {
+func (*CATD) Run(ds *Dataset) (*Result, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrBadIndex)
 	}
@@ -97,13 +48,13 @@ func (c *CATD) Run(ds *Dataset) (*Result, error) {
 	}
 	for s, claims := range ds.byUser {
 		if len(claims) > 0 {
-			quantile[s] = Chi2Quantile(c.confidence, float64(len(claims)))
+			quantile[s] = Chi2Quantile(CATDConfidence, float64(len(claims)))
 		}
 	}
 
 	weightedTruths(ds, weights, truths)
 	res := &Result{Truths: truths, Weights: weights}
-	for iter := 1; iter <= c.cfg.maxIterations; iter++ {
+	for iter := 1; iter <= DefaultMaxIterations; iter++ {
 		res.Iterations = iter
 		for s, claims := range ds.byUser {
 			if len(claims) == 0 {
@@ -125,13 +76,10 @@ func (c *CATD) Run(ds *Dataset) (*Result, error) {
 		NormalizeWeights(weights)
 		copy(prev, truths)
 		weightedTruths(ds, weights, truths)
-		if maxAbsDiff(prev, truths) < c.cfg.tolerance {
+		if maxAbsDiff(prev, truths) < DefaultTolerance {
 			res.Converged = true
 			break
 		}
-	}
-	if !res.Converged && c.cfg.failOnNoConv {
-		return nil, fmt.Errorf("%w: catd after %d iterations", ErrNotConverged, res.Iterations)
 	}
 	return res, nil
 }

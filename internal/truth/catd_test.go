@@ -1,26 +1,11 @@
 package truth
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"pptd/internal/randx"
 )
-
-func TestNewCATDValidation(t *testing.T) {
-	for _, conf := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
-		if _, err := NewCATD(WithCATDConfidence(conf)); err == nil {
-			t.Errorf("confidence %v accepted", conf)
-		}
-	}
-	if _, err := NewCATD(WithCATDTolerance(-1)); err == nil {
-		t.Error("negative tolerance accepted")
-	}
-	if _, err := NewCATD(WithCATDMaxIterations(-1)); err == nil {
-		t.Error("negative iteration cap accepted")
-	}
-}
 
 func TestCATDName(t *testing.T) {
 	c, err := NewCATD()
@@ -84,23 +69,6 @@ func TestCATDLongTailBoost(t *testing.T) {
 	}
 	if res.Weights[0] <= 0 || res.Weights[1] <= 0 {
 		t.Fatalf("weights = %v", res.Weights)
-	}
-}
-
-func TestCATDFailOnNonConvergence(t *testing.T) {
-	rng := randx.New(32)
-	truths := genTruths(rng, 10)
-	ds := genDataset(t, rng, truths, []float64{0.5, 1.5})
-	c, err := NewCATD(
-		WithCATDMaxIterations(1),
-		WithCATDTolerance(1e-15),
-		WithCATDFailOnNonConvergence(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(ds); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("error = %v, want ErrNotConverged", err)
 	}
 }
 

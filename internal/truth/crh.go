@@ -15,8 +15,8 @@ import (
 // stabilize. A per-user distance is averaged over the user's observed
 // objects so sparsely participating users are not over-penalized.
 type CRH struct {
-	cfg      iterConfig
-	distance Distance
+	tolerance float64
+	distance  Distance
 }
 
 var _ Method = (*CRH)(nil)
@@ -39,33 +39,21 @@ func WithCRHDistance(d Distance) CRHOption {
 // WithCRHTolerance sets the convergence tolerance on the maximum truth
 // change (default DefaultTolerance).
 func WithCRHTolerance(tol float64) CRHOption {
-	return crhOptionFunc(func(c *CRH) { c.cfg.tolerance = tol })
+	return crhOptionFunc(func(c *CRH) { c.tolerance = tol })
 }
 
-// WithCRHMaxIterations caps the iteration count (default
-// DefaultMaxIterations).
-func WithCRHMaxIterations(n int) CRHOption {
-	return crhOptionFunc(func(c *CRH) { c.cfg.maxIterations = n })
-}
-
-// WithCRHFailOnNonConvergence makes Run return an error wrapping
-// ErrNotConverged when the cap is hit; by default the last iterate is
-// returned with Converged=false.
-func WithCRHFailOnNonConvergence() CRHOption {
-	return crhOptionFunc(func(c *CRH) { c.cfg.failOnNoConv = true })
-}
-
-// NewCRH returns a configured CRH method.
+// NewCRH returns a configured CRH method. It iterates at most
+// DefaultMaxIterations times.
 func NewCRH(opts ...CRHOption) (*CRH, error) {
 	c := &CRH{
-		cfg:      defaultIterConfig(),
-		distance: NormalizedSquaredDistance,
+		tolerance: DefaultTolerance,
+		distance:  NormalizedSquaredDistance,
 	}
 	for _, o := range opts {
 		o.applyCRH(c)
 	}
-	if err := c.cfg.validate(); err != nil {
-		return nil, err
+	if c.tolerance <= 0 || math.IsNaN(c.tolerance) {
+		return nil, fmt.Errorf("truth: non-positive tolerance %v", c.tolerance)
 	}
 	if !c.distance.valid() {
 		return nil, fmt.Errorf("truth: unknown distance %v", c.distance)
@@ -99,18 +87,15 @@ func (c *CRH) Run(ds *Dataset) (*Result, error) {
 
 	weightedTruths(ds, weights, truths)
 	res := &Result{Truths: truths, Weights: weights}
-	for iter := 1; iter <= c.cfg.maxIterations; iter++ {
+	for iter := 1; iter <= DefaultMaxIterations; iter++ {
 		res.Iterations = iter
 		c.updateWeights(ds, truths, stds, weights)
 		copy(prev, truths)
 		weightedTruths(ds, weights, truths)
-		if maxAbsDiff(prev, truths) < c.cfg.tolerance {
+		if maxAbsDiff(prev, truths) < c.tolerance {
 			res.Converged = true
 			break
 		}
-	}
-	if !res.Converged && c.cfg.failOnNoConv {
-		return nil, fmt.Errorf("%w: crh after %d iterations", ErrNotConverged, res.Iterations)
 	}
 	return res, nil
 }

@@ -1,9 +1,6 @@
 package truth
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GTM implements the Gaussian Truth Model of Zhao & Han (QDB'12), the
 // second truth-discovery method the paper evaluates (Fig. 5). Claims are
@@ -14,98 +11,23 @@ import (
 //
 // Reported weights are the estimated precisions 1/sigma_s^2, the natural
 // "weight" of a user under this model.
-type GTM struct {
-	cfg iterConfig
-
-	// priorMeanWeight is the pseudo-claim weight of the per-object prior
-	// mean (1/sigma0^2 in model terms); 0 disables the truth prior.
-	priorMeanWeight float64
-	// alpha, beta parameterize the inverse-Gamma prior on user variances.
-	alpha float64
-	beta  float64
-	// initVariance seeds the user variances before the first iteration.
-	initVariance float64
-}
+type GTM struct{}
 
 var _ Method = (*GTM)(nil)
 
-// GTMOption configures NewGTM.
-type GTMOption interface {
-	applyGTM(*GTM)
-}
-
-type gtmOptionFunc func(*GTM)
-
-func (f gtmOptionFunc) applyGTM(g *GTM) { f(g) }
-
-// WithGTMTolerance sets the convergence tolerance on the maximum truth
-// change (default DefaultTolerance).
-func WithGTMTolerance(tol float64) GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.cfg.tolerance = tol })
-}
-
-// WithGTMMaxIterations caps the iteration count (default
-// DefaultMaxIterations).
-func WithGTMMaxIterations(n int) GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.cfg.maxIterations = n })
-}
-
-// WithGTMFailOnNonConvergence makes Run return an error wrapping
-// ErrNotConverged when the cap is hit.
-func WithGTMFailOnNonConvergence() GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.cfg.failOnNoConv = true })
-}
-
-// WithGTMVariancePrior sets the inverse-Gamma(alpha, beta) prior on user
-// variances (default alpha=2, beta=1, a weak prior with mean 1).
-func WithGTMVariancePrior(alpha, beta float64) GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.alpha, g.beta = alpha, beta })
-}
-
-// WithGTMTruthPriorWeight sets the pseudo-claim weight given to the
-// per-object claim mean acting as the truth prior (default 0.01; 0
-// disables the prior).
-func WithGTMTruthPriorWeight(w float64) GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.priorMeanWeight = w })
-}
-
-// WithGTMInitialVariance sets the initial per-user variance (default 1).
-func WithGTMInitialVariance(v float64) GTMOption {
-	return gtmOptionFunc(func(g *GTM) { g.initVariance = v })
-}
-
-// NewGTM returns a configured GTM method.
-func NewGTM(opts ...GTMOption) (*GTM, error) {
-	g := &GTM{
-		cfg:             defaultIterConfig(),
-		priorMeanWeight: 0.01,
-		alpha:           2,
-		beta:            1,
-		initVariance:    1,
-	}
-	for _, o := range opts {
-		o.applyGTM(g)
-	}
-	if err := g.cfg.validate(); err != nil {
-		return nil, err
-	}
-	if g.alpha <= 0 || g.beta <= 0 {
-		return nil, fmt.Errorf("truth: non-positive inverse-gamma prior (%v, %v)", g.alpha, g.beta)
-	}
-	if g.priorMeanWeight < 0 || math.IsNaN(g.priorMeanWeight) {
-		return nil, fmt.Errorf("truth: negative truth-prior weight %v", g.priorMeanWeight)
-	}
-	if g.initVariance <= 0 || math.IsNaN(g.initVariance) {
-		return nil, fmt.Errorf("truth: non-positive initial variance %v", g.initVariance)
-	}
-	return g, nil
-}
+// NewGTM returns GTM at its fixed parameters: a truth prior of weight
+// GTMTruthPriorWeight (0.01) on each object's claim mean, an
+// inverse-Gamma(GTMPriorAlpha, GTMPriorBeta) = (2, 1) prior on user
+// variances, unit initial variances (GTMInitialVariance), tolerance
+// DefaultTolerance (1e-6) and at most DefaultMaxIterations (100)
+// iterations. It never fails.
+func NewGTM() (*GTM, error) { return &GTM{}, nil }
 
 // Name implements Method.
-func (g *GTM) Name() string { return "gtm" }
+func (*GTM) Name() string { return "gtm" }
 
 // Run implements Method.
-func (g *GTM) Run(ds *Dataset) (*Result, error) {
+func (*GTM) Run(ds *Dataset) (*Result, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("%w: nil dataset", ErrBadIndex)
 	}
@@ -120,18 +42,18 @@ func (g *GTM) Run(ds *Dataset) (*Result, error) {
 		priorMeans = ds.ObjectMeans()
 	)
 	for s := range variances {
-		variances[s] = g.initVariance
+		variances[s] = GTMInitialVariance
 	}
 	copy(truths, priorMeans)
 
 	res := &Result{Truths: truths}
-	for iter := 1; iter <= g.cfg.maxIterations; iter++ {
+	for iter := 1; iter <= DefaultMaxIterations; iter++ {
 		res.Iterations = iter
 
 		// E-step: posterior-mean truths given variances.
 		for n, claims := range ds.byObject {
-			num := g.priorMeanWeight * priorMeans[n]
-			den := g.priorMeanWeight
+			num := GTMTruthPriorWeight * priorMeans[n]
+			den := GTMTruthPriorWeight
 			for _, uv := range claims {
 				prec := 1 / variances[uv.user]
 				num += prec * uv.value
@@ -152,20 +74,17 @@ func (g *GTM) Run(ds *Dataset) (*Result, error) {
 				d := ov.value - truths[ov.object]
 				ss += d * d
 			}
-			v := (2*g.beta + ss) / (2*(g.alpha+1) + float64(len(claims)))
+			v := (2*GTMPriorBeta + ss) / (2*(GTMPriorAlpha+1) + float64(len(claims)))
 			if v < varianceFloor {
 				v = varianceFloor
 			}
 			variances[s] = v
 		}
 
-		if maxAbsDiff(prev, truths) < g.cfg.tolerance {
+		if maxAbsDiff(prev, truths) < DefaultTolerance {
 			res.Converged = true
 			break
 		}
-	}
-	if !res.Converged && g.cfg.failOnNoConv {
-		return nil, fmt.Errorf("%w: gtm after %d iterations", ErrNotConverged, res.Iterations)
 	}
 
 	weights := make([]float64, numUsers)

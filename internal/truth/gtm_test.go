@@ -1,33 +1,11 @@
 package truth
 
 import (
-	"errors"
 	"math"
 	"testing"
 
 	"pptd/internal/randx"
 )
-
-func TestNewGTMValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		opts []GTMOption
-	}{
-		{name: "zero tolerance", opts: []GTMOption{WithGTMTolerance(0)}},
-		{name: "zero iterations", opts: []GTMOption{WithGTMMaxIterations(0)}},
-		{name: "bad alpha", opts: []GTMOption{WithGTMVariancePrior(0, 1)}},
-		{name: "bad beta", opts: []GTMOption{WithGTMVariancePrior(1, -1)}},
-		{name: "negative prior weight", opts: []GTMOption{WithGTMTruthPriorWeight(-0.1)}},
-		{name: "bad init variance", opts: []GTMOption{WithGTMInitialVariance(0)}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewGTM(tt.opts...); err == nil {
-				t.Error("invalid config accepted")
-			}
-		})
-	}
-}
 
 func TestGTMName(t *testing.T) {
 	g, err := NewGTM()
@@ -90,44 +68,6 @@ func TestGTMEstimatedVarianceClose(t *testing.T) {
 		if math.Abs(estVar-trueVar) > 0.5*trueVar {
 			t.Errorf("user %d variance = %v, want within 50%% of %v", s, estVar, trueVar)
 		}
-	}
-}
-
-func TestGTMFailOnNonConvergence(t *testing.T) {
-	rng := randx.New(22)
-	truths := genTruths(rng, 10)
-	ds := genDataset(t, rng, truths, []float64{0.5, 1.5})
-	g, err := NewGTM(
-		WithGTMMaxIterations(1),
-		WithGTMTolerance(1e-15),
-		WithGTMFailOnNonConvergence(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Run(ds); !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("error = %v, want ErrNotConverged", err)
-	}
-}
-
-func TestGTMWithoutTruthPrior(t *testing.T) {
-	rng := randx.New(23)
-	truths := genTruths(rng, 30)
-	ds := genDataset(t, rng, truths, []float64{0.1, 0.2, 0.4})
-	g, err := NewGTM(WithGTMTruthPriorWeight(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.Run(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mae float64
-	for n, tv := range truths {
-		mae += math.Abs(res.Truths[n] - tv)
-	}
-	if mae /= float64(len(truths)); mae > 0.2 {
-		t.Errorf("MAE without prior = %v", mae)
 	}
 }
 

@@ -1,25 +1,38 @@
 package truth
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
-// Default iteration controls shared by the iterative methods.
+// The fixed parameters of the iterative methods. The streaming estimators
+// (internal/stream) read the same constants, so a streamed window and its
+// batch counterpart run at one setting.
 const (
 	// DefaultTolerance is the convergence threshold on the maximum
-	// per-object truth change between consecutive iterations.
+	// per-object truth change between consecutive iterations. GTM and CATD
+	// always run at it; CRH may be given another (WithCRHTolerance).
 	DefaultTolerance = 1e-6
-	// DefaultMaxIterations caps the iteration count when the tolerance is
-	// never reached.
+	// DefaultMaxIterations caps the iteration count of CRH, GTM and CATD
+	// when the tolerance is never reached; the last iterate is returned
+	// with Converged=false.
 	DefaultMaxIterations = 100
-)
 
-// ErrNotConverged is wrapped into errors returned by methods configured to
-// fail when the iteration cap is hit (the default is to return the last
-// iterate instead).
-var ErrNotConverged = errors.New("truth: did not converge")
+	// GTMTruthPriorWeight is GTM's pseudo-claim weight of the per-object
+	// claim mean acting as the truth prior (1/sigma0^2 in model terms).
+	GTMTruthPriorWeight = 0.01
+	// GTMPriorAlpha and GTMPriorBeta parameterize GTM's inverse-Gamma
+	// prior on user variances: a weak prior with mean 1.
+	GTMPriorAlpha = 2.0
+	GTMPriorBeta  = 1.0
+	// GTMInitialVariance seeds every user variance before GTM's first
+	// iteration.
+	GTMInitialVariance = 1.0
+
+	// CATDConfidence is the chi-squared confidence level of CATD's
+	// per-user precision bound.
+	CATDConfidence = 0.95
+)
 
 // Result is the output of one truth-discovery run.
 type Result struct {
@@ -80,30 +93,6 @@ func (d Distance) valid() bool {
 	default:
 		return false
 	}
-}
-
-// iterConfig carries the iteration controls common to CRH, GTM and CATD.
-type iterConfig struct {
-	tolerance     float64
-	maxIterations int
-	failOnNoConv  bool
-}
-
-func defaultIterConfig() iterConfig {
-	return iterConfig{
-		tolerance:     DefaultTolerance,
-		maxIterations: DefaultMaxIterations,
-	}
-}
-
-func (c iterConfig) validate() error {
-	if c.tolerance <= 0 || math.IsNaN(c.tolerance) {
-		return fmt.Errorf("truth: non-positive tolerance %v", c.tolerance)
-	}
-	if c.maxIterations <= 0 {
-		return fmt.Errorf("truth: non-positive iteration cap %d", c.maxIterations)
-	}
-	return nil
 }
 
 // maxAbsDiff returns the largest absolute element-wise difference between

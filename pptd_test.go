@@ -71,15 +71,15 @@ func TestFacadeMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crh, err := pptd.NewCRH(pptd.WithCRHDistance(pptd.AbsoluteDistance), pptd.WithCRHMaxIterations(50))
+	crh, err := pptd.NewCRH(pptd.WithCRHDistance(pptd.AbsoluteDistance), pptd.WithCRHTolerance(1e-9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gtm, err := pptd.NewGTM(pptd.WithGTMVariancePrior(2, 1))
+	gtm, err := pptd.NewGTM()
 	if err != nil {
 		t.Fatal(err)
 	}
-	catd, err := pptd.NewCATD(pptd.WithCATDConfidence(0.9))
+	catd, err := pptd.NewCATD()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestFacadeSecureAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, cost, err := pptd.SecureCRH(inst.Dataset, 50, 1e-6, rng.Split())
+	res, cost, err := pptd.SecureCRH(inst.Dataset, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,34 +260,5 @@ func TestFacadeSecureAggregation(t *testing.T) {
 	pc := pptd.PerturbationCost(20, 10)
 	if pc.TotalBytes >= cost.TotalBytes {
 		t.Fatalf("perturbation %d bytes not below secure-agg %d", pc.TotalBytes, cost.TotalBytes)
-	}
-}
-
-func TestFacadePersonalizedMechanism(t *testing.T) {
-	rng := pptd.NewRNG(22)
-	inst, err := pptd.GenerateSynthetic(pptd.SyntheticConfig{
-		NumUsers: 10, NumObjects: 5, Lambda1: 2,
-		TruthLow: 0, TruthHigh: 10, ObserveProb: 1,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates := make([]float64, 10)
-	for i := range rates {
-		rates[i] = float64(i + 1)
-	}
-	m, err := pptd.NewPersonalizedMechanism(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perturbed, report, err := m.PerturbDataset(inst.Dataset, rng.Split())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perturbed.NumObservations() != inst.Dataset.NumObservations() {
-		t.Fatal("sparsity changed")
-	}
-	if len(report.UserVariances) != 10 {
-		t.Fatalf("variances = %v", report.UserVariances)
 	}
 }

@@ -1,7 +1,6 @@
 package pptd
 
 import (
-	"pptd/internal/core"
 	"pptd/internal/randx"
 	"pptd/internal/secagg"
 )
@@ -20,9 +19,10 @@ func NewSecureAggregator(numUsers int, rng *RNG) (*SecureAggregator, error) {
 }
 
 // SecureCRH runs CRH truth discovery over secure-sum rounds, returning
-// the result and the exact protocol cost.
-func SecureCRH(ds *Dataset, maxIterations int, tolerance float64, rng *randx.RNG) (*Result, SecureCost, error) {
-	return secagg.SecureCRH(ds, maxIterations, tolerance, rng)
+// the result and the exact protocol cost. Like NewCRH's defaults it stops
+// once the truths move less than 1e-6, after at most 100 rounds.
+func SecureCRH(ds *Dataset, rng *randx.RNG) (*Result, SecureCost, error) {
+	return secagg.SecureCRH(ds, rng)
 }
 
 // PerturbationCost returns the communication footprint of the paper's
@@ -30,15 +30,4 @@ func SecureCRH(ds *Dataset, maxIterations int, tolerance float64, rng *randx.RNG
 // user, no setup.
 func PerturbationCost(numUsers, numObjects int) SecureCost {
 	return secagg.PerturbationCost(numUsers, numObjects)
-}
-
-// PersonalizedMechanism extends the paper's mechanism to per-user
-// privacy preferences: each user draws their noise variance from their
-// own Exp(lambda2_s).
-type PersonalizedMechanism = core.PersonalizedMechanism
-
-// NewPersonalizedMechanism returns a mechanism where user s samples
-// noise variances from Exp(rates[s]).
-func NewPersonalizedMechanism(rates []float64) (*PersonalizedMechanism, error) {
-	return core.NewPersonalizedMechanism(rates)
 }

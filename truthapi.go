@@ -55,36 +55,17 @@ func WithCRHDistance(d Distance) CRHOption { return truth.WithCRHDistance(d) }
 // WithCRHTolerance sets the CRH convergence tolerance.
 func WithCRHTolerance(tol float64) CRHOption { return truth.WithCRHTolerance(tol) }
 
-// WithCRHMaxIterations caps CRH iterations.
-func WithCRHMaxIterations(n int) CRHOption { return truth.WithCRHMaxIterations(n) }
-
-// GTMOption configures NewGTM.
-type GTMOption = truth.GTMOption
-
 // NewGTM returns the Gaussian Truth Model method (Zhao & Han, QDB'12),
-// the second method the paper evaluates (Fig. 5).
-func NewGTM(opts ...GTMOption) (Method, error) { return truth.NewGTM(opts...) }
+// the second method the paper evaluates (Fig. 5), at its fixed
+// parameters: truth-prior weight 0.01, an inverse-Gamma(2, 1) prior on
+// user variances, unit initial variances, tolerance 1e-6 and at most 100
+// iterations.
+func NewGTM() (Method, error) { return truth.NewGTM() }
 
-// WithGTMTolerance sets the GTM convergence tolerance.
-func WithGTMTolerance(tol float64) GTMOption { return truth.WithGTMTolerance(tol) }
-
-// WithGTMMaxIterations caps GTM iterations.
-func WithGTMMaxIterations(n int) GTMOption { return truth.WithGTMMaxIterations(n) }
-
-// WithGTMVariancePrior sets the inverse-Gamma(alpha, beta) prior on user
-// variances.
-func WithGTMVariancePrior(alpha, beta float64) GTMOption {
-	return truth.WithGTMVariancePrior(alpha, beta)
-}
-
-// CATDOption configures NewCATD.
-type CATDOption = truth.CATDOption
-
-// NewCATD returns the confidence-aware truth-discovery extension.
-func NewCATD(opts ...CATDOption) (Method, error) { return truth.NewCATD(opts...) }
-
-// WithCATDConfidence sets the chi-squared confidence level.
-func WithCATDConfidence(conf float64) CATDOption { return truth.WithCATDConfidence(conf) }
+// NewCATD returns the confidence-aware truth-discovery extension at its
+// fixed parameters: confidence 0.95, tolerance 1e-6 and at most 100
+// iterations.
+func NewCATD() (Method, error) { return truth.NewCATD() }
 
 // MeanBaseline returns the uniform-weight averaging baseline.
 func MeanBaseline() Method { return truth.Mean{} }
